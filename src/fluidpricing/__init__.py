@@ -36,6 +36,7 @@ from .policies import (
     dp_value,
     evaluate_policy_exact,
     exact_policy_values,
+    exact_values,
     ho_policy,
     multi_resolving_policy,
     resolving_policy,

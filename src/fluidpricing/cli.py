@@ -129,8 +129,7 @@ def cmd_estimate_regret(args) -> int:
 
 def cmd_table2(args) -> int:
     T_list = _parse_t_list(args.t_list) if args.t_list else None
-    rows = experiments.run_table2(T_list=T_list, sliced_dp=args.sliced_dp,
-                                  display=print if args.out else None)
+    rows = experiments.run_table2(T_list=T_list, display=print if args.out else None)
     text = experiments.write_csv(rows, experiments.TABLE2_COLUMNS)
     _emit(text, args.out)
     return EXIT_OK
@@ -212,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("table2", cmd_table2, help="exact benchmark regret table")
     p.add_argument("--t-list", default=None, help="comma-separated horizons (default 2^6..2^15)")
-    p.add_argument("--sliced-dp", action="store_true",
-                   help="allow horizons above 2^15 via the sliced evaluator")
 
     p = add("sweep", cmd_sweep, help="regret sweeps (inventory gap or demand curvature)")
     p.add_argument("--kind", required=True, choices=["gap", "concavity"])

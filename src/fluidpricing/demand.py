@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelValidationError
+from .errors import ConfigError, DomainError, ModelValidationError
 
 KIND_BERNOULLI = "linear-bernoulli"
 KIND_ADDITIVE = "linear-additive"
@@ -97,8 +97,10 @@ class DemandModel:
             if self.kind == KIND_BERNOULLI and (iv.d_lo < -1e-12 or iv.d_hi > 1 + 1e-12):
                 violations.append("bernoulli demand rate must stay within [0, 1]")
         if self.kind == KIND_ADDITIVE:
-            if self.noise_half_width is None or self.noise_half_width < 0:
-                violations.append("linear-additive requires noise_half_width >= 0")
+            w = self.noise_half_width
+            if w is None or w < 0 or self.interval.d_lo < w - 1e-12:
+                violations.append("linear-additive requires 0 <= noise_half_width <= d_lo "
+                                  "(realized demand must stay >= 0)")
         if violations:
             raise ModelValidationError(violations)
 
@@ -360,17 +362,23 @@ def model_to_json(model) -> str:
 
 
 def model_from_dict(obj: dict):
-    kind = obj.get("kind")
-    if kind == KIND_MULTI:
-        return MultiDemandModel(
-            g=obj["g"], H=obj["H"], box_hi=obj["box_hi"], c=obj.get("c", 0.0)
-        )
-    if kind == KIND_BERNOULLI:
-        return DemandModel.linear_bernoulli(obj["alpha"], obj["beta"], obj["p_lo"], obj["p_hi"])
-    if kind == KIND_ADDITIVE:
-        return DemandModel.linear_additive(
-            obj["alpha"], obj["beta"], obj["p_lo"], obj["p_hi"], obj["noise_half_width"]
-        )
+    """Build a model from its JSON object; missing or mistyped fields raise ConfigError."""
+    try:
+        kind = obj.get("kind")
+        if kind == KIND_MULTI:
+            return MultiDemandModel(
+                g=obj["g"], H=obj["H"], box_hi=obj["box_hi"], c=obj.get("c", 0.0)
+            )
+        if kind == KIND_BERNOULLI:
+            return DemandModel.linear_bernoulli(obj["alpha"], obj["beta"], obj["p_lo"], obj["p_hi"])
+        if kind == KIND_ADDITIVE:
+            return DemandModel.linear_additive(
+                obj["alpha"], obj["beta"], obj["p_lo"], obj["p_hi"], obj["noise_half_width"]
+            )
+    except ModelValidationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model JSON ({type(exc).__name__}: {exc})") from exc
     raise ModelValidationError([f"unknown model kind {kind!r}"])
 
 

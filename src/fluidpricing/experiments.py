@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,10 +26,11 @@ from .demand import (
     benchmark_model,
 )
 from .errors import ConfigError, ResourceGuardError, UnsupportedModelError
-from .policies import exact_policy_values, resolving_policy, static_policy
+from .policies import exact_values, resolving_policy, static_policy
 from .sim import fluid_value, ho_inner_values, parse_y0_rule
 
-TABLE2_T_CAP = 2**15
+# largest backward pass T * (y0 + 1) of table2 and sweeps: 2^15 (3.4e8) fits, 2^16 not
+EXACT_CELL_BUDGET = 2**30
 KNOWN_POLICIES = ("static", "resolving", "dp", "ho")
 
 GAP_SWEEP_X_T = (0.3, 0.325, 0.35, 0.375)
@@ -144,59 +145,58 @@ TABLE2_COLUMNS = ["log2_T", "T", "dp_value", "fluid_value",
 
 
 def table2_rows(T_list=None, model: DemandModel | None = None,
-                y0_rule: str = "round(5/16*T)", sliced_dp: bool = False,
-                max_workers: int = 4) -> list[dict]:
+                y0_rule: str = "round(5/16*T)") -> list[dict]:
     """Exact regret rows of the benchmark table, one per horizon.
 
     Regret is measured against the exact optimal value: positive for the
     two policies, negative for the fluid value (which upper-bounds every
-    policy).  Horizons above 2**15 are refused unless sliced_dp is set.
-    Cells are independent pure computations, evaluated on a bounded worker
-    pool; output order follows T_list regardless.
+    policy).  Horizons sharing a static rate y0/T share one backward pass;
+    on the default grid that is every horizon.
     """
     model = model or benchmark_model()
     if model.kind != KIND_BERNOULLI:
         raise UnsupportedModelError("the benchmark table needs exact (bernoulli) evaluation")
     T_list = list(T_list) if T_list is not None else [2**k for k in range(6, 16)]
-    if max(T_list) > TABLE2_T_CAP and not sliced_dp:
-        raise ResourceGuardError(
-            f"T above {TABLE2_T_CAP} requires the sliced evaluator; pass sliced_dp=True")
     rule = parse_y0_rule(y0_rule)
-
-    def cell(T: int) -> dict:
-        y0 = rule(T)
-        x_T = y0 / T
-        values = exact_policy_values(model, T, y0, {
-            "static": static_policy(model, x_T),
-            "resolving": resolving_policy(model),
-        })
-        dp = values["dp"]
+    points = [(T, rule(T)) for T in T_list]
+    values = _exact_passes([(y0 / T, T, y0) for T, y0 in points], lambda x_T: (model, {
+        "static": static_policy(model, x_T),
+        "resolving": resolving_policy(model),
+    }))
+    rows = []
+    for (T, y0), v in zip(points, values):
+        dp = v["dp"]
         fluid = fluid_value(model, T, y0)
-        return {
+        rows.append({
             "log2_T": _log2_label(T),
             "T": T,
             "dp_value": dp,
             "fluid_value": fluid,
             "fluid_regret": dp - fluid,
-            "static_regret": dp - values["static"],
-            "resolving_regret": dp - values["resolving"],
-        }
-
-    return _pooled(cell, T_list, max_workers)
-
-
-def _pooled(fn, items, max_workers: int) -> list:
-    workers = max(1, min(max_workers, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+            "static_regret": dp - v["static"],
+            "resolving_regret": dp - v["resolving"],
+        })
+    return rows
 
 
-def run_table2(T_list=None, out_path=None, sliced_dp: bool = False,
-               display=None) -> list[dict]:
+def _exact_passes(cells, setup) -> list[dict]:
+    """exact_values at cells (key, T, y0): one pass per key, whose setup(key) is
+    (model, policies); all passes are checked against the budget before any runs."""
+    lattice = max(T for _, T, _ in cells) * (max(y0 for _, _, y0 in cells) + 1)
+    if lattice > EXACT_CELL_BUDGET:
+        raise ResourceGuardError(f"backward pass over {lattice} lattice cells "
+                                 f"exceeds the budget of {EXACT_CELL_BUDGET}")
+    found = {}
+    for key in dict.fromkeys(key for key, _, _ in cells):
+        points = [(T, y0) for k, T, y0 in cells if k == key]
+        model, policies = setup(key)
+        found.update(zip(((key, *p) for p in points), exact_values(model, points, policies)))
+    return [found[cell] for cell in cells]
+
+
+def run_table2(T_list=None, out_path=None, display=None) -> list[dict]:
     """Compute the benchmark table, optionally writing CSV and a 2-decimal display."""
-    rows = table2_rows(T_list=T_list, sliced_dp=sliced_dp)
+    rows = table2_rows(T_list=T_list)
     write_csv(rows, TABLE2_COLUMNS, out_path)
     if display is not None:
         header = "log2_T    " + "".join(f"{r['log2_T']:>8}" for r in rows)
@@ -218,42 +218,33 @@ def _log2_label(T: int):
 SWEEP_COLUMNS = ["sweep", "value", "T", "y0", "dp_value", "resolving_regret"]
 
 
-def sweep_rows(config: SweepConfig, max_workers: int = 4) -> list[dict]:
+def sweep_rows(config: SweepConfig) -> list[dict]:
     """Re-solving regret curves over T for each sweep value.
 
     The gap sweep fixes the demand curve (alpha = .75, beta = .5) and moves
     the initial inventory toward the unconstrained optimum .375; the
     curvature sweep sets alpha = beta = b with inventory rate 0.1.  Initial
     units are round(x_T * T), so the realized inventory rate can differ
-    from the nominal sweep value at small T.
+    from the nominal sweep value at small T.  Each demand curve takes one
+    backward pass.
     """
-    if config.kind == "gap":
-        cases = [(x_T, benchmark_model()) for x_T in GAP_SWEEP_X_T]
+    if config.kind == "gap":  # one demand curve, so one pass
+        cases = [(benchmark_model(), x_T, float(x_T)) for x_T in GAP_SWEEP_X_T]
     else:
-        cases = [(CONCAVITY_SWEEP_X_T,
-                  DemandModel.linear_bernoulli(alpha=b, beta=b, p_lo=0.0, p_hi=1.0))
-                 for b in CONCAVITY_SWEEP_SLOPES]
-    cells = []
-    for x_T, model in cases:
-        frac = Fraction(x_T).limit_denominator(10**6)
-        value_label = float(x_T) if config.kind == "gap" else model.beta
-        for T in config.T_list:
-            cells.append((model, frac, value_label, T))
-
-    def cell(args) -> dict:
-        model, frac, value_label, T = args
-        y0 = int(round(frac * T))
-        values = exact_policy_values(model, T, y0, {"resolving": resolving_policy(model)})
-        return {
-            "sweep": config.kind,
-            "value": value_label,
-            "T": T,
-            "y0": y0,
-            "dp_value": values["dp"],
-            "resolving_regret": values["dp"] - values["resolving"],
-        }
-
-    return _pooled(cell, cells, max_workers)
+        cases = [(DemandModel.linear_bernoulli(alpha=b, beta=b, p_lo=0.0, p_hi=1.0),
+                  CONCAVITY_SWEEP_X_T, b) for b in CONCAVITY_SWEEP_SLOPES]
+    cells = [(model, T, int(round(Fraction(x_T).limit_denominator(10**6) * T)))
+             for model, x_T, _ in cases for T in config.T_list]
+    labels = [label for _, _, label in cases for _ in config.T_list]
+    values = _exact_passes(cells, lambda model: (model, {"resolving": resolving_policy(model)}))
+    return [{
+        "sweep": config.kind,
+        "value": label,
+        "T": T,
+        "y0": y0,
+        "dp_value": v["dp"],
+        "resolving_regret": v["dp"] - v["resolving"],
+    } for label, (_, T, y0), v in zip(labels, cells, values)]
 
 
 def boundary_regret_increasing(rows: list[dict], boundary: float = 0.375) -> bool:

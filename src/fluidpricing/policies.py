@@ -21,7 +21,7 @@ from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .fluid import box_qp2_batch, solve_fluid_multi
 
-# dense tables above this many entries must use the sliced evaluator
+# size guards of solve_dp (table entries) and solve_dp_multi (T times lattice states)
 DENSE_TABLE_MAX_ENTRIES = 64_000_000
 MULTI_STATE_CAP = 10_000_000
 
@@ -96,7 +96,7 @@ class ResolvingPolicy:
         return np.where(y > 0, rate, 0.0)
 
 
-class HindsightPolicy:
+class HindsightPolicy(StaticPolicy):
     """Fixed clairvoyant price targeting the noise-corrected inventory rate."""
 
     name = "ho"
@@ -112,14 +112,6 @@ class HindsightPolicy:
         self.info = info
         self.rate = float(np.clip(x_T + info.xi_bar, model.d_lo, model.d_hi))
         self.price = model.inverse_demand(self.rate)
-
-    def decide(self, y: float, t: int) -> PolicyDecision:
-        if y <= 0:
-            return PolicyDecision(price=np.inf, demand_rate=0.0, shut_off=True)
-        return PolicyDecision(price=self.price, demand_rate=self.rate)
-
-    def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
-        return np.where(np.asarray(y) > 0, self.rate, 0.0)
 
 
 def static_policy(model: DemandModel, x_T: float) -> StaticPolicy:
@@ -186,68 +178,78 @@ def _require_bernoulli(model: DemandModel, what: str) -> None:
         raise UnsupportedModelError(f"{what} requires bernoulli (unit-sale) demand")
 
 
-def solve_dp(model: DemandModel, T: int, y0: int,
-             max_entries: int = DENSE_TABLE_MAX_ENTRIES) -> ValueTable:
-    """Backward induction with the closed-form inner maximizer.
+def _backward(model: DemandModel, T: int, y_max: int, policies=()):
+    """Yield (t, values, rates) for t = 1..T, both arrays updated in place.
 
-    The one-step objective r(d) + d*V[t-1][y-1] + (1-d)*V[t-1][y] is a
-    concave quadratic in d, so the maximizer is
-    clip((alpha + beta*(V[t-1][y-1] - V[t-1][y])) / 2, d_lo, d_hi).
-    Memory is (T+1)*(y0+1) doubles per table; larger instances must use
-    dp_value / exact_policy_values, which keep two time slices only.
+    Row 0 is V(t, y), whose rate clip((alpha + beta*(V(t-1,y-1) - V(t-1,y)))/2,
+    d_lo, d_hi) maximizes the concave one-step objective; row 1 + i is the
+    value of policies[i].  Every row gets r(d) + d*W(t-1,y-1) + (1-d)*W(t-1,y).
     """
+    alpha, beta, d_lo, d_hi = model.alpha, model.beta, model.d_lo, model.d_hi
+    values = np.zeros((1 + len(policies), y_max + 1))
+    rates = np.empty((1 + len(policies), y_max))
+    acc, tmp = np.empty_like(rates), np.empty_like(rates)
+    below, here, d = values[:, :-1], values[:, 1:], rates[0]
+    y_pos = np.arange(1, y_max + 1)
+    for t in range(1, T + 1):
+        np.clip((alpha + beta * (below[0] - here[0])) / 2.0, d_lo, d_hi, out=d)
+        for row, pol in enumerate(policies, 1):
+            rates[row] = pol.rates_batch(y_pos, t)
+        # d * (alpha - d) / beta + d * W[y-1] + (1 - d) * W[y], in that order
+        np.subtract(alpha, rates, out=acc)
+        np.multiply(rates, acc, out=acc)
+        np.divide(acc, beta, out=acc)
+        np.multiply(rates, below, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.subtract(1.0, rates, out=tmp)
+        np.multiply(tmp, here, out=tmp)
+        np.add(acc, tmp, out=here)
+        yield t, values, rates
+
+
+def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
+    """Dense value and action tables: the backward pass's slices, (T+1)*(y0+1) each."""
     _require_bernoulli(model, "exact dynamic programming")
     if T < 1 or y0 < 0:
         raise DomainError("need T >= 1 and y0 >= 0")
     entries = (T + 1) * (y0 + 1)
-    if entries > max_entries:
-        raise ResourceGuardError(
-            f"dense value table would hold {entries} entries (> {max_entries}); "
-            "use the sliced evaluator instead"
-        )
-    alpha, beta = model.alpha, model.beta
-    d_lo, d_hi = model.d_lo, model.d_hi
-    values = np.zeros((T + 1, y0 + 1))
-    actions = np.zeros((T + 1, y0 + 1))
-    for t in range(1, T + 1):
-        prev = values[t - 1]
-        dv = prev[:-1] - prev[1:]
-        d = np.clip((alpha + beta * dv) / 2.0, d_lo, d_hi)
-        actions[t, 1:] = d
-        values[t, 1:] = d * (alpha - d) / beta + d * prev[:-1] + (1.0 - d) * prev[1:]
+    if entries > DENSE_TABLE_MAX_ENTRIES:
+        raise ResourceGuardError(f"dense value table would hold {entries} entries "
+                                 f"(> {DENSE_TABLE_MAX_ENTRIES}); use exact_values instead")
+    values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
+    for t, v, d in _backward(model, T, y0):
+        values[t], actions[t, 1:] = v[0], d[0]
     return ValueTable(model=model, horizon=T, max_inventory=y0, values=values, actions=actions)
+
+
+def exact_values(model: DemandModel, points,
+                 policies: dict[str, object] | None = None) -> list[dict[str, float]]:
+    """{"dp": V, name: value, ...} at each (T, y0) point, from one backward pass.
+
+    Time runs in periods remaining, so V and the value of any policy whose
+    rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
+    to the largest T reads every point, with O(max y0) memory per object.
+    """
+    _require_bernoulli(model, "exact policy evaluation")
+    points = [(int(T), int(y0)) for T, y0 in points]
+    if not points or any(T < 1 or y0 < 0 for T, y0 in points):
+        raise DomainError("need at least one point, each with T >= 1 and y0 >= 0")
+    policies = dict(policies or {})
+    due = {}
+    for i, (T, _) in enumerate(points):
+        due.setdefault(T, []).append(i)
+    out = [None] * len(points)
+    T_max, y_max = (max(axis) for axis in zip(*points))
+    for t, values, _ in _backward(model, T_max, y_max, list(policies.values())):
+        for i in due.get(t, ()):
+            out[i] = dict(zip(["dp", *policies], values[:, points[i][1]].tolist()))
+    return out
 
 
 def exact_policy_values(model: DemandModel, T: int, y0: int,
                         policies: dict[str, object] | None = None) -> dict[str, float]:
-    """Optimal value plus exact values of given state-feedback policies.
-
-    One backward pass holding a single inventory slice per evaluated
-    object, so memory is O(y0) regardless of T.  Policies must expose
-    rates_batch(y_array, t).  Returns {"dp": V, name: value, ...}.
-    """
-    _require_bernoulli(model, "exact policy evaluation")
-    if T < 1 or y0 < 0:
-        raise DomainError("need T >= 1 and y0 >= 0")
-    policies = dict(policies or {})
-    alpha, beta = model.alpha, model.beta
-    d_lo, d_hi = model.d_lo, model.d_hi
-    V, V_next = np.zeros(y0 + 1), np.zeros(y0 + 1)
-    W = {name: (np.zeros(y0 + 1), np.zeros(y0 + 1)) for name in policies}
-    y_pos = np.arange(1, y0 + 1)
-    for t in range(1, T + 1):
-        d = np.clip((alpha + beta * (V[:-1] - V[1:])) / 2.0, d_lo, d_hi)
-        V_next[1:] = d * (alpha - d) / beta + d * V[:-1] + (1.0 - d) * V[1:]
-        for name, pol in policies.items():
-            rates = np.asarray(pol.rates_batch(y_pos, t), dtype=float)
-            prev, nxt = W[name]
-            nxt[1:] = rates * (alpha - rates) / beta + rates * prev[:-1] + (1.0 - rates) * prev[1:]
-            W[name] = (nxt, prev)
-        V, V_next = V_next, V
-    out = {"dp": float(V[y0])}
-    for name, (w, _) in W.items():
-        out[name] = float(w[y0])
-    return out
+    """exact_values at the single point (T, y0)."""
+    return exact_values(model, [(T, y0)], policies)[0]
 
 
 def dp_value(model: DemandModel, T: int, y0: int) -> float:
@@ -310,7 +312,7 @@ def multi_resolving_policy(model: MultiDemandModel) -> MultiResolvingPolicy:
     return MultiResolvingPolicy(model)
 
 
-def solve_dp_multi(model: MultiDemandModel, T: int, y0, state_cap: int = MULTI_STATE_CAP) -> float:
+def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
     """Exact optimal value for two products with per-product unit sales.
 
     Backward induction over the integer inventory lattice.  The one-step
@@ -325,8 +327,8 @@ def solve_dp_multi(model: MultiDemandModel, T: int, y0, state_cap: int = MULTI_S
     if y0.shape != (2,) or np.any(y0 < 0):
         raise DomainError("y0 must be a nonnegative integer pair")
     m1, m2 = int(y0[0]) + 1, int(y0[1]) + 1
-    if T * m1 * m2 > state_cap:
-        raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {state_cap}")
+    if T * m1 * m2 > MULTI_STATE_CAP:
+        raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {MULTI_STATE_CAP}")
     H, g, c0 = model.H, model.g, model.c
     ub1 = np.where(np.arange(m1) >= 1, model.box_hi[0], 0.0)[:, None] * np.ones((1, m2))
     ub2 = np.where(np.arange(m2) >= 1, model.box_hi[1], 0.0)[None, :] * np.ones((m1, 1))

@@ -95,13 +95,9 @@ def test_criterion_4_constant_regret_plateau(table):
 
 
 def test_criterion_5_boundary_case_increasing(model):
-    regrets = []
-    for k in range(4, 17):
-        T = 2**k
-        y0 = 3 * T // 8  # x_T = x_u = 0.375
-        values = exact_policy_values(model, T, y0,
-                                     {"resolving": fp.resolving_policy(model)})
-        regrets.append(values["dp"] - values["resolving"])
+    points = [(2**k, 3 * 2**k // 8) for k in range(4, 17)]  # x_T = x_u = 0.375
+    values = fp.exact_values(model, points, {"resolving": fp.resolving_policy(model)})
+    regrets = [v["dp"] - v["resolving"] for v in values]
     increasing = all(b > a for a, b in zip(regrets, regrets[1:]))
     report("criterion 5 (boundary x_T = x_u, regret strictly increasing)",
            increasing, f"regrets 2^4..2^16: {[round(r, 4) for r in regrets]}")

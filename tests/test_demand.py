@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fluidpricing import (
+    ConfigError,
     DemandModel,
     DomainError,
     ModelValidationError,
@@ -163,6 +164,24 @@ def test_model_validation_errors():
     with pytest.raises(ModelValidationError):
         DemandModel(kind="linear-additive", alpha=0.75, beta=0.5,
                     interval=PriceInterval(0.0, 1.0, 0.25, 0.75))  # missing width
+
+
+def test_additive_noise_must_not_make_demand_negative():
+    # d_lo = 0 < w = 0.2: a static price at the demand floor could sell -0.2 units
+    with pytest.raises(ModelValidationError, match="demand must stay >= 0"):
+        DemandModel.linear_additive(alpha=0.5, beta=0.5, p_lo=0.0, p_hi=1.0,
+                                    noise_half_width=0.2)
+    # d_lo = 0.7 - 0.5 rounds just below w = 0.2 and is still admitted
+    DemandModel.linear_additive(alpha=0.7, beta=0.5, p_lo=0.0, p_hi=1.0, noise_half_width=0.2)
+
+
+def test_model_from_dict_missing_or_mistyped_fields():
+    for obj in ({"kind": "linear-bernoulli", "alpha": 0.75},
+                {"kind": "linear-bernoulli", "alpha": "x", "beta": 0.5, "p_lo": 0.0, "p_hi": 1.0},
+                {"kind": "multi-quadratic", "g": "abc", "H": [[-1.0]], "box_hi": [1.0]},
+                ["linear-bernoulli"]):
+        with pytest.raises(ConfigError):
+            model_from_dict(obj)
 
 
 def test_json_round_trip(bernoulli_model, additive_model, multi_model):

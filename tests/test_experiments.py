@@ -16,6 +16,7 @@ from fluidpricing.experiments import (
     run_ho_compare,
     run_sweep,
     run_table2,
+    sweep_rows,
     table2_rows,
     write_csv,
 )
@@ -61,7 +62,7 @@ class TestTable2:
         assert list(rows[0]) == TABLE2_COLUMNS
         with pytest.raises(ResourceGuardError):
             table2_rows(T_list=[2**16])
-        rows = table2_rows(T_list=[64, 128], max_workers=2)
+        rows = table2_rows(T_list=[64, 128])
         assert [r["T"] for r in rows] == [64, 128]
 
     def test_known_row(self):
@@ -111,6 +112,18 @@ class TestSweep:
         assert {r["value"] for r in rows} == {0.3, 0.5, 0.7, 0.9}
         assert all(np.isfinite(r["resolving_regret"]) for r in rows)
         assert all(r["y0"] == round(0.1 * r["T"]) for r in rows)
+
+    def test_gap_sweep_guard(self):
+        with pytest.raises(ResourceGuardError):
+            sweep_rows(SweepConfig(kind="gap", T_list=[2**16]))
+
+    def test_flat_boundary_curve_warns(self):
+        # a repeated horizon makes the boundary curve flat, not increasing
+        with pytest.warns(UserWarning, match="not increasing"):
+            rows = run_sweep(SweepConfig(kind="gap", T_list=[16, 16]))
+        for value in (0.3, 0.325, 0.35, 0.375):
+            first, second = [r for r in rows if r["value"] == value]
+            assert first == second
 
     def test_gap_sweep_plateau_away_from_boundary(self):
         # with x_T = 0.3 well below the optimum the regret curve flattens
@@ -226,6 +239,23 @@ class TestCli:
         assert cli.main(["table2", "--t-list", "64"]) == 0
         capsys.readouterr()
         assert cli.main(["table2", "--t-list", "65536"]) == 4
+
+    def test_sliced_dp_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table2", "--t-list", "64", "--sliced-dp"])
+        assert exc.value.code == 2
+
+    def test_model_with_missing_keys_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({"kind": "linear-bernoulli", "alpha": 0.75}))
+        assert cli.main(["validate-model", "--model", str(path)]) == 2
+        assert "beta" in capsys.readouterr().err
+
+    def test_negative_demand_model_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "additive.json"
+        path.write_text(json.dumps({"kind": "linear-additive", "alpha": 0.5, "beta": 0.5,
+                                    "p_lo": 0.0, "p_hi": 1.0, "noise_half_width": 0.2}))
+        assert cli.main(["validate-model", "--model", str(path)]) == 3
 
     def test_validation_exit_code(self, model_paths, capsys):
         assert cli.main(["validate-model", "--model", model_paths["multi"]]) == 0

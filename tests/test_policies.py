@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluidpricing import (
+    DemandModel,
     DomainError,
     HindsightInfo,
     ResourceGuardError,
@@ -9,6 +11,7 @@ from fluidpricing import (
     dp_value,
     evaluate_policy_exact,
     exact_policy_values,
+    exact_values,
     fluid_value,
     ho_policy,
     resolving_policy,
@@ -166,6 +169,57 @@ class TestExactEvaluation:
             assert fluid - vals["static"] <= c * np.sqrt(T)
 
 
+def _scalar_bellman(model, T, y_max, policies):
+    """Reference pass in plain Python floats: {t: {"dp": [V(t, y)], name: [W(t, y)]}}."""
+    a, b = model.alpha, model.beta
+    rows = {"dp": [0.0] * (y_max + 1), **{name: [0.0] * (y_max + 1) for name in policies}}
+    history = {}
+    for t in range(1, T + 1):
+        V = rows["dp"]
+        new = {"dp": [0.0]}
+        for y in range(1, y_max + 1):
+            d = min(max((a + b * (V[y - 1] - V[y])) / 2.0, model.d_lo), model.d_hi)
+            new["dp"].append(d * (a - d) / b + d * V[y - 1] + (1.0 - d) * V[y])
+        for name, pol in policies.items():
+            W = rows[name]
+            new[name] = [0.0]
+            for y in range(1, y_max + 1):
+                d = pol.decide(y, t).demand_rate
+                new[name].append(d * (a - d) / b + d * W[y - 1] + (1.0 - d) * W[y])
+        rows = history[t] = new
+    return history
+
+
+@st.composite
+def _bernoulli_models(draw):
+    alpha = draw(st.floats(0.1, 1.0))
+    beta = draw(st.floats(0.1, 2.0))
+    reach = draw(st.floats(0.2, 1.0))  # share of the demand curve the prices cover
+    return DemandModel.linear_bernoulli(alpha, beta, 0.0, reach * alpha / beta)
+
+
+class TestBackwardPass:
+    @settings(max_examples=40, deadline=None)
+    @given(model=_bernoulli_models(),
+           points=st.lists(st.tuples(st.integers(1, 64), st.integers(0, 40)),
+                           min_size=1, max_size=4),
+           x_T=st.floats(0.01, 1.0))
+    def test_matches_scalar_recursion_bitwise(self, model, points, x_T):
+        policies = {"resolving": resolving_policy(model), "static": static_policy(model, x_T)}
+        found = exact_values(model, points, policies)
+        history = _scalar_bellman(model, max(T for T, _ in points),
+                                  max(y0 for _, y0 in points), policies)
+        for (T, y0), values in zip(points, found):
+            assert values == {name: row[y0] for name, row in history[T].items()}
+            assert values == exact_policy_values(model, T, y0, policies)
+            assert values["dp"] == solve_dp(model, T, y0).values[T, y0]
+
+    def test_rejects_empty_and_bad_points(self, bernoulli_model):
+        for points in ([], [(0, 3)], [(4, -1)]):
+            with pytest.raises(DomainError):
+                exact_values(bernoulli_model, points)
+
+
 class TestHindsightPolicy:
     def test_zero_mean_noise_matches_static(self, additive_model):
         pol = ho_policy(additive_model, 5 / 16, HindsightInfo(xi_bar=0.0))
@@ -237,7 +291,7 @@ class TestSolveDpMulti:
         from fluidpricing import MultiDemandModel
 
         with pytest.raises(ResourceGuardError):
-            solve_dp_multi(multi_model, 64, [1000, 1000], state_cap=10000)
+            solve_dp_multi(multi_model, 64, [1000, 1000])  # 64 * 1001^2 states
         model3 = MultiDemandModel(g=np.ones(3), H=-np.eye(3), box_hi=np.ones(3))
         with pytest.raises(UnsupportedModelError):
             solve_dp_multi(model3, 4, [1, 1, 1])
