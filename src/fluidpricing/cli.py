@@ -51,17 +51,23 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+def _parse_list(text: str, cast, what: str) -> list:
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _parse_t_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    T_list = _parse_list(text, int, "horizon list")
+    if min(T_list) < 1:
+        raise ConfigError(f"horizons must be >= 1, got {text!r}")
+    return T_list
 
 
 def cmd_fluid_solve(args) -> int:
     model = _load_model(args.model)
-    inv = _parse_vector(args.inventory)
+    inv = np.array(_parse_list(args.inventory, float, "inventory"))
     if isinstance(model, MultiDemandModel):
         sol = solve_fluid_multi(model, inv)
     else:
@@ -94,6 +100,8 @@ def cmd_simulate(args) -> int:
     model = _load_model(args.model)
     if isinstance(model, MultiDemandModel):
         raise ConfigError("trace simulation via the CLI covers single-product models")
+    if args.T < 1 or args.y0 < 0:
+        raise ConfigError("need -T >= 1 and --y0 >= 0")
     x_T = args.y0 / args.T
     if args.policy == "static":
         policy = static_policy(model, x_T)
@@ -238,8 +246,8 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ModelValidationError as exc:
-        print(f"model validation failed: {exc}", file=sys.stderr)
+    except ModelValidationError as exc:  # its message carries the prefix
+        print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     except (ResourceGuardError,) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -289,8 +289,11 @@ class MultiDemandModel:
         return self.g + self.H @ np.asarray(x, dtype=float)
 
     def price_of_rate(self, x) -> np.ndarray:
-        """Inverse demand: the price vector supporting demand rates x."""
-        return self.g + 0.5 * (self.H @ np.asarray(x, dtype=float))
+        """Inverse demand: the price vector supporting demand rates x.
+
+        x may be (n,) or a batch (..., n); each row maps to g + H x / 2.
+        """
+        return self.g + 0.5 * (np.asarray(x, dtype=float) @ self.H.T)
 
     def unconstrained_optimum(self) -> np.ndarray:
         return np.linalg.solve(-self.H, self.g)

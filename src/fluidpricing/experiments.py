@@ -25,12 +25,10 @@ from .demand import (
     model_from_dict,
     benchmark_model,
 )
-from .errors import ConfigError, ResourceGuardError, UnsupportedModelError
-from .policies import exact_values, resolving_policy, static_policy
+from .errors import ConfigError, UnsupportedModelError
+from .policies import exact_passes, resolving_policy, static_policy
 from .sim import fluid_value, ho_inner_values, parse_y0_rule
 
-# largest backward pass T * (y0 + 1) of table2 and sweeps: 2^15 (3.4e8) fits, 2^16 not
-EXACT_CELL_BUDGET = 2**30
 KNOWN_POLICIES = ("static", "resolving", "dp", "ho")
 
 GAP_SWEEP_X_T = (0.3, 0.325, 0.35, 0.375)
@@ -159,7 +157,7 @@ def table2_rows(T_list=None, model: DemandModel | None = None,
     T_list = list(T_list) if T_list is not None else [2**k for k in range(6, 16)]
     rule = parse_y0_rule(y0_rule)
     points = [(T, rule(T)) for T in T_list]
-    values = _exact_passes([(y0 / T, T, y0) for T, y0 in points], lambda x_T: (model, {
+    values = exact_passes([(y0 / T, T, y0) for T, y0 in points], lambda x_T: (model, {
         "static": static_policy(model, x_T),
         "resolving": resolving_policy(model),
     }))
@@ -179,25 +177,11 @@ def table2_rows(T_list=None, model: DemandModel | None = None,
     return rows
 
 
-def _exact_passes(cells, setup) -> list[dict]:
-    """exact_values at cells (key, T, y0): one pass per key, whose setup(key) is
-    (model, policies); all passes are checked against the budget before any runs."""
-    lattice = max(T for _, T, _ in cells) * (max(y0 for _, _, y0 in cells) + 1)
-    if lattice > EXACT_CELL_BUDGET:
-        raise ResourceGuardError(f"backward pass over {lattice} lattice cells "
-                                 f"exceeds the budget of {EXACT_CELL_BUDGET}")
-    found = {}
-    for key in dict.fromkeys(key for key, _, _ in cells):
-        points = [(T, y0) for k, T, y0 in cells if k == key]
-        model, policies = setup(key)
-        found.update(zip(((key, *p) for p in points), exact_values(model, points, policies)))
-    return [found[cell] for cell in cells]
-
-
 def run_table2(T_list=None, out_path=None, display=None) -> list[dict]:
     """Compute the benchmark table, optionally writing CSV and a 2-decimal display."""
     rows = table2_rows(T_list=T_list)
-    write_csv(rows, TABLE2_COLUMNS, out_path)
+    if out_path is not None:
+        write_csv(rows, TABLE2_COLUMNS, out_path)
     if display is not None:
         header = "log2_T    " + "".join(f"{r['log2_T']:>8}" for r in rows)
         display(header)
@@ -236,7 +220,7 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
     cells = [(model, T, int(round(Fraction(x_T).limit_denominator(10**6) * T)))
              for model, x_T, _ in cases for T in config.T_list]
     labels = [label for _, _, label in cases for _ in config.T_list]
-    values = _exact_passes(cells, lambda model: (model, {"resolving": resolving_policy(model)}))
+    values = exact_passes(cells, lambda model: (model, {"resolving": resolving_policy(model)}))
     return [{
         "sweep": config.kind,
         "value": label,
@@ -259,7 +243,8 @@ def run_sweep(config: SweepConfig, out_path=None) -> list[dict]:
     if config.kind == "gap" and not boundary_regret_increasing(rows):
         warnings.warn("boundary-inventory regret is not increasing across the T grid",
                       stacklevel=2)
-    write_csv(rows, SWEEP_COLUMNS, out_path)
+    if out_path is not None:
+        write_csv(rows, SWEEP_COLUMNS, out_path)
     return rows
 
 
@@ -292,7 +277,8 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
             "ci_half_width": half,
             "gap": fluid - mean,
         })
-    write_csv(rows, HO_COLUMNS, out_path)
+    if out_path is not None:
+        write_csv(rows, HO_COLUMNS, out_path)
     return rows
 
 

@@ -57,7 +57,7 @@ def solve_fluid_single(model: DemandModel, x: float) -> FluidSolution:
     nearly depleted; they are clamped up to d_lo and flagged, matching the
     simulator's shut-off-at-zero convention.
     """
-    if x < 0:
+    if not x >= 0:  # also rejects NaN
         raise DomainError(f"normalized inventory must be nonnegative, got {x}")
     x_u = model.x_u
     clamped = x < model.d_lo
@@ -93,7 +93,7 @@ def solve_fluid_multi(model: MultiDemandModel, x: np.ndarray) -> FluidSolution:
     rhs = np.asarray(x, dtype=float)
     if rhs.shape != (model.n,):
         raise DomainError(f"inventory vector must have shape ({model.n},)")
-    if np.any(rhs < 0):
+    if not np.all(rhs >= 0):  # also rejects NaN, on which the active set never settles
         raise DomainError("normalized inventory must be nonnegative componentwise")
     ub = np.minimum(model.box_hi, rhs)
     x_c = _box_qp_max(model.H, model.g, np.zeros(model.n), ub)

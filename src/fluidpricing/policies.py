@@ -24,6 +24,8 @@ from .fluid import box_qp2_batch, solve_fluid_multi
 # size guards of solve_dp (table entries) and solve_dp_multi (T times lattice states)
 DENSE_TABLE_MAX_ENTRIES = 64_000_000
 MULTI_STATE_CAP = 10_000_000
+# largest grouped backward pass T * (y0 + 1) of exact_passes: 2^15 (3.4e8) fits, 2^16 not
+EXACT_CELL_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,11 @@ class ResolvingPolicy:
 
 
 class HindsightPolicy(StaticPolicy):
-    """Fixed clairvoyant price targeting the noise-corrected inventory rate."""
+    """Fixed clairvoyant price targeting the noise-corrected inventory rate.
+
+    info.xi_bar may hold one realized mean per replication; rate and price
+    are then arrays, and rates_batch gives row i its own rate.
+    """
 
     name = "ho"
 
@@ -110,8 +116,8 @@ class HindsightPolicy(StaticPolicy):
         self.model = model
         self.x_T = x_T
         self.info = info
-        self.rate = float(np.clip(x_T + info.xi_bar, model.d_lo, model.d_hi))
-        self.price = model.inverse_demand(self.rate)
+        self.rate = np.clip(x_T + np.asarray(info.xi_bar, dtype=float), model.d_lo, model.d_hi)
+        self.price = model.price_of_rate(self.rate)
 
 
 def static_policy(model: DemandModel, x_T: float) -> StaticPolicy:
@@ -244,6 +250,21 @@ def exact_values(model: DemandModel, points,
         for i in due.get(t, ()):
             out[i] = dict(zip(["dp", *policies], values[:, points[i][1]].tolist()))
     return out
+
+
+def exact_passes(cells, setup) -> list[dict[str, float]]:
+    """exact_values at cells (key, T, y0): one pass per key, whose setup(key) is
+    (model, policies); all passes are checked against the budget before any runs."""
+    lattice = max(T for _, T, _ in cells) * (max(y0 for _, _, y0 in cells) + 1)
+    if lattice > EXACT_CELL_BUDGET:
+        raise ResourceGuardError(f"backward pass over {lattice} lattice cells "
+                                 f"exceeds the budget of {EXACT_CELL_BUDGET}")
+    found = {}
+    for key in dict.fromkeys(key for key, _, _ in cells):
+        points = [(T, y0) for k, T, y0 in cells if k == key]
+        model, policies = setup(key)
+        found.update(zip(((key, *p) for p in points), exact_values(model, points, policies)))
+    return [found[cell] for cell in cells]
 
 
 def exact_policy_values(model: DemandModel, T: int, y0: int,

@@ -23,8 +23,11 @@ from . import rng
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .policies import (
+    HindsightInfo,
+    HindsightPolicy,
     MultiResolvingPolicy,
-    exact_policy_values,
+    exact_passes,
+    ho_policy,
     resolving_policy,
     solve_dp_multi,
     static_policy,
@@ -132,21 +135,29 @@ class BatchResult:
         return z * float(self.total_revenue.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
 
 
-def simulate_batch(model: DemandModel, policy, T: int, y0, base_seed: int,
+def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, base_seed: int,
                    n_reps: int, track_t_sharp: bool = False) -> BatchResult:
-    """Advance n_reps independent replications in lockstep (vectorized).
+    """Advance n_reps independent replications in lockstep: the one batched engine.
 
-    Replication i uses the stream keyed by base_seed XOR splitmix64(i).
-    With track_t_sharp the harmonic noise series is accumulated along the
-    way and the stopping time recorded per replication (meaningful for
-    re-solving traces).
+    The state y is (n_reps,) for one product and (n_reps, n) for the
+    multi-product family; policy.rates_batch(y, t) returns rates of the same
+    shape.  Replication i uses the stream keyed by base_seed XOR
+    splitmix64(i), and product j draws period i's uniform u at counter
+    i*n + j.  Sales are unit sized (u < rate) for bernoulli and multi-product
+    demand and rate + (2u - 1) * w for additive demand; demand beyond the
+    inventory is lost.  With track_t_sharp (one product) the harmonic noise
+    series is accumulated along the way and the stopping time recorded per
+    replication (meaningful for re-solving traces).
     """
-    if isinstance(model, MultiDemandModel):
-        raise UnsupportedModelError("use simulate_batch_multi for the multi-product family")
+    multi = isinstance(model, MultiDemandModel)
+    if multi and track_t_sharp:
+        raise UnsupportedModelError("t_sharp tracking is defined for one product")
+    n = model.n if multi else 1
+    unit_sales = multi or model.kind == KIND_BERNOULLI
+    w = 0.0 if unit_sales else float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    is_bernoulli = model.kind == KIND_BERNOULLI
-    w = 0.0 if is_bernoulli else float(model.noise_half_width)
-    y = np.full(n_reps, float(y0))
+    keys, products = (seeds[:, None], np.arange(n)) if multi else (seeds, 0)
+    y = np.full((n_reps, *np.shape(y0)), y0, dtype=float)
     total = np.zeros(n_reps)
     sum_xi = np.zeros(n_reps)
     if track_t_sharp:
@@ -156,20 +167,19 @@ def simulate_batch(model: DemandModel, policy, T: int, y0, base_seed: int,
         undecided = np.ones(n_reps, dtype=bool)
     for i in range(T):
         t = T - i
-        u = rng.uniforms(seeds, i)
-        rates = np.asarray(policy.rates_batch(y, t), dtype=float)
+        u = rng.uniforms(keys, i * n + products)
         active = y > 0
-        rates = np.where(active, rates, 0.0)
+        rates = np.where(active, policy.rates_batch(y, t), 0.0)
         prices = np.where(active, model.price_of_rate(rates), 0.0)
-        if is_bernoulli:
-            sale = (u < rates).astype(float)
-            xi = np.where(active, sale - rates, 0.0)
-            realized = np.where(active, sale, 0.0)
+        if unit_sales:
+            realized = (u < rates).astype(float)
+            xi = realized - rates
         else:
-            xi = np.where(active, (2.0 * u - 1.0) * w, 0.0)
-            realized = np.where(active, rates + xi, 0.0)
-        total += prices * np.minimum(realized, y)
-        sum_xi += xi
+            xi = (2.0 * u - 1.0) * w
+            realized = rates + xi
+        xi, realized = np.where(active, xi, 0.0), np.where(active, realized, 0.0)
+        total += _per_rep(prices * np.minimum(realized, y))
+        sum_xi += _per_rep(xi)
         y = np.maximum(0.0, y - realized)
         if track_t_sharp and t >= 2:
             harm += xi / (t - 1)
@@ -178,6 +188,12 @@ def simulate_batch(model: DemandModel, policy, T: int, y0, base_seed: int,
             undecided &= ~exited
     return BatchResult(total_revenue=total, sum_xi=sum_xi,
                        t_sharp=t_sharp if track_t_sharp else None)
+
+
+def _per_rep(a: np.ndarray) -> np.ndarray:
+    # sum over products (a matmul: sum(axis=1) is ~10x slower on narrow rows);
+    # one product's array is already per replication
+    return a if a.ndim == 1 else a @ np.ones(a.shape[1])
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -335,44 +351,49 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
     if isinstance(model, MultiDemandModel):
         return _estimate_regret_multi(model, T_list, rule, policies, replications,
                                       base_seed, confidence)
+    points = [(T, rule(T)) for T in T_list]
+    exact = model.kind == KIND_BERNOULLI
+    if exact:
+        values = exact_passes([(y0 / T, T, y0) for T, y0 in points],
+                              lambda x_T: (model, _build_policies(model, x_T, policies)))
     reports = []
-    for T in T_list:
-        y0 = rule(T)
+    for k, (T, y0) in enumerate(points):
         x_T = y0 / T
-        fluid = fluid_value(model, T, y0)
         built = _build_policies(model, x_T, policies)
-        if model.kind == KIND_BERNOULLI:
-            values = exact_policy_values(model, T, y0, built)
-            dp = values["dp"]
-            for name in policies:
-                val = values[name] if name != "dp" else dp
-                reports.append(RegretReport(
-                    T=T, policy=name, value=val, ci_half_width=0.0, replications=0,
-                    fluid_value=fluid, dp_value=dp, regret_vs_dp=dp - val,
-                    regret_vs_fluid=fluid - val, base_seed=base_seed,
-                ))
-        else:
-            for name in policies:
-                if name == "dp":
-                    raise UnsupportedModelError("the dp policy row needs bernoulli demand")
+        for name in policies:
+            if exact:
+                val, batch = values[k][name], None
+            elif name == "dp":
+                raise UnsupportedModelError("the dp policy row needs bernoulli demand")
+            else:
                 seed = _policy_stream_seed(base_seed, name, common_random_numbers)
-                if name == "ho":
-                    values = _ho_values_batch(model, T, y0, x_T, seed, replications)
-                    batch = BatchResult(total_revenue=values, sum_xi=np.zeros_like(values))
-                else:
-                    batch = simulate_batch(model, built[name], T, y0, seed, replications)
+                policy = (ho_batch_policy(model, T, x_T, seed, replications) if name == "ho"
+                          else built[name])
+                batch = simulate_batch(model, policy, T, y0, seed, replications)
                 val = batch.mean
-                reports.append(RegretReport(
-                    T=T, policy=name, value=val,
-                    ci_half_width=batch.ci_half_width(confidence),
-                    replications=replications, fluid_value=fluid, dp_value=None,
-                    regret_vs_dp=None, regret_vs_fluid=fluid - val,
-                    base_seed=base_seed, dp_reason="dp-requires-bernoulli",
-                ))
+            reports.append(_report(T, name, val, batch, confidence, fluid_value(model, T, y0),
+                                   values[k]["dp"] if exact else None, base_seed,
+                                   None if exact else "dp-requires-bernoulli"))
     return reports
 
 
+def _report(T, name, value, batch, confidence, fluid, dp, base_seed, dp_reason) -> RegretReport:
+    """An exact row when batch is None, else a Monte Carlo row."""
+    return RegretReport(
+        T=T, policy=name, value=value,
+        ci_half_width=0.0 if batch is None else batch.ci_half_width(confidence),
+        replications=0 if batch is None else batch.total_revenue.size,
+        fluid_value=fluid, dp_value=dp, regret_vs_dp=None if dp is None else dp - value,
+        regret_vs_fluid=fluid - value, base_seed=base_seed, dp_reason=dp_reason,
+    )
+
+
 def _build_policies(model: DemandModel, x_T: float, names) -> dict:
+    """The static and resolving policies among names.
+
+    "dp" is the backward pass itself and "ho" is built per replication
+    stream (ho_batch_policy), so neither gets an entry.
+    """
     built = {}
     for name in names:
         if name == "static":
@@ -382,46 +403,19 @@ def _build_policies(model: DemandModel, x_T: float, names) -> dict:
         elif name == "ho":
             if model.kind == KIND_BERNOULLI:
                 raise UnsupportedModelError("ho policy needs additive i.i.d. noise")
-            built[name] = None  # per-replication construction
-        elif name == "dp":
-            pass  # evaluated by the backward pass itself
-        else:
+        elif name != "dp":
             raise DomainError(f"unknown policy {name!r}")
-    return {k: v for k, v in built.items() if v is not None}
+    return built
 
 
-def _ho_values_batch(model: DemandModel, T: int, y0, x_T: float, base_seed: int,
-                     n_reps: int) -> np.ndarray:
-    """Simulated revenue of the clairvoyant fixed price, one price per replication.
+def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
+                    n_reps: int, chunk: int = 2048) -> HindsightPolicy:
+    """The clairvoyant fixed price of every replication, as one HindsightPolicy.
 
-    Each replication reveals its own realized mean noise, prices at
-    f^{-1}(clip(x_T + xi_bar)), then runs the usual censored dynamics with
-    the same noises.
-    """
-    w = float(model.noise_half_width)
-    seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    xi = (2.0 * rng.uniforms(seeds[:, None], np.arange(T)[None, :]) - 1.0) * w
-    xi_bar = xi.mean(axis=1)
-    rates = np.clip(x_T + xi_bar, model.d_lo, model.d_hi)
-    prices = model.price_of_rate(rates)
-    y = np.full(n_reps, float(y0))
-    total = np.zeros(n_reps)
-    for i in range(T):
-        active = y > 0
-        realized = np.where(active, rates + xi[:, i], 0.0)
-        total += np.where(active, prices, 0.0) * np.minimum(realized, y)
-        y = np.maximum(0.0, y - realized)
-    return total
-
-
-def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
-                    n_reps: int, chunk: int = 2048) -> np.ndarray:
-    """Clairvoyant values with the per-period expectation taken in closed form.
-
-    Conditional on the realized mean noise xi_bar, the fixed clairvoyant
-    price earns T * r(clip(x_T + xi_bar)) in expectation (inventory
-    censoring ignored, as in the benchmark's defining bound).  The noise
-    mean is accumulated in counter chunks to keep memory at O(reps * chunk).
+    Replication i reveals the realized mean noise xi_bar[i] of its stream
+    over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
+    The noise mean is accumulated in counter chunks to keep memory at
+    O(reps * chunk).
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
@@ -431,9 +425,19 @@ def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
     for start in range(0, T, chunk):
         counters = np.arange(start, min(start + chunk, T))
         acc += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
-    xi_bar = (2.0 * acc / T - 1.0) * w
-    rates = np.clip(x_T + xi_bar, model.d_lo, model.d_hi)
-    return T * model.revenue_rate_unchecked(rates)
+    return ho_policy(model, x_T, HindsightInfo(xi_bar=(2.0 * acc / T - 1.0) * w))
+
+
+def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
+                    n_reps: int, chunk: int = 2048) -> np.ndarray:
+    """Clairvoyant values with the per-period expectation taken in closed form.
+
+    Conditional on the realized mean noise xi_bar, the fixed clairvoyant
+    price earns T * r(clip(x_T + xi_bar)) in expectation (inventory
+    censoring ignored, as in the benchmark's defining bound).
+    """
+    policy = ho_batch_policy(model, T, x_T, base_seed, n_reps, chunk)
+    return T * model.revenue_rate_unchecked(policy.rate)
 
 
 def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
@@ -453,23 +457,14 @@ def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
             if name == "dp":
                 if dp is None:
                     continue
-                reports.append(RegretReport(
-                    T=T, policy="dp", value=dp, ci_half_width=0.0, replications=0,
-                    fluid_value=fluid, dp_value=dp, regret_vs_dp=0.0,
-                    regret_vs_fluid=fluid - dp, base_seed=base_seed,
-                ))
-                continue
-            if name != "resolving":
+                val, batch = dp, None
+            elif name == "resolving":
+                batch = simulate_batch_multi(model, T, y0, base_seed, replications)
+                val = batch.mean
+            else:
                 raise DomainError(f"multi-product estimation supports resolving/dp, not {name!r}")
-            batch = simulate_batch_multi(model, T, y0, base_seed, replications)
-            val = batch.mean
-            reports.append(RegretReport(
-                T=T, policy=name, value=val,
-                ci_half_width=batch.ci_half_width(confidence),
-                replications=replications, fluid_value=fluid, dp_value=dp,
-                regret_vs_dp=None if dp is None else dp - val,
-                regret_vs_fluid=fluid - val, base_seed=base_seed, dp_reason=dp_reason,
-            ))
+            reports.append(_report(T, name, val, batch, confidence, fluid, dp, base_seed,
+                                   dp_reason))
     return reports
 
 
@@ -526,24 +521,8 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
 
 def simulate_batch_multi(model: MultiDemandModel, T: int, y0, base_seed: int,
                          n_reps: int) -> BatchResult:
-    """Vectorized re-solving replications for the two-product model."""
-    if model.n != 2:
-        raise UnsupportedModelError("batch multi-product simulation is implemented for n = 2")
-    policy = MultiResolvingPolicy(model)
-    seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    y = np.tile(np.asarray(y0, dtype=float), (n_reps, 1))
-    total = np.zeros(n_reps)
-    sum_xi = np.zeros(n_reps)
-    for i in range(T):
-        t = T - i
-        rates = policy.rates_batch(y, t)
-        u = np.stack([rng.uniforms(seeds, 2 * i), rng.uniforms(seeds, 2 * i + 1)], axis=1)
-        sale = (u < rates).astype(float)
-        prices = model.g[None, :] + 0.5 * (rates @ model.H)
-        total += np.einsum("ij,ij->i", prices, sale)
-        sum_xi += (sale - rates).sum(axis=1)
-        y = np.maximum(0.0, y - sale)
-    return BatchResult(total_revenue=total, sum_xi=sum_xi)
+    """Vectorized re-solving replications for the multi-product model."""
+    return simulate_batch(model, MultiResolvingPolicy(model), T, y0, base_seed, n_reps)
 
 
 # -- theoretical constant ------------------------------------------------------

@@ -192,3 +192,15 @@ def test_json_round_trip(bernoulli_model, additive_model, multi_model):
     assert set(obj) == {"kind", "g", "H", "box_hi", "c"}
     with pytest.raises(ModelValidationError):
         model_from_dict({"kind": "nope"})
+
+
+def test_multi_price_of_rate_batches_row_by_row():
+    # H is not symmetric here, so x @ H would transpose the price law
+    model = MultiDemandModel(g=[1.0, 0.8, 1.2], H=[[-2.0, -0.6, 0.1], [-0.2, -1.5, 0.0],
+                                                  [0.3, -0.4, -1.8]], box_hi=[1.0, 1.0, 1.0])
+    x = np.random.default_rng(3).random((5, 3))
+    batch = model.price_of_rate(x)
+    assert batch.shape == (5, 3)
+    for row, prices in zip(x, batch):
+        np.testing.assert_allclose(prices, model.g + 0.5 * (model.H @ row), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(model.price_of_rate(row), model.g + 0.5 * (model.H @ row))

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluidpricing import ConfigError, ResourceGuardError, UnsupportedModelError
 from fluidpricing.experiments import (
@@ -20,7 +23,7 @@ from fluidpricing.experiments import (
     table2_rows,
     write_csv,
 )
-from fluidpricing import cli, estimate_regret
+from fluidpricing import cli, estimate_regret, experiments
 from fluidpricing.demand import DemandModel
 
 
@@ -256,6 +259,27 @@ class TestCli:
         path.write_text(json.dumps({"kind": "linear-additive", "alpha": 0.5, "beta": 0.5,
                                     "p_lo": 0.0, "p_hi": 1.0, "noise_half_width": 0.2}))
         assert cli.main(["validate-model", "--model", str(path)]) == 3
+        assert capsys.readouterr().err.count("model validation failed") == 1
+
+    def test_numeric_input_errors_exit_code(self, model_paths, capsys):
+        assert cli.main(["table2", "--t-list", "64,abc"]) == 2
+        assert cli.main(["fluid-solve", "--model", model_paths["bern"], "--inventory", "x"]) == 2
+        assert cli.main(["simulate", "--model", model_paths["bern"], "--policy", "static",
+                         "-T", "0", "--y0", "3"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["table2", "--t-list", "64"],
+                                      ["sweep", "--kind", "gap", "--t-list", "16,32"],
+                                      ["ho-compare", "--x-t", "0.3", "--t-list", "64"]])
+    def test_csv_written_once(self, argv, model_paths, monkeypatch, capsys):
+        calls = []
+        original = experiments.write_csv
+        monkeypatch.setattr(experiments, "write_csv",
+                            lambda *a: calls.append(a) or original(*a))
+        if argv[0] == "ho-compare":
+            argv = [*argv, "--model", model_paths["add"]]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
 
     def test_validation_exit_code(self, model_paths, capsys):
         assert cli.main(["validate-model", "--model", model_paths["multi"]]) == 0
@@ -290,3 +314,76 @@ class TestCli:
         assert cli.main(["estimate-regret", "--config", str(cfg_path), "--out", str(out1)]) == 0
         assert cli.main(["estimate-regret", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def _is_valid(token: str, cast, low) -> bool:
+    try:
+        return cast(token) >= low
+    except ValueError:
+        return False
+
+
+def _malformed(cast, low):
+    """Tokens cast() rejects or maps below low (NaN included)."""
+    junk = st.text(min_size=1, max_size=6).filter(
+        lambda t: "," not in t and not _is_valid(t, cast, low))
+    below = (st.integers(max_value=low - 1).map(str) if cast is int
+             else st.floats(max_value=-1e-9).map(repr))
+    return st.one_of(junk, below, st.just("nan"))
+
+
+def _with_one_malformed(valid, cast, low):
+    return st.tuples(st.lists(valid, max_size=3), _malformed(cast, low),
+                     st.integers(0, 3)).map(
+        lambda a: ",".join(a[0][:a[2]] + [a[1]] + a[0][a[2]:]))
+
+
+@pytest.fixture(scope="module")
+def cli_models(tmp_path_factory):
+    specs = {"bern": {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5,
+                      "p_lo": 0.0, "p_hi": 1.0},
+             "add": {"kind": "linear-additive", "alpha": 0.75, "beta": 0.5,
+                     "p_lo": 0.0, "p_hi": 1.0, "noise_half_width": 0.1},
+             "multi": {"kind": "multi-quadratic", "g": [1.0, 1.0],
+                       "H": [[-2.0, -0.5], [-0.5, -2.0]], "box_hi": [1.0, 1.0]}}
+    paths = {}
+    for name, obj in specs.items():
+        paths[name] = tmp_path_factory.mktemp("models") / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    return {name: str(p) for name, p in paths.items()}
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a non-integer -T / --y0
+            return exc.code
+
+
+class TestCliNumericInput:
+    """Every malformed numeric argument exits with code 2, never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["table2", "sweep", "ho-compare"]),
+           t_list=_with_one_malformed(st.integers(1, 64).map(str), int, 1))
+    def test_t_list(self, cli_models, command, t_list):
+        extra = {"table2": [], "sweep": ["--kind", "gap"],
+                 "ho-compare": ["--model", cli_models["add"], "--x-t", "0.3"]}[command]
+        assert _exit_code([command, *extra, f"--t-list={t_list}"]) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(["bern", "multi"]),
+           inventory=_with_one_malformed(st.floats(0.0, 2.0).map(repr), float, 0.0))
+    def test_inventory(self, cli_models, model, inventory):
+        argv = ["fluid-solve", "--model", cli_models[model], f"--inventory={inventory}"]
+        assert _exit_code(argv) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["static", "resolving", "dp", "dp-value"]),
+           T_y0=st.one_of(_malformed(int, 1).map(lambda T: (T, "3")),
+                          _malformed(int, 0).map(lambda y0: ("8", y0))))
+    def test_horizon_and_inventory(self, cli_models, command, T_y0):
+        argv = ["dp-value"] if command == "dp-value" else ["simulate", "--policy", command]
+        argv += ["--model", cli_models["bern"], f"-T={T_y0[0]}", f"--y0={T_y0[1]}"]
+        assert _exit_code(argv) == 2

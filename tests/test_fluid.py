@@ -61,6 +61,13 @@ class TestMulti:
         assert sol.active_set == [0]
         assert sol.lam[0] == pytest.approx(0.6)  # g_1 + (H x)_1 = 1 - 0.4
 
+    def test_nan_inventory_rejected(self, multi_model, bernoulli_model):
+        # the active set never settles on NaN bounds, so this used to hang
+        with pytest.raises(DomainError):
+            solve_fluid_multi(multi_model, np.array([np.nan, 1.0]))
+        with pytest.raises(DomainError):
+            solve_fluid_single(bernoulli_model, np.nan)
+
     def test_zero_inventory(self, multi_model):
         sol = solve_fluid_multi(multi_model, np.zeros(2))
         np.testing.assert_allclose(sol.x_c, [0.0, 0.0], atol=1e-14)

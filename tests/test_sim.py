@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluidpricing import (
     DemandModel,
     DomainError,
+    HindsightInfo,
+    MultiDemandModel,
+    ResourceGuardError,
     SimTrace,
+    UnsupportedModelError,
     constant_bound,
     diagnostics,
     estimate_regret,
@@ -12,6 +17,7 @@ from fluidpricing import (
     gamma,
     harmonic_identity_check,
     harmonic_series,
+    ho_policy,
     resolving_policy,
     simulate,
     simulate_batch,
@@ -20,8 +26,9 @@ from fluidpricing import (
     solve_dp,
     static_policy,
 )
-from fluidpricing.policies import multi_resolving_policy
-from fluidpricing.sim import parse_y0_rule
+from fluidpricing import policies, rng
+from fluidpricing.policies import exact_policy_values, multi_resolving_policy
+from fluidpricing.sim import ho_batch_policy, parse_y0_rule
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +97,76 @@ class TestSimulate:
         for i in range(5):
             tr = simulate(bernoulli_model, pol, 32, 10, seed=int(replication_seed(9, i)))
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["static", "resolving"])
+    def test_additive_batch_agrees_with_single_traces(self, additive_model, name):
+        T, y0 = 48, 15
+        pol = {"static": static_policy(additive_model, y0 / T),
+               "resolving": resolving_policy(additive_model)}[name]
+        batch = simulate_batch(additive_model, pol, T, y0, base_seed=4, n_reps=6)
+        for i in range(6):
+            tr = simulate(additive_model, pol, T, y0, seed=int(rng.replication_seed(4, i)))
+            assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+            assert tr.xi.sum() == pytest.approx(batch.sum_xi[i], abs=1e-12)
+
+    def test_hindsight_batch_rows_match_single_traces(self, additive_model):
+        T, y0, base, n = 40, 12, 6, 5
+        pol = ho_batch_policy(additive_model, T, y0 / T, base, n)
+        batch = simulate_batch(additive_model, pol, T, y0, base, n)
+        w = additive_model.noise_half_width
+        for i in range(n):
+            seed = int(rng.replication_seed(base, i))
+            xi_bar = pol.info.xi_bar[i]
+            # the clairvoyant sees the mean noise of its own stream
+            assert xi_bar == pytest.approx(
+                ((2.0 * rng.uniform_block(seed, 0, T) - 1.0) * w).mean(), abs=1e-15)
+            single = ho_policy(additive_model, y0 / T, HindsightInfo(xi_bar))
+            tr = simulate(additive_model, single, T, y0, seed=seed)
+            assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+
+
+class _Recorder:
+    """Wraps a policy and keeps every state the engine hands to it."""
+
+    def __init__(self, policy):
+        self.policy, self.states = policy, []
+
+    def rates_batch(self, y, t):
+        self.states.append(np.array(y))
+        return self.policy.rates_batch(y, t)
+
+
+_ENGINE_MODELS = {
+    "bernoulli": DemandModel.linear_bernoulli(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0),
+    "additive": DemandModel.linear_additive(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0,
+                                            noise_half_width=0.2),
+    "two-product": MultiDemandModel(g=[1.0, 1.0], H=[[-2.0, -0.5], [-0.5, -2.0]],
+                                    box_hi=[1.0, 1.0]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(_ENGINE_MODELS)), static=st.booleans(),
+       T=st.integers(1, 60), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+def test_engine_invariants(family, static, T, fill, seed):
+    """Inventory never increases, sales never exceed it, revenue is >= 0."""
+    model = _ENGINE_MODELS[family]
+    if family == "two-product":
+        y0 = np.array([round(fill * T), round(fill * T / 2)], dtype=float)
+        pol, max_revenue = multi_resolving_policy(model), float(model.g @ y0)
+    else:
+        y0 = round(fill * T) if family == "bernoulli" else fill * T * 0.8
+        pol = (static_policy(model, max(y0, 1) / T) if static else resolving_policy(model))
+        max_revenue = model.interval.p_hi * y0
+    rec = _Recorder(pol)
+    batch = simulate_batch(model, rec, T, y0, seed, 40)
+    states = np.stack(rec.states)
+    assert len(states) == T and np.all(states[0] == y0)
+    assert np.all(np.diff(states, axis=0) <= 0.0)  # inventory never increases
+    assert np.all(states >= 0.0)  # each period sells at most what is left
+    assert np.all(batch.total_revenue >= 0.0)
+    # every price is at most the price of a zero rate, and at most y0 units sell
+    assert np.all(batch.total_revenue <= max_revenue + 1e-9)
 
 
 class TestDiagnostics:
@@ -247,6 +324,27 @@ class TestEstimateRegret:
         with pytest.raises(DomainError):
             parse_y0_rule("floor(T/2)")
 
+    def test_bernoulli_one_pass_per_static_rate(self, bernoulli_model, monkeypatch):
+        T_list = [64, 128, 200, 256]  # 5/16 * 200 rounds to 62, another static rate
+        reports = estimate_regret(bernoulli_model, T_list, "round(5/16*T)",
+                                  policies=("static", "resolving", "dp"))
+        for T in T_list:
+            y0 = round(5 / 16 * T)
+            built = {"static": static_policy(bernoulli_model, y0 / T),
+                     "resolving": resolving_policy(bernoulli_model)}
+            want = exact_policy_values(bernoulli_model, T, y0, built)
+            assert {r.policy: r.value for r in reports if r.T == T} == want
+        calls = []
+        original = policies.exact_values
+        monkeypatch.setattr(policies, "exact_values",
+                            lambda *a: calls.append(a) or original(*a))
+        estimate_regret(bernoulli_model, T_list, "round(5/16*T)")
+        assert len(calls) == 2
+
+    def test_bernoulli_cell_budget(self, bernoulli_model):
+        with pytest.raises(ResourceGuardError):
+            estimate_regret(bernoulli_model, [64, 2**16], "round(5/16*T)")
+
     def test_dp_row_on_exact_path(self, bernoulli_model):
         reports = estimate_regret(bernoulli_model, [64], "round(5/16*T)",
                                   policies=("dp", "resolving"))
@@ -298,6 +396,17 @@ class TestMultiSimulation:
             tr = simulate_multi(multi_model, pol, 16, [4, 8],
                                 seed=int(replication_seed(13, i)))
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+
+    def test_one_engine_for_every_family(self, multi_model):
+        pol = multi_resolving_policy(multi_model)
+        direct = simulate_batch(multi_model, pol, 16, [4, 8], base_seed=13, n_reps=4)
+        thin = simulate_batch_multi(multi_model, 16, [4, 8], base_seed=13, n_reps=4)
+        assert direct.total_revenue.tobytes() == thin.total_revenue.tobytes()
+        with pytest.raises(UnsupportedModelError):
+            simulate_batch(multi_model, pol, 16, [4, 8], 13, 4, track_t_sharp=True)
+        three = MultiDemandModel(g=[1.0, 1.0, 1.0], H=-2.0 * np.eye(3), box_hi=[1.0] * 3)
+        with pytest.raises(UnsupportedModelError, match="n = 2"):
+            simulate_batch_multi(three, 8, [2, 2, 2], base_seed=1, n_reps=3)
 
 
 class TestConstantBound:
