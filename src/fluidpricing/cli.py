@@ -9,6 +9,8 @@ are JSON (fluid-solve, dp-value) or CSV (everything else).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import sys
 
@@ -78,17 +80,23 @@ def cmd_fluid_solve(args) -> int:
     return EXIT_OK
 
 
+def _write_actions(table, path: str) -> None:
+    """The action table as CSV rows (t, y, demand_rate, price), written period by period."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "y", "demand_rate", "price"])
+        inventory = range(1, table.max_inventory + 1)
+        for t in range(1, table.horizon + 1):
+            rates = table.actions[t, 1:]
+            writer.writerows(zip(itertools.repeat(t), inventory, rates.tolist(),
+                                 table.model.price_of_rate(rates).tolist()))
+
+
 def cmd_dp_value(args) -> int:
     model = _load_model(args.model)
     if args.dump_actions:
         table = solve_dp(model, args.T, args.y0)
-        rows = []
-        for t in range(1, args.T + 1):
-            for y in range(1, args.y0 + 1):
-                d = float(table.actions[t, y])
-                rows.append({"t": t, "y": y, "demand_rate": d,
-                             "price": model.inverse_demand(d)})
-        experiments.write_csv(rows, ["t", "y", "demand_rate", "price"], args.dump_actions)
+        _write_actions(table, args.dump_actions)
         value = table.value(args.T, args.y0)
     else:
         value = dp_value(model, args.T, args.y0)

@@ -13,7 +13,15 @@ decision of the horizon and t = 1 the last.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +32,11 @@ from .fluid import box_qp2_batch, solve_fluid_multi
 # size guards of solve_dp (table entries) and solve_dp_multi (T times lattice states)
 DENSE_TABLE_MAX_ENTRIES = 64_000_000
 MULTI_STATE_CAP = 10_000_000
-# largest grouped backward pass T * (y0 + 1) of exact_passes: 2^15 (3.4e8) fits, 2^16 not
+# largest backward pass T * (y0 + 1) of exact_passes and exact_policy_values:
+# 2^15 (3.4e8) fits, 2^16 not
 EXACT_CELL_BUDGET = 2**30
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,10 @@ class StaticPolicy:
     def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
         return np.where(np.asarray(y) > 0, self.rate, 0.0)
 
+    def rate_law(self) -> tuple[float, float]:
+        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y >= 1."""
+        return self.rate, self.rate
+
 
 class ResolvingPolicy:
     """Re-solves the fluid problem each period at the current normalized inventory.
@@ -96,6 +111,10 @@ class ResolvingPolicy:
         y = np.asarray(y, dtype=float)
         rate = np.clip(y / t, self.model.d_lo, self._cap)
         return np.where(y > 0, rate, 0.0)
+
+    def rate_law(self) -> tuple[float, float]:
+        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y >= 1."""
+        return self.model.d_lo, self._cap
 
 
 class HindsightPolicy(StaticPolicy):
@@ -235,30 +254,118 @@ def exact_values(model: DemandModel, points,
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
     to the largest T reads every point, with O(max y0) memory per object.
+    When every policy declares a rate_law, the pass is the compiled fused
+    kernel over the cells the points read; otherwise, or when the kernel
+    cannot be built, it is the numpy pass _backward.  Both give the same bits.
     """
     _require_bernoulli(model, "exact policy evaluation")
     points = [(int(T), int(y0)) for T, y0 in points]
     if not points or any(T < 1 or y0 < 0 for T, y0 in points):
         raise DomainError("need at least one point, each with T >= 1 and y0 >= 0")
     policies = dict(policies or {})
+    laws = [pol.rate_law() for pol in policies.values() if hasattr(pol, "rate_law")]
+    kernel = _kernel() if len(laws) == len(policies) else None
+    rows = (_fused_pass(kernel, model, points, laws) if kernel is not None
+            else _numpy_pass(model, points, list(policies.values())))
+    return [dict(zip(["dp", *policies], row)) for row in rows]
+
+
+def _numpy_pass(model: DemandModel, points, policies) -> list[list[float]]:
+    """Every row's value at each point, read from _backward over the whole lattice."""
     due = {}
     for i, (T, _) in enumerate(points):
         due.setdefault(T, []).append(i)
     out = [None] * len(points)
     T_max, y_max = (max(axis) for axis in zip(*points))
-    for t, values, _ in _backward(model, T_max, y_max, list(policies.values())):
+    for t, values, _ in _backward(model, T_max, y_max, policies):
         for i in due.get(t, ()):
-            out[i] = dict(zip(["dp", *policies], values[:, points[i][1]].tolist()))
+            out[i] = values[:, points[i][1]].tolist()
     return out
+
+
+def _fused_pass(kernel, model: DemandModel, points, laws) -> list[list[float]]:
+    """Every row's value at each point, from one kernel call per distinct horizon.
+
+    Between two horizons the points still to be read are fixed, and so is
+    their cone: at period t point (T, y) reads only y - (T - t) .. y.  When
+    every policy rate is constant for y >= t (rate cap <= 1, or a constant
+    rate), V(t, y) = V(t, t) there, and the point is read at min(y0, T).
+    """
+    lo = np.array([law[0] for law in laws], dtype=float)
+    hi = np.array([law[1] for law in laws], dtype=float)
+    triangle = bool(np.all(hi <= np.maximum(lo, 1.0)))
+    reads = [min(y0, T) if triangle else y0 for T, y0 in points]
+    values = np.zeros((1 + len(laws), max(reads) + 1))
+    ys = np.arange(values.shape[1], dtype=float)
+    out = [None] * len(points)
+    done = 0
+    for horizon in sorted({T for T, _ in points}):
+        live = [k for k, (T, _) in enumerate(points) if T >= horizon]
+        cone = min(reads[k] - points[k][0] for k in live)
+        kernel(values, *values.shape, ys, lo, hi, model.alpha, model.beta, model.d_lo,
+               model.d_hi, done, horizon, cone, max(reads[k] for k in live), triangle)
+        for k in live:
+            if points[k][0] == horizon:
+                out[k] = values[:, reads[k]].tolist()
+        done = horizon
+    return out
+
+
+_SOURCE = Path(__file__).with_name("_backward.c")
+# -ffp-contract=off: a fused multiply-add would change the last bits against numpy;
+# no -march=native, so that a cached binary runs on any CPU of the architecture
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _kernel():
+    """The compiled fused backward loop, or None when it cannot be built or loaded."""
+    try:
+        fn = ctypes.CDLL(str(_compile())).backward
+    except (OSError, subprocess.SubprocessError) as exc:
+        logger.warning("fused backward kernel unavailable, using the numpy pass: %s", exc)
+        return None
+    array = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    fn.argtypes = [array, ctypes.c_long, ctypes.c_long, array, array, array,
+                   ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                   ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_int]
+    fn.restype = None
+    return fn
+
+
+def _compile() -> Path:
+    """Path of the shared library, built into __pycache__ unless the cached one matches.
+
+    The cache key hashes the source, the flags and the compiler's version;
+    the library is written to a temporary file and renamed into place.
+    """
+    version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + version)
+    lib = _SOURCE.parent / "__pycache__" / f"_backward-{key.hexdigest()[:16]}.so"
+    if not lib.exists():
+        lib.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                           capture_output=True, check=True)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+def _check_budget(lattice: int) -> None:
+    if lattice > EXACT_CELL_BUDGET:
+        raise ResourceGuardError(f"backward pass over {lattice} lattice cells "
+                                 f"exceeds the budget of {EXACT_CELL_BUDGET}")
 
 
 def exact_passes(cells, setup) -> list[dict[str, float]]:
     """exact_values at cells (key, T, y0): one pass per key, whose setup(key) is
     (model, policies); all passes are checked against the budget before any runs."""
-    lattice = max(T for _, T, _ in cells) * (max(y0 for _, _, y0 in cells) + 1)
-    if lattice > EXACT_CELL_BUDGET:
-        raise ResourceGuardError(f"backward pass over {lattice} lattice cells "
-                                 f"exceeds the budget of {EXACT_CELL_BUDGET}")
+    _check_budget(max(T for _, T, _ in cells) * (max(y0 for _, _, y0 in cells) + 1))
     found = {}
     for key in dict.fromkeys(key for key, _, _ in cells):
         points = [(T, y0) for k, T, y0 in cells if k == key]
@@ -269,7 +376,8 @@ def exact_passes(cells, setup) -> list[dict[str, float]]:
 
 def exact_policy_values(model: DemandModel, T: int, y0: int,
                         policies: dict[str, object] | None = None) -> dict[str, float]:
-    """exact_values at the single point (T, y0)."""
+    """exact_values at the single point (T, y0), within EXACT_CELL_BUDGET."""
+    _check_budget(T * (y0 + 1))
     return exact_values(model, [(T, y0)], policies)[0]
 
 

@@ -149,6 +149,8 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     series is accumulated along the way and the stopping time recorded per
     replication (meaningful for re-solving traces).
     """
+    if T < 1 or not np.all(np.asarray(y0) >= 0):
+        raise DomainError("need T >= 1 and y0 >= 0")
     multi = isinstance(model, MultiDemandModel)
     if multi and track_t_sharp:
         raise UnsupportedModelError("t_sharp tracking is defined for one product")
@@ -419,6 +421,8 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
+    if T < 1:
+        raise DomainError("need T >= 1")
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     acc = np.zeros(n_reps)
@@ -490,7 +494,11 @@ class MultiSimTrace:
 
 
 def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> MultiSimTrace:
-    """Forward dynamics for the multi-product family (unit sales per product)."""
+    """Forward dynamics for the multi-product family (unit sales per product).
+
+    A product's sale is censored at its inventory, so a fractional last
+    unit sells (and earns) only that fraction.
+    """
     y0 = np.asarray(y0, dtype=float)
     n = model.n
     policy = policy or MultiResolvingPolicy(model)
@@ -509,9 +517,9 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
         sale = (u < dec.demand_rates).astype(float)
         prices[i] = dec.prices
         rates[i] = dec.demand_rates
-        sales[i] = sale
+        sales[i] = np.minimum(sale, y)
         xi[i] = sale - dec.demand_rates
-        revenue[i] = float(dec.prices @ sale)
+        revenue[i] = float(dec.prices @ sales[i])
         y = np.maximum(0.0, y - sale)
         inventory[i] = y
     return MultiSimTrace(T=T, y0=y0, seed=int(seed), tau_remaining=tau, prices=prices,

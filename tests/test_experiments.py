@@ -217,6 +217,32 @@ class TestCli:
         header = dump.read_text().splitlines()[0]
         assert header == "t,y,demand_rate,price"
 
+    def test_dump_actions_matches_row_writer(self, model_paths, tmp_path, capsys):
+        from fluidpricing import benchmark_model, solve_dp
+
+        dump = tmp_path / "actions.csv"
+        assert cli.main(["dp-value", "--model", model_paths["bern"], "-T", "23",
+                         "--y0", "9", "--dump-actions", str(dump)]) == 0
+        # the one-dict-per-cell writer the streamed rows replace
+        model = benchmark_model()
+        table = solve_dp(model, 23, 9)
+        rows = [{"t": t, "y": y, "demand_rate": float(table.actions[t, y]),
+                 "price": model.inverse_demand(float(table.actions[t, y]))}
+                for t in range(1, 24) for y in range(1, 10)]
+        assert dump.read_bytes() == write_csv(rows, ["t", "y", "demand_rate", "price"]).encode()
+
+    def test_dp_value_cell_budget(self, model_paths, monkeypatch, capsys):
+        from fluidpricing import policies
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a backward pass ran")
+
+        monkeypatch.setattr(policies, "_numpy_pass", no_pass)
+        monkeypatch.setattr(policies, "_fused_pass", no_pass)
+        assert cli.main(["dp-value", "--model", model_paths["bern"], "-T", "65536",
+                         "--y0", "32768"]) == 4
+        assert "resource guard" in capsys.readouterr().err
+
     def test_simulate_trace_csv(self, model_paths, capsys):
         rc = cli.main(["simulate", "--model", model_paths["bern"], "--policy",
                        "resolving", "-T", "8", "--y0", "3", "--seed", "5"])

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,8 @@ from fluidpricing import (
     solve_fluid_multi,
     static_policy,
 )
+from fluidpricing import policies as policies_module
+from fluidpricing.policies import _backward
 from fluidpricing.sim import ho_inner_values
 
 
@@ -192,7 +196,8 @@ def _scalar_bellman(model, T, y_max, policies):
 
 @st.composite
 def _bernoulli_models(draw):
-    alpha = draw(st.floats(0.1, 1.0))
+    # alpha above 1 (within the bernoulli tolerance) can put the rate cap above 1
+    alpha = draw(st.floats(0.1, 1.0 + 9e-13))
     beta = draw(st.floats(0.1, 2.0))
     reach = draw(st.floats(0.2, 1.0))  # share of the demand curve the prices cover
     return DemandModel.linear_bernoulli(alpha, beta, 0.0, reach * alpha / beta)
@@ -218,6 +223,69 @@ class TestBackwardPass:
         for points in ([], [(0, 3)], [(4, -1)]):
             with pytest.raises(DomainError):
                 exact_values(bernoulli_model, points)
+
+
+def _backward_values(model, points, policies):
+    """Every row's value at each point, read from the numpy pass _backward."""
+    rows = {}
+    for t, values, _ in _backward(model, max(T for T, _ in points),
+                                  max(y0 for _, y0 in points), list(policies.values())):
+        rows.update({(T, y0): values[:, y0].copy() for T, y0 in points if T == t})
+    return np.array([rows[point] for point in points])
+
+
+def _assert_kernel_matches_backward(model, points, policies):
+    if policies_module._kernel() is None:
+        pytest.skip("no C compiler to build the fused kernel")
+    found = exact_values(model, points, policies)
+    assert all(list(values) == ["dp", *policies] for values in found)
+    got = np.array([list(values.values()) for values in found])
+    assert got.tobytes() == _backward_values(model, points, policies).tobytes()
+    return found
+
+
+class TestFusedKernel:
+    def test_triangle_off_when_rate_cap_above_one(self):
+        # d_hi = 1 + 5e-13: the resolving rate keeps growing past y = t
+        model = DemandModel.linear_bernoulli(2.5, 1.5, (1.5 - 5e-13) / 1.5, 1.6)
+        assert resolving_policy(model).rate_law()[1] > 1.0
+        found = _assert_kernel_matches_backward(
+            model, [(5, 9), (3, 2), (8, 8)],
+            {"resolving": resolving_policy(model), "static": static_policy(model, 0.9)})
+        assert found[0]["resolving"] == 5.000000000000834
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=_bernoulli_models(),
+           points=st.lists(st.tuples(st.integers(1, 64), st.integers(0, 80)),
+                           min_size=1, max_size=5),
+           corner=st.tuples(st.integers(1, 40), st.integers(1, 30)),
+           x_T=st.floats(0.01, 1.0))
+    def test_matches_backward_bitwise(self, model, points, corner, x_T):
+        T, extra = corner
+        points = [*points, (T, 0), (T, T + extra)]  # no inventory, and y0 > T
+        _assert_kernel_matches_backward(
+            model, points, {"resolving": resolving_policy(model),
+                            "static": static_policy(model, x_T)})
+
+    def test_without_compiler_falls_back_to_numpy(self, bernoulli_model, monkeypatch, caplog):
+        points = [(64, 20), (40, 50), (9, 0)]
+        pols = {"static": static_policy(bernoulli_model, 5 / 16),
+                "resolving": resolving_policy(bernoulli_model)}
+        want = exact_values(bernoulli_model, points, pols)
+
+        def no_compiler():
+            raise FileNotFoundError("cc not found")
+
+        monkeypatch.setattr(policies_module, "_compile", no_compiler)
+        policies_module._kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=policies_module.__name__):
+                got = [exact_values(bernoulli_model, points, pols) for _ in range(2)]
+            assert policies_module._kernel() is None
+        finally:
+            policies_module._kernel.cache_clear()
+        assert got == [want, want]
+        assert len(caplog.records) == 1
 
 
 class TestHindsightPolicy:

@@ -28,7 +28,7 @@ from fluidpricing import (
 )
 from fluidpricing import policies, rng
 from fluidpricing.policies import exact_policy_values, multi_resolving_policy
-from fluidpricing.sim import ho_batch_policy, parse_y0_rule
+from fluidpricing.sim import ho_batch_policy, ho_inner_values, parse_y0_rule
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,25 @@ class TestSimulate:
         for i in range(5):
             tr = simulate(bernoulli_model, pol, 32, 10, seed=int(replication_seed(9, i)))
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["bernoulli", "additive", "multi"])
+    @pytest.mark.parametrize("T, y0", [(0, 3), (-1, 3), (8, -2), (8, float("nan"))])
+    def test_batch_rejects_bad_horizon_and_inventory(self, family, T, y0, bernoulli_model,
+                                                     additive_model, multi_model):
+        model = {"bernoulli": bernoulli_model, "additive": additive_model,
+                 "multi": multi_model}[family]
+        if family == "multi":
+            pol, y0 = multi_resolving_policy(model), [1.0, y0]
+        else:
+            pol = resolving_policy(model)
+        with pytest.raises(DomainError):
+            simulate_batch(model, pol, T, y0, base_seed=1, n_reps=3)
+
+    def test_hindsight_rejects_empty_horizon(self, additive_model):
+        with pytest.raises(DomainError):
+            ho_batch_policy(additive_model, 0, 5 / 16, base_seed=1, n_reps=3)
+        with pytest.raises(DomainError):
+            ho_inner_values(additive_model, 0, 5 / 16, base_seed=1, n_reps=3)
 
     @pytest.mark.parametrize("name", ["static", "resolving"])
     def test_additive_batch_agrees_with_single_traces(self, additive_model, name):
@@ -396,6 +415,17 @@ class TestMultiSimulation:
             tr = simulate_multi(multi_model, pol, 16, [4, 8],
                                 seed=int(replication_seed(13, i)))
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+
+    def test_fractional_inventory_censors_sales(self, multi_model):
+        # a fractional last unit sells only its fraction, as in the batch engine
+        batch = simulate_batch_multi(multi_model, 8, [0.5, 1.5], base_seed=3, n_reps=4)
+        pol = multi_resolving_policy(multi_model)
+        for i in range(4):
+            tr = simulate_multi(multi_model, pol, 8, [0.5, 1.5],
+                                seed=int(rng.replication_seed(3, i)))
+            assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+            np.testing.assert_allclose(tr.sales.sum(axis=0) + tr.inventory_after[-1],
+                                       [0.5, 1.5], atol=1e-12)
 
     def test_one_engine_for_every_family(self, multi_model):
         pol = multi_resolving_policy(multi_model)
