@@ -1,0 +1,207 @@
+/* Compiled loops of fluidpricing, loaded with ctypes by policies._kernel.
+ *
+ * Each entry point reproduces a numpy loop of the package operation by
+ * operation, so both agree bit for bit as long as the compiler does not
+ * contract a * b + c into a fused multiply-add (-ffp-contract=off):
+ *
+ *   backward   the exact backward pass (policies._backward);
+ *   forward    the one-product Monte Carlo engine (sim.simulate_batch);
+ *   noise_sum  the noise mean of the hindsight benchmark (sim.ho_batch_policy).
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+static double clip(double x, double lo, double hi)
+{
+    /* numpy's clip: maximum with lo first, then minimum with hi */
+    x = x > lo ? x : lo;
+    return x < hi ? x : hi;
+}
+
+/* -- backward ---------------------------------------------------------------
+ *
+ * Fused backward induction over the (remaining periods, inventory) lattice.
+ * values is a (rows x width) row-major array: row 0 holds the optimal value
+ * V(t, y), row 1 + i the value of a policy whose demand rate is
+ * clip(y / t, lo[i], hi[i]); lo[i] == hi[i] is a constant rate.  Every row
+ * gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), with the rate, the clip
+ * and the update evaluated in the operation order of the numpy pass.
+ *
+ * One call advances the rows from period t_from to t_to, updating only the
+ * cells y in [max(1, cone + t), y_hi] that a requested point can still
+ * read.  With triangle set, V(t, y) = V(t, t) for every y >= t, so only
+ * y <= t is computed and V(t, t) is copied into cell t + 1 for the next
+ * period.  Column 0 (no inventory) is never written.  Each row is updated in
+ * place from high y to low, so W(t-1, y-1) is still unchanged when read.
+ */
+
+static void optimal_row(double *v, long first, long last, double alpha,
+                        double beta, double d_lo, double d_hi)
+{
+    for (long y = last; y >= first; y--) {
+        double below = v[y - 1], here = v[y];
+        double d = clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi);
+        v[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
+    }
+}
+
+/* ys[y] == y as a double: a load, unlike a conversion from long, vectorizes */
+static void clipped_row(double *restrict w, const double *restrict ys,
+                        long first, long last, double t, double lo, double hi,
+                        double alpha, double beta)
+{
+    for (long y = last; y >= first; y--) {
+        double below = w[y - 1], here = w[y];
+        double d = clip(ys[y] / t, lo, hi);
+        w[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
+    }
+}
+
+/* clipped_row with lo == hi == d: the rate and r(d) are the same in every cell */
+static void constant_row(double *w, long first, long last, double d,
+                         double alpha, double beta)
+{
+    double reward = d * (alpha - d) / beta;
+    for (long y = last; y >= first; y--) {
+        double below = w[y - 1], here = w[y];
+        w[y] = reward + d * below + (1.0 - d) * here;
+    }
+}
+
+void backward(double *values, long rows, long width, const double *ys,
+              const double *lo, const double *hi, double alpha, double beta,
+              double d_lo, double d_hi, long t_from, long t_to, long cone,
+              long y_hi, int triangle)
+{
+    for (long t = t_from + 1; t <= t_to; t++) {
+        long first = cone + t > 1 ? cone + t : 1;
+        long last = triangle && t < y_hi ? t : y_hi;
+        optimal_row(values, first, last, alpha, beta, d_lo, d_hi);
+        for (long r = 1; r < rows; r++) {
+            double *w = values + r * width;
+            if (lo[r - 1] == hi[r - 1])
+                constant_row(w, first, last, hi[r - 1], alpha, beta);
+            else
+                clipped_row(w, ys, first, last, (double)t, lo[r - 1],
+                            hi[r - 1], alpha, beta);
+        }
+        if (triangle && t < y_hi)
+            for (long r = 0; r < rows; r++)
+                values[r * width + t + 1] = values[r * width + t];
+    }
+}
+
+/* -- the counter-based RNG --------------------------------------------------- */
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+/* rng.uniforms at one counter of the stream keyed by key: the splitmix64
+ * finalizer of key + (counter + 1) * GOLDEN, its top 53 bits scaled onto [0, 1) */
+static double uniform(uint64_t key, uint64_t counter)
+{
+    uint64_t z = key + (counter + 1) * GOLDEN;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4B9FEULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return (double)(z >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* -- forward ------------------------------------------------------------------
+ *
+ * reps one-product replications in lockstep, replication r on the stream
+ * keys[r] and under the rate clip(y / t, lo[r], hi[r]) while y > 0 (the rate
+ * law of its policy; lo[r] == hi[r] is a constant rate).  Sales are unit
+ * sized (u < rate) when unit_sales is set, else rate + (2u - 1) * w; demand
+ * beyond the inventory is lost.  y holds the initial inventories and ends
+ * with the final ones; total and sum_xi accumulate the revenue and the noise.
+ * With track set, harm accumulates the harmonic noise series and t_sharp[r]
+ * (2 on entry) becomes the first period whose update leaves the band gam.
+ * Inactive rows (y <= 0) go through the same arithmetic with zeros, as the
+ * masked numpy arrays do.
+ */
+
+/* numpy's minimum and maximum: the second operand on a tie */
+static double minimum(double a, double b) { return a < b ? a : b; }
+static double maximum(double a, double b) { return a > b ? a : b; }
+
+void forward(long reps, long T, const uint64_t *keys, const double *lo,
+             const double *hi, double alpha, double beta, double w,
+             int unit_sales, double *y, double *total, double *sum_xi,
+             int track, double gam, double *harm, int64_t *t_sharp)
+{
+    for (long i = 0; i < T; i++) {
+        long t = T - i;
+        for (long r = 0; r < reps; r++) {
+            double u = uniform(keys[r], i);
+            int active = y[r] > 0;
+            double d = active ? clip(y[r] / t, lo[r], hi[r]) : 0.0;
+            double price = active ? (alpha - d) / beta : 0.0;
+            double xi, realized;
+            if (unit_sales) {
+                realized = u < d ? 1.0 : 0.0;
+                xi = realized - d;
+            } else {
+                xi = (2.0 * u - 1.0) * w;
+                realized = d + xi;
+            }
+            xi = active ? xi : 0.0;
+            realized = active ? realized : 0.0;
+            total[r] += price * minimum(realized, y[r]);
+            sum_xi[r] += xi;
+            y[r] = maximum(0.0, y[r] - realized);
+            if (track && t >= 2) {
+                harm[r] += xi / (t - 1);
+                /* t_sharp[r] is still 2 exactly while r is undecided: an exit
+                 * before the last check (t = 2) sets it to t > 2 */
+                if (t_sharp[r] == 2 && fabs(harm[r]) > gam)
+                    t_sharp[r] = t;
+            }
+        }
+    }
+}
+
+/* -- noise_sum ----------------------------------------------------------------
+ *
+ * acc[r] += the sum of the uniforms at counters 0 .. T - 1 of stream keys[r],
+ * taken in blocks of chunk counters and each block summed as numpy sums a
+ * row (pairwise_uniforms), so the result equals the numpy reduction
+ * acc += uniforms(keys[:, None], block[None, :]).sum(axis=1) over the blocks.
+ */
+
+/* numpy's pairwise summation (loops_utils.h) of the uniforms at counters
+ * first .. first + n - 1: fewer than 8 in a row, up to 128 with 8
+ * accumulators, more split in two at n / 2 rounded down to a multiple of 8 */
+static double pairwise_uniforms(uint64_t key, long first, long n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (long k = 0; k < n; k++)
+            res += uniform(key, first + k);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long k;
+        for (int j = 0; j < 8; j++)
+            r[j] = uniform(key, first + j);
+        for (k = 8; k < n - n % 8; k += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += uniform(key, first + k + j);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; k < n; k++)
+            res += uniform(key, first + k);
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_uniforms(key, first, n2) + pairwise_uniforms(key, first + n2, n - n2);
+}
+
+void noise_sum(long reps, long T, long chunk, const uint64_t *keys, double *acc)
+{
+    for (long r = 0; r < reps; r++)
+        for (long start = 0; start < T; start += chunk)
+            acc[r] += pairwise_uniforms(keys[r], start,
+                                        T - start < chunk ? T - start : chunk);
+}

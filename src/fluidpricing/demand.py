@@ -256,7 +256,7 @@ def _bernoulli_wasserstein_ratio(q: np.ndarray) -> float:
 class MultiDemandModel:
     """Multi-product model with quadratic mean revenue.
 
-    Mean revenue at demand-rate vector x is r(x) = c + g.x + x.H.x/2 with H
+    Mean revenue at demand-rate vector x is r(x) = g.x + x.H.x/2 with H
     symmetric negative definite, so the inverse demand (price) curve is the
     affine map p(x) = g + H x / 2.  The demand-rate domain is the box
     [0, box_hi].  Stochastically, each product sells one unit per period
@@ -267,7 +267,6 @@ class MultiDemandModel:
     g: np.ndarray
     H: np.ndarray
     box_hi: np.ndarray
-    c: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "g", _frozen_array(self.g, ndim=1))
@@ -283,7 +282,7 @@ class MultiDemandModel:
 
     def revenue(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(self.c + self.g @ x + 0.5 * x @ self.H @ x)
+        return float(self.g @ x + 0.5 * x @ self.H @ x)
 
     def revenue_grad(self, x) -> np.ndarray:
         return self.g + self.H @ np.asarray(x, dtype=float)
@@ -304,7 +303,6 @@ class MultiDemandModel:
             "g": self.g.tolist(),
             "H": self.H.tolist(),
             "box_hi": self.box_hi.tolist(),
-            "c": self.c,
         }
 
 
@@ -369,9 +367,10 @@ def model_from_dict(obj: dict):
     try:
         kind = obj.get("kind")
         if kind == KIND_MULTI:
-            return MultiDemandModel(
-                g=obj["g"], H=obj["H"], box_hi=obj["box_hi"], c=obj.get("c", 0.0)
-            )
+            if float(obj.get("c", 0.0)) != 0.0:
+                raise ModelValidationError(
+                    ["c must be 0: the prices g + Hx/2 earn no constant revenue"])
+            return MultiDemandModel(g=obj["g"], H=obj["H"], box_hi=obj["box_hi"])
         if kind == KIND_BERNOULLI:
             return DemandModel.linear_bernoulli(obj["alpha"], obj["beta"], obj["p_lo"], obj["p_hi"])
         if kind == KIND_ADDITIVE:

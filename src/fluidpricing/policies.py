@@ -80,7 +80,7 @@ class StaticPolicy:
         return np.where(np.asarray(y) > 0, self.rate, 0.0)
 
     def rate_law(self) -> tuple[float, float]:
-        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y >= 1."""
+        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0."""
         return self.rate, self.rate
 
 
@@ -113,7 +113,7 @@ class ResolvingPolicy:
         return np.where(y > 0, rate, 0.0)
 
     def rate_law(self) -> tuple[float, float]:
-        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y >= 1."""
+        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0."""
         return self.model.d_lo, self._cap
 
 
@@ -254,7 +254,7 @@ def exact_values(model: DemandModel, points,
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
     to the largest T reads every point, with O(max y0) memory per object.
-    When every policy declares a rate_law, the pass is the compiled fused
+    When every policy has a checked_law, the pass is the compiled fused
     kernel over the cells the points read; otherwise, or when the kernel
     cannot be built, it is the numpy pass _backward.  Both give the same bits.
     """
@@ -263,11 +263,31 @@ def exact_values(model: DemandModel, points,
     if not points or any(T < 1 or y0 < 0 for T, y0 in points):
         raise DomainError("need at least one point, each with T >= 1 and y0 >= 0")
     policies = dict(policies or {})
-    laws = [pol.rate_law() for pol in policies.values() if hasattr(pol, "rate_law")]
-    kernel = _kernel() if len(laws) == len(policies) else None
-    rows = (_fused_pass(kernel, model, points, laws) if kernel is not None
+    ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
+    laws = [checked_law(pol, ys, max(T for T, _ in points)) for pol in policies.values()]
+    lib = _kernel() if None not in laws else None
+    rows = (_fused_pass(lib.backward, model, points, laws) if lib is not None
             else _numpy_pass(model, points, list(policies.values())))
     return [dict(zip(["dp", *policies], row)) for row in rows]
+
+
+def checked_law(policy, y: np.ndarray, t: int):
+    """policy.rate_law() when it reproduces policy.rates_batch at the states y
+    with t and with 1 period left, else None.
+
+    The compiled loops run the law in place of rates_batch.  This spot check
+    keeps a policy with no law, or one whose rates_batch departs from the
+    law it inherited (a subclass that overrides only rates_batch), on the
+    numpy loops.
+    """
+    if not hasattr(policy, "rate_law"):
+        return None
+    lo, hi = policy.rate_law()
+    for left in {t, 1}:
+        law = np.where(y > 0, np.clip(y / left, lo, hi), 0.0)
+        if not np.array_equal(policy.rates_batch(y, left), law):
+            return None
+    return lo, hi
 
 
 def _numpy_pass(model: DemandModel, points, policies) -> list[list[float]]:
@@ -311,7 +331,8 @@ def _fused_pass(kernel, model: DemandModel, points, laws) -> list[list[float]]:
     return out
 
 
-_SOURCE = Path(__file__).with_name("_backward.c")
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_CACHE = _SOURCE.parent / "__pycache__"
 # -ffp-contract=off: a fused multiply-add would change the last bits against numpy;
 # no -march=native, so that a cached binary runs on any CPU of the architecture
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
@@ -319,32 +340,39 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 @functools.cache
 def _kernel():
-    """The compiled fused backward loop, or None when it cannot be built or loaded."""
+    """The compiled loops of _kernels.c (backward, forward, noise_sum), or None
+    when they cannot be built or loaded; callers then run their numpy loops."""
     try:
-        fn = ctypes.CDLL(str(_compile())).backward
+        lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
-        logger.warning("fused backward kernel unavailable, using the numpy pass: %s", exc)
+        logger.warning("compiled kernels unavailable, using the numpy loops: %s", exc)
         return None
-    array = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    fn.argtypes = [array, ctypes.c_long, ctypes.c_long, array, array, array,
-                   ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-                   ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_int]
-    fn.restype = None
-    return fn
+    f64, u64, i64 = (np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+                     for dtype in (np.float64, np.uint64, np.int64))
+    n, x, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
+    lib.backward.argtypes = [f64, n, n, f64, f64, f64, x, x, x, x, n, n, n, n, flag]
+    lib.forward.argtypes = [n, n, u64, f64, f64, x, x, x, flag, f64, f64, f64,
+                            flag, x, f64, i64]
+    lib.noise_sum.argtypes = [n, n, n, u64, f64]
+    for fn in (lib.backward, lib.forward, lib.noise_sum):
+        fn.restype = None
+    return lib
 
 
 def _compile() -> Path:
-    """Path of the shared library, built into __pycache__ unless the cached one matches.
+    """Path of the shared library, built into _CACHE unless the cached one matches.
 
     The cache key hashes the source, the flags and the compiler's version;
-    the library is written to a temporary file and renamed into place.
+    the library is written to a temporary file and renamed into place, and
+    a new build deletes the libraries it supersedes.
     """
     version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + version)
-    lib = _SOURCE.parent / "__pycache__" / f"_backward-{key.hexdigest()[:16]}.so"
+    lib = _CACHE / f"{_SOURCE.stem}-{key.hexdigest()[:16]}.so"
     if not lib.exists():
-        lib.parent.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+        _CACHE.mkdir(exist_ok=True)
+        # not *.so, so that the pruning of another build never takes it
+        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=_CACHE)
         os.close(fd)
         try:
             subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
@@ -353,6 +381,9 @@ def _compile() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for old in _CACHE.glob("*.so"):
+            if old != lib:
+                old.unlink(missing_ok=True)
     return lib
 
 
@@ -458,7 +489,7 @@ def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
     m1, m2 = int(y0[0]) + 1, int(y0[1]) + 1
     if T * m1 * m2 > MULTI_STATE_CAP:
         raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {MULTI_STATE_CAP}")
-    H, g, c0 = model.H, model.g, model.c
+    H, g = model.H, model.g
     ub1 = np.where(np.arange(m1) >= 1, model.box_hi[0], 0.0)[:, None] * np.ones((1, m2))
     ub2 = np.where(np.arange(m2) >= 1, model.box_hi[1], 0.0)[None, :] * np.ones((m1, 1))
     V = np.zeros((m1, m2))
@@ -473,5 +504,5 @@ def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
         q1 = g[0] + b - V
         q2 = g[1] + cc - V
         x1, x2, J = box_qp2_batch(H[0, 0], H[1, 1], H[0, 1] + w, q1, q2, ub1, ub2)
-        V = c0 + V + J
+        V = V + J
     return float(V[y0[0], y0[1]])

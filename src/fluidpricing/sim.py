@@ -26,6 +26,8 @@ from .policies import (
     HindsightInfo,
     HindsightPolicy,
     MultiResolvingPolicy,
+    _kernel,
+    checked_law,
     exact_passes,
     ho_policy,
     resolving_policy,
@@ -34,6 +36,10 @@ from .policies import (
 )
 
 _Z_VALUES = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
+# counters per block of the hindsight noise sum: numpy sums each block of a
+# stream pairwise, so the block length fixes the summation grouping, and so
+# the bits, of xi_bar
+NOISE_CHUNK = 2048
 
 
 @dataclass
@@ -148,6 +154,11 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     inventory is lost.  With track_t_sharp (one product) the harmonic noise
     series is accumulated along the way and the stopping time recorded per
     replication (meaningful for re-solving traces).
+
+    A one-product model under a policy with a checked_law (its rate_law()
+    reproduces rates_batch below the start state) runs as one call of the
+    compiled forward kernel, with the same bits; other policies, the
+    multi-product family and a missing compiler take the numpy loop.
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
@@ -158,8 +169,22 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     unit_sales = multi or model.kind == KIND_BERNOULLI
     w = 0.0 if unit_sales else float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    keys, products = (seeds[:, None], np.arange(n)) if multi else (seeds, 0)
     y = np.full((n_reps, *np.shape(y0)), y0, dtype=float)
+    # the law is checked from the start state down to 0 in eighths
+    law = None if multi or y.ndim > 1 else checked_law(
+        policy, y * np.linspace(0.0, 1.0, 9)[:, None], T)
+    lib = _kernel() if law is not None else None
+    if lib is not None:
+        lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(b, dtype=float), n_reps))
+                  for b in law)
+        total, sum_xi, harm = np.zeros(n_reps), np.zeros(n_reps), np.zeros(n_reps)
+        t_sharp = np.full(n_reps, 2, dtype=int)
+        gam = gamma(model, float(y0) / T) if track_t_sharp else 0.0
+        lib.forward(n_reps, T, seeds, lo, hi, model.alpha, model.beta, w, unit_sales,
+                    y, total, sum_xi, track_t_sharp, gam, harm, t_sharp)
+        return BatchResult(total_revenue=total, sum_xi=sum_xi,
+                           t_sharp=t_sharp if track_t_sharp else None)
+    keys, products = (seeds[:, None], np.arange(n)) if multi else (seeds, 0)
     total = np.zeros(n_reps)
     sum_xi = np.zeros(n_reps)
     if track_t_sharp:
@@ -411,13 +436,14 @@ def _build_policies(model: DemandModel, x_T: float, names) -> dict:
 
 
 def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
-                    n_reps: int, chunk: int = 2048) -> HindsightPolicy:
+                    n_reps: int) -> HindsightPolicy:
     """The clairvoyant fixed price of every replication, as one HindsightPolicy.
 
     Replication i reveals the realized mean noise xi_bar[i] of its stream
     over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
-    The noise mean is accumulated in counter chunks to keep memory at
-    O(reps * chunk).
+    The noise mean comes from the sum of the stream's uniforms in blocks of
+    NOISE_CHUNK counters: one call of the compiled noise_sum kernel, or
+    numpy's row sums when no kernel can be built, with the same bits.
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
@@ -426,21 +452,25 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     acc = np.zeros(n_reps)
-    for start in range(0, T, chunk):
-        counters = np.arange(start, min(start + chunk, T))
-        acc += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
+    lib = _kernel()
+    if lib is not None:
+        lib.noise_sum(n_reps, T, NOISE_CHUNK, seeds, acc)
+    else:
+        for start in range(0, T, NOISE_CHUNK):
+            counters = np.arange(start, min(start + NOISE_CHUNK, T))
+            acc += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
     return ho_policy(model, x_T, HindsightInfo(xi_bar=(2.0 * acc / T - 1.0) * w))
 
 
 def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
-                    n_reps: int, chunk: int = 2048) -> np.ndarray:
+                    n_reps: int) -> np.ndarray:
     """Clairvoyant values with the per-period expectation taken in closed form.
 
     Conditional on the realized mean noise xi_bar, the fixed clairvoyant
     price earns T * r(clip(x_T + xi_bar)) in expectation (inventory
     censoring ignored, as in the benchmark's defining bound).
     """
-    policy = ho_batch_policy(model, T, x_T, base_seed, n_reps, chunk)
+    policy = ho_batch_policy(model, T, x_T, base_seed, n_reps)
     return T * model.revenue_rate_unchecked(policy.rate)
 
 

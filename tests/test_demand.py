@@ -189,9 +189,22 @@ def test_json_round_trip(bernoulli_model, additive_model, multi_model):
         again = model_from_json(model_to_json(model))
         assert again.to_dict() == model.to_dict()
     obj = json.loads(model_to_json(multi_model))
-    assert set(obj) == {"kind", "g", "H", "box_hi", "c"}
+    assert set(obj) == {"kind", "g", "H", "box_hi"}
     with pytest.raises(ModelValidationError):
         model_from_dict({"kind": "nope"})
+
+
+def test_multi_constant_revenue_term_is_refused(multi_model):
+    # the simulator earns prices times sales only, so a constant c would put
+    # T * c between the DP value and every simulated policy
+    obj = json.loads(model_to_json(multi_model))
+    for c in (1.0, -0.5, float("nan")):
+        with pytest.raises(ModelValidationError, match="c must be 0"):
+            model_from_dict({**obj, "c": c})
+    for c in (0, 0.0, -0.0):
+        assert model_from_dict({**obj, "c": c}).to_dict() == multi_model.to_dict()
+    with pytest.raises(ConfigError):
+        model_from_dict({**obj, "c": "one"})
 
 
 def test_multi_price_of_rate_batches_row_by_row():

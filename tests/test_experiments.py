@@ -287,6 +287,14 @@ class TestCli:
         assert cli.main(["validate-model", "--model", str(path)]) == 3
         assert capsys.readouterr().err.count("model validation failed") == 1
 
+    def test_multi_model_constant_term_exit_code(self, model_paths, tmp_path, capsys):
+        obj = json.loads(open(model_paths["multi"]).read())
+        path = tmp_path / "multi_c.json"
+        for c, code in ((1.0, 3), (-2.5, 3), (0.0, 0), (0, 0)):
+            path.write_text(json.dumps({**obj, "c": c}))
+            assert cli.main(["validate-model", "--model", str(path)]) == code
+        assert capsys.readouterr().err.count("c must be 0") == 2
+
     def test_numeric_input_errors_exit_code(self, model_paths, capsys):
         assert cli.main(["table2", "--t-list", "64,abc"]) == 2
         assert cli.main(["fluid-solve", "--model", model_paths["bern"], "--inventory", "x"]) == 2

@@ -113,7 +113,7 @@ class TestMulti:
             g1 = np.arange(0.0, ub[0] + step / 2, step)
             g2 = np.arange(0.0, ub[1] + step / 2, step)
             X1, X2 = np.meshgrid(g1, g2, indexing="ij")
-            vals = (model.c + model.g[0] * X1 + model.g[1] * X2
+            vals = (model.g[0] * X1 + model.g[1] * X2
                     + 0.5 * (model.H[0, 0] * X1**2 + model.H[1, 1] * X2**2)
                     + model.H[0, 1] * X1 * X2)
             best = np.unravel_index(np.argmax(vals), vals.shape)

@@ -24,7 +24,7 @@ from fluidpricing import (
 )
 from fluidpricing import policies as policies_module
 from fluidpricing.policies import _backward
-from fluidpricing.sim import ho_inner_values
+from fluidpricing.sim import ho_batch_policy, ho_inner_values, simulate_batch
 
 
 class TestStaticPolicy:
@@ -267,11 +267,22 @@ class TestFusedKernel:
             model, points, {"resolving": resolving_policy(model),
                             "static": static_policy(model, x_T)})
 
-    def test_without_compiler_falls_back_to_numpy(self, bernoulli_model, monkeypatch, caplog):
+    def test_without_compiler_falls_back_to_numpy(self, bernoulli_model, additive_model,
+                                                  monkeypatch, caplog):
         points = [(64, 20), (40, 50), (9, 0)]
         pols = {"static": static_policy(bernoulli_model, 5 / 16),
                 "resolving": resolving_policy(bernoulli_model)}
-        want = exact_values(bernoulli_model, points, pols)
+        hindsight = ho_batch_policy(additive_model, 96, 0.3, 8, 50)
+
+        def run():
+            batches = [simulate_batch(bernoulli_model, pols["resolving"], 80, 25, 3, 50, True),
+                       simulate_batch(additive_model, hindsight, 96, 28.8, 8, 50, True)]
+            return (exact_values(bernoulli_model, points, pols),
+                    [(b.total_revenue.tobytes(), b.sum_xi.tobytes(), b.t_sharp.tobytes())
+                     for b in batches],
+                    ho_inner_values(additive_model, 2100, 0.3, 4, 30).tobytes())
+
+        want = run()
 
         def no_compiler():
             raise FileNotFoundError("cc not found")
@@ -280,12 +291,55 @@ class TestFusedKernel:
         policies_module._kernel.cache_clear()
         try:
             with caplog.at_level(logging.WARNING, logger=policies_module.__name__):
-                got = [exact_values(bernoulli_model, points, pols) for _ in range(2)]
+                got = [run() for _ in range(2)]
             assert policies_module._kernel() is None
         finally:
             policies_module._kernel.cache_clear()
         assert got == [want, want]
         assert len(caplog.records) == 1
+
+    def test_policy_departing_from_its_law_keeps_numpy_loops(self, bernoulli_model):
+        class Floored(policies_module.ResolvingPolicy):
+            # overrides rates_batch only, so the inherited law no longer holds
+            def rates_batch(self, y, t):
+                return np.where(np.asarray(y) > 0, np.maximum(super().rates_batch(y, t), 0.3), 0.0)
+
+        class NoLaw:
+            def __init__(self, policy):
+                self.rates_batch = policy.rates_batch
+
+        class LastCall(policies_module.ResolvingPolicy):
+            # departs from its law in the last period only
+            def rates_batch(self, y, t):
+                rates = super().rates_batch(y, t)
+                return np.where(rates > 0, self.model.d_hi, 0.0) if t == 1 else rates
+
+        floored = Floored(bernoulli_model)
+        ys = np.arange(41, dtype=float)
+        assert policies_module.checked_law(floored, ys, 64) is None
+        assert policies_module.checked_law(LastCall(bernoulli_model), ys, 64) is None
+        assert policies_module.checked_law(resolving_policy(bernoulli_model), ys, 64) is not None
+        found = exact_values(bernoulli_model, [(64, 20), (30, 40)], {"floored": floored})
+        got = np.array([list(values.values()) for values in found])
+        assert got.tobytes() == _backward_values(
+            bernoulli_model, [(64, 20), (30, 40)], {"floored": floored}).tobytes()
+        batch = simulate_batch(bernoulli_model, floored, 64, 20, 5, 40)
+        numpy_loop = simulate_batch(bernoulli_model, NoLaw(floored), 64, 20, 5, 40)
+        law = simulate_batch(bernoulli_model, resolving_policy(bernoulli_model), 64, 20, 5, 40)
+        assert batch.total_revenue.tobytes() == numpy_loop.total_revenue.tobytes()
+        assert batch.total_revenue.tobytes() != law.total_revenue.tobytes()
+
+    def test_build_prunes_superseded_libraries(self, tmp_path, monkeypatch):
+        if policies_module._kernel() is None:
+            pytest.skip("no C compiler to build the kernels")
+        monkeypatch.setattr(policies_module, "_CACHE", tmp_path)
+        for stale in ("_kernels-0123456789abcdef.so", "_backward-0123456789abcdef.so"):
+            (tmp_path / stale).write_bytes(b"superseded")
+        lib = policies_module._compile()
+        assert sorted(tmp_path.iterdir()) == [lib]
+        built = lib.stat().st_mtime_ns
+        assert policies_module._compile() == lib  # a matching library is reused
+        assert lib.stat().st_mtime_ns == built
 
 
 class TestHindsightPolicy:
@@ -313,6 +367,32 @@ class TestHindsightPolicy:
         m = 2.0 / additive_model.beta
         bound = T * additive_model.revenue_rate(x_T) - (m / 2) * T * (w**2 / (3 * T))
         assert vals.mean() >= bound - 3 * se
+
+
+class TestRateLaw:
+    @settings(max_examples=80, deadline=None)
+    @given(family=st.sampled_from(["bernoulli", "additive"]), t=st.integers(1, 500),
+           x_T=st.floats(0.01, 1.0),
+           y=st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e4), st.integers(1, 600)),
+                      min_size=1, max_size=12),
+           xi=st.floats(-1.0, 1.0))
+    def test_every_shipped_law_holds_at_every_positive_inventory(self, family, t, x_T, y, xi):
+        """rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0, fractional or not, 0 at 0."""
+        model = {"bernoulli": _LAW_BERNOULLI, "additive": _LAW_ADDITIVE}[family]
+        y = np.array(y, dtype=float)
+        laws = [static_policy(model, x_T), resolving_policy(model)]
+        if family == "additive":
+            w = model.noise_half_width
+            laws.append(ho_policy(model, x_T, HindsightInfo(xi * w * np.linspace(-1, 1, y.size))))
+        for pol in laws:
+            lo, hi = pol.rate_law()
+            want = np.where(y > 0, np.clip(y / t, lo, hi), 0.0)
+            assert pol.rates_batch(y, t).tobytes() == want.tobytes()
+
+
+_LAW_BERNOULLI = DemandModel.linear_bernoulli(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0)
+_LAW_ADDITIVE = DemandModel.linear_additive(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0,
+                                            noise_half_width=0.1)
 
 
 class TestSolveDpMulti:

@@ -28,7 +28,7 @@ from fluidpricing import (
 )
 from fluidpricing import policies, rng
 from fluidpricing.policies import exact_policy_values, multi_resolving_policy
-from fluidpricing.sim import ho_batch_policy, ho_inner_values, parse_y0_rule
+from fluidpricing.sim import NOISE_CHUNK, ho_batch_policy, ho_inner_values, parse_y0_rule
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,60 @@ def test_engine_invariants(family, static, T, fill, seed):
     assert np.all(batch.total_revenue >= 0.0)
     # every price is at most the price of a zero rate, and at most y0 units sell
     assert np.all(batch.total_revenue <= max_revenue + 1e-9)
+
+
+class _NumpyEngine:
+    """A policy's rates_batch without its rate_law: simulate_batch runs the numpy loop."""
+
+    def __init__(self, policy):
+        self.rates_batch = policy.rates_batch
+
+
+def _require_kernel():
+    if policies._kernel() is None:
+        pytest.skip("no C compiler to build the kernels")
+
+
+class TestForwardKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(family=st.sampled_from(["bernoulli", "additive"]),
+           name=st.sampled_from(["static", "resolving", "ho"]), T=st.integers(1, 300),
+           start=st.sampled_from(["empty", "fractional", "ample"]), fill=st.floats(0.0, 1.0),
+           reps=st.integers(1, 30), seed=st.integers(0, 2**64 - 1), track=st.booleans())
+    def test_matches_numpy_engine_bitwise(self, family, name, T, start, fill, reps, seed,
+                                          track):
+        _require_kernel()
+        model = _ENGINE_MODELS[family]
+        y0 = {"empty": 0, "fractional": fill * T * 0.6, "ample": T + 1 + fill * T}[start]
+        x_T = max(y0, 0.5) / T
+        if name == "ho" and family == "additive":
+            pol = ho_batch_policy(model, T, x_T, seed, reps)
+        else:
+            pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
+        got = simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
+        want = simulate_batch(model, _NumpyEngine(pol), T, y0, seed, reps, track_t_sharp=track)
+        assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
+        assert got.sum_xi.tobytes() == want.sum_xi.tobytes()
+        if track:
+            assert got.t_sharp.dtype == want.t_sharp.dtype
+            assert got.t_sharp.tobytes() == want.t_sharp.tobytes()
+        else:
+            assert got.t_sharp is None and want.t_sharp is None
+
+    @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
+    def test_noise_sum_matches_numpy_chunked_sum(self, additive_model, T):
+        _require_kernel()
+        seeds = rng.replication_seed(12, np.arange(9))
+        want = np.zeros(seeds.size)
+        for start in range(0, T, NOISE_CHUNK):
+            counters = np.arange(start, min(start + NOISE_CHUNK, T))
+            want += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
+        got = np.zeros(seeds.size)
+        policies._kernel().noise_sum(seeds.size, T, NOISE_CHUNK, seeds, got)
+        assert got.tobytes() == want.tobytes()
+        xi_bar = ho_batch_policy(additive_model, T, 0.3, 12, seeds.size).info.xi_bar
+        w = additive_model.noise_half_width
+        assert xi_bar.tobytes() == ((2.0 * want / T - 1.0) * w).tobytes()
 
 
 class TestDiagnostics:
@@ -426,6 +480,14 @@ class TestMultiSimulation:
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
             np.testing.assert_allclose(tr.sales.sum(axis=0) + tr.inventory_after[-1],
                                        [0.5, 1.5], atol=1e-12)
+
+    def test_resolving_regret_vs_dp_carries_no_constant(self, multi_model):
+        # the DP and the simulator earn the same per-period revenue, so the
+        # regret stays O(1) rather than growing by a constant per period
+        reports = estimate_regret(multi_model, [16], lambda T: [4, 8], ("resolving", "dp"),
+                                  replications=4000, base_seed=2)
+        resolving = next(r for r in reports if r.policy == "resolving")
+        assert -4 * resolving.ci_half_width < resolving.regret_vs_dp < 0.2
 
     def test_one_engine_for_every_family(self, multi_model):
         pol = multi_resolving_policy(multi_model)
