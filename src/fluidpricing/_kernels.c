@@ -6,10 +6,13 @@
  *
  *   backward   the exact backward pass (policies._backward);
  *   forward    the one-product Monte Carlo engine (sim.simulate_batch);
- *   noise_sum  the noise mean of the hindsight benchmark (sim.ho_batch_policy).
+ *   noise_sum  the noise mean of the hindsight benchmark (sim.ho_batch_policy);
+ *   forward2   the two-product re-solving Monte Carlo engine (sim.simulate_batch);
+ *   backward2  the two-product exact backward pass (policies._backward_multi).
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 static double clip(double x, double lo, double hi)
@@ -204,4 +207,131 @@ void noise_sum(long reps, long T, long chunk, const uint64_t *keys, double *acc)
         for (long start = 0; start < T; start += chunk)
             acc[r] += pairwise_uniforms(keys[r], start,
                                         T - start < chunk ? T - start : chunk);
+}
+
+/* -- the two-product box QP ---------------------------------------------------
+ *
+ * fluid.box_qp2_batch at one element: the maximum of
+ * q1*x1 + q2*x2 + (a11*x1^2 + a22*x2^2)/2 + a12*x1*x2 over 0 <= x_k <= ub_k,
+ * taken over the clipped stationary points of the edges x1 = 0, x1 = ub1,
+ * x2 = 0 and x2 = ub2, then the interior stationary point where the
+ * quadratic is concave and the point lies in the box (else value -inf).
+ * A later candidate replaces the best only when its value is strictly
+ * larger.  Returns the maximum and stores its point in x1, x2.
+ */
+
+static double qp2_value(double a11, double a22, double a12, double q1,
+                        double q2, double x1, double x2)
+{
+    return q1 * x1 + q2 * x2 + 0.5 * (a11 * x1 * x1 + a22 * x2 * x2) + a12 * x1 * x2;
+}
+
+/* the candidate (c1, c2) of value v replaces the best (x1, x2, best) when v > best */
+static inline void qp2_take(double c1, double c2, double v, double *x1,
+                            double *x2, double *best)
+{
+    int take = v > *best;
+    *x1 = take ? c1 : *x1;
+    *x2 = take ? c2 : *x2;
+    *best = take ? v : *best;
+}
+
+static inline double box_qp2(double a11, double a22, double a12, double q1,
+                             double q2, double ub1, double ub2, double *x1,
+                             double *x2)
+{
+#define VALUE(c1, c2) qp2_value(a11, a22, a12, q1, q2, c1, c2)
+    double c1 = 0.0, c2 = clip(-(q2 + a12 * 0.0) / a22, 0.0, ub2);
+    double best = VALUE(c1, c2);
+    *x1 = c1;
+    *x2 = c2;
+    c2 = clip(-(q2 + a12 * ub1) / a22, 0.0, ub2);
+    qp2_take(ub1, c2, VALUE(ub1, c2), x1, x2, &best);
+    c1 = clip(-(q1 + a12 * 0.0) / a11, 0.0, ub1);
+    qp2_take(c1, 0.0, VALUE(c1, 0.0), x1, x2, &best);
+    c1 = clip(-(q1 + a12 * ub2) / a11, 0.0, ub1);
+    qp2_take(c1, ub2, VALUE(c1, ub2), x1, x2, &best);
+    double det = a11 * a22 - a12 * a12;
+    double xi1 = (-a22 * q1 + a12 * q2) / det;
+    double xi2 = (a12 * q1 - a11 * q2) / det;
+    int ok = (det > 0) & (xi1 >= 0) & (xi1 <= ub1) & (xi2 >= 0) & (xi2 <= ub2);
+    xi1 = ok ? xi1 : 0.0;
+    xi2 = ok ? xi2 : 0.0;
+    qp2_take(xi1, xi2, ok ? VALUE(xi1, xi2) : -INFINITY, x1, x2, &best);
+#undef VALUE
+    return best;
+}
+
+/* -- forward2 -----------------------------------------------------------------
+ *
+ * reps two-product replications in lockstep under the re-solving policy of
+ * the model (g, H, box_hi), H row-major: replication r holds the inventory
+ * pair y[2r], y[2r + 1] and draws product j's uniform of period i at counter
+ * i*2 + j of the stream keys[r].  Each period re-solves the fluid problem on
+ * the box [0, min(box_hi, y / t)], prices the rates at
+ * g_j + 0.5 * (x_1 * H[j][0] + x_2 * H[j][1]) and sells a unit of product j
+ * when u < x_j, censored at its inventory.  A product with y_j <= 0 gets
+ * rate, price, sale and noise 0, as the masked numpy arrays do (its box has
+ * ub_j = +0, so the re-solve already gives it rate +0 and the masks change
+ * no bit; they keep the loop in step with the numpy engine).
+ */
+
+void forward2(long reps, long T, const uint64_t *keys, const double *g,
+              const double *H, const double *box_hi, double *y, double *total,
+              double *sum_xi)
+{
+    for (long i = 0; i < T; i++) {
+        double t = (double)(T - i);
+        for (long r = 0; r < reps; r++) {
+            double *yr = y + 2 * r, x[2], rate[2], price[2], realized[2], xi[2];
+            box_qp2(H[0], H[3], H[1], g[0], g[1], minimum(box_hi[0], yr[0] / t),
+                    minimum(box_hi[1], yr[1] / t), &x[0], &x[1]);
+            for (int j = 0; j < 2; j++)
+                rate[j] = yr[j] > 0 ? x[j] : 0.0;
+            for (int j = 0; j < 2; j++) {
+                int active = yr[j] > 0;
+                double p = g[j] + 0.5 * (rate[0] * H[2 * j] + rate[1] * H[2 * j + 1]);
+                double sale = uniform(keys[r], 2 * i + j) < rate[j] ? 1.0 : 0.0;
+                price[j] = active ? p : 0.0;
+                realized[j] = active ? sale : 0.0;
+                xi[j] = active ? sale - rate[j] : 0.0;
+            }
+            total[r] += price[0] * minimum(realized[0], yr[0])
+                        + price[1] * minimum(realized[1], yr[1]);
+            sum_xi[r] += xi[0] + xi[1];
+            for (int j = 0; j < 2; j++)
+                yr[j] = maximum(0.0, yr[j] - realized[j]);
+        }
+    }
+}
+
+/* -- backward2 ----------------------------------------------------------------
+ *
+ * T periods of the two-product Bellman recursion on the (m1 x m2) row-major
+ * inventory lattice V, updated in place.  Cell (i, j) reads its value v and
+ * the values b, c and d after a sale of product 1, of product 2 and of both
+ * (0 off the lattice), and gains the box QP maximum of the one-step
+ * objective with curvature a12 = H[0][1] + (v - b - c + d), linear terms
+ * g_1 + b - v and g_2 + c - v, and bounds box_hi_k where y_k >= 1, else 0.
+ * Cells go from high (i, j) to low, so each still reads its old neighbours.
+ */
+
+void backward2(double *V, long m1, long m2, long T, const double *g,
+               const double *H, const double *box_hi)
+{
+    for (long p = 0; p < T; p++) {
+        for (long i = m1 - 1; i >= 0; i--) {
+            double *row = V + i * m2, *prev = i > 0 ? row - m2 : NULL;
+            double ub1 = i >= 1 ? box_hi[0] : 0.0;
+            for (long j = m2 - 1; j >= 0; j--) {
+                double v = row[j];
+                double b = prev ? prev[j] : 0.0;
+                double c = j > 0 ? row[j - 1] : 0.0;
+                double d = prev && j > 0 ? prev[j - 1] : 0.0;
+                double w = v - b - c + d, x1, x2;
+                row[j] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v,
+                                     ub1, j >= 1 ? box_hi[1] : 0.0, &x1, &x2);
+            }
+        }
+    }
 }

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .demand import (
     KIND_BERNOULLI,
     DemandModel,
+    MultiDemandModel,
     model_from_dict,
     benchmark_model,
 )
@@ -38,12 +39,17 @@ CONCAVITY_SWEEP_X_T = 0.1
 
 @dataclass
 class ExperimentConfig:
-    """A named regret-estimation run over a grid of horizons."""
+    """A named regret-estimation run over a grid of horizons.
+
+    y0_rule gives the initial inventory at each T: one rule such as
+    "round(5/16*T)" for one product, a list of one rule per product for a
+    multi-product model.
+    """
 
     name: str
     model: dict
     T_list: list[int]
-    y0_rule: str = "round(5/16*T)"
+    y0_rule: str | list[str] = "round(5/16*T)"
     policies: list[str] = field(default_factory=lambda: ["static", "resolving"])
     replications: int = 10_000
     base_seed: int = 0
@@ -58,7 +64,15 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown policies: {sorted(unknown)}")
         parse_y0_rule(self.y0_rule)
-        model_from_dict(self.model)
+        model = model_from_dict(self.model)
+        listed = isinstance(self.y0_rule, list)
+        if isinstance(model, MultiDemandModel):
+            if not listed or len(self.y0_rule) != model.n:
+                raise ConfigError(f"y0_rule must be a list of {model.n} rules, one per "
+                                  f"product of the multi-product model, got {self.y0_rule!r}")
+        elif listed:
+            raise ConfigError(f"y0_rule {self.y0_rule!r} is a list, but a one-product "
+                              "model takes a single rule")
 
     def to_dict(self) -> dict:
         return {

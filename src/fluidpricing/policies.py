@@ -282,12 +282,28 @@ def checked_law(policy, y: np.ndarray, t: int):
     """
     if not hasattr(policy, "rate_law"):
         return None
-    lo, hi = policy.rate_law()
+    law = policy.rate_law()
     for left in {t, 1}:
-        law = np.where(y > 0, np.clip(y / left, lo, hi), 0.0)
-        if not np.array_equal(policy.rates_batch(y, left), law):
+        if not np.array_equal(policy.rates_batch(y, left), law_rates(law, y, left)):
             return None
-    return lo, hi
+    return law
+
+
+def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
+    """The rates of a rate law at the states y with t periods left.
+
+    A one-product law (lo, hi) gives clip(y / t, lo, hi) where y > 0 and 0
+    elsewhere.  A two-product law is a MultiDemandModel: each row of the
+    (N, 2) states y gets the maximizer of its fluid objective over the box
+    [0, min(box_hi, y / t)], found by box_qp2_batch.
+    """
+    if isinstance(law, MultiDemandModel):
+        ub = np.minimum(law.box_hi, y / t)
+        H, g = law.H, law.g
+        x1, x2, _ = box_qp2_batch(H[0, 0], H[1, 1], H[0, 1], g[0], g[1], ub[:, 0], ub[:, 1])
+        return np.stack([x1, x2], axis=1)
+    lo, hi = law
+    return np.where(y > 0, np.clip(y / t, lo, hi), 0.0)
 
 
 def _numpy_pass(model: DemandModel, points, policies) -> list[list[float]]:
@@ -340,8 +356,9 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 @functools.cache
 def _kernel():
-    """The compiled loops of _kernels.c (backward, forward, noise_sum), or None
-    when they cannot be built or loaded; callers then run their numpy loops."""
+    """The compiled loops of _kernels.c (backward, forward, noise_sum, forward2,
+    backward2), or None when they cannot be built or loaded; callers then run
+    their numpy loops."""
     try:
         lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -354,7 +371,9 @@ def _kernel():
     lib.forward.argtypes = [n, n, u64, f64, f64, x, x, x, flag, f64, f64, f64,
                             flag, x, f64, i64]
     lib.noise_sum.argtypes = [n, n, n, u64, f64]
-    for fn in (lib.backward, lib.forward, lib.noise_sum):
+    lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
+    lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]
+    for fn in (lib.backward, lib.forward, lib.noise_sum, lib.forward2, lib.backward2):
         fn.restype = None
     return lib
 
@@ -454,18 +473,15 @@ class MultiResolvingPolicy:
         """Vectorized fluid re-solve for a batch of 2-product states.
 
         y has shape (N, 2); the fluid problem per row is a box QP solved
-        exactly by stationary-candidate enumeration.
+        exactly by stationary-candidate enumeration (law_rates).
         """
-        model = self.model
-        if model.n != 2:
+        if self.model.n != 2:
             raise UnsupportedModelError("batch re-solving is implemented for n = 2")
-        y = np.asarray(y, dtype=float)
-        ub = np.minimum(model.box_hi, y / t)
-        x1, x2, _ = box_qp2_batch(
-            model.H[0, 0], model.H[1, 1], model.H[0, 1],
-            model.g[0], model.g[1], ub[:, 0], ub[:, 1],
-        )
-        return np.stack([x1, x2], axis=1)
+        return law_rates(self.model, np.asarray(y, dtype=float), t)
+
+    def rate_law(self) -> MultiDemandModel:
+        """The model whose fluid problem rates_batch re-solves (see law_rates)."""
+        return self.model
 
 
 def multi_resolving_policy(model: MultiDemandModel) -> MultiResolvingPolicy:
@@ -475,24 +491,42 @@ def multi_resolving_policy(model: MultiDemandModel) -> MultiResolvingPolicy:
 def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
     """Exact optimal value for two products with per-product unit sales.
 
-    Backward induction over the integer inventory lattice.  The one-step
-    objective in the demand-rate pair is a quadratic whose diagonal
-    curvature comes from H (strictly negative), so its box-constrained
-    maximum is found exactly by enumerating the interior and clipped-edge
-    stationary points.
+    Backward induction over the integer inventory lattice (_backward_multi).
+    The one-step objective in the demand-rate pair is a quadratic whose
+    diagonal curvature comes from H (strictly negative), so its
+    box-constrained maximum is found exactly by enumerating the interior
+    and clipped-edge stationary points.  The pass is one call of the
+    compiled backward2 kernel, or the numpy loop when the kernel cannot be
+    built; both give the same bits.
     """
     if model.n != 2:
         raise UnsupportedModelError("exact multi-product DP is implemented for n = 2 only")
     y0 = np.asarray(y0, dtype=int)
-    if y0.shape != (2,) or np.any(y0 < 0):
-        raise DomainError("y0 must be a nonnegative integer pair")
+    if T < 1 or y0.shape != (2,) or np.any(y0 < 0):
+        raise DomainError("need T >= 1 and y0 a nonnegative integer pair")
     m1, m2 = int(y0[0]) + 1, int(y0[1]) + 1
     if T * m1 * m2 > MULTI_STATE_CAP:
         raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {MULTI_STATE_CAP}")
+    V = np.zeros((m1, m2))
+    lib = _kernel()
+    if lib is not None:
+        lib.backward2(V, m1, m2, T, model.g, model.H, model.box_hi)
+    else:
+        _backward_multi(model, T, V)
+    return float(V[y0[0], y0[1]])
+
+
+def _backward_multi(model: MultiDemandModel, T: int, V: np.ndarray) -> None:
+    """T periods of the two-product Bellman recursion on the lattice V, in place.
+
+    V[y1, y2] gains the box QP maximum of the one-step objective, whose
+    linear and cross terms come from the values after a unit sale of
+    product 1 (b), of product 2 (cc) and of both (dd).
+    """
+    m1, m2 = V.shape
     H, g = model.H, model.g
     ub1 = np.where(np.arange(m1) >= 1, model.box_hi[0], 0.0)[:, None] * np.ones((1, m2))
     ub2 = np.where(np.arange(m2) >= 1, model.box_hi[1], 0.0)[None, :] * np.ones((m1, 1))
-    V = np.zeros((m1, m2))
     for _ in range(T):
         b = np.zeros_like(V)
         b[1:, :] = V[:-1, :]  # after a unit sale of product 1
@@ -503,6 +537,4 @@ def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
         w = V - b - cc + dd
         q1 = g[0] + b - V
         q2 = g[1] + cc - V
-        x1, x2, J = box_qp2_batch(H[0, 0], H[1, 1], H[0, 1] + w, q1, q2, ub1, ub2)
-        V = V + J
-    return float(V[y0[0], y0[1]])
+        V += box_qp2_batch(H[0, 0], H[1, 1], H[0, 1] + w, q1, q2, ub1, ub2)[2]

@@ -155,10 +155,12 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     series is accumulated along the way and the stopping time recorded per
     replication (meaningful for re-solving traces).
 
-    A one-product model under a policy with a checked_law (its rate_law()
-    reproduces rates_batch below the start state) runs as one call of the
-    compiled forward kernel, with the same bits; other policies, the
-    multi-product family and a missing compiler take the numpy loop.
+    A policy with a checked_law (its rate_law() reproduces rates_batch
+    below the start state) runs as one call of a compiled kernel, with the
+    same bits: forward for one product, forward2 for a two-product model
+    under its re-solving policy.  Other policies, n > 2 products and a
+    missing compiler take the numpy loop.  Multi-product prices come from
+    model.price_of_rate, whose batch sum the forward2 kernel repeats.
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
@@ -168,12 +170,16 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     n = model.n if multi else 1
     unit_sales = multi or model.kind == KIND_BERNOULLI
     w = 0.0 if unit_sales else float(model.noise_half_width)
+    if multi and np.shape(y0) != (n,):
+        raise DomainError(f"inventory vector must have shape ({n},)")
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     y = np.full((n_reps, *np.shape(y0)), y0, dtype=float)
-    # the law is checked from the start state down to 0 in eighths
-    law = None if multi or y.ndim > 1 else checked_law(
-        policy, y * np.linspace(0.0, 1.0, 9)[:, None], T)
+    law = _kernel_law(model, policy, y, T)
     lib = _kernel() if law is not None else None
+    if lib is not None and multi:
+        total, sum_xi = np.zeros(n_reps), np.zeros(n_reps)
+        lib.forward2(n_reps, T, seeds, model.g, model.H, model.box_hi, y, total, sum_xi)
+        return BatchResult(total_revenue=total, sum_xi=sum_xi)
     if lib is not None:
         lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(b, dtype=float), n_reps))
                   for b in law)
@@ -215,6 +221,22 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
             undecided &= ~exited
     return BatchResult(total_revenue=total, sum_xi=sum_xi,
                        t_sharp=t_sharp if track_t_sharp else None)
+
+
+def _kernel_law(model, policy, y: np.ndarray, T: int):
+    """The checked_law of policy when a forward kernel can run it on model, else None.
+
+    The law is checked from the start state down to 0 in eighths, for two
+    products at every pair of eighths; a two-product law must re-solve the
+    simulated model itself.
+    """
+    eighths = np.linspace(0.0, 1.0, 9)
+    if not isinstance(model, MultiDemandModel):
+        return checked_law(policy, y * eighths[:, None], T) if y.ndim == 1 else None
+    if model.n != 2:
+        return None
+    pairs = np.stack(np.meshgrid(eighths, eighths, indexing="ij"), axis=-1).reshape(-1, 2)
+    return model if checked_law(policy, pairs * y[0], T) is model else None
 
 
 def _per_rep(a: np.ndarray) -> np.ndarray:
@@ -340,9 +362,13 @@ class RegretReport:
 
 
 def parse_y0_rule(rule):
-    """Turn "round(c*T)" with rational c into a callable T -> int."""
+    """Turn "round(c*T)" with rational c into a callable T -> int, and a list
+    of such rules, one per product, into a callable T -> list of ints."""
     if callable(rule):
         return rule
+    if isinstance(rule, (list, tuple)):
+        rules = [parse_y0_rule(r) for r in rule]
+        return lambda T: [r(T) for r in rules]
     text = str(rule).replace(" ", "")
     if not (text.startswith("round(") and text.endswith("*T)")):
         raise DomainError(f"cannot parse y0 rule {rule!r}; expected 'round(c*T)'")
@@ -529,6 +555,8 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
     A product's sale is censored at its inventory, so a fractional last
     unit sells (and earns) only that fraction.
     """
+    if T < 1:
+        raise DomainError("need T >= 1")
     y0 = np.asarray(y0, dtype=float)
     n = model.n
     policy = policy or MultiResolvingPolicy(model)

@@ -217,3 +217,16 @@ def test_multi_price_of_rate_batches_row_by_row():
     for row, prices in zip(x, batch):
         np.testing.assert_allclose(prices, model.g + 0.5 * (model.H @ row), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(model.price_of_rate(row), model.g + 0.5 * (model.H @ row))
+
+
+def test_multi_batch_price_law_is_an_explicit_sum():
+    # H12 * x2 and the other products are inexact here, so a fused multiply-add
+    # (as in some BLAS kernels) would move the last bits of the batch rows
+    model = MultiDemandModel(g=[1.2, 0.9], H=[[-1.3, -0.37], [-0.37, -1.7]], box_hi=[1.0, 1.0])
+    x = np.random.default_rng(5).random((64, 2))
+    batch = model.price_of_rate(x)
+    H, g = model.H.tolist(), model.g.tolist()
+    want = [[g[j] + 0.5 * (x1 * H[j][0] + x2 * H[j][1]) for j in range(2)]
+            for x1, x2 in x.tolist()]
+    assert batch.tobytes() == np.array(want).tobytes()
+    assert model.price_of_rate(x[None]).tobytes() == batch[None].tobytes()

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -51,6 +52,20 @@ class TestConfig:
             ExperimentConfig(name="x", model=model, T_list=[128, 64])
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", model=model, T_list=[64], policies=["greedy"])
+
+    def test_y0_rule_list_matches_the_products(self):
+        two = {"kind": "multi-quadratic", "g": [1.0, 1.0],
+               "H": [[-2.0, -0.5], [-0.5, -2.0]], "box_hi": [1.0, 1.0]}
+        bern = {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5, "p_lo": 0.0, "p_hi": 1.0}
+        rules = ["round(1/4*T)", "round(1/2*T)"]
+        cfg = ExperimentConfig(name="x", model=two, T_list=[16], y0_rule=rules)
+        assert ExperimentConfig.from_json(cfg.to_json()).to_dict() == cfg.to_dict()
+        for model, rule, match in ((two, "round(5/16*T)", "list of 2 rules"),
+                                   (two, rules[:1], "list of 2 rules"),
+                                   (two, [*rules, rules[0]], "list of 2 rules"),
+                                   (bern, rules, "single rule")):
+            with pytest.raises(ConfigError, match=match):
+                ExperimentConfig(name="x", model=model, T_list=[16], y0_rule=rule)
 
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError):
@@ -263,6 +278,21 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ",".join(REGRET_COLUMNS)
         assert len(lines) == 3
+
+    def test_estimate_regret_two_product_config(self, model_paths, tmp_path, capsys):
+        cfg = {"name": "t", "model": json.loads(open(model_paths["multi"]).read()),
+               "T_list": [16, 32], "y0_rule": ["round(1/4*T)", "round(1/2*T)"],
+               "policies": ["resolving", "dp"], "replications": 200, "base_seed": 3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["T"], r["policy"]) for r in rows] == [
+            ("16", "resolving"), ("16", "dp"), ("32", "resolving"), ("32", "dp")]
+        assert all(float(r["ci_half_width"]) > 0 for r in rows if r["policy"] == "resolving")
+        cfg_path.write_text(json.dumps({**cfg, "y0_rule": "round(1/4*T)"}))
+        assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 2
+        assert "one per product" in capsys.readouterr().err
 
     def test_table2_and_resource_guard(self, model_paths, capsys):
         assert cli.main(["table2", "--t-list", "64"]) == 0

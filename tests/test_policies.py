@@ -23,8 +23,10 @@ from fluidpricing import (
     static_policy,
 )
 from fluidpricing import policies as policies_module
-from fluidpricing.policies import _backward
-from fluidpricing.sim import ho_batch_policy, ho_inner_values, simulate_batch
+from fluidpricing.policies import _backward, _backward_multi
+from fluidpricing.sim import ho_batch_policy, ho_inner_values, simulate_batch, simulate_batch_multi
+
+from conftest import two_product_models
 
 
 class TestStaticPolicy:
@@ -268,7 +270,7 @@ class TestFusedKernel:
                             "static": static_policy(model, x_T)})
 
     def test_without_compiler_falls_back_to_numpy(self, bernoulli_model, additive_model,
-                                                  monkeypatch, caplog):
+                                                  multi_model, monkeypatch, caplog):
         points = [(64, 20), (40, 50), (9, 0)]
         pols = {"static": static_policy(bernoulli_model, 5 / 16),
                 "resolving": resolving_policy(bernoulli_model)}
@@ -277,10 +279,13 @@ class TestFusedKernel:
         def run():
             batches = [simulate_batch(bernoulli_model, pols["resolving"], 80, 25, 3, 50, True),
                        simulate_batch(additive_model, hindsight, 96, 28.8, 8, 50, True)]
+            two = simulate_batch_multi(multi_model, 40, [10, 20.5], 3, 30)
             return (exact_values(bernoulli_model, points, pols),
                     [(b.total_revenue.tobytes(), b.sum_xi.tobytes(), b.t_sharp.tobytes())
                      for b in batches],
-                    ho_inner_values(additive_model, 2100, 0.3, 4, 30).tobytes())
+                    ho_inner_values(additive_model, 2100, 0.3, 4, 30).tobytes(),
+                    (two.total_revenue.tobytes(), two.sum_xi.tobytes()),
+                    solve_dp_multi(multi_model, 24, [6, 12]))
 
         want = run()
 
@@ -398,6 +403,24 @@ _LAW_ADDITIVE = DemandModel.linear_additive(alpha=0.75, beta=0.5, p_lo=0.0, p_hi
 class TestSolveDpMulti:
     def test_zero_inventory(self, multi_model):
         assert solve_dp_multi(multi_model, 8, [0, 0]) == 0.0
+
+    def test_rejects_empty_horizon(self, multi_model):
+        for T in (0, -3):
+            with pytest.raises(DomainError):
+                solve_dp_multi(multi_model, T, [2, 4])
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=two_product_models(), T=st.integers(1, 64),
+           y0=st.tuples(*[st.one_of(st.just(0), st.integers(1, 30))] * 2))
+    def test_kernel_matches_numpy_pass_bitwise(self, model, T, y0):
+        lib = policies_module._kernel()
+        if lib is None:
+            pytest.skip("no C compiler to build the kernels")
+        got, want = np.zeros((y0[0] + 1, y0[1] + 1)), np.zeros((y0[0] + 1, y0[1] + 1))
+        lib.backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
+        _backward_multi(model, T, want)
+        assert got.tobytes() == want.tobytes()
+        assert solve_dp_multi(model, T, y0) == want[y0]
 
     def test_one_period_equals_fluid(self, multi_model):
         value = solve_dp_multi(multi_model, 1, [3, 3])

@@ -27,8 +27,15 @@ from fluidpricing import (
     static_policy,
 )
 from fluidpricing import policies, rng
-from fluidpricing.policies import exact_policy_values, multi_resolving_policy
+from fluidpricing.policies import (
+    MultiResolvingPolicy,
+    checked_law,
+    exact_policy_values,
+    multi_resolving_policy,
+)
 from fluidpricing.sim import NOISE_CHUNK, ho_batch_policy, ho_inner_values, parse_y0_rule
+
+from conftest import two_product_models
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +247,61 @@ class TestForwardKernel:
         xi_bar = ho_batch_policy(additive_model, T, 0.3, 12, seeds.size).info.xi_bar
         w = additive_model.noise_half_width
         assert xi_bar.tobytes() == ((2.0 * want / T - 1.0) * w).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=two_product_models(), T=st.integers(1, 200),
+           start=st.tuples(*[st.sampled_from(["empty", "fractional", "whole"])] * 2),
+           fill=st.floats(0.0, 1.0), reps=st.integers(1, 30), seed=st.integers(0, 2**64 - 1))
+    def test_two_product_matches_numpy_engine_bitwise(self, model, T, start, fill, reps, seed):
+        _require_kernel()
+        y0 = [{"empty": 0.0, "fractional": fill * T * 0.6, "whole": float(round(fill * T))}[s]
+              for s in start]
+        pol = multi_resolving_policy(model)
+        assert checked_law(pol, np.array([y0]), T) is model  # so forward2 runs
+        got = simulate_batch(model, pol, T, y0, seed, reps)
+        want = simulate_batch(model, _NumpyEngine(pol), T, y0, seed, reps)
+        assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
+        assert got.sum_xi.tobytes() == want.sum_xi.tobytes()
+        assert got.t_sharp is None
+
+    @pytest.mark.parametrize("T, y0", [(65, [6, 31]), (43, [14, 18]), (43, [18, 14])])
+    def test_two_product_tie_keeps_the_earlier_candidate(self, multi_model, T, y0):
+        # at y0 / T the edge candidates x1 = ub1 and x2 = ub2 of the box QP sit
+        # an ulp apart and tie in value exactly: both engines keep the earlier one
+        _require_kernel()
+        pol = multi_resolving_policy(multi_model)
+        got = simulate_batch(multi_model, pol, T, y0, 4, 200)
+        want = simulate_batch(multi_model, _NumpyEngine(pol), T, y0, 4, 200)
+        assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
+
+    def test_two_product_asymmetric_H_prices_by_rows(self):
+        # an unvalidated model may carry an asymmetric H: price j is g_j + (H x)_j / 2
+        _require_kernel()
+        model = MultiDemandModel(g=[1.0, 0.9], H=[[-2.0, -0.3], [-0.7, -1.6]], box_hi=[1.0, 1.0])
+        pol = multi_resolving_policy(model)
+        got = simulate_batch(model, pol, 50, [12, 30], 6, 100)
+        want = simulate_batch(model, _NumpyEngine(pol), 50, [12, 30], 6, 100)
+        assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
+
+    def test_two_product_policy_departing_from_its_law_keeps_numpy_loop(self, multi_model):
+        class Capped(MultiResolvingPolicy):
+            # overrides rates_batch only, so the inherited law no longer holds
+            def rates_batch(self, y, t):
+                return np.minimum(super().rates_batch(y, t), 0.3)
+
+        capped = Capped(multi_model)
+        assert checked_law(capped, np.array([[4.0, 8.0]]), 16) is None
+        batch = simulate_batch(multi_model, capped, 16, [4, 8], 5, 40)
+        numpy_loop = simulate_batch(multi_model, _NumpyEngine(capped), 16, [4, 8], 5, 40)
+        law = simulate_batch(multi_model, multi_resolving_policy(multi_model), 16, [4, 8], 5, 40)
+        assert batch.total_revenue.tobytes() == numpy_loop.total_revenue.tobytes()
+        assert batch.total_revenue.tobytes() != law.total_revenue.tobytes()
+        # a policy that re-solves another model keeps its own rates
+        other = multi_resolving_policy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
+                                                        box_hi=[0.3, 1.0]))
+        batch = simulate_batch(multi_model, other, 16, [4, 8], 5, 40)
+        numpy_loop = simulate_batch(multi_model, _NumpyEngine(other), 16, [4, 8], 5, 40)
+        assert batch.total_revenue.tobytes() == numpy_loop.total_revenue.tobytes()
 
 
 class TestDiagnostics:
@@ -488,6 +550,14 @@ class TestMultiSimulation:
                                   replications=4000, base_seed=2)
         resolving = next(r for r in reports if r.policy == "resolving")
         assert -4 * resolving.ci_half_width < resolving.regret_vs_dp < 0.2
+
+    def test_rejects_empty_horizon(self, multi_model):
+        pol = multi_resolving_policy(multi_model)
+        for T in (0, -3):
+            with pytest.raises(DomainError):
+                simulate_multi(multi_model, pol, T, [2, 4], seed=1)
+            with pytest.raises(DomainError):
+                simulate_multi(multi_model, None, T, [2, 4], seed=1)
 
     def test_one_engine_for_every_family(self, multi_model):
         pol = multi_resolving_policy(multi_model)
