@@ -15,6 +15,25 @@
 #include <stddef.h>
 #include <stdint.h>
 
+/* With gcc 11 or later on x86-64 glibc, backward is built three times, for
+ * x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every row
+ * loop inlined into each clone, and glibc's ifunc resolver picks the widest
+ * clone this CPU runs at load time.  All give the same bits: a vector lane
+ * rounds each operation as the scalar code does, and -ffp-contract=off keeps
+ * fused multiply-adds out of every clone.  Elsewhere, or with
+ * -DBACKWARD_CLONES=, backward is the one baseline loop. */
+#ifndef BACKWARD_CLONES
+#if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define BACKWARD_CLONES __attribute__((flatten, target_clones( \
+    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
+#endif
+#endif
+#ifndef BACKWARD_CLONES
+#define BACKWARD_CLONES
+#endif
+
 static double clip(double x, double lo, double hi)
 {
     /* numpy's clip: maximum with lo first, then minimum with hi */
@@ -36,7 +55,9 @@ static double clip(double x, double lo, double hi)
  * read.  With triangle set, V(t, y) = V(t, t) for every y >= t, so only
  * y <= t is computed and V(t, t) is copied into cell t + 1 for the next
  * period.  Column 0 (no inventory) is never written.  Each row is updated in
- * place from high y to low, so W(t-1, y-1) is still unchanged when read.
+ * place from high y to low, so W(t-1, y-1) is still unchanged when read.  A
+ * policy row is split where y / t saturates (clipped_row), so that only the
+ * cells with lo < y / t < hi compute their rate and r(d).
  */
 
 static void optimal_row(double *v, long first, long last, double alpha,
@@ -49,19 +70,7 @@ static void optimal_row(double *v, long first, long last, double alpha,
     }
 }
 
-/* ys[y] == y as a double: a load, unlike a conversion from long, vectorizes */
-static void clipped_row(double *restrict w, const double *restrict ys,
-                        long first, long last, double t, double lo, double hi,
-                        double alpha, double beta)
-{
-    for (long y = last; y >= first; y--) {
-        double below = w[y - 1], here = w[y];
-        double d = clip(ys[y] / t, lo, hi);
-        w[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
-    }
-}
-
-/* clipped_row with lo == hi == d: the rate and r(d) are the same in every cell */
+/* A constant rate d: the rate and r(d) are the same in every cell */
 static void constant_row(double *w, long first, long last, double d,
                          double alpha, double beta)
 {
@@ -72,6 +81,55 @@ static void constant_row(double *w, long first, long last, double d,
     }
 }
 
+/* The rate y / t, with ys[y] == y as a double: a load, unlike a conversion
+ * from long, vectorizes */
+static void ratio_row(double *restrict w, const double *restrict ys, long first,
+                      long last, double t, double alpha, double beta)
+{
+    for (long y = last; y >= first; y--) {
+        double below = w[y - 1], here = w[y];
+        double d = ys[y] / t;
+        w[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
+    }
+}
+
+/* The last y in [first - 1, last] with ys[y] / t <= edge (first - 1 if none):
+ * y / t is monotone in y, so step from the guess edge * t to the exact edge,
+ * deciding each cell by the division the row itself evaluates. */
+static long last_at_most(const double *ys, long first, long last, double t,
+                         double edge)
+{
+    double guess = edge * t;
+    long y = !(guess >= first) ? first - 1 : guess > last ? last : (long)guess;
+    while (y < last && ys[y + 1] / t <= edge)
+        y++;
+    while (y >= first && !(ys[y] / t <= edge))
+        y--;
+    return y;
+}
+
+/* The rate clip(y / t, lo, hi), split where y / t saturates: clip gives lo
+ * where ys[y] / t <= lo, hi where ys[y] / t >= hi and y / t itself in the band
+ * between, and hi everywhere unless lo < hi.  The segments run from high y
+ * to low, as one row would, and only the band divides per cell. */
+static void clipped_row(double *w, const double *ys, long first, long last,
+                        double t, double lo, double hi, double alpha,
+                        double beta)
+{
+    if (!(lo < hi)) {
+        constant_row(w, first, last, hi, alpha, beta);
+        return;
+    }
+    long top = last_at_most(ys, first, last, t, hi);
+    while (top >= first && ys[top] / t >= hi) /* y / t == hi saturates too */
+        top--;
+    long bottom = last_at_most(ys, first, top, t, lo);
+    constant_row(w, top + 1, last, hi, alpha, beta);
+    ratio_row(w, ys, bottom + 1, top, t, alpha, beta);
+    constant_row(w, first, bottom, lo, alpha, beta);
+}
+
+BACKWARD_CLONES
 void backward(double *values, long rows, long width, const double *ys,
               const double *lo, const double *hi, double alpha, double beta,
               double d_lo, double d_hi, long t_from, long t_to, long cone,
@@ -81,14 +139,9 @@ void backward(double *values, long rows, long width, const double *ys,
         long first = cone + t > 1 ? cone + t : 1;
         long last = triangle && t < y_hi ? t : y_hi;
         optimal_row(values, first, last, alpha, beta, d_lo, d_hi);
-        for (long r = 1; r < rows; r++) {
-            double *w = values + r * width;
-            if (lo[r - 1] == hi[r - 1])
-                constant_row(w, first, last, hi[r - 1], alpha, beta);
-            else
-                clipped_row(w, ys, first, last, (double)t, lo[r - 1],
-                            hi[r - 1], alpha, beta);
-        }
+        for (long r = 1; r < rows; r++)
+            clipped_row(values + r * width, ys, first, last, (double)t,
+                        lo[r - 1], hi[r - 1], alpha, beta);
         if (triangle && t < y_hi)
             for (long r = 0; r < rows; r++)
                 values[r * width + t + 1] = values[r * width + t];

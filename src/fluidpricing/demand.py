@@ -290,17 +290,13 @@ class MultiDemandModel:
     def price_of_rate(self, x) -> np.ndarray:
         """Inverse demand: the price vector supporting demand rates x.
 
-        x may be (n,) or a batch (..., n); each row maps to g + H x / 2.  A
-        batch sums x[..., k] * H[:, k] in k order, not through the BLAS, so
-        its bits do not depend on the CPU; the forward2 kernel repeats it.
+        x may be (n,) or a batch (..., n); each row maps to g + H x / 2,
+        summing x[..., k] * H[:, k] in k order (accumulate is sequential),
+        not through the BLAS, so its bits do not depend on the CPU; the
+        forward2 kernel repeats the sum.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.g + 0.5 * (x @ self.H.T)
-        acc = x[..., :1] * self.H[:, 0]
-        for k in range(1, self.n):
-            acc += x[..., k:k + 1] * self.H[:, k]
-        return self.g + 0.5 * acc
+        return self.g + 0.5 * np.add.accumulate(x[..., None, :] * self.H, axis=-1)[..., -1]
 
     def unconstrained_optimum(self) -> np.ndarray:
         return np.linalg.solve(-self.H, self.g)

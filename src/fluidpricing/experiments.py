@@ -28,7 +28,7 @@ from .demand import (
 )
 from .errors import ConfigError, UnsupportedModelError
 from .policies import exact_passes, resolving_policy, static_policy
-from .sim import fluid_value, ho_inner_values, parse_y0_rule
+from .sim import MULTI_POLICIES, fluid_value, ho_inner_values, parse_y0_rule
 
 KNOWN_POLICIES = ("static", "resolving", "dp", "ho")
 
@@ -70,6 +70,10 @@ class ExperimentConfig:
             if not listed or len(self.y0_rule) != model.n:
                 raise ConfigError(f"y0_rule must be a list of {model.n} rules, one per "
                                   f"product of the multi-product model, got {self.y0_rule!r}")
+            other = [name for name in self.policies if name not in MULTI_POLICIES]
+            if other:
+                raise ConfigError(f"a multi-product model supports the policies "
+                                  f"{list(MULTI_POLICIES)}, not {other}")
         elif listed:
             raise ConfigError(f"y0_rule {self.y0_rule!r} is a list, but a one-product "
                               "model takes a single rule")

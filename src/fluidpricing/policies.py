@@ -349,9 +349,12 @@ def _fused_pass(kernel, model: DemandModel, points, laws) -> list[list[float]]:
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
-# -ffp-contract=off: a fused multiply-add would change the last bits against numpy;
-# no -march=native, so that a cached binary runs on any CPU of the architecture
+# -ffp-contract=off: a fused multiply-add would change the last bits against numpy,
+# in every clone of backward too; no -march=native, so that a cached binary runs on
+# any CPU of the architecture: backward carries its own AVX2 and AVX-512 clones, and
+# glibc picks the widest this CPU runs at load time (BACKWARD_CLONES in _kernels.c)
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_STDERR_LINES = 10  # of the compiler's output, in the warning of a failed build
 
 
 @functools.cache
@@ -362,7 +365,10 @@ def _kernel():
     try:
         lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
-        logger.warning("compiled kernels unavailable, using the numpy loops: %s", exc)
+        # a failed build says why only in the compiler's stderr: keep its tail
+        lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").splitlines()
+        logger.warning("compiled kernels unavailable, using the numpy loops: %s%s", exc,
+                       "".join(f"\n{line}" for line in lines[-_STDERR_LINES:]))
         return None
     f64, u64, i64 = (np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
                      for dtype in (np.float64, np.uint64, np.int64))

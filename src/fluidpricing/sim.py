@@ -40,6 +40,8 @@ _Z_VALUES = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.57582930
 # stream pairwise, so the block length fixes the summation grouping, and so
 # the bits, of xi_bar
 NOISE_CHUNK = 2048
+# the policies a multi-product model's regret can be estimated for
+MULTI_POLICIES = ("resolving", "dp")
 
 
 @dataclass
@@ -504,6 +506,9 @@ def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
                            replications, base_seed, confidence) -> list[RegretReport]:
     from .fluid import solve_fluid_multi
 
+    for name in policies:
+        if name not in MULTI_POLICIES:
+            raise DomainError(f"multi-product estimation supports resolving/dp, not {name!r}")
     reports = []
     for T in T_list:
         y0 = np.asarray(rule(T), dtype=int)
@@ -518,11 +523,9 @@ def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
                 if dp is None:
                     continue
                 val, batch = dp, None
-            elif name == "resolving":
+            else:
                 batch = simulate_batch_multi(model, T, y0, base_seed, replications)
                 val = batch.mean
-            else:
-                raise DomainError(f"multi-product estimation supports resolving/dp, not {name!r}")
             reports.append(_report(T, name, val, batch, confidence, fluid, dp, base_seed,
                                    dp_reason))
     return reports

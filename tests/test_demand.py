@@ -216,7 +216,7 @@ def test_multi_price_of_rate_batches_row_by_row():
     assert batch.shape == (5, 3)
     for row, prices in zip(x, batch):
         np.testing.assert_allclose(prices, model.g + 0.5 * (model.H @ row), rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(model.price_of_rate(row), model.g + 0.5 * (model.H @ row))
+        assert model.price_of_rate(row).tobytes() == prices.tobytes()
 
 
 def test_multi_batch_price_law_is_an_explicit_sum():
@@ -230,3 +230,12 @@ def test_multi_batch_price_law_is_an_explicit_sum():
             for x1, x2 in x.tolist()]
     assert batch.tobytes() == np.array(want).tobytes()
     assert model.price_of_rate(x[None]).tobytes() == batch[None].tobytes()
+
+
+def test_multi_single_price_is_the_batch_row():
+    # one code path: a (2,) rate prices as its row of the batch, to the last bit
+    model = MultiDemandModel(g=[1.2, 0.9], H=[[-1.3, -0.37], [-0.37, -1.7]], box_hi=[1.0, 1.0])
+    x = np.random.default_rng(11).random((2000, 2))
+    batch = model.price_of_rate(x)
+    single = np.array([model.price_of_rate(row) for row in x])
+    assert single.tobytes() == batch.tobytes()

@@ -25,6 +25,7 @@ from fluidpricing.experiments import (
     write_csv,
 )
 from fluidpricing import cli, estimate_regret, experiments
+from fluidpricing import fluid as fluid_module, sim as sim_module
 from fluidpricing.demand import DemandModel
 
 
@@ -58,7 +59,8 @@ class TestConfig:
                "H": [[-2.0, -0.5], [-0.5, -2.0]], "box_hi": [1.0, 1.0]}
         bern = {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5, "p_lo": 0.0, "p_hi": 1.0}
         rules = ["round(1/4*T)", "round(1/2*T)"]
-        cfg = ExperimentConfig(name="x", model=two, T_list=[16], y0_rule=rules)
+        cfg = ExperimentConfig(name="x", model=two, T_list=[16], y0_rule=rules,
+                               policies=["resolving", "dp"])
         assert ExperimentConfig.from_json(cfg.to_json()).to_dict() == cfg.to_dict()
         for model, rule, match in ((two, "round(5/16*T)", "list of 2 rules"),
                                    (two, rules[:1], "list of 2 rules"),
@@ -66,6 +68,16 @@ class TestConfig:
                                    (bern, rules, "single rule")):
             with pytest.raises(ConfigError, match=match):
                 ExperimentConfig(name="x", model=model, T_list=[16], y0_rule=rule)
+
+    def test_multi_product_policies(self):
+        two = {"kind": "multi-quadratic", "g": [1.0, 1.0],
+               "H": [[-2.0, -0.5], [-0.5, -2.0]], "box_hi": [1.0, 1.0]}
+        rules = ["round(1/4*T)", "round(1/2*T)"]
+        ExperimentConfig(name="x", model=two, T_list=[16], y0_rule=rules, policies=["dp"])
+        for policies in (None, ["resolving", "static"], ["ho"]):
+            kwargs = {} if policies is None else {"policies": policies}
+            with pytest.raises(ConfigError, match="multi-product model supports"):
+                ExperimentConfig(name="x", model=two, T_list=[16], y0_rule=rules, **kwargs)
 
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError):
@@ -293,6 +305,22 @@ class TestCli:
         cfg_path.write_text(json.dumps({**cfg, "y0_rule": "round(1/4*T)"}))
         assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 2
         assert "one per product" in capsys.readouterr().err
+
+    def test_two_product_config_with_static_fails_before_any_solve(self, model_paths, tmp_path,
+                                                                   capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(fluid_module, "solve_fluid_multi", solve)
+        monkeypatch.setattr(sim_module, "solve_dp_multi", solve)
+        monkeypatch.setattr(sim_module, "simulate_batch_multi", solve)
+        cfg = {"name": "t", "model": json.loads(open(model_paths["multi"]).read()),
+               "T_list": [16], "y0_rule": ["round(1/4*T)", "round(1/2*T)"],
+               "replications": 200}  # the default policies hold "static"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 2
+        assert "multi-product model supports" in capsys.readouterr().err
 
     def test_table2_and_resource_guard(self, model_paths, capsys):
         assert cli.main(["table2", "--t-list", "64"]) == 0

@@ -1,4 +1,9 @@
+import ctypes
 import logging
+import platform
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +308,25 @@ class TestFusedKernel:
         assert got == [want, want]
         assert len(caplog.records) == 1
 
+    def test_failed_build_warning_carries_compiler_stderr(self, tmp_path, monkeypatch, caplog):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        source = tmp_path / "_kernels.c"
+        source.write_text("void backward(void) { not C at all }\n")
+        monkeypatch.setattr(policies_module, "_SOURCE", source)
+        monkeypatch.setattr(policies_module, "_CACHE", tmp_path / "cache")
+        policies_module._kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=policies_module.__name__):
+                assert policies_module._kernel() is None
+        finally:
+            policies_module._kernel.cache_clear()
+        [record] = caplog.records
+        message = record.getMessage()
+        assert "using the numpy loops" in message
+        assert f"{source}:1:" in message and "error" in message
+        assert list((tmp_path / "cache").iterdir()) == []
+
     def test_policy_departing_from_its_law_keeps_numpy_loops(self, bernoulli_model):
         class Floored(policies_module.ResolvingPolicy):
             # overrides rates_batch only, so the inherited law no longer holds
@@ -345,6 +369,97 @@ class TestFusedKernel:
         built = lib.stat().st_mtime_ns
         assert policies_module._compile() == lib  # a matching library is reused
         assert lib.stat().st_mtime_ns == built
+
+
+# the clones of backward in _kernels.c, with the /proc/cpuinfo flags each needs
+_CLONES = {
+    "x86-64-v3": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"},
+    "x86-64-v4": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
+                  "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
+                 if line.startswith("flags")), set())
+
+
+def _require_clones():
+    """Skip unless _kernels.c clones backward here: x86-64, glibc and gcc 11 or later."""
+    if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
+        pytest.skip("backward is cloned on x86-64 glibc only")
+    if policies_module._kernel() is None:
+        pytest.skip("no C compiler to build the kernels")
+    macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", "/dev/null"], capture_output=True,
+                            text=True, check=True).stdout.split()
+    if "__clang__" in macros or int(macros[macros.index("__GNUC__") + 1]) < 11:
+        pytest.skip("the clones need gcc 11 or later")
+
+
+@pytest.fixture(scope="module", params=["baseline", *_CLONES])
+def single_backward(request, tmp_path_factory):
+    """backward from _kernels.c built a second time as one loop: BACKWARD_CLONES
+    empty (the baseline loop any CPU runs), or one clone's target alone."""
+    _require_clones()
+    target = request.param
+    if target != "baseline" and not _CLONES[target] <= _cpu_flags():
+        pytest.skip(f"this CPU cannot run the {target} clone")
+    attribute = ("" if target == "baseline"
+                 else f'__attribute__((flatten, target("arch={target}")))')
+    path = tmp_path_factory.mktemp("single") / f"{target}.so"
+    subprocess.run(["cc", *policies_module._CFLAGS, f"-DBACKWARD_CLONES={attribute}", "-o",
+                    str(path), str(policies_module._SOURCE)], capture_output=True, check=True)
+    assert b"arch_x86_64" not in path.read_bytes()
+    backward = ctypes.CDLL(str(path)).backward
+    backward.argtypes, backward.restype = policies_module._kernel().backward.argtypes, None
+    return backward
+
+
+def _assert_builds_match_backward(single, model, points, policies):
+    """The dispatched backward and the single build both give _backward's bits."""
+    laws = [pol.rate_law() for pol in policies.values()]
+    want = _backward_values(model, points, policies).tolist()
+    assert policies_module._fused_pass(policies_module._kernel().backward, model, points,
+                                       laws) == want
+    assert policies_module._fused_pass(single, model, points, laws) == want
+
+
+class TestDispatchedBackward:
+    def test_dispatched_library_carries_every_clone(self):
+        _require_clones()
+        built = policies_module._compile().read_bytes()
+        for target in _CLONES:
+            assert f"arch_{target.replace('-', '_')}".encode() in built
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=_bernoulli_models(),
+           points=st.lists(st.tuples(st.integers(1, 96), st.integers(0, 120)),
+                           min_size=1, max_size=5),
+           x_T=st.floats(0.01, 1.0))
+    def test_matches_single_build_bitwise(self, single_backward, model, points, x_T):
+        _assert_builds_match_backward(
+            single_backward, model, points,
+            {"resolving": resolving_policy(model), "static": static_policy(model, x_T)})
+
+    def test_saturation_split_edges(self, single_backward, bernoulli_model):
+        # alpha = 0.75 and beta = 0.5: lo = d_lo = 0.25 and the cap 0.375 are exact
+        pols = {"resolving": resolving_policy(bernoulli_model),
+                "static": static_policy(bernoulli_model, 5 / 16)}
+        assert pols["resolving"].rate_law() == (0.25, 0.375)
+        points = [
+            (8, 2), (8, 3), (16, 4), (16, 6),  # y / t == lo and == cap; empty band at t = 8
+            (1, 1), (2, 1), (4, 1),  # t = 1, and bands empty at t = 2 and t = 4
+            (64, 10),  # cone start y = t - 54 inside the lo segment
+            (16, 14),  # cone start y = t - 2 inside the cap segment
+            (40, 15), (24, 9),  # bands between, read at y / t = 0.375
+        ]
+        _assert_builds_match_backward(single_backward, bernoulli_model, points, pols)
+        for point in points:
+            _assert_builds_match_backward(single_backward, bernoulli_model, [point], pols)
 
 
 class TestHindsightPolicy:
