@@ -30,7 +30,6 @@ from .fluid import (
 )
 from .policies import (
     DpPolicy,
-    HindsightInfo,
     PolicyDecision,
     ValueTable,
     dp_value,

@@ -174,19 +174,6 @@ class DemandModel:
 
     # -- noise ---------------------------------------------------------
 
-    def sample_noise(self, p: float, rng: np.random.Generator, size=None):
-        """Draw demand noise at price p: mean zero conditional on p.
-
-        Bernoulli: takes value 1 - f(p) with probability f(p), else -f(p).
-        Additive: uniform on [-w, +w], independent of p.
-        """
-        f = self.demand_at(p)
-        if self.kind == KIND_BERNOULLI:
-            u = rng.random(size)
-            return np.where(u < f, 1.0 - f, -f) if size is not None else (1.0 - f if u < f else -f)
-        w = self.noise_half_width
-        return rng.uniform(-w, w, size)
-
     def noise_bound(self) -> float:
         return 1.0 if self.kind == KIND_BERNOULLI else float(self.noise_half_width)
 

@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ConfigError("T_list must be nonempty")
         if list(self.T_list) != sorted(self.T_list):
             raise ConfigError("T_list must be ascending")
+        if self.T_list[0] < 1:
+            raise ConfigError(f"horizons must be >= 1, got {list(self.T_list)}")
         unknown = set(self.policies) - set(KNOWN_POLICIES)
         if unknown:
             raise ConfigError(f"unknown policies: {sorted(unknown)}")

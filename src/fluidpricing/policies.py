@@ -41,18 +41,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """One period's decision; shut_off means inventory is exhausted."""
+    """One period's decision, per product for several; shut_off means inventory is exhausted."""
 
-    price: float
-    demand_rate: float
-    shut_off: bool = False
-
-
-@dataclass(frozen=True)
-class HindsightInfo:
-    """Clairvoyant side information: the realized mean noise over the horizon."""
-
-    xi_bar: float
+    price: float | np.ndarray
+    demand_rate: float | np.ndarray
+    shut_off: bool | np.ndarray = False
 
 
 def _effective_rate_cap(model: DemandModel) -> float:
@@ -60,31 +53,41 @@ def _effective_rate_cap(model: DemandModel) -> float:
     return min(max(model.x_u, model.d_lo), model.d_hi)
 
 
-class StaticPolicy:
-    """Stationary price at the fluid optimum for the initial inventory."""
+class _LawPolicy:
+    """A policy whose rate is clip(y / t, lo, hi) at y > 0 and 0 at y <= 0.
 
-    name = "static"
+    rate_law, rates_batch and the scalar decide all follow from (lo, hi)."""
 
-    def __init__(self, model: DemandModel, x_T: float):
-        self.model = model
-        self.x_T = x_T
-        self.rate = min(max(x_T, model.d_lo), _effective_rate_cap(model))
-        self.price = model.inverse_demand(self.rate)
+    def __init__(self, model, lo, hi):
+        self.model, self.lo, self.hi = model, lo, hi
+
+    def rate_law(self):
+        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0."""
+        return self.lo, self.hi
+
+    def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
+        return law_rates(self.rate_law(), y, t)
 
     def decide(self, y: float, t: int) -> PolicyDecision:
         if y <= 0:
             return PolicyDecision(price=np.inf, demand_rate=0.0, shut_off=True)
-        return PolicyDecision(price=self.price, demand_rate=self.rate)
-
-    def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
-        return np.where(np.asarray(y) > 0, self.rate, 0.0)
-
-    def rate_law(self) -> tuple[float, float]:
-        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0."""
-        return self.rate, self.rate
+        if t < 1:
+            raise DomainError("remaining periods must be >= 1")
+        rate = min(max(y / t, self.lo), self.hi)
+        return PolicyDecision(price=self.model.inverse_demand(rate), demand_rate=rate)
 
 
-class ResolvingPolicy:
+class StaticPolicy(_LawPolicy):
+    """Stationary price at the fluid optimum for the initial inventory (lo = hi)."""
+
+    name = "static"
+
+    def __init__(self, model: DemandModel, x_T: float):
+        rate = min(max(x_T, model.d_lo), _effective_rate_cap(model))
+        super().__init__(model, rate, rate)
+
+
+class ResolvingPolicy(_LawPolicy):
     """Re-solves the fluid problem each period at the current normalized inventory.
 
     With one product the fluid solution is closed form, so the decision is
@@ -96,47 +99,22 @@ class ResolvingPolicy:
     name = "resolving"
 
     def __init__(self, model: DemandModel):
-        self.model = model
-        self._cap = _effective_rate_cap(model)
-
-    def decide(self, y: float, t: int) -> PolicyDecision:
-        if y <= 0:
-            return PolicyDecision(price=np.inf, demand_rate=0.0, shut_off=True)
-        if t < 1:
-            raise DomainError("remaining periods must be >= 1")
-        rate = min(max(y / t, self.model.d_lo), self._cap)
-        return PolicyDecision(price=self.model.inverse_demand(rate), demand_rate=rate)
-
-    def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        rate = np.clip(y / t, self.model.d_lo, self._cap)
-        return np.where(y > 0, rate, 0.0)
-
-    def rate_law(self) -> tuple[float, float]:
-        """(lo, hi) such that rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0."""
-        return self.model.d_lo, self._cap
+        super().__init__(model, model.d_lo, _effective_rate_cap(model))
 
 
-class HindsightPolicy(StaticPolicy):
-    """Fixed clairvoyant price targeting the noise-corrected inventory rate.
+class HindsightPolicy(_LawPolicy):
+    """Fixed clairvoyant price at the rate x_T + (realized mean noise xi_bar), clipped (lo = hi).
 
-    info.xi_bar may hold one realized mean per replication; rate and price
-    are then arrays, and rates_batch gives row i its own rate.
-    """
+    xi_bar may hold one value per replication; rates_batch then gives row i its own rate."""
 
     name = "ho"
 
-    def __init__(self, model: DemandModel, x_T: float, info: HindsightInfo):
+    def __init__(self, model: DemandModel, x_T: float, xi_bar):
         if model.kind == KIND_BERNOULLI:
-            raise UnsupportedModelError(
-                "hindsight benchmark needs price-independent i.i.d. noise; "
-                "bernoulli noise depends on the posted price"
-            )
-        self.model = model
-        self.x_T = x_T
-        self.info = info
-        self.rate = np.clip(x_T + np.asarray(info.xi_bar, dtype=float), model.d_lo, model.d_hi)
-        self.price = model.price_of_rate(self.rate)
+            raise UnsupportedModelError("hindsight benchmark needs price-independent i.i.d. "
+                                        "noise; bernoulli noise depends on the posted price")
+        rate = np.clip(x_T + np.asarray(xi_bar, dtype=float), model.d_lo, model.d_hi)
+        super().__init__(model, rate, rate)
 
 
 def static_policy(model: DemandModel, x_T: float) -> StaticPolicy:
@@ -149,8 +127,8 @@ def resolving_policy(model: DemandModel) -> ResolvingPolicy:
     return ResolvingPolicy(model)
 
 
-def ho_policy(model: DemandModel, x_T: float, info: HindsightInfo) -> HindsightPolicy:
-    return HindsightPolicy(model, x_T, info)
+def ho_policy(model: DemandModel, x_T: float, xi_bar) -> HindsightPolicy:
+    return HindsightPolicy(model, x_T, xi_bar)
 
 
 # -- exact dynamic programming (bernoulli demand) ---------------------------
@@ -297,7 +275,10 @@ def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
     (N, 2) states y gets the maximizer of its fluid objective over the box
     [0, min(box_hi, y / t)], found by box_qp2_batch.
     """
+    y = np.asarray(y, dtype=float)
     if isinstance(law, MultiDemandModel):
+        if law.n != 2:
+            raise UnsupportedModelError("batch re-solving is implemented for n = 2")
         ub = np.minimum(law.box_hi, y / t)
         H, g = law.H, law.g
         x1, x2, _ = box_qp2_batch(H[0, 0], H[1, 1], H[0, 1], g[0], g[1], ub[:, 0], ub[:, 1])
@@ -450,44 +431,25 @@ def evaluate_policy_exact(model: DemandModel, policy, T: int, y0: int) -> float:
 # -- multiple products -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiPolicyDecision:
-    prices: np.ndarray
-    demand_rates: np.ndarray
-    shut_off: np.ndarray  # per-product mask
+class MultiResolvingPolicy(_LawPolicy):
+    """Re-solving heuristic for the multi-product model: its law is the model itself.
 
-
-class MultiResolvingPolicy:
-    """Re-solving heuristic for the multi-product model."""
+    decide re-solves one state with solve_fluid_multi, for any number of products."""
 
     name = "resolving"
 
     def __init__(self, model: MultiDemandModel):
         self.model = model
 
-    def decide(self, y: np.ndarray, t: int) -> MultiPolicyDecision:
-        y = np.asarray(y, dtype=float)
-        sol = solve_fluid_multi(self.model, y / t)
-        rates = sol.x_c
-        return MultiPolicyDecision(
-            prices=self.model.price_of_rate(rates),
-            demand_rates=rates,
-            shut_off=y <= 0,
-        )
-
-    def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
-        """Vectorized fluid re-solve for a batch of 2-product states.
-
-        y has shape (N, 2); the fluid problem per row is a box QP solved
-        exactly by stationary-candidate enumeration (law_rates).
-        """
-        if self.model.n != 2:
-            raise UnsupportedModelError("batch re-solving is implemented for n = 2")
-        return law_rates(self.model, np.asarray(y, dtype=float), t)
-
     def rate_law(self) -> MultiDemandModel:
         """The model whose fluid problem rates_batch re-solves (see law_rates)."""
         return self.model
+
+    def decide(self, y: np.ndarray, t: int) -> PolicyDecision:
+        y = np.asarray(y, dtype=float)
+        rates = solve_fluid_multi(self.model, y / t).x_c
+        return PolicyDecision(price=self.model.price_of_rate(rates), demand_rate=rates,
+                              shut_off=y <= 0)
 
 
 def multi_resolving_policy(model: MultiDemandModel) -> MultiResolvingPolicy:

@@ -23,7 +23,6 @@ from . import rng
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .policies import (
-    HindsightInfo,
     HindsightPolicy,
     MultiResolvingPolicy,
     _kernel,
@@ -166,6 +165,8 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
+    if n_reps < 1:
+        raise DomainError(f"need at least one replication, got {n_reps}")
     multi = isinstance(model, MultiDemandModel)
     if multi and track_t_sharp:
         raise UnsupportedModelError("t_sharp tracking is defined for one product")
@@ -475,8 +476,11 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
-    if T < 1:
-        raise DomainError("need T >= 1")
+    if T < 1 or n_reps < 1:
+        raise DomainError(f"need T >= 1 and at least one replication, got T = {T}, "
+                          f"n_reps = {n_reps}")
+    if not (math.isfinite(x_T) and x_T > 0):
+        raise DomainError(f"need a finite inventory rate x_T > 0, got {x_T}")
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     acc = np.zeros(n_reps)
@@ -487,7 +491,7 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
         for start in range(0, T, NOISE_CHUNK):
             counters = np.arange(start, min(start + NOISE_CHUNK, T))
             acc += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
-    return ho_policy(model, x_T, HindsightInfo(xi_bar=(2.0 * acc / T - 1.0) * w))
+    return ho_policy(model, x_T, (2.0 * acc / T - 1.0) * w)
 
 
 def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
@@ -498,8 +502,8 @@ def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
     price earns T * r(clip(x_T + xi_bar)) in expectation (inventory
     censoring ignored, as in the benchmark's defining bound).
     """
-    policy = ho_batch_policy(model, T, x_T, base_seed, n_reps)
-    return T * model.revenue_rate_unchecked(policy.rate)
+    rate, _ = ho_batch_policy(model, T, x_T, base_seed, n_reps).rate_law()  # lo = hi
+    return T * model.revenue_rate_unchecked(rate)
 
 
 def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
@@ -575,12 +579,12 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
         t = T - i
         dec = policy.decide(y, t)
         u = rng.uniforms(np.uint64(seed), np.arange(i * n, (i + 1) * n, dtype=np.uint64))
-        sale = (u < dec.demand_rates).astype(float)
-        prices[i] = dec.prices
-        rates[i] = dec.demand_rates
+        sale = (u < dec.demand_rate).astype(float)
+        prices[i] = dec.price
+        rates[i] = dec.demand_rate
         sales[i] = np.minimum(sale, y)
-        xi[i] = sale - dec.demand_rates
-        revenue[i] = float(dec.prices @ sales[i])
+        xi[i] = sale - dec.demand_rate
+        revenue[i] = float(dec.price @ sales[i])
         y = np.maximum(0.0, y - sale)
         inventory[i] = y
     return MultiSimTrace(T=T, y0=y0, seed=int(seed), tau_remaining=tau, prices=prices,

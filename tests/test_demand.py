@@ -78,33 +78,6 @@ def test_revenue_concavity_second_difference(bernoulli_model):
         assert second <= -m * h * h * (1 - 1e-9)
 
 
-class TestNoise:
-    def test_bernoulli_support_is_two_points(self, bernoulli_model):
-        rng = np.random.default_rng(2)
-        p = 0.5  # f(p) = 0.5
-        draws = bernoulli_model.sample_noise(p, rng, size=1000)
-        assert set(np.round(draws, 12)) == {0.5, -0.5}
-        p = 7 / 8  # f(p) = 5/16
-        draws = bernoulli_model.sample_noise(p, rng, size=1000)
-        assert set(np.round(draws, 12)) == {round(1 - 5 / 16, 12), round(-5 / 16, 12)}
-
-    def test_noise_centering_monte_carlo(self, bernoulli_model, additive_model):
-        rng = np.random.default_rng(3)
-        n = 10**6
-        for model in (bernoulli_model, additive_model):
-            prices = rng.uniform(0.0, 1.0, size=10)
-            for p in prices:
-                mean = model.sample_noise(float(p), rng, size=n).mean()
-                assert abs(mean) < 4.0 * model.noise_bound() / np.sqrt(n)
-
-    def test_noise_bound_holds_exactly(self, bernoulli_model, additive_model):
-        rng = np.random.default_rng(4)
-        draws = additive_model.sample_noise(0.3, rng, size=100000)
-        assert np.max(np.abs(draws)) <= 0.1
-        draws = bernoulli_model.sample_noise(0.6, rng, size=100000)
-        assert np.max(np.abs(draws)) <= 1.0
-
-
 class TestAssumptionConstants:
     def test_linear_bernoulli_constants(self, bernoulli_model):
         c = bernoulli_model.assumption_constants()

@@ -53,6 +53,8 @@ class TestConfig:
             ExperimentConfig(name="x", model=model, T_list=[128, 64])
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", model=model, T_list=[64], policies=["greedy"])
+        with pytest.raises(ConfigError, match="horizons must be >= 1"):
+            ExperimentConfig(name="x", model=model, T_list=[0, 16])
 
     def test_y0_rule_list_matches_the_products(self):
         two = {"kind": "multi-quadratic", "g": [1.0, 1.0],
@@ -353,12 +355,34 @@ class TestCli:
             assert cli.main(["validate-model", "--model", str(path)]) == code
         assert capsys.readouterr().err.count("c must be 0") == 2
 
-    def test_numeric_input_errors_exit_code(self, model_paths, capsys):
-        assert cli.main(["table2", "--t-list", "64,abc"]) == 2
-        assert cli.main(["fluid-solve", "--model", model_paths["bern"], "--inventory", "x"]) == 2
-        assert cli.main(["simulate", "--model", model_paths["bern"], "--policy", "static",
-                         "-T", "0", "--y0", "3"]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+    def test_numeric_input_errors_exit_code(self, model_paths, tmp_path, capsys):
+        runs = [["table2", "--t-list", "64,abc"],
+                ["fluid-solve", "--model", model_paths["bern"], "--inventory", "x"],
+                ["simulate", "--model", model_paths["bern"], "--policy", "static",
+                 "-T", "0", "--y0", "3"]]
+        ho = ["ho-compare", "--model", model_paths["add"], "--t-list", "64"]
+        runs += [[*ho, "--x-t", "0.3", "--replications", "0"],
+                 [*ho, "--x-t", "0.3", "--replications", "-3"],
+                 [*ho, "--x-t", "nan"], [*ho, "--x-t", "-1"], [*ho, "--x-t", "inf"]]
+        configs = {"bern_T0": ("bern", {"T_list": [0, 16]}),
+                   "add_T0": ("add", {"T_list": [0, 16]}),
+                   "add_reps": ("add", {"T_list": [16], "replications": -2}),
+                   "add": ("add", {"T_list": [16]})}
+        for name, (model, cfg) in configs.items():
+            model = json.loads(open(model_paths[model]).read())
+            (tmp_path / f"cfg_{name}.json").write_text(json.dumps({**cfg, "name": name,
+                                                                  "model": model}))
+        runs += [["estimate-regret", "--config", str(tmp_path / f"cfg_{name}.json")]
+                 for name in ("bern_T0", "add_T0", "add_reps")]
+        runs += [["estimate-regret", "--config", str(tmp_path / "cfg_add.json"),
+                  "--replications", reps] for reps in ("-3", "0")]
+        for argv in runs:
+            assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        # one line each, no traceback
+        assert len(err.splitlines()) == len(runs)
+        assert all(line.startswith("error: ") for line in err.splitlines())
 
     @pytest.mark.parametrize("argv", [["table2", "--t-list", "64"],
                                       ["sweep", "--kind", "gap", "--t-list", "16,32"],

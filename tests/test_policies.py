@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from fluidpricing import (
     DemandModel,
     DomainError,
-    HindsightInfo,
     ResourceGuardError,
     UnsupportedModelError,
     dp_value,
@@ -75,13 +74,6 @@ class TestResolvingPolicy:
 
     def test_shut_off(self, bernoulli_model):
         assert resolving_policy(bernoulli_model).decide(0, 9).shut_off
-
-    def test_rates_batch_matches_decide(self, bernoulli_model):
-        pol = resolving_policy(bernoulli_model)
-        y = np.array([0, 1, 5, 30])
-        rates = pol.rates_batch(y, 16)
-        expected = [0.0] + [pol.decide(int(v), 16).demand_rate for v in y[1:]]
-        np.testing.assert_allclose(rates, expected, atol=1e-15)
 
 
 class TestSolveDp:
@@ -464,18 +456,18 @@ class TestDispatchedBackward:
 
 class TestHindsightPolicy:
     def test_zero_mean_noise_matches_static(self, additive_model):
-        pol = ho_policy(additive_model, 5 / 16, HindsightInfo(xi_bar=0.0))
+        pol = ho_policy(additive_model, 5 / 16, 0.0)
         assert pol.decide(10, 20).price == pytest.approx(7 / 8)
 
     def test_shifted_price(self, additive_model):
         w = additive_model.noise_half_width
-        pol = ho_policy(additive_model, 5 / 16, HindsightInfo(xi_bar=w))
+        pol = ho_policy(additive_model, 5 / 16, w)
         assert pol.decide(10, 20).price == pytest.approx(
             additive_model.inverse_demand(5 / 16 + w))
 
     def test_bernoulli_rejected(self, bernoulli_model):
         with pytest.raises(UnsupportedModelError):
-            ho_policy(bernoulli_model, 5 / 16, HindsightInfo(xi_bar=0.0))
+            ho_policy(bernoulli_model, 5 / 16, 0.0)
 
     def test_prop2_inequality_monte_carlo(self, additive_model):
         # E[T r(x_T + xi_bar)] >= T r(x_T) - (m/2) T E[xi_bar^2]
@@ -497,17 +489,29 @@ class TestRateLaw:
                       min_size=1, max_size=12),
            xi=st.floats(-1.0, 1.0))
     def test_every_shipped_law_holds_at_every_positive_inventory(self, family, t, x_T, y, xi):
-        """rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0, fractional or not, 0 at 0."""
+        """rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0, fractional or not, 0 at 0;
+        the scalar decide gives the same rate, bit for bit, at the price price_of_rate."""
         model = {"bernoulli": _LAW_BERNOULLI, "additive": _LAW_ADDITIVE}[family]
         y = np.array(y, dtype=float)
-        laws = [static_policy(model, x_T), resolving_policy(model)]
+        scalar = [static_policy(model, x_T), resolving_policy(model)]
+        laws = list(scalar)
         if family == "additive":
             w = model.noise_half_width
-            laws.append(ho_policy(model, x_T, HindsightInfo(xi * w * np.linspace(-1, 1, y.size))))
+            laws.append(ho_policy(model, x_T, xi * w * np.linspace(-1, 1, y.size)))
+            scalar.append(ho_policy(model, x_T, xi * w))
         for pol in laws:
             lo, hi = pol.rate_law()
             want = np.where(y > 0, np.clip(y / t, lo, hi), 0.0)
             assert pol.rates_batch(y, t).tobytes() == want.tobytes()
+        for pol in scalar:
+            rates = pol.rates_batch(y, t)
+            for state, rate in zip(y.tolist(), rates):
+                dec = pol.decide(state, t)
+                assert np.float64(dec.demand_rate).tobytes() == rate.tobytes()
+                assert dec.shut_off == (state <= 0)
+                if state > 0:
+                    price = model.price_of_rate(rate)
+                    assert np.float64(dec.price).tobytes() == price.tobytes()
 
 
 _LAW_BERNOULLI = DemandModel.linear_bernoulli(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from fluidpricing import (
     DemandModel,
     DomainError,
-    HindsightInfo,
     MultiDemandModel,
     ResourceGuardError,
     SimTrace,
@@ -70,7 +69,7 @@ class TestSimulate:
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert not np.array_equal(a.revenue, c.revenue)
 
-    def test_conservation_and_dynamics_invariants(self, bernoulli_model):
+    def test_conservation_and_dynamics_invariants(self, bernoulli_model, additive_model):
         pol = resolving_policy(bernoulli_model)
         for seed in range(10):
             tr = simulate(bernoulli_model, pol, 128, 40, seed=seed)
@@ -85,6 +84,18 @@ class TestSimulate:
             active = ~np.isinf(tr.price)
             np.testing.assert_allclose(tr.realized_demand[active],
                                        tr.demand_rate[active] + tr.xi[active], atol=1e-12)
+            # bernoulli noise is the unit sale minus the rate: 1 - d or -d
+            d, xi = tr.demand_rate[active], tr.xi[active]
+            assert np.all((xi == 1.0 - d) | (xi == -d))
+            assert np.all(np.abs(tr.xi) <= bernoulli_model.noise_bound())
+        for seed in range(10):
+            tr = simulate(additive_model, resolving_policy(additive_model), 128, 40, seed=seed)
+            assert np.all(np.abs(tr.xi) <= additive_model.noise_bound())
+        # the noise is centred: the mean per-replication noise sum is within 4 standard errors
+        n, T = 4000, 128
+        for model in (bernoulli_model, additive_model):
+            batch = simulate_batch(model, static_policy(model, 5 / 16), T, 40, 3, n)
+            assert abs(batch.sum_xi.mean()) < 4.0 * model.noise_bound() * np.sqrt(T / n)
 
     def test_policy_error_carries_period(self, bernoulli_model):
         class Broken:
@@ -140,13 +151,13 @@ class TestSimulate:
         pol = ho_batch_policy(additive_model, T, y0 / T, base, n)
         batch = simulate_batch(additive_model, pol, T, y0, base, n)
         w = additive_model.noise_half_width
+        rates, _ = pol.rate_law()
         for i in range(n):
             seed = int(rng.replication_seed(base, i))
-            xi_bar = pol.info.xi_bar[i]
             # the clairvoyant sees the mean noise of its own stream
-            assert xi_bar == pytest.approx(
-                ((2.0 * rng.uniform_block(seed, 0, T) - 1.0) * w).mean(), abs=1e-15)
-            single = ho_policy(additive_model, y0 / T, HindsightInfo(xi_bar))
+            xi_bar = ((2.0 * rng.uniform_block(seed, 0, T) - 1.0) * w).mean()
+            assert rates[i] == pytest.approx(y0 / T + xi_bar, abs=1e-15)
+            single = ho_policy(additive_model, y0 / T, xi_bar)
             tr = simulate(additive_model, single, T, y0, seed=seed)
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
 
@@ -244,9 +255,10 @@ class TestForwardKernel:
         got = np.zeros(seeds.size)
         policies._kernel().noise_sum(seeds.size, T, NOISE_CHUNK, seeds, got)
         assert got.tobytes() == want.tobytes()
-        xi_bar = ho_batch_policy(additive_model, T, 0.3, 12, seeds.size).info.xi_bar
-        w = additive_model.noise_half_width
-        assert xi_bar.tobytes() == ((2.0 * want / T - 1.0) * w).tobytes()
+        rate, _ = ho_batch_policy(additive_model, T, 0.3, 12, seeds.size).rate_law()
+        xi_bar = (2.0 * want / T - 1.0) * additive_model.noise_half_width
+        assert rate.tobytes() == np.clip(0.3 + xi_bar, additive_model.d_lo,
+                                         additive_model.d_hi).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(model=two_product_models(), T=st.integers(1, 200),
