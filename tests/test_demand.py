@@ -13,6 +13,10 @@ from fluidpricing import (
     model_from_dict,
     model_from_json,
     model_to_json,
+    resolving_policy,
+    simulate,
+    simulate_batch,
+    static_policy,
     validate_multi,
 )
 
@@ -76,6 +80,36 @@ def test_revenue_concavity_second_difference(bernoulli_model):
                   - 2 * bernoulli_model.revenue_rate(d2)
                   + bernoulli_model.revenue_rate(d2 + h))
         assert second <= -m * h * h * (1 - 1e-9)
+
+
+class TestNoise:
+    """The noise xi = realized - rate that the simulator draws."""
+
+    def test_bernoulli_support_is_two_points(self, bernoulli_model):
+        # a bernoulli sale is 0 or 1, so the noise is 1 - d or -d
+        pol = resolving_policy(bernoulli_model)
+        for seed in range(10):
+            tr = simulate(bernoulli_model, pol, 128, 40, seed=seed)
+            active = ~np.isinf(tr.price)
+            d, xi = tr.demand_rate[active], tr.xi[active]
+            assert np.all((xi == 1.0 - d) | (xi == -d))
+            assert np.any(xi == 1.0 - d) and np.any(xi == -d)
+
+    def test_noise_centering_monte_carlo(self, bernoulli_model, additive_model):
+        # the mean per-replication noise sum is within 4 standard errors of 0
+        n, T = 4000, 128
+        for model in (bernoulli_model, additive_model):
+            batch = simulate_batch(model, static_policy(model, 5 / 16), T, 40, 3, n)
+            assert abs(batch.sum_xi.mean()) < 4.0 * model.noise_bound() * np.sqrt(T / n)
+
+    def test_noise_bound_holds_exactly(self, bernoulli_model, additive_model):
+        for model in (bernoulli_model, additive_model):
+            pol = resolving_policy(model)
+            for seed in range(10):
+                tr = simulate(model, pol, 128, 40, seed=seed)
+                assert np.all(np.abs(tr.xi) <= model.noise_bound())
+        assert additive_model.noise_bound() == 0.1
+        assert bernoulli_model.noise_bound() == 1.0
 
 
 class TestAssumptionConstants:

@@ -75,6 +75,13 @@ class TestResolvingPolicy:
     def test_shut_off(self, bernoulli_model):
         assert resolving_policy(bernoulli_model).decide(0, 9).shut_off
 
+    def test_rates_batch_matches_decide(self, bernoulli_model):
+        pol = resolving_policy(bernoulli_model)
+        y = np.array([0, 1, 5, 30])
+        rates = pol.rates_batch(y, 16)
+        expected = [0.0] + [pol.decide(int(v), 16).demand_rate for v in y[1:]]
+        assert rates.tobytes() == np.array(expected).tobytes()
+
 
 class TestSolveDp:
     def test_one_period_value(self, bernoulli_model):
