@@ -15,6 +15,7 @@ from .errors import (
     ConfigError,
     DegeneracyWarning,
     DomainError,
+    KernelUnavailableError,
     ModelValidationError,
     ResourceGuardError,
     SolverError,

@@ -3,7 +3,7 @@
 Subcommands expose the library's solvers and preset experiments; outputs
 are JSON (fluid-solve, dp-value) or CSV (everything else).  Exit codes:
 0 success, 2 configuration/usage error, 3 model validation failure,
-4 resource guard.
+4 resource guard, 5 the compiled kernels cannot be built or loaded.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .demand import (
 from .errors import (
     ConfigError,
     DomainError,
+    KernelUnavailableError,
     ModelValidationError,
     ResourceGuardError,
     SolverError,
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
+EXIT_KERNEL = 5
 
 
 def _load_model(path: str):
@@ -260,6 +262,9 @@ def main(argv=None) -> int:
     except (ResourceGuardError,) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except KernelUnavailableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_KERNEL
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,10 @@ class ResourceGuardError(RuntimeError):
     """A requested computation exceeds the configured memory/size guard."""
 
 
+class KernelUnavailableError(RuntimeError):
+    """The compiled kernel library cannot be built or loaded; a working cc is required."""
+
+
 class ConfigError(ValueError):
     """An experiment configuration is malformed."""
 

@@ -289,7 +289,8 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
         values = ho_inner_values(model, T, x_T, base_seed, replications)
         fluid = T * float(model.revenue_rate_unchecked(min(x_T, model.x_u)))
         mean = float(values.mean())
-        half = 1.959963984540054 * float(values.std(ddof=1)) / (len(values) ** 0.5)
+        half = (1.959963984540054 * float(values.std(ddof=1)) / (len(values) ** 0.5)
+                if len(values) > 1 else math.inf)
         rows.append({
             "T": T,
             "fluid_value": fluid,

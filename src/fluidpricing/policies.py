@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import subprocess
 import tempfile
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
-from .errors import DomainError, ResourceGuardError, UnsupportedModelError
+from .errors import DomainError, KernelUnavailableError, ResourceGuardError, UnsupportedModelError
 from .fluid import box_qp2_batch, solve_fluid_multi
 
 # size guards of solve_dp (table entries) and solve_dp_multi (T times lattice states)
@@ -35,8 +34,6 @@ MULTI_STATE_CAP = 10_000_000
 # largest backward pass T * (y0 + 1) of exact_passes and exact_policy_values:
 # 2^15 (3.4e8) fits, 2^16 not
 EXACT_CELL_BUDGET = 2**30
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,9 @@ def exact_values(model: DemandModel, points,
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
     to the largest T reads every point, with O(max y0) memory per object.
     When every policy has a checked_law, the pass is the compiled fused
-    kernel over the cells the points read; otherwise, or when the kernel
-    cannot be built, it is the numpy pass _backward.  Both give the same bits.
+    kernel over the cells the points read (KernelUnavailableError when it
+    cannot be built); otherwise it is the numpy pass _backward.  Both give
+    the same bits.
     """
     _require_bernoulli(model, "exact policy evaluation")
     points = [(int(T), int(y0)) for T, y0 in points]
@@ -243,8 +241,7 @@ def exact_values(model: DemandModel, points,
     policies = dict(policies or {})
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
     laws = [checked_law(pol, ys, max(T for T, _ in points)) for pol in policies.values()]
-    lib = _kernel() if None not in laws else None
-    rows = (_fused_pass(lib.backward, model, points, laws) if lib is not None
+    rows = (_fused_pass(_kernel().backward, model, points, laws) if None not in laws
             else _numpy_pass(model, points, list(policies.values())))
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
@@ -335,22 +332,22 @@ _CACHE = _SOURCE.parent / "__pycache__"
 # any CPU of the architecture: backward carries its own AVX2 and AVX-512 clones, and
 # glibc picks the widest this CPU runs at load time (BACKWARD_CLONES in _kernels.c)
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-_STDERR_LINES = 10  # of the compiler's output, in the warning of a failed build
+_STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
 
 
 @functools.cache
 def _kernel():
     """The compiled loops of _kernels.c (backward, forward, noise_sum, forward2,
-    backward2), or None when they cannot be built or loaded; callers then run
-    their numpy loops."""
+    backward2), built on first use; KernelUnavailableError when they cannot be
+    built or loaded."""
     try:
         lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
         # a failed build says why only in the compiler's stderr: keep its tail
         lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").splitlines()
-        logger.warning("compiled kernels unavailable, using the numpy loops: %s%s", exc,
-                       "".join(f"\n{line}" for line in lines[-_STDERR_LINES:]))
-        return None
+        raise KernelUnavailableError(
+            f"compiled kernels unavailable (a working cc is required): {exc}"
+            + "".join(f"\n{line}" for line in lines[-_STDERR_LINES:])) from exc
     f64, u64, i64 = (np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
                      for dtype in (np.float64, np.uint64, np.int64))
     n, x, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
@@ -459,13 +456,11 @@ def multi_resolving_policy(model: MultiDemandModel) -> MultiResolvingPolicy:
 def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
     """Exact optimal value for two products with per-product unit sales.
 
-    Backward induction over the integer inventory lattice (_backward_multi).
-    The one-step objective in the demand-rate pair is a quadratic whose
-    diagonal curvature comes from H (strictly negative), so its
-    box-constrained maximum is found exactly by enumerating the interior
-    and clipped-edge stationary points.  The pass is one call of the
-    compiled backward2 kernel, or the numpy loop when the kernel cannot be
-    built; both give the same bits.
+    Backward induction over the integer inventory lattice, as one call of
+    the compiled backward2 kernel.  The one-step objective in the
+    demand-rate pair is a quadratic whose diagonal curvature comes from H
+    (strictly negative), so its box-constrained maximum is found exactly by
+    enumerating the interior and clipped-edge stationary points.
     """
     if model.n != 2:
         raise UnsupportedModelError("exact multi-product DP is implemented for n = 2 only")
@@ -476,33 +471,5 @@ def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
     if T * m1 * m2 > MULTI_STATE_CAP:
         raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {MULTI_STATE_CAP}")
     V = np.zeros((m1, m2))
-    lib = _kernel()
-    if lib is not None:
-        lib.backward2(V, m1, m2, T, model.g, model.H, model.box_hi)
-    else:
-        _backward_multi(model, T, V)
+    _kernel().backward2(V, m1, m2, T, model.g, model.H, model.box_hi)
     return float(V[y0[0], y0[1]])
-
-
-def _backward_multi(model: MultiDemandModel, T: int, V: np.ndarray) -> None:
-    """T periods of the two-product Bellman recursion on the lattice V, in place.
-
-    V[y1, y2] gains the box QP maximum of the one-step objective, whose
-    linear and cross terms come from the values after a unit sale of
-    product 1 (b), of product 2 (cc) and of both (dd).
-    """
-    m1, m2 = V.shape
-    H, g = model.H, model.g
-    ub1 = np.where(np.arange(m1) >= 1, model.box_hi[0], 0.0)[:, None] * np.ones((1, m2))
-    ub2 = np.where(np.arange(m2) >= 1, model.box_hi[1], 0.0)[None, :] * np.ones((m1, 1))
-    for _ in range(T):
-        b = np.zeros_like(V)
-        b[1:, :] = V[:-1, :]  # after a unit sale of product 1
-        cc = np.zeros_like(V)
-        cc[:, 1:] = V[:, :-1]
-        dd = np.zeros_like(V)
-        dd[1:, 1:] = V[:-1, :-1]
-        w = V - b - cc + dd
-        q1 = g[0] + b - V
-        q2 = g[1] + cc - V
-        V += box_qp2_batch(H[0, 0], H[1, 1], H[0, 1] + w, q1, q2, ub1, ub2)[2]

@@ -25,6 +25,7 @@ from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .policies import (
     HindsightPolicy,
     MultiResolvingPolicy,
+    _effective_rate_cap,
     _kernel,
     checked_law,
     exact_passes,
@@ -35,9 +36,9 @@ from .policies import (
 )
 
 _Z_VALUES = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
-# counters per block of the hindsight noise sum: numpy sums each block of a
-# stream pairwise, so the block length fixes the summation grouping, and so
-# the bits, of xi_bar
+# counters per block of the hindsight noise sum: noise_sum sums each block of
+# a stream pairwise, as numpy sums a row, so the block length fixes the
+# summation grouping, and so the bits, of xi_bar
 NOISE_CHUNK = 2048
 # the policies a multi-product model's regret can be estimated for
 MULTI_POLICIES = ("resolving", "dp")
@@ -159,9 +160,9 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     A policy with a checked_law (its rate_law() reproduces rates_batch
     below the start state) runs as one call of a compiled kernel, with the
     same bits: forward for one product, forward2 for a two-product model
-    under its re-solving policy.  Other policies, n > 2 products and a
-    missing compiler take the numpy loop.  Multi-product prices come from
-    model.price_of_rate, whose batch sum the forward2 kernel repeats.
+    under its re-solving policy.  Other policies and n > 2 products take
+    the numpy loop.  Multi-product prices come from model.price_of_rate,
+    whose batch sum the forward2 kernel repeats.
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
@@ -178,50 +179,40 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     y = np.full((n_reps, *np.shape(y0)), y0, dtype=float)
     law = _kernel_law(model, policy, y, T)
-    lib = _kernel() if law is not None else None
-    if lib is not None and multi:
-        total, sum_xi = np.zeros(n_reps), np.zeros(n_reps)
-        lib.forward2(n_reps, T, seeds, model.g, model.H, model.box_hi, y, total, sum_xi)
-        return BatchResult(total_revenue=total, sum_xi=sum_xi)
-    if lib is not None:
+    total, sum_xi, harm = np.zeros(n_reps), np.zeros(n_reps), np.zeros(n_reps)
+    t_sharp = np.full(n_reps, 2, dtype=int)
+    gam = gamma(model, float(y0) / T) if track_t_sharp else 0.0
+    if law is not None and multi:
+        _kernel().forward2(n_reps, T, seeds, model.g, model.H, model.box_hi, y, total, sum_xi)
+    elif law is not None:
         lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(b, dtype=float), n_reps))
                   for b in law)
-        total, sum_xi, harm = np.zeros(n_reps), np.zeros(n_reps), np.zeros(n_reps)
-        t_sharp = np.full(n_reps, 2, dtype=int)
-        gam = gamma(model, float(y0) / T) if track_t_sharp else 0.0
-        lib.forward(n_reps, T, seeds, lo, hi, model.alpha, model.beta, w, unit_sales,
-                    y, total, sum_xi, track_t_sharp, gam, harm, t_sharp)
-        return BatchResult(total_revenue=total, sum_xi=sum_xi,
-                           t_sharp=t_sharp if track_t_sharp else None)
-    keys, products = (seeds[:, None], np.arange(n)) if multi else (seeds, 0)
-    total = np.zeros(n_reps)
-    sum_xi = np.zeros(n_reps)
-    if track_t_sharp:
-        gam = gamma(model, float(y0) / T)
-        harm = np.zeros(n_reps)
-        t_sharp = np.full(n_reps, 2, dtype=int)
+        _kernel().forward(n_reps, T, seeds, lo, hi, model.alpha, model.beta, w, unit_sales,
+                          y, total, sum_xi, track_t_sharp, gam, harm, t_sharp)
+    else:
+        keys, products = (seeds[:, None], np.arange(n)) if multi else (seeds, 0)
         undecided = np.ones(n_reps, dtype=bool)
-    for i in range(T):
-        t = T - i
-        u = rng.uniforms(keys, i * n + products)
-        active = y > 0
-        rates = np.where(active, policy.rates_batch(y, t), 0.0)
-        prices = np.where(active, model.price_of_rate(rates), 0.0)
-        if unit_sales:
-            realized = (u < rates).astype(float)
-            xi = realized - rates
-        else:
-            xi = (2.0 * u - 1.0) * w
-            realized = rates + xi
-        xi, realized = np.where(active, xi, 0.0), np.where(active, realized, 0.0)
-        total += _per_rep(prices * np.minimum(realized, y))
-        sum_xi += _per_rep(xi)
-        y = np.maximum(0.0, y - realized)
-        if track_t_sharp and t >= 2:
-            harm += xi / (t - 1)
-            exited = undecided & (np.abs(harm) > gam)
-            t_sharp[exited] = t
-            undecided &= ~exited
+        for i in range(T):
+            t = T - i
+            u = rng.uniforms(keys, i * n + products)
+            active = y > 0
+            rates = np.where(active, policy.rates_batch(y, t), 0.0)
+            prices = np.where(active, model.price_of_rate(rates), 0.0)
+            if unit_sales:
+                realized = (u < rates).astype(float)
+                xi = realized - rates
+            else:
+                xi = (2.0 * u - 1.0) * w
+                realized = rates + xi
+            xi, realized = np.where(active, xi, 0.0), np.where(active, realized, 0.0)
+            total += _per_rep(prices * np.minimum(realized, y))
+            sum_xi += _per_rep(xi)
+            y = np.maximum(0.0, y - realized)
+            if track_t_sharp and t >= 2:
+                harm += xi / (t - 1)
+                exited = undecided & (np.abs(harm) > gam)
+                t_sharp[exited] = t
+                undecided &= ~exited
     return BatchResult(total_revenue=total, sum_xi=sum_xi,
                        t_sharp=t_sharp if track_t_sharp else None)
 
@@ -403,6 +394,9 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
     back to seeded Monte Carlo, with per-replication streams derived from
     base_seed; with common_random_numbers all policies share one stream.
     """
+    T_list = list(T_list)
+    if any(T < 1 for T in T_list):
+        raise DomainError(f"horizons must be >= 1, got {T_list}")
     rule = parse_y0_rule(y0_rule)
     if isinstance(model, MultiDemandModel):
         return _estimate_regret_multi(model, T_list, rule, policies, replications,
@@ -471,8 +465,7 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     Replication i reveals the realized mean noise xi_bar[i] of its stream
     over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
     The noise mean comes from the sum of the stream's uniforms in blocks of
-    NOISE_CHUNK counters: one call of the compiled noise_sum kernel, or
-    numpy's row sums when no kernel can be built, with the same bits.
+    NOISE_CHUNK counters, as one call of the compiled noise_sum kernel.
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
@@ -484,13 +477,7 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     acc = np.zeros(n_reps)
-    lib = _kernel()
-    if lib is not None:
-        lib.noise_sum(n_reps, T, NOISE_CHUNK, seeds, acc)
-    else:
-        for start in range(0, T, NOISE_CHUNK):
-            counters = np.arange(start, min(start + NOISE_CHUNK, T))
-            acc += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
+    _kernel().noise_sum(n_reps, T, NOISE_CHUNK, seeds, acc)
     return ho_policy(model, x_T, (2.0 * acc / T - 1.0) * w)
 
 
@@ -615,7 +602,7 @@ def constant_bound(model: DemandModel, x_T: float) -> float:
     gam = gamma(model, x_T)
     curv = abs(model.revenue_curvature(x_T))
     B = consts.B_xi
-    r_peak = model.revenue_rate(min(max(model.x_u, model.d_lo), model.d_hi))
+    r_peak = model.revenue_rate(_effective_rate_cap(model))
     e_tsharp_minus_1 = 1.0 + 4.0 * B**4 / gam**4
     return (consts.M**2 * B**4 / (2.0 * consts.m)
             + 2.0 * (curv * consts.L * B) ** 2 / consts.m

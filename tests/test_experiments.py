@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -407,11 +408,18 @@ class TestCli:
         assert cli.main(["fluid-solve", "--model", missing, "--inventory", "1"]) == 2
 
     def test_ho_compare_cli(self, model_paths, capsys):
-        rc = cli.main(["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125",
-                       "--t-list", "64", "--replications", "200", "--seed", "1"])
+        argv = ["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125", "--t-list", "64"]
+        rc = cli.main([*argv, "--replications", "200", "--seed", "1"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ",".join(HO_COLUMNS)
+        # one replication has no spread estimate: an infinite half width, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--replications", "1"]) == 0
+        out, err = capsys.readouterr()
+        row = dict(zip(HO_COLUMNS, out.strip().splitlines()[1].split(",")))
+        assert row["ci_half_width"] == "inf" and err == ""
 
     def test_sweep_cli(self, capsys):
         rc = cli.main(["sweep", "--kind", "gap", "--t-list", "16,32"])

@@ -1,7 +1,5 @@
 import ctypes
-import logging
 import platform
-import shutil
 import subprocess
 from pathlib import Path
 
@@ -12,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fluidpricing import (
     DemandModel,
     DomainError,
+    KernelUnavailableError,
     ResourceGuardError,
     UnsupportedModelError,
     dp_value,
@@ -26,11 +25,13 @@ from fluidpricing import (
     solve_fluid_multi,
     static_policy,
 )
+from fluidpricing import cli
 from fluidpricing import policies as policies_module
-from fluidpricing.policies import _backward, _backward_multi
-from fluidpricing.sim import ho_batch_policy, ho_inner_values, simulate_batch, simulate_batch_multi
+from fluidpricing.policies import _backward
+from fluidpricing.sim import ho_inner_values, simulate_batch, simulate_batch_multi
 
 from conftest import two_product_models
+from oracles import backward_multi
 
 
 class TestStaticPolicy:
@@ -241,8 +242,6 @@ def _backward_values(model, points, policies):
 
 
 def _assert_kernel_matches_backward(model, points, policies):
-    if policies_module._kernel() is None:
-        pytest.skip("no C compiler to build the fused kernel")
     found = exact_values(model, points, policies)
     assert all(list(values) == ["dp", *policies] for values in found)
     got = np.array([list(values.values()) for values in found])
@@ -273,25 +272,25 @@ class TestFusedKernel:
             model, points, {"resolving": resolving_policy(model),
                             "static": static_policy(model, x_T)})
 
-    def test_without_compiler_falls_back_to_numpy(self, bernoulli_model, additive_model,
-                                                  multi_model, monkeypatch, caplog):
-        points = [(64, 20), (40, 50), (9, 0)]
+    def test_without_compiler_kernel_paths_raise(self, bernoulli_model, additive_model,
+                                                 multi_model, monkeypatch, capsys):
         pols = {"static": static_policy(bernoulli_model, 5 / 16),
                 "resolving": resolving_policy(bernoulli_model)}
-        hindsight = ho_batch_policy(additive_model, 96, 0.3, 8, 50)
+        kernel_paths = [lambda: exact_values(bernoulli_model, [(64, 20), (9, 0)], pols),
+                        lambda: simulate_batch(bernoulli_model, pols["resolving"], 80, 25, 3, 50),
+                        lambda: simulate_batch_multi(multi_model, 40, [10, 20.5], 3, 30),
+                        lambda: ho_inner_values(additive_model, 2100, 0.3, 4, 30),
+                        lambda: solve_dp_multi(multi_model, 24, [6, 12])]
 
-        def run():
-            batches = [simulate_batch(bernoulli_model, pols["resolving"], 80, 25, 3, 50, True),
-                       simulate_batch(additive_model, hindsight, 96, 28.8, 8, 50, True)]
-            two = simulate_batch_multi(multi_model, 40, [10, 20.5], 3, 30)
-            return (exact_values(bernoulli_model, points, pols),
-                    [(b.total_revenue.tobytes(), b.sum_xi.tobytes(), b.t_sharp.tobytes())
-                     for b in batches],
-                    ho_inner_values(additive_model, 2100, 0.3, 4, 30).tobytes(),
-                    (two.total_revenue.tobytes(), two.sum_xi.tobytes()),
-                    solve_dp_multi(multi_model, 24, [6, 12]))
+        def lawless():
+            # a DpPolicy has no rate law: its passes and runs never need the kernels
+            table = solve_dp(bernoulli_model, 64, 20)
+            batch = simulate_batch(bernoulli_model, table.policy(), 64, 20, 5, 40, True)
+            return (table.values.tobytes(), table.actions.tobytes(),
+                    exact_values(bernoulli_model, [(64, 20), (30, 12)], {"t": table.policy()}),
+                    [a.tobytes() for a in (batch.total_revenue, batch.sum_xi, batch.t_sharp)])
 
-        want = run()
+        want = lawless()
 
         def no_compiler():
             raise FileNotFoundError("cc not found")
@@ -299,30 +298,30 @@ class TestFusedKernel:
         monkeypatch.setattr(policies_module, "_compile", no_compiler)
         policies_module._kernel.cache_clear()
         try:
-            with caplog.at_level(logging.WARNING, logger=policies_module.__name__):
-                got = [run() for _ in range(2)]
-            assert policies_module._kernel() is None
+            for run in kernel_paths:
+                with pytest.raises(KernelUnavailableError, match="cc not found"):
+                    run()
+            assert lawless() == want
+            assert cli.main(["table2", "--t-list", "64"]) == cli.EXIT_KERNEL == 5
         finally:
             policies_module._kernel.cache_clear()
-        assert got == [want, want]
-        assert len(caplog.records) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and "cc not found" in line
 
-    def test_failed_build_warning_carries_compiler_stderr(self, tmp_path, monkeypatch, caplog):
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
+    def test_failed_build_error_carries_compiler_stderr(self, tmp_path, monkeypatch):
         source = tmp_path / "_kernels.c"
         source.write_text("void backward(void) { not C at all }\n")
         monkeypatch.setattr(policies_module, "_SOURCE", source)
         monkeypatch.setattr(policies_module, "_CACHE", tmp_path / "cache")
         policies_module._kernel.cache_clear()
         try:
-            with caplog.at_level(logging.WARNING, logger=policies_module.__name__):
-                assert policies_module._kernel() is None
+            with pytest.raises(KernelUnavailableError) as failed:
+                policies_module._kernel()
         finally:
             policies_module._kernel.cache_clear()
-        [record] = caplog.records
-        message = record.getMessage()
-        assert "using the numpy loops" in message
+        message = str(failed.value)
         assert f"{source}:1:" in message and "error" in message
         assert list((tmp_path / "cache").iterdir()) == []
 
@@ -358,8 +357,6 @@ class TestFusedKernel:
         assert batch.total_revenue.tobytes() != law.total_revenue.tobytes()
 
     def test_build_prunes_superseded_libraries(self, tmp_path, monkeypatch):
-        if policies_module._kernel() is None:
-            pytest.skip("no C compiler to build the kernels")
         monkeypatch.setattr(policies_module, "_CACHE", tmp_path)
         for stale in ("_kernels-0123456789abcdef.so", "_backward-0123456789abcdef.so"):
             (tmp_path / stale).write_bytes(b"superseded")
@@ -391,8 +388,6 @@ def _require_clones():
     """Skip unless _kernels.c clones backward here: x86-64, glibc and gcc 11 or later."""
     if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
         pytest.skip("backward is cloned on x86-64 glibc only")
-    if policies_module._kernel() is None:
-        pytest.skip("no C compiler to build the kernels")
     macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", "/dev/null"], capture_output=True,
                             text=True, check=True).stdout.split()
     if "__clang__" in macros or int(macros[macros.index("__GNUC__") + 1]) < 11:
@@ -539,12 +534,9 @@ class TestSolveDpMulti:
     @given(model=two_product_models(), T=st.integers(1, 64),
            y0=st.tuples(*[st.one_of(st.just(0), st.integers(1, 30))] * 2))
     def test_kernel_matches_numpy_pass_bitwise(self, model, T, y0):
-        lib = policies_module._kernel()
-        if lib is None:
-            pytest.skip("no C compiler to build the kernels")
         got, want = np.zeros((y0[0] + 1, y0[1] + 1)), np.zeros((y0[0] + 1, y0[1] + 1))
-        lib.backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
-        _backward_multi(model, T, want)
+        policies_module._kernel().backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
+        backward_multi(model, T, want)
         assert got.tobytes() == want.tobytes()
         assert solve_dp_multi(model, T, y0) == want[y0]
 

@@ -35,6 +35,7 @@ from fluidpricing.policies import (
 from fluidpricing.sim import NOISE_CHUNK, ho_batch_policy, ho_inner_values, parse_y0_rule
 
 from conftest import two_product_models
+from oracles import noise_sum
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,10 @@ class TestSimulate:
             pol = resolving_policy(model)
         with pytest.raises(DomainError):
             simulate_batch(model, pol, T, y0, base_seed=1, n_reps=3)
+        if T < 1:  # estimate_regret stops at such a horizon before any pass or solve
+            rule = (lambda _: [1, 2]) if family == "multi" else "round(5/16*T)"
+            with pytest.raises(DomainError, match="horizons must be >= 1"):
+                estimate_regret(model, [T, 16], rule, ("resolving",))
 
     def test_hindsight_rejects_empty_horizon(self, additive_model):
         with pytest.raises(DomainError):
@@ -201,11 +206,6 @@ class _NumpyEngine:
         self.rates_batch = policy.rates_batch
 
 
-def _require_kernel():
-    if policies._kernel() is None:
-        pytest.skip("no C compiler to build the kernels")
-
-
 class TestForwardKernel:
     @settings(max_examples=120, deadline=None)
     @given(family=st.sampled_from(["bernoulli", "additive"]),
@@ -214,7 +214,6 @@ class TestForwardKernel:
            reps=st.integers(1, 30), seed=st.integers(0, 2**64 - 1), track=st.booleans())
     def test_matches_numpy_engine_bitwise(self, family, name, T, start, fill, reps, seed,
                                           track):
-        _require_kernel()
         model = _ENGINE_MODELS[family]
         y0 = {"empty": 0, "fractional": fill * T * 0.6, "ample": T + 1 + fill * T}[start]
         x_T = max(y0, 0.5) / T
@@ -234,12 +233,8 @@ class TestForwardKernel:
 
     @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
     def test_noise_sum_matches_numpy_chunked_sum(self, additive_model, T):
-        _require_kernel()
         seeds = rng.replication_seed(12, np.arange(9))
-        want = np.zeros(seeds.size)
-        for start in range(0, T, NOISE_CHUNK):
-            counters = np.arange(start, min(start + NOISE_CHUNK, T))
-            want += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
+        want = noise_sum(seeds, T, NOISE_CHUNK)
         got = np.zeros(seeds.size)
         policies._kernel().noise_sum(seeds.size, T, NOISE_CHUNK, seeds, got)
         assert got.tobytes() == want.tobytes()
@@ -253,7 +248,6 @@ class TestForwardKernel:
            start=st.tuples(*[st.sampled_from(["empty", "fractional", "whole"])] * 2),
            fill=st.floats(0.0, 1.0), reps=st.integers(1, 30), seed=st.integers(0, 2**64 - 1))
     def test_two_product_matches_numpy_engine_bitwise(self, model, T, start, fill, reps, seed):
-        _require_kernel()
         y0 = [{"empty": 0.0, "fractional": fill * T * 0.6, "whole": float(round(fill * T))}[s]
               for s in start]
         pol = multi_resolving_policy(model)
@@ -268,7 +262,6 @@ class TestForwardKernel:
     def test_two_product_tie_keeps_the_earlier_candidate(self, multi_model, T, y0):
         # at y0 / T the edge candidates x1 = ub1 and x2 = ub2 of the box QP sit
         # an ulp apart and tie in value exactly: both engines keep the earlier one
-        _require_kernel()
         pol = multi_resolving_policy(multi_model)
         got = simulate_batch(multi_model, pol, T, y0, 4, 200)
         want = simulate_batch(multi_model, _NumpyEngine(pol), T, y0, 4, 200)
@@ -276,7 +269,6 @@ class TestForwardKernel:
 
     def test_two_product_asymmetric_H_prices_by_rows(self):
         # an unvalidated model may carry an asymmetric H: price j is g_j + (H x)_j / 2
-        _require_kernel()
         model = MultiDemandModel(g=[1.0, 0.9], H=[[-2.0, -0.3], [-0.7, -1.6]], box_hi=[1.0, 1.0])
         pol = multi_resolving_policy(model)
         got = simulate_batch(model, pol, 50, [12, 30], 6, 100)
