@@ -1,14 +1,18 @@
 /* Compiled loops of fluidpricing, loaded with ctypes by policies._kernel.
  *
- * Each entry point reproduces a numpy loop of the package operation by
- * operation, so both agree bit for bit as long as the compiler does not
- * contract a * b + c into a fused multiply-add (-ffp-contract=off):
+ * Each entry point reproduces a numpy loop operation by operation, so both
+ * agree bit for bit as long as the compiler does not contract a * b + c into
+ * a fused multiply-add (-ffp-contract=off).  The numpy twins are the
+ * package's own pass for backward and the references in tests/oracles.py
+ * for the others:
  *
  *   backward   the exact backward pass (policies._backward);
- *   forward    the one-product Monte Carlo engine (sim.simulate_batch);
- *   noise_sum  the noise mean of the hindsight benchmark (sim.ho_batch_policy);
- *   forward2   the two-product re-solving Monte Carlo engine (sim.simulate_batch);
- *   backward2  the two-product exact backward pass (policies._backward_multi).
+ *   forward    the one-product Monte Carlo engine of sim.simulate and
+ *              sim.simulate_batch (oracles.simulate_batch);
+ *   noise_sum  the noise mean of the hindsight benchmark (oracles.noise_sum);
+ *   forward2   the two-product re-solving Monte Carlo engine of
+ *              sim.simulate_batch (oracles.simulate_batch);
+ *   backward2  the two-product exact backward pass (oracles.backward_multi).
  */
 
 #include <math.h>
@@ -166,15 +170,20 @@ static double uniform(uint64_t key, uint64_t counter)
 /* -- forward ------------------------------------------------------------------
  *
  * reps one-product replications in lockstep, replication r on the stream
- * keys[r] and under the rate clip(y / t, lo[r], hi[r]) while y > 0 (the rate
- * law of its policy; lo[r] == hi[r] is a constant rate).  Sales are unit
+ * keys[r] and under the rate law of its policy while y > 0: with width 0,
+ * clip(y / t, lo[r], hi[r]) (lo[r] == hi[r] is a constant rate); otherwise
+ * the DP action actions[t][min((long)y, width - 1)] of a row-major table of
+ * width columns (column 0 is 0, so 0 < y < 1 gets rate 0).  Sales are unit
  * sized (u < rate) when unit_sales is set, else rate + (2u - 1) * w; demand
  * beyond the inventory is lost.  y holds the initial inventories and ends
  * with the final ones; total and sum_xi accumulate the revenue and the noise.
  * With track set, harm accumulates the harmonic noise series and t_sharp[r]
  * (2 on entry) becomes the first period whose update leaves the band gam.
  * Inactive rows (y <= 0) go through the same arithmetic with zeros, as the
- * masked numpy arrays do.
+ * masked numpy arrays do.  With record set, period i of replication r is
+ * written to trace[(k * T + i) * reps + r] for k = 0 .. 5: the price (inf
+ * while shut off), the rate, the noise, the realized demand, the inventory
+ * after the period and the revenue, as sim.SimTrace holds them.
  */
 
 /* numpy's minimum and maximum: the second operand on a tie */
@@ -182,16 +191,20 @@ static double minimum(double a, double b) { return a < b ? a : b; }
 static double maximum(double a, double b) { return a > b ? a : b; }
 
 void forward(long reps, long T, const uint64_t *keys, const double *lo,
-             const double *hi, double alpha, double beta, double w,
-             int unit_sales, double *y, double *total, double *sum_xi,
-             int track, double gam, double *harm, int64_t *t_sharp)
+             const double *hi, const double *actions, long width, double alpha,
+             double beta, double w, int unit_sales, double *y, double *total,
+             double *sum_xi, int track, double gam, double *harm,
+             int64_t *t_sharp, int record, double *trace)
 {
     for (long i = 0; i < T; i++) {
         long t = T - i;
+        const double *row = actions + t * width;
         for (long r = 0; r < reps; r++) {
             double u = uniform(keys[r], i);
             int active = y[r] > 0;
-            double d = active ? clip(y[r] / t, lo[r], hi[r]) : 0.0;
+            double d = !active ? 0.0
+                       : width ? row[(long)minimum(y[r], width - 1)]
+                               : clip(y[r] / t, lo[r], hi[r]);
             double price = active ? (alpha - d) / beta : 0.0;
             double xi, realized;
             if (unit_sales) {
@@ -203,7 +216,8 @@ void forward(long reps, long T, const uint64_t *keys, const double *lo,
             }
             xi = active ? xi : 0.0;
             realized = active ? realized : 0.0;
-            total[r] += price * minimum(realized, y[r]);
+            double revenue = price * minimum(realized, y[r]);
+            total[r] += revenue;
             sum_xi[r] += xi;
             y[r] = maximum(0.0, y[r] - realized);
             if (track && t >= 2) {
@@ -212,6 +226,16 @@ void forward(long reps, long T, const uint64_t *keys, const double *lo,
                  * before the last check (t = 2) sets it to t > 2 */
                 if (t_sharp[r] == 2 && fabs(harm[r]) > gam)
                     t_sharp[r] = t;
+            }
+            if (record) {
+                double *out = trace + i * reps + r;
+                long k = T * reps;
+                out[0] = active ? price : INFINITY;
+                out[k] = d;
+                out[2 * k] = xi;
+                out[3 * k] = realized;
+                out[4 * k] = y[r];
+                out[5 * k] = active ? revenue : 0.0;
             }
         }
     }

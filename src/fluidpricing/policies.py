@@ -38,11 +38,10 @@ EXACT_CELL_BUDGET = 2**30
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """One period's decision, per product for several; shut_off means inventory is exhausted."""
+    """One period's decision: the price and demand rate vectors of MultiResolvingPolicy.decide."""
 
-    price: float | np.ndarray
-    demand_rate: float | np.ndarray
-    shut_off: bool | np.ndarray = False
+    price: np.ndarray
+    demand_rate: np.ndarray
 
 
 def _effective_rate_cap(model: DemandModel) -> float:
@@ -51,9 +50,10 @@ def _effective_rate_cap(model: DemandModel) -> float:
 
 
 class _LawPolicy:
-    """A policy whose rate is clip(y / t, lo, hi) at y > 0 and 0 at y <= 0.
+    """A policy given by one rate law: rates_batch(y, t) is law_rates(rate_law(), y, t).
 
-    rate_law, rates_batch and the scalar decide all follow from (lo, hi)."""
+    Here the law is (lo, hi), the rate clip(y / t, lo, hi) at y > 0 and 0 at
+    y <= 0; DpPolicy and MultiResolvingPolicy carry the other kinds of law."""
 
     def __init__(self, model, lo, hi):
         self.model, self.lo, self.hi = model, lo, hi
@@ -64,14 +64,6 @@ class _LawPolicy:
 
     def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
         return law_rates(self.rate_law(), y, t)
-
-    def decide(self, y: float, t: int) -> PolicyDecision:
-        if y <= 0:
-            return PolicyDecision(price=np.inf, demand_rate=0.0, shut_off=True)
-        if t < 1:
-            raise DomainError("remaining periods must be >= 1")
-        rate = min(max(y / t, self.lo), self.hi)
-        return PolicyDecision(price=self.model.inverse_demand(rate), demand_rate=rate)
 
 
 class StaticPolicy(_LawPolicy):
@@ -153,24 +145,17 @@ class ValueTable:
         return DpPolicy(self)
 
 
-class DpPolicy:
-    """State feedback replaying the actions of a solved value table."""
+class DpPolicy(_LawPolicy):
+    """State feedback replaying the actions of a solved value table: its law is the table."""
 
     name = "dp"
 
     def __init__(self, table: ValueTable):
-        self.table = table
+        self.model, self.table = table.model, table
 
-    def decide(self, y: float, t: int) -> PolicyDecision:
-        if y <= 0:
-            return PolicyDecision(price=np.inf, demand_rate=0.0, shut_off=True)
-        rate = float(self.table.actions[t, int(y)])
-        return PolicyDecision(price=self.table.model.inverse_demand(rate), demand_rate=rate)
-
-    def rates_batch(self, y: np.ndarray, t: int) -> np.ndarray:
-        y = np.asarray(y, dtype=int)
-        rates = self.table.actions[t, np.clip(y, 0, self.table.max_inventory)]
-        return np.where(y > 0, rates, 0.0)
+    def rate_law(self) -> ValueTable:
+        """The table whose actions rates_batch replays (see law_rates)."""
+        return self.table
 
 
 def _require_bernoulli(model: DemandModel, what: str) -> None:
@@ -229,10 +214,10 @@ def exact_values(model: DemandModel, points,
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
     to the largest T reads every point, with O(max y0) memory per object.
-    When every policy has a checked_law, the pass is the compiled fused
-    kernel over the cells the points read (KernelUnavailableError when it
-    cannot be built); otherwise it is the numpy pass _backward.  Both give
-    the same bits.
+    When every policy has a checked_law (lo, hi), the pass is the compiled
+    fused kernel over the cells the points read (KernelUnavailableError when
+    it cannot be built); otherwise (a DpPolicy, or a policy without a law)
+    it is the numpy pass _backward.  Both give the same bits.
     """
     _require_bernoulli(model, "exact policy evaluation")
     points = [(int(T), int(y0)) for T, y0 in points]
@@ -241,7 +226,8 @@ def exact_values(model: DemandModel, points,
     policies = dict(policies or {})
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
     laws = [checked_law(pol, ys, max(T for T, _ in points)) for pol in policies.values()]
-    rows = (_fused_pass(_kernel().backward, model, points, laws) if None not in laws
+    rows = (_fused_pass(_kernel().backward, model, points, laws)
+            if all(isinstance(law, tuple) for law in laws)
             else _numpy_pass(model, points, list(policies.values())))
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
@@ -252,12 +238,19 @@ def checked_law(policy, y: np.ndarray, t: int):
 
     The compiled loops run the law in place of rates_batch.  This spot check
     keeps a policy with no law, or one whose rates_batch departs from the
-    law it inherited (a subclass that overrides only rates_batch), on the
-    numpy loops.
+    law it inherited (a subclass that overrides only rates_batch), off them.
+    A DP table must cover t periods from the whole number of units max(y):
+    DomainError otherwise, before any rate is read.
     """
     if not hasattr(policy, "rate_law"):
         return None
     law = policy.rate_law()
+    if isinstance(law, ValueTable):
+        top = float(np.max(y))
+        if not (t <= law.horizon and top <= law.max_inventory and top.is_integer()):
+            raise DomainError(f"a DP table of horizon {law.horizon} and max inventory "
+                              f"{law.max_inventory} cannot run {t} periods from "
+                              f"{top} units (a whole number is needed)")
     for left in {t, 1}:
         if not np.array_equal(policy.rates_batch(y, left), law_rates(law, y, left)):
             return None
@@ -268,11 +261,16 @@ def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
     """The rates of a rate law at the states y with t periods left.
 
     A one-product law (lo, hi) gives clip(y / t, lo, hi) where y > 0 and 0
-    elsewhere.  A two-product law is a MultiDemandModel: each row of the
-    (N, 2) states y gets the maximizer of its fluid objective over the box
-    [0, min(box_hi, y / t)], found by box_qp2_batch.
+    elsewhere; a ValueTable gives its action actions[t, min(int(y),
+    max_inventory)] where int(y) > 0 and 0 elsewhere.  A two-product law is
+    a MultiDemandModel: each row of the (N, 2) states y gets the maximizer
+    of its fluid objective over the box [0, min(box_hi, y / t)], found by
+    box_qp2_batch.
     """
     y = np.asarray(y, dtype=float)
+    if isinstance(law, ValueTable):
+        units = y.astype(int)
+        return np.where(units > 0, law.actions[t, np.clip(units, 0, law.max_inventory)], 0.0)
     if isinstance(law, MultiDemandModel):
         if law.n != 2:
             raise UnsupportedModelError("batch re-solving is implemented for n = 2")
@@ -352,8 +350,8 @@ def _kernel():
                      for dtype in (np.float64, np.uint64, np.int64))
     n, x, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
     lib.backward.argtypes = [f64, n, n, f64, f64, f64, x, x, x, x, n, n, n, n, flag]
-    lib.forward.argtypes = [n, n, u64, f64, f64, x, x, x, flag, f64, f64, f64,
-                            flag, x, f64, i64]
+    lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
+                            flag, x, f64, i64, flag, f64]
     lib.noise_sum.argtypes = [n, n, n, u64, f64]
     lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
     lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]
@@ -445,8 +443,7 @@ class MultiResolvingPolicy(_LawPolicy):
     def decide(self, y: np.ndarray, t: int) -> PolicyDecision:
         y = np.asarray(y, dtype=float)
         rates = solve_fluid_multi(self.model, y / t).x_c
-        return PolicyDecision(price=self.model.price_of_rate(rates), demand_rate=rates,
-                              shut_off=y <= 0)
+        return PolicyDecision(price=self.model.price_of_rate(rates), demand_rate=rates)
 
 
 def multi_resolving_policy(model: MultiDemandModel) -> MultiResolvingPolicy:

@@ -25,6 +25,7 @@ from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .policies import (
     HindsightPolicy,
     MultiResolvingPolicy,
+    ValueTable,
     _effective_rate_cap,
     _kernel,
     checked_law,
@@ -70,52 +71,22 @@ class SimTrace:
 
 
 def simulate(model, policy, T: int, y0, seed: int):
-    """Run the dynamics forward under a state-feedback policy.
+    """Run the dynamics forward under a state-feedback policy, recording every period.
 
-    Deterministic given the seed.  Dispatches on the model family; for the
+    One replication of the forward kernel (see simulate_batch), drawing from
+    the stream keyed by seed mod 2**64; UnsupportedModelError for a policy
+    without a checked_law.  Dispatches on the model family; for the
     multi-product family see MultiSimTrace.
     """
     if isinstance(model, MultiDemandModel):
         return simulate_multi(model, policy, T, y0, seed)
-    if T < 1 or y0 < 0:
+    if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
-    u = rng.uniform_block(seed, 0, T)
-    is_bernoulli = model.kind == KIND_BERNOULLI
-    w = 0.0 if is_bernoulli else float(model.noise_half_width)
-
-    tau = np.arange(T, 0, -1)
-    price = np.empty(T)
-    rate = np.empty(T)
-    xi = np.empty(T)
-    realized = np.empty(T)
-    inventory = np.empty(T)
-    revenue = np.empty(T)
-    y = float(y0)
-    for i in range(T):
-        t = T - i
-        try:
-            dec = policy.decide(y, t)
-        except DomainError as exc:
-            raise DomainError(f"policy failed at remaining period {t}: {exc}") from exc
-        if dec.shut_off:
-            price[i], rate[i], xi[i], realized[i], revenue[i] = np.inf, 0.0, 0.0, 0.0, 0.0
-            inventory[i] = y
-            continue
-        d = dec.demand_rate
-        if is_bernoulli:
-            sale = 1.0 if u[i] < d else 0.0
-            xi[i] = sale - d
-            realized[i] = sale
-        else:
-            xi[i] = (2.0 * u[i] - 1.0) * w
-            realized[i] = d + xi[i]
-        sold = min(realized[i], y)
-        price[i], rate[i] = dec.price, d
-        revenue[i] = dec.price * sold
-        y = max(0.0, y - realized[i])
-        inventory[i] = y
+    keys = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    _, record = _forward(model, policy, T, y0, keys, record=True)
+    price, rate, xi, realized, inventory, revenue = record.reshape(6, T)
     return SimTrace(
-        T=T, y0=float(y0), seed=int(seed), tau_remaining=tau, price=price,
+        T=T, y0=float(y0), seed=int(seed), tau_remaining=np.arange(T, 0, -1), price=price,
         demand_rate=rate, xi=xi, realized_demand=realized,
         inventory_after=inventory, revenue=revenue,
     )
@@ -148,95 +119,98 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     """Advance n_reps independent replications in lockstep: the one batched engine.
 
     The state y is (n_reps,) for one product and (n_reps, n) for the
-    multi-product family; policy.rates_batch(y, t) returns rates of the same
-    shape.  Replication i uses the stream keyed by base_seed XOR
-    splitmix64(i), and product j draws period i's uniform u at counter
+    multi-product family.  Replication i uses the stream keyed by base_seed
+    XOR splitmix64(i), and product j draws period i's uniform u at counter
     i*n + j.  Sales are unit sized (u < rate) for bernoulli and multi-product
     demand and rate + (2u - 1) * w for additive demand; demand beyond the
     inventory is lost.  With track_t_sharp (one product) the harmonic noise
     series is accumulated along the way and the stopping time recorded per
     replication (meaningful for re-solving traces).
 
-    A policy with a checked_law (its rate_law() reproduces rates_batch
-    below the start state) runs as one call of a compiled kernel, with the
-    same bits: forward for one product, forward2 for a two-product model
-    under its re-solving policy.  Other policies and n > 2 products take
-    the numpy loop.  Multi-product prices come from model.price_of_rate,
-    whose batch sum the forward2 kernel repeats.
+    The policy runs by its checked_law (its rate_law() reproduces
+    policy.rates_batch below the start state), as one call of a compiled
+    kernel: forward for one product (a (lo, hi) law or a DP table), forward2
+    for a two-product model under its own re-solving policy, whose prices
+    repeat the batch sum of model.price_of_rate.  Any other policy, and
+    n > 2 products, raise UnsupportedModelError.
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
     if n_reps < 1:
         raise DomainError(f"need at least one replication, got {n_reps}")
-    multi = isinstance(model, MultiDemandModel)
-    if multi and track_t_sharp:
-        raise UnsupportedModelError("t_sharp tracking is defined for one product")
-    n = model.n if multi else 1
-    unit_sales = multi or model.kind == KIND_BERNOULLI
-    w = 0.0 if unit_sales else float(model.noise_half_width)
-    if multi and np.shape(y0) != (n,):
-        raise DomainError(f"inventory vector must have shape ({n},)")
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    y = np.full((n_reps, *np.shape(y0)), y0, dtype=float)
+    if not isinstance(model, MultiDemandModel):
+        return _forward(model, policy, T, y0, seeds, track_t_sharp)[0]
+    if track_t_sharp:
+        raise UnsupportedModelError("t_sharp tracking is defined for one product")
+    if np.shape(y0) != (model.n,):
+        raise DomainError(f"inventory vector must have shape ({model.n},)")
+    y = np.full((n_reps, model.n), y0, dtype=float)
+    _kernel_law(model, policy, y, T)
+    total, sum_xi = np.zeros(n_reps), np.zeros(n_reps)
+    _kernel().forward2(n_reps, T, seeds, model.g, model.H, model.box_hi, y, total, sum_xi)
+    return BatchResult(total_revenue=total, sum_xi=sum_xi)
+
+
+def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
+             track_t_sharp: bool = False, record: bool = False):
+    """One call of the forward kernel: a replication per stream key, all from y0.
+
+    Returns the BatchResult and, with record, the (6, T, reps) record of
+    price (inf while shut off), rate, noise, realized demand, inventory
+    after and revenue per period, else None.
+    """
+    if np.ndim(y0) != 0:
+        raise DomainError("one product's inventory must be a number")
+    reps = keys.size
+    y = np.full(reps, y0, dtype=float)
     law = _kernel_law(model, policy, y, T)
-    total, sum_xi, harm = np.zeros(n_reps), np.zeros(n_reps), np.zeros(n_reps)
-    t_sharp = np.full(n_reps, 2, dtype=int)
-    gam = gamma(model, float(y0) / T) if track_t_sharp else 0.0
-    if law is not None and multi:
-        _kernel().forward2(n_reps, T, seeds, model.g, model.H, model.box_hi, y, total, sum_xi)
-    elif law is not None:
-        lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(b, dtype=float), n_reps))
-                  for b in law)
-        _kernel().forward(n_reps, T, seeds, lo, hi, model.alpha, model.beta, w, unit_sales,
-                          y, total, sum_xi, track_t_sharp, gam, harm, t_sharp)
+    if isinstance(law, ValueTable):
+        # checked_law read row T of the table; the kernel reads rows <= T and
+        # clamps the column to the array's own width
+        lo = hi = np.zeros(reps)
+        actions = np.ascontiguousarray(law.actions, dtype=float)
+        width = actions.shape[1]
     else:
-        keys, products = (seeds[:, None], np.arange(n)) if multi else (seeds, 0)
-        undecided = np.ones(n_reps, dtype=bool)
-        for i in range(T):
-            t = T - i
-            u = rng.uniforms(keys, i * n + products)
-            active = y > 0
-            rates = np.where(active, policy.rates_batch(y, t), 0.0)
-            prices = np.where(active, model.price_of_rate(rates), 0.0)
-            if unit_sales:
-                realized = (u < rates).astype(float)
-                xi = realized - rates
-            else:
-                xi = (2.0 * u - 1.0) * w
-                realized = rates + xi
-            xi, realized = np.where(active, xi, 0.0), np.where(active, realized, 0.0)
-            total += _per_rep(prices * np.minimum(realized, y))
-            sum_xi += _per_rep(xi)
-            y = np.maximum(0.0, y - realized)
-            if track_t_sharp and t >= 2:
-                harm += xi / (t - 1)
-                exited = undecided & (np.abs(harm) > gam)
-                t_sharp[exited] = t
-                undecided &= ~exited
-    return BatchResult(total_revenue=total, sum_xi=sum_xi,
-                       t_sharp=t_sharp if track_t_sharp else None)
+        lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(b, dtype=float), reps))
+                  for b in law)
+        actions, width = np.zeros(1), 0
+    unit_sales = model.kind == KIND_BERNOULLI
+    w = 0.0 if unit_sales else float(model.noise_half_width)
+    total, sum_xi, harm = np.zeros(reps), np.zeros(reps), np.zeros(reps)
+    t_sharp = np.full(reps, 2, dtype=int)
+    gam = gamma(model, float(y0) / T) if track_t_sharp else 0.0
+    trace = np.empty((6, T, reps) if record else 1)
+    _kernel().forward(reps, T, keys, lo, hi, actions, width, model.alpha, model.beta, w,
+                      unit_sales, y, total, sum_xi, track_t_sharp, gam, harm, t_sharp,
+                      record, trace)
+    return (BatchResult(total_revenue=total, sum_xi=sum_xi,
+                        t_sharp=t_sharp if track_t_sharp else None),
+            trace if record else None)
 
 
 def _kernel_law(model, policy, y: np.ndarray, T: int):
-    """The checked_law of policy when a forward kernel can run it on model, else None.
+    """The checked_law of policy that a forward kernel runs on model from the states y.
 
     The law is checked from the start state down to 0 in eighths, for two
     products at every pair of eighths; a two-product law must re-solve the
-    simulated model itself.
+    simulated model itself.  UnsupportedModelError when there is none.
     """
     eighths = np.linspace(0.0, 1.0, 9)
     if not isinstance(model, MultiDemandModel):
-        return checked_law(policy, y * eighths[:, None], T) if y.ndim == 1 else None
-    if model.n != 2:
-        return None
-    pairs = np.stack(np.meshgrid(eighths, eighths, indexing="ij"), axis=-1).reshape(-1, 2)
-    return model if checked_law(policy, pairs * y[0], T) is model else None
-
-
-def _per_rep(a: np.ndarray) -> np.ndarray:
-    # sum over products (a matmul: sum(axis=1) is ~10x slower on narrow rows);
-    # one product's array is already per replication
-    return a if a.ndim == 1 else a @ np.ones(a.shape[1])
+        law = checked_law(policy, y * eighths[:, None], T)
+    elif model.n != 2:
+        raise UnsupportedModelError("batch re-solving is implemented for n = 2")
+    else:
+        pairs = np.stack(np.meshgrid(eighths, eighths, indexing="ij"), axis=-1).reshape(-1, 2)
+        law = checked_law(policy, pairs * y[0], T)
+        law = law if law is model else None
+    if law is None:
+        raise UnsupportedModelError(
+            f"{type(policy).__name__} has no rate law the forward kernels can run: a "
+            "rate_law() that its rates_batch reproduces (for two products, the model's own "
+            "re-solving policy)")
+    return law
 
 
 # -- diagnostics -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Numpy references for compiled loops that have no numpy engine in the package.
+"""Python and numpy references for compiled loops that have no other engine in the package.
 
 Each function repeats its kernel in _kernels.c operation by operation, so the
 tests compare the two bit for bit.
@@ -7,7 +7,110 @@ tests compare the two bit for bit.
 import numpy as np
 
 from fluidpricing import rng
+from fluidpricing.demand import KIND_BERNOULLI, MultiDemandModel
 from fluidpricing.fluid import box_qp2_batch
+from fluidpricing.policies import ValueTable
+from fluidpricing.sim import BatchResult, SimTrace, gamma
+
+
+def decide(model, policy, y: float, t: int):
+    """One state's (price, rate) in Python floats, None when y <= 0 (shut off).
+
+    The rate is min(max(y / t, lo), hi) for a (lo, hi) law and the action
+    actions[t, int(y)] for a DP table, priced by model.inverse_demand.
+    """
+    if y <= 0:
+        return None
+    law = policy.rate_law()
+    if isinstance(law, ValueTable):
+        rate = float(law.actions[t, int(y)])
+    else:
+        lo, hi = law
+        rate = min(max(y / t, lo), hi)
+    return model.inverse_demand(rate), rate
+
+
+def simulate(model, policy, T: int, y0, seed: int) -> SimTrace:
+    """One trace, period by period in Python floats on the stream keyed by seed mod 2**64.
+
+    The reference of sim.simulate, one replication of the forward kernel.
+    """
+    u = rng.uniform_block(seed, 0, T)
+    is_bernoulli = model.kind == KIND_BERNOULLI
+    w = 0.0 if is_bernoulli else float(model.noise_half_width)
+    price, rate, xi, realized, inventory, revenue = (np.empty(T) for _ in range(6))
+    y = float(y0)
+    for i in range(T):
+        t = T - i
+        dec = decide(model, policy, y, t)
+        if dec is None:
+            price[i], rate[i], xi[i], realized[i], revenue[i] = np.inf, 0.0, 0.0, 0.0, 0.0
+            inventory[i] = y
+            continue
+        p, d = dec
+        if is_bernoulli:
+            sale = 1.0 if u[i] < d else 0.0
+            xi[i] = sale - d
+            realized[i] = sale
+        else:
+            xi[i] = (2.0 * u[i] - 1.0) * w
+            realized[i] = d + xi[i]
+        sold = min(realized[i], y)
+        price[i], rate[i] = p, d
+        revenue[i] = p * sold
+        y = max(0.0, y - realized[i])
+        inventory[i] = y
+    return SimTrace(T=T, y0=float(y0), seed=int(seed), tau_remaining=np.arange(T, 0, -1),
+                    price=price, demand_rate=rate, xi=xi, realized_demand=realized,
+                    inventory_after=inventory, revenue=revenue)
+
+
+def simulate_batch(model, policy, T: int, y0, base_seed: int, n_reps: int,
+                   track_t_sharp: bool = False) -> BatchResult:
+    """n_reps replications in lockstep, one numpy step per period, rates from
+    policy.rates_batch.  The reference of the forward and forward2 kernels
+    (see sim.simulate_batch for the streams and the dynamics).
+    """
+    multi = isinstance(model, MultiDemandModel)
+    n = model.n if multi else 1
+    unit_sales = multi or model.kind == KIND_BERNOULLI
+    w = 0.0 if unit_sales else float(model.noise_half_width)
+    seeds = rng.replication_seed(base_seed, np.arange(n_reps))
+    keys, products = (seeds[:, None], np.arange(n)) if multi else (seeds, 0)
+    y = np.full((n_reps, *np.shape(y0)), y0, dtype=float)
+    total, sum_xi, harm = np.zeros(n_reps), np.zeros(n_reps), np.zeros(n_reps)
+    t_sharp = np.full(n_reps, 2, dtype=int)
+    gam = gamma(model, float(y0) / T) if track_t_sharp else 0.0
+    undecided = np.ones(n_reps, dtype=bool)
+    for i in range(T):
+        t = T - i
+        u = rng.uniforms(keys, i * n + products)
+        active = y > 0
+        rates = np.where(active, policy.rates_batch(y, t), 0.0)
+        prices = np.where(active, model.price_of_rate(rates), 0.0)
+        if unit_sales:
+            realized = (u < rates).astype(float)
+            xi = realized - rates
+        else:
+            xi = (2.0 * u - 1.0) * w
+            realized = rates + xi
+        xi, realized = np.where(active, xi, 0.0), np.where(active, realized, 0.0)
+        total += _per_rep(prices * np.minimum(realized, y))
+        sum_xi += _per_rep(xi)
+        y = np.maximum(0.0, y - realized)
+        if track_t_sharp and t >= 2:
+            harm += xi / (t - 1)
+            exited = undecided & (np.abs(harm) > gam)
+            t_sharp[exited] = t
+            undecided &= ~exited
+    return BatchResult(total_revenue=total, sum_xi=sum_xi,
+                       t_sharp=t_sharp if track_t_sharp else None)
+
+
+def _per_rep(a: np.ndarray) -> np.ndarray:
+    # sum over products (a matmul: sum(axis=1) is ~10x slower on narrow rows);
+    # one product's array is already per replication
+    return a if a.ndim == 1 else a @ np.ones(a.shape[1])
 
 
 def backward_multi(model, T: int, V: np.ndarray) -> None:

@@ -28,28 +28,33 @@ from fluidpricing import (
 from fluidpricing import cli
 from fluidpricing import policies as policies_module
 from fluidpricing.policies import _backward
-from fluidpricing.sim import ho_inner_values, simulate_batch, simulate_batch_multi
+from fluidpricing.sim import ho_inner_values, simulate, simulate_batch, simulate_batch_multi
 
+import oracles
 from conftest import two_product_models
-from oracles import backward_multi
+
+
+def _price_and_rate(pol, y, t):
+    """The rate rates_batch gives the one state (y, t), and its price_of_rate."""
+    rate = pol.rates_batch(np.array([float(y)]), t)
+    return float(pol.model.price_of_rate(rate)[0]), float(rate[0])
 
 
 class TestStaticPolicy:
     def test_limited_inventory_price(self, bernoulli_model):
         pol = static_policy(bernoulli_model, 5 / 16)
         for y, t in [(20, 64), (3, 5), (1, 1)]:
-            dec = pol.decide(y, t)
-            assert dec.price == pytest.approx(7 / 8)
-            assert not dec.shut_off
+            price, rate = _price_and_rate(pol, y, t)
+            assert price == pytest.approx(7 / 8)
+            assert rate > 0.0
 
     def test_ample_inventory_prices_at_optimum(self, bernoulli_model):
         pol = static_policy(bernoulli_model, 0.5)
-        assert pol.decide(10, 20).price == pytest.approx(
+        assert _price_and_rate(pol, 10, 20)[0] == pytest.approx(
             bernoulli_model.inverse_demand(bernoulli_model.x_u))
 
     def test_shut_off_at_zero(self, bernoulli_model):
-        dec = static_policy(bernoulli_model, 5 / 16).decide(0, 7)
-        assert dec.shut_off and dec.demand_rate == 0.0
+        assert _price_and_rate(static_policy(bernoulli_model, 5 / 16), 0, 7)[1] == 0.0
 
     def test_requires_positive_inventory_rate(self, bernoulli_model):
         with pytest.raises(DomainError):
@@ -59,28 +64,33 @@ class TestStaticPolicy:
 class TestResolvingPolicy:
     def test_matches_fluid_solution(self, bernoulli_model):
         pol = resolving_policy(bernoulli_model)
-        dec = pol.decide(5, 16)  # x_t = 5/16 < x_u
-        assert dec.price == pytest.approx(7 / 8)
-        assert dec.demand_rate == pytest.approx(5 / 16)
+        price, rate = _price_and_rate(pol, 5, 16)  # x_t = 5/16 < x_u
+        assert price == pytest.approx(7 / 8)
+        assert rate == pytest.approx(5 / 16)
 
     def test_min_rule_above_optimum(self, bernoulli_model):
-        dec = resolving_policy(bernoulli_model).decide(30, 40)  # 0.75 > x_u
-        assert dec.demand_rate == pytest.approx(bernoulli_model.x_u)
-        assert dec.price == pytest.approx(0.75)
+        price, rate = _price_and_rate(resolving_policy(bernoulli_model), 30, 40)  # 0.75 > x_u
+        assert rate == pytest.approx(bernoulli_model.x_u)
+        assert price == pytest.approx(0.75)
 
     def test_clamps_below_demand_floor(self, bernoulli_model):
-        dec = resolving_policy(bernoulli_model).decide(1, 10)  # 0.1 < d_lo
-        assert dec.demand_rate == pytest.approx(bernoulli_model.d_lo)
-        assert dec.price == pytest.approx(1.0)
+        price, rate = _price_and_rate(resolving_policy(bernoulli_model), 1, 10)  # 0.1 < d_lo
+        assert rate == pytest.approx(bernoulli_model.d_lo)
+        assert price == pytest.approx(1.0)
 
     def test_shut_off(self, bernoulli_model):
-        assert resolving_policy(bernoulli_model).decide(0, 9).shut_off
+        assert _price_and_rate(resolving_policy(bernoulli_model), 0, 9)[1] == 0.0
+        # a trace posts no price (inf) once the inventory is gone
+        trace = simulate(bernoulli_model, resolving_policy(bernoulli_model), 9, 0, seed=1)
+        assert np.all(np.isinf(trace.price)) and np.all(trace.demand_rate == 0.0)
 
     def test_rates_batch_matches_decide(self, bernoulli_model):
         pol = resolving_policy(bernoulli_model)
         y = np.array([0, 1, 5, 30])
         rates = pol.rates_batch(y, 16)
-        expected = [0.0] + [pol.decide(int(v), 16).demand_rate for v in y[1:]]
+        # the scalar reference decide: None (shut off) at 0, else (price, rate)
+        assert oracles.decide(bernoulli_model, pol, 0, 16) is None
+        expected = [0.0] + [oracles.decide(bernoulli_model, pol, int(v), 16)[1] for v in y[1:]]
         assert rates.tobytes() == np.array(expected).tobytes()
 
 
@@ -194,8 +204,9 @@ def _scalar_bellman(model, T, y_max, policies):
         for name, pol in policies.items():
             W = rows[name]
             new[name] = [0.0]
+            lo, hi = pol.rate_law()
             for y in range(1, y_max + 1):
-                d = pol.decide(y, t).demand_rate
+                d = min(max(y / t, lo), hi)
                 new[name].append(d * (a - d) / b + d * W[y - 1] + (1.0 - d) * W[y])
         rows = history[t] = new
     return history
@@ -276,19 +287,20 @@ class TestFusedKernel:
                                                  multi_model, monkeypatch, capsys):
         pols = {"static": static_policy(bernoulli_model, 5 / 16),
                 "resolving": resolving_policy(bernoulli_model)}
+        table = solve_dp(bernoulli_model, 64, 20)
         kernel_paths = [lambda: exact_values(bernoulli_model, [(64, 20), (9, 0)], pols),
+                        lambda: simulate(bernoulli_model, pols["static"], 64, 20, 7),
                         lambda: simulate_batch(bernoulli_model, pols["resolving"], 80, 25, 3, 50),
+                        lambda: simulate_batch(bernoulli_model, table.policy(), 64, 20, 5, 40),
                         lambda: simulate_batch_multi(multi_model, 40, [10, 20.5], 3, 30),
                         lambda: ho_inner_values(additive_model, 2100, 0.3, 4, 30),
                         lambda: solve_dp_multi(multi_model, 24, [6, 12])]
 
         def lawless():
-            # a DpPolicy has no rate law: its passes and runs never need the kernels
+            # solve_dp and the exact values of a DpPolicy run the numpy pass
             table = solve_dp(bernoulli_model, 64, 20)
-            batch = simulate_batch(bernoulli_model, table.policy(), 64, 20, 5, 40, True)
             return (table.values.tobytes(), table.actions.tobytes(),
-                    exact_values(bernoulli_model, [(64, 20), (30, 12)], {"t": table.policy()}),
-                    [a.tobytes() for a in (batch.total_revenue, batch.sum_xi, batch.t_sharp)])
+                    exact_values(bernoulli_model, [(64, 20), (30, 12)], {"t": table.policy()}))
 
         want = lawless()
 
@@ -346,15 +358,14 @@ class TestFusedKernel:
         assert policies_module.checked_law(floored, ys, 64) is None
         assert policies_module.checked_law(LastCall(bernoulli_model), ys, 64) is None
         assert policies_module.checked_law(resolving_policy(bernoulli_model), ys, 64) is not None
-        found = exact_values(bernoulli_model, [(64, 20), (30, 40)], {"floored": floored})
-        got = np.array([list(values.values()) for values in found])
-        assert got.tobytes() == _backward_values(
-            bernoulli_model, [(64, 20), (30, 40)], {"floored": floored}).tobytes()
-        batch = simulate_batch(bernoulli_model, floored, 64, 20, 5, 40)
-        numpy_loop = simulate_batch(bernoulli_model, NoLaw(floored), 64, 20, 5, 40)
-        law = simulate_batch(bernoulli_model, resolving_policy(bernoulli_model), 64, 20, 5, 40)
-        assert batch.total_revenue.tobytes() == numpy_loop.total_revenue.tobytes()
-        assert batch.total_revenue.tobytes() != law.total_revenue.tobytes()
+        for pol in (floored, NoLaw(floored)):
+            found = exact_values(bernoulli_model, [(64, 20), (30, 40)], {"pol": pol})
+            got = np.array([list(values.values()) for values in found])
+            assert got.tobytes() == _backward_values(
+                bernoulli_model, [(64, 20), (30, 40)], {"pol": pol}).tobytes()
+            # the numpy pass is exact evaluation's only loop: no forward kernel runs them
+            with pytest.raises(UnsupportedModelError, match="no rate law"):
+                simulate_batch(bernoulli_model, pol, 64, 20, 5, 40)
 
     def test_build_prunes_superseded_libraries(self, tmp_path, monkeypatch):
         monkeypatch.setattr(policies_module, "_CACHE", tmp_path)
@@ -459,12 +470,12 @@ class TestDispatchedBackward:
 class TestHindsightPolicy:
     def test_zero_mean_noise_matches_static(self, additive_model):
         pol = ho_policy(additive_model, 5 / 16, 0.0)
-        assert pol.decide(10, 20).price == pytest.approx(7 / 8)
+        assert _price_and_rate(pol, 10, 20)[0] == pytest.approx(7 / 8)
 
     def test_shifted_price(self, additive_model):
         w = additive_model.noise_half_width
         pol = ho_policy(additive_model, 5 / 16, w)
-        assert pol.decide(10, 20).price == pytest.approx(
+        assert _price_and_rate(pol, 10, 20)[0] == pytest.approx(
             additive_model.inverse_demand(5 / 16 + w))
 
     def test_bernoulli_rejected(self, bernoulli_model):
@@ -492,7 +503,8 @@ class TestRateLaw:
            xi=st.floats(-1.0, 1.0))
     def test_every_shipped_law_holds_at_every_positive_inventory(self, family, t, x_T, y, xi):
         """rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0, fractional or not, 0 at 0;
-        the scalar decide gives the same rate, bit for bit, at the price price_of_rate."""
+        the scalar reference decide gives the same rate, bit for bit, at the price
+        price_of_rate."""
         model = {"bernoulli": _LAW_BERNOULLI, "additive": _LAW_ADDITIVE}[family]
         y = np.array(y, dtype=float)
         scalar = [static_policy(model, x_T), resolving_policy(model)]
@@ -508,12 +520,12 @@ class TestRateLaw:
         for pol in scalar:
             rates = pol.rates_batch(y, t)
             for state, rate in zip(y.tolist(), rates):
-                dec = pol.decide(state, t)
-                assert np.float64(dec.demand_rate).tobytes() == rate.tobytes()
-                assert dec.shut_off == (state <= 0)
-                if state > 0:
+                dec = oracles.decide(model, pol, state, t)
+                assert (dec is None) == (state <= 0)
+                if dec is not None:
+                    assert np.float64(dec[1]).tobytes() == rate.tobytes()
                     price = model.price_of_rate(rate)
-                    assert np.float64(dec.price).tobytes() == price.tobytes()
+                    assert np.float64(dec[0]).tobytes() == price.tobytes()
 
 
 _LAW_BERNOULLI = DemandModel.linear_bernoulli(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0)
@@ -536,7 +548,7 @@ class TestSolveDpMulti:
     def test_kernel_matches_numpy_pass_bitwise(self, model, T, y0):
         got, want = np.zeros((y0[0] + 1, y0[1] + 1)), np.zeros((y0[0] + 1, y0[1] + 1))
         policies_module._kernel().backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
-        backward_multi(model, T, want)
+        oracles.backward_multi(model, T, want)
         assert got.tobytes() == want.tobytes()
         assert solve_dp_multi(model, T, y0) == want[y0]
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from fluidpricing import (
     constant_bound,
     diagnostics,
     estimate_regret,
+    exact_values,
     fluid_value,
     gamma,
     harmonic_identity_check,
@@ -26,16 +29,18 @@ from fluidpricing import (
     static_policy,
 )
 from fluidpricing import policies, rng
+from fluidpricing import sim as sim_module
 from fluidpricing.policies import (
     MultiResolvingPolicy,
+    ResolvingPolicy,
     checked_law,
     exact_policy_values,
     multi_resolving_policy,
 )
 from fluidpricing.sim import NOISE_CHUNK, ho_batch_policy, ho_inner_values, parse_y0_rule
 
+import oracles
 from conftest import two_product_models
-from oracles import noise_sum
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +91,38 @@ class TestSimulate:
             np.testing.assert_allclose(tr.realized_demand[active],
                                        tr.demand_rate[active] + tr.xi[active], atol=1e-12)
 
-    def test_policy_error_carries_period(self, bernoulli_model):
-        class Broken:
-            def decide(self, y, t):
-                if t == 5:
-                    raise DomainError("boom")
-                return resolving_policy(bernoulli_model).decide(y, t)
+    def test_policy_without_rate_law_is_refused(self, bernoulli_model):
+        class Floored(ResolvingPolicy):
+            # overrides rates_batch only, so the inherited law no longer holds
+            def rates_batch(self, y, t):
+                return np.maximum(super().rates_batch(y, t), 0.3)
 
-        with pytest.raises(DomainError, match="remaining period 5"):
-            simulate(bernoulli_model, Broken(), 8, 3, seed=0)
+        for pol in (_RatesOnly(resolving_policy(bernoulli_model)), Floored(bernoulli_model)):
+            with pytest.raises(UnsupportedModelError, match="no rate law"):
+                simulate(bernoulli_model, pol, 8, 3, seed=0)
+            with pytest.raises(UnsupportedModelError, match="no rate law"):
+                simulate_batch(bernoulli_model, pol, 8, 3, 0, 4)
+
+    @pytest.mark.parametrize("entry, T, y0", [
+        (entry, T, y0) for entry in ("simulate", "simulate_batch", "exact_values")
+        for T, y0 in ((32, 5), (16, 12), (16, 4.5))
+        if not (entry == "exact_values" and y0 == 4.5)])  # its points are whole units
+    def test_dp_policy_beyond_its_table_is_refused(self, bernoulli_model, monkeypatch,
+                                                   entry, T, y0):
+        # the table covers T <= 16 periods from y0 <= 10 whole units
+        pol = solve_dp(bernoulli_model, 16, 10).policy()
+        run = {"simulate": lambda: simulate(bernoulli_model, pol, T, y0, seed=3),
+               "simulate_batch": lambda: simulate_batch(bernoulli_model, pol, T, y0, 3, 8),
+               "exact_values": lambda: exact_values(bernoulli_model, [(T, y0)], {"t": pol})}
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a kernel or pass ran")
+
+        monkeypatch.setattr(sim_module, "_kernel", no_pass)
+        monkeypatch.setattr(policies, "_numpy_pass", no_pass)
+        monkeypatch.setattr(policies, "_fused_pass", no_pass)
+        with pytest.raises(DomainError, match="DP table of horizon 16"):
+            run[entry]()
 
     def test_batch_agrees_with_single_traces(self, bernoulli_model):
         pol = resolving_policy(bernoulli_model)
@@ -179,7 +207,8 @@ _ENGINE_MODELS = {
 @given(family=st.sampled_from(sorted(_ENGINE_MODELS)), static=st.booleans(),
        T=st.integers(1, 60), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
 def test_engine_invariants(family, static, T, fill, seed):
-    """Inventory never increases, sales never exceed it, revenue is >= 0."""
+    """Inventory never increases, sales never exceed it, revenue is >= 0: seen in the
+    states the numpy reference hands to the policy, whose bits the kernels repeat."""
     model = _ENGINE_MODELS[family]
     if family == "two-product":
         y0 = np.array([round(fill * T), round(fill * T / 2)], dtype=float)
@@ -189,21 +218,59 @@ def test_engine_invariants(family, static, T, fill, seed):
         pol = (static_policy(model, max(y0, 1) / T) if static else resolving_policy(model))
         max_revenue = model.interval.p_hi * y0
     rec = _Recorder(pol)
-    batch = simulate_batch(model, rec, T, y0, seed, 40)
+    reference = oracles.simulate_batch(model, rec, T, y0, seed, 40)
     states = np.stack(rec.states)
     assert len(states) == T and np.all(states[0] == y0)
     assert np.all(np.diff(states, axis=0) <= 0.0)  # inventory never increases
     assert np.all(states >= 0.0)  # each period sells at most what is left
-    assert np.all(batch.total_revenue >= 0.0)
+    assert np.all(reference.total_revenue >= 0.0)
     # every price is at most the price of a zero rate, and at most y0 units sell
-    assert np.all(batch.total_revenue <= max_revenue + 1e-9)
+    assert np.all(reference.total_revenue <= max_revenue + 1e-9)
+    batch = simulate_batch(model, pol, T, y0, seed, 40)
+    assert batch.total_revenue.tobytes() == reference.total_revenue.tobytes()
 
 
-class _NumpyEngine:
-    """A policy's rates_batch without its rate_law: simulate_batch runs the numpy loop."""
+class _RatesOnly:
+    """A policy's rates_batch without its rate_law, which no forward kernel runs."""
 
     def __init__(self, policy):
         self.rates_batch = policy.rates_batch
+
+
+_TRACE_FIELDS = ("tau_remaining", "price", "demand_rate", "xi", "realized_demand",
+                 "inventory_after", "revenue")
+_TRACE_MODELS = {**_ENGINE_MODELS, "zero-noise": DemandModel.linear_additive(
+    alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0, noise_half_width=0.0)}
+# the rate laws each family runs: hindsight needs additive noise, a DP table bernoulli
+_TRACE_LAWS = [(family, name) for family in ("bernoulli", "additive", "zero-noise")
+               for name in ("static", "resolving", "ho", "dp")
+               if name not in ("ho", "dp") or (name == "dp") == (family == "bernoulli")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=st.sampled_from(_TRACE_LAWS), T=st.integers(1, 200),
+       start=st.sampled_from(["empty", "fractional", "ample"]), fill=st.floats(0.0, 1.0),
+       seed=st.one_of(st.sampled_from([-3, 0, 2**63 + 5, 2**64 - 1]),
+                      st.integers(-2**70, 2**70)))
+def test_simulate_matches_scalar_oracle_bitwise(law, T, start, fill, seed):
+    """One trace of the forward kernel is the scalar loop's trace, byte for byte."""
+    family, name = law
+    model = _TRACE_MODELS[family]
+    y0 = {"empty": 0, "fractional": fill * T * 0.6, "ample": T + 1 + fill * T}[start]
+    x_T = max(y0, 0.5) / T
+    if name == "dp":
+        y0 = math.ceil(y0)  # a DP table runs whole units
+        pol = solve_dp(model, T, y0).policy()
+    elif name == "ho":
+        pol = ho_policy(model, x_T, (2.0 * fill - 1.0) * model.noise_half_width)
+    else:
+        pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
+    got = simulate(model, pol, T, y0, seed)
+    want = oracles.simulate(model, pol, T, y0, seed)
+    assert (got.T, got.y0, got.seed) == (want.T, want.y0, want.seed)
+    for field in _TRACE_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 class TestForwardKernel:
@@ -222,19 +289,27 @@ class TestForwardKernel:
         else:
             pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
         got = simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
-        want = simulate_batch(model, _NumpyEngine(pol), T, y0, seed, reps, track_t_sharp=track)
-        assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
-        assert got.sum_xi.tobytes() == want.sum_xi.tobytes()
-        if track:
-            assert got.t_sharp.dtype == want.t_sharp.dtype
-            assert got.t_sharp.tobytes() == want.t_sharp.tobytes()
-        else:
-            assert got.t_sharp is None and want.t_sharp is None
+        want = oracles.simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
+        _assert_same_batch(got, want, track)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["bernoulli", "additive"]), T=st.integers(1, 120),
+           cover=st.tuples(st.integers(0, 20), st.integers(0, 40)), fill=st.floats(0.0, 1.5),
+           reps=st.integers(1, 30), seed=st.integers(0, 2**64 - 1), track=st.booleans())
+    def test_dp_table_matches_numpy_engine_bitwise(self, family, T, cover, fill, reps, seed,
+                                                   track):
+        # the table may reach beyond T and y0; additive sales leave fractional inventory
+        y0 = round(fill * T)
+        table = solve_dp(_ENGINE_MODELS["bernoulli"], T + cover[0], y0 + cover[1])
+        model, pol = _ENGINE_MODELS[family], table.policy()
+        got = simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
+        want = oracles.simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
+        _assert_same_batch(got, want, track)
 
     @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
     def test_noise_sum_matches_numpy_chunked_sum(self, additive_model, T):
         seeds = rng.replication_seed(12, np.arange(9))
-        want = noise_sum(seeds, T, NOISE_CHUNK)
+        want = oracles.noise_sum(seeds, T, NOISE_CHUNK)
         got = np.zeros(seeds.size)
         policies._kernel().noise_sum(seeds.size, T, NOISE_CHUNK, seeds, got)
         assert got.tobytes() == want.tobytes()
@@ -253,7 +328,7 @@ class TestForwardKernel:
         pol = multi_resolving_policy(model)
         assert checked_law(pol, np.array([y0]), T) is model  # so forward2 runs
         got = simulate_batch(model, pol, T, y0, seed, reps)
-        want = simulate_batch(model, _NumpyEngine(pol), T, y0, seed, reps)
+        want = oracles.simulate_batch(model, pol, T, y0, seed, reps)
         assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
         assert got.sum_xi.tobytes() == want.sum_xi.tobytes()
         assert got.t_sharp is None
@@ -264,7 +339,7 @@ class TestForwardKernel:
         # an ulp apart and tie in value exactly: both engines keep the earlier one
         pol = multi_resolving_policy(multi_model)
         got = simulate_batch(multi_model, pol, T, y0, 4, 200)
-        want = simulate_batch(multi_model, _NumpyEngine(pol), T, y0, 4, 200)
+        want = oracles.simulate_batch(multi_model, pol, T, y0, 4, 200)
         assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
 
     def test_two_product_asymmetric_H_prices_by_rows(self):
@@ -272,10 +347,10 @@ class TestForwardKernel:
         model = MultiDemandModel(g=[1.0, 0.9], H=[[-2.0, -0.3], [-0.7, -1.6]], box_hi=[1.0, 1.0])
         pol = multi_resolving_policy(model)
         got = simulate_batch(model, pol, 50, [12, 30], 6, 100)
-        want = simulate_batch(model, _NumpyEngine(pol), 50, [12, 30], 6, 100)
+        want = oracles.simulate_batch(model, pol, 50, [12, 30], 6, 100)
         assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
 
-    def test_two_product_policy_departing_from_its_law_keeps_numpy_loop(self, multi_model):
+    def test_two_product_policy_departing_from_its_law_is_refused(self, multi_model):
         class Capped(MultiResolvingPolicy):
             # overrides rates_batch only, so the inherited law no longer holds
             def rates_batch(self, y, t):
@@ -283,17 +358,22 @@ class TestForwardKernel:
 
         capped = Capped(multi_model)
         assert checked_law(capped, np.array([[4.0, 8.0]]), 16) is None
-        batch = simulate_batch(multi_model, capped, 16, [4, 8], 5, 40)
-        numpy_loop = simulate_batch(multi_model, _NumpyEngine(capped), 16, [4, 8], 5, 40)
-        law = simulate_batch(multi_model, multi_resolving_policy(multi_model), 16, [4, 8], 5, 40)
-        assert batch.total_revenue.tobytes() == numpy_loop.total_revenue.tobytes()
-        assert batch.total_revenue.tobytes() != law.total_revenue.tobytes()
-        # a policy that re-solves another model keeps its own rates
+        # nor does forward2 run a policy that re-solves another model, or rates alone
         other = multi_resolving_policy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
                                                         box_hi=[0.3, 1.0]))
-        batch = simulate_batch(multi_model, other, 16, [4, 8], 5, 40)
-        numpy_loop = simulate_batch(multi_model, _NumpyEngine(other), 16, [4, 8], 5, 40)
-        assert batch.total_revenue.tobytes() == numpy_loop.total_revenue.tobytes()
+        for pol in (capped, other, _RatesOnly(multi_resolving_policy(multi_model))):
+            with pytest.raises(UnsupportedModelError, match="no rate law"):
+                simulate_batch(multi_model, pol, 16, [4, 8], 5, 40)
+
+
+def _assert_same_batch(got, want, track: bool) -> None:
+    assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
+    assert got.sum_xi.tobytes() == want.sum_xi.tobytes()
+    if track:
+        assert got.t_sharp.dtype == want.t_sharp.dtype
+        assert got.t_sharp.tobytes() == want.t_sharp.tobytes()
+    else:
+        assert got.t_sharp is None and want.t_sharp is None
 
 
 class TestDiagnostics:
