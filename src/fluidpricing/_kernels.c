@@ -1,14 +1,15 @@
 /* Compiled loops of fluidpricing, loaded with ctypes by policies._kernel.
  *
- * Each entry point reproduces a numpy loop operation by operation, so both
- * agree bit for bit as long as the compiler does not contract a * b + c into
- * a fused multiply-add (-ffp-contract=off).  The numpy twins are the
- * package's own pass for backward and the references in tests/oracles.py
- * for the others:
+ * Each entry point reproduces a Python or numpy loop operation by operation,
+ * so both agree bit for bit as long as the compiler does not contract
+ * a * b + c into a fused multiply-add (-ffp-contract=off).  These loops are
+ * the package's only engines; their twins are the references in
+ * tests/oracles.py:
  *
- *   backward   the exact backward pass (policies._backward);
+ *   backward   the exact backward pass of policies.solve_dp and
+ *              policies.exact_values (oracles.backward);
  *   forward    the one-product Monte Carlo engine of sim.simulate and
- *              sim.simulate_batch (oracles.simulate_batch);
+ *              sim.simulate_batch (oracles.simulate, oracles.simulate_batch);
  *   noise_sum  the noise mean of the hindsight benchmark (oracles.noise_sum);
  *   forward2   the two-product re-solving Monte Carlo engine of
  *              sim.simulate_batch (oracles.simulate_batch);
@@ -50,9 +51,12 @@ static double clip(double x, double lo, double hi)
  * Fused backward induction over the (remaining periods, inventory) lattice.
  * values is a (rows x width) row-major array: row 0 holds the optimal value
  * V(t, y), row 1 + i the value of a policy whose demand rate is
- * clip(y / t, lo[i], hi[i]); lo[i] == hi[i] is a constant rate.  Every row
- * gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), with the rate, the clip
- * and the update evaluated in the operation order of the numpy pass.
+ * clip(y / t, lo[i], hi[i]) (lo[i] == hi[i] is a constant rate) when
+ * tables[i] is NULL, else the DP action tables[i][t * strides[i] + y] of a
+ * row-major table.  Every row gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y),
+ * with the rate, the clip and the update evaluated in the operation order of
+ * oracles.backward.  Unless record is NULL, row 0 is copied into row t of the
+ * row-major (t_to + 1) x width array record after each period t.
  *
  * One call advances the rows from period t_from to t_to, updating only the
  * cells y in [max(1, cone + t), y_hi] that a requested point can still
@@ -97,6 +101,17 @@ static void ratio_row(double *restrict w, const double *restrict ys, long first,
     }
 }
 
+/* The rate acts[y], one period's row of a DP table */
+static void table_row(double *restrict w, const double *restrict acts, long first,
+                      long last, double alpha, double beta)
+{
+    for (long y = last; y >= first; y--) {
+        double below = w[y - 1], here = w[y];
+        double d = acts[y];
+        w[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
+    }
+}
+
 /* The last y in [first - 1, last] with ys[y] / t <= edge (first - 1 if none):
  * y / t is monotone in y, so step from the guess edge * t to the exact edge,
  * deciding each cell by the division the row itself evaluates. */
@@ -135,20 +150,30 @@ static void clipped_row(double *w, const double *ys, long first, long last,
 
 BACKWARD_CLONES
 void backward(double *values, long rows, long width, const double *ys,
-              const double *lo, const double *hi, double alpha, double beta,
-              double d_lo, double d_hi, long t_from, long t_to, long cone,
-              long y_hi, int triangle)
+              const double *lo, const double *hi, const double *const *tables,
+              const int64_t *strides, double alpha, double beta, double d_lo,
+              double d_hi, long t_from, long t_to, long cone, long y_hi,
+              int triangle, double *record)
 {
     for (long t = t_from + 1; t <= t_to; t++) {
         long first = cone + t > 1 ? cone + t : 1;
         long last = triangle && t < y_hi ? t : y_hi;
         optimal_row(values, first, last, alpha, beta, d_lo, d_hi);
-        for (long r = 1; r < rows; r++)
-            clipped_row(values + r * width, ys, first, last, (double)t,
-                        lo[r - 1], hi[r - 1], alpha, beta);
+        for (long r = 1; r < rows; r++) {
+            const double *table = tables[r - 1];
+            if (table)
+                table_row(values + r * width, table + t * strides[r - 1], first,
+                          last, alpha, beta);
+            else
+                clipped_row(values + r * width, ys, first, last, (double)t,
+                            lo[r - 1], hi[r - 1], alpha, beta);
+        }
         if (triangle && t < y_hi)
             for (long r = 0; r < rows; r++)
                 values[r * width + t + 1] = values[r * width + t];
+        if (record)
+            for (long y = 0; y < width; y++)
+                record[t * width + y] = values[y];
     }
 }
 

@@ -163,47 +163,38 @@ def _require_bernoulli(model: DemandModel, what: str) -> None:
         raise UnsupportedModelError(f"{what} requires bernoulli (unit-sale) demand")
 
 
-def _backward(model: DemandModel, T: int, y_max: int, policies=()):
-    """Yield (t, values, rates) for t = 1..T, both arrays updated in place.
-
-    Row 0 is V(t, y), whose rate clip((alpha + beta*(V(t-1,y-1) - V(t-1,y)))/2,
-    d_lo, d_hi) maximizes the concave one-step objective; row 1 + i is the
-    value of policies[i].  Every row gets r(d) + d*W(t-1,y-1) + (1-d)*W(t-1,y).
-    """
-    alpha, beta, d_lo, d_hi = model.alpha, model.beta, model.d_lo, model.d_hi
-    values = np.zeros((1 + len(policies), y_max + 1))
-    rates = np.empty((1 + len(policies), y_max))
-    acc, tmp = np.empty_like(rates), np.empty_like(rates)
-    below, here, d = values[:, :-1], values[:, 1:], rates[0]
-    y_pos = np.arange(1, y_max + 1)
-    for t in range(1, T + 1):
-        np.clip((alpha + beta * (below[0] - here[0])) / 2.0, d_lo, d_hi, out=d)
-        for row, pol in enumerate(policies, 1):
-            rates[row] = pol.rates_batch(y_pos, t)
-        # d * (alpha - d) / beta + d * W[y-1] + (1 - d) * W[y], in that order
-        np.subtract(alpha, rates, out=acc)
-        np.multiply(rates, acc, out=acc)
-        np.divide(acc, beta, out=acc)
-        np.multiply(rates, below, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.subtract(1.0, rates, out=tmp)
-        np.multiply(tmp, here, out=tmp)
-        np.add(acc, tmp, out=here)
-        yield t, values, rates
+def _whole_point(T, y0) -> tuple[int, int]:
+    """(T, y0) as ints; DomainError unless both are whole numbers, T >= 1 and y0 >= 0."""
+    if not (float(T).is_integer() and float(y0).is_integer() and T >= 1 and y0 >= 0):
+        raise DomainError(f"need whole numbers T >= 1 and y0 >= 0, got ({T}, {y0})")
+    return int(T), int(y0)
 
 
 def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
-    """Dense value and action tables: the backward pass's slices, (T+1)*(y0+1) each."""
+    """Dense value and action tables, (T+1)*(y0+1) each, from one backward kernel call.
+
+    The kernel records V(t, .) after every period t; actions[t, y] is the
+    maximizing rate clip((alpha + beta*(V(t-1,y-1) - V(t-1,y)))/2, d_lo, d_hi)
+    that the kernel's optimal row evaluates, with the same bits.
+    """
     _require_bernoulli(model, "exact dynamic programming")
-    if T < 1 or y0 < 0:
-        raise DomainError("need T >= 1 and y0 >= 0")
+    T, y0 = _whole_point(T, y0)
     entries = (T + 1) * (y0 + 1)
     if entries > DENSE_TABLE_MAX_ENTRIES:
         raise ResourceGuardError(f"dense value table would hold {entries} entries "
                                  f"(> {DENSE_TABLE_MAX_ENTRIES}); use exact_values instead")
-    values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
-    for t, v, d in _backward(model, T, y0):
-        values[t], actions[t, 1:] = v[0], d[0]
+    values, actions, row, empty = (np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1)),
+                                   np.zeros(y0 + 1), np.zeros(0))
+    _kernel().backward(row, 1, y0 + 1, empty, empty, empty, np.zeros(0, dtype=np.uintp),
+                       np.zeros(0, dtype=np.int64), model.alpha, model.beta, model.d_lo,
+                       model.d_hi, 0, T, -T, y0, False, values.ctypes.data)
+    # the optimal row's rate, in its operation order, in place: no table-sized temporaries
+    acts = actions[1:, 1:]
+    np.subtract(values[:-1, :-1], values[:-1, 1:], out=acts)
+    np.multiply(model.beta, acts, out=acts)
+    np.add(model.alpha, acts, out=acts)
+    np.divide(acts, 2.0, out=acts)
+    np.clip(acts, model.d_lo, model.d_hi, out=acts)
     return ValueTable(model=model, horizon=T, max_inventory=y0, values=values, actions=actions)
 
 
@@ -214,21 +205,24 @@ def exact_values(model: DemandModel, points,
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
     to the largest T reads every point, with O(max y0) memory per object.
-    When every policy has a checked_law (lo, hi), the pass is the compiled
-    fused kernel over the cells the points read (KernelUnavailableError when
-    it cannot be built); otherwise (a DpPolicy, or a policy without a law)
-    it is the numpy pass _backward.  Both give the same bits.
+    Every policy runs by its checked_law, a (lo, hi) law or a DP table, in
+    the compiled backward kernel over the cells the points read
+    (UnsupportedModelError for a policy without one, KernelUnavailableError
+    when the kernel cannot be built).
     """
     _require_bernoulli(model, "exact policy evaluation")
-    points = [(int(T), int(y0)) for T, y0 in points]
-    if not points or any(T < 1 or y0 < 0 for T, y0 in points):
-        raise DomainError("need at least one point, each with T >= 1 and y0 >= 0")
+    points = [_whole_point(T, y0) for T, y0 in points]
+    if not points:
+        raise DomainError("need at least one (T, y0) point")
     policies = dict(policies or {})
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
     laws = [checked_law(pol, ys, max(T for T, _ in points)) for pol in policies.values()]
-    rows = (_fused_pass(_kernel().backward, model, points, laws)
-            if all(isinstance(law, tuple) for law in laws)
-            else _numpy_pass(model, points, list(policies.values())))
+    for name, law in zip(policies, laws):
+        if law is None:
+            raise UnsupportedModelError(
+                f"policy {name!r} ({type(policies[name]).__name__}) has no rate law the "
+                "backward kernel can run: a rate_law() that its rates_batch reproduces")
+    rows = _fused_pass(_kernel().backward, model, points, laws)
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
 
@@ -282,30 +276,22 @@ def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
     return np.where(y > 0, np.clip(y / t, lo, hi), 0.0)
 
 
-def _numpy_pass(model: DemandModel, points, policies) -> list[list[float]]:
-    """Every row's value at each point, read from _backward over the whole lattice."""
-    due = {}
-    for i, (T, _) in enumerate(points):
-        due.setdefault(T, []).append(i)
-    out = [None] * len(points)
-    T_max, y_max = (max(axis) for axis in zip(*points))
-    for t, values, _ in _backward(model, T_max, y_max, policies):
-        for i in due.get(t, ()):
-            out[i] = values[:, points[i][1]].tolist()
-    return out
-
-
 def _fused_pass(kernel, model: DemandModel, points, laws) -> list[list[float]]:
     """Every row's value at each point, from one kernel call per distinct horizon.
 
-    Between two horizons the points still to be read are fixed, and so is
-    their cone: at period t point (T, y) reads only y - (T - t) .. y.  When
-    every policy rate is constant for y >= t (rate cap <= 1, or a constant
-    rate), V(t, y) = V(t, t) there, and the point is read at min(y0, T).
+    A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
+    two horizons the points still to be read are fixed, and so is their
+    cone: at period t point (T, y) reads only y - (T - t) .. y.  When every
+    policy rate is a (lo, hi) law constant for y >= t (rate cap <= 1, or a
+    constant rate), V(t, y) = V(t, t) there, and the point is read at min(y0, T).
     """
-    lo = np.array([law[0] for law in laws], dtype=float)
-    hi = np.array([law[1] for law in laws], dtype=float)
-    triangle = bool(np.all(hi <= np.maximum(lo, 1.0)))
+    acts = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
+            else None for law in laws]
+    tables = np.array([0 if a is None else a.ctypes.data for a in acts], dtype=np.uintp)
+    strides = np.array([0 if a is None else a.shape[1] for a in acts], dtype=np.int64)
+    lo, hi = (np.array([0.0 if a is not None else law[k] for a, law in zip(acts, laws)],
+                       dtype=float) for k in (0, 1))
+    triangle = not tables.any() and bool(np.all(hi <= np.maximum(lo, 1.0)))
     reads = [min(y0, T) if triangle else y0 for T, y0 in points]
     values = np.zeros((1 + len(laws), max(reads) + 1))
     ys = np.arange(values.shape[1], dtype=float)
@@ -314,8 +300,9 @@ def _fused_pass(kernel, model: DemandModel, points, laws) -> list[list[float]]:
     for horizon in sorted({T for T, _ in points}):
         live = [k for k, (T, _) in enumerate(points) if T >= horizon]
         cone = min(reads[k] - points[k][0] for k in live)
-        kernel(values, *values.shape, ys, lo, hi, model.alpha, model.beta, model.d_lo,
-               model.d_hi, done, horizon, cone, max(reads[k] for k in live), triangle)
+        kernel(values, *values.shape, ys, lo, hi, tables, strides, model.alpha, model.beta,
+               model.d_lo, model.d_hi, done, horizon, cone, max(reads[k] for k in live),
+               triangle, None)
         for k in live:
             if points[k][0] == horizon:
                 out[k] = values[:, reads[k]].tolist()
@@ -336,8 +323,9 @@ _STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
 @functools.cache
 def _kernel():
     """The compiled loops of _kernels.c (backward, forward, noise_sum, forward2,
-    backward2), built on first use; KernelUnavailableError when they cannot be
-    built or loaded."""
+    backward2), the one engine of every exact pass and Monte Carlo batch,
+    built on first use; KernelUnavailableError when they cannot be built or
+    loaded."""
     try:
         lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -348,8 +336,10 @@ def _kernel():
             + "".join(f"\n{line}" for line in lines[-_STDERR_LINES:])) from exc
     f64, u64, i64 = (np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
                      for dtype in (np.float64, np.uint64, np.int64))
-    n, x, flag = ctypes.c_long, ctypes.c_double, ctypes.c_int
-    lib.backward.argtypes = [f64, n, n, f64, f64, f64, x, x, x, x, n, n, n, n, flag]
+    n, x, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
+    addresses = np.ctypeslib.ndpointer(dtype=np.uintp, flags="C_CONTIGUOUS")
+    lib.backward.argtypes = [f64, n, n, f64, f64, f64, addresses, i64, x, x, x, x, n, n, n, n,
+                             flag, ptr]
     lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
                             flag, x, f64, i64, flag, f64]
     lib.noise_sum.argtypes = [n, n, n, u64, f64]

@@ -163,6 +163,9 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
     if np.ndim(y0) != 0:
         raise DomainError("one product's inventory must be a number")
     reps = keys.size
+    if isinstance(policy, HindsightPolicy) and np.size(policy.lo) not in (1, reps):
+        raise DomainError(f"a hindsight policy with {np.size(policy.lo)} per-replication "
+                          f"rates cannot run {reps} replications")
     y = np.full(reps, y0, dtype=float)
     law = _kernel_law(model, policy, y, T)
     if isinstance(law, ValueTable):

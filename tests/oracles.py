@@ -1,7 +1,9 @@
-"""Python and numpy references for compiled loops that have no other engine in the package.
+"""Python and numpy references of the compiled loops, the package's only engines.
 
 Each function repeats its kernel in _kernels.c operation by operation, so the
-tests compare the two bit for bit.
+tests compare the two bit for bit: backward (backward), simulate and
+simulate_batch (forward, forward2), noise_sum (noise_sum) and backward_multi
+(backward2).
 """
 
 import numpy as np
@@ -111,6 +113,37 @@ def _per_rep(a: np.ndarray) -> np.ndarray:
     # sum over products (a matmul: sum(axis=1) is ~10x slower on narrow rows);
     # one product's array is already per replication
     return a if a.ndim == 1 else a @ np.ones(a.shape[1])
+
+
+def backward(model, T: int, y_max: int, policies=()):
+    """Yield (t, values, rates) for t = 1..T, both arrays updated in place.
+
+    Row 0 is V(t, y), whose rate clip((alpha + beta*(V(t-1,y-1) - V(t-1,y)))/2,
+    d_lo, d_hi) maximizes the concave one-step objective; row 1 + i is the
+    value of policies[i], at the rates of its rates_batch.  Every row gets
+    r(d) + d*W(t-1,y-1) + (1-d)*W(t-1,y).  The reference of the backward
+    kernel, over the whole lattice.
+    """
+    alpha, beta, d_lo, d_hi = model.alpha, model.beta, model.d_lo, model.d_hi
+    values = np.zeros((1 + len(policies), y_max + 1))
+    rates = np.empty((1 + len(policies), y_max))
+    acc, tmp = np.empty_like(rates), np.empty_like(rates)
+    below, here, d = values[:, :-1], values[:, 1:], rates[0]
+    y_pos = np.arange(1, y_max + 1)
+    for t in range(1, T + 1):
+        np.clip((alpha + beta * (below[0] - here[0])) / 2.0, d_lo, d_hi, out=d)
+        for row, pol in enumerate(policies, 1):
+            rates[row] = pol.rates_batch(y_pos, t)
+        # d * (alpha - d) / beta + d * W[y-1] + (1 - d) * W[y], in that order
+        np.subtract(alpha, rates, out=acc)
+        np.multiply(rates, acc, out=acc)
+        np.divide(acc, beta, out=acc)
+        np.multiply(rates, below, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.subtract(1.0, rates, out=tmp)
+        np.multiply(tmp, here, out=tmp)
+        np.add(acc, tmp, out=here)
+        yield t, values, rates
 
 
 def backward_multi(model, T: int, V: np.ndarray) -> None:

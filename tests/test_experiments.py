@@ -267,7 +267,6 @@ class TestCli:
         def no_pass(*args, **kwargs):
             raise AssertionError("a backward pass ran")
 
-        monkeypatch.setattr(policies, "_numpy_pass", no_pass)
         monkeypatch.setattr(policies, "_fused_pass", no_pass)
         assert cli.main(["dp-value", "--model", model_paths["bern"], "-T", "65536",
                          "--y0", "32768"]) == 4

@@ -1,5 +1,6 @@
 import ctypes
 import platform
+import re
 import subprocess
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from fluidpricing import (
 )
 from fluidpricing import cli
 from fluidpricing import policies as policies_module
-from fluidpricing.policies import _backward
 from fluidpricing.sim import ho_inner_values, simulate, simulate_batch, simulate_batch_multi
 
 import oracles
@@ -94,6 +94,15 @@ class TestResolvingPolicy:
         assert rates.tobytes() == np.array(expected).tobytes()
 
 
+@st.composite
+def _bernoulli_models(draw):
+    # alpha above 1 (within the bernoulli tolerance) can put the rate cap above 1
+    alpha = draw(st.floats(0.1, 1.0 + 9e-13))
+    beta = draw(st.floats(0.1, 2.0))
+    reach = draw(st.floats(0.2, 1.0))  # share of the demand curve the prices cover
+    return DemandModel.linear_bernoulli(alpha, beta, 0.0, reach * alpha / beta)
+
+
 class TestSolveDp:
     def test_one_period_value(self, bernoulli_model):
         table = solve_dp(bernoulli_model, 1, 3)
@@ -132,6 +141,27 @@ class TestSolveDp:
     def test_memory_guard(self, bernoulli_model):
         with pytest.raises(ResourceGuardError):
             solve_dp(bernoulli_model, 2**15, 2**15 * 5 // 16)
+
+    def test_rejects_bad_horizon_and_inventory(self, bernoulli_model):
+        for T, y0 in [(10, 3.5), (2.5, 3), (0, 3), (4, -1)]:
+            with pytest.raises(DomainError, match="whole numbers"):
+                solve_dp(bernoulli_model, T, y0)
+        table = solve_dp(bernoulli_model, 20.0, 6.0)  # whole floats are whole numbers
+        assert (table.horizon, table.max_inventory) == (20, 6)
+        assert table.values.tobytes() == solve_dp(bernoulli_model, 20, 6).values.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=_bernoulli_models(),
+           T=st.one_of(st.just(1), st.integers(1, 80)),
+           y0=st.one_of(st.just(0), st.integers(0, 60), st.integers(81, 120)))
+    def test_tables_match_backward_bitwise(self, model, T, y0):
+        """values[t] and actions[t, 1:] are row 0 of the oracle pass and its rates at t."""
+        table = solve_dp(model, T, y0)
+        values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
+        for t, v, d in oracles.backward(model, T, y0):
+            values[t], actions[t, 1:] = v[0], d[0]
+        assert table.values.tobytes() == values.tobytes()
+        assert table.actions.tobytes() == actions.tobytes()
 
     def test_sliced_matches_dense(self, bernoulli_model):
         table = solve_dp(bernoulli_model, 48, 15)
@@ -212,15 +242,6 @@ def _scalar_bellman(model, T, y_max, policies):
     return history
 
 
-@st.composite
-def _bernoulli_models(draw):
-    # alpha above 1 (within the bernoulli tolerance) can put the rate cap above 1
-    alpha = draw(st.floats(0.1, 1.0 + 9e-13))
-    beta = draw(st.floats(0.1, 2.0))
-    reach = draw(st.floats(0.2, 1.0))  # share of the demand curve the prices cover
-    return DemandModel.linear_bernoulli(alpha, beta, 0.0, reach * alpha / beta)
-
-
 class TestBackwardPass:
     @settings(max_examples=40, deadline=None)
     @given(model=_bernoulli_models(),
@@ -238,16 +259,19 @@ class TestBackwardPass:
             assert values["dp"] == solve_dp(model, T, y0).values[T, y0]
 
     def test_rejects_empty_and_bad_points(self, bernoulli_model):
-        for points in ([], [(0, 3)], [(4, -1)]):
+        for points in ([], [(0, 3)], [(4, -1)], [(16, 4.5)], [(2.5, 3)], [(8, 2), (9.5, 2)]):
             with pytest.raises(DomainError):
                 exact_values(bernoulli_model, points)
+        # whole floats are whole numbers
+        assert exact_values(bernoulli_model, [(16.0, 4.0)]) == exact_values(bernoulli_model,
+                                                                           [(16, 4)])
 
 
 def _backward_values(model, points, policies):
-    """Every row's value at each point, read from the numpy pass _backward."""
+    """Every row's value at each point, read from the reference pass oracles.backward."""
     rows = {}
-    for t, values, _ in _backward(model, max(T for T, _ in points),
-                                  max(y0 for _, y0 in points), list(policies.values())):
+    for t, values, _ in oracles.backward(model, max(T for T, _ in points),
+                                         max(y0 for _, y0 in points), list(policies.values())):
         rows.update({(T, y0): values[:, y0].copy() for T, y0 in points if T == t})
     return np.array([rows[point] for point in points])
 
@@ -283,26 +307,37 @@ class TestFusedKernel:
             model, points, {"resolving": resolving_policy(model),
                             "static": static_policy(model, x_T)})
 
+    @settings(max_examples=40, deadline=None)
+    @given(model=_bernoulli_models(), other=_bernoulli_models(),
+           points=st.lists(st.tuples(st.integers(2, 48), st.integers(0, 40)),
+                           min_size=1, max_size=4),
+           over=st.tuples(st.integers(0, 20), st.integers(0, 20)), x_T=st.floats(0.01, 1.0))
+    def test_dp_table_rows_match_backward_bitwise(self, model, other, points, over, x_T):
+        # (1, y_max): a second horizon, so a later kernel call starts at t_from > 0
+        T_max, y_max = (max(axis) for axis in zip(*points))
+        points = [*points, (1, y_max)]
+        _assert_kernel_matches_backward(model, points, {
+            "wide": solve_dp(model, T_max + over[0], y_max + over[1]).policy(),
+            "resolving": resolving_policy(model),
+            "tight": solve_dp(model, T_max, y_max).policy(),
+            "static": static_policy(model, x_T),
+            "foreign": solve_dp(other, T_max + 1, y_max + 3).policy()})
+
     def test_without_compiler_kernel_paths_raise(self, bernoulli_model, additive_model,
                                                  multi_model, monkeypatch, capsys):
         pols = {"static": static_policy(bernoulli_model, 5 / 16),
                 "resolving": resolving_policy(bernoulli_model)}
         table = solve_dp(bernoulli_model, 64, 20)
         kernel_paths = [lambda: exact_values(bernoulli_model, [(64, 20), (9, 0)], pols),
+                        lambda: solve_dp(bernoulli_model, 64, 20),
+                        lambda: exact_values(bernoulli_model, [(64, 20), (30, 12)],
+                                             {"t": table.policy()}),
                         lambda: simulate(bernoulli_model, pols["static"], 64, 20, 7),
                         lambda: simulate_batch(bernoulli_model, pols["resolving"], 80, 25, 3, 50),
                         lambda: simulate_batch(bernoulli_model, table.policy(), 64, 20, 5, 40),
                         lambda: simulate_batch_multi(multi_model, 40, [10, 20.5], 3, 30),
                         lambda: ho_inner_values(additive_model, 2100, 0.3, 4, 30),
                         lambda: solve_dp_multi(multi_model, 24, [6, 12])]
-
-        def lawless():
-            # solve_dp and the exact values of a DpPolicy run the numpy pass
-            table = solve_dp(bernoulli_model, 64, 20)
-            return (table.values.tobytes(), table.actions.tobytes(),
-                    exact_values(bernoulli_model, [(64, 20), (30, 12)], {"t": table.policy()}))
-
-        want = lawless()
 
         def no_compiler():
             raise FileNotFoundError("cc not found")
@@ -313,7 +348,6 @@ class TestFusedKernel:
             for run in kernel_paths:
                 with pytest.raises(KernelUnavailableError, match="cc not found"):
                     run()
-            assert lawless() == want
             assert cli.main(["table2", "--t-list", "64"]) == cli.EXIT_KERNEL == 5
         finally:
             policies_module._kernel.cache_clear()
@@ -337,7 +371,7 @@ class TestFusedKernel:
         assert f"{source}:1:" in message and "error" in message
         assert list((tmp_path / "cache").iterdir()) == []
 
-    def test_policy_departing_from_its_law_keeps_numpy_loops(self, bernoulli_model):
+    def test_policy_departing_from_its_law_is_refused(self, bernoulli_model):
         class Floored(policies_module.ResolvingPolicy):
             # overrides rates_batch only, so the inherited law no longer holds
             def rates_batch(self, y, t):
@@ -358,12 +392,11 @@ class TestFusedKernel:
         assert policies_module.checked_law(floored, ys, 64) is None
         assert policies_module.checked_law(LastCall(bernoulli_model), ys, 64) is None
         assert policies_module.checked_law(resolving_policy(bernoulli_model), ys, 64) is not None
-        for pol in (floored, NoLaw(floored)):
-            found = exact_values(bernoulli_model, [(64, 20), (30, 40)], {"pol": pol})
-            got = np.array([list(values.values()) for values in found])
-            assert got.tobytes() == _backward_values(
-                bernoulli_model, [(64, 20), (30, 40)], {"pol": pol}).tobytes()
-            # the numpy pass is exact evaluation's only loop: no forward kernel runs them
+        for pol in (floored, NoLaw(floored), LastCall(bernoulli_model)):
+            # the kernels are the only loops, and they run laws: none runs these
+            with pytest.raises(UnsupportedModelError, match="no rate law"):
+                exact_values(bernoulli_model, [(64, 20), (30, 40)],
+                             {"resolving": resolving_policy(bernoulli_model), "pol": pol})
             with pytest.raises(UnsupportedModelError, match="no rate law"):
                 simulate_batch(bernoulli_model, pol, 64, 20, 5, 40)
 
@@ -376,6 +409,25 @@ class TestFusedKernel:
         built = lib.stat().st_mtime_ns
         assert policies_module._compile() == lib  # a matching library is reused
         assert lib.stat().st_mtime_ns == built
+
+
+class TestKernelSource:
+    def test_every_entry_point_is_listed_declared_and_referenced(self):
+        """Each non-static function of _kernels.c is in the header list with the
+        oracles reference it names, and _kernel() declares one argtype per parameter."""
+        source = policies_module._SOURCE.read_text()
+        header = source[:source.index("*/")]
+        entries = re.findall(r"^void (\w+)\(([^)]*)\)", source, re.MULTILINE)
+        assert {"backward", "forward", "backward2"} <= {name for name, _ in entries}
+        lib = policies_module._kernel()
+        for name, params in entries:
+            listed = re.search(rf"^ \* +{name} +(.*?)[;.]$", header, re.MULTILINE | re.DOTALL)
+            assert listed, f"{name} is missing from the header list"
+            assert len(getattr(lib, name).argtypes) == len(params.split(",")), name
+            references = re.findall(r"oracles\.(\w+)", listed.group(1))
+            assert references, f"{name} names no reference in tests/oracles.py"
+            for reference in references:
+                assert callable(getattr(oracles, reference, None)), reference
 
 
 # the clones of backward in _kernels.c, with the /proc/cpuinfo flags each needs

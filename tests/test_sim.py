@@ -119,7 +119,6 @@ class TestSimulate:
             raise AssertionError("a kernel or pass ran")
 
         monkeypatch.setattr(sim_module, "_kernel", no_pass)
-        monkeypatch.setattr(policies, "_numpy_pass", no_pass)
         monkeypatch.setattr(policies, "_fused_pass", no_pass)
         with pytest.raises(DomainError, match="DP table of horizon 16"):
             run[entry]()
@@ -181,6 +180,19 @@ class TestSimulate:
             single = ho_policy(additive_model, y0 / T, xi_bar)
             tr = simulate(additive_model, single, T, y0, seed=seed)
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
+
+    def test_hindsight_rates_must_match_the_replications(self, additive_model, monkeypatch):
+        pol = ho_batch_policy(additive_model, 64, 0.3, 1, 5)
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("rates_batch or a kernel ran")
+
+        monkeypatch.setattr(sim_module, "_kernel", no_call)
+        monkeypatch.setattr(pol, "rates_batch", no_call)
+        with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
+            simulate(additive_model, pol, 64, 20, 1)
+        with pytest.raises(DomainError, match="cannot run 7 replications"):
+            simulate_batch(additive_model, pol, 64, 20, 1, n_reps=7)
 
 
 class _Recorder:
