@@ -7,7 +7,8 @@
  * tests/oracles.py:
  *
  *   backward   the exact backward pass of policies.solve_dp and
- *              policies.exact_values (oracles.backward);
+ *              policies.exact_values, over the whole cone or, as a lower
+ *              and an upper bound, over a band (oracles.backward);
  *   forward    the one-product Monte Carlo engine of sim.simulate and
  *              sim.simulate_batch (oracles.simulate, oracles.simulate_batch);
  *   noise_sum  the noise mean of the hindsight benchmark (oracles.noise_sum);
@@ -49,14 +50,15 @@ static double clip(double x, double lo, double hi)
 /* -- backward ---------------------------------------------------------------
  *
  * Fused backward induction over the (remaining periods, inventory) lattice.
- * values is a (rows x width) row-major array: row 0 holds the optimal value
- * V(t, y), row 1 + i the value of a policy whose demand rate is
- * clip(y / t, lo[i], hi[i]) (lo[i] == hi[i] is a constant rate) when
- * tables[i] is NULL, else the DP action tables[i][t * strides[i] + y] of a
- * row-major table.  Every row gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y),
- * with the rate, the clip and the update evaluated in the operation order of
- * oracles.backward.  Unless record is NULL, row 0 is copied into row t of the
- * row-major (t_to + 1) x width array record after each period t.
+ * values is a (rows x width) row-major array of independent rows.  Row r
+ * holds the optimal value V(t, y) when flags[r] has ROW_OPTIMAL, else the
+ * value of a policy whose demand rate is clip(y / t, lo[r], hi[r])
+ * (lo[r] == hi[r] is a constant rate) when tables[r] is NULL, else the DP
+ * action tables[r][t * strides[r] + y] of a row-major table.  Every row gets
+ * r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), with the rate, the clip and
+ * the update evaluated in the operation order of oracles.backward.  Unless
+ * record is NULL, row 0 is copied into row t of the row-major
+ * (t_to + 1) x width array record after each period t.
  *
  * One call advances the rows from period t_from to t_to, updating only the
  * cells y in [max(1, cone + t), y_hi] that a requested point can still
@@ -66,7 +68,24 @@ static double clip(double x, double lo, double hi)
  * place from high y to low, so W(t-1, y-1) is still unchanged when read.  A
  * policy row is split where y / t saturates (clipped_row), so that only the
  * cells with lo < y / t < hi compute their rate and r(d).
+ *
+ * A row flagged ROW_LOWER or ROW_UPPER is a bound: it updates only the cells
+ * of that cone within a band around the fluid paths of the points it serves
+ * (band_at), and writes into the cell on either side of the band a bound on
+ * its value that the next period may read (edge_bound).  A lower copy writes
+ * 0; an upper copy writes a bound that holds in exact arithmetic, scaled by
+ * SLACK so that the rounding of the pass cannot cross it.  The update is
+ * monotone in the previous row (a policy's rate does not depend on it, so
+ * this holds for the rounded update too; the optimal row's holds in exact
+ * arithmetic), so the lower copy stays at or below the full pass and the
+ * upper copy at or above it: where the two agree bit for bit, both hold the
+ * full pass's value.  An unflagged row is exact and runs the whole cone.
  */
+
+#define ROW_OPTIMAL 1
+#define ROW_LOWER 2
+#define ROW_UPPER 4
+#define SLACK (1.0 + 1e-9)
 
 static void optimal_row(double *v, long first, long last, double alpha,
                         double beta, double d_lo, double d_hi)
@@ -148,29 +167,91 @@ static void clipped_row(double *w, const double *ys, long first, long last,
     constant_row(w, first, bottom, lo, alpha, beta);
 }
 
+/* The band [*first, *last] of a bound row at period t: the cone [*first,
+ * *last] cut to floor(band[0] + band[1] * t) .. ceil(band[2] + band[3] * t),
+ * with a band above the cone moved down to its top cell, and kept inside
+ * span[0] .. span[1] + 1, the cells the previous period left readable (its
+ * band and the edge bounds beside it).  span becomes the band.  Returns 0,
+ * and sets span to -1 for the rest of the pass, when no cell is left. */
+static int band_at(long t, const double *band, int64_t *span, long *first,
+                   long *last)
+{
+    if (span[0] < 0)
+        return 0;
+    double low = floor(band[0] + band[1] * t), high = ceil(band[2] + band[3] * t);
+    long from = low < *first ? *first : low > *last ? *last : (long)low;
+    from = from > span[0] ? from : span[0];
+    long to = high > *last ? *last : high < from ? from : (long)high;
+    to = to < span[1] + 1 ? to : span[1] + 1;
+    if (from > to) {
+        span[0] = span[1] = -1;
+        return 0;
+    }
+    span[0] = *first = from;
+    span[1] = *last = to;
+    return 1;
+}
+
+/* fluid(t, y) = t * r(min(y / t, cap)), with r extended below d_lo by the
+ * line x * p_hi through (0, 0): no policy earns more in t periods from y units */
+static double fluid(double t, double y, double cap, double d_lo, double p_hi,
+                    double alpha, double beta)
+{
+    double x = y / t < cap ? y / t : cap;
+    return t * (x <= d_lo ? x * p_hi : x * (alpha - x) / beta);
+}
+
+/* The bound a bound row w writes into cell y just outside its band [a, b] at
+ * period t.  A lower copy: 0, as every value is >= 0.  An upper copy below
+ * the band: the optimal value at a (V is nondecreasing in y), a policy's
+ * y * p_hi (no unit sells above p_hi).  Above it: fluid(t, y), for the
+ * optimal value also w[b] + p_hi when smaller (a unit adds at most p_hi). */
+static double edge_bound(const double *w, long y, long a, long b, int flags,
+                         double t, double cap, double d_lo, double p_hi,
+                         double alpha, double beta)
+{
+    if (!(flags & ROW_UPPER))
+        return 0.0;
+    int optimal = flags & ROW_OPTIMAL;
+    if (y < a)
+        return SLACK * (optimal ? w[a] : y * p_hi);
+    double bound = fluid(t, y, cap, d_lo, p_hi, alpha, beta);
+    return SLACK * (optimal && w[b] + p_hi < bound ? w[b] + p_hi : bound);
+}
+
 BACKWARD_CLONES
 void backward(double *values, long rows, long width, const double *ys,
-              const double *lo, const double *hi, const double *const *tables,
-              const int64_t *strides, double alpha, double beta, double d_lo,
-              double d_hi, long t_from, long t_to, long cone, long y_hi,
-              int triangle, double *record)
+              const int32_t *flags, const double *lo, const double *hi,
+              const double *const *tables, const int64_t *strides,
+              const double *band, int64_t *span, double alpha, double beta,
+              double d_lo, double d_hi, long t_from, long t_to, long cone,
+              long y_hi, int triangle, double *record)
 {
+    double p_hi = (alpha - d_lo) / beta, cap = clip(alpha / 2.0, d_lo, d_hi);
     for (long t = t_from + 1; t <= t_to; t++) {
         long first = cone + t > 1 ? cone + t : 1;
         long last = triangle && t < y_hi ? t : y_hi;
-        optimal_row(values, first, last, alpha, beta, d_lo, d_hi);
-        for (long r = 1; r < rows; r++) {
-            const double *table = tables[r - 1];
-            if (table)
-                table_row(values + r * width, table + t * strides[r - 1], first,
-                          last, alpha, beta);
+        for (long r = 0; r < rows; r++) {
+            double *w = values + r * width;
+            long a = first, b = last;
+            int bound = flags[r] & (ROW_LOWER | ROW_UPPER);
+            if (bound && !band_at(t, band + 4 * r, span + 2 * r, &a, &b))
+                continue;
+            if (flags[r] & ROW_OPTIMAL)
+                optimal_row(w, a, b, alpha, beta, d_lo, d_hi);
+            else if (tables[r])
+                table_row(w, tables[r] + t * strides[r], a, b, alpha, beta);
             else
-                clipped_row(values + r * width, ys, first, last, (double)t,
-                            lo[r - 1], hi[r - 1], alpha, beta);
+                clipped_row(w, ys, a, b, (double)t, lo[r], hi[r], alpha, beta);
+            if (bound && a > first)
+                w[a - 1] = edge_bound(w, a - 1, a, b, flags[r], t, cap, d_lo, p_hi,
+                                      alpha, beta);
+            if (bound && b < last)
+                w[b + 1] = edge_bound(w, b + 1, a, b, flags[r], t, cap, d_lo, p_hi,
+                                      alpha, beta);
+            if (triangle && t < y_hi && b == last)
+                w[t + 1] = w[t];
         }
-        if (triangle && t < y_hi)
-            for (long r = 0; r < rows; r++)
-                values[r * width + t + 1] = values[r * width + t];
         if (record)
             for (long y = 0; y < width; y++)
                 record[t * width + y] = values[y];

@@ -16,6 +16,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import logging
+import math
 import os
 import subprocess
 import tempfile
@@ -27,6 +29,8 @@ import numpy as np
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, KernelUnavailableError, ResourceGuardError, UnsupportedModelError
 from .fluid import box_qp2_batch, solve_fluid_multi
+
+logger = logging.getLogger(__name__)
 
 # size guards of solve_dp (table entries) and solve_dp_multi (T times lattice states)
 DENSE_TABLE_MAX_ENTRIES = 64_000_000
@@ -183,10 +187,12 @@ def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
     if entries > DENSE_TABLE_MAX_ENTRIES:
         raise ResourceGuardError(f"dense value table would hold {entries} entries "
                                  f"(> {DENSE_TABLE_MAX_ENTRIES}); use exact_values instead")
-    values, actions, row, empty = (np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1)),
-                                   np.zeros(y0 + 1), np.zeros(0))
-    _kernel().backward(row, 1, y0 + 1, empty, empty, empty, np.zeros(0, dtype=np.uintp),
-                       np.zeros(0, dtype=np.int64), model.alpha, model.beta, model.d_lo,
+    values, actions, row = (np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1)),
+                            _aligned_zeros(y0 + 1))
+    one, empty = np.zeros(1), np.zeros(0)
+    _kernel().backward(row, 1, y0 + 1, empty, np.array([_OPTIMAL], dtype=np.int32), one, one,
+                       np.zeros(1, dtype=np.uintp), np.zeros(1, dtype=np.int64), np.zeros(4),
+                       np.zeros(2, dtype=np.int64), model.alpha, model.beta, model.d_lo,
                        model.d_hi, 0, T, -T, y0, False, values.ctypes.data)
     # the optimal row's rate, in its operation order, in place: no table-sized temporaries
     acts = actions[1:, 1:]
@@ -207,14 +213,23 @@ def exact_values(model: DemandModel, points,
     to the largest T reads every point, with O(max y0) memory per object.
     Every policy runs by its checked_law, a (lo, hi) law or a DP table, in
     the compiled backward kernel over the cells the points read
-    (UnsupportedModelError for a policy without one, KernelUnavailableError
-    when the kernel cannot be built).
+    (UnsupportedModelError for a policy without one, DomainError for a
+    hindsight policy with one rate per replication, KernelUnavailableError
+    when the kernel cannot be built).  On long horizons V and each (lo, hi)
+    row run on a band around the points' fluid paths, as a lower and an upper
+    bound that must agree bit for bit, so every value has the full pass's
+    bits (see _fused_pass); each row's final band width and retry count are
+    logged at DEBUG.
     """
     _require_bernoulli(model, "exact policy evaluation")
     points = [_whole_point(T, y0) for T, y0 in points]
     if not points:
         raise DomainError("need at least one (T, y0) point")
     policies = dict(policies or {})
+    for name, pol in policies.items():
+        if isinstance(pol, HindsightPolicy) and np.size(pol.lo) > 1:
+            raise DomainError(f"policy {name!r} holds {np.size(pol.lo)} hindsight rates, one "
+                              "per replication; an exact pass needs a single rate")
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
     laws = [checked_law(pol, ys, max(T for T, _ in points)) for pol in policies.values()]
     for name, law in zip(policies, laws):
@@ -222,7 +237,7 @@ def exact_values(model: DemandModel, points,
             raise UnsupportedModelError(
                 f"policy {name!r} ({type(policies[name]).__name__}) has no rate law the "
                 "backward kernel can run: a rate_law() that its rates_batch reproduces")
-    rows = _fused_pass(_kernel().backward, model, points, laws)
+    rows = _fused_pass(_kernel().backward, model, points, laws, names=["dp", *policies])
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
 
@@ -276,38 +291,175 @@ def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
     return np.where(y > 0, np.clip(y / t, lo, hi), 0.0)
 
 
-def _fused_pass(kernel, model: DemandModel, points, laws) -> list[list[float]]:
-    """Every row's value at each point, from one kernel call per distinct horizon.
+# row flags of the backward kernel (ROW_* in _kernels.c)
+_OPTIMAL, _LOWER, _UPPER = 1, 2, 4
+# the longest pass on bands: the relative rounding error of a pass grows about as
+# 3 * T * 2^-53 (3.5e-10 at 2^20), which must stay below the SLACK of 1e-9 by which
+# the kernel raises every upper edge bound
+_BAND_MAX_T = 2**20
+
+
+def _start_half_width(T: int) -> float:
+    """Half width of a row's first band on a pass to horizon T: about 8 standard
+    deviations of the sales of T periods, which are at most sqrt(T) / 2."""
+    return 4.0 * math.sqrt(T) + 2.0
+
+
+def _aligned_zeros(shape) -> np.ndarray:
+    """Float zeros whose data starts on a 64-byte cache line: the speed of the
+    kernel then does not depend on where malloc puts the array."""
+    size = math.prod(np.atleast_1d(shape))
+    raw = np.zeros(size + 8)
+    skip = -raw.ctypes.data % 64 // raw.itemsize
+    return raw[skip:skip + size].reshape(shape)
+
+
+def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list[float]]:
+    """Every row's value at each point (row 0 is V, row 1 + i runs laws[i]), from
+    one kernel call per distinct horizon and pass.
 
     A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
     two horizons the points still to be read are fixed, and so is their
     cone: at period t point (T, y) reads only y - (T - t) .. y.  When every
     policy rate is a (lo, hi) law constant for y >= t (rate cap <= 1, or a
     constant rate), V(t, y) = V(t, t) there, and the point is read at min(y0, T).
+
+    V and every (lo, hi) law within [d_lo, d_hi] start on a band: the cells
+    within a half width h = _start_half_width(max T) of the fluid paths
+    y0 - (T - t) * clip(y0 / T, lo, hi) of the points, with (d_lo, rate cap)
+    for V.  Such a row runs twice, as a lower and an upper copy whose edge
+    bounds (edge_bound in _kernels.c) hold it below and above the full pass.
+    It is certified when the copies agree bit for bit at every point; else
+    it alone runs again at twice the width.  A row whose band would cover
+    half the cone's cells or more, and every table row, runs the whole cone
+    once, as one exact copy.  names label the rows in the DEBUG log.
     """
-    acts = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
-            else None for law in laws]
-    tables = np.array([0 if a is None else a.ctypes.data for a in acts], dtype=np.uintp)
-    strides = np.array([0 if a is None else a.shape[1] for a in acts], dtype=np.int64)
-    lo, hi = (np.array([0.0 if a is not None else law[k] for a, law in zip(acts, laws)],
-                       dtype=float) for k in (0, 1))
-    triangle = not tables.any() and bool(np.all(hi <= np.maximum(lo, 1.0)))
+    tables = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
+              else None for law in laws]
+    cap = _effective_rate_cap(model)
+    # each row's (lo, hi); V's is the range of its fluid rate, which centres its band
+    ranges = [(model.d_lo, cap)] + [(0.0, 0.0) if table is not None else
+                                    tuple(np.asarray(bound).item() for bound in law)
+                                    for table, law in zip(tables, laws)]
+    triangle = (all(table is None for table in tables)
+                and all(hi <= max(lo, 1.0) for lo, hi in ranges[1:]))
     reads = [min(y0, T) if triangle else y0 for T, y0 in points]
-    values = np.zeros((1 + len(laws), max(reads) + 1))
-    ys = np.arange(values.shape[1], dtype=float)
-    out = [None] * len(points)
-    done = 0
+    segments, done = [], 0
     for horizon in sorted({T for T, _ in points}):
         live = [k for k, (T, _) in enumerate(points) if T >= horizon]
-        cone = min(reads[k] - points[k][0] for k in live)
-        kernel(values, *values.shape, ys, lo, hi, tables, strides, model.alpha, model.beta,
-               model.d_lo, model.d_hi, done, horizon, cone, max(reads[k] for k in live),
+        segments.append((done, horizon, min(reads[k] - points[k][0] for k in live),
+                         max(reads[k] for k in live), live))
+        done = horizon
+    # the edge bounds need rates in [d_lo, d_hi] within [0, 1] and prices >= 0
+    sound = (0.0 <= model.d_lo and model.d_hi <= min(1.0, model.alpha)
+             and done <= _BAND_MAX_T)
+    half = [_start_half_width(done)
+            if sound and (j == 0 or (tables[j - 1] is None
+                                     and model.d_lo <= lo <= hi <= model.d_hi))
+            else math.inf for j, (lo, hi) in enumerate(ranges)]
+    cone_cells = [_cone_cells(segment, triangle) for segment in segments]
+    out = np.empty((len(points), len(ranges)))
+    retries, pending = [0] * len(ranges), list(range(len(ranges)))
+    while pending:
+        bands = {}
+        for j in pending:
+            if half[j] < math.inf:
+                lines = [_band(segment, ranges[j], half[j], points) for segment in segments]
+                cells = sum(min(_band_cells(segment, line), cone)
+                            for segment, line, cone in zip(segments, lines, cone_cells))
+                if 2 * cells < sum(cone_cells):
+                    bands[j] = lines
+                else:
+                    half[j] = math.inf
+        copies = [(j, flag) for j in pending
+                  for flag in ((_LOWER, _UPPER) if j in bands else (0,))]
+        got, span = _pass(kernel, model, points, reads, segments, triangle, tables, ranges,
+                          bands, copies)
+        failed = []
+        for j in pending:
+            first, *upper = (c for c, (row, _) in enumerate(copies) if row == j)
+            # the copies share their band, so one span says whether it ran out
+            if upper and not (span[first, 0] >= 0
+                              and got[:, first].tobytes() == got[:, upper[0]].tobytes()):
+                half[j] *= 2
+                retries[j] += 1
+                failed.append(j)
+            else:
+                out[:, j] = got[:, first]
+        pending = failed
+    for j, name in enumerate(names):
+        logger.debug("exact pass row %s: %s, %d retries", name,
+                     "whole cone" if half[j] == math.inf else f"band half width {half[j]:g}",
+                     retries[j])
+    return out.tolist()
+
+
+def _band(segment, rates, half, points) -> tuple[float, float, float, float]:
+    """(c0, s0, c1, s1): over the segment's periods t, the band c0 + s0 * t ..
+    c1 + s1 * t holds the fluid paths of its live points, and half beyond.
+
+    The chord of the lowest path lies below it (a minimum of lines is concave),
+    the chord of the highest, cut at 0, above it (a maximum is convex)."""
+    t_from, t_to, _, _, live = segment
+    lo, hi = rates
+    ends = (t_from + 1, t_to)
+    paths = [[y0 - (T - t) * min(max(y0 / T, lo), hi) for t in ends]
+             for T, y0 in (points[k] for k in live)]
+    low = [min(path[i] for path in paths) - half for i in (0, 1)]
+    high = [max(max(path[i], 0.0) for path in paths) + half for i in (0, 1)]
+    s0, s1 = ((edge[1] - edge[0]) / max(ends[1] - ends[0], 1) for edge in (low, high))
+    return low[0] - s0 * ends[0], s0, high[0] - s1 * ends[0], s1
+
+
+def _cone_cells(segment, triangle) -> int:
+    """The cells the cone has over the segment's periods t: sum of
+    min(t, y_hi) (y_hi without triangle) - max(1, cone + t) + 1."""
+    t_from, t_to, cone, y_hi, _ = segment
+    a, b = t_from + 1, t_to
+    n = b - a + 1
+    tops = _sum_min(a, b, y_hi) if triangle else n * y_hi
+    # max(1, cone + t) = cone + t + 1 - min(cone + t, 1)
+    bottoms = _sum_min(a, b, b) + (cone + 1) * n - _sum_min(a + cone, b + cone, 1)
+    return tops - bottoms + n
+
+
+def _sum_min(a: int, b: int, k: int) -> int:
+    """The sum of min(t, k) over the integers t = a .. b."""
+    m = min(b, max(k, a - 1))  # the last t below k
+    return (a + m) * (m - a + 1) // 2 + k * (b - m)
+
+
+def _band_cells(segment, line) -> float:
+    """About the cells the band line covers over the segment's periods,
+    uncut by the cone: its mean width, plus the floor and ceil, each period."""
+    t_from, t_to, _, _, _ = segment
+    c0, s0, c1, s1 = line
+    return (t_to - t_from) * (c1 - c0 + (s1 - s0) * (t_from + 1 + t_to) / 2 + 2)
+
+
+def _pass(kernel, model, points, reads, segments, triangle, tables, ranges, bands, copies):
+    """One pass over the copies (row j, flag), a bound copy on the band lines
+    bands[j] (one per segment): their values at the points, and each copy's
+    last band (-1 where the band ran out)."""
+    width = -(-(max(reads) + 1) // 8) * 8  # whole cache lines per row
+    values = _aligned_zeros((len(copies), width))
+    ys = np.arange(width, dtype=float)
+    flags = np.array([flag | (_OPTIMAL if j == 0 else 0) for j, flag in copies], dtype=np.int32)
+    acts = [tables[j - 1] if j else None for j, _ in copies]
+    pointers = np.array([0 if a is None else a.ctypes.data for a in acts], dtype=np.uintp)
+    strides = np.array([0 if a is None else a.shape[1] for a in acts], dtype=np.int64)
+    lo, hi = (np.array([ranges[j][k] for j, _ in copies]) for k in (0, 1))
+    span = np.tile(np.array([0, width], dtype=np.int64), (len(copies), 1))
+    got = np.empty((len(points), len(copies)))
+    for s, (t_from, t_to, cone, y_hi, live) in enumerate(segments):
+        band = np.array([bands[j][s] if flag else (0.0,) * 4 for j, flag in copies])
+        kernel(values, *values.shape, ys, flags, lo, hi, pointers, strides, band, span,
+               model.alpha, model.beta, model.d_lo, model.d_hi, t_from, t_to, cone, y_hi,
                triangle, None)
         for k in live:
-            if points[k][0] == horizon:
-                out[k] = values[:, reads[k]].tolist()
-        done = horizon
-    return out
+            if points[k][0] == t_to:
+                got[k] = values[:, reads[k]]
+    return got, span
 
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
@@ -338,8 +490,9 @@ def _kernel():
                      for dtype in (np.float64, np.uint64, np.int64))
     n, x, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
     addresses = np.ctypeslib.ndpointer(dtype=np.uintp, flags="C_CONTIGUOUS")
-    lib.backward.argtypes = [f64, n, n, f64, f64, f64, addresses, i64, x, x, x, x, n, n, n, n,
-                             flag, ptr]
+    i32 = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
+    lib.backward.argtypes = [f64, n, n, f64, i32, f64, f64, addresses, i64, f64, i64, x, x, x,
+                             x, n, n, n, n, flag, ptr]
     lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
                             flag, x, f64, i64, flag, f64]
     lib.noise_sum.argtypes = [n, n, n, u64, f64]

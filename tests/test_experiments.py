@@ -119,6 +119,15 @@ class TestTable2:
         run_table2(T_list=[64, 128], out_path=out)
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_large_table_matches_golden_file(self, tmp_path):
+        """2^6..2^15, where the exact pass runs on bands: the bytes of the full pass."""
+        import pathlib
+
+        golden = pathlib.Path(__file__).parent / "data" / "table2_golden.csv"
+        out = tmp_path / "t.csv"
+        run_table2(T_list=[2**k for k in range(6, 16)], out_path=out)
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_display_rounds_to_two_decimals(self, capsys):
         lines = []
         run_table2(T_list=[64], display=lines.append)

@@ -1,8 +1,11 @@
 import ctypes
+import logging
+import math
 import platform
 import re
 import subprocess
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +31,13 @@ from fluidpricing import (
 )
 from fluidpricing import cli
 from fluidpricing import policies as policies_module
-from fluidpricing.sim import ho_inner_values, simulate, simulate_batch, simulate_batch_multi
+from fluidpricing.sim import (
+    ho_batch_policy,
+    ho_inner_values,
+    simulate,
+    simulate_batch,
+    simulate_batch_multi,
+)
 
 import oracles
 from conftest import two_product_models
@@ -219,6 +228,34 @@ class TestExactEvaluation:
             assert vals["static"] <= vals["dp"] <= fluid + 1e-9
             assert fluid - vals["static"] <= c * np.sqrt(T)
 
+    def test_static_column_matches_binomial_closed_form(self, bernoulli_model):
+        """p * E[min(Bin(T, d), y0)] = p * sum_{k < y0} P(Bin(T, d) > k), a formula that
+        shares no code with the pass, at the table2 points, on the row whose band is widest."""
+        from scipy.stats import binom
+
+        points = [(2**k, 5 * 2**k // 16) for k in range(6, 16)]
+        pol = static_policy(bernoulli_model, 5 / 16)
+        found = exact_values(bernoulli_model, points, {"static": pol})
+        price = bernoulli_model.inverse_demand(pol.lo)
+        for (T, y0), values in zip(points, found):
+            want = price * math.fsum(binom.sf(np.arange(y0), T, pol.lo))
+            assert values["static"] == pytest.approx(want, rel=1e-13, abs=0.0), (T, y0)
+
+    def test_hindsight_rates_per_replication_refused_before_any_kernel_call(
+            self, bernoulli_model, additive_model, monkeypatch):
+        several, one = (ho_batch_policy(additive_model, 64, 0.3, 1, reps) for reps in (5, 1))
+
+        def no_kernel():
+            raise AssertionError("the kernel was reached")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(policies_module, "_kernel", no_kernel)
+            with pytest.raises(DomainError, match="policy 'ho' holds 5 hindsight rates"):
+                exact_values(bernoulli_model, [(64, 20)], {"ho": several})
+            with pytest.raises(DomainError, match="policy 'ho' holds 5 hindsight rates"):
+                exact_policy_values(bernoulli_model, 64, 20, {"ho": several})
+        # a single rate, even held in an array, is one policy
+        _assert_kernel_matches_backward(bernoulli_model, [(64, 20)], {"ho": one})
 
 def _scalar_bellman(model, T, y_max, policies):
     """Reference pass in plain Python floats: {t: {"dp": [V(t, y)], name: [W(t, y)]}}."""
@@ -409,6 +446,139 @@ class TestFusedKernel:
         built = lib.stat().st_mtime_ns
         assert policies_module._compile() == lib  # a matching library is reused
         assert lib.stat().st_mtime_ns == built
+
+
+def _band_log(caplog) -> dict[str, tuple[str, int]]:
+    """{row: (final width, retries)} from the DEBUG lines of the exact passes so far."""
+    return {record.args[0]: record.args[1:] for record in caplog.records
+            if record.msg.startswith("exact pass row")}
+
+
+def _start_width(k):
+    """A start half width of k * sqrt(T) + 2, in place of the shipped 4 * sqrt(T) + 2."""
+    return mock.patch.object(policies_module, "_start_half_width",
+                             lambda T: k * math.sqrt(T) + 2.0)
+
+
+class TestBandedPass:
+    @settings(max_examples=12, deadline=None)
+    @given(rays=st.lists(st.tuples(st.integers(256, 2048),
+                                   st.one_of(st.just(0.375), st.floats(0.25, 0.27),
+                                             st.floats(0.05, 0.6), st.floats(1.0, 1.5))),
+                         min_size=1, max_size=3),
+           x_T=st.one_of(st.just(0.375), st.floats(0.25, 0.27), st.floats(0.05, 0.6)),
+           k=st.floats(0.5, 4.0))
+    def test_matches_backward_bitwise_where_the_band_is_narrower_than_the_cone(
+            self, bernoulli_model, rays, x_T, k):
+        """Rays of the benchmark model (x_u = 0.375, d_lo = 0.25, and y0 > T, read at T)
+        mixed in one pass, started on bands of k * sqrt(T) + 2: certified, retried or run
+        on the whole cone, every value has the bits of the full pass."""
+        points = [(T, round(x * T)) for T, x in rays]
+        with _start_width(k):
+            _assert_kernel_matches_backward(bernoulli_model, points, {
+                "resolving": resolving_policy(bernoulli_model),
+                "static": static_policy(bernoulli_model, x_T)})
+
+    def test_narrow_band_retries_with_the_same_bits(self, bernoulli_model, caplog):
+        """Bands started at sqrt(T) + 2 (about 2 standard deviations) cannot certify a row;
+        the retries at twice the width give the bits of the whole-cone pass."""
+        points = [(16384, 5120), (4096, 1280), (8192, 3072)]
+        policies = {"static": static_policy(bernoulli_model, 5 / 16),
+                    "resolving": resolving_policy(bernoulli_model)}
+        with _start_width(1e9):
+            want = exact_values(bernoulli_model, points, policies)
+        with _start_width(1.0), caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
+            assert exact_values(bernoulli_model, points, policies) == want
+        rows = _band_log(caplog)
+        assert list(rows) == ["dp", "static", "resolving"]
+        assert all(retries >= 1 for _, retries in rows.values())
+        assert rows["dp"][0].startswith("band half width")
+
+    def test_band_falls_back_to_the_whole_cone_with_the_same_bits(self, bernoulli_model,
+                                                                   caplog):
+        policies = {"static": static_policy(bernoulli_model, 5 / 16),
+                    "resolving": resolving_policy(bernoulli_model)}
+        for k, retried in ((0.0, True), (1e6, False)):
+            caplog.clear()
+            with _start_width(k), caplog.at_level(logging.DEBUG,
+                                                  logger=policies_module.__name__):
+                _assert_kernel_matches_backward(bernoulli_model, [(256, 80), (100, 31)],
+                                                policies)
+            rows = _band_log(caplog)
+            assert list(rows) == ["dp", "static", "resolving"]
+            for width, retries in rows.values():
+                assert width == "whole cone" and (retries > 0) == retried
+
+    def test_table_row_runs_the_whole_cone_next_to_banded_rows(self, bernoulli_model):
+        """With a DP table row the triangle cut is off; V and the (lo, hi) row still start
+        on bands, as lower and upper copies, and the table row runs as one exact copy."""
+        model, points = bernoulli_model, [(2048, 1024), (1500, 700)]
+        policies = {"table": solve_dp(model, 2048, 1024).policy(),
+                    "resolving": resolving_policy(model)}
+        calls = []
+
+        def spy(values, rows, width, ys, flags, *args):
+            calls.append(flags.tolist())
+            policies_module._kernel().backward(values, rows, width, ys, flags, *args)
+
+        lower, upper = policies_module._LOWER, policies_module._UPPER
+        optimal = policies_module._OPTIMAL
+        with _start_width(2.0):
+            got = policies_module._fused_pass(spy, model, points,
+                                              [pol.rate_law() for pol in policies.values()])
+        assert calls[0] == [optimal | lower, optimal | upper, 0, lower, upper]
+        assert got == _backward_values(model, points, policies).tolist()
+
+    @pytest.mark.parametrize("policy", ["static", "resolving"])
+    @pytest.mark.parametrize("steep", [False, True])
+    def test_lower_and_upper_copies_hold_the_full_pass_cell_by_cell(self, bernoulli_model,
+                                                                    policy, steep):
+        """A (lo, hi) row run as an exact, a lower and an upper copy on a band of half
+        width 6 (under one standard deviation) around its fluid path, or on lines that
+        leave the cells the previous period can feed (a bottom that falls, a top that rises
+        1.5 cells a period): after every period, L <= V <= U on the band and the edge
+        bounds beside it, and U > L somewhere."""
+        model, T, y0 = bernoulli_model, 1024, 320
+        lo, hi = {"static": static_policy(model, 5 / 16),
+                  "resolving": resolving_policy(model)}[policy].rate_law()
+        width = y0 + 1
+        segment = (0, T, y0 - T, y0, [0])
+        line = ((150.0, -0.5, -100.0, 1.5) if steep
+                else policies_module._band(segment, (lo, hi), 6.0, [(T, y0)]))
+        values, ys = np.zeros((3, width)), np.arange(width, dtype=float)
+        flags = np.array([0, policies_module._LOWER, policies_module._UPPER], dtype=np.int32)
+        span = np.tile(np.array([0, width], dtype=np.int64), (3, 1))
+        apart = 0
+        for t in range(1, T + 1):
+            policies_module._kernel().backward(
+                values, 3, width, ys, flags, np.full(3, lo), np.full(3, hi),
+                np.zeros(3, dtype=np.uintp), np.zeros(3, dtype=np.int64),
+                np.array([line] * 3), span, model.alpha, model.beta, model.d_lo, model.d_hi,
+                t - 1, t, y0 - T, y0, True, None)
+            assert span[1].tolist() == span[2].tolist() and span[1, 0] >= 0
+            first, last = max(1, y0 - T + t), min(t, y0)
+            cells = slice(max(span[1, 0] - 1, first), min(span[1, 1] + 1, last) + 1)
+            full, lower, upper = values[:, cells]
+            assert np.all(lower <= full) and np.all(full <= upper), t
+            apart += int(np.sum(lower < upper))
+        assert apart > 0
+
+    def test_kernel_rows_start_on_cache_lines(self, bernoulli_model):
+        seen = []
+
+        def spy(values, rows, width, *args):
+            seen.append((values.ctypes.data % 64, width * values.itemsize % 64))
+            policies_module._kernel().backward(values, rows, width, *args)
+
+        laws = [static_policy(bernoulli_model, 5 / 16).rate_law(),
+                resolving_policy(bernoulli_model).rate_law()]
+        policies_module._fused_pass(spy, bernoulli_model, [(4096, 1280), (64, 20), (9, 0)],
+                                    laws)
+        assert len(seen) >= 3 and set(seen) == {(0, 0)}
+        for shape in (1, 3, (2, 5), (7, 9)):
+            zeros = policies_module._aligned_zeros(shape)
+            assert zeros.ctypes.data % 64 == 0 and zeros.shape == np.zeros(shape).shape
+            assert zeros.flags.c_contiguous and not zeros.any()
 
 
 class TestKernelSource:
