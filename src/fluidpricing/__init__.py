@@ -46,16 +46,13 @@ from .policies import (
 )
 from .sim import (
     BatchResult,
-    Diagnostics,
     RegretReport,
     SimTrace,
     constant_bound,
-    diagnostics,
     estimate_regret,
     fluid_value,
     gamma,
     harmonic_identity_check,
-    harmonic_series,
     simulate,
     simulate_batch,
     simulate_batch_multi,

@@ -27,8 +27,9 @@ from .demand import (
     benchmark_model,
 )
 from .errors import ConfigError, UnsupportedModelError
-from .policies import exact_passes, resolving_policy, static_policy
-from .sim import MULTI_POLICIES, fluid_value, ho_inner_values, parse_y0_rule
+from .fluid import _effective_rate_cap
+from .policies import exact_passes, resolving_policy
+from .sim import MULTI_POLICIES, estimate_regret, ho_inner_values, parse_y0_rule
 
 KNOWN_POLICIES = ("static", "resolving", "dp", "ho")
 
@@ -168,33 +169,24 @@ def table2_rows(T_list=None, model: DemandModel | None = None,
 
     Regret is measured against the exact optimal value: positive for the
     two policies, negative for the fluid value (which upper-bounds every
-    policy).  Horizons sharing a static rate y0/T share one backward pass;
-    on the default grid that is every horizon.
+    policy).  The rows are estimate_regret's exact reports: horizons sharing
+    a static rate y0/T share one backward pass; on the default grid that is
+    every horizon.
     """
     model = model or benchmark_model()
     if model.kind != KIND_BERNOULLI:
         raise UnsupportedModelError("the benchmark table needs exact (bernoulli) evaluation")
     T_list = list(T_list) if T_list is not None else [2**k for k in range(6, 16)]
-    rule = parse_y0_rule(y0_rule)
-    points = [(T, rule(T)) for T in T_list]
-    values = exact_passes([(y0 / T, T, y0) for T, y0 in points], lambda x_T: (model, {
-        "static": static_policy(model, x_T),
-        "resolving": resolving_policy(model),
-    }))
-    rows = []
-    for (T, y0), v in zip(points, values):
-        dp = v["dp"]
-        fluid = fluid_value(model, T, y0)
-        rows.append({
-            "log2_T": _log2_label(T),
-            "T": T,
-            "dp_value": dp,
-            "fluid_value": fluid,
-            "fluid_regret": dp - fluid,
-            "static_regret": dp - v["static"],
-            "resolving_regret": dp - v["resolving"],
-        })
-    return rows
+    reports = estimate_regret(model, T_list, y0_rule, ("static", "resolving"))
+    return [{
+        "log2_T": _log2_label(static.T),
+        "T": static.T,
+        "dp_value": static.dp_value,
+        "fluid_value": static.fluid_value,
+        "fluid_regret": static.dp_value - static.fluid_value,
+        "static_regret": static.regret_vs_dp,
+        "resolving_regret": resolving.regret_vs_dp,
+    } for static, resolving in zip(reports[::2], reports[1::2])]
 
 
 def run_table2(T_list=None, out_path=None, display=None) -> list[dict]:
@@ -287,7 +279,7 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
     rows = []
     for T in T_list:
         values = ho_inner_values(model, T, x_T, base_seed, replications)
-        fluid = T * float(model.revenue_rate_unchecked(min(x_T, model.x_u)))
+        fluid = T * float(model.revenue_rate_unchecked(min(x_T, _effective_rate_cap(model))))
         mean = float(values.mean())
         half = (1.959963984540054 * float(values.std(ddof=1)) / (len(values) ** 0.5)
                 if len(values) > 1 else math.inf)

@@ -50,20 +50,27 @@ class FluidSolution:
         }
 
 
-def solve_fluid_single(model: DemandModel, x: float) -> FluidSolution:
-    """Closed-form fluid solution for one product: x_c = min(x, x_u).
+def _effective_rate_cap(model: DemandModel) -> float:
+    # the revenue maximizer, kept inside the demand interval
+    return min(max(model.x_u, model.d_lo), model.d_hi)
 
-    Right-hand sides below the demand floor d_lo arise when inventory is
-    nearly depleted; they are clamped up to d_lo and flagged, matching the
-    simulator's shut-off-at-zero convention.
+
+def solve_fluid_single(model: DemandModel, x: float) -> FluidSolution:
+    """Closed-form fluid solution for one product: x_c = min(x, rate cap).
+
+    The rate cap is the revenue maximizer x_u kept inside the demand
+    interval [d_lo, d_hi].  Right-hand sides below the demand floor d_lo
+    arise when inventory is nearly depleted; they are clamped up to d_lo
+    and flagged, matching the simulator's shut-off-at-zero convention.
     """
     if not x >= 0:  # also rejects NaN
         raise DomainError(f"normalized inventory must be nonnegative, got {x}")
-    x_u = model.x_u
+    cap = _effective_rate_cap(model)
     clamped = x < model.d_lo
-    x_c = min(max(x, model.d_lo), x_u)
-    active = x <= x_u + ACTIVE_TOL
-    lam = model.revenue_slope(x_c) if active else 0.0
+    x_c = min(max(x, model.d_lo), cap)
+    active = x <= cap + ACTIVE_TOL
+    # a dual is >= 0: below a cap at d_lo (x_u < d_lo) the slope is negative
+    lam = max(model.revenue_slope(x_c), 0.0) if active else 0.0
     degenerate = active and lam <= DUAL_TOL
     if degenerate:
         warnings.warn(

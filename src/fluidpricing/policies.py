@@ -28,7 +28,7 @@ import numpy as np
 
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, KernelUnavailableError, ResourceGuardError, UnsupportedModelError
-from .fluid import box_qp2_batch, solve_fluid_multi
+from .fluid import _effective_rate_cap, box_qp2_batch, solve_fluid_multi
 
 logger = logging.getLogger(__name__)
 
@@ -46,11 +46,6 @@ class PolicyDecision:
 
     price: np.ndarray
     demand_rate: np.ndarray
-
-
-def _effective_rate_cap(model: DemandModel) -> float:
-    # the revenue maximizer, kept inside the demand interval
-    return min(max(model.x_u, model.d_lo), model.d_hi)
 
 
 class _LawPolicy:
@@ -84,9 +79,10 @@ class ResolvingPolicy(_LawPolicy):
     """Re-solves the fluid problem each period at the current normalized inventory.
 
     With one product the fluid solution is closed form, so the decision is
-    f^{-1}(clip(y / t, d_lo, x_u)); right-hand sides below the demand floor
-    are clamped to d_lo (the highest admissible price) until inventory hits
-    zero, where the policy shuts off.
+    f^{-1}(clip(y / t, d_lo, rate cap)), the cap being x_u kept inside the
+    demand interval (see solve_fluid_single); right-hand sides below the
+    demand floor are clamped to d_lo (the highest admissible price) until
+    inventory hits zero, where the policy shuts off.
     """
 
     name = "resolving"
@@ -211,58 +207,56 @@ def exact_values(model: DemandModel, points,
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
     to the largest T reads every point, with O(max y0) memory per object.
-    Every policy runs by its checked_law, a (lo, hi) law or a DP table, in
-    the compiled backward kernel over the cells the points read
-    (UnsupportedModelError for a policy without one, DomainError for a
-    hindsight policy with one rate per replication, KernelUnavailableError
-    when the kernel cannot be built).  On long horizons V and each (lo, hi)
-    row run on a band around the points' fluid paths, as a lower and an upper
-    bound that must agree bit for bit, so every value has the full pass's
-    bits (see _fused_pass); each row's final band width and retry count are
-    logged at DEBUG.
+    Every policy runs by its checked_law for one replication, a (lo, hi) law
+    or a DP table, in the compiled backward kernel over the cells the points
+    read (KernelUnavailableError when the kernel cannot be built).  On long
+    horizons V and each (lo, hi) row run on a band around the points' fluid
+    paths, as a lower and an upper bound that must agree bit for bit, so
+    every value has the full pass's bits (see _fused_pass); each row's final
+    band width and retry count are logged at DEBUG.
     """
     _require_bernoulli(model, "exact policy evaluation")
     points = [_whole_point(T, y0) for T, y0 in points]
     if not points:
         raise DomainError("need at least one (T, y0) point")
     policies = dict(policies or {})
-    for name, pol in policies.items():
-        if isinstance(pol, HindsightPolicy) and np.size(pol.lo) > 1:
-            raise DomainError(f"policy {name!r} holds {np.size(pol.lo)} hindsight rates, one "
-                              "per replication; an exact pass needs a single rate")
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
-    laws = [checked_law(pol, ys, max(T for T, _ in points)) for pol in policies.values()]
-    for name, law in zip(policies, laws):
-        if law is None:
-            raise UnsupportedModelError(
-                f"policy {name!r} ({type(policies[name]).__name__}) has no rate law the "
-                "backward kernel can run: a rate_law() that its rates_batch reproduces")
+    laws = [checked_law(pol, ys, max(T for T, _ in points), model, 1)
+            for pol in policies.values()]
     rows = _fused_pass(_kernel().backward, model, points, laws, names=["dp", *policies])
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
 
-def checked_law(policy, y: np.ndarray, t: int):
-    """policy.rate_law() when it reproduces policy.rates_batch at the states y
-    with t and with 1 period left, else None.
+def checked_law(policy, y: np.ndarray, t: int, model, reps: int):
+    """The rate law that a compiled loop runs for policy on model, reps
+    replications at a time, in place of policy.rates_batch: policy.rate_law(),
+    once it reproduces rates_batch at the states y with t and with 1 period left.
 
-    The compiled loops run the law in place of rates_batch.  This spot check
-    keeps a policy with no law, or one whose rates_batch departs from the
-    law it inherited (a subclass that overrides only rates_batch), off them.
-    A DP table must cover t periods from the whole number of units max(y):
-    DomainError otherwise, before any rate is read.
+    The one admission rule of the compiled loops.  UnsupportedModelError for
+    a policy with no law, one whose rates_batch departs from its law (a
+    subclass that overrides only rates_batch), or a two-product law other
+    than model itself.  DomainError, before any rate is read, for a
+    hindsight policy whose rate count is neither 1 nor reps, and for a DP
+    table that does not cover t periods from the whole number of units max(y).
     """
-    if not hasattr(policy, "rate_law"):
-        return None
-    law = policy.rate_law()
+    law = policy.rate_law() if hasattr(policy, "rate_law") else None
     if isinstance(law, ValueTable):
         top = float(np.max(y))
         if not (t <= law.horizon and top <= law.max_inventory and top.is_integer()):
             raise DomainError(f"a DP table of horizon {law.horizon} and max inventory "
                               f"{law.max_inventory} cannot run {t} periods from "
                               f"{top} units (a whole number is needed)")
-    for left in {t, 1}:
-        if not np.array_equal(policy.rates_batch(y, left), law_rates(law, y, left)):
-            return None
+    if isinstance(policy, HindsightPolicy) and np.size(policy.lo) not in (1, reps):
+        raise DomainError(f"a hindsight policy with {np.size(policy.lo)} per-replication "
+                          f"rates cannot run {reps} replication(s)")
+    multi = isinstance(law, MultiDemandModel) or isinstance(model, MultiDemandModel)
+    if (law is None or (multi and law is not model)
+            or any(not np.array_equal(policy.rates_batch(y, left), law_rates(law, y, left))
+                   for left in {t, 1})):
+        raise UnsupportedModelError(
+            f"{type(policy).__name__} has no rate law the compiled loops can run: a "
+            "rate_law() that its rates_batch reproduces (for two products, the model's own "
+            "re-solving policy)")
     return law
 
 

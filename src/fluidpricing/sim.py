@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine, trace diagnostics, and regret aggregation.
+"""Seeded Monte Carlo engine, the stopping time, and regret aggregation.
 
 Traces follow the inventory dynamics: realized demand is the posted rate
 plus noise, revenue is price times the sold (inventory-censored) quantity,
@@ -22,11 +22,11 @@ import numpy as np
 from . import rng
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
+from .fluid import _effective_rate_cap, solve_fluid_multi
 from .policies import (
     HindsightPolicy,
     MultiResolvingPolicy,
     ValueTable,
-    _effective_rate_cap,
     _kernel,
     checked_law,
     exact_passes,
@@ -43,6 +43,8 @@ _Z_VALUES = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.57582930
 NOISE_CHUNK = 2048
 # the policies a multi-product model's regret can be estimated for
 MULTI_POLICIES = ("resolving", "dp")
+# the fractions of the start state at which the forward kernels check a law
+_EIGHTHS = np.linspace(0.0, 1.0, 9)
 
 
 @dataclass
@@ -52,6 +54,8 @@ class SimTrace:
     Arrays are chronological; tau_remaining[i] is the number of periods
     left when row i was decided.  realized_demand is pre-censoring
     (demand_rate + xi); revenue reflects the inventory-censored sale.
+    t_sharp is the stopping time of the forward kernel's tracker (see
+    simulate_batch) in the band gamma(model, y0 / T).
     """
 
     T: int
@@ -64,6 +68,7 @@ class SimTrace:
     realized_demand: np.ndarray
     inventory_after: np.ndarray
     revenue: np.ndarray
+    t_sharp: int
 
     @property
     def total_revenue(self) -> float:
@@ -74,8 +79,8 @@ def simulate(model, policy, T: int, y0, seed: int):
     """Run the dynamics forward under a state-feedback policy, recording every period.
 
     One replication of the forward kernel (see simulate_batch), drawing from
-    the stream keyed by seed mod 2**64; UnsupportedModelError for a policy
-    without a checked_law.  Dispatches on the model family; for the
+    the stream keyed by seed mod 2**64, with the stopping-time tracker on;
+    it raises as checked_law does.  Dispatches on the model family; for the
     multi-product family see MultiSimTrace.
     """
     if isinstance(model, MultiDemandModel):
@@ -83,12 +88,12 @@ def simulate(model, policy, T: int, y0, seed: int):
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
     keys = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    _, record = _forward(model, policy, T, y0, keys, record=True)
+    batch, record = _forward(model, policy, T, y0, keys, track_t_sharp=True, record=True)
     price, rate, xi, realized, inventory, revenue = record.reshape(6, T)
     return SimTrace(
         T=T, y0=float(y0), seed=int(seed), tau_remaining=np.arange(T, 0, -1), price=price,
         demand_rate=rate, xi=xi, realized_demand=realized,
-        inventory_after=inventory, revenue=revenue,
+        inventory_after=inventory, revenue=revenue, t_sharp=int(batch.t_sharp[0]),
     )
 
 
@@ -124,15 +129,17 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     i*n + j.  Sales are unit sized (u < rate) for bernoulli and multi-product
     demand and rate + (2u - 1) * w for additive demand; demand beyond the
     inventory is lost.  With track_t_sharp (one product) the harmonic noise
-    series is accumulated along the way and the stopping time recorded per
-    replication (meaningful for re-solving traces).
+    series xi_bar(t) = sum over tau > t of xi_tau / (tau - 1) is accumulated
+    along the way, and t_sharp is the first period t, scanning
+    chronologically, in which it leaves the band |xi_bar| <= gamma(model,
+    y0 / T), floored at 2 (meaningful for re-solving traces).
 
-    The policy runs by its checked_law (its rate_law() reproduces
-    policy.rates_batch below the start state), as one call of a compiled
-    kernel: forward for one product (a (lo, hi) law or a DP table), forward2
-    for a two-product model under its own re-solving policy, whose prices
-    repeat the batch sum of model.price_of_rate.  Any other policy, and
-    n > 2 products, raise UnsupportedModelError.
+    The policy runs by its checked_law, checked at the eighths of the start
+    state (for two products, every pair of eighths), as one call of a
+    compiled kernel: forward for one product (a (lo, hi) law or a DP table),
+    forward2 for a two-product model under its own re-solving policy, whose
+    prices repeat the batch sum of model.price_of_rate.  checked_law raises
+    for any other policy, and n > 2 products raise UnsupportedModelError.
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
@@ -145,8 +152,11 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
         raise UnsupportedModelError("t_sharp tracking is defined for one product")
     if np.shape(y0) != (model.n,):
         raise DomainError(f"inventory vector must have shape ({model.n},)")
+    if model.n != 2:
+        raise UnsupportedModelError("batch re-solving is implemented for n = 2")
     y = np.full((n_reps, model.n), y0, dtype=float)
-    _kernel_law(model, policy, y, T)
+    pairs = np.stack(np.meshgrid(_EIGHTHS, _EIGHTHS, indexing="ij"), axis=-1).reshape(-1, 2)
+    checked_law(policy, pairs * y[0], T, model, n_reps)
     total, sum_xi = np.zeros(n_reps), np.zeros(n_reps)
     _kernel().forward2(n_reps, T, seeds, model.g, model.H, model.box_hi, y, total, sum_xi)
     return BatchResult(total_revenue=total, sum_xi=sum_xi)
@@ -163,11 +173,8 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
     if np.ndim(y0) != 0:
         raise DomainError("one product's inventory must be a number")
     reps = keys.size
-    if isinstance(policy, HindsightPolicy) and np.size(policy.lo) not in (1, reps):
-        raise DomainError(f"a hindsight policy with {np.size(policy.lo)} per-replication "
-                          f"rates cannot run {reps} replications")
     y = np.full(reps, y0, dtype=float)
-    law = _kernel_law(model, policy, y, T)
+    law = checked_law(policy, y * _EIGHTHS[:, None], T, model, reps)
     if isinstance(law, ValueTable):
         # checked_law read row T of the table; the kernel reads rows <= T and
         # clamps the column to the array's own width
@@ -192,46 +199,7 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
             trace if record else None)
 
 
-def _kernel_law(model, policy, y: np.ndarray, T: int):
-    """The checked_law of policy that a forward kernel runs on model from the states y.
-
-    The law is checked from the start state down to 0 in eighths, for two
-    products at every pair of eighths; a two-product law must re-solve the
-    simulated model itself.  UnsupportedModelError when there is none.
-    """
-    eighths = np.linspace(0.0, 1.0, 9)
-    if not isinstance(model, MultiDemandModel):
-        law = checked_law(policy, y * eighths[:, None], T)
-    elif model.n != 2:
-        raise UnsupportedModelError("batch re-solving is implemented for n = 2")
-    else:
-        pairs = np.stack(np.meshgrid(eighths, eighths, indexing="ij"), axis=-1).reshape(-1, 2)
-        law = checked_law(policy, pairs * y[0], T)
-        law = law if law is model else None
-    if law is None:
-        raise UnsupportedModelError(
-            f"{type(policy).__name__} has no rate law the forward kernels can run: a "
-            "rate_law() that its rates_batch reproduces (for two products, the model's own "
-            "re-solving policy)")
-    return law
-
-
-# -- diagnostics -------------------------------------------------------------
-
-
-@dataclass
-class Diagnostics:
-    """Harmonic noise series, safe band, and stopping time of one trace.
-
-    xi_bar[t] is the harmonic partial sum of noises accumulated before the
-    period with t remaining (index by remaining periods; entry 0 is NaN).
-    t_sharp is the first period, scanning chronologically, whose update
-    pushes the series outside the band, floored at 2.
-    """
-
-    gamma: float
-    t_sharp: int
-    xi_bar: np.ndarray
+# -- stopping time ------------------------------------------------------------
 
 
 def gamma(model: DemandModel, x_T: float) -> float:
@@ -239,38 +207,6 @@ def gamma(model: DemandModel, x_T: float) -> float:
     slope = model.revenue_slope(x_T)
     curv = model.revenue_curvature(x_T)
     return min(x_T - model.d_lo, model.x_u - x_T, -slope / curv)
-
-
-def harmonic_series(xi: np.ndarray, T: int) -> np.ndarray:
-    """Partial sums xi_bar[t] = sum over tau > t of xi_tau / (tau - 1).
-
-    ``xi`` is chronological (first entry is the period with T remaining).
-    Returns an array indexed by remaining periods t = 0..T; entry T is 0,
-    entry 0 is NaN (the series is defined down to t = 1).
-    """
-    out = np.full(T + 1, np.nan)
-    out[T] = 0.0
-    acc = 0.0
-    for i in range(T):
-        t = T - i
-        if t >= 2:
-            acc += xi[i] / (t - 1)
-            out[t - 1] = acc
-    return out
-
-
-def diagnostics(trace: SimTrace, model: DemandModel, x_T: float | None = None) -> Diagnostics:
-    """Stopping-time diagnostics of a re-solving trace."""
-    if x_T is None:
-        x_T = trace.y0 / trace.T
-    gam = gamma(model, x_T)
-    xb = harmonic_series(trace.xi, trace.T)
-    t_sharp = 2
-    for t in range(trace.T, 1, -1):  # chronological scan
-        if abs(xb[t - 1]) > gam:
-            t_sharp = t
-            break
-    return Diagnostics(gamma=gam, t_sharp=max(t_sharp, 2), xi_bar=xb)
 
 
 def harmonic_identity_check(t_sharp: int, delta_seq, xi_r_seq, xi_star_seq) -> float:
@@ -348,9 +284,10 @@ def parse_y0_rule(rule):
 
 
 def fluid_value(model: DemandModel, T: int, y0: float) -> float:
-    """Benchmark value T * r(min(y0/T, x_u)), computed from the model."""
+    """Benchmark value T * r(min(y0/T, rate cap)), computed from the model; below
+    d_lo it extends r past the demand interval (see solve_fluid_single)."""
     x_T = y0 / T
-    return T * float(model.revenue_rate_unchecked(min(x_T, model.x_u)))
+    return T * float(model.revenue_rate_unchecked(min(x_T, _effective_rate_cap(model))))
 
 
 def _policy_stream_seed(base_seed: int, policy_name: str, crn: bool) -> int:
@@ -362,8 +299,7 @@ def _policy_stream_seed(base_seed: int, policy_name: str, crn: bool) -> int:
 
 def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
                     replications: int = 10_000, base_seed: int = 0, *,
-                    common_random_numbers: bool = False,
-                    confidence: float = 0.95) -> list[RegretReport]:
+                    common_random_numbers: bool = False) -> list[RegretReport]:
     """Benchmark the given policies against the exact DP and fluid values.
 
     Bernoulli models are evaluated exactly (no Monte Carlo error; the
@@ -376,8 +312,7 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
         raise DomainError(f"horizons must be >= 1, got {T_list}")
     rule = parse_y0_rule(y0_rule)
     if isinstance(model, MultiDemandModel):
-        return _estimate_regret_multi(model, T_list, rule, policies, replications,
-                                      base_seed, confidence)
+        return _estimate_regret_multi(model, T_list, rule, policies, replications, base_seed)
     points = [(T, rule(T)) for T in T_list]
     exact = model.kind == KIND_BERNOULLI
     if exact:
@@ -398,17 +333,17 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
                           else built[name])
                 batch = simulate_batch(model, policy, T, y0, seed, replications)
                 val = batch.mean
-            reports.append(_report(T, name, val, batch, confidence, fluid_value(model, T, y0),
+            reports.append(_report(T, name, val, batch, fluid_value(model, T, y0),
                                    values[k]["dp"] if exact else None, base_seed,
                                    None if exact else "dp-requires-bernoulli"))
     return reports
 
 
-def _report(T, name, value, batch, confidence, fluid, dp, base_seed, dp_reason) -> RegretReport:
-    """An exact row when batch is None, else a Monte Carlo row."""
+def _report(T, name, value, batch, fluid, dp, base_seed, dp_reason) -> RegretReport:
+    """An exact row when batch is None, else a Monte Carlo row with a 95 % CI."""
     return RegretReport(
         T=T, policy=name, value=value,
-        ci_half_width=0.0 if batch is None else batch.ci_half_width(confidence),
+        ci_half_width=0.0 if batch is None else batch.ci_half_width(),
         replications=0 if batch is None else batch.total_revenue.size,
         fluid_value=fluid, dp_value=dp, regret_vs_dp=None if dp is None else dp - value,
         regret_vs_fluid=fluid - value, base_seed=base_seed, dp_reason=dp_reason,
@@ -471,9 +406,7 @@ def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
 
 
 def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
-                           replications, base_seed, confidence) -> list[RegretReport]:
-    from .fluid import solve_fluid_multi
-
+                           replications, base_seed) -> list[RegretReport]:
     for name in policies:
         if name not in MULTI_POLICIES:
             raise DomainError(f"multi-product estimation supports resolving/dp, not {name!r}")
@@ -494,8 +427,7 @@ def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
             else:
                 batch = simulate_batch_multi(model, T, y0, base_seed, replications)
                 val = batch.mean
-            reports.append(_report(T, name, val, batch, confidence, fluid, dp, base_seed,
-                                   dp_reason))
+            reports.append(_report(T, name, val, batch, fluid, dp, base_seed, dp_reason))
     return reports
 
 

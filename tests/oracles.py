@@ -3,7 +3,8 @@
 Each function repeats its kernel in _kernels.c operation by operation, so the
 tests compare the two bit for bit: backward (backward), simulate and
 simulate_batch (forward, forward2), noise_sum (noise_sum) and backward_multi
-(backward2).
+(backward2).  harmonic_series is the reference of forward's stopping-time
+tracker, from which simulate fills SimTrace.t_sharp.
 """
 
 import numpy as np
@@ -35,7 +36,8 @@ def decide(model, policy, y: float, t: int):
 def simulate(model, policy, T: int, y0, seed: int) -> SimTrace:
     """One trace, period by period in Python floats on the stream keyed by seed mod 2**64.
 
-    The reference of sim.simulate, one replication of the forward kernel.
+    The reference of sim.simulate, one replication of the forward kernel;
+    t_sharp is read off harmonic_series in the band gamma(model, y0 / T).
     """
     u = rng.uniform_block(seed, 0, T)
     is_bernoulli = model.kind == KIND_BERNOULLI
@@ -62,9 +64,30 @@ def simulate(model, policy, T: int, y0, seed: int) -> SimTrace:
         revenue[i] = p * sold
         y = max(0.0, y - realized[i])
         inventory[i] = y
+    xi_bar, gam = harmonic_series(xi, T), gamma(model, float(y0) / T)
+    # the first period, scanning chronologically, whose noise leaves the band; floored at 2
+    t_sharp = next((t for t in range(T, 1, -1) if abs(xi_bar[t - 1]) > gam), 2)
     return SimTrace(T=T, y0=float(y0), seed=int(seed), tau_remaining=np.arange(T, 0, -1),
                     price=price, demand_rate=rate, xi=xi, realized_demand=realized,
-                    inventory_after=inventory, revenue=revenue)
+                    inventory_after=inventory, revenue=revenue, t_sharp=t_sharp)
+
+
+def harmonic_series(xi: np.ndarray, T: int) -> np.ndarray:
+    """Partial sums xi_bar[t] = sum over tau > t of xi_tau / (tau - 1).
+
+    ``xi`` is chronological (first entry is the period with T remaining).
+    Returns an array indexed by remaining periods t = 0..T; entry T is 0,
+    entry 0 is NaN (the series is defined down to t = 1).
+    """
+    out = np.full(T + 1, np.nan)
+    out[T] = 0.0
+    acc = 0.0
+    for i in range(T):
+        t = T - i
+        if t >= 2:
+            acc += xi[i] / (t - 1)
+            out[t - 1] = acc
+    return out
 
 
 def simulate_batch(model, policy, T: int, y0, base_seed: int, n_reps: int,

@@ -1,16 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
 from fluidpricing import (
     DegeneracyWarning,
+    DemandModel,
     DomainError,
     MultiDemandModel,
     active_partition,
+    cli,
+    fluid_value,
+    model_from_dict,
     partial_optimum,
     solve_fluid_multi,
     solve_fluid_single,
     validate_multi,
 )
+from fluidpricing.experiments import run_ho_compare
 from fluidpricing.fluid import box_qp2_batch
 
 from conftest import random_multi_model
@@ -45,6 +52,43 @@ class TestSingle:
     def test_negative_inventory_rejected(self, bernoulli_model):
         with pytest.raises(DomainError):
             solve_fluid_single(bernoulli_model, -0.2)
+
+
+class TestRateCapInsideDemandInterval:
+    """Priced above its revenue maximizer, the model's demand interval ends at
+    d_hi = 0.35 below x_u = 0.375: every fluid rate stops at d_hi."""
+
+    SPEC = {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5, "p_lo": 0.8, "p_hi": 1.0}
+
+    def test_fluid_rule_and_value(self):
+        model = model_from_dict(self.SPEC)
+        assert model.d_hi == pytest.approx(0.35) and model.d_hi < model.x_u
+        sol = solve_fluid_single(model, 0.5)
+        assert sol.x_c[0] == model.d_hi and sol.active_set == [] and sol.lam[0] == 0.0
+        assert sol.objective == model.revenue_rate(model.d_hi)
+        assert fluid_value(model, 64, 32) == pytest.approx(17.92, abs=1e-12)
+        # below d_lo the fluid value still extends r past the interval
+        assert fluid_value(model, 64, 8) == 64 * model.revenue_rate_unchecked(0.125)
+
+    def test_fluid_solve_cli(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.SPEC))
+        assert cli.main(["fluid-solve", "--model", str(path), "--inventory", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["x_c"] == [0.35]
+
+    def test_cap_at_the_demand_floor_keeps_the_dual_nonnegative(self):
+        # priced below its revenue maximizer: d_lo = 0.5 above x_u = 0.375
+        model = DemandModel.linear_bernoulli(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=0.5)
+        assert solve_fluid_single(model, 0.6).x_c[0] == model.d_lo
+        with pytest.warns(DegeneracyWarning):
+            sol = solve_fluid_single(model, 0.3)
+        assert sol.clamped and sol.x_c[0] == model.d_lo and sol.lam[0] == 0.0
+
+    def test_hindsight_gap_without_noise_is_zero(self):
+        model = DemandModel.linear_additive(0.75, 0.5, 0.8, 1.0, 0.0)
+        row, = run_ho_compare(model, [64], 0.5, replications=8, base_seed=1)
+        assert row["fluid_value"] == 64 * model.revenue_rate(model.d_hi)
+        assert row["gap"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMulti:

@@ -250,9 +250,9 @@ class TestExactEvaluation:
 
         with monkeypatch.context() as patched:
             patched.setattr(policies_module, "_kernel", no_kernel)
-            with pytest.raises(DomainError, match="policy 'ho' holds 5 hindsight rates"):
+            with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
                 exact_values(bernoulli_model, [(64, 20)], {"ho": several})
-            with pytest.raises(DomainError, match="policy 'ho' holds 5 hindsight rates"):
+            with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
                 exact_policy_values(bernoulli_model, 64, 20, {"ho": several})
         # a single rate, even held in an array, is one policy
         _assert_kernel_matches_backward(bernoulli_model, [(64, 20)], {"ho": one})
@@ -426,9 +426,11 @@ class TestFusedKernel:
 
         floored = Floored(bernoulli_model)
         ys = np.arange(41, dtype=float)
-        assert policies_module.checked_law(floored, ys, 64) is None
-        assert policies_module.checked_law(LastCall(bernoulli_model), ys, 64) is None
-        assert policies_module.checked_law(resolving_policy(bernoulli_model), ys, 64) is not None
+        for pol in (floored, LastCall(bernoulli_model)):
+            with pytest.raises(UnsupportedModelError, match="no rate law"):
+                policies_module.checked_law(pol, ys, 64, bernoulli_model, 1)
+        assert policies_module.checked_law(resolving_policy(bernoulli_model), ys, 64,
+                                           bernoulli_model, 1) is not None
         for pol in (floored, NoLaw(floored), LastCall(bernoulli_model)):
             # the kernels are the only loops, and they run laws: none runs these
             with pytest.raises(UnsupportedModelError, match="no rate law"):

@@ -9,16 +9,13 @@ from fluidpricing import (
     DomainError,
     MultiDemandModel,
     ResourceGuardError,
-    SimTrace,
     UnsupportedModelError,
     constant_bound,
-    diagnostics,
     estimate_regret,
     exact_values,
     fluid_value,
     gamma,
     harmonic_identity_check,
-    harmonic_series,
     ho_policy,
     resolving_policy,
     simulate,
@@ -92,12 +89,7 @@ class TestSimulate:
                                        tr.demand_rate[active] + tr.xi[active], atol=1e-12)
 
     def test_policy_without_rate_law_is_refused(self, bernoulli_model):
-        class Floored(ResolvingPolicy):
-            # overrides rates_batch only, so the inherited law no longer holds
-            def rates_batch(self, y, t):
-                return np.maximum(super().rates_batch(y, t), 0.3)
-
-        for pol in (_RatesOnly(resolving_policy(bernoulli_model)), Floored(bernoulli_model)):
+        for pol in (_RatesOnly(resolving_policy(bernoulli_model)), _Floored(bernoulli_model)):
             with pytest.raises(UnsupportedModelError, match="no rate law"):
                 simulate(bernoulli_model, pol, 8, 3, seed=0)
             with pytest.raises(UnsupportedModelError, match="no rate law"):
@@ -191,7 +183,7 @@ class TestSimulate:
         monkeypatch.setattr(pol, "rates_batch", no_call)
         with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
             simulate(additive_model, pol, 64, 20, 1)
-        with pytest.raises(DomainError, match="cannot run 7 replications"):
+        with pytest.raises(DomainError, match="cannot run 7 replication"):
             simulate_batch(additive_model, pol, 64, 20, 1, n_reps=7)
 
 
@@ -249,6 +241,42 @@ class _RatesOnly:
         self.rates_batch = policy.rates_batch
 
 
+class _Floored(ResolvingPolicy):
+    """Overrides rates_batch only, so the inherited law no longer holds."""
+
+    def rates_batch(self, y, t):
+        return np.maximum(super().rates_batch(y, t), 0.3)
+
+
+# each misuse of a compiled loop, and the error checked_law raises for it
+_MISUSES = {"rates-only": UnsupportedModelError, "overriding-subclass": UnsupportedModelError,
+            "hindsight-5-rates": DomainError, "small-dp-table": DomainError}
+
+
+@pytest.mark.parametrize("misuse", sorted(_MISUSES))
+def test_every_compiled_loop_refuses_a_misuse_alike(misuse, bernoulli_model, additive_model,
+                                                    monkeypatch):
+    """exact_values, simulate and simulate_batch share one admission rule, so they
+    raise the same error for a misuse, before any kernel runs."""
+    pol = {"rates-only": lambda: _RatesOnly(resolving_policy(bernoulli_model)),
+           "overriding-subclass": lambda: _Floored(bernoulli_model),
+           "hindsight-5-rates": lambda: ho_policy(additive_model, 0.3,
+                                                  np.linspace(-0.1, 0.1, 5)),
+           "small-dp-table": lambda: solve_dp(bernoulli_model, 16, 10).policy()}[misuse]()
+    T, y0 = 32, 12  # beyond the table's 16 periods and 10 units
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(policies, "_kernel", no_kernel)
+    monkeypatch.setattr(sim_module, "_kernel", no_kernel)
+    for run in (lambda: exact_values(bernoulli_model, [(T, y0)], {"pol": pol}),
+                lambda: simulate(bernoulli_model, pol, T, y0, seed=3),
+                lambda: simulate_batch(bernoulli_model, pol, T, y0, 3, 4)):
+        with pytest.raises(_MISUSES[misuse]):
+            run()
+
+
 _TRACE_FIELDS = ("tau_remaining", "price", "demand_rate", "xi", "realized_demand",
                  "inventory_after", "revenue")
 _TRACE_MODELS = {**_ENGINE_MODELS, "zero-noise": DemandModel.linear_additive(
@@ -283,6 +311,7 @@ def test_simulate_matches_scalar_oracle_bitwise(law, T, start, fill, seed):
     for field in _TRACE_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert type(got.t_sharp) is int and got.t_sharp == want.t_sharp
 
 
 class TestForwardKernel:
@@ -338,7 +367,7 @@ class TestForwardKernel:
         y0 = [{"empty": 0.0, "fractional": fill * T * 0.6, "whole": float(round(fill * T))}[s]
               for s in start]
         pol = multi_resolving_policy(model)
-        assert checked_law(pol, np.array([y0]), T) is model  # so forward2 runs
+        assert checked_law(pol, np.array([y0]), T, model, reps) is model  # so forward2 runs
         got = simulate_batch(model, pol, T, y0, seed, reps)
         want = oracles.simulate_batch(model, pol, T, y0, seed, reps)
         assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
@@ -369,7 +398,8 @@ class TestForwardKernel:
                 return np.minimum(super().rates_batch(y, t), 0.3)
 
         capped = Capped(multi_model)
-        assert checked_law(capped, np.array([[4.0, 8.0]]), 16) is None
+        with pytest.raises(UnsupportedModelError, match="no rate law"):
+            checked_law(capped, np.array([[4.0, 8.0]]), 16, multi_model, 40)
         # nor does forward2 run a policy that re-solves another model, or rates alone
         other = multi_resolving_policy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
                                                         box_hi=[0.3, 1.0]))
@@ -389,19 +419,20 @@ def _assert_same_batch(got, want, track: bool) -> None:
 
 
 class TestDiagnostics:
-    def test_all_zero_noise_floors_at_two(self, bernoulli_model):
-        T = 32
-        tr = _fabricated_trace(T, np.zeros(T))
-        d = diagnostics(tr, bernoulli_model, x_T=5 / 16)
-        assert d.t_sharp == 2
-        assert d.gamma == pytest.approx(1 / 16)
+    """SimTrace.t_sharp, the forward kernel's stopping time, on whole traces."""
+
+    def test_all_zero_noise_floors_at_two(self, zero_noise_model):
+        for pol in (resolving_policy(zero_noise_model), static_policy(zero_noise_model, 0.3)):
+            assert simulate(zero_noise_model, pol, 32, 10, seed=5).t_sharp == 2
 
     def test_huge_first_noise_stops_immediately(self, bernoulli_model):
-        T = 32
-        xi = np.zeros(T)
-        xi[0] = 1000.0  # the period with T remaining
-        d = diagnostics(_fabricated_trace(T, xi), bernoulli_model, x_T=5 / 16)
-        assert d.t_sharp == T
+        # at x_T = x_u the band is empty (gamma = 0), and a bernoulli period always
+        # has noise, so the series leaves it in the first period
+        T, y0 = 32, 12
+        assert gamma(bernoulli_model, y0 / T) == 0.0
+        for seed in range(5):
+            assert simulate(bernoulli_model, resolving_policy(bernoulli_model), T, y0,
+                            seed=seed).t_sharp == T
 
     def test_gamma_terms(self, bernoulli_model):
         # for quadratic revenue, -r'(x)/r''(x) equals x_u - x
@@ -413,16 +444,17 @@ class TestDiagnostics:
         pol = resolving_policy(bernoulli_model)
         T, y0 = 256, 80
         x_T = y0 / T
+        gam = gamma(bernoulli_model, x_T)
         for seed in range(50):
             tr = simulate(bernoulli_model, pol, T, y0, seed=seed)
-            d = diagnostics(tr, bernoulli_model)
+            xi_bar = oracles.harmonic_series(tr.xi, T)
             inv_before = np.concatenate([[float(y0)], tr.inventory_after[:-1]])
             for i in range(T):
                 tau = T - i
-                if tau >= d.t_sharp - 1:
-                    assert abs(inv_before[i] / tau - (x_T - d.xi_bar[tau])) < 1e-10
-                if tau >= d.t_sharp:
-                    assert abs(d.xi_bar[tau]) <= d.gamma + 1e-12
+                if tau >= tr.t_sharp - 1:
+                    assert abs(inv_before[i] / tau - (x_T - xi_bar[tau])) < 1e-10
+                if tau >= tr.t_sharp:
+                    assert abs(xi_bar[tau]) <= gam + 1e-12
 
     def test_batch_t_sharp_matches_per_trace(self, bernoulli_model):
         from fluidpricing.rng import replication_seed
@@ -433,22 +465,15 @@ class TestDiagnostics:
                                track_t_sharp=True)
         for i in range(20):
             tr = simulate(bernoulli_model, pol, T, y0, seed=int(replication_seed(21, i)))
-            assert diagnostics(tr, bernoulli_model).t_sharp == batch.t_sharp[i]
+            assert tr.t_sharp == batch.t_sharp[i]
 
     def test_harmonic_series_indexing(self):
         xi = np.array([0.1, -0.2, 0.3])  # T = 3, chronological
-        xb = harmonic_series(xi, 3)
+        xb = oracles.harmonic_series(xi, 3)
         assert xb[3] == 0.0
         assert xb[2] == pytest.approx(0.1 / 2)
         assert xb[1] == pytest.approx(0.1 / 2 - 0.2 / 1)
         assert np.isnan(xb[0])
-
-
-def _fabricated_trace(T: int, xi: np.ndarray) -> SimTrace:
-    z = np.zeros(T)
-    return SimTrace(T=T, y0=float(T) * 5 / 16, seed=0,
-                    tau_remaining=np.arange(T, 0, -1), price=z, demand_rate=z,
-                    xi=xi, realized_demand=z, inventory_after=z, revenue=z)
 
 
 class TestHarmonicIdentity:
