@@ -52,7 +52,6 @@ from .sim import (
     estimate_regret,
     fluid_value,
     gamma,
-    harmonic_identity_check,
     simulate,
     simulate_batch,
     simulate_batch_multi,

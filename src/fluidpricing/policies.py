@@ -21,6 +21,7 @@ import math
 import os
 import subprocess
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -309,8 +310,11 @@ def _aligned_zeros(shape) -> np.ndarray:
 
 
 def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list[float]]:
-    """Every row's value at each point (row 0 is V, row 1 + i runs laws[i]), from
-    one kernel call per distinct horizon and pass.
+    """Every row's value at each point (row 0 is V, row 1 + i runs laws[i]).
+
+    Each copy of a row (see below) is one _pass, a kernel call per distinct
+    horizon on its own values array; no copy reads another, so the copies of
+    an attempt run at once on the kernel pool (_map), each on its own core.
 
     A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
     two horizons the points still to be read are fixed, and so is their
@@ -367,8 +371,10 @@ def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list
                     half[j] = math.inf
         copies = [(j, flag) for j in pending
                   for flag in ((_LOWER, _UPPER) if j in bands else (0,))]
-        got, span = _pass(kernel, model, points, reads, segments, triangle, tables, ranges,
-                          bands, copies)
+        runs = _map(functools.partial(_pass, kernel, model, points, reads, segments, triangle),
+                    [(flag | (_OPTIMAL if j == 0 else 0), tables[j - 1] if j else None,
+                      ranges[j], bands.get(j)) for j, flag in copies])
+        got, span = np.stack([g for g, _ in runs], axis=1), np.stack([s for _, s in runs])
         failed = []
         for j in pending:
             first, *upper = (c for c, (row, _) in enumerate(copies) if row == j)
@@ -431,28 +437,25 @@ def _band_cells(segment, line) -> float:
     return (t_to - t_from) * (c1 - c0 + (s1 - s0) * (t_from + 1 + t_to) / 2 + 2)
 
 
-def _pass(kernel, model, points, reads, segments, triangle, tables, ranges, bands, copies):
-    """One pass over the copies (row j, flag), a bound copy on the band lines
-    bands[j] (one per segment): their values at the points, and each copy's
-    last band (-1 where the band ran out)."""
-    width = -(-(max(reads) + 1) // 8) * 8  # whole cache lines per row
-    values = _aligned_zeros((len(copies), width))
+def _pass(kernel, model, points, reads, segments, triangle, flag, table, rates, lines):
+    """One copy's pass: a row with the kernel flag, run by the DP table or else
+    by the (lo, hi) law rates, a bound copy on the band lines (one per segment).
+    Its values at the points, and its last band (-1 where the band ran out)."""
+    width = -(-(max(reads) + 1) // 8) * 8  # whole cache lines
+    values = _aligned_zeros((1, width))
     ys = np.arange(width, dtype=float)
-    flags = np.array([flag | (_OPTIMAL if j == 0 else 0) for j, flag in copies], dtype=np.int32)
-    acts = [tables[j - 1] if j else None for j, _ in copies]
-    pointers = np.array([0 if a is None else a.ctypes.data for a in acts], dtype=np.uintp)
-    strides = np.array([0 if a is None else a.shape[1] for a in acts], dtype=np.int64)
-    lo, hi = (np.array([ranges[j][k] for j, _ in copies]) for k in (0, 1))
-    span = np.tile(np.array([0, width], dtype=np.int64), (len(copies), 1))
-    got = np.empty((len(points), len(copies)))
+    pointer = np.array([0 if table is None else table.ctypes.data], dtype=np.uintp)
+    stride = np.array([0 if table is None else table.shape[1]], dtype=np.int64)
+    lo, hi = np.array([rates[0]]), np.array([rates[1]])
+    flags, span = np.array([flag], dtype=np.int32), np.array([0, width], dtype=np.int64)
+    got = np.empty(len(points))
     for s, (t_from, t_to, cone, y_hi, live) in enumerate(segments):
-        band = np.array([bands[j][s] if flag else (0.0,) * 4 for j, flag in copies])
-        kernel(values, *values.shape, ys, flags, lo, hi, pointers, strides, band, span,
-               model.alpha, model.beta, model.d_lo, model.d_hi, t_from, t_to, cone, y_hi,
-               triangle, None)
+        band = np.array(lines[s] if lines else (0.0,) * 4)
+        kernel(values, 1, width, ys, flags, lo, hi, pointer, stride, band, span, model.alpha,
+               model.beta, model.d_lo, model.d_hi, t_from, t_to, cone, y_hi, triangle, None)
         for k in live:
             if points[k][0] == t_to:
-                got[k] = values[:, reads[k]]
+                got[k] = values[0, reads[k]]
     return got, span
 
 
@@ -471,7 +474,8 @@ def _kernel():
     """The compiled loops of _kernels.c (backward, forward, noise_sum, forward2,
     backward2), the one engine of every exact pass and Monte Carlo batch,
     built on first use; KernelUnavailableError when they cannot be built or
-    loaded."""
+    loaded.  A ctypes call releases the GIL for its length, so independent
+    calls run on as many cores as the kernel pool has workers (see _map)."""
     try:
         lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -495,6 +499,40 @@ def _kernel():
     for fn in (lib.backward, lib.forward, lib.noise_sum, lib.forward2, lib.backward2):
         fn.restype = None
     return lib
+
+
+def _workers() -> int:
+    """The size of the kernel pool: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="fluidpricing-kernel")
+
+
+# a forked child has none of its parent's pool threads, so it starts a pool of its own
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map(fn, calls) -> list:
+    """[fn(*call) for call in calls], the calls run at once on the kernel pool
+    of _workers() threads, created on first use.  The calls must be
+    independent: each writes only its own arrays.  The library is resolved
+    here, on the calling thread, so that no two threads build or load it."""
+    _kernel()
+    return list(_pool(_workers()).map(lambda call: fn(*call), calls))
+
+
+def _ranges(n: int) -> list[slice]:
+    """min(_workers(), n) contiguous slices, as even as can be, that cover 0 .. n - 1:
+    the replication ranges of a batch, one per kernel call of _map."""
+    parts = min(_workers(), n)
+    bounds = [n * k // parts for k in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _compile() -> Path:

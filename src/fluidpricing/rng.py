@@ -48,7 +48,3 @@ def uniforms(seed: int | np.ndarray, counter: int | np.ndarray) -> np.ndarray:
         word = mix64(state)
     return (word >> np.uint64(11)).astype(np.float64) * _INV53
 
-
-def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """``count`` consecutive uniforms of one stream, beginning at ``start``."""
-    return uniforms(np.uint64(seed & _MASK), np.arange(start, start + count, dtype=np.uint64))

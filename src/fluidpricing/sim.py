@@ -28,6 +28,8 @@ from .policies import (
     MultiResolvingPolicy,
     ValueTable,
     _kernel,
+    _map,
+    _ranges,
     checked_law,
     exact_passes,
     ho_policy,
@@ -55,7 +57,8 @@ class SimTrace:
     left when row i was decided.  realized_demand is pre-censoring
     (demand_rate + xi); revenue reflects the inventory-censored sale.
     t_sharp is the stopping time of the forward kernel's tracker (see
-    simulate_batch) in the band gamma(model, y0 / T).
+    simulate_batch) in the band gamma(model, y0 / T); None where that band
+    is negative, as it is for x_T = y0 / T outside [d_lo, x_u].
     """
 
     T: int
@@ -68,7 +71,7 @@ class SimTrace:
     realized_demand: np.ndarray
     inventory_after: np.ndarray
     revenue: np.ndarray
-    t_sharp: int
+    t_sharp: int | None
 
     @property
     def total_revenue(self) -> float:
@@ -79,21 +82,23 @@ def simulate(model, policy, T: int, y0, seed: int):
     """Run the dynamics forward under a state-feedback policy, recording every period.
 
     One replication of the forward kernel (see simulate_batch), drawing from
-    the stream keyed by seed mod 2**64, with the stopping-time tracker on;
-    it raises as checked_law does.  Dispatches on the model family; for the
-    multi-product family see MultiSimTrace.
+    the stream keyed by seed mod 2**64, with the stopping-time tracker on
+    where its band gamma(model, y0 / T) is not negative (else t_sharp is
+    None); it raises as checked_law does.  Dispatches on the model family;
+    for the multi-product family see MultiSimTrace.
     """
     if isinstance(model, MultiDemandModel):
         return simulate_multi(model, policy, T, y0, seed)
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
     keys = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    batch, record = _forward(model, policy, T, y0, keys, track_t_sharp=True, record=True)
+    track = gamma(model, float(y0) / T) >= 0
+    batch, record = _forward(model, policy, T, y0, keys, track_t_sharp=track, record=True)
     price, rate, xi, realized, inventory, revenue = record.reshape(6, T)
     return SimTrace(
         T=T, y0=float(y0), seed=int(seed), tau_remaining=np.arange(T, 0, -1), price=price,
-        demand_rate=rate, xi=xi, realized_demand=realized,
-        inventory_after=inventory, revenue=revenue, t_sharp=int(batch.t_sharp[0]),
+        demand_rate=rate, xi=xi, realized_demand=realized, inventory_after=inventory,
+        revenue=revenue, t_sharp=int(batch.t_sharp[0]) if track else None,
     )
 
 
@@ -132,14 +137,17 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     series xi_bar(t) = sum over tau > t of xi_tau / (tau - 1) is accumulated
     along the way, and t_sharp is the first period t, scanning
     chronologically, in which it leaves the band |xi_bar| <= gamma(model,
-    y0 / T), floored at 2 (meaningful for re-solving traces).
+    y0 / T), floored at 2 (meaningful for re-solving traces); DomainError
+    where that band is negative, for x_T = y0 / T outside [d_lo, x_u].
 
     The policy runs by its checked_law, checked at the eighths of the start
-    state (for two products, every pair of eighths), as one call of a
-    compiled kernel: forward for one product (a (lo, hi) law or a DP table),
-    forward2 for a two-product model under its own re-solving policy, whose
-    prices repeat the batch sum of model.price_of_rate.  checked_law raises
-    for any other policy, and n > 2 products raise UnsupportedModelError.
+    state (for two products, every pair of eighths), in a compiled kernel:
+    forward for one product (a (lo, hi) law or a DP table), forward2 for a
+    two-product model under its own re-solving policy, whose prices repeat
+    the batch sum of model.price_of_rate.  checked_law raises for any other
+    policy, and n > 2 products raise UnsupportedModelError.  The kernel runs
+    one call per contiguous range of replications on the kernel pool (see
+    _forward); the results do not depend on the number of ranges.
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
@@ -158,17 +166,22 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     pairs = np.stack(np.meshgrid(_EIGHTHS, _EIGHTHS, indexing="ij"), axis=-1).reshape(-1, 2)
     checked_law(policy, pairs * y[0], T, model, n_reps)
     total, sum_xi = np.zeros(n_reps), np.zeros(n_reps)
-    _kernel().forward2(n_reps, T, seeds, model.g, model.H, model.box_hi, y, total, sum_xi)
+    _map(_kernel().forward2, [(s.stop - s.start, T, seeds[s], model.g, model.H, model.box_hi,
+                               y[s], total[s], sum_xi[s]) for s in _ranges(n_reps)])
     return BatchResult(total_revenue=total, sum_xi=sum_xi)
 
 
 def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
              track_t_sharp: bool = False, record: bool = False):
-    """One call of the forward kernel: a replication per stream key, all from y0.
+    """The forward kernel on a replication per stream key, all from y0.
 
     Returns the BatchResult and, with record, the (6, T, reps) record of
     price (inf while shut off), rate, noise, realized demand, inventory
-    after and revenue per period, else None.
+    after and revenue per period, else None.  Without record the
+    replications are split into contiguous ranges (_ranges), one kernel call
+    each on the kernel pool; a replication's stream is keyed by itself, so
+    the bits do not depend on the split.  With track_t_sharp, DomainError
+    when the band gamma(model, y0 / T) is negative (x_T outside [d_lo, x_u]).
     """
     if np.ndim(y0) != 0:
         raise DomainError("one product's inventory must be a number")
@@ -190,10 +203,15 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
     total, sum_xi, harm = np.zeros(reps), np.zeros(reps), np.zeros(reps)
     t_sharp = np.full(reps, 2, dtype=int)
     gam = gamma(model, float(y0) / T) if track_t_sharp else 0.0
+    if gam < 0:
+        raise DomainError(f"the stopping band gamma = {gam:g} is negative: t_sharp needs "
+                          f"x_T = y0 / T = {float(y0) / T:g} in [d_lo, x_u] = "
+                          f"[{model.d_lo:g}, {model.x_u:g}]")
     trace = np.empty((6, T, reps) if record else 1)
-    _kernel().forward(reps, T, keys, lo, hi, actions, width, model.alpha, model.beta, w,
-                      unit_sales, y, total, sum_xi, track_t_sharp, gam, harm, t_sharp,
-                      record, trace)
+    _map(_kernel().forward, [
+        (s.stop - s.start, T, keys[s], lo[s], hi[s], actions, width, model.alpha, model.beta,
+         w, unit_sales, y[s], total[s], sum_xi[s], track_t_sharp, gam, harm[s], t_sharp[s],
+         record, trace) for s in ([slice(0, reps)] if record else _ranges(reps))])
     return (BatchResult(total_revenue=total, sum_xi=sum_xi,
                         t_sharp=t_sharp if track_t_sharp else None),
             trace if record else None)
@@ -207,39 +225,6 @@ def gamma(model: DemandModel, x_T: float) -> float:
     slope = model.revenue_slope(x_T)
     curv = model.revenue_curvature(x_T)
     return min(x_T - model.d_lo, model.x_u - x_T, -slope / curv)
-
-
-def harmonic_identity_check(t_sharp: int, delta_seq, xi_r_seq, xi_star_seq) -> float:
-    """Residual of the telescoping identity of harmonic correction sums.
-
-    Sequences are indexed tau = T .. t_sharp (chronological order, first
-    entry is tau = T).  With D = delta and e = xi_r - xi_star, the sum of
-    [D_tau - Dbar_{->tau} + ebar_{->tau} - e_tau] over tau = t_sharp..T
-    minus (t_sharp - 1) * (Dbar_{->t_sharp-1} - ebar_{->t_sharp-1})
-    vanishes identically; the return value is its floating-point residual.
-    """
-    delta = np.asarray(delta_seq, dtype=float)
-    xi_r = np.asarray(xi_r_seq, dtype=float)
-    xi_star = np.asarray(xi_star_seq, dtype=float)
-    if not (delta.shape == xi_r.shape == xi_star.shape):
-        raise DomainError("sequences must share one length")
-    n = delta.size
-    T = t_sharp + n - 1
-    e = xi_r - xi_star
-    taus = np.arange(T, t_sharp - 1, -1)
-
-    def tail_sums(a):
-        # hbar[j] = sum_{k<j} a_k/(tau_k - 1) = harmonic sum over tau > tau_j
-        contrib = a / (taus - 1.0)
-        hbar = np.concatenate([[0.0], np.cumsum(contrib[:-1])])
-        final = hbar[-1] + contrib[-1]  # accumulated through tau = t_sharp
-        return hbar, final
-
-    dbar, dbar_final = tail_sums(delta)
-    ebar, ebar_final = tail_sums(e)
-    total = float(np.sum(delta - dbar + ebar - e))
-    total -= (t_sharp - 1) * (dbar_final - ebar_final)
-    return total
 
 
 # -- regret estimation -------------------------------------------------------
@@ -377,7 +362,8 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     Replication i reveals the realized mean noise xi_bar[i] of its stream
     over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
     The noise mean comes from the sum of the stream's uniforms in blocks of
-    NOISE_CHUNK counters, as one call of the compiled noise_sum kernel.
+    NOISE_CHUNK counters, from the compiled noise_sum kernel, one call per
+    contiguous range of replications on the kernel pool.
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
@@ -389,7 +375,8 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     acc = np.zeros(n_reps)
-    _kernel().noise_sum(n_reps, T, NOISE_CHUNK, seeds, acc)
+    _map(_kernel().noise_sum, [(s.stop - s.start, T, NOISE_CHUNK, seeds[s], acc[s])
+                               for s in _ranges(n_reps)])
     return ho_policy(model, x_T, (2.0 * acc / T - 1.0) * w)
 
 

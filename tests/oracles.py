@@ -4,13 +4,15 @@ Each function repeats its kernel in _kernels.c operation by operation, so the
 tests compare the two bit for bit: backward (backward), simulate and
 simulate_batch (forward, forward2), noise_sum (noise_sum) and backward_multi
 (backward2).  harmonic_series is the reference of forward's stopping-time
-tracker, from which simulate fills SimTrace.t_sharp.
+tracker, from which simulate fills SimTrace.t_sharp.  uniform_block and
+harmonic_identity_check are test helpers with no caller in the package.
 """
 
 import numpy as np
 
 from fluidpricing import rng
 from fluidpricing.demand import KIND_BERNOULLI, MultiDemandModel
+from fluidpricing.errors import DomainError
 from fluidpricing.fluid import box_qp2_batch
 from fluidpricing.policies import ValueTable
 from fluidpricing.sim import BatchResult, SimTrace, gamma
@@ -37,9 +39,10 @@ def simulate(model, policy, T: int, y0, seed: int) -> SimTrace:
     """One trace, period by period in Python floats on the stream keyed by seed mod 2**64.
 
     The reference of sim.simulate, one replication of the forward kernel;
-    t_sharp is read off harmonic_series in the band gamma(model, y0 / T).
+    t_sharp is read off harmonic_series in the band gamma(model, y0 / T),
+    None where that band is negative.
     """
-    u = rng.uniform_block(seed, 0, T)
+    u = uniform_block(seed, 0, T)
     is_bernoulli = model.kind == KIND_BERNOULLI
     w = 0.0 if is_bernoulli else float(model.noise_half_width)
     price, rate, xi, realized, inventory, revenue = (np.empty(T) for _ in range(6))
@@ -66,7 +69,8 @@ def simulate(model, policy, T: int, y0, seed: int) -> SimTrace:
         inventory[i] = y
     xi_bar, gam = harmonic_series(xi, T), gamma(model, float(y0) / T)
     # the first period, scanning chronologically, whose noise leaves the band; floored at 2
-    t_sharp = next((t for t in range(T, 1, -1) if abs(xi_bar[t - 1]) > gam), 2)
+    t_sharp = (next((t for t in range(T, 1, -1) if abs(xi_bar[t - 1]) > gam), 2)
+               if gam >= 0 else None)
     return SimTrace(T=T, y0=float(y0), seed=int(seed), tau_remaining=np.arange(T, 0, -1),
                     price=price, demand_rate=rate, xi=xi, realized_demand=realized,
                     inventory_after=inventory, revenue=revenue, t_sharp=t_sharp)
@@ -88,6 +92,45 @@ def harmonic_series(xi: np.ndarray, T: int) -> np.ndarray:
             acc += xi[i] / (t - 1)
             out[t - 1] = acc
     return out
+
+
+def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
+    """``count`` consecutive uniforms of one stream, beginning at ``start``."""
+    return rng.uniforms(np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
+                        np.arange(start, start + count, dtype=np.uint64))
+
+
+def harmonic_identity_check(t_sharp: int, delta_seq, xi_r_seq, xi_star_seq) -> float:
+    """Residual of the telescoping identity of harmonic correction sums.
+
+    Sequences are indexed tau = T .. t_sharp (chronological order, first
+    entry is tau = T).  With D = delta and e = xi_r - xi_star, the sum of
+    [D_tau - Dbar_{->tau} + ebar_{->tau} - e_tau] over tau = t_sharp..T
+    minus (t_sharp - 1) * (Dbar_{->t_sharp-1} - ebar_{->t_sharp-1})
+    vanishes identically; the return value is its floating-point residual.
+    """
+    delta = np.asarray(delta_seq, dtype=float)
+    xi_r = np.asarray(xi_r_seq, dtype=float)
+    xi_star = np.asarray(xi_star_seq, dtype=float)
+    if not (delta.shape == xi_r.shape == xi_star.shape):
+        raise DomainError("sequences must share one length")
+    n = delta.size
+    T = t_sharp + n - 1
+    e = xi_r - xi_star
+    taus = np.arange(T, t_sharp - 1, -1)
+
+    def tail_sums(a):
+        # hbar[j] = sum_{k<j} a_k/(tau_k - 1) = harmonic sum over tau > tau_j
+        contrib = a / (taus - 1.0)
+        hbar = np.concatenate([[0.0], np.cumsum(contrib[:-1])])
+        final = hbar[-1] + contrib[-1]  # accumulated through tau = t_sharp
+        return hbar, final
+
+    dbar, dbar_final = tail_sums(delta)
+    ebar, ebar_final = tail_sums(e)
+    total = float(np.sum(delta - dbar + ebar - e))
+    total -= (t_sharp - 1) * (dbar_final - ebar_final)
+    return total
 
 
 def simulate_batch(model, policy, T: int, y0, base_seed: int, n_reps: int,

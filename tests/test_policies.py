@@ -1,9 +1,11 @@
 import ctypes
 import logging
 import math
+import multiprocessing
 import platform
 import re
 import subprocess
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +19,7 @@ from fluidpricing import (
     KernelUnavailableError,
     ResourceGuardError,
     UnsupportedModelError,
+    benchmark_model,
     dp_value,
     evaluate_policy_exact,
     exact_policy_values,
@@ -520,7 +523,7 @@ class TestBandedPass:
         calls = []
 
         def spy(values, rows, width, ys, flags, *args):
-            calls.append(flags.tolist())
+            calls.append((rows, *flags.tolist(), args[10]))  # t_from
             policies_module._kernel().backward(values, rows, width, ys, flags, *args)
 
         lower, upper = policies_module._LOWER, policies_module._UPPER
@@ -528,7 +531,11 @@ class TestBandedPass:
         with _start_width(2.0):
             got = policies_module._fused_pass(spy, model, points,
                                               [pol.rate_law() for pol in policies.values()])
-        assert calls[0] == [optimal | lower, optimal | upper, 0, lower, upper]
+        # each copy is its own one-row call; a retry starts only once the first attempt's
+        # copies are done, so the first five calls from period 0 are that attempt's
+        first = [(rows, flag) for rows, flag, t_from in calls if t_from == 0][:5]
+        assert sorted(first) == sorted((1, flag) for flag in
+                                       [optimal | lower, optimal | upper, 0, lower, upper])
         assert got == _backward_values(model, points, policies).tolist()
 
     @pytest.mark.parametrize("policy", ["static", "resolving"])
@@ -581,6 +588,116 @@ class TestBandedPass:
             zeros = policies_module._aligned_zeros(shape)
             assert zeros.ctypes.data % 64 == 0 and zeros.shape == np.zeros(shape).shape
             assert zeros.flags.c_contiguous and not zeros.any()
+
+
+def _workers(n):
+    """A kernel pool of n workers, in place of one per CPU this process may run on."""
+    return mock.patch.object(policies_module, "_workers", lambda: n)
+
+
+def _batch_bytes(batch) -> bytes:
+    return b"".join(a.tobytes() for a in (batch.total_revenue, batch.sum_xi, batch.t_sharp)
+                    if a is not None)
+
+
+def _exact_and_batch() -> tuple[float, bytes]:
+    """An exact pass and a 2000-replication batch, both on the kernel pool."""
+    model = benchmark_model()
+    dp = exact_values(model, [(4096, 1280)], {"resolving": resolving_policy(model)})[0]
+    batch = simulate_batch(model, resolving_policy(model), 256, 80, 3, 2000)
+    return dp["resolving"], _batch_bytes(batch)
+
+
+def _send_from_child(queue) -> None:
+    queue.put(_exact_and_batch())
+
+
+class TestKernelPool:
+    """Independent kernel calls run at once on the pool: its size changes no bit."""
+
+    @pytest.mark.parametrize("table", [False, True])
+    @pytest.mark.parametrize("k", [2.0, 0.5, 1e6])  # bands, retries, the whole cone
+    def test_exact_values_do_not_depend_on_the_worker_count(self, bernoulli_model, table,
+                                                            k, caplog):
+        # a table row turns the triangle cut off, so its cone is wide at smaller T
+        points = ([(2048, 1024), (1500, 700), (64, 20)] if table
+                  else [(4096, 1280), (3000, 900), (64, 20)])
+        policies = {"static": static_policy(bernoulli_model, 5 / 16),
+                    "resolving": resolving_policy(bernoulli_model)}
+        if table:
+            policies["table"] = solve_dp(bernoulli_model, 2048, 1024).policy()
+        got = []
+        for n in (1, 2):
+            caplog.clear()
+            with _workers(n), _start_width(k), caplog.at_level(
+                    logging.DEBUG, logger=policies_module.__name__):
+                rows = exact_values(bernoulli_model, points, policies)
+            got.append(np.array([list(row.values()) for row in rows]).tobytes())
+            # V started on a band unless k = 1e6, and k = 0.5 made it retry
+            width, retries = _band_log(caplog)["dp"]
+            assert ((width, retries) == ("whole cone", 0)) == (k == 1e6)
+            assert retries > 0 or k != 0.5
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("reps", [1, 3, 2000])
+    def test_batches_do_not_depend_on_the_worker_count(self, bernoulli_model, additive_model,
+                                                       multi_model, reps):
+        T, y0 = 64, 20
+        table = solve_dp(bernoulli_model, T, y0).policy()
+        runs = {
+            "static": lambda: simulate_batch(bernoulli_model,
+                                             static_policy(bernoulli_model, y0 / T), T, y0, 5,
+                                             reps, track_t_sharp=True),
+            "resolving": lambda: simulate_batch(additive_model,
+                                                resolving_policy(additive_model), T, y0, 5,
+                                                reps, track_t_sharp=True),
+            "dp": lambda: simulate_batch(bernoulli_model, table, T, y0, 5, reps),
+            # per-replication rates from noise_sum
+            "ho": lambda: simulate_batch(additive_model,
+                                         ho_batch_policy(additive_model, T, y0 / T, 5, reps),
+                                         T, y0, 5, reps),
+            "two products": lambda: simulate_batch_multi(multi_model, T, [10, 20], 5, reps),
+        }
+        for name, run in runs.items():
+            with _workers(1):
+                one = _batch_bytes(run())
+            with _workers(2):
+                two = _batch_bytes(run())
+            assert one == two, name
+        rates = []
+        for n in (1, 2):
+            with _workers(n):
+                rates.append(ho_batch_policy(additive_model, T, 0.3, 5, reps).lo.tobytes())
+        assert rates[0] == rates[1]
+
+    def test_ranges_cover_the_replications_in_order(self):
+        for n, workers in ((1, 2), (3, 2), (2000, 2), (7, 3), (5, 1)):
+            with _workers(workers):
+                parts = policies_module._ranges(n)
+            assert len(parts) == min(n, workers)
+            assert [i for part in parts for i in range(n)[part]] == list(range(n))
+
+    def test_threads_stay_within_the_pool(self):
+        start = threading.active_count()
+        _exact_and_batch()
+        assert threading.active_count() <= start + policies_module._workers()
+
+    def test_forked_child_runs_on_a_pool_of_its_own(self):
+        """The parent's pool threads do not exist in a forked child: the child must not
+        wait on them, but start its own pool and get the parent's bits."""
+        want = _exact_and_batch()
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_send_from_child, args=(queue,))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == want and child.exitcode == 0
 
 
 class TestKernelSource:

@@ -1,6 +1,7 @@
 import numpy as np
 
-from fluidpricing.rng import mix64, replication_seed, uniform_block, uniforms
+from fluidpricing.rng import mix64, replication_seed, uniforms
+from oracles import uniform_block
 
 
 def test_uniforms_in_unit_interval():

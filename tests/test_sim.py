@@ -15,7 +15,6 @@ from fluidpricing import (
     exact_values,
     fluid_value,
     gamma,
-    harmonic_identity_check,
     ho_policy,
     resolving_policy,
     simulate,
@@ -167,7 +166,7 @@ class TestSimulate:
         for i in range(n):
             seed = int(rng.replication_seed(base, i))
             # the clairvoyant sees the mean noise of its own stream
-            xi_bar = ((2.0 * rng.uniform_block(seed, 0, T) - 1.0) * w).mean()
+            xi_bar = ((2.0 * oracles.uniform_block(seed, 0, T) - 1.0) * w).mean()
             assert rates[i] == pytest.approx(y0 / T + xi_bar, abs=1e-15)
             single = ho_policy(additive_model, y0 / T, xi_bar)
             tr = simulate(additive_model, single, T, y0, seed=seed)
@@ -311,7 +310,8 @@ def test_simulate_matches_scalar_oracle_bitwise(law, T, start, fill, seed):
     for field in _TRACE_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    assert type(got.t_sharp) is int and got.t_sharp == want.t_sharp
+    # an int, or None where the band gamma(model, y0 / T) is negative
+    assert type(got.t_sharp) is type(want.t_sharp) and got.t_sharp == want.t_sharp
 
 
 class TestForwardKernel:
@@ -329,9 +329,7 @@ class TestForwardKernel:
             pol = ho_batch_policy(model, T, x_T, seed, reps)
         else:
             pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
-        got = simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
-        want = oracles.simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
-        _assert_same_batch(got, want, track)
+        _assert_batch_matches_numpy_engine(model, pol, T, y0, seed, reps, track)
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["bernoulli", "additive"]), T=st.integers(1, 120),
@@ -343,9 +341,7 @@ class TestForwardKernel:
         y0 = round(fill * T)
         table = solve_dp(_ENGINE_MODELS["bernoulli"], T + cover[0], y0 + cover[1])
         model, pol = _ENGINE_MODELS[family], table.policy()
-        got = simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
-        want = oracles.simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
-        _assert_same_batch(got, want, track)
+        _assert_batch_matches_numpy_engine(model, pol, T, y0, seed, reps, track)
 
     @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
     def test_noise_sum_matches_numpy_chunked_sum(self, additive_model, T):
@@ -408,6 +404,18 @@ class TestForwardKernel:
                 simulate_batch(multi_model, pol, 16, [4, 8], 5, 40)
 
 
+def _assert_batch_matches_numpy_engine(model, pol, T, y0, seed, reps, track) -> None:
+    """simulate_batch against the numpy engine, bit for bit; with track where the band
+    gamma(model, y0 / T) is negative, the kernel refuses the tracker and both run without."""
+    if track and gamma(model, y0 / T) < 0:
+        with pytest.raises(DomainError, match="band gamma"):
+            simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=True)
+        track = False
+    got = simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
+    want = oracles.simulate_batch(model, pol, T, y0, seed, reps, track_t_sharp=track)
+    _assert_same_batch(got, want, track)
+
+
 def _assert_same_batch(got, want, track: bool) -> None:
     assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
     assert got.sum_xi.tobytes() == want.sum_xi.tobytes()
@@ -433,6 +441,18 @@ class TestDiagnostics:
         for seed in range(5):
             assert simulate(bernoulli_model, resolving_policy(bernoulli_model), T, y0,
                             seed=seed).t_sharp == T
+
+    @pytest.mark.parametrize("T, y0", [(16, 0), (16, 8)])
+    def test_negative_band_has_no_stopping_time(self, bernoulli_model, T, y0):
+        # x_T = 0 and 0.5 lie outside [d_lo, x_u] = [0.25, 0.375]: the band is negative,
+        # so no period can stay in it, and a trace has no t_sharp to report
+        pol = resolving_policy(bernoulli_model)
+        assert gamma(bernoulli_model, y0 / T) < 0
+        assert simulate(bernoulli_model, pol, T, y0, seed=1).t_sharp is None
+        assert oracles.simulate(bernoulli_model, pol, T, y0, 1).t_sharp is None
+        with pytest.raises(DomainError, match="band gamma"):
+            simulate_batch(bernoulli_model, pol, T, y0, 1, 3, track_t_sharp=True)
+        assert simulate_batch(bernoulli_model, pol, T, y0, 1, 3).t_sharp is None
 
     def test_gamma_terms(self, bernoulli_model):
         # for quadratic revenue, -r'(x)/r''(x) equals x_u - x
@@ -478,11 +498,11 @@ class TestDiagnostics:
 
 class TestHarmonicIdentity:
     def test_zero_inputs(self):
-        assert harmonic_identity_check(2, np.zeros(5), np.zeros(5), np.zeros(5)) == 0.0
+        assert oracles.harmonic_identity_check(2, np.zeros(5), np.zeros(5), np.zeros(5)) == 0.0
 
     def test_hand_expanded_case(self):
         # constant corrections, no noise, T = 5, stop at 2
-        res = harmonic_identity_check(2, np.ones(4), np.zeros(4), np.zeros(4))
+        res = oracles.harmonic_identity_check(2, np.ones(4), np.zeros(4), np.zeros(4))
         assert abs(res) < 1e-12
 
     def test_fuzz_thousand_cases(self):
@@ -491,7 +511,7 @@ class TestHarmonicIdentity:
             T = int(rng.integers(2, 200))
             t_sharp = int(rng.integers(2, T + 1))
             n = T - t_sharp + 1
-            res = harmonic_identity_check(
+            res = oracles.harmonic_identity_check(
                 t_sharp,
                 rng.uniform(-5, 5, size=n),
                 rng.uniform(-5, 5, size=n),
@@ -501,7 +521,7 @@ class TestHarmonicIdentity:
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            harmonic_identity_check(2, np.zeros(3), np.zeros(4), np.zeros(3))
+            oracles.harmonic_identity_check(2, np.zeros(3), np.zeros(4), np.zeros(3))
 
 
 class TestStochasticChecks:
