@@ -21,7 +21,8 @@ import math
 import os
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -314,7 +315,7 @@ def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list
 
     Each copy of a row (see below) is one _pass, a kernel call per distinct
     horizon on its own values array; no copy reads another, so the copies of
-    an attempt run at once on the kernel pool (_map), each on its own core.
+    an attempt run at once, one per thread of _map.
 
     A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
     two horizons the points still to be read are fixed, and so is their
@@ -475,7 +476,7 @@ def _kernel():
     backward2), the one engine of every exact pass and Monte Carlo batch,
     built on first use; KernelUnavailableError when they cannot be built or
     loaded.  A ctypes call releases the GIL for its length, so independent
-    calls run on as many cores as the kernel pool has workers (see _map)."""
+    calls run on as many cores as _map has threads."""
     try:
         lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -502,7 +503,7 @@ def _kernel():
 
 
 def _workers() -> int:
-    """The size of the kernel pool: the CPUs this process may run on."""
+    """How many threads run the calls of _map: the CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -510,8 +511,8 @@ def _workers() -> int:
 
 
 @functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(workers, thread_name_prefix="fluidpricing-kernel")
+def _pool(helpers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(helpers, thread_name_prefix="fluidpricing-kernel")
 
 
 # a forked child has none of its parent's pool threads, so it starts a pool of its own
@@ -519,18 +520,47 @@ os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _map(fn, calls) -> list:
-    """[fn(*call) for call in calls], the calls run at once on the kernel pool
-    of _workers() threads, created on first use.  The calls must be
-    independent: each writes only its own arrays.  The library is resolved
-    here, on the calling thread, so that no two threads build or load it."""
+    """[fn(*call) for call in calls], run by the calling thread together with
+    _workers() - 1 helper threads of the kernel pool, created on first use.
+
+    Each thread takes the next call that no thread has taken, so a thread the
+    system holds back (a core taken by another process) delays only the call
+    it holds, and the calling thread never waits on a helper that has not
+    started.  The calls must be independent: each writes only its own arrays.
+    The library is resolved here, on the calling thread, so that no two
+    threads build or load it."""
     _kernel()
-    return list(_pool(_workers()).map(lambda call: fn(*call), calls))
+    calls = list(calls)
+    results = [None] * len(calls)
+    todo, lock = iter(enumerate(calls)), threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                i, call = next(todo, (None, None))
+            if call is None:
+                return
+            results[i] = fn(*call)
+
+    helpers = _workers() - 1
+    futures = [_pool(helpers).submit(run) for _ in range(min(helpers, len(calls) - 1))]
+    try:
+        run()
+    finally:
+        # wait() counts a cancelled future as done only once a helper dequeues it
+        started = [future for future in futures if not future.cancel()]
+        wait(started)
+    for future in started:
+        future.result()  # a helper's exception
+    return results
 
 
 def _ranges(n: int) -> list[slice]:
-    """min(_workers(), n) contiguous slices, as even as can be, that cover 0 .. n - 1:
-    the replication ranges of a batch, one per kernel call of _map."""
-    parts = min(_workers(), n)
+    """min(n, 4 * _workers()) contiguous slices, as even as can be, that cover
+    0 .. n - 1: the replication ranges of a batch, one kernel call each in _map.
+    Four per thread, so that the others take over the ranges of a thread that
+    the system holds back."""
+    parts = min(n, 4 * _workers())
     bounds = [n * k // parts for k in range(parts + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 

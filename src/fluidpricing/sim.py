@@ -146,8 +146,8 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     two-product model under its own re-solving policy, whose prices repeat
     the batch sum of model.price_of_rate.  checked_law raises for any other
     policy, and n > 2 products raise UnsupportedModelError.  The kernel runs
-    one call per contiguous range of replications on the kernel pool (see
-    _forward); the results do not depend on the number of ranges.
+    one call per contiguous range of replications in _map (see _forward);
+    the results do not depend on the number of ranges.
     """
     if T < 1 or not np.all(np.asarray(y0) >= 0):
         raise DomainError("need T >= 1 and y0 >= 0")
@@ -179,7 +179,7 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
     price (inf while shut off), rate, noise, realized demand, inventory
     after and revenue per period, else None.  Without record the
     replications are split into contiguous ranges (_ranges), one kernel call
-    each on the kernel pool; a replication's stream is keyed by itself, so
+    each in _map; a replication's stream is keyed by itself, so
     the bits do not depend on the split.  With track_t_sharp, DomainError
     when the band gamma(model, y0 / T) is negative (x_T outside [d_lo, x_u]).
     """
@@ -363,7 +363,7 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
     The noise mean comes from the sum of the stream's uniforms in blocks of
     NOISE_CHUNK counters, from the compiled noise_sum kernel, one call per
-    contiguous range of replications on the kernel pool.
+    contiguous range of replications in _map.
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")

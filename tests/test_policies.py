@@ -2,9 +2,11 @@ import ctypes
 import logging
 import math
 import multiprocessing
+import os
 import platform
 import re
 import subprocess
+import sys
 import threading
 from pathlib import Path
 from unittest import mock
@@ -671,11 +673,57 @@ class TestKernelPool:
         assert rates[0] == rates[1]
 
     def test_ranges_cover_the_replications_in_order(self):
-        for n, workers in ((1, 2), (3, 2), (2000, 2), (7, 3), (5, 1)):
+        for n, workers in ((1, 2), (3, 2), (2000, 2), (7, 3), (5, 1), (30, 3)):
             with _workers(workers):
                 parts = policies_module._ranges(n)
-            assert len(parts) == min(n, workers)
+            assert len(parts) == min(n, 4 * workers)
+            assert max(len(range(n)[p]) for p in parts) - min(len(range(n)[p]) for p in parts) <= 1
             assert [i for part in parts for i in range(n)[part]] == list(range(n))
+
+    def test_a_held_back_helper_does_not_stall_the_calls(self):
+        """The calling thread runs every call that no helper has taken, and does not
+        wait for a helper that has not started."""
+        release = threading.Event()
+        with _workers(2):
+            blocker = policies_module._pool(1).submit(release.wait, 20)  # the only helper
+            try:
+                got = policies_module._map(lambda i: 2 * i, [(i,) for i in range(8)])
+                assert not blocker.done()
+            finally:
+                release.set()
+                blocker.result()
+        assert got == [2 * i for i in range(8)]
+
+    def test_each_call_runs_once_with_more_threads_than_cores(self):
+        n = (os.cpu_count() or 1) + 2
+        runs = []
+
+        def call(i):
+            runs.append(i)
+            return -i
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _workers(n):
+                for _ in range(20):
+                    runs.clear()
+                    got = policies_module._map(call, [(i,) for i in range(200)])
+                    assert got == [-i for i in range(200)]
+                    assert sorted(runs) == list(range(200))
+        finally:
+            sys.setswitchinterval(switch)
+            policies_module._pool(n - 1).shutdown()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_failing_call_raises(self, n):
+        def call(i):
+            if i == 3:
+                raise ValueError("call 3")
+            return i
+
+        with _workers(n), pytest.raises(ValueError, match="call 3"):
+            policies_module._map(call, [(i,) for i in range(8)])
 
     def test_threads_stay_within_the_pool(self):
         start = threading.active_count()
