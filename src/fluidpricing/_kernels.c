@@ -50,21 +50,20 @@ static double clip(double x, double lo, double hi)
 /* -- backward ---------------------------------------------------------------
  *
  * Fused backward induction over the (remaining periods, inventory) lattice.
- * values is a (rows x width) row-major array of independent rows.  Row r
- * holds the optimal value V(t, y) when flags[r] has ROW_OPTIMAL, else the
- * value of a policy whose demand rate is clip(y / t, lo[r], hi[r])
- * (lo[r] == hi[r] is a constant rate) when tables[r] is NULL, else the DP
- * action tables[r][t * strides[r] + y] of a row-major table.  Every row gets
+ * w is one row of width cells.  It holds the optimal value V(t, y) when
+ * flags has ROW_OPTIMAL, else the value of a policy whose demand rate is
+ * clip(y / t, lo, hi) (lo == hi is a constant rate) when table is NULL, else
+ * the DP action table[t * stride + y] of a row-major table.  The row gets
  * r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), with the rate, the clip and
  * the update evaluated in the operation order of oracles.backward.  Unless
- * record is NULL, row 0 is copied into row t of the row-major
+ * record is NULL, the row is copied into row t of the row-major
  * (t_to + 1) x width array record after each period t.
  *
- * One call advances the rows from period t_from to t_to, updating only the
+ * One call advances the row from period t_from to t_to, updating only the
  * cells y in [max(1, cone + t), y_hi] that a requested point can still
  * read.  With triangle set, V(t, y) = V(t, t) for every y >= t, so only
  * y <= t is computed and V(t, t) is copied into cell t + 1 for the next
- * period.  Column 0 (no inventory) is never written.  Each row is updated in
+ * period.  Column 0 (no inventory) is never written.  The row is updated in
  * place from high y to low, so W(t-1, y-1) is still unchanged when read.  A
  * policy row is split where y / t saturates (clipped_row), so that only the
  * cells with lo < y / t < hi compute their rate and r(d).
@@ -220,41 +219,37 @@ static double edge_bound(const double *w, long y, long a, long b, int flags,
 }
 
 BACKWARD_CLONES
-void backward(double *values, long rows, long width, const double *ys,
-              const int32_t *flags, const double *lo, const double *hi,
-              const double *const *tables, const int64_t *strides,
-              const double *band, int64_t *span, double alpha, double beta,
-              double d_lo, double d_hi, long t_from, long t_to, long cone,
-              long y_hi, int triangle, double *record)
+void backward(double *w, long width, const double *ys, int flags, double lo,
+              double hi, const double *table, long stride, const double *band,
+              int64_t *span, double alpha, double beta, double d_lo, double d_hi,
+              long t_from, long t_to, long cone, long y_hi, int triangle,
+              double *record)
 {
     double p_hi = (alpha - d_lo) / beta, cap = clip(alpha / 2.0, d_lo, d_hi);
+    int bound = flags & (ROW_LOWER | ROW_UPPER);
     for (long t = t_from + 1; t <= t_to; t++) {
         long first = cone + t > 1 ? cone + t : 1;
         long last = triangle && t < y_hi ? t : y_hi;
-        for (long r = 0; r < rows; r++) {
-            double *w = values + r * width;
-            long a = first, b = last;
-            int bound = flags[r] & (ROW_LOWER | ROW_UPPER);
-            if (bound && !band_at(t, band + 4 * r, span + 2 * r, &a, &b))
-                continue;
-            if (flags[r] & ROW_OPTIMAL)
+        long a = first, b = last;
+        if (!bound || band_at(t, band, span, &a, &b)) {
+            if (flags & ROW_OPTIMAL)
                 optimal_row(w, a, b, alpha, beta, d_lo, d_hi);
-            else if (tables[r])
-                table_row(w, tables[r] + t * strides[r], a, b, alpha, beta);
+            else if (table)
+                table_row(w, table + t * stride, a, b, alpha, beta);
             else
-                clipped_row(w, ys, a, b, (double)t, lo[r], hi[r], alpha, beta);
+                clipped_row(w, ys, a, b, (double)t, lo, hi, alpha, beta);
             if (bound && a > first)
-                w[a - 1] = edge_bound(w, a - 1, a, b, flags[r], t, cap, d_lo, p_hi,
+                w[a - 1] = edge_bound(w, a - 1, a, b, flags, t, cap, d_lo, p_hi,
                                       alpha, beta);
             if (bound && b < last)
-                w[b + 1] = edge_bound(w, b + 1, a, b, flags[r], t, cap, d_lo, p_hi,
+                w[b + 1] = edge_bound(w, b + 1, a, b, flags, t, cap, d_lo, p_hi,
                                       alpha, beta);
             if (triangle && t < y_hi && b == last)
                 w[t + 1] = w[t];
         }
         if (record)
             for (long y = 0; y < width; y++)
-                record[t * width + y] = values[y];
+                record[t * width + y] = w[y];
     }
 }
 

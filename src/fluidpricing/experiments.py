@@ -63,6 +63,9 @@ class ExperimentConfig:
             raise ConfigError("T_list must be ascending")
         if self.T_list[0] < 1:
             raise ConfigError(f"horizons must be >= 1, got {list(self.T_list)}")
+        if (not isinstance(self.policies, (list, tuple))
+                or len(set(self.policies)) != len(self.policies)):
+            raise ConfigError(f"policies must be a list of distinct names, got {self.policies!r}")
         unknown = set(self.policies) - set(KNOWN_POLICIES)
         if unknown:
             raise ConfigError(f"unknown policies: {sorted(unknown)}")
@@ -99,11 +102,11 @@ class ExperimentConfig:
             return cls(
                 name=obj["name"],
                 model=obj["model"],
-                T_list=[int(t) for t in obj["T_list"]],
+                T_list=[_whole(t) for t in obj["T_list"]],
                 y0_rule=obj.get("y0_rule", "round(5/16*T)"),
-                policies=list(obj.get("policies", ["static", "resolving"])),
-                replications=int(obj.get("replications", 10_000)),
-                base_seed=int(obj.get("base_seed", 0)),
+                policies=obj.get("policies", ["static", "resolving"]),
+                replications=_whole(obj.get("replications", 10_000)),
+                base_seed=_whole(obj.get("base_seed", 0)),
                 out_path=obj.get("out_path"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -115,6 +118,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _whole(value) -> int:
+    """value as an int; TypeError unless a whole number (64 or 64.0, not 64.7 or True)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and value % 1 == 0):
+        raise TypeError(f"need a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -303,14 +313,8 @@ REGRET_COLUMNS = ["T", "policy", "value", "ci_half_width",
 
 
 def regret_report_rows(reports) -> list[dict]:
-    return [{
-        "T": r.T,
-        "policy": r.policy,
-        "value": r.value,
-        "ci_half_width": r.ci_half_width,
-        "regret_vs_dp": r.regret_vs_dp,
-        "regret_vs_fluid": r.regret_vs_fluid,
-    } for r in reports]
+    """One row per RegretReport: its fields named by REGRET_COLUMNS."""
+    return [{column: getattr(r, column) for column in REGRET_COLUMNS} for r in reports]
 
 
 # -- trace emission ---------------------------------------------------------------

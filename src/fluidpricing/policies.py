@@ -175,7 +175,8 @@ def _whole_point(T, y0) -> tuple[int, int]:
 def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
     """Dense value and action tables, (T+1)*(y0+1) each, from one backward kernel call.
 
-    The kernel records V(t, .) after every period t; actions[t, y] is the
+    The call runs one optimal row of y0 + 1 cells over the whole lattice and
+    records it, V(t, .), after every period t; actions[t, y] is the
     maximizing rate clip((alpha + beta*(V(t-1,y-1) - V(t-1,y)))/2, d_lo, d_hi)
     that the kernel's optimal row evaluates, with the same bits.
     """
@@ -185,13 +186,10 @@ def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
     if entries > DENSE_TABLE_MAX_ENTRIES:
         raise ResourceGuardError(f"dense value table would hold {entries} entries "
                                  f"(> {DENSE_TABLE_MAX_ENTRIES}); use exact_values instead")
-    values, actions, row = (np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1)),
-                            _aligned_zeros(y0 + 1))
-    one, empty = np.zeros(1), np.zeros(0)
-    _kernel().backward(row, 1, y0 + 1, empty, np.array([_OPTIMAL], dtype=np.int32), one, one,
-                       np.zeros(1, dtype=np.uintp), np.zeros(1, dtype=np.int64), np.zeros(4),
-                       np.zeros(2, dtype=np.int64), model.alpha, model.beta, model.d_lo,
-                       model.d_hi, 0, T, -T, y0, False, values.ctypes.data)
+    values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
+    _kernel().backward(np.zeros(y0 + 1), y0 + 1, np.zeros(0), _OPTIMAL, 0.0, 0.0, None, 0,
+                       np.zeros(4), np.zeros(2, dtype=np.int64), model.alpha, model.beta,
+                       model.d_lo, model.d_hi, 0, T, -T, y0, False, values.ctypes.data)
     # the optimal row's rate, in its operation order, in place: no table-sized temporaries
     acts = actions[1:, 1:]
     np.subtract(values[:-1, :-1], values[:-1, 1:], out=acts)
@@ -204,11 +202,11 @@ def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
 
 def exact_values(model: DemandModel, points,
                  policies: dict[str, object] | None = None) -> list[dict[str, float]]:
-    """{"dp": V, name: value, ...} at each (T, y0) point, from one backward pass.
+    """{"dp": V, name: value, ...} at each (T, y0) point, from one backward pass per row.
 
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
-    to the largest T reads every point, with O(max y0) memory per object.
+    to the largest T reads every point, with O(max y0) memory per row.
     Every policy runs by its checked_law for one replication, a (lo, hi) law
     or a DP table, in the compiled backward kernel over the cells the points
     read (KernelUnavailableError when the kernel cannot be built).  On long
@@ -301,21 +299,12 @@ def _start_half_width(T: int) -> float:
     return 4.0 * math.sqrt(T) + 2.0
 
 
-def _aligned_zeros(shape) -> np.ndarray:
-    """Float zeros whose data starts on a 64-byte cache line: the speed of the
-    kernel then does not depend on where malloc puts the array."""
-    size = math.prod(np.atleast_1d(shape))
-    raw = np.zeros(size + 8)
-    skip = -raw.ctypes.data % 64 // raw.itemsize
-    return raw[skip:skip + size].reshape(shape)
-
-
 def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list[float]]:
     """Every row's value at each point (row 0 is V, row 1 + i runs laws[i]).
 
     Each copy of a row (see below) is one _pass, a kernel call per distinct
-    horizon on its own values array; no copy reads another, so the copies of
-    an attempt run at once, one per thread of _map.
+    horizon on a row of cells of its own; no copy reads another, so the copies
+    of an attempt run at once, one per thread of _map.
 
     A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
     two horizons the points still to be read are fixed, and so is their
@@ -375,18 +364,16 @@ def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list
         runs = _map(functools.partial(_pass, kernel, model, points, reads, segments, triangle),
                     [(flag | (_OPTIMAL if j == 0 else 0), tables[j - 1] if j else None,
                       ranges[j], bands.get(j)) for j, flag in copies])
-        got, span = np.stack([g for g, _ in runs], axis=1), np.stack([s for _, s in runs])
         failed = []
         for j in pending:
-            first, *upper = (c for c, (row, _) in enumerate(copies) if row == j)
+            (got, span), *upper = (run for (row, _), run in zip(copies, runs) if row == j)
             # the copies share their band, so one span says whether it ran out
-            if upper and not (span[first, 0] >= 0
-                              and got[:, first].tobytes() == got[:, upper[0]].tobytes()):
+            if upper and not (span[0] >= 0 and got.tobytes() == upper[0][0].tobytes()):
                 half[j] *= 2
                 retries[j] += 1
                 failed.append(j)
             else:
-                out[:, j] = got[:, first]
+                out[:, j] = got
         pending = failed
     for j, name in enumerate(names):
         logger.debug("exact pass row %s: %s, %d retries", name,
@@ -439,24 +426,21 @@ def _band_cells(segment, line) -> float:
 
 
 def _pass(kernel, model, points, reads, segments, triangle, flag, table, rates, lines):
-    """One copy's pass: a row with the kernel flag, run by the DP table or else
-    by the (lo, hi) law rates, a bound copy on the band lines (one per segment).
-    Its values at the points, and its last band (-1 where the band ran out)."""
-    width = -(-(max(reads) + 1) // 8) * 8  # whole cache lines
-    values = _aligned_zeros((1, width))
-    ys = np.arange(width, dtype=float)
-    pointer = np.array([0 if table is None else table.ctypes.data], dtype=np.uintp)
-    stride = np.array([0 if table is None else table.shape[1]], dtype=np.int64)
-    lo, hi = np.array([rates[0]]), np.array([rates[1]])
-    flags, span = np.array([flag], dtype=np.int32), np.array([0, width], dtype=np.int64)
-    got = np.empty(len(points))
+    """One copy's pass: the kernel row of cells 0 .. max(reads), with the kernel
+    flag, run by the DP table or else by the (lo, hi) law rates, a bound copy on
+    the band lines (one per segment).  Its values at the points, and its last
+    band (-1 where the band ran out)."""
+    width = max(reads) + 1
+    values, ys = np.zeros(width), np.arange(width, dtype=float)
+    span, got = np.array([0, width], dtype=np.int64), np.empty(len(points))
+    pointer, stride = (None, 0) if table is None else (table.ctypes.data, table.shape[1])
     for s, (t_from, t_to, cone, y_hi, live) in enumerate(segments):
         band = np.array(lines[s] if lines else (0.0,) * 4)
-        kernel(values, 1, width, ys, flags, lo, hi, pointer, stride, band, span, model.alpha,
+        kernel(values, width, ys, flag, *rates, pointer, stride, band, span, model.alpha,
                model.beta, model.d_lo, model.d_hi, t_from, t_to, cone, y_hi, triangle, None)
         for k in live:
             if points[k][0] == t_to:
-                got[k] = values[0, reads[k]]
+                got[k] = values[reads[k]]
     return got, span
 
 
@@ -488,10 +472,8 @@ def _kernel():
     f64, u64, i64 = (np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
                      for dtype in (np.float64, np.uint64, np.int64))
     n, x, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-    addresses = np.ctypeslib.ndpointer(dtype=np.uintp, flags="C_CONTIGUOUS")
-    i32 = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
-    lib.backward.argtypes = [f64, n, n, f64, i32, f64, f64, addresses, i64, f64, i64, x, x, x,
-                             x, n, n, n, n, flag, ptr]
+    lib.backward.argtypes = [f64, n, f64, flag, x, x, ptr, n, f64, i64, x, x, x, x, n, n, n, n,
+                             flag, ptr]
     lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
                             flag, x, f64, i64, flag, f64]
     lib.noise_sum.argtypes = [n, n, n, u64, f64]

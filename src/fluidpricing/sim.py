@@ -306,7 +306,7 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
     reports = []
     for k, (T, y0) in enumerate(points):
         x_T = y0 / T
-        built = _build_policies(model, x_T, policies)
+        built = None if exact else _build_policies(model, x_T, policies)
         for name in policies:
             if exact:
                 val, batch = values[k][name], None

@@ -57,6 +57,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="horizons must be >= 1"):
             ExperimentConfig(name="x", model=model, T_list=[0, 16])
 
+    def test_from_dict_refuses_numbers_and_lists_it_would_rewrite(self, tmp_path, capsys):
+        """What int() and list() would rewrite is a config error, exit 2 from the CLI:
+        64.7 (run as T = 64), 2.9 replications (run as 2), the string "48" (run as the
+        horizons [4, 8]), a bool, a policies string and a repeated policy (every row
+        twice).  A whole float such as 64.0 is a whole number."""
+        base = {"name": "x", "model": {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5,
+                                       "p_lo": 0.0, "p_hi": 1.0}, "T_list": [64]}
+        bad = [{"T_list": [64.7]}, {"T_list": "48"}, {"T_list": ["64"]}, {"T_list": [True]},
+               {"replications": 2.9}, {"replications": True}, {"base_seed": 1.5},
+               {"policies": "static"}, {"policies": {"static": 1}},
+               {"policies": ["static", "static"]}]
+        for k, fields in enumerate(bad):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({**base, **fields})
+            path = tmp_path / f"cfg{k}.json"
+            path.write_text(json.dumps({**base, **fields}))
+            assert cli.main(["estimate-regret", "--config", str(path)]) == 2, fields
+        assert all(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+        cfg = ExperimentConfig.from_dict({**base, "T_list": [64.0], "replications": 3.0,
+                                          "base_seed": 7.0})
+        assert (cfg.T_list, cfg.replications, cfg.base_seed) == ([64], 3, 7)
+        with pytest.raises(ConfigError, match="distinct"):
+            ExperimentConfig(name="x", model=base["model"], T_list=[64],
+                             policies=["dp", "static", "dp"])
+
     def test_y0_rule_list_matches_the_products(self):
         two = {"kind": "multi-quadratic", "g": [1.0, 1.0],
                "H": [[-2.0, -0.5], [-0.5, -2.0]], "box_hi": [1.0, 1.0]}

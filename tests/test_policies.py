@@ -524,20 +524,19 @@ class TestBandedPass:
                     "resolving": resolving_policy(model)}
         calls = []
 
-        def spy(values, rows, width, ys, flags, *args):
-            calls.append((rows, *flags.tolist(), args[10]))  # t_from
-            policies_module._kernel().backward(values, rows, width, ys, flags, *args)
+        def spy(values, width, ys, flag, *args):
+            calls.append((flag, args[10]))  # t_from
+            policies_module._kernel().backward(values, width, ys, flag, *args)
 
         lower, upper = policies_module._LOWER, policies_module._UPPER
         optimal = policies_module._OPTIMAL
         with _start_width(2.0):
             got = policies_module._fused_pass(spy, model, points,
                                               [pol.rate_law() for pol in policies.values()])
-        # each copy is its own one-row call; a retry starts only once the first attempt's
-        # copies are done, so the first five calls from period 0 are that attempt's
-        first = [(rows, flag) for rows, flag, t_from in calls if t_from == 0][:5]
-        assert sorted(first) == sorted((1, flag) for flag in
-                                       [optimal | lower, optimal | upper, 0, lower, upper])
+        # each copy is its own call; a retry starts only once the first attempt's copies
+        # are done, so the first five calls from period 0 are that attempt's
+        first = [flag for flag, t_from in calls if t_from == 0][:5]
+        assert sorted(first) == sorted([optimal | lower, optimal | upper, 0, lower, upper])
         assert got == _backward_values(model, points, policies).tolist()
 
     @pytest.mark.parametrize("policy", ["static", "resolving"])
@@ -557,15 +556,15 @@ class TestBandedPass:
         line = ((150.0, -0.5, -100.0, 1.5) if steep
                 else policies_module._band(segment, (lo, hi), 6.0, [(T, y0)]))
         values, ys = np.zeros((3, width)), np.arange(width, dtype=float)
-        flags = np.array([0, policies_module._LOWER, policies_module._UPPER], dtype=np.int32)
+        flags = (0, policies_module._LOWER, policies_module._UPPER)
         span = np.tile(np.array([0, width], dtype=np.int64), (3, 1))
-        apart = 0
+        band, apart = np.array(line), 0
         for t in range(1, T + 1):
-            policies_module._kernel().backward(
-                values, 3, width, ys, flags, np.full(3, lo), np.full(3, hi),
-                np.zeros(3, dtype=np.uintp), np.zeros(3, dtype=np.int64),
-                np.array([line] * 3), span, model.alpha, model.beta, model.d_lo, model.d_hi,
-                t - 1, t, y0 - T, y0, True, None)
+            for row, flag, row_span in zip(values, flags, span):
+                policies_module._kernel().backward(
+                    row, width, ys, flag, lo, hi, None, 0, band, row_span,
+                    model.alpha, model.beta, model.d_lo, model.d_hi, t - 1, t, y0 - T, y0,
+                    True, None)
             assert span[1].tolist() == span[2].tolist() and span[1, 0] >= 0
             first, last = max(1, y0 - T + t), min(t, y0)
             cells = slice(max(span[1, 0] - 1, first), min(span[1, 1] + 1, last) + 1)
@@ -574,22 +573,49 @@ class TestBandedPass:
             apart += int(np.sum(lower < upper))
         assert apart > 0
 
-    def test_kernel_rows_start_on_cache_lines(self, bernoulli_model):
-        seen = []
+    @pytest.mark.parametrize("optimal", [False, True])
+    def test_upper_copy_runs_out_where_no_triangle_holds_its_band(self, bernoulli_model,
+                                                                    optimal):
+        """The lines (0, 3, 4, 3) rise 3 cells a period, faster than the cells the previous
+        period left readable; without the triangle cut nothing holds the band at the cone's
+        top, so it shrinks to one cell at t = 3 and runs out at t = 4.  From then on the
+        span stays [-1, -1] and the row does not change."""
+        model, T, y0 = bernoulli_model, 1024, 320
+        flag = policies_module._UPPER | (policies_module._OPTIMAL if optimal else 0)
+        lo, hi = resolving_policy(model).rate_law()
+        width = y0 + 1
+        values, span = np.zeros(width), np.array([0, width], dtype=np.int64)
+        spans, rows = [], []
+        for t in range(1, 9):
+            policies_module._kernel().backward(
+                values, width, np.arange(width, dtype=float), flag, lo, hi, None, 0,
+                np.array([0.0, 3.0, 4.0, 3.0]), span, model.alpha, model.beta, model.d_lo,
+                model.d_hi, t - 1, t, y0 - T, y0, False, None)
+            spans.append(span.tolist())
+            rows.append(values.copy())
+        assert spans == [[3, 7], [6, 8], [9, 9]] + [[-1, -1]] * 5
+        assert all(row.tobytes() == rows[2].tobytes() for row in rows[3:])
 
-        def spy(values, rows, width, *args):
-            seen.append((values.ctypes.data % 64, width * values.itemsize % 64))
-            policies_module._kernel().backward(values, rows, width, *args)
+    def test_band_that_runs_out_is_retried_with_the_same_bits(self, bernoulli_model, caplog):
+        """A DP table row turns the triangle cut off, so first bands on the lines
+        (0, 3, 4, 3) run out at t = 4 (see above).  Both copies of a row then leave the
+        points' cells at 0 and agree bit for bit; only the span shows the row is not
+        certified.  Each banded row is retried, with the bits of the unpatched pass."""
+        model, points = bernoulli_model, [(1024, 320), (600, 200)]
+        policies = {"table": solve_dp(model, 1024, 320).policy(),
+                    "resolving": resolving_policy(model)}
+        want = exact_values(model, points, policies)
+        start, band = policies_module._start_half_width(1024), policies_module._band
 
-        laws = [static_policy(bernoulli_model, 5 / 16).rate_law(),
-                resolving_policy(bernoulli_model).rate_law()]
-        policies_module._fused_pass(spy, bernoulli_model, [(4096, 1280), (64, 20), (9, 0)],
-                                    laws)
-        assert len(seen) >= 3 and set(seen) == {(0, 0)}
-        for shape in (1, 3, (2, 5), (7, 9)):
-            zeros = policies_module._aligned_zeros(shape)
-            assert zeros.ctypes.data % 64 == 0 and zeros.shape == np.zeros(shape).shape
-            assert zeros.flags.c_contiguous and not zeros.any()
+        def steep_first(segment, rates, half, points):
+            return (0.0, 3.0, 4.0, 3.0) if half == start else band(segment, rates, half, points)
+
+        with (mock.patch.object(policies_module, "_band", steep_first),
+              caplog.at_level(logging.DEBUG, logger=policies_module.__name__)):
+            assert exact_values(model, points, policies) == want
+        rows = _band_log(caplog)
+        assert rows["table"] == ("whole cone", 0)
+        assert rows["dp"][1] >= 1 and rows["resolving"][1] >= 1
 
 
 def _workers(n):
@@ -765,6 +791,13 @@ class TestKernelSource:
             assert references, f"{name} names no reference in tests/oracles.py"
             for reference in references:
                 assert callable(getattr(oracles, reference, None)), reference
+
+    def test_builds_with_warnings_as_errors(self, tmp_path):
+        """-Wall -Wextra -Werror: a parameter left unused, say, fails the build."""
+        build = subprocess.run(["cc", *policies_module._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                                "-o", str(tmp_path / "kernels.so"), str(policies_module._SOURCE)],
+                               capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
 
 
 # the clones of backward in _kernels.c, with the /proc/cpuinfo flags each needs

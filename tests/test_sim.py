@@ -605,6 +605,25 @@ class TestEstimateRegret:
         estimate_regret(bernoulli_model, T_list, "round(5/16*T)")
         assert len(calls) == 2
 
+    def test_exact_path_builds_each_policy_set_once_per_static_rate(self, bernoulli_model,
+                                                                     monkeypatch):
+        """The pass setup builds the policies of each static rate once, the report loop
+        builds none, and bad names still raise from the setup, before any pass."""
+        calls, original = [], sim_module._build_policies
+        monkeypatch.setattr(sim_module, "_build_policies",
+                            lambda *a: calls.append(a[1]) or original(*a))
+        estimate_regret(bernoulli_model, [64, 128, 200, 256], "round(5/16*T)")
+        assert calls == [20 / 64, 62 / 200]
+
+        def no_pass(*args):
+            raise AssertionError("a backward pass ran")
+
+        monkeypatch.setattr(policies, "_fused_pass", no_pass)
+        for names, error in ((("static", "greedy"), DomainError),
+                             (("resolving", "ho"), UnsupportedModelError)):
+            with pytest.raises(error):
+                estimate_regret(bernoulli_model, [64, 200], "round(5/16*T)", policies=names)
+
     def test_bernoulli_cell_budget(self, bernoulli_model):
         with pytest.raises(ResourceGuardError):
             estimate_regret(bernoulli_model, [64, 2**16], "round(5/16*T)")
