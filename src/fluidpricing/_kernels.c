@@ -20,24 +20,29 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
-/* With gcc 11 or later on x86-64 glibc, backward is built three times, for
- * x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every row
- * loop inlined into each clone, and glibc's ifunc resolver picks the widest
- * clone this CPU runs at load time.  All give the same bits: a vector lane
- * rounds each operation as the scalar code does, and -ffp-contract=off keeps
- * fused multiply-adds out of every clone.  Elsewhere, or with
- * -DBACKWARD_CLONES=, backward is the one baseline loop. */
-#ifndef BACKWARD_CLONES
+/* With gcc 11 or later on x86-64 glibc, the loops marked KERNEL_CLONES
+ * (backward, forward and forward2) are built three times, for x86-64-v4
+ * (AVX-512), x86-64-v3 (AVX2) and the baseline, with every helper inlined
+ * into each clone, and glibc's ifunc resolver picks the widest clone this CPU
+ * runs at load time.  backward's rows vectorize under AVX2 and AVX-512;
+ * forward and forward2 vectorize across replications under AVX-512 only, as
+ * the uniform draw converts a 64-bit integer to a double, which AVX2 cannot
+ * do in a vector.  All give the same bits: a vector lane rounds each
+ * operation as the scalar code does, and -ffp-contract=off keeps fused
+ * multiply-adds out of every clone.  Elsewhere, or with -DKERNEL_CLONES=,
+ * each is the one baseline loop. */
+#ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define BACKWARD_CLONES __attribute__((flatten, target_clones( \
+#define KERNEL_CLONES __attribute__((flatten, target_clones( \
     "arch=x86-64-v4", "arch=x86-64-v3", "default")))
 #endif
 #endif
 #endif
-#ifndef BACKWARD_CLONES
-#define BACKWARD_CLONES
+#ifndef KERNEL_CLONES
+#define KERNEL_CLONES
 #endif
 
 static double clip(double x, double lo, double hi)
@@ -218,7 +223,7 @@ static double edge_bound(const double *w, long y, long a, long b, int flags,
     return SLACK * (optimal && w[b] + p_hi < bound ? w[b] + p_hi : bound);
 }
 
-BACKWARD_CLONES
+KERNEL_CLONES
 void backward(double *w, long width, const double *ys, int flags, double lo,
               double hi, const double *table, long stride, const double *band,
               int64_t *span, double alpha, double beta, double d_lo, double d_hi,
@@ -257,15 +262,20 @@ void backward(double *w, long width, const double *ys, int flags, double lo,
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 
-/* rng.uniforms at one counter of the stream keyed by key: the splitmix64
- * finalizer of key + (counter + 1) * GOLDEN, its top 53 bits scaled onto [0, 1) */
-static double uniform(uint64_t key, uint64_t counter)
+/* The splitmix64 finalizer of z, its top 53 bits scaled onto [0, 1) */
+static inline double unit_mix(uint64_t z)
 {
-    uint64_t z = key + (counter + 1) * GOLDEN;
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4B9FEULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     z ^= z >> 31;
     return (double)(z >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* rng.uniforms at one counter of the stream keyed by key: unit_mix of
+ * key + (counter + 1) * GOLDEN */
+static double uniform(uint64_t key, uint64_t counter)
+{
+    return unit_mix(key + (counter + 1) * GOLDEN);
 }
 
 /* -- forward ------------------------------------------------------------------
@@ -285,59 +295,111 @@ static double uniform(uint64_t key, uint64_t counter)
  * written to trace[(k * T + i) * reps + r] for k = 0 .. 5: the price (inf
  * while shut off), the rate, the noise, the realized demand, the inventory
  * after the period and the revenue, as sim.SimTrace holds them.
+ *
+ * Each period makes its choices (the law, the sales, the tracker, the
+ * record) once, outside the loop over replications, so that the loop has no
+ * branch and vectorizes across them: the zeros of inactive rows are the
+ * masks of keep, and a stopping time is a select.
  */
 
 /* numpy's minimum and maximum: the second operand on a tie */
 static double minimum(double a, double b) { return a < b ? a : b; }
 static double maximum(double a, double b) { return a > b ? a : b; }
 
-void forward(long reps, long T, const uint64_t *keys, const double *lo,
-             const double *hi, const double *actions, long width, double alpha,
-             double beta, double w, int unit_sales, double *y, double *total,
-             double *sum_xi, int track, double gam, double *harm,
-             int64_t *t_sharp, int record, double *trace)
+/* x where the mask m is all ones, +0.0 where it is 0: the select m ? x : 0.0
+ * as an integer and, which GCC vectorizes.  Under -ftrapping-math it keeps
+ * such a select, whose operand is floating-point work, as a branch (it may
+ * also move the work into one arm), and no loop with a branch vectorizes. */
+static inline double keep(double x, uint64_t m)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    bits &= m;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* The mask for keep of an inventory y: all ones where y > 0 */
+static inline uint64_t stocked(double y) { return -(uint64_t)(y > 0); }
+
+/* Period i of forward over every replication, with the period's choices as
+ * the constants table (a DP table, else a (lo, hi) law), unit (unit sales),
+ * tracked (the stopping-time tracker runs) and rec (the record is written) */
+static inline __attribute__((always_inline)) void
+forward_period(long reps, long T, long i, const uint64_t *restrict keys,
+               const double *restrict lo, const double *restrict hi,
+               const double *restrict row, long width, double alpha, double beta,
+               double w, double *restrict y, double *restrict total,
+               double *restrict sum_xi, double gam, double *restrict harm,
+               int64_t *restrict t_sharp, double *restrict trace, const int table,
+               const int unit, const int tracked, const int rec)
+{
+    long t = T - i, k = T * reps;
+    uint64_t step = (uint64_t)(i + 1) * GOLDEN;
+    double top = (double)(width - 1), now = (double)t, left = (double)(t - 1);
+    double *out = rec ? trace + i * reps : trace;
+    for (long r = 0; r < reps; r++) {
+        double u = unit_mix(keys[r] + step), yr = y[r];
+        uint64_t m = stocked(yr);
+        /* y >= 0, so an inactive row reads column 0 */
+        double d = keep(table ? row[(long)minimum(yr, top)] : clip(yr / now, lo[r], hi[r]), m);
+        double price = keep((alpha - d) / beta, m);
+        double xi, realized;
+        if (unit) {
+            realized = keep(1.0, -(uint64_t)(u < d)); /* d is 0 without stock */
+            xi = realized - d;
+        } else {
+            xi = keep((2.0 * u - 1.0) * w, m);
+            realized = d + xi;
+        }
+        double revenue = price * minimum(realized, yr);
+        total[r] += revenue;
+        sum_xi[r] += xi;
+        y[r] = maximum(0.0, yr - realized);
+        if (tracked) {
+            double h = harm[r] + xi / left;
+            harm[r] = h;
+            /* t_sharp[r] is still 2 exactly while r is undecided: an exit
+             * before the last check (t = 2) sets it to t > 2 */
+            t_sharp[r] = t_sharp[r] == 2 && fabs(h) > gam ? t : t_sharp[r];
+        }
+        if (rec) {
+            out[r] = m ? price : INFINITY;
+            out[k + r] = d;
+            out[2 * k + r] = xi;
+            out[3 * k + r] = realized;
+            out[4 * k + r] = y[r];
+            out[5 * k + r] = keep(revenue, m);
+        }
+    }
+}
+
+/* The case of forward's switch for the choices flags: bit 0 table, 1 unit,
+ * 2 tracked, 3 rec */
+#define FORWARD_PERIOD(flags)                                                  \
+    case flags:                                                                \
+        forward_period(reps, T, i, keys, lo, hi, row, width, alpha, beta, w, y, \
+                       total, sum_xi, gam, harm, t_sharp, trace, (flags) & 1,  \
+                       (flags) >> 1 & 1, (flags) >> 2 & 1, (flags) >> 3);     \
+        break;
+
+KERNEL_CLONES
+void forward(long reps, long T, const uint64_t *restrict keys,
+             const double *restrict lo, const double *restrict hi,
+             const double *restrict actions, long width, double alpha,
+             double beta, double w, int unit_sales, double *restrict y,
+             double *restrict total, double *restrict sum_xi, int track,
+             double gam, double *restrict harm, int64_t *restrict t_sharp,
+             int record, double *restrict trace)
 {
     for (long i = 0; i < T; i++) {
-        long t = T - i;
-        const double *row = actions + t * width;
-        for (long r = 0; r < reps; r++) {
-            double u = uniform(keys[r], i);
-            int active = y[r] > 0;
-            double d = !active ? 0.0
-                       : width ? row[(long)minimum(y[r], width - 1)]
-                               : clip(y[r] / t, lo[r], hi[r]);
-            double price = active ? (alpha - d) / beta : 0.0;
-            double xi, realized;
-            if (unit_sales) {
-                realized = u < d ? 1.0 : 0.0;
-                xi = realized - d;
-            } else {
-                xi = (2.0 * u - 1.0) * w;
-                realized = d + xi;
-            }
-            xi = active ? xi : 0.0;
-            realized = active ? realized : 0.0;
-            double revenue = price * minimum(realized, y[r]);
-            total[r] += revenue;
-            sum_xi[r] += xi;
-            y[r] = maximum(0.0, y[r] - realized);
-            if (track && t >= 2) {
-                harm[r] += xi / (t - 1);
-                /* t_sharp[r] is still 2 exactly while r is undecided: an exit
-                 * before the last check (t = 2) sets it to t > 2 */
-                if (t_sharp[r] == 2 && fabs(harm[r]) > gam)
-                    t_sharp[r] = t;
-            }
-            if (record) {
-                double *out = trace + i * reps + r;
-                long k = T * reps;
-                out[0] = active ? price : INFINITY;
-                out[k] = d;
-                out[2 * k] = xi;
-                out[3 * k] = realized;
-                out[4 * k] = y[r];
-                out[5 * k] = active ? revenue : 0.0;
-            }
+        const double *row = actions + (T - i) * width;
+        int tracked = track && T - i >= 2;
+        switch ((width != 0) | (unit_sales != 0) << 1 | tracked << 2 | (record != 0) << 3) {
+            FORWARD_PERIOD(0) FORWARD_PERIOD(1) FORWARD_PERIOD(2) FORWARD_PERIOD(3)
+            FORWARD_PERIOD(4) FORWARD_PERIOD(5) FORWARD_PERIOD(6) FORWARD_PERIOD(7)
+            FORWARD_PERIOD(8) FORWARD_PERIOD(9) FORWARD_PERIOD(10) FORWARD_PERIOD(11)
+            FORWARD_PERIOD(12) FORWARD_PERIOD(13) FORWARD_PERIOD(14) FORWARD_PERIOD(15)
         }
     }
 }
@@ -404,11 +466,22 @@ static double qp2_value(double a11, double a22, double a12, double q1,
     return q1 * x1 + q2 * x2 + 0.5 * (a11 * x1 * x1 + a22 * x2 * x2) + a12 * x1 * x2;
 }
 
-/* the candidate (c1, c2) of value v replaces the best (x1, x2, best) when v > best */
+/* A condition whose branch the CPU predicts well (see qp2_take) */
+#if __GNUC__ >= 9
+#define PREDICTABLE(c) __builtin_expect_with_probability(c, 0, 0.99)
+#else
+#define PREDICTABLE(c) (c)
+#endif
+
+/* the candidate (c1, c2) of value v replaces the best (x1, x2, best) when v > best.
+ * The winning candidate rarely changes from one call to the next, so a branch
+ * predicts well; the hint keeps the three selects a branch in a scalar clone,
+ * where SSE4.1 would blend them after the comparison (about 5 % slower in
+ * forward2's AVX2 clone).  The vectorized clones if-convert them regardless. */
 static inline void qp2_take(double c1, double c2, double v, double *x1,
                             double *x2, double *best)
 {
-    int take = v > *best;
+    int take = PREDICTABLE(v > *best);
     *x1 = take ? c1 : *x1;
     *x2 = take ? c2 : *x2;
     *best = take ? v : *best;
@@ -451,34 +524,42 @@ static inline double box_qp2(double a11, double a22, double a12, double q1,
  * when u < x_j, censored at its inventory.  A product with y_j <= 0 gets
  * rate, price, sale and noise 0, as the masked numpy arrays do (its box has
  * ub_j = +0, so the re-solve already gives it rate +0 and the masks change
- * no bit; they keep the loop in step with the numpy engine).
+ * no bit; they keep the loop in step with the numpy engine).  The masks are
+ * those of keep, so that the loop over replications has no branch and
+ * vectorizes; g, H and box_hi are read once into locals, as the outputs are
+ * restrict.
  */
 
-void forward2(long reps, long T, const uint64_t *keys, const double *g,
-              const double *H, const double *box_hi, double *y, double *total,
-              double *sum_xi)
+KERNEL_CLONES
+void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_in,
+              const double *H_in, const double *box_in, double *restrict y,
+              double *restrict total, double *restrict sum_xi)
 {
+    double g[2] = {g_in[0], g_in[1]}, H[4] = {H_in[0], H_in[1], H_in[2], H_in[3]};
+    double box_hi[2] = {box_in[0], box_in[1]};
     for (long i = 0; i < T; i++) {
         double t = (double)(T - i);
+        uint64_t step[2] = {(uint64_t)(2 * i + 1) * GOLDEN, (uint64_t)(2 * i + 2) * GOLDEN};
         for (long r = 0; r < reps; r++) {
-            double *yr = y + 2 * r, x[2], rate[2], price[2], realized[2], xi[2];
+            double yr[2] = {y[2 * r], y[2 * r + 1]}, x[2], rate[2], price[2], realized[2],
+                   xi[2];
+            uint64_t m[2] = {stocked(yr[0]), stocked(yr[1])};
             box_qp2(H[0], H[3], H[1], g[0], g[1], minimum(box_hi[0], yr[0] / t),
                     minimum(box_hi[1], yr[1] / t), &x[0], &x[1]);
             for (int j = 0; j < 2; j++)
-                rate[j] = yr[j] > 0 ? x[j] : 0.0;
+                rate[j] = keep(x[j], m[j]);
             for (int j = 0; j < 2; j++) {
-                int active = yr[j] > 0;
                 double p = g[j] + 0.5 * (rate[0] * H[2 * j] + rate[1] * H[2 * j + 1]);
-                double sale = uniform(keys[r], 2 * i + j) < rate[j] ? 1.0 : 0.0;
-                price[j] = active ? p : 0.0;
-                realized[j] = active ? sale : 0.0;
-                xi[j] = active ? sale - rate[j] : 0.0;
+                double u = unit_mix(keys[r] + step[j]);
+                price[j] = keep(p, m[j]);
+                realized[j] = keep(1.0, -(uint64_t)(u < rate[j])); /* rate 0 without stock */
+                xi[j] = realized[j] - rate[j];
             }
             total[r] += price[0] * minimum(realized[0], yr[0])
                         + price[1] * minimum(realized[1], yr[1]);
             sum_xi[r] += xi[0] + xi[1];
             for (int j = 0; j < 2; j++)
-                yr[j] = maximum(0.0, yr[j] - realized[j]);
+                y[2 * r + j] = maximum(0.0, yr[j] - realized[j]);
         }
     }
 }

@@ -57,12 +57,17 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        try:
+            self.T_list = [_whole(t) for t in self.T_list]
+            self.replications, self.base_seed = _whole(self.replications), _whole(self.base_seed)
+        except TypeError as exc:
+            raise ConfigError(f"bad experiment config: {exc}") from exc
         if not self.T_list:
             raise ConfigError("T_list must be nonempty")
-        if list(self.T_list) != sorted(self.T_list):
+        if self.T_list != sorted(self.T_list):
             raise ConfigError("T_list must be ascending")
         if self.T_list[0] < 1:
-            raise ConfigError(f"horizons must be >= 1, got {list(self.T_list)}")
+            raise ConfigError(f"horizons must be >= 1, got {self.T_list}")
         if (not isinstance(self.policies, (list, tuple))
                 or len(set(self.policies)) != len(self.policies)):
             raise ConfigError(f"policies must be a list of distinct names, got {self.policies!r}")
@@ -102,11 +107,11 @@ class ExperimentConfig:
             return cls(
                 name=obj["name"],
                 model=obj["model"],
-                T_list=[_whole(t) for t in obj["T_list"]],
+                T_list=obj["T_list"],
                 y0_rule=obj.get("y0_rule", "round(5/16*T)"),
                 policies=obj.get("policies", ["static", "resolving"]),
-                replications=_whole(obj.get("replications", 10_000)),
-                base_seed=_whole(obj.get("base_seed", 0)),
+                replications=obj.get("replications", 10_000),
+                base_seed=obj.get("base_seed", 0),
                 out_path=obj.get("out_path"),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -165,11 +165,16 @@ def _require_bernoulli(model: DemandModel, what: str) -> None:
         raise UnsupportedModelError(f"{what} requires bernoulli (unit-sale) demand")
 
 
+def _whole_at_least(value, least: int, name: str) -> int:
+    """value as an int; DomainError unless it is a whole number >= least."""
+    if not (float(value).is_integer() and value >= least):
+        raise DomainError(f"need whole numbers {name} >= {least}, got {name} = {value}")
+    return int(value)
+
+
 def _whole_point(T, y0) -> tuple[int, int]:
     """(T, y0) as ints; DomainError unless both are whole numbers, T >= 1 and y0 >= 0."""
-    if not (float(T).is_integer() and float(y0).is_integer() and T >= 1 and y0 >= 0):
-        raise DomainError(f"need whole numbers T >= 1 and y0 >= 0, got ({T}, {y0})")
-    return int(T), int(y0)
+    return _whole_at_least(T, 1, "T"), _whole_at_least(y0, 0, "y0")
 
 
 def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
@@ -447,9 +452,10 @@ def _pass(kernel, model, points, reads, segments, triangle, flag, table, rates, 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 # -ffp-contract=off: a fused multiply-add would change the last bits against numpy,
-# in every clone of backward too; no -march=native, so that a cached binary runs on
-# any CPU of the architecture: backward carries its own AVX2 and AVX-512 clones, and
-# glibc picks the widest this CPU runs at load time (BACKWARD_CLONES in _kernels.c)
+# in every clone too; no -march=native, so that a cached binary runs on any CPU of
+# the architecture: backward, forward and forward2 carry their own AVX2 and AVX-512
+# clones, and glibc picks the widest this CPU runs at load time (KERNEL_CLONES in
+# _kernels.c)
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
 
@@ -648,12 +654,13 @@ def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
     """
     if model.n != 2:
         raise UnsupportedModelError("exact multi-product DP is implemented for n = 2 only")
-    y0 = np.asarray(y0, dtype=int)
-    if T < 1 or y0.shape != (2,) or np.any(y0 < 0):
-        raise DomainError("need T >= 1 and y0 a nonnegative integer pair")
-    m1, m2 = int(y0[0]) + 1, int(y0[1]) + 1
+    if np.shape(y0) != (2,):
+        raise DomainError("need y0 a nonnegative integer pair")
+    T = _whole_at_least(T, 1, "T")
+    y1, y2 = (_whole_at_least(y, 0, "y0") for y in y0)
+    m1, m2 = y1 + 1, y2 + 1
     if T * m1 * m2 > MULTI_STATE_CAP:
         raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {MULTI_STATE_CAP}")
     V = np.zeros((m1, m2))
     _kernel().backward2(V, m1, m2, T, model.g, model.H, model.box_hi)
-    return float(V[y0[0], y0[1]])
+    return float(V[y1, y2])

@@ -30,6 +30,7 @@ from .policies import (
     _kernel,
     _map,
     _ranges,
+    _whole_at_least,
     checked_law,
     exact_passes,
     ho_policy,
@@ -89,8 +90,9 @@ def simulate(model, policy, T: int, y0, seed: int):
     """
     if isinstance(model, MultiDemandModel):
         return simulate_multi(model, policy, T, y0, seed)
-    if T < 1 or not np.all(np.asarray(y0) >= 0):
-        raise DomainError("need T >= 1 and y0 >= 0")
+    T = _whole_at_least(T, 1, "T")
+    if not np.all(np.asarray(y0) >= 0):
+        raise DomainError("need y0 >= 0")
     keys = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     track = gamma(model, float(y0) / T) >= 0
     batch, record = _forward(model, policy, T, y0, keys, track_t_sharp=track, record=True)
@@ -149,10 +151,9 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     one call per contiguous range of replications in _map (see _forward);
     the results do not depend on the number of ranges.
     """
-    if T < 1 or not np.all(np.asarray(y0) >= 0):
-        raise DomainError("need T >= 1 and y0 >= 0")
-    if n_reps < 1:
-        raise DomainError(f"need at least one replication, got {n_reps}")
+    T, n_reps = _whole_at_least(T, 1, "T"), _whole_at_least(n_reps, 1, "n_reps")
+    if not np.all(np.asarray(y0) >= 0):
+        raise DomainError("need y0 >= 0")
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     if not isinstance(model, MultiDemandModel):
         return _forward(model, policy, T, y0, seeds, track_t_sharp)[0]
@@ -367,9 +368,7 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
-    if T < 1 or n_reps < 1:
-        raise DomainError(f"need T >= 1 and at least one replication, got T = {T}, "
-                          f"n_reps = {n_reps}")
+    T, n_reps = _whole_at_least(T, 1, "T"), _whole_at_least(n_reps, 1, "n_reps")
     if not (math.isfinite(x_T) and x_T > 0):
         raise DomainError(f"need a finite inventory rate x_T > 0, got {x_T}")
     w = float(model.noise_half_width)
@@ -445,8 +444,7 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
     A product's sale is censored at its inventory, so a fractional last
     unit sells (and earns) only that fraction.
     """
-    if T < 1:
-        raise DomainError("need T >= 1")
+    T = _whole_at_least(T, 1, "T")
     y0 = np.asarray(y0, dtype=float)
     n = model.n
     policy = policy or MultiResolvingPolicy(model)

@@ -57,6 +57,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="horizons must be >= 1"):
             ExperimentConfig(name="x", model=model, T_list=[0, 16])
 
+    def test_direct_construction_refuses_non_whole_values(self):
+        """Built directly, not through from_dict, a config still refuses what int()
+        would rewrite, and keeps whole floats as ints."""
+        model = {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5,
+                 "p_lo": 0.0, "p_hi": 1.0}
+        for fields in ({"T_list": [64.7]}, {"T_list": "48"}, {"T_list": 64},
+                       {"T_list": [True]}, {"replications": 2.5}, {"replications": "10"},
+                       {"base_seed": 1.5}, {"base_seed": float("nan")}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(name="x", model=model, **{"T_list": [64], **fields})
+        cfg = ExperimentConfig(name="x", model=model, T_list=(16.0, 64), replications=3.0,
+                               base_seed=7.0)
+        assert (cfg.T_list, cfg.replications, cfg.base_seed) == ([16, 64], 3, 7)
+        assert all(type(v) is int for v in (*cfg.T_list, cfg.replications, cfg.base_seed))
+
     def test_from_dict_refuses_numbers_and_lists_it_would_rewrite(self, tmp_path, capsys):
         """What int() and list() would rewrite is a config error, exit 2 from the CLI:
         64.7 (run as T = 64), 2.9 replications (run as 2), the string "48" (run as the

@@ -28,6 +28,7 @@ from fluidpricing import (
     exact_values,
     fluid_value,
     ho_policy,
+    multi_resolving_policy,
     resolving_policy,
     solve_dp,
     solve_dp_multi,
@@ -36,6 +37,7 @@ from fluidpricing import (
 )
 from fluidpricing import cli
 from fluidpricing import policies as policies_module
+from fluidpricing import sim as sim_module
 from fluidpricing.sim import (
     ho_batch_policy,
     ho_inner_values,
@@ -793,19 +795,24 @@ class TestKernelSource:
                 assert callable(getattr(oracles, reference, None)), reference
 
     def test_builds_with_warnings_as_errors(self, tmp_path):
-        """-Wall -Wextra -Werror: a parameter left unused, say, fails the build."""
-        build = subprocess.run(["cc", *policies_module._CFLAGS, "-Wall", "-Wextra", "-Werror",
-                                "-o", str(tmp_path / "kernels.so"), str(policies_module._SOURCE)],
-                               capture_output=True, text=True)
-        assert build.returncode == 0, build.stderr
+        """-Wall -Wextra -Werror: a parameter left unused, say, fails the build; both
+        as shipped and with KERNEL_CLONES empty, the one loop of platforms without
+        the clones."""
+        for clones in ([], ["-DKERNEL_CLONES="]):
+            build = subprocess.run(["cc", *policies_module._CFLAGS, *clones, "-Wall", "-Wextra",
+                                    "-Werror", "-o", str(tmp_path / "kernels.so"),
+                                    str(policies_module._SOURCE)], capture_output=True, text=True)
+            assert build.returncode == 0, (clones, build.stderr)
 
 
-# the clones of backward in _kernels.c, with the /proc/cpuinfo flags each needs
+# the clones of the cloned loops in _kernels.c, with the /proc/cpuinfo flags each needs
 _CLONES = {
     "x86-64-v3": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"},
     "x86-64-v4": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
                   "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
 }
+# the entry points built through KERNEL_CLONES
+_CLONED = ("backward", "forward", "forward2")
 
 
 def _cpu_flags() -> set[str]:
@@ -818,9 +825,9 @@ def _cpu_flags() -> set[str]:
 
 
 def _require_clones():
-    """Skip unless _kernels.c clones backward here: x86-64, glibc and gcc 11 or later."""
+    """Skip unless _kernels.c clones its loops here: x86-64, glibc and gcc 11 or later."""
     if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
-        pytest.skip("backward is cloned on x86-64 glibc only")
+        pytest.skip("the kernels are cloned on x86-64 glibc only")
     macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", "/dev/null"], capture_output=True,
                             text=True, check=True).stdout.split()
     if "__clang__" in macros or int(macros[macros.index("__GNUC__") + 1]) < 11:
@@ -828,9 +835,10 @@ def _require_clones():
 
 
 @pytest.fixture(scope="module", params=["baseline", *_CLONES])
-def single_backward(request, tmp_path_factory):
-    """backward from _kernels.c built a second time as one loop: BACKWARD_CLONES
-    empty (the baseline loop any CPU runs), or one clone's target alone."""
+def single_build(request, tmp_path_factory):
+    """_kernels.c built a second time with each cloned loop as one loop:
+    KERNEL_CLONES empty (the baseline loop any CPU runs), or one clone's target
+    alone.  Every entry point has the dispatched library's argtypes."""
     _require_clones()
     target = request.param
     if target != "baseline" and not _CLONES[target] <= _cpu_flags():
@@ -838,12 +846,14 @@ def single_backward(request, tmp_path_factory):
     attribute = ("" if target == "baseline"
                  else f'__attribute__((flatten, target("arch={target}")))')
     path = tmp_path_factory.mktemp("single") / f"{target}.so"
-    subprocess.run(["cc", *policies_module._CFLAGS, f"-DBACKWARD_CLONES={attribute}", "-o",
+    subprocess.run(["cc", *policies_module._CFLAGS, f"-DKERNEL_CLONES={attribute}", "-o",
                     str(path), str(policies_module._SOURCE)], capture_output=True, check=True)
     assert b"arch_x86_64" not in path.read_bytes()
-    backward = ctypes.CDLL(str(path)).backward
-    backward.argtypes, backward.restype = policies_module._kernel().backward.argtypes, None
-    return backward
+    lib, dispatched = ctypes.CDLL(str(path)), policies_module._kernel()
+    for name in ("backward", "forward", "noise_sum", "forward2", "backward2"):
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = getattr(dispatched, name).argtypes, None
+    return lib
 
 
 def _assert_builds_match_backward(single, model, points, policies):
@@ -859,20 +869,21 @@ class TestDispatchedBackward:
     def test_dispatched_library_carries_every_clone(self):
         _require_clones()
         built = policies_module._compile().read_bytes()
-        for target in _CLONES:
-            assert f"arch_{target.replace('-', '_')}".encode() in built
+        for name in _CLONED:
+            for target in _CLONES:
+                assert f"{name}.arch_{target.replace('-', '_')}".encode() in built, name
 
     @settings(max_examples=40, deadline=None)
     @given(model=_bernoulli_models(),
            points=st.lists(st.tuples(st.integers(1, 96), st.integers(0, 120)),
                            min_size=1, max_size=5),
            x_T=st.floats(0.01, 1.0))
-    def test_matches_single_build_bitwise(self, single_backward, model, points, x_T):
+    def test_matches_single_build_bitwise(self, single_build, model, points, x_T):
         _assert_builds_match_backward(
-            single_backward, model, points,
+            single_build.backward, model, points,
             {"resolving": resolving_policy(model), "static": static_policy(model, x_T)})
 
-    def test_saturation_split_edges(self, single_backward, bernoulli_model):
+    def test_saturation_split_edges(self, single_build, bernoulli_model):
         # alpha = 0.75 and beta = 0.5: lo = d_lo = 0.25 and the cap 0.375 are exact
         pols = {"resolving": resolving_policy(bernoulli_model),
                 "static": static_policy(bernoulli_model, 5 / 16)}
@@ -884,9 +895,108 @@ class TestDispatchedBackward:
             (16, 14),  # cone start y = t - 2 inside the cap segment
             (40, 15), (24, 9),  # bands between, read at y / t = 0.375
         ]
-        _assert_builds_match_backward(single_backward, bernoulli_model, points, pols)
+        _assert_builds_match_backward(single_build.backward, bernoulli_model, points, pols)
         for point in points:
-            _assert_builds_match_backward(single_backward, bernoulli_model, [point], pols)
+            _assert_builds_match_backward(single_build.backward, bernoulli_model, [point],
+                                          pols)
+
+
+_FORWARD_MODELS = {
+    "bernoulli": DemandModel.linear_bernoulli(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0),
+    "additive": DemandModel.linear_additive(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0,
+                                            noise_half_width=0.2),
+}
+
+
+def _on(lib, run):
+    """run() with the Monte Carlo engines of sim calling lib's forward and forward2."""
+    with mock.patch.object(sim_module, "_kernel", lambda: lib):
+        return run()
+
+
+def _start(start, fill, T):
+    """A start inventory: none, few units for the horizon (most replications
+    sell out early) or more than T."""
+    return {"empty": 0.0, "run-out": 1 + fill * T * 0.1, "ample": T + 1 + fill * T}[start]
+
+
+def _forward_policy(family, law, T, y0, seed, reps):
+    """The policy of a forward test case: a (lo, hi) law, per-replication hindsight
+    rates (additive) or a DP table (of the bernoulli model, on either family)."""
+    model = _FORWARD_MODELS[family]
+    x_T = max(y0, 0.5) / T
+    if law == "ho":
+        return ho_batch_policy(model, T, x_T, seed, reps)
+    if law == "dp":
+        return solve_dp(_FORWARD_MODELS["bernoulli"], T + 3, math.ceil(y0) + 5).policy()
+    return resolving_policy(model) if law == "resolving" else static_policy(model, x_T)
+
+
+class TestDispatchedForward:
+    """forward and forward2 of every single-target build give the dispatched
+    library's bits and the numpy references' (tests/oracles.py)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from([(f, law) for f in _FORWARD_MODELS
+                                 for law in ("static", "resolving", "ho", "dp")
+                                 if law != "ho" or f == "additive"]),
+           T=st.integers(1, 120), start=st.sampled_from(["empty", "run-out", "ample"]),
+           fill=st.floats(0.0, 1.0), reps=st.integers(1, 40),
+           seed=st.integers(0, 2**64 - 1), track=st.booleans())
+    def test_batch_matches_dispatched_and_oracle(self, single_build, case, T, start, fill,
+                                                 reps, seed, track):
+        family, law = case
+        model = _FORWARD_MODELS[family]
+        y0 = _start(start, fill, T)
+        y0 = float(math.ceil(y0)) if law == "dp" else y0
+        track = track and sim_module.gamma(model, y0 / T) >= 0
+        pol = _forward_policy(family, law, T, y0, seed, reps)
+        got = _on(single_build, lambda: simulate_batch(model, pol, T, y0, seed, reps, track))
+        want = simulate_batch(model, pol, T, y0, seed, reps, track)
+        ref = oracles.simulate_batch(model, pol, T, y0, seed, reps, track)
+        for batch in (got, want):
+            assert batch.total_revenue.tobytes() == ref.total_revenue.tobytes()
+            assert batch.sum_xi.tobytes() == ref.sum_xi.tobytes()
+            assert (batch.t_sharp is None) == (not track)
+            if track:
+                assert batch.t_sharp.tobytes() == ref.t_sharp.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from([(f, law) for f in _FORWARD_MODELS
+                                 for law in ("static", "resolving", "dp")
+                                 if law != "dp" or f == "bernoulli"]),
+           T=st.integers(1, 120), start=st.sampled_from(["empty", "run-out", "ample"]),
+           fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+    def test_record_matches_dispatched_and_oracle(self, single_build, case, T, start, fill,
+                                                  seed):
+        family, law = case
+        model = _FORWARD_MODELS[family]
+        y0 = _start(start, fill, T)
+        y0 = float(math.ceil(y0)) if law == "dp" else y0
+        pol = _forward_policy(family, law, T, y0, seed, 1)
+        got = _on(single_build, lambda: simulate(model, pol, T, y0, seed))
+        want = simulate(model, pol, T, y0, seed)
+        ref = oracles.simulate(model, pol, T, y0, seed)
+        for trace in (got, want):
+            for field in ("price", "demand_rate", "xi", "realized_demand", "inventory_after",
+                          "revenue"):
+                assert getattr(trace, field).tobytes() == getattr(ref, field).tobytes(), field
+            assert trace.t_sharp == ref.t_sharp
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=two_product_models(), T=st.integers(1, 120),
+           start=st.tuples(*[st.sampled_from(["empty", "run-out", "ample"])] * 2),
+           fill=st.floats(0.0, 1.0), reps=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+    def test_two_product_matches_dispatched_and_oracle(self, single_build, model, T, start,
+                                                       fill, reps, seed):
+        y0 = [_start(s, fill, T) for s in start]
+        pol = multi_resolving_policy(model)
+        got = _on(single_build, lambda: simulate_batch(model, pol, T, y0, seed, reps))
+        want = simulate_batch(model, pol, T, y0, seed, reps)
+        ref = oracles.simulate_batch(model, pol, T, y0, seed, reps)
+        for batch in (got, want):
+            assert batch.total_revenue.tobytes() == ref.total_revenue.tobytes()
+            assert batch.sum_xi.tobytes() == ref.sum_xi.tobytes()
 
 
 class TestHindsightPolicy:

@@ -32,6 +32,7 @@ from fluidpricing.policies import (
     checked_law,
     exact_policy_values,
     multi_resolving_policy,
+    solve_dp_multi,
 )
 from fluidpricing.sim import NOISE_CHUNK, ho_batch_policy, ho_inner_values, parse_y0_rule
 
@@ -145,6 +146,30 @@ class TestSimulate:
             ho_batch_policy(additive_model, 0, 5 / 16, base_seed=1, n_reps=3)
         with pytest.raises(DomainError):
             ho_inner_values(additive_model, 0, 5 / 16, base_seed=1, n_reps=3)
+
+    @pytest.mark.parametrize("entry, T, n", [
+        (entry, T, n) for entry in ("simulate", "simulate-multi", "batch", "batch-multi",
+                                    "hindsight", "dp-multi", "estimate-regret",
+                                    "estimate-regret-multi")
+        for T, n in ((64.5, 3), (16, 2.5)) if n == 3 or not entry.startswith("simulate")])
+    def test_non_whole_horizon_or_count_is_refused(self, entry, T, n, additive_model,
+                                                   multi_model):
+        """A horizon of 64.5 reached the kernels as a raw ctypes error, and 2.5
+        replications ran 3: each Monte Carlo entry point refuses both (and the
+        two-product DP a fractional inventory)."""
+        static, pair = static_policy(additive_model, 5 / 16), multi_resolving_policy(multi_model)
+        run = {"simulate": lambda: simulate(additive_model, static, T, 5, seed=1),
+               "simulate-multi": lambda: simulate(multi_model, pair, T, [2, 3], seed=1),
+               "batch": lambda: simulate_batch(additive_model, static, T, 5, 1, n),
+               "batch-multi": lambda: simulate_batch(multi_model, pair, T, [2, 3], 1, n),
+               "hindsight": lambda: ho_batch_policy(additive_model, T, 5 / 16, 1, n),
+               "dp-multi": lambda: solve_dp_multi(multi_model, T, [n, 2]),
+               "estimate-regret": lambda: estimate_regret(
+                   additive_model, [T], "round(5/16*T)", ("static", "ho"), replications=n),
+               "estimate-regret-multi": lambda: estimate_regret(
+                   multi_model, [T], lambda _: [2, 3], ("resolving",), replications=n)}
+        with pytest.raises(DomainError, match="whole numbers"):
+            run[entry]()
 
     @pytest.mark.parametrize("name", ["static", "resolving"])
     def test_additive_batch_agrees_with_single_traces(self, additive_model, name):
