@@ -297,9 +297,10 @@ static double uniform(uint64_t key, uint64_t counter)
  * after the period and the revenue, as sim.SimTrace holds them.
  *
  * Each period makes its choices (the law, the sales, the tracker, the
- * record) once, outside the loop over replications, so that the loop has no
- * branch and vectorizes across them: the zeros of inactive rows are the
- * masks of keep, and a stopping time is a select.
+ * record, and whether every replication still has stock) once, outside the
+ * loop over replications, so that the loop has no branch and vectorizes
+ * across them: the zeros of inactive rows are the masks of keep, and a
+ * stopping time is a select.
  */
 
 /* numpy's minimum and maximum: the second operand on a tie */
@@ -324,7 +325,8 @@ static inline uint64_t stocked(double y) { return -(uint64_t)(y > 0); }
 
 /* Period i of forward over every replication, with the period's choices as
  * the constants table (a DP table, else a (lo, hi) law), unit (unit sales),
- * tracked (the stopping-time tracker runs) and rec (the record is written) */
+ * tracked (the stopping-time tracker runs), rec (the record is written) and
+ * full (every replication has stock, so each mask is all ones and folds away) */
 static inline __attribute__((always_inline)) void
 forward_period(long reps, long T, long i, const uint64_t *restrict keys,
                const double *restrict lo, const double *restrict hi,
@@ -332,7 +334,7 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
                double w, double *restrict y, double *restrict total,
                double *restrict sum_xi, double gam, double *restrict harm,
                int64_t *restrict t_sharp, double *restrict trace, const int table,
-               const int unit, const int tracked, const int rec)
+               const int unit, const int tracked, const int rec, const int full)
 {
     long t = T - i, k = T * reps;
     uint64_t step = (uint64_t)(i + 1) * GOLDEN;
@@ -340,7 +342,7 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
     double *out = rec ? trace + i * reps : trace;
     for (long r = 0; r < reps; r++) {
         double u = unit_mix(keys[r] + step), yr = y[r];
-        uint64_t m = stocked(yr);
+        uint64_t m = full ? ~(uint64_t)0 : stocked(yr);
         /* y >= 0, so an inactive row reads column 0 */
         double d = keep(table ? row[(long)minimum(yr, top)] : clip(yr / now, lo[r], hi[r]), m);
         double price = keep((alpha - d) / beta, m);
@@ -375,12 +377,13 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
 }
 
 /* The case of forward's switch for the choices flags: bit 0 table, 1 unit,
- * 2 tracked, 3 rec */
+ * 2 tracked, 3 rec, 4 full */
 #define FORWARD_PERIOD(flags)                                                  \
     case flags:                                                                \
         forward_period(reps, T, i, keys, lo, hi, row, width, alpha, beta, w, y, \
                        total, sum_xi, gam, harm, t_sharp, trace, (flags) & 1,  \
-                       (flags) >> 1 & 1, (flags) >> 2 & 1, (flags) >> 3);     \
+                       (flags) >> 1 & 1, (flags) >> 2 & 1, (flags) >> 3 & 1,  \
+                       (flags) >> 4);                                          \
         break;
 
 KERNEL_CLONES
@@ -392,14 +395,27 @@ void forward(long reps, long T, const uint64_t *restrict keys,
              double gam, double *restrict harm, int64_t *restrict t_sharp,
              int record, double *restrict trace)
 {
+    /* A replication that sells out never restocks, so the periods run full
+     * until the first sell-out, then masked; a record (one replication) is
+     * always masked */
+    int full = !record;
     for (long i = 0; i < T; i++) {
         const double *row = actions + (T - i) * width;
         int tracked = track && T - i >= 2;
-        switch ((width != 0) | (unit_sales != 0) << 1 | tracked << 2 | (record != 0) << 3) {
+        if (full) {
+            uint64_t in_stock = ~(uint64_t)0;
+            for (long r = 0; r < reps; r++)
+                in_stock &= stocked(y[r]);
+            full = in_stock != 0;
+        }
+        switch ((width != 0) | (unit_sales != 0) << 1 | tracked << 2
+                | (record ? 8 : full ? 16 : 0)) {
             FORWARD_PERIOD(0) FORWARD_PERIOD(1) FORWARD_PERIOD(2) FORWARD_PERIOD(3)
             FORWARD_PERIOD(4) FORWARD_PERIOD(5) FORWARD_PERIOD(6) FORWARD_PERIOD(7)
             FORWARD_PERIOD(8) FORWARD_PERIOD(9) FORWARD_PERIOD(10) FORWARD_PERIOD(11)
             FORWARD_PERIOD(12) FORWARD_PERIOD(13) FORWARD_PERIOD(14) FORWARD_PERIOD(15)
+            FORWARD_PERIOD(16) FORWARD_PERIOD(17) FORWARD_PERIOD(18) FORWARD_PERIOD(19)
+            FORWARD_PERIOD(20) FORWARD_PERIOD(21) FORWARD_PERIOD(22) FORWARD_PERIOD(23)
         }
     }
 }
