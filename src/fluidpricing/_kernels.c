@@ -11,7 +11,8 @@
  *              and an upper bound, over a band (oracles.backward);
  *   forward    the one-product Monte Carlo engine of sim.simulate and
  *              sim.simulate_batch (oracles.simulate, oracles.simulate_batch);
- *   noise_sum  the noise mean of the hindsight benchmark (oracles.noise_sum);
+ *   noise_sum  the noise sum of the hindsight benchmark, in counter order
+ *              (oracles.noise_sum);
  *   forward2   the two-product re-solving Monte Carlo engine of
  *              sim.simulate_batch (oracles.simulate_batch);
  *   backward2  the two-product exact backward pass (oracles.backward_multi).
@@ -23,16 +24,16 @@
 #include <string.h>
 
 /* With gcc 11 or later on x86-64 glibc, the loops marked KERNEL_CLONES
- * (backward, forward and forward2) are built three times, for x86-64-v4
- * (AVX-512), x86-64-v3 (AVX2) and the baseline, with every helper inlined
- * into each clone, and glibc's ifunc resolver picks the widest clone this CPU
- * runs at load time.  backward's rows vectorize under AVX2 and AVX-512;
- * forward and forward2 vectorize across replications under AVX-512 only, as
- * the uniform draw converts a 64-bit integer to a double, which AVX2 cannot
- * do in a vector.  All give the same bits: a vector lane rounds each
- * operation as the scalar code does, and -ffp-contract=off keeps fused
- * multiply-adds out of every clone.  Elsewhere, or with -DKERNEL_CLONES=,
- * each is the one baseline loop. */
+ * (backward, forward, noise_sum and forward2) are built three times, for
+ * x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every helper
+ * inlined into each clone, and glibc's ifunc resolver picks the widest clone
+ * this CPU runs at load time.  backward's rows vectorize under AVX2 and
+ * AVX-512; forward, noise_sum and forward2 vectorize across replications under
+ * AVX-512 only, as the uniform draw converts a 64-bit integer to a double,
+ * which AVX2 cannot do in a vector.  All give the same bits: a vector lane
+ * rounds each operation as the scalar code does, and -ffp-contract=off keeps
+ * fused multiply-adds out of every clone.  Elsewhere, or with
+ * -DKERNEL_CLONES=, each is the one baseline loop. */
 #ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -271,13 +272,6 @@ static inline double unit_mix(uint64_t z)
     return (double)(z >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* rng.uniforms at one counter of the stream keyed by key: unit_mix of
- * key + (counter + 1) * GOLDEN */
-static double uniform(uint64_t key, uint64_t counter)
-{
-    return unit_mix(key + (counter + 1) * GOLDEN);
-}
-
 /* -- forward ------------------------------------------------------------------
  *
  * reps one-product replications in lockstep, replication r on the stream
@@ -422,47 +416,19 @@ void forward(long reps, long T, const uint64_t *restrict keys,
 
 /* -- noise_sum ----------------------------------------------------------------
  *
- * acc[r] += the sum of the uniforms at counters 0 .. T - 1 of stream keys[r],
- * taken in blocks of chunk counters and each block summed as numpy sums a
- * row (pairwise_uniforms), so the result equals the numpy reduction
- * acc += uniforms(keys[:, None], block[None, :]).sum(axis=1) over the blocks.
+ * acc[r] += the uniforms at counters 0 .. T - 1 of stream keys[r], added one
+ * at a time in counter order (oracles.noise_sum).  Periods run outer and
+ * replications inner, so the loop over replications vectorizes.
  */
 
-/* numpy's pairwise summation (loops_utils.h) of the uniforms at counters
- * first .. first + n - 1: fewer than 8 in a row, up to 128 with 8
- * accumulators, more split in two at n / 2 rounded down to a multiple of 8 */
-static double pairwise_uniforms(uint64_t key, long first, long n)
+KERNEL_CLONES
+void noise_sum(long reps, long T, const uint64_t *restrict keys, double *restrict acc)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (long k = 0; k < n; k++)
-            res += uniform(key, first + k);
-        return res;
+    for (long i = 0; i < T; i++) {
+        uint64_t step = (uint64_t)(i + 1) * GOLDEN;
+        for (long r = 0; r < reps; r++)
+            acc[r] += unit_mix(keys[r] + step);
     }
-    if (n <= 128) {
-        double r[8];
-        long k;
-        for (int j = 0; j < 8; j++)
-            r[j] = uniform(key, first + j);
-        for (k = 8; k < n - n % 8; k += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += uniform(key, first + k + j);
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; k < n; k++)
-            res += uniform(key, first + k);
-        return res;
-    }
-    long n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_uniforms(key, first, n2) + pairwise_uniforms(key, first + n2, n - n2);
-}
-
-void noise_sum(long reps, long T, long chunk, const uint64_t *keys, double *acc)
-{
-    for (long r = 0; r < reps; r++)
-        for (long start = 0; start < T; start += chunk)
-            acc[r] += pairwise_uniforms(keys[r], start,
-                                        T - start < chunk ? T - start : chunk);
 }
 
 /* -- the two-product box QP ---------------------------------------------------
@@ -537,13 +503,12 @@ static inline double box_qp2(double a11, double a22, double a12, double q1,
  * i*2 + j of the stream keys[r].  Each period re-solves the fluid problem on
  * the box [0, min(box_hi, y / t)], prices the rates at
  * g_j + 0.5 * (x_1 * H[j][0] + x_2 * H[j][1]) and sells a unit of product j
- * when u < x_j, censored at its inventory.  A product with y_j <= 0 gets
- * rate, price, sale and noise 0, as the masked numpy arrays do (its box has
- * ub_j = +0, so the re-solve already gives it rate +0 and the masks change
- * no bit; they keep the loop in step with the numpy engine).  The masks are
- * those of keep, so that the loop over replications has no branch and
- * vectorizes; g, H and box_hi are read once into locals, as the outputs are
- * restrict.
+ * when u < x_j, censored at its inventory.  A product with y_j <= 0 has the
+ * box ub_j = 0, so the re-solve gives it rate 0, no sale and noise 0, and its
+ * revenue price * min(0, y_j) is a zero, which leaves total as it is.  The
+ * sale is a bit mask (keep), so that the loop over replications has no
+ * branch and vectorizes; g, H and box_hi are read once into locals, as the
+ * outputs are restrict.
  */
 
 KERNEL_CLONES
@@ -557,22 +522,17 @@ void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_
         double t = (double)(T - i);
         uint64_t step[2] = {(uint64_t)(2 * i + 1) * GOLDEN, (uint64_t)(2 * i + 2) * GOLDEN};
         for (long r = 0; r < reps; r++) {
-            double yr[2] = {y[2 * r], y[2 * r + 1]}, x[2], rate[2], price[2], realized[2],
-                   xi[2];
-            uint64_t m[2] = {stocked(yr[0]), stocked(yr[1])};
+            double yr[2] = {y[2 * r], y[2 * r + 1]}, x[2], realized[2], xi[2], revenue[2];
             box_qp2(H[0], H[3], H[1], g[0], g[1], minimum(box_hi[0], yr[0] / t),
                     minimum(box_hi[1], yr[1] / t), &x[0], &x[1]);
-            for (int j = 0; j < 2; j++)
-                rate[j] = keep(x[j], m[j]);
             for (int j = 0; j < 2; j++) {
-                double p = g[j] + 0.5 * (rate[0] * H[2 * j] + rate[1] * H[2 * j + 1]);
+                double price = g[j] + 0.5 * (x[0] * H[2 * j] + x[1] * H[2 * j + 1]);
                 double u = unit_mix(keys[r] + step[j]);
-                price[j] = keep(p, m[j]);
-                realized[j] = keep(1.0, -(uint64_t)(u < rate[j])); /* rate 0 without stock */
-                xi[j] = realized[j] - rate[j];
+                realized[j] = keep(1.0, -(uint64_t)(u < x[j]));
+                xi[j] = realized[j] - x[j];
+                revenue[j] = price * minimum(realized[j], yr[j]);
             }
-            total[r] += price[0] * minimum(realized[0], yr[0])
-                        + price[1] * minimum(realized[1], yr[1]);
+            total[r] += revenue[0] + revenue[1];
             sum_xi[r] += xi[0] + xi[1];
             for (int j = 0; j < 2; j++)
                 y[2 * r + j] = maximum(0.0, yr[j] - realized[j]);

@@ -2,8 +2,8 @@
 
 Subcommands expose the library's solvers and preset experiments; outputs
 are JSON (fluid-solve, dp-value) or CSV (everything else).  Exit codes:
-0 success, 2 configuration/usage error, 3 model validation failure,
-4 resource guard, 5 the compiled kernels cannot be built or loaded.
+0 success, 1 solver failure, 2 configuration/usage error, 3 model validation
+failure, 4 resource guard, 5 the compiled kernels cannot be built or loaded.
 """
 
 from __future__ import annotations

@@ -248,7 +248,8 @@ class MultiDemandModel:
     affine map p(x) = g + H x / 2.  The demand-rate domain is the box
     [0, box_hi].  Stochastically, each product sells one unit per period
     with probability equal to its demand rate, independently across
-    products given the rates, so box_hi must stay within [0, 1]^n.
+    products given the rates, so box_hi must stay within [0, 1]^n.  Every
+    entry of g, H and box_hi must be finite (else ModelValidationError).
     """
 
     g: np.ndarray
@@ -256,9 +257,8 @@ class MultiDemandModel:
     box_hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _frozen_array(self.g, ndim=1))
-        object.__setattr__(self, "H", _frozen_array(self.H, ndim=2))
-        object.__setattr__(self, "box_hi", _frozen_array(self.box_hi, ndim=1))
+        for name, ndim in (("g", 1), ("H", 2), ("box_hi", 1)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, ndim))
         n = self.g.shape[0]
         if self.H.shape != (n, n) or self.box_hi.shape != (n,):
             raise ModelValidationError(["g, H, box_hi dimensions inconsistent"])
@@ -323,8 +323,6 @@ def validate_multi(model: MultiDemandModel, min_curvature: float = 1e-10) -> Mul
     spectral = float(np.abs(eigs).max())
     if lam_max > -min_curvature:
         violations.append(f"H is not negative definite (largest eigenvalue {lam_max:.3e})")
-    if not np.all(np.isfinite(model.box_hi)):
-        violations.append("box_hi has non-finite entries")
     if np.any(model.box_hi <= 0):
         violations.append("box_hi must be strictly positive (domain needs nonempty interior containing 0)")
     if np.any(model.box_hi > 1 + 1e-12):
@@ -338,10 +336,12 @@ def validate_multi(model: MultiDemandModel, min_curvature: float = 1e-10) -> Mul
     )
 
 
-def _frozen_array(a, ndim: int) -> np.ndarray:
+def _frozen_array(a, name: str, ndim: int) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.ndim != ndim:
         raise ModelValidationError([f"expected {ndim}-dimensional array, got shape {arr.shape}"])
+    if not np.isfinite(arr).all():
+        raise ModelValidationError([f"{name} has non-finite entries"])
     arr.setflags(write=False)
     return arr
 

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .demand import (
@@ -57,17 +57,8 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        try:
-            self.T_list = [_whole(t) for t in self.T_list]
-            self.replications, self.base_seed = _whole(self.replications), _whole(self.base_seed)
-        except TypeError as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
-        if not self.T_list:
-            raise ConfigError("T_list must be nonempty")
-        if self.T_list != sorted(self.T_list):
-            raise ConfigError("T_list must be ascending")
-        if self.T_list[0] < 1:
-            raise ConfigError(f"horizons must be >= 1, got {self.T_list}")
+        self.T_list = _horizons(self.T_list)
+        self.replications, self.base_seed = _whole(self.replications), _whole(self.base_seed)
         if (not isinstance(self.policies, (list, tuple))
                 or len(set(self.policies)) != len(self.policies)):
             raise ConfigError(f"policies must be a list of distinct names, got {self.policies!r}")
@@ -90,16 +81,7 @@ class ExperimentConfig:
                               "model takes a single rule")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "model": self.model,
-            "T_list": list(self.T_list),
-            "y0_rule": self.y0_rule,
-            "policies": list(self.policies),
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "out_path": self.out_path,
-        }
+        return {**asdict(self), "policies": list(self.policies)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -126,10 +108,20 @@ class ExperimentConfig:
 
 
 def _whole(value) -> int:
-    """value as an int; TypeError unless a whole number (64 or 64.0, not 64.7 or True)."""
+    """value as an int; ConfigError unless a whole number (64 or 64.0, not 64.7 or True)."""
     if isinstance(value, bool) or not (isinstance(value, (int, float)) and value % 1 == 0):
-        raise TypeError(f"need a whole number, got {value!r}")
+        raise ConfigError(f"need a whole number, got {value!r}")
     return int(value)
+
+
+def _horizons(T_list) -> list[int]:
+    """T_list as ints; ConfigError unless a nonempty ascending list of whole numbers >= 1."""
+    if not isinstance(T_list, (list, tuple)):
+        raise ConfigError(f"T_list must be a list of horizons, got {T_list!r}")
+    T_list = [_whole(T) for T in T_list]
+    if not T_list or T_list != sorted(T_list) or T_list[0] < 1:
+        raise ConfigError(f"horizons must be >= 1, at least one and ascending, got {T_list}")
+    return T_list
 
 
 @dataclass
@@ -142,8 +134,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.kind not in ("gap", "concavity"):
             raise ConfigError(f"sweep kind must be 'gap' or 'concavity', got {self.kind!r}")
-        if not self.T_list or list(self.T_list) != sorted(self.T_list):
-            raise ConfigError("T_list must be nonempty ascending")
+        self.T_list = _horizons(self.T_list)
 
 
 # -- CSV helpers -------------------------------------------------------------
@@ -287,10 +278,9 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
 
     Per replication the clairvoyant sees the realized mean noise and earns
     the closed-form inner expectation of its fixed price; the gap to the
-    fluid value stays bounded by a constant independent of T.
+    fluid value stays bounded by a constant independent of T.  A bernoulli
+    model raises UnsupportedModelError (from ho_inner_values).
     """
-    if model.kind == KIND_BERNOULLI:
-        raise UnsupportedModelError("hindsight comparison needs an additive-noise model")
     rows = []
     for T in T_list:
         values = ho_inner_values(model, T, x_T, base_seed, replications)

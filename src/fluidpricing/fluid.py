@@ -133,6 +133,14 @@ def active_partition(model: MultiDemandModel, x: np.ndarray) -> tuple[list[int],
     return I, U
 
 
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, b), with a singular A a SolverError."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular working-set system ({exc}); is H negative definite?") from exc
+
+
 def _box_qp_max(H: np.ndarray, g: np.ndarray, lb: np.ndarray, ub: np.ndarray,
                 fixed: np.ndarray | None = None) -> np.ndarray:
     """Maximize g.x + x.H.x/2 over lb <= x <= ub, H negative definite.
@@ -147,7 +155,7 @@ def _box_qp_max(H: np.ndarray, g: np.ndarray, lb: np.ndarray, ub: np.ndarray,
     ub = np.maximum(ub, lb)  # guard FP dust in callers
 
     # start at the clipped Newton point, feasible by construction
-    x = np.clip(np.linalg.solve(-H, g), lb, ub)
+    x = np.clip(_solve(-H, g), lb, ub)
     at_lo = ~fixed & (x <= lb + ACTIVE_TOL)
     at_up = ~fixed & (x >= ub - ACTIVE_TOL)
     budget = 2**n + 10
@@ -159,7 +167,7 @@ def _box_qp_max(H: np.ndarray, g: np.ndarray, lb: np.ndarray, ub: np.ndarray,
         x_eq[at_up & ~fixed] = ub[at_up & ~fixed]
         if free.any():
             rhs = -(g[free] + H[np.ix_(free, ~free)] @ x_eq[~free])
-            x_eq[free] = np.linalg.solve(H[np.ix_(free, free)], rhs)
+            x_eq[free] = _solve(H[np.ix_(free, free)], rhs)
         step = x_eq - x
         if np.abs(step).max(initial=0.0) <= _KKT_TOL:
             # working-set optimum reached: check duals

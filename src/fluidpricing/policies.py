@@ -453,9 +453,9 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 # -ffp-contract=off: a fused multiply-add would change the last bits against numpy,
 # in every clone too; no -march=native, so that a cached binary runs on any CPU of
-# the architecture: backward, forward and forward2 carry their own AVX2 and AVX-512
-# clones, and glibc picks the widest this CPU runs at load time (KERNEL_CLONES in
-# _kernels.c)
+# the architecture: backward, forward, noise_sum and forward2 carry their own AVX2
+# and AVX-512 clones, and glibc picks the widest this CPU runs at load time
+# (KERNEL_CLONES in _kernels.c)
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
 
@@ -482,7 +482,7 @@ def _kernel():
                              flag, ptr]
     lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
                             flag, x, f64, i64, flag, f64]
-    lib.noise_sum.argtypes = [n, n, n, u64, f64]
+    lib.noise_sum.argtypes = [n, n, u64, f64]
     lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
     lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]
     for fn in (lib.backward, lib.forward, lib.noise_sum, lib.forward2, lib.backward2):

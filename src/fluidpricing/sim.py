@@ -40,10 +40,6 @@ from .policies import (
 )
 
 _Z_VALUES = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
-# counters per block of the hindsight noise sum: noise_sum sums each block of
-# a stream pairwise, as numpy sums a row, so the block length fixes the
-# summation grouping, and so the bits, of xi_bar
-NOISE_CHUNK = 2048
 # the policies a multi-product model's regret can be estimated for
 MULTI_POLICIES = ("resolving", "dp")
 # the fractions of the start state at which the forward kernels check a law
@@ -265,7 +261,10 @@ def parse_y0_rule(rule):
     text = str(rule).replace(" ", "")
     if not (text.startswith("round(") and text.endswith("*T)")):
         raise DomainError(f"cannot parse y0 rule {rule!r}; expected 'round(c*T)'")
-    c = Fraction(text[len("round("):-len("*T)")])
+    try:
+        c = Fraction(text[len("round("):-len("*T)")])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse y0 rule {rule!r}: {exc}") from exc
     return lambda T: int(round(c * T))
 
 
@@ -362,9 +361,9 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
 
     Replication i reveals the realized mean noise xi_bar[i] of its stream
     over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
-    The noise mean comes from the sum of the stream's uniforms in blocks of
-    NOISE_CHUNK counters, from the compiled noise_sum kernel, one call per
-    contiguous range of replications in _map.
+    The noise mean comes from the sum of the stream's uniforms in counter
+    order, from the compiled noise_sum kernel, one call per contiguous range
+    of replications in _map.
     """
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
@@ -374,7 +373,7 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     acc = np.zeros(n_reps)
-    _map(_kernel().noise_sum, [(s.stop - s.start, T, NOISE_CHUNK, seeds[s], acc[s])
+    _map(_kernel().noise_sum, [(s.stop - s.start, T, seeds[s], acc[s])
                                for s in _ranges(n_reps)])
     return ho_policy(model, x_T, (2.0 * acc / T - 1.0) * w)
 

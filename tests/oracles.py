@@ -237,11 +237,9 @@ def backward_multi(model, T: int, V: np.ndarray) -> None:
         V += box_qp2_batch(H[0, 0], H[1, 1], H[0, 1] + w, q1, q2, ub1, ub2)[2]
 
 
-def noise_sum(seeds: np.ndarray, T: int, chunk: int) -> np.ndarray:
-    """Per stream, the sum of the uniforms at counters 0 .. T - 1, each block of
-    chunk counters summed by numpy as one row.  The reference of the noise_sum kernel."""
-    acc = np.zeros(seeds.size)
-    for start in range(0, T, chunk):
-        counters = np.arange(start, min(start + chunk, T))
-        acc += rng.uniforms(seeds[:, None], counters[None, :]).sum(axis=1)
-    return acc
+def noise_sum(seeds: np.ndarray, T: int) -> np.ndarray:
+    """Per stream, the sum of the uniforms at counters 0 .. T - 1, added one at a
+    time in counter order (accumulate is sequential).  The reference of the noise_sum
+    kernel."""
+    draws = rng.uniforms(seeds[:, None], np.arange(T)[None, :])
+    return np.add.accumulate(draws, axis=1)[:, -1]

@@ -149,6 +149,13 @@ class TestMultiValidation:
         assert not report.ok
         assert any("negative definite" in v for v in report.violations)
 
+    def test_non_finite_entries_are_refused(self):
+        good = {"g": [1.0, 1.0], "H": [[-2.0, -0.5], [-0.5, -2.0]], "box_hi": [1.0, 1.0]}
+        for name, bad in (("g", [np.nan, 1.0]), ("H", [[-2.0, np.nan], [np.nan, -2.0]]),
+                          ("H", [[-np.inf, 0.0], [0.0, -2.0]]), ("box_hi", [1.0, np.inf])):
+            with pytest.raises(ModelValidationError, match=f"{name} has non-finite entries"):
+                MultiDemandModel(**{**good, name: bad})
+
     def test_correlated_hessian_m_prime(self, multi_model):
         report = validate_multi(multi_model)
         assert report.ok

@@ -2,12 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fluidpricing
 from fluidpricing import ConfigError, ResourceGuardError, UnsupportedModelError
 from fluidpricing.experiments import (
     HO_COLUMNS,
@@ -125,8 +130,12 @@ class TestConfig:
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError):
             SweepConfig(kind="nope", T_list=[16])
-        with pytest.raises(ConfigError):
-            SweepConfig(kind="gap", T_list=[32, 16])
+        # descending, non-whole or below 1: refused here, not later by sweep_rows
+        for T_list in ([32, 16], [16, 64.5], [0, 16], [-16, 16], [True, 16], ["16"], 16, []):
+            with pytest.raises(ConfigError):
+                SweepConfig(kind="gap", T_list=T_list)
+        cfg = SweepConfig(kind="gap", T_list=(16.0, 32))
+        assert cfg.T_list == [16, 32] and all(type(T) is int for T in cfg.T_list)
 
 
 class TestTable2:
@@ -372,6 +381,37 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 2
         assert "multi-product model supports" in capsys.readouterr().err
+
+    def test_y0_rule_coefficient_error_exit_code(self, model_paths, tmp_path, capsys):
+        model = json.loads(open(model_paths["bern"]).read())
+        cfg_path = tmp_path / "cfg.json"
+        for rule in ("round(1/0*T)", "round(abc*T)", "round(*T)"):
+            cfg_path.write_text(json.dumps({"name": "t", "model": model, "T_list": [16],
+                                            "y0_rule": rule}))
+            assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 2, rule
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+
+    def test_multi_model_non_finite_or_singular_exit_code(self, model_paths, tmp_path):
+        """A NaN in H is a validation failure (exit 3), a singular H a solver
+        failure (exit 1), each one line; run in a subprocess, as a NaN in H used
+        to loop forever."""
+        obj = json.loads(open(model_paths["multi"]).read())
+        cases = {"nan_H": ({"H": [[-2.0, float("nan")], [float("nan"), -2.0]]}, 3,
+                           "model validation failed"),
+                 "inf_g": ({"g": [float("inf"), 1.0]}, 3, "model validation failed"),
+                 "singular_H": ({"H": [[-1.0, -1.0], [-1.0, -1.0]]}, 1, "solver failure")}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(fluidpricing.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        for name, (fields, code, prefix) in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**obj, **fields}))
+            done = subprocess.run([sys.executable, "-m", "fluidpricing.cli", "fluid-solve",
+                                   "--model", str(path), "--inventory", "0.3,0.3"],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert done.returncode == code, (name, done.stderr)
+            assert done.stdout == "" and done.stderr.startswith(prefix), name
+            assert len(done.stderr.splitlines()) == 1, name
 
     def test_table2_and_resource_guard(self, model_paths, capsys):
         assert cli.main(["table2", "--t-list", "64"]) == 0

@@ -8,6 +8,7 @@ from fluidpricing import (
     DemandModel,
     DomainError,
     MultiDemandModel,
+    SolverError,
     active_partition,
     cli,
     fluid_value,
@@ -111,6 +112,12 @@ class TestMulti:
             solve_fluid_multi(multi_model, np.array([np.nan, 1.0]))
         with pytest.raises(DomainError):
             solve_fluid_single(bernoulli_model, np.nan)
+
+    def test_singular_hessian_is_a_solver_error(self):
+        for H in ([[-1.0, -1.0], [-1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]):
+            model = MultiDemandModel(g=[1.0, 1.0], H=H, box_hi=[1.0, 1.0])
+            with pytest.raises(SolverError, match="singular"):
+                solve_fluid_multi(model, np.array([0.3, 0.3]))
 
     def test_zero_inventory(self, multi_model):
         sol = solve_fluid_multi(multi_model, np.zeros(2))

@@ -35,7 +35,7 @@ from fluidpricing import (
     solve_fluid_multi,
     static_policy,
 )
-from fluidpricing import cli
+from fluidpricing import cli, rng
 from fluidpricing import policies as policies_module
 from fluidpricing import sim as sim_module
 from fluidpricing.sim import (
@@ -812,7 +812,7 @@ _CLONES = {
                   "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
 }
 # the entry points built through KERNEL_CLONES
-_CLONED = ("backward", "forward", "forward2")
+_CLONED = ("backward", "forward", "noise_sum", "forward2")
 
 
 def _cpu_flags() -> set[str]:
@@ -933,8 +933,18 @@ def _forward_policy(family, law, T, y0, seed, reps):
 
 
 class TestDispatchedForward:
-    """forward and forward2 of every single-target build give the dispatched
-    library's bits and the numpy references' (tests/oracles.py)."""
+    """forward, noise_sum and forward2 of every single-target build give the
+    dispatched library's bits and the numpy references' (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("T", [1, 7, 129, 2049, 4097])
+    def test_noise_sum_matches_dispatched_and_oracle(self, single_build, T):
+        # 13 replications: a vector loop leaves a remainder in every width
+        seeds = rng.replication_seed(31, np.arange(13))
+        want = oracles.noise_sum(seeds, T)
+        for lib in (single_build, policies_module._kernel()):
+            got = np.zeros(seeds.size)
+            lib.noise_sum(seeds.size, T, seeds, got)
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from([(f, law) for f in _FORWARD_MODELS

@@ -34,7 +34,7 @@ from fluidpricing.policies import (
     multi_resolving_policy,
     solve_dp_multi,
 )
-from fluidpricing.sim import NOISE_CHUNK, ho_batch_policy, ho_inner_values, parse_y0_rule
+from fluidpricing.sim import ho_batch_policy, ho_inner_values, parse_y0_rule
 
 import oracles
 from conftest import two_product_models
@@ -369,11 +369,11 @@ class TestForwardKernel:
         _assert_batch_matches_numpy_engine(model, pol, T, y0, seed, reps, track)
 
     @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
-    def test_noise_sum_matches_numpy_chunked_sum(self, additive_model, T):
+    def test_noise_sum_matches_sequential_sum(self, additive_model, T):
         seeds = rng.replication_seed(12, np.arange(9))
-        want = oracles.noise_sum(seeds, T, NOISE_CHUNK)
+        want = oracles.noise_sum(seeds, T)
         got = np.zeros(seeds.size)
-        policies._kernel().noise_sum(seeds.size, T, NOISE_CHUNK, seeds, got)
+        policies._kernel().noise_sum(seeds.size, T, seeds, got)
         assert got.tobytes() == want.tobytes()
         rate, _ = ho_batch_policy(additive_model, T, 0.3, 12, seeds.size).rate_law()
         xi_bar = (2.0 * want / T - 1.0) * additive_model.noise_half_width
@@ -612,6 +612,9 @@ class TestEstimateRegret:
         assert parse_y0_rule("round(0.375*T)")(16) == 6
         with pytest.raises(DomainError):
             parse_y0_rule("floor(T/2)")
+        for text in ("round(1/0*T)", "round(abc*T)", "round(*T)", "round(inf*T)"):
+            with pytest.raises(DomainError, match="cannot parse y0 rule"):
+                parse_y0_rule(text)
 
     def test_bernoulli_one_pass_per_static_rate(self, bernoulli_model, monkeypatch):
         T_list = [64, 128, 200, 256]  # 5/16 * 200 rounds to 62, another static rate
