@@ -24,16 +24,19 @@
 #include <string.h>
 
 /* With gcc 11 or later on x86-64 glibc, the loops marked KERNEL_CLONES
- * (backward, forward, noise_sum and forward2) are built three times, for
- * x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every helper
- * inlined into each clone, and glibc's ifunc resolver picks the widest clone
- * this CPU runs at load time.  backward's rows vectorize under AVX2 and
- * AVX-512; forward, noise_sum and forward2 vectorize across replications under
- * AVX-512 only, as the uniform draw converts a 64-bit integer to a double,
- * which AVX2 cannot do in a vector.  All give the same bits: a vector lane
- * rounds each operation as the scalar code does, and -ffp-contract=off keeps
- * fused multiply-adds out of every clone.  Elsewhere, or with
- * -DKERNEL_CLONES=, each is the one baseline loop. */
+ * (backward, forward, noise_sum, forward2 and backward2) are built three times,
+ * for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every
+ * helper inlined into each clone, and glibc's ifunc resolver picks the widest
+ * clone this CPU runs at load time.  backward's rows vectorize under AVX2 and
+ * AVX-512.  forward, noise_sum and forward2 vectorize across replications
+ * under AVX-512 only, as the uniform draw converts a 64-bit integer to a
+ * double, which AVX2 cannot do in a vector.  backward2 vectorizes across each
+ * inventory row (backward2_row) under AVX-512 only: gcc moves a multiply of
+ * box_qp2 into one arm of a clip, and only AVX-512's masks let a vector loop
+ * run floating-point work under a condition.  All give the same bits: a
+ * vector lane rounds each operation as the scalar code does, and
+ * -ffp-contract=off keeps fused multiply-adds out of every clone.  Elsewhere,
+ * or with -DKERNEL_CLONES=, each is the one baseline loop. */
 #ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -469,20 +472,29 @@ static inline void qp2_take(double c1, double c2, double v, double *x1,
     *best = take ? v : *best;
 }
 
+/* clip(x, 0.0, hi), its lower test kept a branch in a scalar clone, as in
+ * qp2_take: the AVX2 clone of backward2 blended it and ran about 10 % slower
+ * than the baseline loop */
+static inline double clip_box(double x, double hi)
+{
+    x = PREDICTABLE(x > 0.0) ? x : 0.0;
+    return x < hi ? x : hi;
+}
+
 static inline double box_qp2(double a11, double a22, double a12, double q1,
                              double q2, double ub1, double ub2, double *x1,
                              double *x2)
 {
 #define VALUE(c1, c2) qp2_value(a11, a22, a12, q1, q2, c1, c2)
-    double c1 = 0.0, c2 = clip(-(q2 + a12 * 0.0) / a22, 0.0, ub2);
+    double c1 = 0.0, c2 = clip_box(-(q2 + a12 * 0.0) / a22, ub2);
     double best = VALUE(c1, c2);
     *x1 = c1;
     *x2 = c2;
-    c2 = clip(-(q2 + a12 * ub1) / a22, 0.0, ub2);
+    c2 = clip_box(-(q2 + a12 * ub1) / a22, ub2);
     qp2_take(ub1, c2, VALUE(ub1, c2), x1, x2, &best);
-    c1 = clip(-(q1 + a12 * 0.0) / a11, 0.0, ub1);
+    c1 = clip_box(-(q1 + a12 * 0.0) / a11, ub1);
     qp2_take(c1, 0.0, VALUE(c1, 0.0), x1, x2, &best);
-    c1 = clip(-(q1 + a12 * ub2) / a11, 0.0, ub1);
+    c1 = clip_box(-(q1 + a12 * ub2) / a11, ub1);
     qp2_take(c1, ub2, VALUE(c1, ub2), x1, x2, &best);
     double det = a11 * a22 - a12 * a12;
     double xi1 = (-a22 * q1 + a12 * q2) / det;
@@ -548,25 +560,43 @@ void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_
  * (0 off the lattice), and gains the box QP maximum of the one-step
  * objective with curvature a12 = H[0][1] + (v - b - c + d), linear terms
  * g_1 + b - v and g_2 + c - v, and bounds box_hi_k where y_k >= 1, else 0.
- * Cells go from high (i, j) to low, so each still reads its old neighbours.
+ *
+ * Rows go from high i to low, so row i - 1 still holds the last period when
+ * row i reads it.  Within a row, cells go from high j to low: cell j reads
+ * row[j - 1] before cell j - 1 writes it, so a vector of cells, loaded before
+ * it is stored, still reads only the last period's values, and the loop over
+ * j vectorizes in place.  g, H and box_hi are read once into locals, as in
+ * forward2.
  */
 
-void backward2(double *V, long m1, long m2, long T, const double *g,
-               const double *H, const double *box_hi)
+/* Row i of backward2 at ub1, with prev row i - 1 when the constant below is
+ * set (else b = d = 0): the cells j = m2 - 1 .. 1, then j = 0 with ub2 = 0 */
+static inline __attribute__((always_inline)) void
+backward2_row(double *restrict row, const double *restrict prev, long m2, double ub1,
+              const double *g, const double *H, const double *box_hi, const int below)
 {
+    for (long j = m2 - 1; j >= 1; j--) {
+        double v = row[j], c = row[j - 1];
+        double b = below ? prev[j] : 0.0, d = below ? prev[j - 1] : 0.0;
+        double w = v - b - c + d, x1, x2;
+        row[j] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, ub1,
+                             box_hi[1], &x1, &x2);
+    }
+    double v = row[0], b = below ? prev[0] : 0.0, c = 0.0, d = 0.0;
+    double w = v - b - c + d, x1, x2;
+    row[0] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, ub1, 0.0,
+                         &x1, &x2);
+}
+
+KERNEL_CLONES
+void backward2(double *V, long m1, long m2, long T, const double *g_in,
+               const double *H_in, const double *box_in)
+{
+    double g[2] = {g_in[0], g_in[1]}, H[4] = {H_in[0], H_in[1], H_in[2], H_in[3]};
+    double box_hi[2] = {box_in[0], box_in[1]};
     for (long p = 0; p < T; p++) {
-        for (long i = m1 - 1; i >= 0; i--) {
-            double *row = V + i * m2, *prev = i > 0 ? row - m2 : NULL;
-            double ub1 = i >= 1 ? box_hi[0] : 0.0;
-            for (long j = m2 - 1; j >= 0; j--) {
-                double v = row[j];
-                double b = prev ? prev[j] : 0.0;
-                double c = j > 0 ? row[j - 1] : 0.0;
-                double d = prev && j > 0 ? prev[j - 1] : 0.0;
-                double w = v - b - c + d, x1, x2;
-                row[j] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v,
-                                     ub1, j >= 1 ? box_hi[1] : 0.0, &x1, &x2);
-            }
-        }
+        for (long i = m1 - 1; i >= 1; i--)
+            backward2_row(V + i * m2, V + (i - 1) * m2, m2, box_hi[0], g, H, box_hi, 1);
+        backward2_row(V, NULL, m2, 0.0, g, H, box_hi, 0);
     }
 }

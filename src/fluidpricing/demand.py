@@ -98,7 +98,7 @@ class DemandModel:
                 violations.append("bernoulli demand rate must stay within [0, 1]")
         if self.kind == KIND_ADDITIVE:
             w = self.noise_half_width
-            if w is None or w < 0 or self.interval.d_lo < w - 1e-12:
+            if w is None or not (0 <= w <= self.interval.d_lo + 1e-12):  # NaN fails too
                 violations.append("linear-additive requires 0 <= noise_half_width <= d_lo "
                                   "(realized demand must stay >= 0)")
         if violations:

@@ -113,7 +113,11 @@ class BatchResult:
         return float(self.total_revenue.mean())
 
     def ci_half_width(self, confidence: float = 0.95) -> float:
-        z = _Z_VALUES.get(round(confidence, 2))
+        """Normal-approximation half width of the mean's two-sided CI at a
+        confidence in (0, 1); DomainError outside it, NaN included."""
+        if not 0.0 < confidence < 1.0:
+            raise DomainError(f"need a confidence in (0, 1), got {confidence!r}")
+        z = _Z_VALUES.get(confidence)
         if z is None:
             from scipy.stats import norm
 

@@ -187,6 +187,10 @@ def test_additive_noise_must_not_make_demand_negative():
                                     noise_half_width=0.2)
     # d_lo = 0.7 - 0.5 rounds just below w = 0.2 and is still admitted
     DemandModel.linear_additive(alpha=0.7, beta=0.5, p_lo=0.0, p_hi=1.0, noise_half_width=0.2)
+    # a NaN width fails every comparison, so it must not pass as in range
+    with pytest.raises(ModelValidationError, match="demand must stay >= 0"):
+        model_from_dict({"kind": "linear-additive", "alpha": 0.75, "beta": 0.5, "p_lo": 0.0,
+                         "p_hi": 1.0, "noise_half_width": float("nan")})
 
 
 def test_model_from_dict_missing_or_mistyped_fields():

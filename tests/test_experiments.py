@@ -435,6 +435,14 @@ class TestCli:
                                     "p_lo": 0.0, "p_hi": 1.0, "noise_half_width": 0.2}))
         assert cli.main(["validate-model", "--model", str(path)]) == 3
         assert capsys.readouterr().err.count("model validation failed") == 1
+        # a NaN width used to print "ok": true and ho-compare rows of nan
+        path.write_text(json.dumps({"kind": "linear-additive", "alpha": 0.75, "beta": 0.5,
+                                    "p_lo": 0.0, "p_hi": 1.0, "noise_half_width": float("nan")}))
+        assert cli.main(["validate-model", "--model", str(path)]) == 3
+        assert cli.main(["ho-compare", "--model", str(path), "--x-t", "0.3125",
+                         "--t-list", "16", "--replications", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("model validation failed") == 2
 
     def test_multi_model_constant_term_exit_code(self, model_paths, tmp_path, capsys):
         obj = json.loads(open(model_paths["multi"]).read())

@@ -804,6 +804,22 @@ class TestKernelSource:
                                     str(policies_module._SOURCE)], capture_output=True, text=True)
             assert build.returncode == 0, (clones, build.stderr)
 
+    def test_cloned_loops_vectorize_under_avx512(self, tmp_path):
+        """gcc reports each loop that must run in vectors as vectorized with 64-byte
+        vectors (the x86-64-v4 clone): the bitwise tests cannot see a loop that
+        goes scalar again."""
+        _require_clones()
+        source = policies_module._SOURCE.read_text()
+        build = subprocess.run(["cc", *policies_module._CFLAGS, "-fopt-info-vec-optimized",
+                                "-o", str(tmp_path / "kernels.so"),
+                                str(policies_module._SOURCE)], capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
+        vectorized = {int(line) for line in re.findall(
+            r":(\d+):\d+: optimized: loop vectorized using 64 byte vectors", build.stderr)}
+        for name, (function, loop) in _VECTOR_LOOPS.items():
+            at = source.index(loop, source.index(function))
+            assert source.count("\n", 0, at) + 1 in vectorized, name
+
 
 # the clones of the cloned loops in _kernels.c, with the /proc/cpuinfo flags each needs
 _CLONES = {
@@ -812,7 +828,15 @@ _CLONES = {
                   "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
 }
 # the entry points built through KERNEL_CLONES
-_CLONED = ("backward", "forward", "noise_sum", "forward2")
+_CLONED = ("backward", "forward", "noise_sum", "forward2", "backward2")
+# the loop of each entry point that vectorizes under AVX-512: the function that
+# holds it and its first line
+_VECTOR_LOOPS = {
+    "forward": ("forward_period(long reps", "for (long r = 0; r < reps; r++) {"),
+    "noise_sum": ("void noise_sum(", "for (long r = 0; r < reps; r++)"),
+    "forward2": ("void forward2(", "for (long r = 0; r < reps; r++) {"),
+    "backward2": ("backward2_row(double", "for (long j = m2 - 1; j >= 1; j--) {"),
+}
 
 
 def _cpu_flags() -> set[str]:
@@ -899,6 +923,17 @@ class TestDispatchedBackward:
         for point in points:
             _assert_builds_match_backward(single_build.backward, bernoulli_model, [point],
                                           pols)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=two_product_models(), T=st.integers(1, 64),
+           y0=st.tuples(*[st.one_of(st.sampled_from([0, 1]), st.integers(2, 40))] * 2))
+    def test_two_product_matches_oracle_bitwise(self, single_build, model, T, y0):
+        """backward2 of every single-target build gives oracles.backward_multi's bits;
+        y0 of 0 and 1 leave a row or a column to the peeled edges alone."""
+        got, want = np.zeros((y0[0] + 1, y0[1] + 1)), np.zeros((y0[0] + 1, y0[1] + 1))
+        single_build.backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
+        oracles.backward_multi(model, T, want)
+        assert got.tobytes() == want.tobytes()
 
 
 _FORWARD_MODELS = {

@@ -564,6 +564,19 @@ class TestStochasticChecks:
         half = batch.ci_half_width(0.99)
         assert abs(batch.mean - table.value(64, 20)) <= half
 
+    def test_ci_half_width_levels(self):
+        """The tabulated levels keep their bits; any other level in (0, 1) gets its
+        own z (0.954 used to round to 0.95's); a level outside (0, 1) is refused."""
+        batch = sim_module.BatchResult(np.arange(100.0), np.zeros(100))
+        tabulated = {0.90: 4.771965779980307, 0.95: 5.6861479410501525,
+                     0.99: 7.472865117115068}
+        for confidence, half in tabulated.items():
+            assert batch.ci_half_width(confidence) == half
+        assert tabulated[0.95] < batch.ci_half_width(0.954) < batch.ci_half_width(0.96)
+        for confidence in (1.5, math.nan, 1.0, 0.0, -0.5, math.inf):
+            with pytest.raises(DomainError):
+                batch.ci_half_width(confidence)
+
 
 class TestEstimateRegret:
     def test_benchmark_instance_exact_table_point(self, bernoulli_model):
