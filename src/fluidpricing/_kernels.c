@@ -15,9 +15,13 @@
  *              (oracles.noise_sum);
  *   forward2   the two-product re-solving Monte Carlo engine of
  *              sim.simulate_batch (oracles.simulate_batch);
- *   backward2  the two-product exact backward pass (oracles.backward_multi).
+ *   backward2  the two-product exact backward pass (oracles.backward_multi);
+ *   box_qp     the n-product fluid problem of fluid.solve_fluid_multi and
+ *              fluid.partial_optimum, a box-constrained concave quadratic
+ *              program (oracles.box_qp_max).
  */
 
+#include <limits.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -36,7 +40,8 @@
  * run floating-point work under a condition.  All give the same bits: a
  * vector lane rounds each operation as the scalar code does, and
  * -ffp-contract=off keeps fused multiply-adds out of every clone.  Elsewhere,
- * or with -DKERNEL_CLONES=, each is the one baseline loop. */
+ * or with -DKERNEL_CLONES=, each is the one baseline loop.  box_qp, a scalar
+ * solve of at most a few dozen products, is built once. */
 #ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -598,5 +603,208 @@ void backward2(double *V, long m1, long m2, long T, const double *g_in,
         for (long i = m1 - 1; i >= 1; i--)
             backward2_row(V + i * m2, V + (i - 1) * m2, m2, box_hi[0], g, H, box_hi, 1);
         backward2_row(V, NULL, m2, 0.0, g, H, box_hi, 0);
+    }
+}
+
+/* -- box_qp -------------------------------------------------------------------
+ *
+ * The maximum x of g.x + x.H.x / 2 over lb <= x <= ub, for a row-major n x n
+ * H that is negative definite, by a primal active-set method.  ub is first
+ * raised to lb where it lies below (FP dust in the callers); a coordinate with
+ * ub == lb is pinned there and never released.  The start is the Newton point
+ * (the solve with every coordinate free) clipped to the box, with each other
+ * coordinate within ACTIVE_TOL of a bound put on that bound (on both when the
+ * box is that narrow; the upper one then gives its value).  Each iteration
+ * solves the free block with the others on their bounds.  A step of at most
+ * KKT_TOL in every coordinate is a working-set optimum: the bound with the
+ * most negative dual below -DUAL_TOL is released (the first such on a tie),
+ * and when there is none x, clipped to the box, is the answer.  A longer step
+ * is cut short at the first bound it would cross (the ratio test), which
+ * joins the working set.  Every release and every blocking bound is a
+ * working-set change; more than 2^n + 10 of them (clamped to LONG_MAX) end
+ * the search.
+ *
+ * The caller gives the scratch: work of n * (n + 4) doubles and set of n
+ * int64 entries (the working set of each coordinate).  info[0] gets the
+ * status (BOX_QP_OK, BOX_QP_SINGULAR when a free block has an exactly zero
+ * pivot, BOX_QP_BUDGET when the changes overrun) and info[1] the number of
+ * working-set changes.  With BOX_QP_OK, work[0 .. n - 1] holds the gradient
+ * g + H x at the answer and work[n] the value g.x + x.(H x) / 2, each sum
+ * taken in index order.
+ */
+
+#define ACTIVE_TOL 1e-10
+#define DUAL_TOL 1e-10
+#define KKT_TOL 1e-12
+#define AT_LO 1
+#define AT_UP 2
+#define PINNED 4
+#define BOX_QP_OK 0
+#define BOX_QP_SINGULAR 1
+#define BOX_QP_BUDGET 2
+
+/* x_eq on the free coordinates (set[k] == 0): the solution of
+ * H[F][F] x_F = -(g_F + H[F][B] x_eq[B]), by Gaussian elimination with
+ * partial pivoting (the first largest pivot) on the m x m block A, with right
+ * side b.  Returns 1 on an exactly zero pivot, else 0. */
+static int solve_free(long n, const double *H, const double *g, const int64_t *set,
+                      double *x_eq, double *A, double *b)
+{
+    long m = 0;
+    for (long i = 0; i < n; i++) {
+        if (set[i])
+            continue;
+        double acc = 0.0;
+        long c = 0;
+        for (long j = 0; j < n; j++) {
+            if (set[j])
+                acc += H[i * n + j] * x_eq[j];
+            else
+                A[m * n + c++] = H[i * n + j];
+        }
+        b[m++] = -(g[i] + acc);
+    }
+    for (long c = 0; c < m; c++) {
+        long p = c;
+        for (long r = c + 1; r < m; r++)
+            if (fabs(A[r * n + c]) > fabs(A[p * n + c]))
+                p = r;
+        if (A[p * n + c] == 0.0)
+            return 1;
+        if (p != c) {
+            for (long k = c; k < m; k++) {
+                double a = A[c * n + k];
+                A[c * n + k] = A[p * n + k];
+                A[p * n + k] = a;
+            }
+            double a = b[c];
+            b[c] = b[p];
+            b[p] = a;
+        }
+        for (long r = c + 1; r < m; r++) {
+            double f = A[r * n + c] / A[c * n + c];
+            for (long k = c + 1; k < m; k++)
+                A[r * n + k] -= f * A[c * n + k];
+            b[r] -= f * b[c];
+        }
+    }
+    for (long r = m - 1; r >= 0; r--) {
+        double s = b[r];
+        for (long k = r + 1; k < m; k++)
+            s -= A[r * n + k] * b[k];
+        b[r] = s / A[r * n + r];
+    }
+    for (long i = 0, r = 0; i < n; i++)
+        if (!set[i])
+            x_eq[i] = b[r++];
+    return 0;
+}
+
+void box_qp(long n, const double *H, const double *g, const double *lb,
+            const double *ub, double *x, double *work, int64_t *set, int64_t *info)
+{
+    double *hi = work, *x_eq = work + n, *step = work + 2 * n, *b = work + 3 * n;
+    double *A = work + 4 * n;
+    long budget = n < 63 ? (1L << n) + 10 : LONG_MAX, changes = 0;
+    info[1] = 0;
+    for (long k = 0; k < n; k++) {
+        hi[k] = maximum(ub[k], lb[k]);
+        set[k] = 0;
+    }
+    if (solve_free(n, H, g, set, x_eq, A, b)) {
+        info[0] = BOX_QP_SINGULAR;
+        return;
+    }
+    for (long k = 0; k < n; k++) {
+        x[k] = clip(x_eq[k], lb[k], hi[k]);
+        set[k] = hi[k] == lb[k] ? PINNED
+                 : (x[k] <= lb[k] + ACTIVE_TOL ? AT_LO : 0) | (x[k] >= hi[k] - ACTIVE_TOL ? AT_UP : 0);
+    }
+    for (;;) {
+        for (long k = 0; k < n; k++)
+            x_eq[k] = set[k] == AT_LO ? lb[k] : set[k] & AT_UP ? hi[k] : x[k];
+        if (solve_free(n, H, g, set, x_eq, A, b)) {
+            info[0] = BOX_QP_SINGULAR;
+            return;
+        }
+        double size = 0.0;
+        for (long k = 0; k < n; k++) {
+            step[k] = x_eq[k] - x[k];
+            size = fabs(step[k]) > size ? fabs(step[k]) : size;
+        }
+        long move = -1;
+        int side = 0;
+        if (size <= KKT_TOL) {
+            /* a working-set optimum: release the most negative dual, if any */
+            double worst = -DUAL_TOL;
+            for (long k = 0; k < n; k++) {
+                if (!(set[k] & (AT_LO | AT_UP)))
+                    continue;
+                double acc = 0.0;
+                for (long j = 0; j < n; j++)
+                    acc += H[k * n + j] * x[j];
+                double grad = g[k] + acc;
+                if ((set[k] & AT_UP) && grad < worst) {
+                    worst = grad;
+                    move = k;
+                    side = AT_UP;
+                } else if ((set[k] & AT_LO) && -grad < worst) {
+                    worst = -grad;
+                    move = k;
+                    side = AT_LO;
+                }
+            }
+            if (move < 0) {
+                for (long k = 0; k < n; k++)
+                    x[k] = clip(x[k], lb[k], hi[k]);
+                /* the gradient and the value at x, over hi and x_eq[0] */
+                double gx = 0.0, xhx = 0.0;
+                for (long k = 0; k < n; k++) {
+                    double acc = 0.0;
+                    for (long j = 0; j < n; j++)
+                        acc += H[k * n + j] * x[j];
+                    work[k] = g[k] + acc;
+                    gx += g[k] * x[k];
+                    xhx += x[k] * acc;
+                }
+                work[n] = gx + 0.5 * xhx;
+                info[0] = BOX_QP_OK;
+                return;
+            }
+            set[move] &= ~side;
+        } else {
+            /* the ratio test: stop at the first bound the step would cross */
+            double alpha = 1.0;
+            for (long k = 0; k < n; k++) {
+                if (set[k])
+                    continue;
+                if (step[k] > KKT_TOL && x[k] + step[k] > hi[k]) {
+                    double a = (hi[k] - x[k]) / step[k];
+                    if (a < alpha) {
+                        alpha = a;
+                        move = k;
+                        side = AT_UP;
+                    }
+                } else if (step[k] < -KKT_TOL && x[k] + step[k] < lb[k]) {
+                    double a = (lb[k] - x[k]) / step[k];
+                    if (a < alpha) {
+                        alpha = a;
+                        move = k;
+                        side = AT_LO;
+                    }
+                }
+            }
+            for (long k = 0; k < n; k++)
+                x[k] = x[k] + alpha * step[k];
+            if (move < 0)
+                continue;
+            set[move] |= side;
+            x[move] = side == AT_UP ? hi[move] : lb[move];
+        }
+        info[1] = ++changes;
+        if (changes > budget) {
+            info[0] = BOX_QP_BUDGET;
+            return;
+        }
     }
 }

@@ -249,7 +249,8 @@ class MultiDemandModel:
     [0, box_hi].  Stochastically, each product sells one unit per period
     with probability equal to its demand rate, independently across
     products given the rates, so box_hi must stay within [0, 1]^n.  Every
-    entry of g, H and box_hi must be finite (else ModelValidationError).
+    entry of g, H and box_hi must be finite, and n at least 1 (else
+    ModelValidationError).
     """
 
     g: np.ndarray
@@ -262,6 +263,8 @@ class MultiDemandModel:
         n = self.g.shape[0]
         if self.H.shape != (n, n) or self.box_hi.shape != (n,):
             raise ModelValidationError(["g, H, box_hi dimensions inconsistent"])
+        if n == 0:
+            raise ModelValidationError(["a multi-product model needs at least one product"])
 
     @property
     def n(self) -> int:

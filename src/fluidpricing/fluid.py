@@ -4,11 +4,13 @@ The fluid problem maximizes the mean revenue rate subject to the demand
 rate staying below the current normalized inventory (and inside the model
 domain).  For one product the solution is the closed-form min rule; for
 several products it is a box-constrained strictly concave quadratic
-program solved by a primal active-set method.
+program solved by a primal active-set method, the compiled box_qp.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -17,9 +19,14 @@ import numpy as np
 from .demand import DemandModel, MultiDemandModel
 from .errors import DegeneracyWarning, DomainError, SolverError
 
+# the tolerances of the compiled box_qp, ACTIVE_TOL and DUAL_TOL in _kernels.c
 ACTIVE_TOL = 1e-10
 DUAL_TOL = 1e-10
-_KKT_TOL = 1e-12
+# box_qp's status in info[0] (BOX_QP_SINGULAR and BOX_QP_BUDGET in _kernels.c)
+_BOX_QP_SINGULAR, _BOX_QP_BUDGET = 1, 2
+# the module of the kernel loader, policies._kernel: policies imports this module,
+# so the loader is looked up in sys.modules when a solve runs
+_POLICIES = f"{__package__}.policies"
 
 
 @dataclass
@@ -31,7 +38,9 @@ class FluidSolution:
     inventory-constrained products.  ``clamped`` marks a single-product
     right-hand side below the demand floor that was lifted to d_lo;
     ``degenerate`` marks an active constraint whose dual is (near) zero,
-    i.e. boundary inventory.
+    i.e. boundary inventory.  ``changes`` counts the working-set changes
+    (bounds released or blocking a step) of the multi-product active-set
+    method, 0 for the closed form; to_dict leaves it out.
     """
 
     x_c: np.ndarray
@@ -40,6 +49,7 @@ class FluidSolution:
     objective: float
     clamped: bool = False
     degenerate: bool = False
+    changes: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -89,26 +99,25 @@ def solve_fluid_single(model: DemandModel, x: float) -> FluidSolution:
 
 
 def solve_fluid_multi(model: MultiDemandModel, x: np.ndarray) -> FluidSolution:
-    """Maximize r over the box [0, min(box_hi, x)] by an active-set method.
+    """Maximize r over the box [0, min(box_hi, x)] by the compiled active-set method.
 
     Starts from the clipped unconstrained Newton point and alternates
     equality-constrained solves on the working set with ratio steps onto
     blocking bounds, releasing the most negative dual until the KKT
-    conditions hold.  Strict concavity makes every working-set system
-    nonsingular, so failure to converge signals a bad model.
+    conditions hold (see _box_qp).  Strict concavity makes every
+    working-set system nonsingular, so failure to converge signals a bad
+    model.
     """
     rhs = np.asarray(x, dtype=float)
     if rhs.shape != (model.n,):
         raise DomainError(f"inventory vector must have shape ({model.n},)")
-    if not np.all(rhs >= 0):  # also rejects NaN, on which the active set never settles
+    if not (rhs >= 0).all():  # also rejects NaN, on which the active set never settles
         raise DomainError("normalized inventory must be nonnegative componentwise")
-    ub = np.minimum(model.box_hi, rhs)
-    x_c = _box_qp_max(model.H, model.g, np.zeros(model.n), ub)
-
-    grad = model.revenue_grad(x_c)
+    x_c, grad, objective, changes = _box_qp(model, np.zeros(model.n),
+                                            np.minimum(model.box_hi, rhs))
     active = np.abs(x_c - rhs) <= ACTIVE_TOL
     lam = np.where(active, np.maximum(grad, 0.0), 0.0)
-    active_set = [int(k) for k in np.nonzero(active)[0]]
+    active_set = active.nonzero()[0].tolist()
     degenerate = any(lam[k] <= DUAL_TOL for k in active_set)
     if degenerate:
         warnings.warn(
@@ -120,8 +129,9 @@ def solve_fluid_multi(model: MultiDemandModel, x: np.ndarray) -> FluidSolution:
         x_c=x_c,
         lam=lam,
         active_set=active_set,
-        objective=model.revenue(x_c),
+        objective=objective,
         degenerate=degenerate,
+        changes=changes,
     )
 
 
@@ -133,83 +143,33 @@ def active_partition(model: MultiDemandModel, x: np.ndarray) -> tuple[list[int],
     return I, U
 
 
-def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, b), with a singular A a SolverError."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular working-set system ({exc}); is H negative definite?") from exc
+def _box_qp(model: MultiDemandModel, lb: np.ndarray, ub: np.ndarray):
+    """Maximize r(x) = g.x + x.H.x/2 of the model over lb <= x <= ub, H negative definite.
 
-
-def _box_qp_max(H: np.ndarray, g: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                fixed: np.ndarray | None = None) -> np.ndarray:
-    """Maximize g.x + x.H.x/2 over lb <= x <= ub, H negative definite.
-
-    ``fixed`` marks coordinates pinned at their (equal) bounds from the
-    start; they are never released.  Primal active-set iteration with a
-    working-set change budget of 2**n + 10.
+    One call of the compiled box_qp (KernelUnavailableError when the
+    kernels cannot be built): a primal active-set method from the clipped
+    Newton point, with a coordinate whose bounds are equal pinned there.
+    Returns the maximizer x, the gradient g + H x and the value r(x) there,
+    and the count of working-set changes; SolverError for a singular
+    working-set system or more than 2**n + 10 changes.
     """
-    n = g.shape[0]
-    if fixed is None:
-        fixed = np.zeros(n, dtype=bool)
-    ub = np.maximum(ub, lb)  # guard FP dust in callers
+    n = model.n
+    x, work, info = np.empty(n), (ctypes.c_double * (n * (n + 4)))(), (ctypes.c_int64 * 2)()
+    sys.modules[_POLICIES]._kernel().box_qp(n, model.H.ctypes.data, model.g.ctypes.data,
+                                            _at(lb), _at(ub), _at(x), work,
+                                            (ctypes.c_int64 * n)(), info)
+    if info[0] == _BOX_QP_SINGULAR:
+        raise SolverError("singular working-set system; is H negative definite?")
+    if info[0] == _BOX_QP_BUDGET:
+        raise SolverError(f"active-set iteration exceeded 2**{n} + 10 working-set changes; "
+                          "is the Hessian negative definite?")
+    return x, np.frombuffer(work, count=n), work[n], info[1]
 
-    # start at the clipped Newton point, feasible by construction
-    x = np.clip(_solve(-H, g), lb, ub)
-    at_lo = ~fixed & (x <= lb + ACTIVE_TOL)
-    at_up = ~fixed & (x >= ub - ACTIVE_TOL)
-    budget = 2**n + 10
-    changes = 0
-    while True:
-        free = ~(fixed | at_lo | at_up)
-        x_eq = x.copy()
-        x_eq[at_lo & ~fixed] = lb[at_lo & ~fixed]
-        x_eq[at_up & ~fixed] = ub[at_up & ~fixed]
-        if free.any():
-            rhs = -(g[free] + H[np.ix_(free, ~free)] @ x_eq[~free])
-            x_eq[free] = _solve(H[np.ix_(free, free)], rhs)
-        step = x_eq - x
-        if np.abs(step).max(initial=0.0) <= _KKT_TOL:
-            # working-set optimum reached: check duals
-            grad = g + H @ x
-            release = None
-            worst = -DUAL_TOL
-            for k in range(n):
-                if fixed[k]:
-                    continue
-                if at_up[k] and grad[k] < worst:
-                    worst, release = grad[k], (k, "up")
-                elif at_lo[k] and -grad[k] < worst:
-                    worst, release = -grad[k], (k, "lo")
-            if release is None:
-                return np.clip(x, lb, ub)
-            k, side = release
-            (at_up if side == "up" else at_lo)[k] = False
-            changes += 1
-        else:
-            # ratio test toward the equality solution
-            alpha = 1.0
-            blocker = None
-            for k in np.nonzero(free)[0]:
-                if step[k] > _KKT_TOL and x[k] + step[k] > ub[k]:
-                    a = (ub[k] - x[k]) / step[k]
-                    if a < alpha:
-                        alpha, blocker = a, (k, "up")
-                elif step[k] < -_KKT_TOL and x[k] + step[k] < lb[k]:
-                    a = (lb[k] - x[k]) / step[k]
-                    if a < alpha:
-                        alpha, blocker = a, (k, "lo")
-            x = x + alpha * step
-            if blocker is not None:
-                k, side = blocker
-                (at_up if side == "up" else at_lo)[k] = True
-                x[k] = ub[k] if side == "up" else lb[k]
-                changes += 1
-        if changes > budget:
-            raise SolverError(
-                f"active-set iteration exceeded {budget} working-set changes; "
-                "is the Hessian negative definite?"
-            )
+
+def _at(a: np.ndarray):
+    """A pointer to the data of a writable, contiguous float64 array for a ctypes
+    call, at about a third of the cost of a.ctypes.data."""
+    return ctypes.byref(ctypes.c_double.from_buffer(a))
 
 
 def box_qp2_batch(a11, a22, a12, q1, q2, ub1, ub2):
@@ -288,12 +248,8 @@ def partial_optimum(model: MultiDemandModel, I: list[int], z) -> PartialOptimum:
     U = [k for k in range(n) if k not in I]
     lb = np.zeros(n)
     ub = model.box_hi.copy()
-    fixed = np.zeros(n, dtype=bool)
-    lb[I] = ub[I] = np.clip(z, 0.0, model.box_hi[I])
-    fixed[I] = True
-    x_star = _box_qp_max(model.H, model.g, lb, ub, fixed=fixed)
-
-    grad_full = model.revenue_grad(x_star)
+    lb[I] = ub[I] = np.clip(z, 0.0, model.box_hi[I])  # pinned: equal bounds
+    x_star, grad_full, value, _ = _box_qp(model, lb, ub)
     grad = grad_full[I]
     # Schur complement over the free (interior) part of the unpinned block
     free_U = [k for k in U if lb[k] + ACTIVE_TOL < x_star[k] < ub[k] - ACTIVE_TOL]
@@ -310,7 +266,7 @@ def partial_optimum(model: MultiDemandModel, I: list[int], z) -> PartialOptimum:
         lip = 1.0
     return PartialOptimum(
         z=z,
-        value=model.revenue(x_star),
+        value=value,
         grad=grad,
         hess=hess,
         full_solution=x_star,

@@ -463,10 +463,10 @@ _STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
 @functools.cache
 def _kernel():
     """The compiled loops of _kernels.c (backward, forward, noise_sum, forward2,
-    backward2), the one engine of every exact pass and Monte Carlo batch,
-    built on first use; KernelUnavailableError when they cannot be built or
-    loaded.  A ctypes call releases the GIL for its length, so independent
-    calls run on as many cores as _map has threads."""
+    backward2, box_qp), the one engine of every exact pass, Monte Carlo batch
+    and n-product fluid solve, built on first use; KernelUnavailableError when
+    they cannot be built or loaded.  A ctypes call releases the GIL for its
+    length, so independent calls run on as many cores as _map has threads."""
     try:
         lib = ctypes.CDLL(str(_compile()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -485,7 +485,9 @@ def _kernel():
     lib.noise_sum.argtypes = [n, n, u64, f64]
     lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
     lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]
-    for fn in (lib.backward, lib.forward, lib.noise_sum, lib.forward2, lib.backward2):
+    lib.box_qp.argtypes = [n, *[ptr] * 8]
+    for fn in (lib.backward, lib.forward, lib.noise_sum, lib.forward2, lib.backward2,
+               lib.box_qp):
         fn.restype = None
     return lib
 

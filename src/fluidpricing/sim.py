@@ -444,13 +444,22 @@ class MultiSimTrace:
 def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> MultiSimTrace:
     """Forward dynamics for the multi-product family (unit sales per product).
 
-    A product's sale is censored at its inventory, so a fractional last
-    unit sells (and earns) only that fraction.
+    The policy (None for the model's own) must re-solve this model: its
+    rate_law() is the model, as checked_law requires of every multi-product
+    loop; any other raises UnsupportedModelError before period 1.  Each
+    period prices by its decide.  Product j sells a unit in period i when
+    the uniform at counter i*n + j of the stream keyed by seed mod 2**64
+    lies below its rate.  A product's sale is censored at its inventory,
+    so a fractional last unit sells (and earns) only that fraction.
     """
     T = _whole_at_least(T, 1, "T")
     y0 = np.asarray(y0, dtype=float)
     n = model.n
     policy = policy or MultiResolvingPolicy(model)
+    if (policy.rate_law() if hasattr(policy, "rate_law") else None) is not model:
+        raise UnsupportedModelError(
+            f"{type(policy).__name__} does not re-solve this model: simulate_multi runs a "
+            "policy whose rate_law() is the model itself")
     tau = np.arange(T, 0, -1)
     prices = np.zeros((T, n))
     rates = np.zeros((T, n))
@@ -458,12 +467,13 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
     sales = np.zeros((T, n))
     inventory = np.zeros((T, n))
     revenue = np.zeros(T)
+    u = rng.uniforms(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
+                     np.arange(T * n, dtype=np.uint64)).reshape(T, n)
     y = y0.copy()
     for i in range(T):
         t = T - i
         dec = policy.decide(y, t)
-        u = rng.uniforms(np.uint64(seed), np.arange(i * n, (i + 1) * n, dtype=np.uint64))
-        sale = (u < dec.demand_rate).astype(float)
+        sale = (u[i] < dec.demand_rate).astype(float)
         prices[i] = dec.price
         rates[i] = dec.demand_rate
         sales[i] = np.minimum(sale, y)

@@ -2,9 +2,12 @@
 
 Each function repeats its kernel in _kernels.c operation by operation, so the
 tests compare the two bit for bit: backward (backward), simulate and
-simulate_batch (forward, forward2), noise_sum (noise_sum) and backward_multi
-(backward2).  harmonic_series is the reference of forward's stopping-time
-tracker, from which simulate fills SimTrace.t_sharp.  uniform_block and
+simulate_batch (forward, forward2), noise_sum (noise_sum), backward_multi
+(backward2) and box_qp_max (box_qp).  harmonic_series is the reference of
+forward's stopping-time tracker, from which simulate fills SimTrace.t_sharp.
+_box_qp_max is the numpy active set that box_qp replaced, on LAPACK solves:
+it agrees with box_qp to rounding, not bit for bit.  simulate_multi is
+sim.simulate_multi with one uniform draw per period.  uniform_block and
 harmonic_identity_check are test helpers with no caller in the package.
 """
 
@@ -12,10 +15,13 @@ import numpy as np
 
 from fluidpricing import rng
 from fluidpricing.demand import KIND_BERNOULLI, MultiDemandModel
-from fluidpricing.errors import DomainError
-from fluidpricing.fluid import box_qp2_batch
+from fluidpricing.errors import DomainError, SolverError
+from fluidpricing.fluid import ACTIVE_TOL, DUAL_TOL, box_qp2_batch, solve_fluid_multi
 from fluidpricing.policies import ValueTable
-from fluidpricing.sim import BatchResult, SimTrace, gamma
+from fluidpricing.sim import BatchResult, MultiSimTrace, SimTrace, gamma
+
+# KKT_TOL of box_qp in _kernels.c
+_KKT_TOL = 1e-12
 
 
 def decide(model, policy, y: float, t: int):
@@ -243,3 +249,217 @@ def noise_sum(seeds: np.ndarray, T: int) -> np.ndarray:
     kernel."""
     draws = rng.uniforms(seeds[:, None], np.arange(T)[None, :])
     return np.add.accumulate(draws, axis=1)[:, -1]
+
+
+def box_qp_max(H: np.ndarray, g: np.ndarray, lb: np.ndarray, ub: np.ndarray):
+    """(x, grad, value, changes): the maximizer x of g.x + x.H.x/2 over lb <= x <= ub,
+    the gradient and the value there, and the count of working-set changes, in
+    Python floats in the operation order of the box_qp kernel (see its comment in
+    _kernels.c); SolverError where the kernel reports a status."""
+    n = len(g)
+    H = [[float(v) for v in row] for row in H]
+    g, lb = [float(v) for v in g], [float(v) for v in lb]
+    hi = [u if u > lo else lo for u, lo in zip((float(v) for v in ub), lb)]
+    budget = 2**n + 10 if n < 63 else 2**63 - 1
+
+    def clip(v, lo, up):
+        v = v if v > lo else lo
+        return v if v < up else up
+
+    def solve_free(free, x_eq):
+        rows = [i for i in range(n) if free[i]]
+        A = [[H[i][j] for j in rows] for i in rows]
+        b = []
+        for i in rows:
+            acc = 0.0
+            for j in range(n):
+                if not free[j]:
+                    acc += H[i][j] * x_eq[j]
+            b.append(-(g[i] + acc))
+        m = len(rows)
+        for c in range(m):
+            p = c
+            for r in range(c + 1, m):
+                if abs(A[r][c]) > abs(A[p][c]):
+                    p = r
+            if A[p][c] == 0.0:
+                raise SolverError("singular working-set system")
+            A[c], A[p], b[c], b[p] = A[p], A[c], b[p], b[c]
+            for r in range(c + 1, m):
+                f = A[r][c] / A[c][c]
+                for k in range(c + 1, m):
+                    A[r][k] -= f * A[c][k]
+                b[r] -= f * b[c]
+        for r in range(m - 1, -1, -1):
+            acc = b[r]
+            for k in range(r + 1, m):
+                acc -= A[r][k] * b[k]
+            b[r] = acc / A[r][r]
+        for i, v in zip(rows, b):
+            x_eq[i] = v
+
+    newton = [0.0] * n
+    solve_free([True] * n, newton)
+    x = [clip(v, lo, up) for v, lo, up in zip(newton, lb, hi)]
+    pinned = [up == lo for lo, up in zip(lb, hi)]
+    at_lo = [not pin and v <= lo + ACTIVE_TOL for v, lo, pin in zip(x, lb, pinned)]
+    at_up = [not pin and v >= up - ACTIVE_TOL for v, up, pin in zip(x, hi, pinned)]
+    changes = 0
+    while True:
+        free = [not (pinned[k] or at_lo[k] or at_up[k]) for k in range(n)]
+        x_eq = [hi[k] if at_up[k] else lb[k] if at_lo[k] else x[k] for k in range(n)]
+        solve_free(free, x_eq)
+        step = [a - v for a, v in zip(x_eq, x)]
+        if max((abs(v) for v in step), default=0.0) <= _KKT_TOL:
+            worst, release = -DUAL_TOL, None
+            for k in range(n):
+                if not (at_lo[k] or at_up[k]):
+                    continue
+                acc = 0.0
+                for j in range(n):
+                    acc += H[k][j] * x[j]
+                grad = g[k] + acc
+                if at_up[k] and grad < worst:
+                    worst, release = grad, (at_up, k)
+                elif at_lo[k] and -grad < worst:
+                    worst, release = -grad, (at_lo, k)
+            if release is None:
+                x = [clip(v, lo, up) for v, lo, up in zip(x, lb, hi)]
+                grad, gx, xhx = [], 0.0, 0.0
+                for k in range(n):
+                    acc = 0.0
+                    for j in range(n):
+                        acc += H[k][j] * x[j]
+                    grad.append(g[k] + acc)
+                    gx += g[k] * x[k]
+                    xhx += x[k] * acc
+                return np.array(x), np.array(grad), gx + 0.5 * xhx, changes
+            flags, k = release
+            flags[k] = False
+        else:
+            alpha, block = 1.0, None
+            for k in range(n):
+                if not free[k]:
+                    continue
+                if step[k] > _KKT_TOL and x[k] + step[k] > hi[k]:
+                    a = (hi[k] - x[k]) / step[k]
+                    if a < alpha:
+                        alpha, block = a, (at_up, k, hi[k])
+                elif step[k] < -_KKT_TOL and x[k] + step[k] < lb[k]:
+                    a = (lb[k] - x[k]) / step[k]
+                    if a < alpha:
+                        alpha, block = a, (at_lo, k, lb[k])
+            x = [v + alpha * d for v, d in zip(x, step)]
+            if block is None:
+                continue
+            flags, k, bound = block
+            flags[k] = True
+            x[k] = bound
+        changes += 1
+        if changes > budget:
+            raise SolverError(f"active-set iteration exceeded {budget} working-set changes")
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, b), with a singular A a SolverError."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular working-set system ({exc}); is H negative definite?") from exc
+
+
+def _box_qp_max(H: np.ndarray, g: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                fixed: np.ndarray | None = None) -> np.ndarray:
+    """Maximize g.x + x.H.x/2 over lb <= x <= ub, H negative definite.
+
+    ``fixed`` marks coordinates pinned at their (equal) bounds from the
+    start; they are never released.  Primal active-set iteration with a
+    working-set change budget of 2**n + 10.  The numpy solver of
+    fluid.solve_fluid_multi before the box_qp kernel.
+    """
+    n = g.shape[0]
+    if fixed is None:
+        fixed = np.zeros(n, dtype=bool)
+    ub = np.maximum(ub, lb)  # guard FP dust in callers
+
+    # start at the clipped Newton point, feasible by construction
+    x = np.clip(_solve(-H, g), lb, ub)
+    at_lo = ~fixed & (x <= lb + ACTIVE_TOL)
+    at_up = ~fixed & (x >= ub - ACTIVE_TOL)
+    budget = 2**n + 10
+    changes = 0
+    while True:
+        free = ~(fixed | at_lo | at_up)
+        x_eq = x.copy()
+        x_eq[at_lo & ~fixed] = lb[at_lo & ~fixed]
+        x_eq[at_up & ~fixed] = ub[at_up & ~fixed]
+        if free.any():
+            rhs = -(g[free] + H[np.ix_(free, ~free)] @ x_eq[~free])
+            x_eq[free] = _solve(H[np.ix_(free, free)], rhs)
+        step = x_eq - x
+        if np.abs(step).max(initial=0.0) <= _KKT_TOL:
+            # working-set optimum reached: check duals
+            grad = g + H @ x
+            release = None
+            worst = -DUAL_TOL
+            for k in range(n):
+                if fixed[k]:
+                    continue
+                if at_up[k] and grad[k] < worst:
+                    worst, release = grad[k], (k, "up")
+                elif at_lo[k] and -grad[k] < worst:
+                    worst, release = -grad[k], (k, "lo")
+            if release is None:
+                return np.clip(x, lb, ub)
+            k, side = release
+            (at_up if side == "up" else at_lo)[k] = False
+            changes += 1
+        else:
+            # ratio test toward the equality solution
+            alpha = 1.0
+            blocker = None
+            for k in np.nonzero(free)[0]:
+                if step[k] > _KKT_TOL and x[k] + step[k] > ub[k]:
+                    a = (ub[k] - x[k]) / step[k]
+                    if a < alpha:
+                        alpha, blocker = a, (k, "up")
+                elif step[k] < -_KKT_TOL and x[k] + step[k] < lb[k]:
+                    a = (lb[k] - x[k]) / step[k]
+                    if a < alpha:
+                        alpha, blocker = a, (k, "lo")
+            x = x + alpha * step
+            if blocker is not None:
+                k, side = blocker
+                (at_up if side == "up" else at_lo)[k] = True
+                x[k] = ub[k] if side == "up" else lb[k]
+                changes += 1
+        if changes > budget:
+            raise SolverError(
+                f"active-set iteration exceeded {budget} working-set changes; "
+                "is the Hessian negative definite?"
+            )
+
+
+def simulate_multi(model, T: int, y0, seed: int) -> MultiSimTrace:
+    """The model's re-solving trace, period by period, drawing each period's n
+    uniforms with one rng.uniforms call at counters i*n .. i*n + n - 1 of the
+    stream keyed by seed mod 2**64.  The reference of sim.simulate_multi, which
+    draws all T*n of them at once."""
+    n = model.n
+    y = np.asarray(y0, dtype=float).copy()
+    prices, rates, xi, sales, inventory = (np.zeros((T, n)) for _ in range(5))
+    revenue = np.zeros(T)
+    for i in range(T):
+        rate = solve_fluid_multi(model, y / (T - i)).x_c
+        price = model.price_of_rate(rate)
+        u = uniform_block(seed, i * n, n)
+        sale = (u < rate).astype(float)
+        prices[i], rates[i] = price, rate
+        sales[i] = np.minimum(sale, y)
+        xi[i] = sale - rate
+        revenue[i] = float(price @ sales[i])
+        y = np.maximum(0.0, y - sale)
+        inventory[i] = y
+    return MultiSimTrace(T=T, y0=np.asarray(y0, dtype=float), seed=int(seed),
+                         tau_remaining=np.arange(T, 0, -1), prices=prices, demand_rates=rates,
+                         xi=xi, sales=sales, inventory_after=inventory, revenue=revenue)

@@ -156,6 +156,12 @@ class TestMultiValidation:
             with pytest.raises(ModelValidationError, match=f"{name} has non-finite entries"):
                 MultiDemandModel(**{**good, name: bad})
 
+    def test_zero_products_are_refused(self):
+        # the compiled solver needs at least one product; an empty model used to
+        # fail only later, inside a solve or a trace
+        with pytest.raises(ModelValidationError, match="at least one product"):
+            MultiDemandModel(g=np.zeros(0), H=np.zeros((0, 0)), box_hi=np.zeros(0))
+
     def test_correlated_hessian_m_prime(self, multi_model):
         report = validate_multi(multi_model)
         assert report.ok

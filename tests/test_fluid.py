@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluidpricing import (
     DegeneracyWarning,
@@ -18,9 +19,11 @@ from fluidpricing import (
     solve_fluid_single,
     validate_multi,
 )
+from fluidpricing import fluid
 from fluidpricing.experiments import run_ho_compare
 from fluidpricing.fluid import box_qp2_batch
 
+import oracles
 from conftest import random_multi_model
 
 
@@ -98,6 +101,17 @@ class TestMulti:
         sol = solve_fluid_multi(model, np.array([10.0, 10.0]))
         np.testing.assert_allclose(sol.x_c, [0.5, 0.5], atol=1e-12)
         assert sol.active_set == []
+        assert sol.changes == 0
+
+    def test_released_bound_is_counted(self):
+        # the Newton point (4.3, 3.7) clips to the corner (0.5, 1.0); product 2's
+        # bound has a negative dual there and is released
+        model = MultiDemandModel(g=[1.0, -0.2], H=[[-1.0, 0.9], [0.9, -1.0]], box_hi=[1.0, 1.0])
+        sol = solve_fluid_multi(model, np.array([0.5, 1.0]))
+        np.testing.assert_allclose(sol.x_c, [0.5, 0.25], atol=1e-12)
+        assert sol.active_set == [0] and sol.changes >= 1
+        # the count is not part of the solution's JSON
+        assert list(sol.to_dict()) == ["x_c", "lambda", "active_set", "objective"]
 
     def test_one_constrained_product(self):
         model = MultiDemandModel(g=[1.0, 1.0], H=[[-2.0, 0.0], [0.0, -2.0]], box_hi=[1.0, 1.0])
@@ -112,6 +126,25 @@ class TestMulti:
             solve_fluid_multi(multi_model, np.array([np.nan, 1.0]))
         with pytest.raises(DomainError):
             solve_fluid_single(bernoulli_model, np.nan)
+
+    def test_change_budget_overrun_is_a_solver_error(self):
+        # a convex H: the stationary point x = 2 lies above the bound, which is
+        # released and blocks the next step in turn, past the 2**1 + 10 budget
+        model = MultiDemandModel(g=[-2.0], H=[[1.0]], box_hi=[1.0])
+        with pytest.raises(SolverError, match="exceeded"):
+            solve_fluid_multi(model, np.array([5.0]))
+
+    def test_sixty_four_products(self):
+        # more working-set changes than 2**0 + 10, the budget of a shift 1 << 64
+        # that wrapped: the kernel clamps 2**n + 10 to a long instead
+        rng = np.random.default_rng(1)
+        model = random_multi_model(rng, 64)
+        rhs = rng.uniform(0.0, 0.3, size=64)
+        sol = solve_fluid_multi(model, rhs)
+        assert sol.changes > 11
+        ub = np.minimum(model.box_hi, rhs)
+        np.testing.assert_allclose(sol.x_c, oracles._box_qp_max(model.H, model.g, np.zeros(64), ub),
+                                   rtol=0.0, atol=1e-12)
 
     def test_singular_hessian_is_a_solver_error(self):
         for H in ([[-1.0, -1.0], [-1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]):
@@ -203,6 +236,47 @@ class TestMulti:
             sol2 = solve_fluid_multi(model, rhs2)
             assert sol2.active_set == I
             done += 1
+
+
+@st.composite
+def _box_qp_instances(draw):
+    """A random model with n = 1..20 and a box whose coordinates are free
+    (0 <= x <= u), zero (u = 0) or pinned (l = u), with the pinned list.  The
+    products' units are scaled by up to 10 either way, so that an entry below
+    the diagonal can outweigh it and the elimination pivots."""
+    n = draw(st.integers(1, 20))
+    base = random_multi_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    scale = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    model = MultiDemandModel(g=scale * base.g, H=scale[:, None] * base.H * scale,
+                             box_hi=base.box_hi)
+    kinds = draw(st.lists(st.sampled_from(["free", "zero", "pinned"]), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(0.0, 1.2), min_size=n, max_size=n))
+    lb, ub = np.zeros(n), np.minimum(model.box_hi, values)
+    pinned = np.array([kind == "pinned" for kind in kinds])
+    ub[[kind == "zero" for kind in kinds]] = 0.0
+    lb[pinned] = ub[pinned]
+    return model, lb, ub, pinned
+
+
+class TestBoxQpKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_box_qp_instances())
+    def test_matches_scalar_twin_bitwise(self, instance):
+        model, lb, ub, _ = instance
+        x, grad, value, changes = fluid._box_qp(model, lb, ub)
+        want_x, want_grad, want_value, want_changes = oracles.box_qp_max(model.H, model.g, lb, ub)
+        assert x.tobytes() == want_x.tobytes() and grad.tobytes() == want_grad.tobytes()
+        assert value == want_value and changes == want_changes
+
+    @settings(max_examples=150, deadline=None)
+    @given(_box_qp_instances())
+    def test_agrees_with_the_lapack_active_set(self, instance):
+        model, lb, ub, pinned = instance
+        x, grad, value, _ = fluid._box_qp(model, lb, ub)
+        np.testing.assert_allclose(x, oracles._box_qp_max(model.H, model.g, lb, ub, fixed=pinned),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(grad, model.revenue_grad(x), rtol=0.0, atol=1e-12)
+        assert value == pytest.approx(model.revenue(x), rel=0.0, abs=1e-12)
 
 
 class TestPartialOptimum:

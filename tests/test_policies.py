@@ -381,7 +381,9 @@ class TestFusedKernel:
                         lambda: simulate_batch(bernoulli_model, table.policy(), 64, 20, 5, 40),
                         lambda: simulate_batch_multi(multi_model, 40, [10, 20.5], 3, 30),
                         lambda: ho_inner_values(additive_model, 2100, 0.3, 4, 30),
-                        lambda: solve_dp_multi(multi_model, 24, [6, 12])]
+                        lambda: solve_dp_multi(multi_model, 24, [6, 12]),
+                        lambda: solve_fluid_multi(multi_model, np.array([0.3, 0.4])),
+                        lambda: simulate(multi_model, None, 8, [2.0, 3.0], 1)]
 
         def no_compiler():
             raise FileNotFoundError("cc not found")
@@ -783,7 +785,8 @@ class TestKernelSource:
         source = policies_module._SOURCE.read_text()
         header = source[:source.index("*/")]
         entries = re.findall(r"^void (\w+)\(([^)]*)\)", source, re.MULTILINE)
-        assert {"backward", "forward", "backward2"} <= {name for name, _ in entries}
+        assert {"backward", "forward", "noise_sum", "forward2", "backward2",
+                "box_qp"} <= {name for name, _ in entries}
         lib = policies_module._kernel()
         for name, params in entries:
             listed = re.search(rf"^ \* +{name} +(.*?)[;.]$", header, re.MULTILINE | re.DOTALL)

@@ -37,7 +37,15 @@ from fluidpricing.policies import (
 from fluidpricing.sim import ho_batch_policy, ho_inner_values, parse_y0_rule
 
 import oracles
-from conftest import two_product_models
+from conftest import random_multi_model, two_product_models
+
+# the per-period arrays of a MultiSimTrace
+_MULTI_FIELDS = ("tau_remaining", "prices", "demand_rates", "xi", "sales", "inventory_after",
+                 "revenue")
+
+
+def _same_multi_trace(a, b) -> bool:
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in _MULTI_FIELDS)
 
 
 @pytest.fixture(scope="module")
@@ -739,6 +747,43 @@ class TestMultiSimulation:
                                   replications=4000, base_seed=2)
         resolving = next(r for r in reports if r.policy == "resolving")
         assert -4 * resolving.ci_half_width < resolving.regret_vs_dp < 0.2
+
+    @pytest.mark.parametrize("n, T, seed", [(2, 16, 5), (5, 24, 2**40 + 3), (10, 12, 0),
+                                            (20, 8, 77)])
+    def test_one_draw_gives_the_per_period_draws_trace(self, n, T, seed, monkeypatch):
+        model = random_multi_model(np.random.default_rng(n), n)
+        y0 = np.floor(np.random.default_rng(n + 1).uniform(0.2, 0.5, size=n) * T)
+        draws, uniforms = [], rng.uniforms
+        with monkeypatch.context() as patched:
+            patched.setattr(rng, "uniforms",
+                            lambda key, counter: draws.append(np.size(counter)) or uniforms(key,
+                                                                                        counter))
+            got = simulate_multi(model, None, T, y0, seed)
+        assert draws == [T * n]
+        assert _same_multi_trace(got, oracles.simulate_multi(model, T, y0, seed))
+
+    def test_seed_keys_the_stream_mod_two_to_the_64(self, multi_model):
+        def run(seed):
+            return simulate_multi(multi_model, None, 16, [4, 8], seed=seed)
+
+        assert _same_multi_trace(run(-1), run(2**64 - 1))
+        assert _same_multi_trace(run(2**64 + 5), run(5))
+        assert _same_multi_trace(run(5), oracles.simulate_multi(multi_model, 16, [4, 8], 5))
+
+    @pytest.mark.parametrize("case", ["static", "another model's"])
+    def test_refuses_a_policy_that_does_not_resolve_the_model(self, case, multi_model,
+                                                              bernoulli_model, monkeypatch):
+        policy = (static_policy(bernoulli_model, 5 / 16) if case == "static" else
+                  multi_resolving_policy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
+                                                          box_hi=[0.5, 0.5])))
+
+        def period_one(*args):
+            raise AssertionError("period 1 ran")
+
+        monkeypatch.setattr(MultiResolvingPolicy, "decide", period_one)
+        monkeypatch.setattr(rng, "uniforms", period_one)
+        with pytest.raises(UnsupportedModelError, match="rate_law"):
+            simulate_multi(multi_model, policy, 16, [4, 8], seed=1)
 
     def test_rejects_empty_horizon(self, multi_model):
         pol = multi_resolving_policy(multi_model)
