@@ -11,8 +11,8 @@
  *              and an upper bound, over a band (oracles.backward);
  *   forward    the one-product Monte Carlo engine of sim.simulate and
  *              sim.simulate_batch (oracles.simulate, oracles.simulate_batch);
- *   noise_sum  the noise sum of the hindsight benchmark, in counter order
- *              (oracles.noise_sum);
+ *   noise_sum  the noise sums of the hindsight benchmark, in counter order,
+ *              at every horizon of one pass (oracles.noise_sum);
  *   forward2   the two-product re-solving Monte Carlo engine of
  *              sim.simulate_batch (oracles.simulate_batch);
  *   backward2  the two-product exact backward pass (oracles.backward_multi);
@@ -424,18 +424,28 @@ void forward(long reps, long T, const uint64_t *restrict keys,
 
 /* -- noise_sum ----------------------------------------------------------------
  *
- * acc[r] += the uniforms at counters 0 .. T - 1 of stream keys[r], added one
- * at a time in counter order (oracles.noise_sum).  Periods run outer and
- * replications inner, so the loop over replications vectorizes.
+ * For each of the count >= 1 ascending horizons T_h >= 1, acc[h * reps + r] =
+ * the sum of the uniforms at counters 0 .. T_h - 1 of stream keys[r], added one
+ * at a time in counter order from 0.0 (oracles.noise_sum).  One pass walks the
+ * counters up to the last horizon: its row of acc is the running sum, which
+ * is copied into row h once T_h counters are in, so each row has the bits of
+ * a pass that stops at its own horizon.  Periods run outer and replications
+ * inner, so the loop over replications vectorizes.
  */
 
 KERNEL_CLONES
-void noise_sum(long reps, long T, const uint64_t *restrict keys, double *restrict acc)
+void noise_sum(long reps, long count, const int64_t *restrict horizons,
+               const uint64_t *restrict keys, double *restrict acc)
 {
-    for (long i = 0; i < T; i++) {
+    double *sum = acc + (count - 1) * reps;
+    long h = 0;
+    memset(sum, 0, reps * sizeof *sum);
+    for (long i = 0; i < horizons[count - 1]; i++) {
         uint64_t step = (uint64_t)(i + 1) * GOLDEN;
         for (long r = 0; r < reps; r++)
-            acc[r] += unit_mix(keys[r] + step);
+            sum[r] += unit_mix(keys[r] + step);
+        for (; h < count - 1 && horizons[h] == i + 1; h++)
+            memcpy(acc + h * reps, sum, reps * sizeof *sum);
     }
 }
 

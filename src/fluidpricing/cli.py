@@ -112,19 +112,20 @@ def cmd_simulate(args) -> int:
         raise ConfigError("trace simulation via the CLI covers single-product models")
     if args.T < 1 or args.y0 < 0:
         raise ConfigError("need -T >= 1 and --y0 >= 0")
-    x_T = args.y0 / args.T
-    if args.policy == "static":
-        policy = static_policy(model, x_T)
-    elif args.policy == "resolving":
-        policy = resolving_policy(model)
-    elif args.policy == "dp":
-        policy = solve_dp(model, args.T, args.y0).policy()
-    else:
-        raise ConfigError(f"unknown policy {args.policy!r}")
-    trace = simulate(model, policy, args.T, args.y0, args.seed)
-    text = experiments.write_csv(experiments.trace_rows(trace), experiments.TRACE_COLUMNS)
-    _emit(text, args.out)
+    # the policy, with a DP policy's tables, is gone before the text is formatted
+    trace = simulate(model, _trace_policy(model, args), args.T, args.y0, args.seed)
+    _emit(experiments.trace_csv(trace), args.out)
     return EXIT_OK
+
+
+def _trace_policy(model, args):
+    if args.policy == "static":
+        return static_policy(model, args.y0 / args.T)
+    if args.policy == "resolving":
+        return resolving_policy(model)
+    if args.policy == "dp":
+        return solve_dp(model, args.T, args.y0).policy()
+    raise ConfigError(f"unknown policy {args.policy!r}")
 
 
 def cmd_estimate_regret(args) -> int:

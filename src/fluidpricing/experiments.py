@@ -29,7 +29,7 @@ from .demand import (
 from .errors import ConfigError, UnsupportedModelError
 from .fluid import _effective_rate_cap
 from .policies import exact_passes, resolving_policy
-from .sim import MULTI_POLICIES, estimate_regret, ho_inner_values, parse_y0_rule
+from .sim import MULTI_POLICIES, estimate_regret, ho_values, parse_y0_rule
 
 KNOWN_POLICIES = ("static", "resolving", "dp", "ho")
 
@@ -141,25 +141,18 @@ class SweepConfig:
 
 
 def write_csv(rows: list[dict], columns: list[str], path=None) -> str:
-    """Serialize rows to CSV with a fixed column order; returns the text."""
+    """Serialize rows to CSV with a fixed column order; returns the text.
+
+    csv writes None as an empty field and a float by its repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+    writer.writerows([row[c] for c in columns] for row in rows)
     text = buf.getvalue()
     if path is not None:
         with open(path, "w", newline="") as fh:
             fh.write(text)
     return text
-
-
-def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 # -- benchmark table ----------------------------------------------------------
@@ -278,12 +271,12 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
 
     Per replication the clairvoyant sees the realized mean noise and earns
     the closed-form inner expectation of its fixed price; the gap to the
-    fluid value stays bounded by a constant independent of T.  A bernoulli
-    model raises UnsupportedModelError (from ho_inner_values).
+    fluid value stays bounded by a constant independent of T.  One noise pass
+    serves every horizon (ho_values); the rows follow T_list, repeats
+    included.  A bernoulli model raises UnsupportedModelError.
     """
     rows = []
-    for T in T_list:
-        values = ho_inner_values(model, T, x_T, base_seed, replications)
+    for T, values in zip(T_list, ho_values(model, T_list, x_T, base_seed, replications)):
         fluid = T * float(model.revenue_rate_unchecked(min(x_T, _effective_rate_cap(model))))
         mean = float(values.mean())
         half = (1.959963984540054 * float(values.std(ddof=1)) / (len(values) ** 0.5)
@@ -329,3 +322,11 @@ def trace_rows(trace) -> list[dict]:
         "inventory_after": float(trace.inventory_after[i]),
         "revenue": float(trace.revenue[i]),
     } for i in range(trace.T)]
+
+
+def trace_csv(trace) -> str:
+    """write_csv(trace_rows(trace), TRACE_COLUMNS), formatted column by column
+    from the trace's arrays: str of each period index, repr of each float."""
+    columns = [map(str, trace.tau_remaining.tolist())]
+    columns += [map(float.__repr__, getattr(trace, c).tolist()) for c in TRACE_COLUMNS[1:]]
+    return "\n".join([",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]) + "\n"

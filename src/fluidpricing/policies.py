@@ -482,7 +482,7 @@ def _kernel():
                              flag, ptr]
     lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
                             flag, x, f64, i64, flag, f64]
-    lib.noise_sum.argtypes = [n, n, u64, f64]
+    lib.noise_sum.argtypes = [n, n, i64, u64, f64]
     lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
     lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]
     lib.box_qp.argtypes = [n, *[ptr] * 8]
@@ -500,13 +500,17 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-@functools.cache
 def _pool(helpers: int) -> ThreadPoolExecutor:
+    """This process's kernel pool of helpers threads, created on first use."""
+    return _process_pool(os.getpid(), helpers)
+
+
+# keyed by the process: a forked child has none of its parent's pool threads, so it
+# starts a pool of its own (an at-fork hook would outlive a re-import of this module
+# and keep its globals alive)
+@functools.cache
+def _process_pool(pid: int, helpers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(helpers, thread_name_prefix="fluidpricing-kernel")
-
-
-# a forked child has none of its parent's pool threads, so it starts a pool of its own
-os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _map(fn, calls) -> list:

@@ -307,7 +307,7 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
     if exact:
         values = exact_passes([(y0 / T, T, y0) for T, y0 in points],
                               lambda x_T: (model, _build_policies(model, x_T, policies)))
-    reports = []
+    reports, ho = [], None
     for k, (T, y0) in enumerate(points):
         x_T = y0 / T
         built = None if exact else _build_policies(model, x_T, policies)
@@ -318,8 +318,10 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
                 raise UnsupportedModelError("the dp policy row needs bernoulli demand")
             else:
                 seed = _policy_stream_seed(base_seed, name, common_random_numbers)
-                policy = (ho_batch_policy(model, T, x_T, seed, replications) if name == "ho"
-                          else built[name])
+                if name == "ho" and ho is None:  # every horizon's, from one noise pass
+                    ho = ho_batch_policies(model, [(T_k, y0_k / T_k) for T_k, y0_k in points],
+                                           seed, replications)
+                policy = ho[k] if name == "ho" else built[name]
                 batch = simulate_batch(model, policy, T, y0, seed, replications)
                 val = batch.mean
             reports.append(_report(T, name, val, batch, fluid_value(model, T, y0),
@@ -365,21 +367,39 @@ def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
 
     Replication i reveals the realized mean noise xi_bar[i] of its stream
     over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
-    The noise mean comes from the sum of the stream's uniforms in counter
-    order, from the compiled noise_sum kernel, one call per contiguous range
-    of replications in _map.
+    The one-point call of ho_batch_policies.
     """
+    return ho_batch_policies(model, [(T, x_T)], base_seed, n_reps)[0]
+
+
+def ho_batch_policies(model: DemandModel, points, base_seed: int,
+                      n_reps: int) -> list[HindsightPolicy]:
+    """ho_batch_policy at each (T, x_T) of points, from one noise pass.
+
+    The noise mean comes from the sum of each stream's uniforms in counter
+    order, from the compiled noise_sum kernel: one call per contiguous range
+    of replications in _map walks the counters once up to the largest T and
+    keeps the sum at every horizon of points, with the bits of a pass that
+    stops there.
+    """
+    if not points:  # the kernel needs a horizon
+        return []
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
-    T, n_reps = _whole_at_least(T, 1, "T"), _whole_at_least(n_reps, 1, "n_reps")
-    if not (math.isfinite(x_T) and x_T > 0):
-        raise DomainError(f"need a finite inventory rate x_T > 0, got {x_T}")
+    points = [(_whole_at_least(T, 1, "T"), x_T) for T, x_T in points]
+    n_reps = _whole_at_least(n_reps, 1, "n_reps")
+    for _, x_T in points:
+        if not (math.isfinite(x_T) and x_T > 0):
+            raise DomainError(f"need a finite inventory rate x_T > 0, got {x_T}")
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    acc = np.zeros(n_reps)
-    _map(_kernel().noise_sum, [(s.stop - s.start, T, seeds[s], acc[s])
-                               for s in _ranges(n_reps)])
-    return ho_policy(model, x_T, (2.0 * acc / T - 1.0) * w)
+    horizons = np.array(sorted({T for T, _ in points}), dtype=np.int64)
+    ranges = _ranges(n_reps)
+    blocks = [np.empty((horizons.size, s.stop - s.start)) for s in ranges]
+    _map(_kernel().noise_sum, [(s.stop - s.start, horizons.size, horizons, seeds[s], block)
+                               for s, block in zip(ranges, blocks)])
+    sums = dict(zip(horizons.tolist(), np.concatenate(blocks, axis=1)))
+    return [ho_policy(model, x_T, (2.0 * sums[T] / T - 1.0) * w) for T, x_T in points]
 
 
 def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
@@ -388,10 +408,19 @@ def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
 
     Conditional on the realized mean noise xi_bar, the fixed clairvoyant
     price earns T * r(clip(x_T + xi_bar)) in expectation (inventory
-    censoring ignored, as in the benchmark's defining bound).
+    censoring ignored, as in the benchmark's defining bound).  The one-horizon
+    call of ho_values.
     """
-    rate, _ = ho_batch_policy(model, T, x_T, base_seed, n_reps).rate_law()  # lo = hi
-    return T * model.revenue_rate_unchecked(rate)
+    return ho_values(model, [T], x_T, base_seed, n_reps)[0]
+
+
+def ho_values(model: DemandModel, T_list, x_T: float, base_seed: int,
+              n_reps: int) -> list[np.ndarray]:
+    """ho_inner_values at each horizon of T_list, from one noise pass
+    (ho_batch_policies)."""
+    policies = ho_batch_policies(model, [(T, x_T) for T in T_list], base_seed, n_reps)
+    return [T * model.revenue_rate_unchecked(policy.rate_law()[0])  # lo = hi
+            for T, policy in zip(T_list, policies)]
 
 
 def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,

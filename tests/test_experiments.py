@@ -235,6 +235,7 @@ class TestHoCompare:
         model = DemandModel.linear_additive(0.75, 0.5, 0.0, 1.0, 0.0)
         rows = run_ho_compare(model, [64, 128], 5 / 16, replications=50, base_seed=1)
         assert list(rows[0]) == HO_COLUMNS
+        assert run_ho_compare(model, [], 5 / 16, replications=50, base_seed=1) == []
         for r in rows:
             assert r["gap"] == pytest.approx(0.0, abs=1e-12)
 
@@ -255,8 +256,8 @@ class TestHoCompare:
 
 class TestCsv:
     def test_writer_schema_golden(self):
-        text = write_csv([{"a": 1, "b": 0.5, "c": None}], ["a", "b", "c"])
-        assert text == "a,b,c\n1,0.5,\n"
+        text = write_csv([{"a": 1, "b": 0.5, "c": None, "d": "x,y"}], ["a", "b", "c", "d"])
+        assert text == 'a,b,c,d\n1,0.5,,"x,y"\n'
 
     def test_regret_report_rows(self, bernoulli_model):
         reports = estimate_regret(bernoulli_model, [64], "round(5/16*T)",
@@ -337,6 +338,29 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert len(lines) == 9
+
+    # a static policy needs stock: no (1, 0) for it
+    @pytest.mark.parametrize("kind, policy, T, y0", [
+        (kind, policy, T, y0)
+        for kind, policy in [("bern", "dp"), ("bern", "resolving"), ("add", "static")]
+        for T, y0 in [(1, 0), (1, 1), (1024, 320), (1024, 40)]
+        if policy != "static" or y0 > 0])
+    def test_simulate_trace_bytes_match_row_writer(self, model_paths, tmp_path, kind,
+                                                   policy, T, y0):
+        """The column-by-column trace CSV has the bytes of the one-dict-per-row
+        writer, shut-off inf prices included."""
+        out = tmp_path / "trace.csv"
+        assert cli.main(["simulate", "--model", model_paths[kind], "--policy", policy,
+                         "-T", str(T), "--y0", str(y0), "--seed", "9", "--out", str(out)]) == 0
+        model = fluidpricing.model_from_dict(json.loads(Path(model_paths[kind]).read_text()))
+        pol = {"dp": lambda: fluidpricing.solve_dp(model, T, y0).policy(),
+               "resolving": lambda: fluidpricing.resolving_policy(model),
+               "static": lambda: fluidpricing.static_policy(model, y0 / T)}[policy]()
+        trace = fluidpricing.simulate(model, pol, T, y0, 9)
+        want = write_csv(experiments.trace_rows(trace), TRACE_COLUMNS)
+        assert out.read_bytes() == want.encode()
+        if y0 == 0 or (T, y0, kind) == (1024, 40, "bern"):  # sold out: shut off
+            assert ",inf," in want
 
     def test_estimate_regret_from_config(self, model_paths, tmp_path, capsys):
         cfg = {"name": "t", "model": json.loads(open(model_paths["bern"]).read()),
@@ -516,6 +540,19 @@ class TestCli:
         out, err = capsys.readouterr()
         row = dict(zip(HO_COLUMNS, out.strip().splitlines()[1].split(",")))
         assert row["ci_half_width"] == "inf" and err == ""
+
+    def test_ho_compare_rows_follow_t_list(self, model_paths, capsys):
+        """One noise pass serves every horizon: the rows of a repeated, unsorted
+        horizon list are those of one run per horizon, in the order given."""
+        argv = ["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125",
+                "--replications", "300", "--seed", "4", "--t-list"]
+        assert cli.main([*argv, "256,64,256,1024"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        want = []
+        for T in ("256", "64", "256", "1024"):
+            assert cli.main([*argv, T]) == 0
+            want += capsys.readouterr().out.splitlines()[1:]
+        assert header == ",".join(HO_COLUMNS) and rows == want
 
     def test_sweep_cli(self, capsys):
         rc = cli.main(["sweep", "--kind", "gap", "--t-list", "16,32"])

@@ -760,6 +760,27 @@ class TestKernelPool:
         _exact_and_batch()
         assert threading.active_count() <= start + policies_module._workers()
 
+    def test_reimports_leave_no_module_alive(self):
+        """A fresh import of the package (as a benchmark set-up makes) leaves nothing
+        that keeps an earlier import's policies module alive; run in a subprocess,
+        whose imports do not replace this process's modules."""
+        script = "\n".join([
+            "import gc, importlib, sys",
+            "for _ in range(5):",
+            "    for name in [n for n in sys.modules if n.split('.')[0] == 'fluidpricing']:",
+            "        del sys.modules[name]",
+            "    importlib.import_module('fluidpricing')",
+            "gc.collect()",
+            "print(sum(isinstance(o, dict) and o.get('__name__') == 'fluidpricing.policies'",
+            "          for o in gc.get_objects()))",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(policies_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
+
     def test_forked_child_runs_on_a_pool_of_its_own(self):
         """The parent's pool threads do not exist in a forked child: the child must not
         wait on them, but start its own pool and get the parent's bits."""
@@ -976,12 +997,14 @@ class TestDispatchedForward:
 
     @pytest.mark.parametrize("T", [1, 7, 129, 2049, 4097])
     def test_noise_sum_matches_dispatched_and_oracle(self, single_build, T):
-        # 13 replications: a vector loop leaves a remainder in every width
+        # 13 replications: a vector loop leaves a remainder in every width; one
+        # call keeps every listed horizon up to T, each with its own sum's bits
+        horizons = np.array([h for h in (1, 7, 129, 2049, 4097) if h <= T])
         seeds = rng.replication_seed(31, np.arange(13))
-        want = oracles.noise_sum(seeds, T)
+        want = np.stack([oracles.noise_sum(seeds, h) for h in horizons.tolist()])
         for lib in (single_build, policies_module._kernel()):
-            got = np.zeros(seeds.size)
-            lib.noise_sum(seeds.size, T, seeds, got)
+            got = np.full(want.shape, np.nan)
+            lib.noise_sum(seeds.size, horizons.size, horizons, seeds, got)
             assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)

@@ -378,11 +378,16 @@ class TestForwardKernel:
 
     @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
     def test_noise_sum_matches_sequential_sum(self, additive_model, T):
+        """One noise_sum call to T keeps the sum at every listed horizon up to T,
+        each with the bits of a sum that stops there; ho_batch_policy prices at
+        each horizon's mean."""
+        horizons = np.array([h for h in (1, 7, 129, 300, 2049, 4097) if h <= T])
         seeds = rng.replication_seed(12, np.arange(9))
-        want = oracles.noise_sum(seeds, T)
-        got = np.zeros(seeds.size)
-        policies._kernel().noise_sum(seeds.size, T, seeds, got)
-        assert got.tobytes() == want.tobytes()
+        got = np.full((horizons.size, seeds.size), np.nan)
+        policies._kernel().noise_sum(seeds.size, horizons.size, horizons, seeds, got)
+        for h, row in zip(horizons.tolist(), got):
+            want = oracles.noise_sum(seeds, h)
+            assert row.tobytes() == want.tobytes(), h
         rate, _ = ho_batch_policy(additive_model, T, 0.3, 12, seeds.size).rate_law()
         xi_bar = (2.0 * want / T - 1.0) * additive_model.noise_half_width
         assert rate.tobytes() == np.clip(0.3 + xi_bar, additive_model.d_lo,
@@ -606,6 +611,25 @@ class TestEstimateRegret:
         for r in reports:
             assert r.regret_vs_dp is None and r.dp_reason == "dp-requires-bernoulli"
             assert r.regret_vs_fluid == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("crn", [False, True])
+    def test_ho_rows_match_per_horizon_runs(self, additive_model, crn):
+        """The ho rows take every horizon's noise from one pass, with the bits of a
+        ho_batch_policy run per horizon; unsorted and repeated horizons included."""
+        T_list, reps, base_seed = [256, 64, 256, 1024], 300, 7
+        reports = estimate_regret(additive_model, T_list, "round(5/16*T)",
+                                  policies=("static", "ho"), replications=reps,
+                                  base_seed=base_seed, common_random_numbers=crn)
+        ho = [r for r in reports if r.policy == "ho"]
+        assert [r.T for r in ho] == T_list
+        seed = sim_module._policy_stream_seed(base_seed, "ho", crn)
+        for report, T in zip(ho, T_list):
+            y0 = round(5 * T / 16)
+            batch = simulate_batch(additive_model,
+                                   ho_batch_policy(additive_model, T, y0 / T, seed, reps),
+                                   T, y0, seed, reps)
+            assert (np.float64(report.value).tobytes(), np.float64(report.ci_half_width).tobytes()) \
+                == (np.float64(batch.mean).tobytes(), np.float64(batch.ci_half_width()).tobytes())
 
     def test_additive_mc_reports(self, additive_model):
         reports = estimate_regret(additive_model, [64], "round(5/16*T)",
