@@ -7,8 +7,9 @@
  * tests/oracles.py:
  *
  *   backward   the exact backward pass of policies.solve_dp and
- *              policies.exact_values, over the whole cone or, as a lower
- *              and an upper bound, over a band (oracles.backward);
+ *              policies.exact_values, over the whole cone or over a band,
+ *              as a lower and an upper bound in one call (oracles.backward,
+ *              oracles.band_copy);
  *   forward    the one-product Monte Carlo engine of sim.simulate and
  *              sim.simulate_batch (oracles.simulate, oracles.simulate_batch);
  *   noise_sum  the noise sums of the hindsight benchmark, in counter order,
@@ -31,15 +32,16 @@
  * (backward, forward, noise_sum, forward2 and backward2) are built three times,
  * for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every
  * helper inlined into each clone, and glibc's ifunc resolver picks the widest
- * clone this CPU runs at load time.  backward's rows vectorize under AVX2 and
- * AVX-512.  forward, noise_sum and forward2 vectorize across replications
- * under AVX-512 only, as the uniform draw converts a 64-bit integer to a
- * double, which AVX2 cannot do in a vector.  backward2 vectorizes across each
- * inventory row (backward2_row) under AVX-512 only: gcc moves a multiply of
- * box_qp2 into one arm of a clip, and only AVX-512's masks let a vector loop
- * run floating-point work under a condition.  All give the same bits: a
- * vector lane rounds each operation as the scalar code does, and
- * -ffp-contract=off keeps fused multiply-adds out of every clone.  Elsewhere,
+ * clone this CPU runs at load time.  backward's rows, single or as a lower and
+ * upper pair, vectorize under AVX2 and AVX-512.  forward, noise_sum and
+ * forward2 vectorize across replications under AVX-512 only, as the uniform
+ * draw converts a 64-bit integer to a double, which AVX2 cannot do in a
+ * vector.  backward2 vectorizes across each inventory row (backward2_row)
+ * under AVX-512 only: gcc moves a multiply of box_qp2 into one arm of a clip,
+ * and only AVX-512's masks let a vector loop run floating-point work under a
+ * condition.  All give the same bits: a vector lane rounds each operation as
+ * the scalar code does, and -ffp-contract=off keeps fused multiply-adds out of
+ * every clone.  Elsewhere,
  * or with -DKERNEL_CLONES=, each is the one baseline loop.  box_qp, a scalar
  * solve of at most a few dozen products, is built once. */
 #ifndef KERNEL_CLONES
@@ -65,7 +67,7 @@ static double clip(double x, double lo, double hi)
  *
  * Fused backward induction over the (remaining periods, inventory) lattice.
  * w is one row of width cells.  It holds the optimal value V(t, y) when
- * flags has ROW_OPTIMAL, else the value of a policy whose demand rate is
+ * optimal is set, else the value of a policy whose demand rate is
  * clip(y / t, lo, hi) (lo == hi is a constant rate) when table is NULL, else
  * the DP action table[t * stride + y] of a row-major table.  The row gets
  * r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), with the rate, the clip and
@@ -79,25 +81,31 @@ static double clip(double x, double lo, double hi)
  * y <= t is computed and V(t, t) is copied into cell t + 1 for the next
  * period.  Column 0 (no inventory) is never written.  The row is updated in
  * place from high y to low, so W(t-1, y-1) is still unchanged when read.  A
- * policy row is split where y / t saturates (clipped_row), so that only the
+ * policy row is split where y / t saturates (clipped_rows), so that only the
  * cells with lo < y / t < hi compute their rate and r(d).
  *
- * A row flagged ROW_LOWER or ROW_UPPER is a bound: it updates only the cells
- * of that cone within a band around the fluid paths of the points it serves
- * (band_at), and writes into the cell on either side of the band a bound on
- * its value that the next period may read (edge_bound).  A lower copy writes
- * 0; an upper copy writes a bound that holds in exact arithmetic, scaled by
- * SLACK so that the rounding of the pass cannot cross it.  The update is
- * monotone in the previous row (a policy's rate does not depend on it, so
- * this holds for the rounded update too; the optimal row's holds in exact
- * arithmetic), so the lower copy stays at or below the full pass and the
- * upper copy at or above it: where the two agree bit for bit, both hold the
- * full pass's value.  An unflagged row is exact and runs the whole cone.
+ * With u NULL the row is exact and runs the whole cone.  Otherwise w and u
+ * are a lower and an upper bound copy of the row (oracles.band_copy): both
+ * update only the cells of the cone within a band around the fluid paths of
+ * the points they serve (band_at), and write into the cell on either side of
+ * the band a bound on its value that the next period may read.  The lower
+ * copy writes 0; the upper copy writes a bound that holds in exact
+ * arithmetic, scaled by SLACK so that the rounding of the pass cannot cross
+ * it (edge_bound).  The update is monotone in the previous row (a policy's
+ * rate does not depend on it, so this holds for the rounded update too; the
+ * optimal row's holds in exact arithmetic), so the lower copy stays at or
+ * below the full pass and the upper copy at or above it: where the two agree
+ * bit for bit, both hold the full pass's value.
+ *
+ * The copies visit the same cells, so a policy row computes each cell's rate
+ * and r(d) once for both.  The optimal row's rate reads the row itself;
+ * instead, span[2] .. span[3] is a run of cells where w and u hold the same
+ * bits (the caller starts it at 0 .. width - 1, both rows being 0), and u
+ * takes w's new value wherever a cell and the one below it lie in the run
+ * (optimal_rows).  Equal inputs give equal outputs, so u has the bits of a
+ * copy computed on its own.
  */
 
-#define ROW_OPTIMAL 1
-#define ROW_LOWER 2
-#define ROW_UPPER 4
 #define SLACK (1.0 + 1e-9)
 
 static void optimal_row(double *v, long first, long last, double alpha,
@@ -110,26 +118,81 @@ static void optimal_row(double *v, long first, long last, double alpha,
     }
 }
 
-/* A constant rate d: the rate and r(d) are the same in every cell */
-static void constant_row(double *w, long first, long last, double d,
-                         double alpha, double beta)
+/* Whether a and b hold the same bits (== would equate -0.0 and 0.0) */
+static int same_bits(double a, double b)
 {
-    double reward = d * (alpha - d) / beta;
-    for (long y = last; y >= first; y--) {
-        double below = w[y - 1], here = w[y];
-        w[y] = reward + d * below + (1.0 - d) * here;
-    }
+    uint64_t x, y;
+    memcpy(&x, &a, sizeof x);
+    memcpy(&y, &b, sizeof y);
+    return x == y;
 }
 
-/* The rate y / t, with ys[y] == y as a double: a load, unlike a conversion
- * from long, vectorizes */
-static void ratio_row(double *restrict w, const double *restrict ys, long first,
-                      long last, double t, double alpha, double beta)
+/* The optimal row's lower copy w and upper copy u on the cells a .. b, with
+ * run[0] .. run[1] the cells where both hold the same bits (none when
+ * run[0] > run[1]).  u is computed only above and below the cells y with y - 1
+ * and y in the run, and copies the others from w.  The zone above goes first,
+ * as its lowest cell reads u at the run's top before the copy replaces it.
+ * The run becomes those copied cells, or when none was copied the top cell
+ * with the same bits, widened outward within a .. b over cells with the same
+ * bits. */
+static void optimal_rows(double *w, double *u, long a, long b, int64_t *run,
+                         double alpha, double beta, double d_lo, double d_hi)
 {
+    long from = run[0] + 1 > a ? run[0] + 1 : a, to = run[1] < b ? run[1] : b;
+    optimal_row(w, a, b, alpha, beta, d_lo, d_hi);
+    if (from <= to) {
+        optimal_row(u, to + 1, b, alpha, beta, d_lo, d_hi);
+        memcpy(u + from, w + from, (to - from + 1) * sizeof *u);
+        optimal_row(u, a, from - 1, alpha, beta, d_lo, d_hi);
+    } else {
+        optimal_row(u, a, b, alpha, beta, d_lo, d_hi);
+        for (to = b; to >= a && !same_bits(w[to], u[to]); to--)
+            ;
+        from = to < a ? a : to; /* the top cell with the same bits, if any */
+    }
+    while (from <= to && from > a && same_bits(w[from - 1], u[from - 1]))
+        from--;
+    while (from <= to && to < b && same_bits(w[to + 1], u[to + 1]))
+        to++;
+    run[0] = from;
+    run[1] = to;
+}
+
+/* A constant rate d on w and, unless u is NULL, on u: the rate and r(d) are
+ * the same in every cell */
+static void constant_rows(double *restrict w, double *restrict u, long first,
+                          long last, double d, double alpha, double beta)
+{
+    double reward = d * (alpha - d) / beta;
+    if (u) {
+        for (long y = last; y >= first; y--) {
+            w[y] = reward + d * w[y - 1] + (1.0 - d) * w[y];
+            u[y] = reward + d * u[y - 1] + (1.0 - d) * u[y];
+        }
+        return;
+    }
+    for (long y = last; y >= first; y--)
+        w[y] = reward + d * w[y - 1] + (1.0 - d) * w[y];
+}
+
+/* The rate y / t on w and, unless u is NULL, on u, each cell's rate and r(d)
+ * computed once for both; ys[y] == y as a double: a load, unlike a
+ * conversion from long, vectorizes */
+static void ratio_rows(double *restrict w, double *restrict u,
+                       const double *restrict ys, long first, long last,
+                       double t, double alpha, double beta)
+{
+    if (u) {
+        for (long y = last; y >= first; y--) {
+            double d = ys[y] / t, reward = d * (alpha - d) / beta;
+            w[y] = reward + d * w[y - 1] + (1.0 - d) * w[y];
+            u[y] = reward + d * u[y - 1] + (1.0 - d) * u[y];
+        }
+        return;
+    }
     for (long y = last; y >= first; y--) {
-        double below = w[y - 1], here = w[y];
         double d = ys[y] / t;
-        w[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
+        w[y] = d * (alpha - d) / beta + d * w[y - 1] + (1.0 - d) * w[y];
     }
 }
 
@@ -159,25 +222,26 @@ static long last_at_most(const double *ys, long first, long last, double t,
     return y;
 }
 
-/* The rate clip(y / t, lo, hi), split where y / t saturates: clip gives lo
- * where ys[y] / t <= lo, hi where ys[y] / t >= hi and y / t itself in the band
- * between, and hi everywhere unless lo < hi.  The segments run from high y
- * to low, as one row would, and only the band divides per cell. */
-static void clipped_row(double *w, const double *ys, long first, long last,
-                        double t, double lo, double hi, double alpha,
-                        double beta)
+/* The rate clip(y / t, lo, hi) on w and, unless u is NULL, on u, split where
+ * y / t saturates: clip gives lo where ys[y] / t <= lo, hi where
+ * ys[y] / t >= hi and y / t itself in the band between, and hi everywhere
+ * unless lo < hi.  The segments run from high y to low, as one row would,
+ * and only the band divides per cell. */
+static void clipped_rows(double *w, double *u, const double *ys, long first,
+                         long last, double t, double lo, double hi, double alpha,
+                         double beta)
 {
     if (!(lo < hi)) {
-        constant_row(w, first, last, hi, alpha, beta);
+        constant_rows(w, u, first, last, hi, alpha, beta);
         return;
     }
     long top = last_at_most(ys, first, last, t, hi);
     while (top >= first && ys[top] / t >= hi) /* y / t == hi saturates too */
         top--;
     long bottom = last_at_most(ys, first, top, t, lo);
-    constant_row(w, top + 1, last, hi, alpha, beta);
-    ratio_row(w, ys, bottom + 1, top, t, alpha, beta);
-    constant_row(w, first, bottom, lo, alpha, beta);
+    constant_rows(w, u, top + 1, last, hi, alpha, beta);
+    ratio_rows(w, u, ys, bottom + 1, top, t, alpha, beta);
+    constant_rows(w, u, first, bottom, lo, alpha, beta);
 }
 
 /* The band [*first, *last] of a bound row at period t: the cone [*first,
@@ -214,52 +278,57 @@ static double fluid(double t, double y, double cap, double d_lo, double p_hi,
     return t * (x <= d_lo ? x * p_hi : x * (alpha - x) / beta);
 }
 
-/* The bound a bound row w writes into cell y just outside its band [a, b] at
- * period t.  A lower copy: 0, as every value is >= 0.  An upper copy below
- * the band: the optimal value at a (V is nondecreasing in y), a policy's
- * y * p_hi (no unit sells above p_hi).  Above it: fluid(t, y), for the
- * optimal value also w[b] + p_hi when smaller (a unit adds at most p_hi). */
-static double edge_bound(const double *w, long y, long a, long b, int flags,
+/* The bound an upper copy u writes into cell y just outside its band [a, b]
+ * at period t (a lower copy writes 0, as every value is >= 0).  Below the
+ * band: the optimal value at a (V is nondecreasing in y), a policy's y * p_hi
+ * (no unit sells above p_hi).  Above it: fluid(t, y), for the optimal value
+ * also u[b] + p_hi when smaller (a unit adds at most p_hi). */
+static double edge_bound(const double *u, long y, long a, long b, int optimal,
                          double t, double cap, double d_lo, double p_hi,
                          double alpha, double beta)
 {
-    if (!(flags & ROW_UPPER))
-        return 0.0;
-    int optimal = flags & ROW_OPTIMAL;
     if (y < a)
-        return SLACK * (optimal ? w[a] : y * p_hi);
+        return SLACK * (optimal ? u[a] : y * p_hi);
     double bound = fluid(t, y, cap, d_lo, p_hi, alpha, beta);
-    return SLACK * (optimal && w[b] + p_hi < bound ? w[b] + p_hi : bound);
+    return SLACK * (optimal && u[b] + p_hi < bound ? u[b] + p_hi : bound);
 }
 
 KERNEL_CLONES
-void backward(double *w, long width, const double *ys, int flags, double lo,
-              double hi, const double *table, long stride, const double *band,
-              int64_t *span, double alpha, double beta, double d_lo, double d_hi,
-              long t_from, long t_to, long cone, long y_hi, int triangle,
-              double *record)
+void backward(double *w, double *u, long width, const double *ys, int optimal,
+              double lo, double hi, const double *table, long stride,
+              const double *band, int64_t *span, double alpha, double beta,
+              double d_lo, double d_hi, long t_from, long t_to, long cone,
+              long y_hi, int triangle, double *record)
 {
     double p_hi = (alpha - d_lo) / beta, cap = clip(alpha / 2.0, d_lo, d_hi);
-    int bound = flags & (ROW_LOWER | ROW_UPPER);
     for (long t = t_from + 1; t <= t_to; t++) {
         long first = cone + t > 1 ? cone + t : 1;
         long last = triangle && t < y_hi ? t : y_hi;
         long a = first, b = last;
-        if (!bound || band_at(t, band, span, &a, &b)) {
-            if (flags & ROW_OPTIMAL)
+        if (!u || band_at(t, band, span, &a, &b)) {
+            if (optimal && u)
+                optimal_rows(w, u, a, b, span + 2, alpha, beta, d_lo, d_hi);
+            else if (optimal)
                 optimal_row(w, a, b, alpha, beta, d_lo, d_hi);
             else if (table)
                 table_row(w, table + t * stride, a, b, alpha, beta);
             else
-                clipped_row(w, ys, a, b, (double)t, lo, hi, alpha, beta);
-            if (bound && a > first)
-                w[a - 1] = edge_bound(w, a - 1, a, b, flags, t, cap, d_lo, p_hi,
+                clipped_rows(w, u, ys, a, b, (double)t, lo, hi, alpha, beta);
+            if (u && a > first) {
+                w[a - 1] = 0.0;
+                u[a - 1] = edge_bound(u, a - 1, a, b, optimal, t, cap, d_lo, p_hi,
                                       alpha, beta);
-            if (bound && b < last)
-                w[b + 1] = edge_bound(w, b + 1, a, b, flags, t, cap, d_lo, p_hi,
+            }
+            if (u && b < last) {
+                w[b + 1] = 0.0;
+                u[b + 1] = edge_bound(u, b + 1, a, b, optimal, t, cap, d_lo, p_hi,
                                       alpha, beta);
-            if (triangle && t < y_hi && b == last)
+            }
+            if (triangle && t < y_hi && b == last) {
                 w[t + 1] = w[t];
+                if (u)
+                    u[t + 1] = u[t];
+            }
         }
         if (record)
             for (long y = 0; y < width; y++)

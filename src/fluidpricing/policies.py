@@ -192,8 +192,8 @@ def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
         raise ResourceGuardError(f"dense value table would hold {entries} entries "
                                  f"(> {DENSE_TABLE_MAX_ENTRIES}); use exact_values instead")
     values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
-    _kernel().backward(np.zeros(y0 + 1), y0 + 1, np.zeros(0), _OPTIMAL, 0.0, 0.0, None, 0,
-                       np.zeros(4), np.zeros(2, dtype=np.int64), model.alpha, model.beta,
+    _kernel().backward(np.zeros(y0 + 1), None, y0 + 1, np.zeros(0), True, 0.0, 0.0, None, 0,
+                       np.zeros(4), np.zeros(4, dtype=np.int64), model.alpha, model.beta,
                        model.d_lo, model.d_hi, 0, T, -T, y0, False, values.ctypes.data)
     # the optimal row's rate, in its operation order, in place: no table-sized temporaries
     acts = actions[1:, 1:]
@@ -290,8 +290,6 @@ def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
     return np.where(y > 0, np.clip(y / t, lo, hi), 0.0)
 
 
-# row flags of the backward kernel (ROW_* in _kernels.c)
-_OPTIMAL, _LOWER, _UPPER = 1, 2, 4
 # the longest pass on bands: the relative rounding error of a pass grows about as
 # 3 * T * 2^-53 (3.5e-10 at 2^20), which must stay below the SLACK of 1e-9 by which
 # the kernel raises every upper edge bound
@@ -307,9 +305,10 @@ def _start_half_width(T: int) -> float:
 def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list[float]]:
     """Every row's value at each point (row 0 is V, row 1 + i runs laws[i]).
 
-    Each copy of a row (see below) is one _pass, a kernel call per distinct
-    horizon on a row of cells of its own; no copy reads another, so the copies
-    of an attempt run at once, one per thread of _map.
+    Each row of an attempt (see below) is one _pass, a kernel call per
+    distinct horizon on cells of its own; no row reads another, so the rows of
+    an attempt run at once, one per thread of _map.  The rows of a constant
+    rate, which divide nothing per cell and take the least time, start last.
 
     A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
     two horizons the points still to be read are fixed, and so is their
@@ -320,12 +319,12 @@ def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list
     V and every (lo, hi) law within [d_lo, d_hi] start on a band: the cells
     within a half width h = _start_half_width(max T) of the fluid paths
     y0 - (T - t) * clip(y0 / T, lo, hi) of the points, with (d_lo, rate cap)
-    for V.  Such a row runs twice, as a lower and an upper copy whose edge
-    bounds (edge_bound in _kernels.c) hold it below and above the full pass.
-    It is certified when the copies agree bit for bit at every point; else
-    it alone runs again at twice the width.  A row whose band would cover
-    half the cone's cells or more, and every table row, runs the whole cone
-    once, as one exact copy.  names label the rows in the DEBUG log.
+    for V.  Such a row runs as a lower and an upper copy in one kernel call,
+    whose edge bounds (edge_bound in _kernels.c) hold them below and above the
+    full pass.  It is certified when the copies agree bit for bit at every
+    point; else it alone runs again at twice the width.  A row whose band
+    would cover half the cone's cells or more, and every table row, runs the
+    whole cone once, as one exact copy.  names label the rows in the DEBUG log.
     """
     tables = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
               else None for law in laws]
@@ -351,6 +350,8 @@ def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list
                                      and model.d_lo <= lo <= hi <= model.d_hi))
             else math.inf for j, (lo, hi) in enumerate(ranges)]
     cone_cells = [_cone_cells(segment, triangle) for segment in segments]
+    constant = [j > 0 and tables[j - 1] is None and not lo < hi
+                for j, (lo, hi) in enumerate(ranges)]
     out = np.empty((len(points), len(ranges)))
     retries, pending = [0] * len(ranges), list(range(len(ranges)))
     while pending:
@@ -364,16 +365,14 @@ def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list
                     bands[j] = lines
                 else:
                     half[j] = math.inf
-        copies = [(j, flag) for j in pending
-                  for flag in ((_LOWER, _UPPER) if j in bands else (0,))]
-        runs = _map(functools.partial(_pass, kernel, model, points, reads, segments, triangle),
-                    [(flag | (_OPTIMAL if j == 0 else 0), tables[j - 1] if j else None,
-                      ranges[j], bands.get(j)) for j, flag in copies])
+        order = sorted(pending, key=constant.__getitem__)
+        runs = dict(zip(order, _map(
+            functools.partial(_pass, kernel, model, points, reads, segments, triangle),
+            [(j == 0, tables[j - 1] if j else None, ranges[j], bands.get(j)) for j in order])))
         failed = []
         for j in pending:
-            (got, span), *upper = (run for (row, _), run in zip(copies, runs) if row == j)
-            # the copies share their band, so one span says whether it ran out
-            if upper and not (span[0] >= 0 and got.tobytes() == upper[0][0].tobytes()):
+            got, span, upper = runs[j]
+            if upper is not None and not (span[0] >= 0 and got.tobytes() == upper.tobytes()):
                 half[j] *= 2
                 retries[j] += 1
                 failed.append(j)
@@ -430,23 +429,27 @@ def _band_cells(segment, line) -> float:
     return (t_to - t_from) * (c1 - c0 + (s1 - s0) * (t_from + 1 + t_to) / 2 + 2)
 
 
-def _pass(kernel, model, points, reads, segments, triangle, flag, table, rates, lines):
-    """One copy's pass: the kernel row of cells 0 .. max(reads), with the kernel
-    flag, run by the DP table or else by the (lo, hi) law rates, a bound copy on
-    the band lines (one per segment).  Its values at the points, and its last
-    band (-1 where the band ran out)."""
+def _pass(kernel, model, points, reads, segments, triangle, optimal, table, rates, lines):
+    """One row's pass: the kernel row of cells 0 .. max(reads), V when optimal,
+    else run by the DP table or the (lo, hi) law rates; with band lines (one per
+    segment), a lower and an upper copy.  Its values at the points (the lower
+    copy's), its last band (-1 where the band ran out) and the upper copy's
+    values at the points (None without lines)."""
     width = max(reads) + 1
-    values, ys = np.zeros(width), np.arange(width, dtype=float)
-    span, got = np.array([0, width], dtype=np.int64), np.empty(len(points))
+    rows, ys = np.zeros((2 if lines else 1, width)), np.arange(width, dtype=float)
+    # the band, then the run of cells where both copies hold the same bits: all, at 0
+    span = np.array([0, width, 0, width - 1], dtype=np.int64)
+    got = np.empty((len(rows), len(points)))
     pointer, stride = (None, 0) if table is None else (table.ctypes.data, table.shape[1])
     for s, (t_from, t_to, cone, y_hi, live) in enumerate(segments):
         band = np.array(lines[s] if lines else (0.0,) * 4)
-        kernel(values, width, ys, flag, *rates, pointer, stride, band, span, model.alpha,
-               model.beta, model.d_lo, model.d_hi, t_from, t_to, cone, y_hi, triangle, None)
+        kernel(rows[0], rows[1].ctypes.data if lines else None, width, ys, optimal, *rates,
+               pointer, stride, band, span, model.alpha, model.beta, model.d_lo, model.d_hi,
+               t_from, t_to, cone, y_hi, triangle, None)
         for k in live:
             if points[k][0] == t_to:
-                got[k] = values[reads[k]]
-    return got, span
+                got[:, k] = rows[:, reads[k]]
+    return got[0], span, got[1] if lines else None
 
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
@@ -478,8 +481,8 @@ def _kernel():
     f64, u64, i64 = (np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
                      for dtype in (np.float64, np.uint64, np.int64))
     n, x, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-    lib.backward.argtypes = [f64, n, f64, flag, x, x, ptr, n, f64, i64, x, x, x, x, n, n, n, n,
-                             flag, ptr]
+    lib.backward.argtypes = [f64, ptr, n, f64, flag, x, x, ptr, n, f64, i64, x, x, x, x, n, n,
+                             n, n, flag, ptr]
     lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
                             flag, x, f64, i64, flag, f64]
     lib.noise_sum.argtypes = [n, n, i64, u64, f64]

@@ -1,7 +1,8 @@
 """Python and numpy references of the compiled loops, the package's only engines.
 
 Each function repeats its kernel in _kernels.c operation by operation, so the
-tests compare the two bit for bit: backward (backward), simulate and
+tests compare the two bit for bit: backward and band_copy (backward, over
+the whole lattice and as one bound copy of a band), simulate and
 simulate_batch (forward, forward2), noise_sum (noise_sum), backward_multi
 (backward2) and box_qp_max (box_qp).  harmonic_series is the reference of
 forward's stopping-time tracker, from which simulate fills SimTrace.t_sharp.
@@ -10,6 +11,8 @@ it agrees with box_qp to rounding, not bit for bit.  simulate_multi is
 sim.simulate_multi with one uniform draw per period.  uniform_block and
 harmonic_identity_check are test helpers with no caller in the package.
 """
+
+import math
 
 import numpy as np
 
@@ -22,6 +25,8 @@ from fluidpricing.sim import BatchResult, MultiSimTrace, SimTrace, gamma
 
 # KKT_TOL of box_qp in _kernels.c
 _KKT_TOL = 1e-12
+# SLACK of backward in _kernels.c, by which an upper copy raises its edge bounds
+_SLACK = 1.0 + 1e-9
 
 
 def decide(model, policy, y: float, t: int):
@@ -216,6 +221,63 @@ def backward(model, T: int, y_max: int, policies=()):
         np.multiply(tmp, here, out=tmp)
         np.add(acc, tmp, out=here)
         yield t, values, rates
+
+
+def band_copy(model, T: int, width: int, upper: bool, rates, band, cone: int,
+              y_hi: int, triangle: bool):
+    """Yield (t, row, span) for t = 1..T: one bound copy of the banded backward
+    kernel, computed on its own, with row (width cells) updated in place.
+
+    rates is None for V, else the (lo, hi) law clip(y / t, lo, hi).  At
+    period t the copy updates the cone's cells [max(1, cone + t), t or y_hi]
+    within floor(c0 + s0 t) .. ceil(c1 + s1 t) (band = (c0, s0, c1, s1)), kept
+    within span[0] .. span[1] + 1 of the previous band; span becomes the band,
+    or [-1, -1] for good once no cell is left.  Beside the band it writes 0
+    (the lower copy) or, for the upper copy, SLACK times V at the band's
+    bottom (y p_hi for a policy) below and the fluid bound above (for V the
+    smaller of it and the band's top plus p_hi).  With triangle, the cell
+    t + 1 gets the cell t when the band reaches the cone's top t.
+    """
+    alpha, beta, d_lo, d_hi = model.alpha, model.beta, model.d_lo, model.d_hi
+    p_hi = (alpha - d_lo) / beta
+    cap = min(max(alpha / 2.0, d_lo), d_hi)
+    row, ys, span = np.zeros(width), np.arange(width, dtype=float), [0, width]
+
+    def fluid(t, y):
+        x = y / t if y / t < cap else cap
+        return t * (x * p_hi if x <= d_lo else x * (alpha - x) / beta)
+
+    def edge(t, y, a, b):
+        if not upper:
+            return 0.0
+        if y < a:
+            return _SLACK * (row[a] if rates is None else y * p_hi)
+        bound = fluid(t, y)
+        top = row[b] + p_hi
+        return _SLACK * (top if rates is None and top < bound else bound)
+
+    for t in range(1, T + 1):
+        first, last = max(cone + t, 1), t if triangle and t < y_hi else y_hi
+        if span[0] >= 0:
+            low = math.floor(band[0] + band[1] * t)
+            high = math.ceil(band[2] + band[3] * t)
+            a = max(first if low < first else last if low > last else low, span[0])
+            b = min(last if high > last else a if high < a else high, span[1] + 1)
+            span = [a, b] if a <= b else [-1, -1]
+        if span[0] >= 0:
+            below, here = row[a - 1:b], row[a:b + 1]
+            if rates is None:
+                d = np.clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi)
+            else:
+                d = np.clip(ys[a:b + 1] / t, *rates)
+            row[a:b + 1] = d * (alpha - d) / beta + d * below + (1.0 - d) * here
+            if a > first:
+                row[a - 1] = edge(t, a - 1, a, b)
+            if b < last:
+                row[b + 1] = edge(t, b + 1, a, b)
+            if triangle and t < y_hi and b == last:
+                row[t + 1] = row[t]
+        yield t, row, span
 
 
 def backward_multi(model, T: int, V: np.ndarray) -> None:

@@ -294,6 +294,34 @@ class TestCli:
         assert set(out) == {"x_c", "lambda", "active_set", "objective"}
         assert out["x_c"] == [0.3125]
 
+    def test_one_parser_serves_every_call_with_fresh_parser_output(self, model_paths,
+                                                                    monkeypatch, capsys):
+        """main builds its parser once.  Two subcommands, an argparse error (exit 2) and
+        a good call after it give the bytes and exit codes of parsers built afresh."""
+        calls = [["fluid-solve", "--model", model_paths["bern"], "--inventory", "0.3125"],
+                 ["dp-value", "--model", model_paths["bern"], "-T", "16", "--y0", "5"],
+                 ["dp-value", "--model", model_paths["bern"], "-T", "x", "--y0", "5"],
+                 ["validate-model", "--model", model_paths["add"]]]
+
+        def run_all():
+            got = []
+            for argv in calls:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse rejects its arguments
+                    code = exc.code
+                out, err = capsys.readouterr()
+                got.append((code, out, err))
+            return got
+
+        cli._parser.cache_clear()
+        shared = run_all()
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all() == shared
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+        assert "invalid int value: 'x'" in shared[2][2]
+
     def test_dp_value_and_dump_actions(self, model_paths, tmp_path, capsys):
         from fluidpricing import dp_value, benchmark_model
 

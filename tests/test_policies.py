@@ -528,30 +528,29 @@ class TestBandedPass:
                     "resolving": resolving_policy(model)}
         calls = []
 
-        def spy(values, width, ys, flag, *args):
-            calls.append((flag, args[10]))  # t_from
-            policies_module._kernel().backward(values, width, ys, flag, *args)
+        def spy(values, upper, width, ys, optimal, *args):
+            calls.append((bool(optimal), upper is not None, args[10]))  # t_from
+            policies_module._kernel().backward(values, upper, width, ys, optimal, *args)
 
-        lower, upper = policies_module._LOWER, policies_module._UPPER
-        optimal = policies_module._OPTIMAL
         with _start_width(2.0):
             got = policies_module._fused_pass(spy, model, points,
                                               [pol.rate_law() for pol in policies.values()])
-        # each copy is its own call; a retry starts only once the first attempt's copies
-        # are done, so the first five calls from period 0 are that attempt's
-        first = [flag for flag, t_from in calls if t_from == 0][:5]
-        assert sorted(first) == sorted([optimal | lower, optimal | upper, 0, lower, upper])
+        # each row is its own call, its copies paired; a retry starts only once the first
+        # attempt's rows are done, so the first three calls from period 0 are that attempt's:
+        # V and the (lo, hi) row banded, the table row on the whole cone
+        first = [(optimal, paired) for optimal, paired, t_from in calls if t_from == 0][:3]
+        assert sorted(first) == sorted([(True, True), (False, False), (False, True)])
         assert got == _backward_values(model, points, policies).tolist()
 
     @pytest.mark.parametrize("policy", ["static", "resolving"])
     @pytest.mark.parametrize("steep", [False, True])
     def test_lower_and_upper_copies_hold_the_full_pass_cell_by_cell(self, bernoulli_model,
                                                                     policy, steep):
-        """A (lo, hi) row run as an exact, a lower and an upper copy on a band of half
-        width 6 (under one standard deviation) around its fluid path, or on lines that
-        leave the cells the previous period can feed (a bottom that falls, a top that rises
-        1.5 cells a period): after every period, L <= V <= U on the band and the edge
-        bounds beside it, and U > L somewhere."""
+        """A (lo, hi) row run as an exact row and, in one call, as a lower and an upper
+        copy on a band of half width 6 (under one standard deviation) around its fluid
+        path, or on lines that leave the cells the previous period can feed (a bottom that
+        falls, a top that rises 1.5 cells a period): after every period, L <= V <= U on
+        the band and the edge bounds beside it, and U > L somewhere."""
         model, T, y0 = bernoulli_model, 1024, 320
         lo, hi = {"static": static_policy(model, 5 / 16),
                   "resolving": resolving_policy(model)}[policy].rate_law()
@@ -560,18 +559,17 @@ class TestBandedPass:
         line = ((150.0, -0.5, -100.0, 1.5) if steep
                 else policies_module._band(segment, (lo, hi), 6.0, [(T, y0)]))
         values, ys = np.zeros((3, width)), np.arange(width, dtype=float)
-        flags = (0, policies_module._LOWER, policies_module._UPPER)
-        span = np.tile(np.array([0, width], dtype=np.int64), (3, 1))
+        span = np.array([0, width, 0, width - 1], dtype=np.int64)
         band, apart = np.array(line), 0
         for t in range(1, T + 1):
-            for row, flag, row_span in zip(values, flags, span):
+            for row, upper in ((values[0], None), (values[1], values[2].ctypes.data)):
                 policies_module._kernel().backward(
-                    row, width, ys, flag, lo, hi, None, 0, band, row_span,
+                    row, upper, width, ys, False, lo, hi, None, 0, band, span,
                     model.alpha, model.beta, model.d_lo, model.d_hi, t - 1, t, y0 - T, y0,
                     True, None)
-            assert span[1].tolist() == span[2].tolist() and span[1, 0] >= 0
+            assert span[0] >= 0
             first, last = max(1, y0 - T + t), min(t, y0)
-            cells = slice(max(span[1, 0] - 1, first), min(span[1, 1] + 1, last) + 1)
+            cells = slice(max(span[0] - 1, first), min(span[1] + 1, last) + 1)
             full, lower, upper = values[:, cells]
             assert np.all(lower <= full) and np.all(full <= upper), t
             apart += int(np.sum(lower < upper))
@@ -583,22 +581,62 @@ class TestBandedPass:
         """The lines (0, 3, 4, 3) rise 3 cells a period, faster than the cells the previous
         period left readable; without the triangle cut nothing holds the band at the cone's
         top, so it shrinks to one cell at t = 3 and runs out at t = 4.  From then on the
-        span stays [-1, -1] and the row does not change."""
+        span stays [-1, -1] and neither copy changes."""
         model, T, y0 = bernoulli_model, 1024, 320
-        flag = policies_module._UPPER | (policies_module._OPTIMAL if optimal else 0)
         lo, hi = resolving_policy(model).rate_law()
         width = y0 + 1
-        values, span = np.zeros(width), np.array([0, width], dtype=np.int64)
+        values = np.zeros((2, width))  # the lower and the upper copy
+        span = np.array([0, width, 0, width - 1], dtype=np.int64)
         spans, rows = [], []
         for t in range(1, 9):
             policies_module._kernel().backward(
-                values, width, np.arange(width, dtype=float), flag, lo, hi, None, 0,
-                np.array([0.0, 3.0, 4.0, 3.0]), span, model.alpha, model.beta, model.d_lo,
-                model.d_hi, t - 1, t, y0 - T, y0, False, None)
-            spans.append(span.tolist())
+                values[0], values[1].ctypes.data, width, np.arange(width, dtype=float),
+                optimal, lo, hi, None, 0, np.array([0.0, 3.0, 4.0, 3.0]), span, model.alpha,
+                model.beta, model.d_lo, model.d_hi, t - 1, t, y0 - T, y0, False, None)
+            spans.append(span[:2].tolist())
             rows.append(values.copy())
         assert spans == [[3, 7], [6, 8], [9, 9]] + [[-1, -1]] * 5
         assert all(row.tobytes() == rows[2].tobytes() for row in rows[3:])
+
+    @pytest.mark.parametrize("row", ["optimal", "static", "resolving"])
+    @pytest.mark.parametrize("line", ["fitted", "wide", "steep"])
+    def test_paired_call_matches_two_copies_computed_on_their_own(self, bernoulli_model,
+                                                                   row, line):
+        """One kernel call a period runs a row's lower and upper copy together: after every
+        period both rows and the band equal, byte for byte, two oracles.band_copy copies
+        computed on their own.  The lines are fitted to the fluid path at half width 6 or
+        60, or steep as above.  V's run of cells where the copies agree empties (half
+        width 6 by t = 35) and, at half width 60, empties and then grows back, as the
+        rounding of the pass brings the copies together again."""
+        model, T, y0 = bernoulli_model, 1024, 320
+        rates = None if row == "optimal" else {
+            "static": static_policy(model, 5 / 16), "resolving": resolving_policy(model)
+        }[row].rate_law()
+        width, cone = y0 + 1, y0 - T
+        fitted = rates or (model.d_lo, policies_module._effective_rate_cap(model))
+        band = np.array((150.0, -0.5, -100.0, 1.5) if line == "steep" else policies_module._band(
+            (0, T, cone, y0, [0]), fitted, {"fitted": 6.0, "wide": 60.0}[line], [(T, y0)]))
+        values, ys = np.zeros((2, width)), np.arange(width, dtype=float)
+        span = np.array([0, width, 0, width - 1], dtype=np.int64)
+        copies = zip(*(oracles.band_copy(model, T, width, upper, rates, band, cone, y0, True)
+                       for upper in (False, True)))
+        agree = []
+        for (t, lower, lower_span), (_, upper, upper_span) in copies:
+            policies_module._kernel().backward(
+                values[0], values[1].ctypes.data, width, ys, rates is None,
+                *(rates or (0.0, 0.0)), None, 0, band, span, model.alpha, model.beta,
+                model.d_lo, model.d_hi, t - 1, t, cone, y0, True, None)
+            assert span[:2].tolist() == lower_span == upper_span, t
+            assert values[0].tobytes() == lower.tobytes(), t
+            assert values[1].tobytes() == upper.tobytes(), t
+            agree.append(span[2] <= span[3])
+        if rates is not None:
+            return
+        empty = agree.index(False)
+        if line == "fitted":
+            assert empty < 35 and not any(agree[empty:])
+        if line == "wide":
+            assert any(agree[empty:])
 
     def test_band_that_runs_out_is_retried_with_the_same_bits(self, bernoulli_model, caplog):
         """A DP table row turns the triangle cut off, so first bands on the lines
@@ -856,6 +894,12 @@ _CLONED = ("backward", "forward", "noise_sum", "forward2", "backward2")
 # the loop of each entry point that vectorizes under AVX-512: the function that
 # holds it and its first line
 _VECTOR_LOOPS = {
+    "backward, optimal row": ("static void optimal_row(", "for (long y = last; y >= first; y--) {"),
+    # the first loop of each: the lower and the upper copy together
+    "backward, paired rate rows": ("static void ratio_rows(",
+                                   "for (long y = last; y >= first; y--) {"),
+    "backward, paired constant rows": ("static void constant_rows(",
+                                       "for (long y = last; y >= first; y--) {"),
     "forward": ("forward_period(long reps", "for (long r = 0; r < reps; r++) {"),
     "noise_sum": ("void noise_sum(", "for (long r = 0; r < reps; r++)"),
     "forward2": ("void forward2(", "for (long r = 0; r < reps; r++) {"),
