@@ -1,4 +1,4 @@
-/* Compiled loops of fluidpricing, loaded with ctypes by policies._kernel.
+/* Compiled loops of fluidpricing, loaded with ctypes by fluidpricing.kernels.
  *
  * Each entry point reproduces a Python or numpy loop operation by operation,
  * so both agree bit for bit as long as the compiler does not contract

@@ -149,7 +149,9 @@ def cmd_estimate_regret(args) -> int:
 
 def cmd_table2(args) -> int:
     T_list = _parse_t_list(args.t_list) if args.t_list else None
-    rows = experiments.run_table2(T_list=T_list, display=print if args.out else None)
+    # the display goes to stdout only when the CSV does not
+    rows = experiments.run_table2(T_list=T_list,
+                                  display=print if args.out not in (None, "-") else None)
     text = experiments.write_csv(rows, experiments.TABLE2_COLUMNS)
     _emit(text, args.out)
     return EXIT_OK

@@ -26,7 +26,9 @@ KIND_BERNOULLI = "linear-bernoulli"
 KIND_ADDITIVE = "linear-additive"
 KIND_MULTI = "multi-quadratic"
 
-_DEFAULT_GRID_STEP = 1e-3
+_GRID_STEP = 1e-3  # of the price grid of assumption_constants
+_TOL = 1e-12  # the slack of contains_price and contains_demand
+_MIN_CURVATURE = 1e-10  # the least curvature validate_multi asks of -H
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,11 @@ class PriceInterval:
         if not self.d_lo < self.d_hi:
             raise ModelValidationError([f"demand interval empty: d_lo={self.d_lo} >= d_hi={self.d_hi}"])
 
-    def contains_price(self, p: float, tol: float = 1e-12) -> bool:
-        return self.p_lo - tol <= p <= self.p_hi + tol
+    def contains_price(self, p: float) -> bool:
+        return self.p_lo - _TOL <= p <= self.p_hi + _TOL
 
-    def contains_demand(self, d: float, tol: float = 1e-12) -> bool:
-        return self.d_lo - tol <= d <= self.d_hi + tol
+    def contains_demand(self, d: float) -> bool:
+        return self.d_lo - _TOL <= d <= self.d_hi + _TOL
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ class DemandModel:
 
     # -- assumption constants ------------------------------------------
 
-    def assumption_constants(self, grid_step: float = _DEFAULT_GRID_STEP) -> AssumptionConstants:
+    def assumption_constants(self) -> AssumptionConstants:
         """Exact constants where the linear family admits them, grid estimates otherwise.
 
         The Wasserstein constant L of the bernoulli family is estimated by
@@ -192,7 +194,7 @@ class DemandModel:
         if self.kind == KIND_ADDITIVE:
             w = float(self.noise_half_width)
             return AssumptionConstants(m=m, M=0.0, C=C, B_xi=w, L=0.0, sigma_sq=w * w / 3.0)
-        grid = _price_grid(self.interval, grid_step)
+        grid = _price_grid(self.interval)
         q = self.alpha - self.beta * grid
         sigma_sq = float(np.min(q * (1.0 - q)))
         L = _bernoulli_wasserstein_ratio(q)
@@ -217,8 +219,8 @@ def _interval_for(alpha: float, beta: float, p_lo: float, p_hi: float) -> PriceI
     return PriceInterval(p_lo=p_lo, p_hi=p_hi, d_lo=alpha - beta * p_hi, d_hi=alpha - beta * p_lo)
 
 
-def _price_grid(interval: PriceInterval, step: float) -> np.ndarray:
-    n = int(round((interval.p_hi - interval.p_lo) / step))
+def _price_grid(interval: PriceInterval) -> np.ndarray:
+    n = int(round((interval.p_hi - interval.p_lo) / _GRID_STEP))
     return np.linspace(interval.p_lo, interval.p_hi, max(n, 1) + 1)
 
 
@@ -308,7 +310,7 @@ class MultiValidationReport:
     spectral_norm: float
 
 
-def validate_multi(model: MultiDemandModel, min_curvature: float = 1e-10) -> MultiValidationReport:
+def validate_multi(model: MultiDemandModel) -> MultiValidationReport:
     """Check the structural assumptions of a multi-product model.
 
     Reports m' (smallest curvature, from the largest Hessian eigenvalue)
@@ -324,7 +326,7 @@ def validate_multi(model: MultiDemandModel, min_curvature: float = 1e-10) -> Mul
     lam_max = float(eigs[-1])
     m_prime = -lam_max
     spectral = float(np.abs(eigs).max())
-    if lam_max > -min_curvature:
+    if lam_max > -_MIN_CURVATURE:
         violations.append(f"H is not negative definite (largest eigenvalue {lam_max:.3e})")
     if np.any(model.box_hi <= 0):
         violations.append("box_hi must be strictly positive (domain needs nonempty interior containing 0)")

@@ -140,7 +140,7 @@ class SweepConfig:
 # -- CSV helpers -------------------------------------------------------------
 
 
-def write_csv(rows: list[dict], columns: list[str], path=None) -> str:
+def write_csv(rows: list[dict], columns: list[str]) -> str:
     """Serialize rows to CSV with a fixed column order; returns the text.
 
     csv writes None as an empty field and a float by its repr."""
@@ -148,11 +148,7 @@ def write_csv(rows: list[dict], columns: list[str], path=None) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([row[c] for c in columns] for row in rows)
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 # -- benchmark table ----------------------------------------------------------
@@ -162,8 +158,7 @@ TABLE2_COLUMNS = ["log2_T", "T", "dp_value", "fluid_value",
                   "fluid_regret", "static_regret", "resolving_regret"]
 
 
-def table2_rows(T_list=None, model: DemandModel | None = None,
-                y0_rule: str = "round(5/16*T)") -> list[dict]:
+def table2_rows(T_list=None, model: DemandModel | None = None) -> list[dict]:
     """Exact regret rows of the benchmark table, one per horizon.
 
     Regret is measured against the exact optimal value: positive for the
@@ -176,7 +171,7 @@ def table2_rows(T_list=None, model: DemandModel | None = None,
     if model.kind != KIND_BERNOULLI:
         raise UnsupportedModelError("the benchmark table needs exact (bernoulli) evaluation")
     T_list = list(T_list) if T_list is not None else [2**k for k in range(6, 16)]
-    reports = estimate_regret(model, T_list, y0_rule, ("static", "resolving"))
+    reports = estimate_regret(model, T_list, "round(5/16*T)", ("static", "resolving"))
     return [{
         "log2_T": _log2_label(static.T),
         "T": static.T,
@@ -188,11 +183,9 @@ def table2_rows(T_list=None, model: DemandModel | None = None,
     } for static, resolving in zip(reports[::2], reports[1::2])]
 
 
-def run_table2(T_list=None, out_path=None, display=None) -> list[dict]:
-    """Compute the benchmark table, optionally writing CSV and a 2-decimal display."""
+def run_table2(T_list=None, display=None) -> list[dict]:
+    """Compute the benchmark table, optionally with a 2-decimal display."""
     rows = table2_rows(T_list=T_list)
-    if out_path is not None:
-        write_csv(rows, TABLE2_COLUMNS, out_path)
     if display is not None:
         header = "log2_T    " + "".join(f"{r['log2_T']:>8}" for r in rows)
         display(header)
@@ -249,13 +242,11 @@ def boundary_regret_increasing(rows: list[dict], boundary: float = 0.375) -> boo
     return all(b > a for (_, a), (_, b) in zip(curve, curve[1:]))
 
 
-def run_sweep(config: SweepConfig, out_path=None) -> list[dict]:
+def run_sweep(config: SweepConfig) -> list[dict]:
     rows = sweep_rows(config)
     if config.kind == "gap" and not boundary_regret_increasing(rows):
         warnings.warn("boundary-inventory regret is not increasing across the T grid",
                       stacklevel=2)
-    if out_path is not None:
-        write_csv(rows, SWEEP_COLUMNS, out_path)
     return rows
 
 
@@ -266,7 +257,7 @@ HO_COLUMNS = ["T", "fluid_value", "ho_value", "ci_half_width", "gap"]
 
 
 def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
-                   base_seed: int, out_path=None) -> list[dict]:
+                   base_seed: int) -> list[dict]:
     """Gap of the clairvoyant fixed-price benchmark below the fluid value.
 
     Per replication the clairvoyant sees the realized mean noise and earns
@@ -288,8 +279,6 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
             "ci_half_width": half,
             "gap": fluid - mean,
         })
-    if out_path is not None:
-        write_csv(rows, HO_COLUMNS, out_path)
     return rows
 
 

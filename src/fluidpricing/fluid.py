@@ -10,12 +10,12 @@ program solved by a primal active-set method, the compiled box_qp.
 from __future__ import annotations
 
 import ctypes
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .demand import DemandModel, MultiDemandModel
 from .errors import DegeneracyWarning, DomainError, SolverError
 
@@ -24,9 +24,6 @@ ACTIVE_TOL = 1e-10
 DUAL_TOL = 1e-10
 # box_qp's status in info[0] (BOX_QP_SINGULAR and BOX_QP_BUDGET in _kernels.c)
 _BOX_QP_SINGULAR, _BOX_QP_BUDGET = 1, 2
-# the module of the kernel loader, policies._kernel: policies imports this module,
-# so the loader is looked up in sys.modules when a solve runs
-_POLICIES = f"{__package__}.policies"
 
 
 @dataclass
@@ -155,9 +152,8 @@ def _box_qp(model: MultiDemandModel, lb: np.ndarray, ub: np.ndarray):
     """
     n = model.n
     x, work, info = np.empty(n), (ctypes.c_double * (n * (n + 4)))(), (ctypes.c_int64 * 2)()
-    sys.modules[_POLICIES]._kernel().box_qp(n, model.H.ctypes.data, model.g.ctypes.data,
-                                            _at(lb), _at(ub), _at(x), work,
-                                            (ctypes.c_int64 * n)(), info)
+    kernels._kernel().box_qp(n, model.H.ctypes.data, model.g.ctypes.data, _at(lb), _at(ub),
+                             _at(x), work, (ctypes.c_int64 * n)(), info)
     if info[0] == _BOX_QP_SINGULAR:
         raise SolverError("singular working-set system; is H negative definite?")
     if info[0] == _BOX_QP_BUDGET:

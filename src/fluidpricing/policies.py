@@ -13,23 +13,16 @@ decision of the horizon and t = 1 the last.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
 import logging
 import math
-import os
-import subprocess
-import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
-from .errors import DomainError, KernelUnavailableError, ResourceGuardError, UnsupportedModelError
+from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .fluid import _effective_rate_cap, box_qp2_batch, solve_fluid_multi
 
 logger = logging.getLogger(__name__)
@@ -70,8 +63,6 @@ class _LawPolicy:
 class StaticPolicy(_LawPolicy):
     """Stationary price at the fluid optimum for the initial inventory (lo = hi)."""
 
-    name = "static"
-
     def __init__(self, model: DemandModel, x_T: float):
         rate = min(max(x_T, model.d_lo), _effective_rate_cap(model))
         super().__init__(model, rate, rate)
@@ -87,8 +78,6 @@ class ResolvingPolicy(_LawPolicy):
     inventory hits zero, where the policy shuts off.
     """
 
-    name = "resolving"
-
     def __init__(self, model: DemandModel):
         super().__init__(model, model.d_lo, _effective_rate_cap(model))
 
@@ -97,8 +86,6 @@ class HindsightPolicy(_LawPolicy):
     """Fixed clairvoyant price at the rate x_T + (realized mean noise xi_bar), clipped (lo = hi).
 
     xi_bar may hold one value per replication; rates_batch then gives row i its own rate."""
-
-    name = "ho"
 
     def __init__(self, model: DemandModel, x_T: float, xi_bar):
         if model.kind == KIND_BERNOULLI:
@@ -150,8 +137,6 @@ class ValueTable:
 class DpPolicy(_LawPolicy):
     """State feedback replaying the actions of a solved value table: its law is the table."""
 
-    name = "dp"
-
     def __init__(self, table: ValueTable):
         self.model, self.table = table.model, table
 
@@ -192,9 +177,10 @@ def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
         raise ResourceGuardError(f"dense value table would hold {entries} entries "
                                  f"(> {DENSE_TABLE_MAX_ENTRIES}); use exact_values instead")
     values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
-    _kernel().backward(np.zeros(y0 + 1), None, y0 + 1, np.zeros(0), True, 0.0, 0.0, None, 0,
-                       np.zeros(4), np.zeros(4, dtype=np.int64), model.alpha, model.beta,
-                       model.d_lo, model.d_hi, 0, T, -T, y0, False, values.ctypes.data)
+    kernels._kernel().backward(np.zeros(y0 + 1), None, y0 + 1, np.zeros(0), True, 0.0, 0.0,
+                               None, 0, np.zeros(4), np.zeros(4, dtype=np.int64), model.alpha,
+                               model.beta, model.d_lo, model.d_hi, 0, T, -T, y0, False,
+                               values.ctypes.data)
     # the optimal row's rate, in its operation order, in place: no table-sized temporaries
     acts = actions[1:, 1:]
     np.subtract(values[:-1, :-1], values[:-1, 1:], out=acts)
@@ -228,7 +214,7 @@ def exact_values(model: DemandModel, points,
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
     laws = [checked_law(pol, ys, max(T for T, _ in points), model, 1)
             for pol in policies.values()]
-    rows = _fused_pass(_kernel().backward, model, points, laws, names=["dp", *policies])
+    rows = _fused_pass(model, points, laws, names=["dp", *policies])
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
 
@@ -302,13 +288,14 @@ def _start_half_width(T: int) -> float:
     return 4.0 * math.sqrt(T) + 2.0
 
 
-def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list[float]]:
+def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]:
     """Every row's value at each point (row 0 is V, row 1 + i runs laws[i]).
 
     Each row of an attempt (see below) is one _pass, a kernel call per
     distinct horizon on cells of its own; no row reads another, so the rows of
-    an attempt run at once, one per thread of _map.  The rows of a constant
-    rate, which divide nothing per cell and take the least time, start last.
+    an attempt run at once, one per thread of kernels._map.  The rows of a
+    constant rate, which divide nothing per cell and take the least time,
+    start last.
 
     A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
     two horizons the points still to be read are fixed, and so is their
@@ -366,8 +353,8 @@ def _fused_pass(kernel, model: DemandModel, points, laws, names=()) -> list[list
                 else:
                     half[j] = math.inf
         order = sorted(pending, key=constant.__getitem__)
-        runs = dict(zip(order, _map(
-            functools.partial(_pass, kernel, model, points, reads, segments, triangle),
+        runs = dict(zip(order, kernels._map(
+            functools.partial(_pass, model, points, reads, segments, triangle),
             [(j == 0, tables[j - 1] if j else None, ranges[j], bands.get(j)) for j in order])))
         failed = []
         for j in pending:
@@ -429,7 +416,7 @@ def _band_cells(segment, line) -> float:
     return (t_to - t_from) * (c1 - c0 + (s1 - s0) * (t_from + 1 + t_to) / 2 + 2)
 
 
-def _pass(kernel, model, points, reads, segments, triangle, optimal, table, rates, lines):
+def _pass(model, points, reads, segments, triangle, optimal, table, rates, lines):
     """One row's pass: the kernel row of cells 0 .. max(reads), V when optimal,
     else run by the DP table or the (lo, hi) law rates; with band lines (one per
     segment), a lower and an upper copy.  Its values at the points (the lower
@@ -441,153 +428,16 @@ def _pass(kernel, model, points, reads, segments, triangle, optimal, table, rate
     span = np.array([0, width, 0, width - 1], dtype=np.int64)
     got = np.empty((len(rows), len(points)))
     pointer, stride = (None, 0) if table is None else (table.ctypes.data, table.shape[1])
+    backward = kernels._kernel().backward
     for s, (t_from, t_to, cone, y_hi, live) in enumerate(segments):
         band = np.array(lines[s] if lines else (0.0,) * 4)
-        kernel(rows[0], rows[1].ctypes.data if lines else None, width, ys, optimal, *rates,
+        backward(rows[0], rows[1].ctypes.data if lines else None, width, ys, optimal, *rates,
                pointer, stride, band, span, model.alpha, model.beta, model.d_lo, model.d_hi,
                t_from, t_to, cone, y_hi, triangle, None)
         for k in live:
             if points[k][0] == t_to:
                 got[:, k] = rows[:, reads[k]]
     return got[0], span, got[1] if lines else None
-
-
-_SOURCE = Path(__file__).with_name("_kernels.c")
-_CACHE = _SOURCE.parent / "__pycache__"
-# -ffp-contract=off: a fused multiply-add would change the last bits against numpy,
-# in every clone too; no -march=native, so that a cached binary runs on any CPU of
-# the architecture: backward, forward, noise_sum, forward2 and backward2 carry their
-# own AVX2 and AVX-512 clones, and glibc picks the widest this CPU runs at load time
-# (KERNEL_CLONES in _kernels.c)
-_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-_STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
-
-
-@functools.cache
-def _kernel():
-    """The compiled loops of _kernels.c (backward, forward, noise_sum, forward2,
-    backward2, box_qp), the one engine of every exact pass, Monte Carlo batch
-    and n-product fluid solve, built on first use; KernelUnavailableError when
-    they cannot be built or loaded.  A ctypes call releases the GIL for its
-    length, so independent calls run on as many cores as _map has threads."""
-    try:
-        lib = ctypes.CDLL(str(_compile()))
-    except (OSError, subprocess.SubprocessError) as exc:
-        # a failed build says why only in the compiler's stderr: keep its tail
-        lines = (getattr(exc, "stderr", None) or b"").decode(errors="replace").splitlines()
-        raise KernelUnavailableError(
-            f"compiled kernels unavailable (a working cc is required): {exc}"
-            + "".join(f"\n{line}" for line in lines[-_STDERR_LINES:])) from exc
-    f64, u64, i64 = (np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
-                     for dtype in (np.float64, np.uint64, np.int64))
-    n, x, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-    lib.backward.argtypes = [f64, ptr, n, f64, flag, x, x, ptr, n, f64, i64, x, x, x, x, n, n,
-                             n, n, flag, ptr]
-    lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
-                            flag, x, f64, i64, flag, f64]
-    lib.noise_sum.argtypes = [n, n, i64, u64, f64]
-    lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
-    lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]
-    lib.box_qp.argtypes = [n, *[ptr] * 8]
-    for fn in (lib.backward, lib.forward, lib.noise_sum, lib.forward2, lib.backward2,
-               lib.box_qp):
-        fn.restype = None
-    return lib
-
-
-def _workers() -> int:
-    """How many threads run the calls of _map: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _pool(helpers: int) -> ThreadPoolExecutor:
-    """This process's kernel pool of helpers threads, created on first use."""
-    return _process_pool(os.getpid(), helpers)
-
-
-# keyed by the process: a forked child has none of its parent's pool threads, so it
-# starts a pool of its own (an at-fork hook would outlive a re-import of this module
-# and keep its globals alive)
-@functools.cache
-def _process_pool(pid: int, helpers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(helpers, thread_name_prefix="fluidpricing-kernel")
-
-
-def _map(fn, calls) -> list:
-    """[fn(*call) for call in calls], run by the calling thread together with
-    _workers() - 1 helper threads of the kernel pool, created on first use.
-
-    Each thread takes the next call that no thread has taken, so a thread the
-    system holds back (a core taken by another process) delays only the call
-    it holds, and the calling thread never waits on a helper that has not
-    started.  The calls must be independent: each writes only its own arrays.
-    The library is resolved here, on the calling thread, so that no two
-    threads build or load it."""
-    _kernel()
-    calls = list(calls)
-    results = [None] * len(calls)
-    todo, lock = iter(enumerate(calls)), threading.Lock()
-
-    def run():
-        while True:
-            with lock:
-                i, call = next(todo, (None, None))
-            if call is None:
-                return
-            results[i] = fn(*call)
-
-    helpers = _workers() - 1
-    futures = [_pool(helpers).submit(run) for _ in range(min(helpers, len(calls) - 1))]
-    try:
-        run()
-    finally:
-        # wait() counts a cancelled future as done only once a helper dequeues it
-        started = [future for future in futures if not future.cancel()]
-        wait(started)
-    for future in started:
-        future.result()  # a helper's exception
-    return results
-
-
-def _ranges(n: int) -> list[slice]:
-    """min(n, 4 * _workers()) contiguous slices, as even as can be, that cover
-    0 .. n - 1: the replication ranges of a batch, one kernel call each in _map.
-    Four per thread, so that the others take over the ranges of a thread that
-    the system holds back."""
-    parts = min(n, 4 * _workers())
-    bounds = [n * k // parts for k in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _compile() -> Path:
-    """Path of the shared library, built into _CACHE unless the cached one matches.
-
-    The cache key hashes the source, the flags and the compiler's version;
-    the library is written to a temporary file and renamed into place, and
-    a new build deletes the libraries it supersedes.
-    """
-    version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + version)
-    lib = _CACHE / f"{_SOURCE.stem}-{key.hexdigest()[:16]}.so"
-    if not lib.exists():
-        _CACHE.mkdir(exist_ok=True)
-        # not *.so, so that the pruning of another build never takes it
-        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=_CACHE)
-        os.close(fd)
-        try:
-            subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
-                           capture_output=True, check=True)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        for old in _CACHE.glob("*.so"):
-            if old != lib:
-                old.unlink(missing_ok=True)
-    return lib
 
 
 def _check_budget(lattice: int) -> None:
@@ -633,8 +483,6 @@ class MultiResolvingPolicy(_LawPolicy):
 
     decide re-solves one state with solve_fluid_multi, for any number of products."""
 
-    name = "resolving"
-
     def __init__(self, model: MultiDemandModel):
         self.model = model
 
@@ -671,5 +519,5 @@ def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
     if T * m1 * m2 > MULTI_STATE_CAP:
         raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {MULTI_STATE_CAP}")
     V = np.zeros((m1, m2))
-    _kernel().backward2(V, m1, m2, T, model.g, model.H, model.box_hi)
+    kernels._kernel().backward2(V, m1, m2, T, model.g, model.H, model.box_hi)
     return float(V[y1, y2])

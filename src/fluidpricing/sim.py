@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rng
+from . import kernels, rng
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .fluid import _effective_rate_cap, solve_fluid_multi
@@ -27,9 +27,6 @@ from .policies import (
     HindsightPolicy,
     MultiResolvingPolicy,
     ValueTable,
-    _kernel,
-    _map,
-    _ranges,
     _whole_at_least,
     checked_law,
     exact_passes,
@@ -148,8 +145,8 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     two-product model under its own re-solving policy, whose prices repeat
     the batch sum of model.price_of_rate.  checked_law raises for any other
     policy, and n > 2 products raise UnsupportedModelError.  The kernel runs
-    one call per contiguous range of replications in _map (see _forward);
-    the results do not depend on the number of ranges.
+    one call per contiguous range of replications in kernels._map (see
+    _forward); the results do not depend on the number of ranges.
     """
     T, n_reps = _whole_at_least(T, 1, "T"), _whole_at_least(n_reps, 1, "n_reps")
     if not np.all(np.asarray(y0) >= 0):
@@ -167,8 +164,9 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     pairs = np.stack(np.meshgrid(_EIGHTHS, _EIGHTHS, indexing="ij"), axis=-1).reshape(-1, 2)
     checked_law(policy, pairs * y[0], T, model, n_reps)
     total, sum_xi = np.zeros(n_reps), np.zeros(n_reps)
-    _map(_kernel().forward2, [(s.stop - s.start, T, seeds[s], model.g, model.H, model.box_hi,
-                               y[s], total[s], sum_xi[s]) for s in _ranges(n_reps)])
+    kernels._map(kernels._kernel().forward2, [
+        (s.stop - s.start, T, seeds[s], model.g, model.H, model.box_hi, y[s], total[s],
+         sum_xi[s]) for s in kernels._ranges(n_reps)])
     return BatchResult(total_revenue=total, sum_xi=sum_xi)
 
 
@@ -179,10 +177,11 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
     Returns the BatchResult and, with record, the (6, T, reps) record of
     price (inf while shut off), rate, noise, realized demand, inventory
     after and revenue per period, else None.  Without record the
-    replications are split into contiguous ranges (_ranges), one kernel call
-    each in _map; a replication's stream is keyed by itself, so
-    the bits do not depend on the split.  With track_t_sharp, DomainError
-    when the band gamma(model, y0 / T) is negative (x_T outside [d_lo, x_u]).
+    replications are split into contiguous ranges (kernels._ranges), one
+    kernel call each in kernels._map; a replication's stream is keyed by
+    itself, so the bits do not depend on the split.  With track_t_sharp,
+    DomainError when the band gamma(model, y0 / T) is negative (x_T outside
+    [d_lo, x_u]).
     """
     if np.ndim(y0) != 0:
         raise DomainError("one product's inventory must be a number")
@@ -209,10 +208,10 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
                           f"x_T = y0 / T = {float(y0) / T:g} in [d_lo, x_u] = "
                           f"[{model.d_lo:g}, {model.x_u:g}]")
     trace = np.empty((6, T, reps) if record else 1)
-    _map(_kernel().forward, [
+    kernels._map(kernels._kernel().forward, [
         (s.stop - s.start, T, keys[s], lo[s], hi[s], actions, width, model.alpha, model.beta,
          w, unit_sales, y[s], total[s], sum_xi[s], track_t_sharp, gam, harm[s], t_sharp[s],
-         record, trace) for s in ([slice(0, reps)] if record else _ranges(reps))])
+         record, trace) for s in ([slice(0, reps)] if record else kernels._ranges(reps))])
     return (BatchResult(total_revenue=total, sum_xi=sum_xi,
                         t_sharp=t_sharp if track_t_sharp else None),
             trace if record else None)
@@ -378,9 +377,9 @@ def ho_batch_policies(model: DemandModel, points, base_seed: int,
 
     The noise mean comes from the sum of each stream's uniforms in counter
     order, from the compiled noise_sum kernel: one call per contiguous range
-    of replications in _map walks the counters once up to the largest T and
-    keeps the sum at every horizon of points, with the bits of a pass that
-    stops there.
+    of replications in kernels._map walks the counters once up to the
+    largest T and keeps the sum at every horizon of points, with the bits of
+    a pass that stops there.
     """
     if not points:  # the kernel needs a horizon
         return []
@@ -394,10 +393,11 @@ def ho_batch_policies(model: DemandModel, points, base_seed: int,
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     horizons = np.array(sorted({T for T, _ in points}), dtype=np.int64)
-    ranges = _ranges(n_reps)
+    ranges = kernels._ranges(n_reps)
     blocks = [np.empty((horizons.size, s.stop - s.start)) for s in ranges]
-    _map(_kernel().noise_sum, [(s.stop - s.start, horizons.size, horizons, seeds[s], block)
-                               for s, block in zip(ranges, blocks)])
+    kernels._map(kernels._kernel().noise_sum, [
+        (s.stop - s.start, horizons.size, horizons, seeds[s], block)
+        for s, block in zip(ranges, blocks)])
     sums = dict(zip(horizons.tolist(), np.concatenate(blocks, axis=1)))
     return [ho_policy(model, x_T, (2.0 * sums[T] / T - 1.0) * w) for T, x_T in points]
 

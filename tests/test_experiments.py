@@ -156,8 +156,8 @@ class TestTable2:
 
     def test_csv_byte_identical_rerun(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_table2(T_list=[64, 128], out_path=p1)
-        run_table2(T_list=[64, 128], out_path=p2)
+        assert cli.main(["table2", "--t-list", "64,128", "--out", str(p1)]) == 0
+        assert cli.main(["table2", "--t-list", "64,128", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_matches_golden_file(self, tmp_path):
@@ -165,7 +165,7 @@ class TestTable2:
 
         golden = pathlib.Path(__file__).parent / "data" / "table2_small_golden.csv"
         out = tmp_path / "t.csv"
-        run_table2(T_list=[64, 128], out_path=out)
+        assert cli.main(["table2", "--t-list", "64,128", "--out", str(out)]) == 0
         assert out.read_bytes() == golden.read_bytes()
 
     def test_large_table_matches_golden_file(self, tmp_path):
@@ -174,7 +174,8 @@ class TestTable2:
 
         golden = pathlib.Path(__file__).parent / "data" / "table2_golden.csv"
         out = tmp_path / "t.csv"
-        run_table2(T_list=[2**k for k in range(6, 16)], out_path=out)
+        t_list = ",".join(str(2**k) for k in range(6, 16))
+        assert cli.main(["table2", "--t-list", t_list, "--out", str(out)]) == 0
         assert out.read_bytes() == golden.read_bytes()
 
     def test_display_rounds_to_two_decimals(self, capsys):
@@ -469,6 +470,15 @@ class TestCli:
         assert cli.main(["table2", "--t-list", "64"]) == 0
         capsys.readouterr()
         assert cli.main(["table2", "--t-list", "65536"]) == 4
+
+    def test_table2_out_dash_writes_only_the_csv(self, capsys):
+        """--out - is stdout: the CSV alone, as without --out; the 2-decimal display is
+        printed only next to a CSV written to a file."""
+        assert cli.main(["table2", "--t-list", "64"]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["table2", "--t-list", "64", "--out", "-"]) == 0
+        assert capsys.readouterr().out == plain
+        assert plain.startswith(",".join(experiments.TABLE2_COLUMNS) + "\n")
 
     def test_sliced_dp_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,20 +1,24 @@
 import ctypes
+import importlib
 import logging
 import math
 import multiprocessing
 import os
+import pkgutil
 import platform
 import re
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fluidpricing
 from fluidpricing import (
     DemandModel,
     DomainError,
@@ -35,7 +39,7 @@ from fluidpricing import (
     solve_fluid_multi,
     static_policy,
 )
-from fluidpricing import cli, rng
+from fluidpricing import cli, kernels, rng
 from fluidpricing import policies as policies_module
 from fluidpricing import sim as sim_module
 from fluidpricing.sim import (
@@ -256,7 +260,7 @@ class TestExactEvaluation:
             raise AssertionError("the kernel was reached")
 
         with monkeypatch.context() as patched:
-            patched.setattr(policies_module, "_kernel", no_kernel)
+            patched.setattr(kernels, "_kernel", no_kernel)
             with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
                 exact_values(bernoulli_model, [(64, 20)], {"ho": several})
             with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
@@ -388,15 +392,15 @@ class TestFusedKernel:
         def no_compiler():
             raise FileNotFoundError("cc not found")
 
-        monkeypatch.setattr(policies_module, "_compile", no_compiler)
-        policies_module._kernel.cache_clear()
+        monkeypatch.setattr(kernels, "_compile", no_compiler)
+        kernels._kernel.cache_clear()
         try:
             for run in kernel_paths:
                 with pytest.raises(KernelUnavailableError, match="cc not found"):
                     run()
             assert cli.main(["table2", "--t-list", "64"]) == cli.EXIT_KERNEL == 5
         finally:
-            policies_module._kernel.cache_clear()
+            kernels._kernel.cache_clear()
         out, err = capsys.readouterr()
         assert out == ""
         [line] = err.splitlines()  # one line, no traceback
@@ -405,14 +409,14 @@ class TestFusedKernel:
     def test_failed_build_error_carries_compiler_stderr(self, tmp_path, monkeypatch):
         source = tmp_path / "_kernels.c"
         source.write_text("void backward(void) { not C at all }\n")
-        monkeypatch.setattr(policies_module, "_SOURCE", source)
-        monkeypatch.setattr(policies_module, "_CACHE", tmp_path / "cache")
-        policies_module._kernel.cache_clear()
+        monkeypatch.setattr(kernels, "_SOURCE", source)
+        monkeypatch.setattr(kernels, "_CACHE", tmp_path / "cache")
+        kernels._kernel.cache_clear()
         try:
             with pytest.raises(KernelUnavailableError) as failed:
-                policies_module._kernel()
+                kernels._kernel()
         finally:
-            policies_module._kernel.cache_clear()
+            kernels._kernel.cache_clear()
         message = str(failed.value)
         assert f"{source}:1:" in message and "error" in message
         assert list((tmp_path / "cache").iterdir()) == []
@@ -449,13 +453,13 @@ class TestFusedKernel:
                 simulate_batch(bernoulli_model, pol, 64, 20, 5, 40)
 
     def test_build_prunes_superseded_libraries(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(policies_module, "_CACHE", tmp_path)
+        monkeypatch.setattr(kernels, "_CACHE", tmp_path)
         for stale in ("_kernels-0123456789abcdef.so", "_backward-0123456789abcdef.so"):
             (tmp_path / stale).write_bytes(b"superseded")
-        lib = policies_module._compile()
+        lib = kernels._compile()
         assert sorted(tmp_path.iterdir()) == [lib]
         built = lib.stat().st_mtime_ns
-        assert policies_module._compile() == lib  # a matching library is reused
+        assert kernels._compile() == lib  # a matching library is reused
         assert lib.stat().st_mtime_ns == built
 
 
@@ -526,14 +530,15 @@ class TestBandedPass:
         model, points = bernoulli_model, [(2048, 1024), (1500, 700)]
         policies = {"table": solve_dp(model, 2048, 1024).policy(),
                     "resolving": resolving_policy(model)}
-        calls = []
+        calls, lib = [], kernels._kernel()
 
         def spy(values, upper, width, ys, optimal, *args):
             calls.append((bool(optimal), upper is not None, args[10]))  # t_from
-            policies_module._kernel().backward(values, upper, width, ys, optimal, *args)
+            lib.backward(values, upper, width, ys, optimal, *args)
 
-        with _start_width(2.0):
-            got = policies_module._fused_pass(spy, model, points,
+        with _start_width(2.0), mock.patch.object(kernels, "_kernel",
+                                                  lambda: SimpleNamespace(backward=spy)):
+            got = policies_module._fused_pass(model, points,
                                               [pol.rate_law() for pol in policies.values()])
         # each row is its own call, its copies paired; a retry starts only once the first
         # attempt's rows are done, so the first three calls from period 0 are that attempt's:
@@ -563,7 +568,7 @@ class TestBandedPass:
         band, apart = np.array(line), 0
         for t in range(1, T + 1):
             for row, upper in ((values[0], None), (values[1], values[2].ctypes.data)):
-                policies_module._kernel().backward(
+                kernels._kernel().backward(
                     row, upper, width, ys, False, lo, hi, None, 0, band, span,
                     model.alpha, model.beta, model.d_lo, model.d_hi, t - 1, t, y0 - T, y0,
                     True, None)
@@ -589,7 +594,7 @@ class TestBandedPass:
         span = np.array([0, width, 0, width - 1], dtype=np.int64)
         spans, rows = [], []
         for t in range(1, 9):
-            policies_module._kernel().backward(
+            kernels._kernel().backward(
                 values[0], values[1].ctypes.data, width, np.arange(width, dtype=float),
                 optimal, lo, hi, None, 0, np.array([0.0, 3.0, 4.0, 3.0]), span, model.alpha,
                 model.beta, model.d_lo, model.d_hi, t - 1, t, y0 - T, y0, False, None)
@@ -622,7 +627,7 @@ class TestBandedPass:
                        for upper in (False, True)))
         agree = []
         for (t, lower, lower_span), (_, upper, upper_span) in copies:
-            policies_module._kernel().backward(
+            kernels._kernel().backward(
                 values[0], values[1].ctypes.data, width, ys, rates is None,
                 *(rates or (0.0, 0.0)), None, 0, band, span, model.alpha, model.beta,
                 model.d_lo, model.d_hi, t - 1, t, cone, y0, True, None)
@@ -662,7 +667,7 @@ class TestBandedPass:
 
 def _workers(n):
     """A kernel pool of n workers, in place of one per CPU this process may run on."""
-    return mock.patch.object(policies_module, "_workers", lambda: n)
+    return mock.patch.object(kernels, "_workers", lambda: n)
 
 
 def _batch_bytes(batch) -> bytes:
@@ -743,7 +748,7 @@ class TestKernelPool:
     def test_ranges_cover_the_replications_in_order(self):
         for n, workers in ((1, 2), (3, 2), (2000, 2), (7, 3), (5, 1), (30, 3)):
             with _workers(workers):
-                parts = policies_module._ranges(n)
+                parts = kernels._ranges(n)
             assert len(parts) == min(n, 4 * workers)
             assert max(len(range(n)[p]) for p in parts) - min(len(range(n)[p]) for p in parts) <= 1
             assert [i for part in parts for i in range(n)[part]] == list(range(n))
@@ -753,9 +758,9 @@ class TestKernelPool:
         wait for a helper that has not started."""
         release = threading.Event()
         with _workers(2):
-            blocker = policies_module._pool(1).submit(release.wait, 20)  # the only helper
+            blocker = kernels._pool(1).submit(release.wait, 20)  # the only helper
             try:
-                got = policies_module._map(lambda i: 2 * i, [(i,) for i in range(8)])
+                got = kernels._map(lambda i: 2 * i, [(i,) for i in range(8)])
                 assert not blocker.done()
             finally:
                 release.set()
@@ -776,12 +781,12 @@ class TestKernelPool:
             with _workers(n):
                 for _ in range(20):
                     runs.clear()
-                    got = policies_module._map(call, [(i,) for i in range(200)])
+                    got = kernels._map(call, [(i,) for i in range(200)])
                     assert got == [-i for i in range(200)]
                     assert sorted(runs) == list(range(200))
         finally:
             sys.setswitchinterval(switch)
-            policies_module._pool(n - 1).shutdown()
+            kernels._pool(n - 1).shutdown()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_failing_call_raises(self, n):
@@ -791,17 +796,17 @@ class TestKernelPool:
             return i
 
         with _workers(n), pytest.raises(ValueError, match="call 3"):
-            policies_module._map(call, [(i,) for i in range(8)])
+            kernels._map(call, [(i,) for i in range(8)])
 
     def test_threads_stay_within_the_pool(self):
         start = threading.active_count()
         _exact_and_batch()
-        assert threading.active_count() <= start + policies_module._workers()
+        assert threading.active_count() <= start + kernels._workers()
 
     def test_reimports_leave_no_module_alive(self):
         """A fresh import of the package (as a benchmark set-up makes) leaves nothing
-        that keeps an earlier import's policies module alive; run in a subprocess,
-        whose imports do not replace this process's modules."""
+        that keeps an earlier import's policies or kernels module alive; run in a
+        subprocess, whose imports do not replace this process's modules."""
         script = "\n".join([
             "import gc, importlib, sys",
             "for _ in range(5):",
@@ -809,15 +814,16 @@ class TestKernelPool:
             "        del sys.modules[name]",
             "    importlib.import_module('fluidpricing')",
             "gc.collect()",
-            "print(sum(isinstance(o, dict) and o.get('__name__') == 'fluidpricing.policies'",
-            "          for o in gc.get_objects()))",
+            "for module in ('fluidpricing.policies', 'fluidpricing.kernels'):",
+            "    print(sum(isinstance(o, dict) and o.get('__name__') == module",
+            "              for o in gc.get_objects()))",
         ])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(policies_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "1"
+        assert done.stdout.split() == ["1", "1"]
 
     def test_forked_child_runs_on_a_pool_of_its_own(self):
         """The parent's pool threads do not exist in a forked child: the child must not
@@ -838,15 +844,23 @@ class TestKernelPool:
 
 
 class TestKernelSource:
+    def test_kernels_is_the_one_binding_of_the_loader_and_the_pool(self):
+        """No module of the package but kernels binds the loader, the build or the pool,
+        so that one patch of kernels._kernel swaps the library on every path."""
+        names = {"_kernel", "_compile", "_map", "_ranges", "_workers"}
+        for info in pkgutil.iter_modules(fluidpricing.__path__):
+            module = importlib.import_module(f"fluidpricing.{info.name}")
+            assert names & set(vars(module)) == (names if module is kernels else set()), info.name
+
     def test_every_entry_point_is_listed_declared_and_referenced(self):
         """Each non-static function of _kernels.c is in the header list with the
         oracles reference it names, and _kernel() declares one argtype per parameter."""
-        source = policies_module._SOURCE.read_text()
+        source = kernels._SOURCE.read_text()
         header = source[:source.index("*/")]
         entries = re.findall(r"^void (\w+)\(([^)]*)\)", source, re.MULTILINE)
         assert {"backward", "forward", "noise_sum", "forward2", "backward2",
                 "box_qp"} <= {name for name, _ in entries}
-        lib = policies_module._kernel()
+        lib = kernels._kernel()
         for name, params in entries:
             listed = re.search(rf"^ \* +{name} +(.*?)[;.]$", header, re.MULTILINE | re.DOTALL)
             assert listed, f"{name} is missing from the header list"
@@ -861,9 +875,9 @@ class TestKernelSource:
         as shipped and with KERNEL_CLONES empty, the one loop of platforms without
         the clones."""
         for clones in ([], ["-DKERNEL_CLONES="]):
-            build = subprocess.run(["cc", *policies_module._CFLAGS, *clones, "-Wall", "-Wextra",
+            build = subprocess.run(["cc", *kernels._CFLAGS, *clones, "-Wall", "-Wextra",
                                     "-Werror", "-o", str(tmp_path / "kernels.so"),
-                                    str(policies_module._SOURCE)], capture_output=True, text=True)
+                                    str(kernels._SOURCE)], capture_output=True, text=True)
             assert build.returncode == 0, (clones, build.stderr)
 
     def test_cloned_loops_vectorize_under_avx512(self, tmp_path):
@@ -871,10 +885,10 @@ class TestKernelSource:
         vectors (the x86-64-v4 clone): the bitwise tests cannot see a loop that
         goes scalar again."""
         _require_clones()
-        source = policies_module._SOURCE.read_text()
-        build = subprocess.run(["cc", *policies_module._CFLAGS, "-fopt-info-vec-optimized",
+        source = kernels._SOURCE.read_text()
+        build = subprocess.run(["cc", *kernels._CFLAGS, "-fopt-info-vec-optimized",
                                 "-o", str(tmp_path / "kernels.so"),
-                                str(policies_module._SOURCE)], capture_output=True, text=True)
+                                str(kernels._SOURCE)], capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
         vectorized = {int(line) for line in re.findall(
             r":(\d+):\d+: optimized: loop vectorized using 64 byte vectors", build.stderr)}
@@ -938,29 +952,34 @@ def single_build(request, tmp_path_factory):
     attribute = ("" if target == "baseline"
                  else f'__attribute__((flatten, target("arch={target}")))')
     path = tmp_path_factory.mktemp("single") / f"{target}.so"
-    subprocess.run(["cc", *policies_module._CFLAGS, f"-DKERNEL_CLONES={attribute}", "-o",
-                    str(path), str(policies_module._SOURCE)], capture_output=True, check=True)
+    subprocess.run(["cc", *kernels._CFLAGS, f"-DKERNEL_CLONES={attribute}", "-o",
+                    str(path), str(kernels._SOURCE)], capture_output=True, check=True)
     assert b"arch_x86_64" not in path.read_bytes()
-    lib, dispatched = ctypes.CDLL(str(path)), policies_module._kernel()
-    for name in ("backward", "forward", "noise_sum", "forward2", "backward2"):
+    lib, dispatched = ctypes.CDLL(str(path)), kernels._kernel()
+    for name in (*_CLONED, "box_qp"):
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = getattr(dispatched, name).argtypes, None
     return lib
 
 
+def _on(lib, run):
+    """run() with every compiled loop of the package called in lib."""
+    with mock.patch.object(kernels, "_kernel", lambda: lib):
+        return run()
+
+
 def _assert_builds_match_backward(single, model, points, policies):
-    """The dispatched backward and the single build both give _backward's bits."""
+    """The dispatched library and the single build both give _backward's bits."""
     laws = [pol.rate_law() for pol in policies.values()]
     want = _backward_values(model, points, policies).tolist()
-    assert policies_module._fused_pass(policies_module._kernel().backward, model, points,
-                                       laws) == want
-    assert policies_module._fused_pass(single, model, points, laws) == want
+    assert policies_module._fused_pass(model, points, laws) == want
+    assert _on(single, lambda: policies_module._fused_pass(model, points, laws)) == want
 
 
 class TestDispatchedBackward:
     def test_dispatched_library_carries_every_clone(self):
         _require_clones()
-        built = policies_module._compile().read_bytes()
+        built = kernels._compile().read_bytes()
         for name in _CLONED:
             for target in _CLONES:
                 assert f"{name}.arch_{target.replace('-', '_')}".encode() in built, name
@@ -972,7 +991,7 @@ class TestDispatchedBackward:
            x_T=st.floats(0.01, 1.0))
     def test_matches_single_build_bitwise(self, single_build, model, points, x_T):
         _assert_builds_match_backward(
-            single_build.backward, model, points,
+            single_build, model, points,
             {"resolving": resolving_policy(model), "static": static_policy(model, x_T)})
 
     def test_saturation_split_edges(self, single_build, bernoulli_model):
@@ -987,10 +1006,9 @@ class TestDispatchedBackward:
             (16, 14),  # cone start y = t - 2 inside the cap segment
             (40, 15), (24, 9),  # bands between, read at y / t = 0.375
         ]
-        _assert_builds_match_backward(single_build.backward, bernoulli_model, points, pols)
+        _assert_builds_match_backward(single_build, bernoulli_model, points, pols)
         for point in points:
-            _assert_builds_match_backward(single_build.backward, bernoulli_model, [point],
-                                          pols)
+            _assert_builds_match_backward(single_build, bernoulli_model, [point], pols)
 
     @settings(max_examples=40, deadline=None)
     @given(model=two_product_models(), T=st.integers(1, 64),
@@ -1009,12 +1027,6 @@ _FORWARD_MODELS = {
     "additive": DemandModel.linear_additive(alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0,
                                             noise_half_width=0.2),
 }
-
-
-def _on(lib, run):
-    """run() with the Monte Carlo engines of sim calling lib's forward and forward2."""
-    with mock.patch.object(sim_module, "_kernel", lambda: lib):
-        return run()
 
 
 def _start(start, fill, T):
@@ -1046,7 +1058,7 @@ class TestDispatchedForward:
         horizons = np.array([h for h in (1, 7, 129, 2049, 4097) if h <= T])
         seeds = rng.replication_seed(31, np.arange(13))
         want = np.stack([oracles.noise_sum(seeds, h) for h in horizons.tolist()])
-        for lib in (single_build, policies_module._kernel()):
+        for lib in (single_build, kernels._kernel()):
             got = np.full(want.shape, np.nan)
             lib.noise_sum(seeds.size, horizons.size, horizons, seeds, got)
             assert got.tobytes() == want.tobytes()
@@ -1194,7 +1206,7 @@ class TestSolveDpMulti:
            y0=st.tuples(*[st.one_of(st.just(0), st.integers(1, 30))] * 2))
     def test_kernel_matches_numpy_pass_bitwise(self, model, T, y0):
         got, want = np.zeros((y0[0] + 1, y0[1] + 1)), np.zeros((y0[0] + 1, y0[1] + 1))
-        policies_module._kernel().backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
+        kernels._kernel().backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
         oracles.backward_multi(model, T, want)
         assert got.tobytes() == want.tobytes()
         assert solve_dp_multi(model, T, y0) == want[y0]

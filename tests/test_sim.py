@@ -24,7 +24,7 @@ from fluidpricing import (
     solve_dp,
     static_policy,
 )
-from fluidpricing import policies, rng
+from fluidpricing import kernels, policies, rng
 from fluidpricing import sim as sim_module
 from fluidpricing.policies import (
     MultiResolvingPolicy,
@@ -118,7 +118,7 @@ class TestSimulate:
         def no_pass(*args, **kwargs):
             raise AssertionError("a kernel or pass ran")
 
-        monkeypatch.setattr(sim_module, "_kernel", no_pass)
+        monkeypatch.setattr(kernels, "_kernel", no_pass)
         monkeypatch.setattr(policies, "_fused_pass", no_pass)
         with pytest.raises(DomainError, match="DP table of horizon 16"):
             run[entry]()
@@ -211,7 +211,7 @@ class TestSimulate:
         def no_call(*args, **kwargs):
             raise AssertionError("rates_batch or a kernel ran")
 
-        monkeypatch.setattr(sim_module, "_kernel", no_call)
+        monkeypatch.setattr(kernels, "_kernel", no_call)
         monkeypatch.setattr(pol, "rates_batch", no_call)
         with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
             simulate(additive_model, pol, 64, 20, 1)
@@ -300,8 +300,7 @@ def test_every_compiled_loop_refuses_a_misuse_alike(misuse, bernoulli_model, add
     def no_kernel(*args, **kwargs):
         raise AssertionError("a kernel ran")
 
-    monkeypatch.setattr(policies, "_kernel", no_kernel)
-    monkeypatch.setattr(sim_module, "_kernel", no_kernel)
+    monkeypatch.setattr(kernels, "_kernel", no_kernel)
     for run in (lambda: exact_values(bernoulli_model, [(T, y0)], {"pol": pol}),
                 lambda: simulate(bernoulli_model, pol, T, y0, seed=3),
                 lambda: simulate_batch(bernoulli_model, pol, T, y0, 3, 4)):
@@ -384,7 +383,7 @@ class TestForwardKernel:
         horizons = np.array([h for h in (1, 7, 129, 300, 2049, 4097) if h <= T])
         seeds = rng.replication_seed(12, np.arange(9))
         got = np.full((horizons.size, seeds.size), np.nan)
-        policies._kernel().noise_sum(seeds.size, horizons.size, horizons, seeds, got)
+        kernels._kernel().noise_sum(seeds.size, horizons.size, horizons, seeds, got)
         for h, row in zip(horizons.tolist(), got):
             want = oracles.noise_sum(seeds, h)
             assert row.tobytes() == want.tobytes(), h
