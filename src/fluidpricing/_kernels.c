@@ -26,6 +26,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* With gcc 11 or later on x86-64 glibc, the loops marked KERNEL_CLONES
@@ -371,7 +372,10 @@ static inline double unit_mix(uint64_t z)
  * record, and whether every replication still has stock) once, outside the
  * loop over replications, so that the loop has no branch and vectorizes
  * across them: the zeros of inactive rows are the masks of keep, and a
- * stopping time is a select.
+ * stopping time is a select.  A constant law (width 0 and lo[r] == hi[r] for
+ * every r: static and hindsight batches) takes the rate hi[r], which clip
+ * returns for every y, and its price (alpha - hi[r]) / beta from a heap array
+ * filled once per call, so its periods divide nothing.
  */
 
 /* numpy's minimum and maximum: the second operand on a tie */
@@ -401,11 +405,13 @@ static inline uint64_t stocked(double y) { return -(uint64_t)(y > 0); }
 static inline __attribute__((always_inline)) void
 forward_period(long reps, long T, long i, const uint64_t *restrict keys,
                const double *restrict lo, const double *restrict hi,
-               const double *restrict row, long width, double alpha, double beta,
+               const double *restrict row, long width, const double *restrict prices,
+               double alpha, double beta,
                double w, double *restrict y, double *restrict total,
                double *restrict sum_xi, double gam, double *restrict harm,
                int64_t *restrict t_sharp, double *restrict trace, const int table,
-               const int unit, const int tracked, const int rec, const int full)
+               const int constant, const int unit, const int tracked, const int rec,
+               const int full)
 {
     long t = T - i, k = T * reps;
     uint64_t step = (uint64_t)(i + 1) * GOLDEN;
@@ -415,8 +421,9 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
         double u = unit_mix(keys[r] + step), yr = y[r];
         uint64_t m = full ? ~(uint64_t)0 : stocked(yr);
         /* y >= 0, so an inactive row reads column 0 */
-        double d = keep(table ? row[(long)minimum(yr, top)] : clip(yr / now, lo[r], hi[r]), m);
-        double price = keep((alpha - d) / beta, m);
+        double d = keep(table ? row[(long)minimum(yr, top)]
+                        : constant ? hi[r] : clip(yr / now, lo[r], hi[r]), m);
+        double price = keep(constant ? prices[r] : (alpha - d) / beta, m);
         double xi, realized;
         if (unit) {
             realized = keep(1.0, -(uint64_t)(u < d)); /* d is 0 without stock */
@@ -448,13 +455,13 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
 }
 
 /* The case of forward's switch for the choices flags: bit 0 table, 1 unit,
- * 2 tracked, 3 rec, 4 full */
+ * 2 tracked, 3 rec, 4 full, 5 constant */
 #define FORWARD_PERIOD(flags)                                                  \
     case flags:                                                                \
-        forward_period(reps, T, i, keys, lo, hi, row, width, alpha, beta, w, y, \
-                       total, sum_xi, gam, harm, t_sharp, trace, (flags) & 1,  \
-                       (flags) >> 1 & 1, (flags) >> 2 & 1, (flags) >> 3 & 1,  \
-                       (flags) >> 4);                                          \
+        forward_period(reps, T, i, keys, lo, hi, row, width, prices, alpha,    \
+                       beta, w, y, total, sum_xi, gam, harm, t_sharp, trace,   \
+                       (flags) & 1, (flags) >> 5, (flags) >> 1 & 1,            \
+                       (flags) >> 2 & 1, (flags) >> 3 & 1, (flags) >> 4 & 1);  \
         break;
 
 KERNEL_CLONES
@@ -469,7 +476,15 @@ void forward(long reps, long T, const uint64_t *restrict keys,
     /* A replication that sells out never restocks, so the periods run full
      * until the first sell-out, then masked; a record (one replication) is
      * always masked */
-    int full = !record;
+    int full = !record, constant = !width;
+    for (long r = 0; r < reps; r++)
+        constant &= lo[r] == hi[r];
+    /* NULL without a constant law, or if the heap is out, which the
+     * dividing loop serves with the same bits */
+    double *prices = constant ? malloc(reps * sizeof *prices) : NULL;
+    if (prices)
+        for (long r = 0; r < reps; r++)
+            prices[r] = (alpha - hi[r]) / beta;
     for (long i = 0; i < T; i++) {
         const double *row = actions + (T - i) * width;
         int tracked = track && T - i >= 2;
@@ -480,15 +495,19 @@ void forward(long reps, long T, const uint64_t *restrict keys,
             full = in_stock != 0;
         }
         switch ((width != 0) | (unit_sales != 0) << 1 | tracked << 2
-                | (record ? 8 : full ? 16 : 0)) {
+                | (record ? 8 : full ? 16 : 0) | (prices != NULL) << 5) {
             FORWARD_PERIOD(0) FORWARD_PERIOD(1) FORWARD_PERIOD(2) FORWARD_PERIOD(3)
             FORWARD_PERIOD(4) FORWARD_PERIOD(5) FORWARD_PERIOD(6) FORWARD_PERIOD(7)
             FORWARD_PERIOD(8) FORWARD_PERIOD(9) FORWARD_PERIOD(10) FORWARD_PERIOD(11)
             FORWARD_PERIOD(12) FORWARD_PERIOD(13) FORWARD_PERIOD(14) FORWARD_PERIOD(15)
             FORWARD_PERIOD(16) FORWARD_PERIOD(17) FORWARD_PERIOD(18) FORWARD_PERIOD(19)
             FORWARD_PERIOD(20) FORWARD_PERIOD(21) FORWARD_PERIOD(22) FORWARD_PERIOD(23)
+            FORWARD_PERIOD(32) FORWARD_PERIOD(34) FORWARD_PERIOD(36) FORWARD_PERIOD(38)
+            FORWARD_PERIOD(40) FORWARD_PERIOD(42) FORWARD_PERIOD(44) FORWARD_PERIOD(46)
+            FORWARD_PERIOD(48) FORWARD_PERIOD(50) FORWARD_PERIOD(52) FORWARD_PERIOD(54)
         }
     }
+    free(prices);
 }
 
 /* -- noise_sum ----------------------------------------------------------------

@@ -282,10 +282,12 @@ def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
 _BAND_MAX_T = 2**20
 
 
-def _start_half_width(T: int) -> float:
+def _start_half_width(T: int, bridge: bool) -> float:
     """Half width of a row's first band on a pass to horizon T: about 8 standard
-    deviations of the sales of T periods, which are at most sqrt(T) / 2."""
-    return 4.0 * math.sqrt(T) + 2.0
+    deviations of the sales of T periods, which are at most sqrt(T) / 2; half that
+    for a bridge, a rate y / t inside its clip at every point, which corrects its
+    own drift, so that its spread d (1 - d) t (T - t) / T peaks at T / 16."""
+    return (2.0 if bridge else 4.0) * math.sqrt(T) + 2.0
 
 
 def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]:
@@ -304,14 +306,16 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
     constant rate), V(t, y) = V(t, t) there, and the point is read at min(y0, T).
 
     V and every (lo, hi) law within [d_lo, d_hi] start on a band: the cells
-    within a half width h = _start_half_width(max T) of the fluid paths
+    within a half width h = _start_half_width(max T, bridge) of the fluid paths
     y0 - (T - t) * clip(y0 / T, lo, hi) of the points, with (d_lo, rate cap)
-    for V.  Such a row runs as a lower and an upper copy in one kernel call,
-    whose edge bounds (edge_bound in _kernels.c) hold them below and above the
-    full pass.  It is certified when the copies agree bit for bit at every
-    point; else it alone runs again at twice the width.  A row whose band
-    would cover half the cone's cells or more, and every table row, runs the
-    whole cone once, as one exact copy.  names label the rows in the DEBUG log.
+    for V; h is 2 sqrt(T) + 2 for a bridge row, lo < y0 / T < hi at every
+    point, and 4 sqrt(T) + 2 for V and every other row.  Such a row runs as a
+    lower and an upper copy in one kernel call, whose edge bounds (edge_bound in
+    _kernels.c) hold them below and above the full pass.  It is certified when
+    the copies agree bit for bit at every point; else it alone runs again at
+    twice the width.  A row whose band would cover half the cone's cells or
+    more, and every table row, runs the whole cone once, as one exact copy.
+    names label the rows in the DEBUG log.
     """
     tables = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
               else None for law in laws]
@@ -332,7 +336,7 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
     # the edge bounds need rates in [d_lo, d_hi] within [0, 1] and prices >= 0
     sound = (0.0 <= model.d_lo and model.d_hi <= min(1.0, model.alpha)
              and done <= _BAND_MAX_T)
-    half = [_start_half_width(done)
+    half = [_start_half_width(done, 0 < j and all(lo < y0 / T < hi for T, y0 in points))
             if sound and (j == 0 or (tables[j - 1] is None
                                      and model.d_lo <= lo <= hi <= model.d_hi))
             else math.inf for j, (lo, hi) in enumerate(ranges)]

@@ -42,6 +42,7 @@ from fluidpricing import (
 from fluidpricing import cli, kernels, rng
 from fluidpricing import policies as policies_module
 from fluidpricing import sim as sim_module
+from fluidpricing.experiments import table2_rows
 from fluidpricing.sim import (
     ho_batch_policy,
     ho_inner_values,
@@ -470,9 +471,16 @@ def _band_log(caplog) -> dict[str, tuple[str, int]]:
 
 
 def _start_width(k):
-    """A start half width of k * sqrt(T) + 2, in place of the shipped 4 * sqrt(T) + 2."""
+    """A start half width of k * sqrt(T) + 2 for every row, in place of the shipped
+    2 * sqrt(T) + 2 for a bridge row and 4 * sqrt(T) + 2 for the others."""
     return mock.patch.object(policies_module, "_start_half_width",
-                             lambda T: k * math.sqrt(T) + 2.0)
+                             lambda T, bridge: k * math.sqrt(T) + 2.0)
+
+
+def _band_start(T, k) -> tuple[str, int]:
+    """The DEBUG log entry of a row certified, with no retry, on its first band of
+    half width k * sqrt(T) + 2."""
+    return f"band half width {k * math.sqrt(T) + 2.0:g}", 0
 
 
 class TestBandedPass:
@@ -508,6 +516,30 @@ class TestBandedPass:
         assert list(rows) == ["dp", "static", "resolving"]
         assert all(retries >= 1 for _, retries in rows.values())
         assert rows["dp"][0].startswith("band half width")
+
+    def test_table2_rows_certify_on_their_start_bands(self, caplog):
+        """On table2's points (x_T = 5/16, inside the re-solving clip [1/4, 3/8]) the
+        re-solving row is a bridge and starts at 2 sqrt(T) + 2, V and the static row at
+        4 sqrt(T) + 2; each certifies on that first band."""
+        with caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
+            table2_rows()
+        assert _band_log(caplog) == {"dp": _band_start(2**15, 4), "static": _band_start(2**15, 4),
+                                     "resolving": _band_start(2**15, 2)}
+
+    @pytest.mark.parametrize("x_T", [0.375, 0.25])
+    def test_resolving_row_on_a_clip_edge_starts_wide(self, bernoulli_model, x_T, caplog):
+        """At x_T = x_u or d_lo the re-solving rate sits on its clip edge, where it does
+        not pull back; there it starts at 4 sqrt(T) + 2, as V does, and certifies, where
+        a start at 2 sqrt(T) + 2 would retry."""
+        points = [(2**k, int(x_T * 2**k)) for k in range(4, 17)]
+        policies = {"resolving": resolving_policy(bernoulli_model)}
+        with caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
+            want = exact_values(bernoulli_model, points, policies)
+            assert _band_log(caplog)["resolving"] == _band_start(2**16, 4)
+            caplog.clear()
+            with _start_width(2.0):
+                assert exact_values(bernoulli_model, points, policies) == want
+            assert _band_log(caplog)["resolving"][1] == 1
 
     def test_band_falls_back_to_the_whole_cone_with_the_same_bits(self, bernoulli_model,
                                                                    caplog):
@@ -652,10 +684,11 @@ class TestBandedPass:
         policies = {"table": solve_dp(model, 1024, 320).policy(),
                     "resolving": resolving_policy(model)}
         want = exact_values(model, points, policies)
-        start, band = policies_module._start_half_width(1024), policies_module._band
+        starts = {policies_module._start_half_width(1024, bridge) for bridge in (False, True)}
+        band = policies_module._band
 
         def steep_first(segment, rates, half, points):
-            return (0.0, 3.0, 4.0, 3.0) if half == start else band(segment, rates, half, points)
+            return (0.0, 3.0, 4.0, 3.0) if half in starts else band(segment, rates, half, points)
 
         with (mock.patch.object(policies_module, "_band", steep_first),
               caplog.at_level(logging.DEBUG, logger=policies_module.__name__)):
@@ -890,11 +923,17 @@ class TestKernelSource:
                                 "-o", str(tmp_path / "kernels.so"),
                                 str(kernels._SOURCE)], capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
-        vectorized = {int(line) for line in re.findall(
-            r":(\d+):\d+: optimized: loop vectorized using 64 byte vectors", build.stderr)}
+        vectorized = [int(line) for line in re.findall(
+            r":(\d+):\d+: optimized: loop vectorized using 64 byte vectors", build.stderr)]
+        lines = {}
         for name, (function, loop) in _VECTOR_LOOPS.items():
-            at = source.index(loop, source.index(function))
-            assert source.count("\n", 0, at) + 1 in vectorized, name
+            lines[name] = source.count("\n", 0, source.index(loop, source.index(function))) + 1
+            assert lines[name] in vectorized, name
+        # forward's period loop is inlined into every case of its switch: each case
+        # without a record (bit 3), the constant law's among them, runs in vectors
+        unrecorded = [flags for flags in map(int, re.findall(r"FORWARD_PERIOD\((\d+)\)", source))
+                      if not flags >> 3 & 1]
+        assert vectorized.count(lines["forward"]) >= len(unrecorded) > 16
 
 
 # the clones of the cloned loops in _kernels.c, with the /proc/cpuinfo flags each needs
@@ -915,6 +954,9 @@ _VECTOR_LOOPS = {
     "backward, paired constant rows": ("static void constant_rows(",
                                        "for (long y = last; y >= first; y--) {"),
     "forward": ("forward_period(long reps", "for (long r = 0; r < reps; r++) {"),
+    # a constant law's check and its prices, once per call
+    "forward, constant check": ("void forward(long reps", "for (long r = 0; r < reps; r++)"),
+    "forward, constant prices": ("if (prices)", "for (long r = 0; r < reps; r++)"),
     "noise_sum": ("void noise_sum(", "for (long r = 0; r < reps; r++)"),
     "forward2": ("void forward2(", "for (long r = 0; r < reps; r++) {"),
     "backward2": ("backward2_row(double", "for (long j = m2 - 1; j >= 1; j--) {"),
@@ -1087,6 +1129,18 @@ class TestDispatchedForward:
             assert (batch.t_sharp is None) == (not track)
             if track:
                 assert batch.t_sharp.tobytes() == ref.t_sharp.tobytes()
+
+    def test_constant_law_on_one_range_of_a_million_replications(self):
+        """A static batch at T = 2 whose one kernel call runs 1.1e6 replications (half of
+        them sell out in the first period): the constant law prices them once, in 8.8 MB,
+        more than a default stack holds, with the reference's bits."""
+        model, reps = _FORWARD_MODELS["bernoulli"], 1_100_000
+        pol = static_policy(model, 0.4)
+        with mock.patch.object(kernels, "_ranges", lambda n: [slice(0, n)]):
+            got = simulate_batch(model, pol, 2, 1.0, 5, reps)
+        want = oracles.simulate_batch(model, pol, 2, 1.0, 5, reps)
+        assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
+        assert got.sum_xi.tobytes() == want.sum_xi.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from([(f, law) for f in _FORWARD_MODELS
