@@ -933,7 +933,8 @@ class TestKernelSource:
         # without a record (bit 3), the constant law's among them, runs in vectors
         unrecorded = [flags for flags in map(int, re.findall(r"FORWARD_PERIOD\((\d+)\)", source))
                       if not flags >> 3 & 1]
-        assert vectorized.count(lines["forward"]) >= len(unrecorded) > 16
+        assert any(flags >> 5 for flags in unrecorded)  # bit 5: the constant law
+        assert vectorized.count(lines["forward"]) >= len(unrecorded)
 
 
 # the clones of the cloned loops in _kernels.c, with the /proc/cpuinfo flags each needs
@@ -1130,12 +1131,16 @@ class TestDispatchedForward:
             if track:
                 assert batch.t_sharp.tobytes() == ref.t_sharp.tobytes()
 
-    def test_constant_law_on_one_range_of_a_million_replications(self):
-        """A static batch at T = 2 whose one kernel call runs 1.1e6 replications (half of
-        them sell out in the first period): the constant law prices them once, in 8.8 MB,
-        more than a default stack holds, with the reference's bits."""
-        model, reps = _FORWARD_MODELS["bernoulli"], 1_100_000
-        pol = static_policy(model, 0.4)
+    @pytest.mark.parametrize("family", ["bernoulli", "additive"])
+    def test_constant_law_on_one_range_of_a_million_replications(self, family):
+        """A batch at T = 2 whose one kernel call runs 1.1e6 replications under a constant
+        law: a static rate (bernoulli; half of them sell out in the first period) or a
+        hindsight rate of each replication's own, inside the demand interval (additive).
+        The law prices each replication once, in 8.8 MB, more than a default stack holds,
+        with the reference's bits."""
+        model, reps = _FORWARD_MODELS[family], 1_100_000
+        pol = (static_policy(model, 0.4) if family == "bernoulli"
+               else ho_batch_policy(model, 2, 0.5, 5, reps))
         with mock.patch.object(kernels, "_ranges", lambda n: [slice(0, n)]):
             got = simulate_batch(model, pol, 2, 1.0, 5, reps)
         want = oracles.simulate_batch(model, pol, 2, 1.0, 5, reps)
