@@ -7,9 +7,9 @@
  * tests/oracles.py:
  *
  *   backward   the exact backward pass of policies.solve_dp and
- *              policies.exact_values, over the whole cone or over a band,
- *              as a lower and an upper bound in one call (oracles.backward,
- *              oracles.band_copy);
+ *              policies.exact_values, one row loop with four rate sources,
+ *              over the whole cone or over a band, as a lower and an upper
+ *              bound in one call (oracles.backward, oracles.band_copy);
  *   forward    the one-product Monte Carlo engine of sim.simulate and
  *              sim.simulate_batch (oracles.simulate, oracles.simulate_batch);
  *   noise_sum  the noise sums of the hindsight benchmark, in counter order,
@@ -42,9 +42,8 @@
  * and only AVX-512's masks let a vector loop run floating-point work under a
  * condition.  All give the same bits: a vector lane rounds each operation as
  * the scalar code does, and -ffp-contract=off keeps fused multiply-adds out of
- * every clone.  Elsewhere,
- * or with -DKERNEL_CLONES=, each is the one baseline loop.  box_qp, a scalar
- * solve of at most a few dozen products, is built once. */
+ * every clone.  Elsewhere, or with -DKERNEL_CLONES=, each is the one baseline
+ * loop.  box_qp, a scalar solve of at most a few dozen products, is built once. */
 #ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -70,20 +69,33 @@ static double clip(double x, double lo, double hi)
  * w is one row of width cells.  It holds the optimal value V(t, y) when
  * optimal is set, else the value of a policy whose demand rate is
  * clip(y / t, lo, hi) (lo == hi is a constant rate) when table is NULL, else
- * the DP action table[t * stride + y] of a row-major table.  The row gets
- * r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), with the rate, the clip and
- * the update evaluated in the operation order of oracles.backward.  Unless
- * record is NULL, the row is copied into row t of the row-major
- * (t_to + 1) x width array record after each period t.
+ * the DP action table[t * stride + y] of a row-major table.  Unless record is
+ * NULL, the row is copied into row t of the row-major (t_to + 1) x width
+ * array record after each period t.
+ *
+ * Every row is one loop, rows: each cell takes a rate d from a source and
+ * gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), in the operation order
+ * of oracles.backward.  The source, a constant that gcc folds into each call's
+ * own loop, is
+ *
+ *   OPTIMAL   V's maximizer clip((alpha + beta * (W(t-1, y-1) - W(t-1, y)))
+ *             / 2, d_lo, d_hi), read from the row itself;
+ *   TABLE     src[y], one period's row of a DP table;
+ *   RATIO     src[y] / c with src[y] == y as a double (a load, unlike a
+ *             conversion from long, vectorizes) and c == t;
+ *   CONSTANT  c in every cell.
+ *
+ * A policy row is split where y / t saturates (clipped_rows) into
+ * CONSTANT(hi), RATIO and CONSTANT(lo) segments, so that only the cells with
+ * lo < y / t < hi divide: clipping one source per cell made the gap sweep,
+ * whose whole-cone rows are mostly saturated, half again as slow.
  *
  * One call advances the row from period t_from to t_to, updating only the
  * cells y in [max(1, cone + t), y_hi] that a requested point can still
  * read.  With triangle set, V(t, y) = V(t, t) for every y >= t, so only
  * y <= t is computed and V(t, t) is copied into cell t + 1 for the next
  * period.  Column 0 (no inventory) is never written.  The row is updated in
- * place from high y to low, so W(t-1, y-1) is still unchanged when read.  A
- * policy row is split where y / t saturates (clipped_rows), so that only the
- * cells with lo < y / t < hi compute their rate and r(d).
+ * place from high y to low, so W(t-1, y-1) is still unchanged when read.
  *
  * With u NULL the row is exact and runs the whole cone.  Otherwise w and u
  * are a lower and an upper bound copy of the row (oracles.band_copy): both
@@ -99,23 +111,34 @@ static double clip(double x, double lo, double hi)
  * bit for bit, both hold the full pass's value.
  *
  * The copies visit the same cells, so a policy row computes each cell's rate
- * and r(d) once for both.  The optimal row's rate reads the row itself;
- * instead, span[2] .. span[3] is a run of cells where w and u hold the same
- * bits (the caller starts it at 0 .. width - 1, both rows being 0), and u
- * takes w's new value wherever a cell and the one below it lie in the run
- * (optimal_rows).  Equal inputs give equal outputs, so u has the bits of a
- * copy computed on its own.
+ * and r(d) once for both.  The optimal row's rate reads the row itself, so
+ * each copy has its own; instead, span[2] .. span[3] is a run of cells where
+ * w and u hold the same bits (the caller starts it at 0 .. width - 1, both
+ * rows being 0), and u takes w's new value wherever a cell and the one below
+ * it lie in the run (optimal_rows).  Equal inputs give equal outputs, so u
+ * has the bits of a copy computed on its own.
  */
 
 #define SLACK (1.0 + 1e-9)
 
-static void optimal_row(double *v, long first, long last, double alpha,
-                        double beta, double d_lo, double d_hi)
+enum { OPTIMAL, TABLE, RATIO, CONSTANT };
+
+/* The cells last down to first of w and, unless u is NULL (as with
+ * OPTIMAL), of u, each cell's rate and r(d) computed once for both */
+static inline __attribute__((always_inline)) void
+rows(double *restrict w, double *restrict u, const double *restrict src,
+     long first, long last, double c, double alpha, double beta, double d_lo,
+     double d_hi, const int source)
 {
     for (long y = last; y >= first; y--) {
-        double below = v[y - 1], here = v[y];
-        double d = clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi);
-        v[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
+        double below = w[y - 1], here = w[y];
+        double d = source == TABLE ? src[y] : source == RATIO ? src[y] / c
+                   : source == CONSTANT ? c
+                   : clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi);
+        double reward = d * (alpha - d) / beta;
+        w[y] = reward + d * below + (1.0 - d) * here;
+        if (u)
+            u[y] = reward + d * u[y - 1] + (1.0 - d) * u[y];
     }
 }
 
@@ -140,13 +163,13 @@ static void optimal_rows(double *w, double *u, long a, long b, int64_t *run,
                          double alpha, double beta, double d_lo, double d_hi)
 {
     long from = run[0] + 1 > a ? run[0] + 1 : a, to = run[1] < b ? run[1] : b;
-    optimal_row(w, a, b, alpha, beta, d_lo, d_hi);
+    rows(w, NULL, NULL, a, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
     if (from <= to) {
-        optimal_row(u, to + 1, b, alpha, beta, d_lo, d_hi);
+        rows(u, NULL, NULL, to + 1, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
         memcpy(u + from, w + from, (to - from + 1) * sizeof *u);
-        optimal_row(u, a, from - 1, alpha, beta, d_lo, d_hi);
+        rows(u, NULL, NULL, a, from - 1, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
     } else {
-        optimal_row(u, a, b, alpha, beta, d_lo, d_hi);
+        rows(u, NULL, NULL, a, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
         for (to = b; to >= a && !same_bits(w[to], u[to]); to--)
             ;
         from = to < a ? a : to; /* the top cell with the same bits, if any */
@@ -157,55 +180,6 @@ static void optimal_rows(double *w, double *u, long a, long b, int64_t *run,
         to++;
     run[0] = from;
     run[1] = to;
-}
-
-/* A constant rate d on w and, unless u is NULL, on u: the rate and r(d) are
- * the same in every cell */
-static void constant_rows(double *restrict w, double *restrict u, long first,
-                          long last, double d, double alpha, double beta)
-{
-    double reward = d * (alpha - d) / beta;
-    if (u) {
-        for (long y = last; y >= first; y--) {
-            w[y] = reward + d * w[y - 1] + (1.0 - d) * w[y];
-            u[y] = reward + d * u[y - 1] + (1.0 - d) * u[y];
-        }
-        return;
-    }
-    for (long y = last; y >= first; y--)
-        w[y] = reward + d * w[y - 1] + (1.0 - d) * w[y];
-}
-
-/* The rate y / t on w and, unless u is NULL, on u, each cell's rate and r(d)
- * computed once for both; ys[y] == y as a double: a load, unlike a
- * conversion from long, vectorizes */
-static void ratio_rows(double *restrict w, double *restrict u,
-                       const double *restrict ys, long first, long last,
-                       double t, double alpha, double beta)
-{
-    if (u) {
-        for (long y = last; y >= first; y--) {
-            double d = ys[y] / t, reward = d * (alpha - d) / beta;
-            w[y] = reward + d * w[y - 1] + (1.0 - d) * w[y];
-            u[y] = reward + d * u[y - 1] + (1.0 - d) * u[y];
-        }
-        return;
-    }
-    for (long y = last; y >= first; y--) {
-        double d = ys[y] / t;
-        w[y] = d * (alpha - d) / beta + d * w[y - 1] + (1.0 - d) * w[y];
-    }
-}
-
-/* The rate acts[y], one period's row of a DP table */
-static void table_row(double *restrict w, const double *restrict acts, long first,
-                      long last, double alpha, double beta)
-{
-    for (long y = last; y >= first; y--) {
-        double below = w[y - 1], here = w[y];
-        double d = acts[y];
-        w[y] = d * (alpha - d) / beta + d * below + (1.0 - d) * here;
-    }
 }
 
 /* The last y in [first - 1, last] with ys[y] / t <= edge (first - 1 if none):
@@ -223,26 +197,24 @@ static long last_at_most(const double *ys, long first, long last, double t,
     return y;
 }
 
-/* The rate clip(y / t, lo, hi) on w and, unless u is NULL, on u, split where
- * y / t saturates: clip gives lo where ys[y] / t <= lo, hi where
- * ys[y] / t >= hi and y / t itself in the band between, and hi everywhere
- * unless lo < hi.  The segments run from high y to low, as one row would,
- * and only the band divides per cell. */
+/* The rate clip(y / t, lo, hi) on w and, unless u is NULL, on u: lo where
+ * ys[y] / t <= lo, hi where ys[y] / t >= hi (everywhere unless lo < hi) and
+ * y / t in the band between, the segments running from high y to low */
 static void clipped_rows(double *w, double *u, const double *ys, long first,
                          long last, double t, double lo, double hi, double alpha,
                          double beta)
 {
     if (!(lo < hi)) {
-        constant_rows(w, u, first, last, hi, alpha, beta);
+        rows(w, u, NULL, first, last, hi, alpha, beta, 0.0, 0.0, CONSTANT);
         return;
     }
     long top = last_at_most(ys, first, last, t, hi);
     while (top >= first && ys[top] / t >= hi) /* y / t == hi saturates too */
         top--;
     long bottom = last_at_most(ys, first, top, t, lo);
-    constant_rows(w, u, top + 1, last, hi, alpha, beta);
-    ratio_rows(w, u, ys, bottom + 1, top, t, alpha, beta);
-    constant_rows(w, u, first, bottom, lo, alpha, beta);
+    rows(w, u, NULL, top + 1, last, hi, alpha, beta, 0.0, 0.0, CONSTANT);
+    rows(w, u, ys, bottom + 1, top, t, alpha, beta, 0.0, 0.0, RATIO);
+    rows(w, u, NULL, first, bottom, lo, alpha, beta, 0.0, 0.0, CONSTANT);
 }
 
 /* The band [*first, *last] of a bound row at period t: the cone [*first,
@@ -310,9 +282,9 @@ void backward(double *w, double *u, long width, const double *ys, int optimal,
             if (optimal && u)
                 optimal_rows(w, u, a, b, span + 2, alpha, beta, d_lo, d_hi);
             else if (optimal)
-                optimal_row(w, a, b, alpha, beta, d_lo, d_hi);
+                rows(w, NULL, NULL, a, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
             else if (table)
-                table_row(w, table + t * stride, a, b, alpha, beta);
+                rows(w, NULL, table + t * stride, a, b, 0.0, alpha, beta, 0.0, 0.0, TABLE);
             else
                 clipped_rows(w, u, ys, a, b, (double)t, lo, hi, alpha, beta);
             if (u && a > first) {

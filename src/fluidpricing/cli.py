@@ -148,7 +148,7 @@ def cmd_estimate_regret(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    T_list = _parse_t_list(args.t_list) if args.t_list else None
+    T_list = _parse_t_list(args.t_list) if args.t_list is not None else None
     # the display goes to stdout only when the CSV does not
     rows = experiments.run_table2(T_list=T_list,
                                   display=print if args.out not in (None, "-") else None)
@@ -158,7 +158,8 @@ def cmd_table2(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    T_list = _parse_t_list(args.t_list) if args.t_list else [2**k for k in range(4, 13)]
+    T_list = (_parse_t_list(args.t_list) if args.t_list is not None
+              else [2**k for k in range(4, 13)])
     config = experiments.SweepConfig(kind=args.kind, T_list=T_list)
     rows = experiments.run_sweep(config)
     text = experiments.write_csv(rows, experiments.SWEEP_COLUMNS)
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, UnsupportedModelError, FileNotFoundError,
+    except (ConfigError, DomainError, UnsupportedModelError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

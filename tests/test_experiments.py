@@ -535,6 +535,12 @@ class TestCli:
                  for name in ("bern_T0", "add_T0", "add_reps")]
         runs += [["estimate-regret", "--config", str(tmp_path / "cfg_add.json"),
                   "--replications", reps] for reps in ("-3", "0")]
+        # an empty horizon list is malformed, not the default grid
+        runs += [["table2", "--t-list", ""], ["sweep", "--kind", "gap", "--t-list", ""]]
+        # a directory where a file is read or written is an OS error, not a solver failure
+        runs += [["dp-value", "--model", str(tmp_path), "-T", "4", "--y0", "2"],
+                 ["validate-model", "--model", str(tmp_path)],
+                 ["validate-model", "--model", model_paths["bern"], "--out", str(tmp_path)]]
         for argv in runs:
             assert cli.main(argv) == 2, argv
         out, err = capsys.readouterr()

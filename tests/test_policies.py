@@ -935,6 +935,11 @@ class TestKernelSource:
                       if not flags >> 3 & 1]
         assert any(flags >> 5 for flags in unrecorded)  # bit 5: the constant law
         assert vectorized.count(lines["forward"]) >= len(unrecorded)
+        # backward's row loop is inlined into every call of rows, whatever its
+        # rate source and whether it updates one copy or a pair: each runs in vectors
+        calls = re.findall(r"\brows\((?!double)", source)
+        assert len(calls) >= 4  # one per rate source at least
+        assert vectorized.count(lines["backward"]) >= len(calls)
 
 
 # the clones of the cloned loops in _kernels.c, with the /proc/cpuinfo flags each needs
@@ -948,12 +953,7 @@ _CLONED = ("backward", "forward", "noise_sum", "forward2", "backward2")
 # the loop of each entry point that vectorizes under AVX-512: the function that
 # holds it and its first line
 _VECTOR_LOOPS = {
-    "backward, optimal row": ("static void optimal_row(", "for (long y = last; y >= first; y--) {"),
-    # the first loop of each: the lower and the upper copy together
-    "backward, paired rate rows": ("static void ratio_rows(",
-                                   "for (long y = last; y >= first; y--) {"),
-    "backward, paired constant rows": ("static void constant_rows(",
-                                       "for (long y = last; y >= first; y--) {"),
+    "backward": ("rows(double *restrict w", "for (long y = last; y >= first; y--) {"),
     "forward": ("forward_period(long reps", "for (long r = 0; r < reps; r++) {"),
     # a constant law's check and its prices, once per call
     "forward, constant check": ("void forward(long reps", "for (long r = 0; r < reps; r++)"),
