@@ -31,14 +31,13 @@ from .fluid import (
 )
 from .policies import (
     DpPolicy,
+    HindsightPolicy,
+    MultiResolvingPolicy,
     PolicyDecision,
     ValueTable,
     dp_value,
-    evaluate_policy_exact,
     exact_policy_values,
     exact_values,
-    ho_policy,
-    multi_resolving_policy,
     resolving_policy,
     solve_dp,
     solve_dp_multi,

@@ -143,15 +143,18 @@ def cmd_estimate_regret(args) -> int:
     )
     rows = experiments.regret_report_rows(reports)
     text = experiments.write_csv(rows, experiments.REGRET_COLUMNS)
-    _emit(text, args.out or config.out_path)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_table2(args) -> int:
     T_list = _parse_t_list(args.t_list) if args.t_list is not None else None
-    # the display goes to stdout only when the CSV does not
-    rows = experiments.run_table2(T_list=T_list,
-                                  display=print if args.out not in (None, "-") else None)
+    rows = experiments.run_table2(T_list)
+    if args.out not in (None, "-"):  # a 2-decimal display, on stdout when the CSV is not
+        print("log2_T    " + "".join(f"{r['log2_T']:>8}" for r in rows))
+        for key, label in (("fluid_regret", "fluid"), ("static_regret", "static"),
+                           ("resolving_regret", "resolving")):
+            print(f"{label:<10}" + "".join(f"{r[key]:8.2f}" for r in rows))
     text = experiments.write_csv(rows, experiments.TABLE2_COLUMNS)
     _emit(text, args.out)
     return EXIT_OK

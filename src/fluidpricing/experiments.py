@@ -16,17 +16,11 @@ import io
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
-from .demand import (
-    KIND_BERNOULLI,
-    DemandModel,
-    MultiDemandModel,
-    model_from_dict,
-    benchmark_model,
-)
-from .errors import ConfigError, UnsupportedModelError
+from .demand import DemandModel, MultiDemandModel, model_from_dict, benchmark_model
+from .errors import ConfigError
 from .fluid import _effective_rate_cap
 from .policies import exact_passes, resolving_policy
 from .sim import MULTI_POLICIES, estimate_regret, ho_values, parse_y0_rule
@@ -54,7 +48,6 @@ class ExperimentConfig:
     policies: list[str] = field(default_factory=lambda: ["static", "resolving"])
     replications: int = 10_000
     base_seed: int = 0
-    out_path: str | None = None
 
     def __post_init__(self):
         self.T_list = _horizons(self.T_list)
@@ -85,17 +78,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        """The config of obj's fields; ConfigError for a missing or unknown key,
+        so that a misspelt one is not run at its default."""
         try:
-            return cls(
-                name=obj["name"],
-                model=obj["model"],
-                T_list=obj["T_list"],
-                y0_rule=obj.get("y0_rule", "round(5/16*T)"),
-                policies=obj.get("policies", ["static", "resolving"]),
-                replications=obj.get("replications", 10_000),
-                base_seed=obj.get("base_seed", 0),
-                out_path=obj.get("out_path"),
-            )
+            unknown = set(obj) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ConfigError(f"unknown keys {sorted(unknown)}")
+            return cls(**obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -158,20 +147,18 @@ TABLE2_COLUMNS = ["log2_T", "T", "dp_value", "fluid_value",
                   "fluid_regret", "static_regret", "resolving_regret"]
 
 
-def table2_rows(T_list=None, model: DemandModel | None = None) -> list[dict]:
-    """Exact regret rows of the benchmark table, one per horizon.
+def run_table2(T_list=None) -> list[dict]:
+    """Exact regret rows of the benchmark table, one per horizon (default 2^6..2^15).
 
     Regret is measured against the exact optimal value: positive for the
     two policies, negative for the fluid value (which upper-bounds every
-    policy).  The rows are estimate_regret's exact reports: horizons sharing
-    a static rate y0/T share one backward pass; on the default grid that is
-    every horizon.
+    policy).  The rows are estimate_regret's exact reports on the benchmark
+    model: horizons sharing a static rate y0/T share one backward pass; on
+    the default grid that is every horizon.
     """
-    model = model or benchmark_model()
-    if model.kind != KIND_BERNOULLI:
-        raise UnsupportedModelError("the benchmark table needs exact (bernoulli) evaluation")
     T_list = list(T_list) if T_list is not None else [2**k for k in range(6, 16)]
-    reports = estimate_regret(model, T_list, "round(5/16*T)", ("static", "resolving"))
+    reports = estimate_regret(benchmark_model(), T_list, "round(5/16*T)",
+                              ("static", "resolving"))
     return [{
         "log2_T": _log2_label(static.T),
         "T": static.T,
@@ -181,18 +168,6 @@ def table2_rows(T_list=None, model: DemandModel | None = None) -> list[dict]:
         "static_regret": static.regret_vs_dp,
         "resolving_regret": resolving.regret_vs_dp,
     } for static, resolving in zip(reports[::2], reports[1::2])]
-
-
-def run_table2(T_list=None, display=None) -> list[dict]:
-    """Compute the benchmark table, optionally with a 2-decimal display."""
-    rows = table2_rows(T_list=T_list)
-    if display is not None:
-        header = "log2_T    " + "".join(f"{r['log2_T']:>8}" for r in rows)
-        display(header)
-        for key, label in (("fluid_regret", "fluid"), ("static_regret", "static"),
-                           ("resolving_regret", "resolving")):
-            display(f"{label:<10}" + "".join(f"{r[key]:8.2f}" for r in rows))
-    return rows
 
 
 def _log2_label(T: int):
@@ -206,7 +181,7 @@ def _log2_label(T: int):
 SWEEP_COLUMNS = ["sweep", "value", "T", "y0", "dp_value", "resolving_regret"]
 
 
-def sweep_rows(config: SweepConfig) -> list[dict]:
+def run_sweep(config: SweepConfig) -> list[dict]:
     """Re-solving regret curves over T for each sweep value.
 
     The gap sweep fixes the demand curve (alpha = .75, beta = .5) and moves
@@ -214,7 +189,8 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
     curvature sweep sets alpha = beta = b with inventory rate 0.1.  Initial
     units are round(x_T * T), so the realized inventory rate can differ
     from the nominal sweep value at small T.  Each demand curve takes one
-    backward pass.
+    backward pass.  The gap sweep warns when the regret at the optimum .375
+    does not increase along T, as the boundary case of the paper has it.
     """
     if config.kind == "gap":  # one demand curve, so one pass
         cases = [(benchmark_model(), x_T, float(x_T)) for x_T in GAP_SWEEP_X_T]
@@ -225,7 +201,7 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
              for model, x_T, _ in cases for T in config.T_list]
     labels = [label for _, _, label in cases for _ in config.T_list]
     values = exact_passes(cells, lambda model: (model, {"resolving": resolving_policy(model)}))
-    return [{
+    rows = [{
         "sweep": config.kind,
         "value": label,
         "T": T,
@@ -233,18 +209,8 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
         "dp_value": v["dp"],
         "resolving_regret": v["dp"] - v["resolving"],
     } for label, (_, T, y0), v in zip(labels, cells, values)]
-
-
-def boundary_regret_increasing(rows: list[dict], boundary: float = 0.375) -> bool:
-    """True when the boundary-inventory regret curve increases along T."""
-    curve = sorted((r["T"], r["resolving_regret"]) for r in rows
-                   if r["sweep"] == "gap" and r["value"] == boundary)
-    return all(b > a for (_, a), (_, b) in zip(curve, curve[1:]))
-
-
-def run_sweep(config: SweepConfig) -> list[dict]:
-    rows = sweep_rows(config)
-    if config.kind == "gap" and not boundary_regret_increasing(rows):
+    curve = [r["resolving_regret"] for r in rows if r["value"] == 0.375]  # T ascending
+    if config.kind == "gap" and not all(a < b for a, b in zip(curve, curve[1:])):
         warnings.warn("boundary-inventory regret is not increasing across the T grid",
                       stacklevel=2)
     return rows

@@ -96,17 +96,13 @@ class HindsightPolicy(_LawPolicy):
 
 
 def static_policy(model: DemandModel, x_T: float) -> StaticPolicy:
-    if x_T <= 0:
-        raise DomainError("static policy needs positive initial inventory rate")
+    if not (math.isfinite(x_T) and x_T > 0):
+        raise DomainError(f"static policy needs a finite inventory rate x_T > 0, got {x_T}")
     return StaticPolicy(model, x_T)
 
 
 def resolving_policy(model: DemandModel) -> ResolvingPolicy:
     return ResolvingPolicy(model)
-
-
-def ho_policy(model: DemandModel, x_T: float, xi_bar) -> HindsightPolicy:
-    return HindsightPolicy(model, x_T, xi_bar)
 
 
 # -- exact dynamic programming (bernoulli demand) ---------------------------
@@ -453,6 +449,8 @@ def _check_budget(lattice: int) -> None:
 def exact_passes(cells, setup) -> list[dict[str, float]]:
     """exact_values at cells (key, T, y0): one pass per key, whose setup(key) is
     (model, policies); all passes are checked against the budget before any runs."""
+    if not cells:
+        return []
     _check_budget(max(T for _, T, _ in cells) * (max(y0 for _, _, y0 in cells) + 1))
     found = {}
     for key in dict.fromkeys(key for key, _, _ in cells):
@@ -474,11 +472,6 @@ def dp_value(model: DemandModel, T: int, y0: int) -> float:
     return exact_policy_values(model, T, y0)["dp"]
 
 
-def evaluate_policy_exact(model: DemandModel, policy, T: int, y0: int) -> float:
-    """Exact expected revenue of one deterministic state-feedback policy."""
-    return exact_policy_values(model, T, y0, {"policy": policy})["policy"]
-
-
 # -- multiple products -------------------------------------------------------
 
 
@@ -498,10 +491,6 @@ class MultiResolvingPolicy(_LawPolicy):
         y = np.asarray(y, dtype=float)
         rates = solve_fluid_multi(self.model, y / t).x_c
         return PolicyDecision(price=self.model.price_of_rate(rates), demand_rate=rates)
-
-
-def multi_resolving_policy(model: MultiDemandModel) -> MultiResolvingPolicy:
-    return MultiResolvingPolicy(model)
 
 
 def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:

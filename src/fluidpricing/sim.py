@@ -30,7 +30,6 @@ from .policies import (
     _whole_at_least,
     checked_law,
     exact_passes,
-    ho_policy,
     resolving_policy,
     solve_dp_multi,
     static_policy,
@@ -84,8 +83,7 @@ def simulate(model, policy, T: int, y0, seed: int):
     if isinstance(model, MultiDemandModel):
         return simulate_multi(model, policy, T, y0, seed)
     T = _whole_at_least(T, 1, "T")
-    if not np.all(np.asarray(y0) >= 0):
-        raise DomainError("need y0 >= 0")
+    _check_inventory(y0)
     keys = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     track = gamma(model, float(y0) / T) >= 0
     batch, record = _forward(model, policy, T, y0, keys, track_t_sharp=track, record=True)
@@ -95,6 +93,13 @@ def simulate(model, policy, T: int, y0, seed: int):
         demand_rate=rate, xi=xi, realized_demand=realized, inventory_after=inventory,
         revenue=revenue, t_sharp=int(batch.t_sharp[0]) if track else None,
     )
+
+
+def _check_inventory(y0) -> None:
+    """DomainError unless every entry of the start inventory y0 is finite and >= 0."""
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y0) & (y0 >= 0)):
+        raise DomainError("need a finite y0 >= 0")
 
 
 @dataclass
@@ -116,9 +121,9 @@ class BatchResult:
             raise DomainError(f"need a confidence in (0, 1), got {confidence!r}")
         z = _Z_VALUES.get(confidence)
         if z is None:
-            from scipy.stats import norm
+            from statistics import NormalDist
 
-            z = float(norm.ppf(0.5 + confidence / 2.0))
+            z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
         n = self.total_revenue.size
         return z * float(self.total_revenue.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
 
@@ -149,8 +154,7 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     _forward); the results do not depend on the number of ranges.
     """
     T, n_reps = _whole_at_least(T, 1, "T"), _whole_at_least(n_reps, 1, "n_reps")
-    if not np.all(np.asarray(y0) >= 0):
-        raise DomainError("need y0 >= 0")
+    _check_inventory(y0)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     if not isinstance(model, MultiDemandModel):
         return _forward(model, policy, T, y0, seeds, track_t_sharp)[0]
@@ -344,7 +348,7 @@ def _build_policies(model: DemandModel, x_T: float, names) -> dict:
     """The static and resolving policies among names.
 
     "dp" is the backward pass itself and "ho" is built per replication
-    stream (ho_batch_policy), so neither gets an entry.
+    stream (ho_batch_policies), so neither gets an entry.
     """
     built = {}
     for name in names:
@@ -360,21 +364,13 @@ def _build_policies(model: DemandModel, x_T: float, names) -> dict:
     return built
 
 
-def ho_batch_policy(model: DemandModel, T: int, x_T: float, base_seed: int,
-                    n_reps: int) -> HindsightPolicy:
-    """The clairvoyant fixed price of every replication, as one HindsightPolicy.
+def ho_batch_policies(model: DemandModel, points, base_seed: int,
+                      n_reps: int) -> list[HindsightPolicy]:
+    """The clairvoyant fixed price of every replication, as one HindsightPolicy
+    at each (T, x_T) of points, from one noise pass.
 
     Replication i reveals the realized mean noise xi_bar[i] of its stream
     over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
-    The one-point call of ho_batch_policies.
-    """
-    return ho_batch_policies(model, [(T, x_T)], base_seed, n_reps)[0]
-
-
-def ho_batch_policies(model: DemandModel, points, base_seed: int,
-                      n_reps: int) -> list[HindsightPolicy]:
-    """ho_batch_policy at each (T, x_T) of points, from one noise pass.
-
     The noise mean comes from the sum of each stream's uniforms in counter
     order, from the compiled noise_sum kernel: one call per contiguous range
     of replications in kernels._map walks the counters once up to the
@@ -399,7 +395,7 @@ def ho_batch_policies(model: DemandModel, points, base_seed: int,
         (s.stop - s.start, horizons.size, horizons, seeds[s], block)
         for s, block in zip(ranges, blocks)])
     sums = dict(zip(horizons.tolist(), np.concatenate(blocks, axis=1)))
-    return [ho_policy(model, x_T, (2.0 * sums[T] / T - 1.0) * w) for T, x_T in points]
+    return [HindsightPolicy(model, x_T, (2.0 * sums[T] / T - 1.0) * w) for T, x_T in points]
 
 
 def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
@@ -482,6 +478,7 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
     so a fractional last unit sells (and earns) only that fraction.
     """
     T = _whole_at_least(T, 1, "T")
+    _check_inventory(y0)
     y0 = np.asarray(y0, dtype=float)
     n = model.n
     policy = policy or MultiResolvingPolicy(model)

@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import fluidpricing as fp
-from fluidpricing.experiments import run_ho_compare, table2_rows
+from fluidpricing.experiments import run_ho_compare, run_table2
 from fluidpricing.policies import exact_policy_values
 
 import oracles
@@ -44,7 +44,7 @@ def model():
 @pytest.fixture(scope="module")
 def table(model):
     """Exact benchmark rows for T = 2^6 .. 2^15, keyed by log2 T."""
-    rows = table2_rows(T_list=[2**k for k in range(6, 16)])
+    rows = run_table2(T_list=[2**k for k in range(6, 16)])
     return {row["log2_T"]: row for row in rows}
 
 

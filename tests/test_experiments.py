@@ -26,8 +26,6 @@ from fluidpricing.experiments import (
     run_ho_compare,
     run_sweep,
     run_table2,
-    sweep_rows,
-    table2_rows,
     write_csv,
 )
 from fluidpricing import cli, estimate_regret, experiments
@@ -102,6 +100,21 @@ class TestConfig:
             ExperimentConfig(name="x", model=base["model"], T_list=[64],
                              policies=["dp", "static", "dp"])
 
+    def test_from_dict_refuses_unknown_keys(self, tmp_path, capsys):
+        """A misspelt key used to be ignored, so {"replicatons": 100} ran at the
+        default of 10 000; the CLI exits 2 with one error line."""
+        base = {"name": "x", "model": {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5,
+                                       "p_lo": 0.0, "p_hi": 1.0}, "T_list": [64]}
+        for key in ("replicatons", "out_path"):
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_dict({**base, key: 100})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base, "replicatons": 100}))
+        assert cli.main(["estimate-regret", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "replicatons" in err
+
     def test_y0_rule_list_matches_the_products(self):
         two = {"kind": "multi-quadratic", "g": [1.0, 1.0],
                "H": [[-2.0, -0.5], [-0.5, -2.0]], "box_hi": [1.0, 1.0]}
@@ -130,7 +143,7 @@ class TestConfig:
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError):
             SweepConfig(kind="nope", T_list=[16])
-        # descending, non-whole or below 1: refused here, not later by sweep_rows
+        # descending, non-whole or below 1: refused here, not later by run_sweep
         for T_list in ([32, 16], [16, 64.5], [0, 16], [-16, 16], [True, 16], ["16"], 16, []):
             with pytest.raises(ConfigError):
                 SweepConfig(kind="gap", T_list=T_list)
@@ -140,15 +153,19 @@ class TestConfig:
 
 class TestTable2:
     def test_columns_and_guard(self):
-        rows = table2_rows(T_list=[64])
+        rows = run_table2(T_list=[64])
         assert list(rows[0]) == TABLE2_COLUMNS
         with pytest.raises(ResourceGuardError):
-            table2_rows(T_list=[2**16])
-        rows = table2_rows(T_list=[64, 128])
+            run_table2(T_list=[2**16])
+        rows = run_table2(T_list=[64, 128])
         assert [r["T"] for r in rows] == [64, 128]
 
+    def test_no_horizons_give_no_rows(self):
+        """An empty horizon list used to raise a bare ValueError from max()."""
+        assert run_table2(T_list=[]) == []
+
     def test_known_row(self):
-        row = table2_rows(T_list=[64])[0]
+        row = run_table2(T_list=[64])[0]
         assert row["log2_T"] == 6
         assert row["fluid_regret"] == pytest.approx(-0.90, abs=0.01)
         assert row["static_regret"] == pytest.approx(0.38, abs=0.01)
@@ -178,16 +195,11 @@ class TestTable2:
         assert cli.main(["table2", "--t-list", t_list, "--out", str(out)]) == 0
         assert out.read_bytes() == golden.read_bytes()
 
-    def test_display_rounds_to_two_decimals(self, capsys):
-        lines = []
-        run_table2(T_list=[64], display=lines.append)
+    def test_display_rounds_to_two_decimals(self, tmp_path, capsys):
+        assert cli.main(["table2", "--t-list", "64", "--out", str(tmp_path / "t.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert any("-0.90" in ln for ln in lines)
         assert any("0.38" in ln for ln in lines)
-
-    def test_additive_model_rejected(self):
-        model = DemandModel.linear_additive(0.75, 0.5, 0.0, 1.0, 0.1)
-        with pytest.raises(UnsupportedModelError):
-            table2_rows(T_list=[64], model=model)
 
 
 class TestSweep:
@@ -207,7 +219,7 @@ class TestSweep:
 
     def test_gap_sweep_guard(self):
         with pytest.raises(ResourceGuardError):
-            sweep_rows(SweepConfig(kind="gap", T_list=[2**16]))
+            run_sweep(SweepConfig(kind="gap", T_list=[2**16]))
 
     def test_flat_boundary_curve_warns(self):
         # a repeated horizon makes the boundary curve flat, not increasing

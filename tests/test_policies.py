@@ -22,17 +22,16 @@ import fluidpricing
 from fluidpricing import (
     DemandModel,
     DomainError,
+    HindsightPolicy,
     KernelUnavailableError,
+    MultiResolvingPolicy,
     ResourceGuardError,
     UnsupportedModelError,
     benchmark_model,
     dp_value,
-    evaluate_policy_exact,
     exact_policy_values,
     exact_values,
     fluid_value,
-    ho_policy,
-    multi_resolving_policy,
     resolving_policy,
     solve_dp,
     solve_dp_multi,
@@ -42,9 +41,9 @@ from fluidpricing import (
 from fluidpricing import cli, kernels, rng
 from fluidpricing import policies as policies_module
 from fluidpricing import sim as sim_module
-from fluidpricing.experiments import table2_rows
+from fluidpricing.experiments import run_table2
 from fluidpricing.sim import (
-    ho_batch_policy,
+    ho_batch_policies,
     ho_inner_values,
     simulate,
     simulate_batch,
@@ -80,6 +79,11 @@ class TestStaticPolicy:
     def test_requires_positive_inventory_rate(self, bernoulli_model):
         with pytest.raises(DomainError):
             static_policy(bernoulli_model, 0.0)
+        # NaN passed an x_T <= 0 test and made a policy that exact_values then
+        # refused as having no rate law
+        for x_T in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="finite inventory rate"):
+                static_policy(bernoulli_model, x_T)
 
 
 class TestResolvingPolicy:
@@ -204,7 +208,7 @@ class TestSolveDp:
 class TestExactEvaluation:
     def test_dp_policy_self_consistency(self, bernoulli_model):
         table = solve_dp(bernoulli_model, 64, 20)
-        val = evaluate_policy_exact(bernoulli_model, table.policy(), 64, 20)
+        val = exact_policy_values(bernoulli_model, 64, 20, {"policy": table.policy()})["policy"]
         assert val == pytest.approx(table.value(64, 20), abs=1e-10)
 
     def test_table2_point_resolving_T64(self, bernoulli_model):
@@ -255,7 +259,8 @@ class TestExactEvaluation:
 
     def test_hindsight_rates_per_replication_refused_before_any_kernel_call(
             self, bernoulli_model, additive_model, monkeypatch):
-        several, one = (ho_batch_policy(additive_model, 64, 0.3, 1, reps) for reps in (5, 1))
+        several, one = (ho_batch_policies(additive_model, [(64, 0.3)], 1, reps)[0]
+                        for reps in (5, 1))
 
         def no_kernel():
             raise AssertionError("the kernel was reached")
@@ -522,7 +527,7 @@ class TestBandedPass:
         re-solving row is a bridge and starts at 2 sqrt(T) + 2, V and the static row at
         4 sqrt(T) + 2; each certifies on that first band."""
         with caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
-            table2_rows()
+            run_table2()
         assert _band_log(caplog) == {"dp": _band_start(2**15, 4), "static": _band_start(2**15, 4),
                                      "resolving": _band_start(2**15, 2)}
 
@@ -761,9 +766,9 @@ class TestKernelPool:
                                                 reps, track_t_sharp=True),
             "dp": lambda: simulate_batch(bernoulli_model, table, T, y0, 5, reps),
             # per-replication rates from noise_sum
-            "ho": lambda: simulate_batch(additive_model,
-                                         ho_batch_policy(additive_model, T, y0 / T, 5, reps),
-                                         T, y0, 5, reps),
+            "ho": lambda: simulate_batch(
+                additive_model, ho_batch_policies(additive_model, [(T, y0 / T)], 5, reps)[0],
+                T, y0, 5, reps),
             "two products": lambda: simulate_batch_multi(multi_model, T, [10, 20], 5, reps),
         }
         for name, run in runs.items():
@@ -775,7 +780,8 @@ class TestKernelPool:
         rates = []
         for n in (1, 2):
             with _workers(n):
-                rates.append(ho_batch_policy(additive_model, T, 0.3, 5, reps).lo.tobytes())
+                pol = ho_batch_policies(additive_model, [(T, 0.3)], 5, reps)[0]
+                rates.append(pol.lo.tobytes())
         assert rates[0] == rates[1]
 
     def test_ranges_cover_the_replications_in_order(self):
@@ -1084,7 +1090,7 @@ def _forward_policy(family, law, T, y0, seed, reps):
     model = _FORWARD_MODELS[family]
     x_T = max(y0, 0.5) / T
     if law == "ho":
-        return ho_batch_policy(model, T, x_T, seed, reps)
+        return ho_batch_policies(model, [(T, x_T)], seed, reps)[0]
     if law == "dp":
         return solve_dp(_FORWARD_MODELS["bernoulli"], T + 3, math.ceil(y0) + 5).policy()
     return resolving_policy(model) if law == "resolving" else static_policy(model, x_T)
@@ -1140,7 +1146,7 @@ class TestDispatchedForward:
         with the reference's bits."""
         model, reps = _FORWARD_MODELS[family], 1_100_000
         pol = (static_policy(model, 0.4) if family == "bernoulli"
-               else ho_batch_policy(model, 2, 0.5, 5, reps))
+               else ho_batch_policies(model, [(2, 0.5)], 5, reps)[0])
         with mock.patch.object(kernels, "_ranges", lambda n: [slice(0, n)]):
             got = simulate_batch(model, pol, 2, 1.0, 5, reps)
         want = oracles.simulate_batch(model, pol, 2, 1.0, 5, reps)
@@ -1176,7 +1182,7 @@ class TestDispatchedForward:
     def test_two_product_matches_dispatched_and_oracle(self, single_build, model, T, start,
                                                        fill, reps, seed):
         y0 = [_start(s, fill, T) for s in start]
-        pol = multi_resolving_policy(model)
+        pol = MultiResolvingPolicy(model)
         got = _on(single_build, lambda: simulate_batch(model, pol, T, y0, seed, reps))
         want = simulate_batch(model, pol, T, y0, seed, reps)
         ref = oracles.simulate_batch(model, pol, T, y0, seed, reps)
@@ -1187,18 +1193,18 @@ class TestDispatchedForward:
 
 class TestHindsightPolicy:
     def test_zero_mean_noise_matches_static(self, additive_model):
-        pol = ho_policy(additive_model, 5 / 16, 0.0)
+        pol = HindsightPolicy(additive_model, 5 / 16, 0.0)
         assert _price_and_rate(pol, 10, 20)[0] == pytest.approx(7 / 8)
 
     def test_shifted_price(self, additive_model):
         w = additive_model.noise_half_width
-        pol = ho_policy(additive_model, 5 / 16, w)
+        pol = HindsightPolicy(additive_model, 5 / 16, w)
         assert _price_and_rate(pol, 10, 20)[0] == pytest.approx(
             additive_model.inverse_demand(5 / 16 + w))
 
     def test_bernoulli_rejected(self, bernoulli_model):
         with pytest.raises(UnsupportedModelError):
-            ho_policy(bernoulli_model, 5 / 16, 0.0)
+            HindsightPolicy(bernoulli_model, 5 / 16, 0.0)
 
     def test_prop2_inequality_monte_carlo(self, additive_model):
         # E[T r(x_T + xi_bar)] >= T r(x_T) - (m/2) T E[xi_bar^2]
@@ -1229,8 +1235,8 @@ class TestRateLaw:
         laws = list(scalar)
         if family == "additive":
             w = model.noise_half_width
-            laws.append(ho_policy(model, x_T, xi * w * np.linspace(-1, 1, y.size)))
-            scalar.append(ho_policy(model, x_T, xi * w))
+            laws.append(HindsightPolicy(model, x_T, xi * w * np.linspace(-1, 1, y.size)))
+            scalar.append(HindsightPolicy(model, x_T, xi * w))
         for pol in laws:
             lo, hi = pol.rate_law()
             want = np.where(y > 0, np.clip(y / t, lo, hi), 0.0)

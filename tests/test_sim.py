@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fluidpricing import (
     DemandModel,
     DomainError,
+    HindsightPolicy,
     MultiDemandModel,
     ResourceGuardError,
     UnsupportedModelError,
@@ -15,7 +20,6 @@ from fluidpricing import (
     exact_values,
     fluid_value,
     gamma,
-    ho_policy,
     resolving_policy,
     simulate,
     simulate_batch,
@@ -31,10 +35,9 @@ from fluidpricing.policies import (
     ResolvingPolicy,
     checked_law,
     exact_policy_values,
-    multi_resolving_policy,
     solve_dp_multi,
 )
-from fluidpricing.sim import ho_batch_policy, ho_inner_values, parse_y0_rule
+from fluidpricing.sim import ho_batch_policies, ho_inner_values, parse_y0_rule
 
 import oracles
 from conftest import random_multi_model, two_product_models
@@ -139,7 +142,7 @@ class TestSimulate:
         model = {"bernoulli": bernoulli_model, "additive": additive_model,
                  "multi": multi_model}[family]
         if family == "multi":
-            pol, y0 = multi_resolving_policy(model), [1.0, y0]
+            pol, y0 = MultiResolvingPolicy(model), [1.0, y0]
         else:
             pol = resolving_policy(model)
         with pytest.raises(DomainError):
@@ -149,9 +152,27 @@ class TestSimulate:
             with pytest.raises(DomainError, match="horizons must be >= 1"):
                 estimate_regret(model, [T, 16], rule, ("resolving",))
 
+    @pytest.mark.parametrize("family", ["bernoulli", "additive", "multi"])
+    def test_infinite_inventory_is_refused(self, family, bernoulli_model, additive_model,
+                                           multi_model):
+        """An infinite y0 used to run with a numpy RuntimeWarning and give a trace
+        whose inventory stayed infinite; every forward entry point refuses it."""
+        model = {"bernoulli": bernoulli_model, "additive": additive_model,
+                 "multi": multi_model}[family]
+        if family == "multi":
+            pol, y0 = MultiResolvingPolicy(model), [4.0, math.inf]
+            runs = [lambda: simulate_multi(model, pol, 16, y0, seed=1)]
+        else:
+            pol, y0, runs = resolving_policy(model), math.inf, []
+        runs += [lambda: simulate(model, pol, 16, y0, seed=1),
+                 lambda: simulate_batch(model, pol, 16, y0, base_seed=1, n_reps=3)]
+        for run in runs:
+            with pytest.raises(DomainError, match="finite y0"):
+                run()
+
     def test_hindsight_rejects_empty_horizon(self, additive_model):
         with pytest.raises(DomainError):
-            ho_batch_policy(additive_model, 0, 5 / 16, base_seed=1, n_reps=3)
+            ho_batch_policies(additive_model, [(0, 5 / 16)], 1, 3)
         with pytest.raises(DomainError):
             ho_inner_values(additive_model, 0, 5 / 16, base_seed=1, n_reps=3)
 
@@ -165,12 +186,12 @@ class TestSimulate:
         """A horizon of 64.5 reached the kernels as a raw ctypes error, and 2.5
         replications ran 3: each Monte Carlo entry point refuses both (and the
         two-product DP a fractional inventory)."""
-        static, pair = static_policy(additive_model, 5 / 16), multi_resolving_policy(multi_model)
+        static, pair = static_policy(additive_model, 5 / 16), MultiResolvingPolicy(multi_model)
         run = {"simulate": lambda: simulate(additive_model, static, T, 5, seed=1),
                "simulate-multi": lambda: simulate(multi_model, pair, T, [2, 3], seed=1),
                "batch": lambda: simulate_batch(additive_model, static, T, 5, 1, n),
                "batch-multi": lambda: simulate_batch(multi_model, pair, T, [2, 3], 1, n),
-               "hindsight": lambda: ho_batch_policy(additive_model, T, 5 / 16, 1, n),
+               "hindsight": lambda: ho_batch_policies(additive_model, [(T, 5 / 16)], 1, n)[0],
                "dp-multi": lambda: solve_dp_multi(multi_model, T, [n, 2]),
                "estimate-regret": lambda: estimate_regret(
                    additive_model, [T], "round(5/16*T)", ("static", "ho"), replications=n),
@@ -192,7 +213,7 @@ class TestSimulate:
 
     def test_hindsight_batch_rows_match_single_traces(self, additive_model):
         T, y0, base, n = 40, 12, 6, 5
-        pol = ho_batch_policy(additive_model, T, y0 / T, base, n)
+        pol = ho_batch_policies(additive_model, [(T, y0 / T)], base, n)[0]
         batch = simulate_batch(additive_model, pol, T, y0, base, n)
         w = additive_model.noise_half_width
         rates, _ = pol.rate_law()
@@ -201,12 +222,12 @@ class TestSimulate:
             # the clairvoyant sees the mean noise of its own stream
             xi_bar = ((2.0 * oracles.uniform_block(seed, 0, T) - 1.0) * w).mean()
             assert rates[i] == pytest.approx(y0 / T + xi_bar, abs=1e-15)
-            single = ho_policy(additive_model, y0 / T, xi_bar)
+            single = HindsightPolicy(additive_model, y0 / T, xi_bar)
             tr = simulate(additive_model, single, T, y0, seed=seed)
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
 
     def test_hindsight_rates_must_match_the_replications(self, additive_model, monkeypatch):
-        pol = ho_batch_policy(additive_model, 64, 0.3, 1, 5)
+        pol = ho_batch_policies(additive_model, [(64, 0.3)], 1, 5)[0]
 
         def no_call(*args, **kwargs):
             raise AssertionError("rates_batch or a kernel ran")
@@ -248,7 +269,7 @@ def test_engine_invariants(family, static, T, fill, seed):
     model = _ENGINE_MODELS[family]
     if family == "two-product":
         y0 = np.array([round(fill * T), round(fill * T / 2)], dtype=float)
-        pol, max_revenue = multi_resolving_policy(model), float(model.g @ y0)
+        pol, max_revenue = MultiResolvingPolicy(model), float(model.g @ y0)
     else:
         y0 = round(fill * T) if family == "bernoulli" else fill * T * 0.8
         pol = (static_policy(model, max(y0, 1) / T) if static else resolving_policy(model))
@@ -292,8 +313,8 @@ def test_every_compiled_loop_refuses_a_misuse_alike(misuse, bernoulli_model, add
     raise the same error for a misuse, before any kernel runs."""
     pol = {"rates-only": lambda: _RatesOnly(resolving_policy(bernoulli_model)),
            "overriding-subclass": lambda: _Floored(bernoulli_model),
-           "hindsight-5-rates": lambda: ho_policy(additive_model, 0.3,
-                                                  np.linspace(-0.1, 0.1, 5)),
+           "hindsight-5-rates": lambda: HindsightPolicy(additive_model, 0.3,
+                                                        np.linspace(-0.1, 0.1, 5)),
            "small-dp-table": lambda: solve_dp(bernoulli_model, 16, 10).policy()}[misuse]()
     T, y0 = 32, 12  # beyond the table's 16 periods and 10 units
 
@@ -333,7 +354,7 @@ def test_simulate_matches_scalar_oracle_bitwise(law, T, start, fill, seed):
         y0 = math.ceil(y0)  # a DP table runs whole units
         pol = solve_dp(model, T, y0).policy()
     elif name == "ho":
-        pol = ho_policy(model, x_T, (2.0 * fill - 1.0) * model.noise_half_width)
+        pol = HindsightPolicy(model, x_T, (2.0 * fill - 1.0) * model.noise_half_width)
     else:
         pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
     got = simulate(model, pol, T, y0, seed)
@@ -358,7 +379,7 @@ class TestForwardKernel:
         y0 = {"empty": 0, "fractional": fill * T * 0.6, "ample": T + 1 + fill * T}[start]
         x_T = max(y0, 0.5) / T
         if name == "ho" and family == "additive":
-            pol = ho_batch_policy(model, T, x_T, seed, reps)
+            pol = ho_batch_policies(model, [(T, x_T)], seed, reps)[0]
         else:
             pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
         _assert_batch_matches_numpy_engine(model, pol, T, y0, seed, reps, track)
@@ -378,7 +399,7 @@ class TestForwardKernel:
     @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
     def test_noise_sum_matches_sequential_sum(self, additive_model, T):
         """One noise_sum call to T keeps the sum at every listed horizon up to T,
-        each with the bits of a sum that stops there; ho_batch_policy prices at
+        each with the bits of a sum that stops there; ho_batch_policies prices at
         each horizon's mean."""
         horizons = np.array([h for h in (1, 7, 129, 300, 2049, 4097) if h <= T])
         seeds = rng.replication_seed(12, np.arange(9))
@@ -387,7 +408,7 @@ class TestForwardKernel:
         for h, row in zip(horizons.tolist(), got):
             want = oracles.noise_sum(seeds, h)
             assert row.tobytes() == want.tobytes(), h
-        rate, _ = ho_batch_policy(additive_model, T, 0.3, 12, seeds.size).rate_law()
+        rate, _ = ho_batch_policies(additive_model, [(T, 0.3)], 12, seeds.size)[0].rate_law()
         xi_bar = (2.0 * want / T - 1.0) * additive_model.noise_half_width
         assert rate.tobytes() == np.clip(0.3 + xi_bar, additive_model.d_lo,
                                          additive_model.d_hi).tobytes()
@@ -399,7 +420,7 @@ class TestForwardKernel:
     def test_two_product_matches_numpy_engine_bitwise(self, model, T, start, fill, reps, seed):
         y0 = [{"empty": 0.0, "fractional": fill * T * 0.6, "whole": float(round(fill * T))}[s]
               for s in start]
-        pol = multi_resolving_policy(model)
+        pol = MultiResolvingPolicy(model)
         assert checked_law(pol, np.array([y0]), T, model, reps) is model  # so forward2 runs
         got = simulate_batch(model, pol, T, y0, seed, reps)
         want = oracles.simulate_batch(model, pol, T, y0, seed, reps)
@@ -411,7 +432,7 @@ class TestForwardKernel:
     def test_two_product_tie_keeps_the_earlier_candidate(self, multi_model, T, y0):
         # at y0 / T the edge candidates x1 = ub1 and x2 = ub2 of the box QP sit
         # an ulp apart and tie in value exactly: both engines keep the earlier one
-        pol = multi_resolving_policy(multi_model)
+        pol = MultiResolvingPolicy(multi_model)
         got = simulate_batch(multi_model, pol, T, y0, 4, 200)
         want = oracles.simulate_batch(multi_model, pol, T, y0, 4, 200)
         assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
@@ -419,7 +440,7 @@ class TestForwardKernel:
     def test_two_product_asymmetric_H_prices_by_rows(self):
         # an unvalidated model may carry an asymmetric H: price j is g_j + (H x)_j / 2
         model = MultiDemandModel(g=[1.0, 0.9], H=[[-2.0, -0.3], [-0.7, -1.6]], box_hi=[1.0, 1.0])
-        pol = multi_resolving_policy(model)
+        pol = MultiResolvingPolicy(model)
         got = simulate_batch(model, pol, 50, [12, 30], 6, 100)
         want = oracles.simulate_batch(model, pol, 50, [12, 30], 6, 100)
         assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
@@ -434,9 +455,9 @@ class TestForwardKernel:
         with pytest.raises(UnsupportedModelError, match="no rate law"):
             checked_law(capped, np.array([[4.0, 8.0]]), 16, multi_model, 40)
         # nor does forward2 run a policy that re-solves another model, or rates alone
-        other = multi_resolving_policy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
-                                                        box_hi=[0.3, 1.0]))
-        for pol in (capped, other, _RatesOnly(multi_resolving_policy(multi_model))):
+        other = MultiResolvingPolicy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
+                                                      box_hi=[0.3, 1.0]))
+        for pol in (capped, other, _RatesOnly(MultiResolvingPolicy(multi_model))):
             with pytest.raises(UnsupportedModelError, match="no rate law"):
                 simulate_batch(multi_model, pol, 16, [4, 8], 5, 40)
 
@@ -589,8 +610,37 @@ class TestStochasticChecks:
             with pytest.raises(DomainError):
                 batch.ci_half_width(confidence)
 
+    def test_ci_half_width_needs_no_scipy(self):
+        """With scipy unavailable the package imports, a tabulated level keeps its
+        bits and any other level gets scipy's normal quantile to rounding."""
+        from scipy.stats import norm
+
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "import numpy as np, fluidpricing\n"
+                "batch = fluidpricing.BatchResult(np.arange(100.0), np.zeros(100))\n"
+                "print(repr(batch.ci_half_width(0.95)), repr(batch.ci_half_width(0.954)))")
+        src = str(Path(sim_module.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        tabulated, other = map(float, done.stdout.split())
+        assert tabulated == 5.6861479410501525
+        assert other == pytest.approx(float(norm.ppf(0.977)) * np.arange(100.0).std(ddof=1) / 10,
+                                      rel=1e-14, abs=0.0)
+
 
 class TestEstimateRegret:
+    @pytest.mark.parametrize("family", ["bernoulli", "additive", "multi"])
+    def test_no_horizons_give_no_rows(self, family, bernoulli_model, additive_model,
+                                      multi_model):
+        """No horizon is no row in every family; bernoulli raised a bare ValueError."""
+        model = {"bernoulli": bernoulli_model, "additive": additive_model,
+                 "multi": multi_model}[family]
+        rule = (lambda _: [1, 2]) if family == "multi" else "round(5/16*T)"
+        assert estimate_regret(model, [], rule, ("resolving",)) == []
+
     def test_benchmark_instance_exact_table_point(self, bernoulli_model):
         reports = estimate_regret(bernoulli_model, [64], "round(5/16*T)",
                                   policies=("static", "resolving"))
@@ -614,7 +664,7 @@ class TestEstimateRegret:
     @pytest.mark.parametrize("crn", [False, True])
     def test_ho_rows_match_per_horizon_runs(self, additive_model, crn):
         """The ho rows take every horizon's noise from one pass, with the bits of a
-        ho_batch_policy run per horizon; unsorted and repeated horizons included."""
+        ho_batch_policies run per horizon; unsorted and repeated horizons included."""
         T_list, reps, base_seed = [256, 64, 256, 1024], 300, 7
         reports = estimate_regret(additive_model, T_list, "round(5/16*T)",
                                   policies=("static", "ho"), replications=reps,
@@ -624,9 +674,8 @@ class TestEstimateRegret:
         seed = sim_module._policy_stream_seed(base_seed, "ho", crn)
         for report, T in zip(ho, T_list):
             y0 = round(5 * T / 16)
-            batch = simulate_batch(additive_model,
-                                   ho_batch_policy(additive_model, T, y0 / T, seed, reps),
-                                   T, y0, seed, reps)
+            pol = ho_batch_policies(additive_model, [(T, y0 / T)], seed, reps)[0]
+            batch = simulate_batch(additive_model, pol, T, y0, seed, reps)
             assert (np.float64(report.value).tobytes(), np.float64(report.ci_half_width).tobytes()) \
                 == (np.float64(batch.mean).tobytes(), np.float64(batch.ci_half_width()).tobytes())
 
@@ -727,7 +776,7 @@ class TestEstimateRegret:
 
 class TestMultiSimulation:
     def test_trace_invariants(self, multi_model):
-        pol = multi_resolving_policy(multi_model)
+        pol = MultiResolvingPolicy(multi_model)
         tr = simulate_multi(multi_model, pol, 32, [8, 16], seed=3)
         # conservation per product
         np.testing.assert_allclose(tr.sales.sum(axis=0) + tr.inventory_after[-1],
@@ -746,7 +795,7 @@ class TestMultiSimulation:
         from fluidpricing.rng import replication_seed
 
         batch = simulate_batch_multi(multi_model, 16, [4, 8], base_seed=13, n_reps=4)
-        pol = multi_resolving_policy(multi_model)
+        pol = MultiResolvingPolicy(multi_model)
         for i in range(4):
             tr = simulate_multi(multi_model, pol, 16, [4, 8],
                                 seed=int(replication_seed(13, i)))
@@ -755,7 +804,7 @@ class TestMultiSimulation:
     def test_fractional_inventory_censors_sales(self, multi_model):
         # a fractional last unit sells only its fraction, as in the batch engine
         batch = simulate_batch_multi(multi_model, 8, [0.5, 1.5], base_seed=3, n_reps=4)
-        pol = multi_resolving_policy(multi_model)
+        pol = MultiResolvingPolicy(multi_model)
         for i in range(4):
             tr = simulate_multi(multi_model, pol, 8, [0.5, 1.5],
                                 seed=int(rng.replication_seed(3, i)))
@@ -797,8 +846,8 @@ class TestMultiSimulation:
     def test_refuses_a_policy_that_does_not_resolve_the_model(self, case, multi_model,
                                                               bernoulli_model, monkeypatch):
         policy = (static_policy(bernoulli_model, 5 / 16) if case == "static" else
-                  multi_resolving_policy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
-                                                          box_hi=[0.5, 0.5])))
+                  MultiResolvingPolicy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
+                                                        box_hi=[0.5, 0.5])))
 
         def period_one(*args):
             raise AssertionError("period 1 ran")
@@ -809,7 +858,7 @@ class TestMultiSimulation:
             simulate_multi(multi_model, policy, 16, [4, 8], seed=1)
 
     def test_rejects_empty_horizon(self, multi_model):
-        pol = multi_resolving_policy(multi_model)
+        pol = MultiResolvingPolicy(multi_model)
         for T in (0, -3):
             with pytest.raises(DomainError):
                 simulate_multi(multi_model, pol, T, [2, 4], seed=1)
@@ -817,7 +866,7 @@ class TestMultiSimulation:
                 simulate_multi(multi_model, None, T, [2, 4], seed=1)
 
     def test_one_engine_for_every_family(self, multi_model):
-        pol = multi_resolving_policy(multi_model)
+        pol = MultiResolvingPolicy(multi_model)
         direct = simulate_batch(multi_model, pol, 16, [4, 8], base_seed=13, n_reps=4)
         thin = simulate_batch_multi(multi_model, 16, [4, 8], base_seed=13, n_reps=4)
         assert direct.total_revenue.tobytes() == thin.total_revenue.tobytes()
