@@ -34,10 +34,12 @@
  * for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every
  * helper inlined into each clone, and glibc's ifunc resolver picks the widest
  * clone this CPU runs at load time.  backward's rows, single or as a lower and
- * upper pair, vectorize under AVX2 and AVX-512.  forward, noise_sum and
- * forward2 vectorize across replications under AVX-512 only, as the uniform
- * draw converts a 64-bit integer to a double, which AVX2 cannot do in a
- * vector.  backward2 vectorizes across each inventory row (backward2_row)
+ * upper pair, run in blocks of 8 cells (cells) that vectorize in every clone
+ * with the lanes in memory order: one 8-lane vector under AVX-512, two 4-lane
+ * vectors under AVX2 and four 2-lane ones in the baseline.  forward,
+ * noise_sum and forward2 vectorize across replications under AVX-512 only, as
+ * the uniform draw converts a 64-bit integer to a double, which AVX2 cannot do
+ * in a vector.  backward2 vectorizes across each inventory row (backward2_row)
  * under AVX-512 only: gcc moves a multiply of box_qp2 into one arm of a clip,
  * and only AVX-512's masks let a vector loop run floating-point work under a
  * condition.  All give the same bits: a vector lane rounds each operation as
@@ -95,7 +97,9 @@ static double clip(double x, double lo, double hi)
  * read.  With triangle set, V(t, y) = V(t, t) for every y >= t, so only
  * y <= t is computed and V(t, t) is copied into cell t + 1 for the next
  * period.  Column 0 (no inventory) is never written.  The row is updated in
- * place from high y to low, so W(t-1, y-1) is still unchanged when read.
+ * place from high y to low, a block of BLOCK cells at a time and then the
+ * cells below the last block one by one (rows), so that W(t-1, y-1) is still
+ * unchanged when read.
  *
  * With u NULL the row is exact and runs the whole cone.  Otherwise w and u
  * are a lower and an upper bound copy of the row (oracles.band_copy): both
@@ -123,23 +127,63 @@ static double clip(double x, double lo, double hi)
 
 enum { OPTIMAL, TABLE, RATIO, CONSTANT };
 
-/* The cells last down to first of w and, unless u is NULL (as with
- * OPTIMAL), of u, each cell's rate and r(d) computed once for both */
+/* The cells of a block of rows: gcc runs one as one 8-lane vector in the
+ * x86-64-v4 clone, two of 4 lanes in the x86-64-v3 clone and four of 2 in
+ * the baseline */
+#define BLOCK 8
+
+/* The n <= BLOCK cells x .. x + n - 1 of w and, unless u is NULL (as with
+ * OPTIMAL), of u, each cell's rate and r(d) computed once for both.  Every
+ * cell is read before any is written, so the loop can run upward and gcc
+ * vectorizes it with the lanes in memory order; it is kept rolled, as gcc
+ * would otherwise unroll BLOCK cells before it could vectorize them. */
+static inline __attribute__((always_inline)) void
+cells(double *restrict w, double *restrict u, const double *restrict src,
+      long x, long n, double c, double alpha, double beta, double d_lo,
+      double d_hi, const int source)
+{
+    double next[BLOCK], unext[BLOCK];
+#pragma GCC unroll 1
+    for (long k = 0; k < n; k++) {
+        double below = w[x - 1 + k], here = w[x + k];
+        double d = source == TABLE ? src[x + k]
+                   : source == RATIO ? src[x + k] / c
+                   : source == CONSTANT ? c
+                   : clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi);
+        double reward = d * (alpha - d) / beta;
+        next[k] = reward + d * below + (1.0 - d) * here;
+        if (u)
+            unext[k] = reward + d * u[x - 1 + k] + (1.0 - d) * u[x + k];
+    }
+    for (long k = 0; k < n; k++)
+        w[x + k] = next[k];
+    if (u)
+        for (long k = 0; k < n; k++)
+            u[x + k] = unext[k];
+}
+
+/* The cells last down to first of w and, unless u is NULL, of u: blocks of
+ * BLOCK cells from the top down, then the at most BLOCK - 1 cells below the
+ * last block one at a time, from the top down too.  A block reads the cell
+ * below it before the block below writes it, so every cell reads the
+ * previous period's values.  The blocks with and without u
+ * are two loops, as gcc, testing u in one, passes each block through the
+ * stack. */
 static inline __attribute__((always_inline)) void
 rows(double *restrict w, double *restrict u, const double *restrict src,
      long first, long last, double c, double alpha, double beta, double d_lo,
      double d_hi, const int source)
 {
-    for (long y = last; y >= first; y--) {
-        double below = w[y - 1], here = w[y];
-        double d = source == TABLE ? src[y] : source == RATIO ? src[y] / c
-                   : source == CONSTANT ? c
-                   : clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi);
-        double reward = d * (alpha - d) / beta;
-        w[y] = reward + d * below + (1.0 - d) * here;
-        if (u)
-            u[y] = reward + d * u[y - 1] + (1.0 - d) * u[y];
-    }
+    long x = last + 1 - BLOCK;
+    if (u)
+        for (; x >= first; x -= BLOCK)
+            cells(w, u, src, x, BLOCK, c, alpha, beta, d_lo, d_hi, source);
+    else
+        for (; x >= first; x -= BLOCK)
+            cells(w, NULL, src, x, BLOCK, c, alpha, beta, d_lo, d_hi, source);
+    for (long k = BLOCK - 1; k >= 0; k--)
+        if (x + k >= first)
+            cells(w, u, src, x + k, 1, c, alpha, beta, d_lo, d_hi, source);
 }
 
 /* Whether a and b hold the same bits (== would equate -0.0 and 0.0) */

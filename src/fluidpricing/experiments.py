@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .demand import DemandModel, MultiDemandModel, model_from_dict, benchmark_model
 from .errors import ConfigError
-from .fluid import _effective_rate_cap
 from .policies import exact_passes, resolving_policy
-from .sim import MULTI_POLICIES, estimate_regret, ho_values, parse_y0_rule
+from .sim import (MULTI_POLICIES, ci_half_width, estimate_regret, fluid_value_at_rate,
+                  ho_values, parse_y0_rule)
 
 KNOWN_POLICIES = ("static", "resolving", "dp", "ho")
 
@@ -234,15 +234,13 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
     """
     rows = []
     for T, values in zip(T_list, ho_values(model, T_list, x_T, base_seed, replications)):
-        fluid = T * float(model.revenue_rate_unchecked(min(x_T, _effective_rate_cap(model))))
+        fluid = fluid_value_at_rate(model, T, x_T)
         mean = float(values.mean())
-        half = (1.959963984540054 * float(values.std(ddof=1)) / (len(values) ** 0.5)
-                if len(values) > 1 else math.inf)
         rows.append({
             "T": T,
             "fluid_value": fluid,
             "ho_value": mean,
-            "ci_half_width": half,
+            "ci_half_width": ci_half_width(values, 0.95),
             "gap": fluid - mean,
         })
     return rows

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,7 +312,9 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
     the copies agree bit for bit at every point; else it alone runs again at
     twice the width.  A row whose band would cover half the cone's cells or
     more, and every table row, runs the whole cone once, as one exact copy.
-    names label the rows in the DEBUG log.
+    names label the rows in the DEBUG log, each with its final band, its
+    retries, and the cells (_band_cells per copy, or _cone_cells) and kernel
+    seconds of all its attempts.
     """
     tables = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
               else None for law in laws]
@@ -341,24 +344,29 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
                 for j, (lo, hi) in enumerate(ranges)]
     out = np.empty((len(points), len(ranges)))
     retries, pending = [0] * len(ranges), list(range(len(ranges)))
+    cells, seconds = [0.0] * len(ranges), [0.0] * len(ranges)
     while pending:
         bands = {}
         for j in pending:
             if half[j] < math.inf:
                 lines = [_band(segment, ranges[j], half[j], points) for segment in segments]
-                cells = sum(min(_band_cells(segment, line), cone)
-                            for segment, line, cone in zip(segments, lines, cone_cells))
-                if 2 * cells < sum(cone_cells):
+                band = sum(min(_band_cells(segment, line), cone)
+                           for segment, line, cone in zip(segments, lines, cone_cells))
+                if 2 * band < sum(cone_cells):
                     bands[j] = lines
+                    cells[j] += 2 * band  # the lower and the upper copy
                 else:
                     half[j] = math.inf
+            if half[j] == math.inf:
+                cells[j] += sum(cone_cells)
         order = sorted(pending, key=constant.__getitem__)
         runs = dict(zip(order, kernels._map(
             functools.partial(_pass, model, points, reads, segments, triangle),
             [(j == 0, tables[j - 1] if j else None, ranges[j], bands.get(j)) for j in order])))
         failed = []
         for j in pending:
-            got, span, upper = runs[j]
+            got, span, upper, seconds_j = runs[j]
+            seconds[j] += seconds_j
             if upper is not None and not (span[0] >= 0 and got.tobytes() == upper.tobytes()):
                 half[j] *= 2
                 retries[j] += 1
@@ -367,9 +375,10 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
                 out[:, j] = got
         pending = failed
     for j, name in enumerate(names):
-        logger.debug("exact pass row %s: %s, %d retries", name,
+        logger.debug("exact pass row %s: %s, %d retries, %d cells in %.6f s (%.3g ns per cell)",
+                     name,
                      "whole cone" if half[j] == math.inf else f"band half width {half[j]:g}",
-                     retries[j])
+                     retries[j], cells[j], seconds[j], 1e9 * seconds[j] / max(cells[j], 1))
     return out.tolist()
 
 
@@ -420,24 +429,26 @@ def _pass(model, points, reads, segments, triangle, optimal, table, rates, lines
     """One row's pass: the kernel row of cells 0 .. max(reads), V when optimal,
     else run by the DP table or the (lo, hi) law rates; with band lines (one per
     segment), a lower and an upper copy.  Its values at the points (the lower
-    copy's), its last band (-1 where the band ran out) and the upper copy's
-    values at the points (None without lines)."""
+    copy's), its last band (-1 where the band ran out), the upper copy's
+    values at the points (None without lines) and the seconds in the kernel."""
     width = max(reads) + 1
     rows, ys = np.zeros((2 if lines else 1, width)), np.arange(width, dtype=float)
     # the band, then the run of cells where both copies hold the same bits: all, at 0
     span = np.array([0, width, 0, width - 1], dtype=np.int64)
     got = np.empty((len(rows), len(points)))
     pointer, stride = (None, 0) if table is None else (table.ctypes.data, table.shape[1])
-    backward = kernels._kernel().backward
+    backward, seconds = kernels._kernel().backward, 0.0
     for s, (t_from, t_to, cone, y_hi, live) in enumerate(segments):
         band = np.array(lines[s] if lines else (0.0,) * 4)
+        start = time.perf_counter()
         backward(rows[0], rows[1].ctypes.data if lines else None, width, ys, optimal, *rates,
                pointer, stride, band, span, model.alpha, model.beta, model.d_lo, model.d_hi,
                t_from, t_to, cone, y_hi, triangle, None)
+        seconds += time.perf_counter() - start
         for k in live:
             if points[k][0] == t_to:
                 got[:, k] = rows[:, reads[k]]
-    return got[0], span, got[1] if lines else None
+    return got[0], span, got[1] if lines else None, seconds
 
 
 def _check_budget(lattice: int) -> None:

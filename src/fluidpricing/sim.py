@@ -115,17 +115,23 @@ class BatchResult:
         return float(self.total_revenue.mean())
 
     def ci_half_width(self, confidence: float = 0.95) -> float:
-        """Normal-approximation half width of the mean's two-sided CI at a
-        confidence in (0, 1); DomainError outside it, NaN included."""
-        if not 0.0 < confidence < 1.0:
-            raise DomainError(f"need a confidence in (0, 1), got {confidence!r}")
-        z = _Z_VALUES.get(confidence)
-        if z is None:
-            from statistics import NormalDist
+        """ci_half_width of the replications' total revenues."""
+        return ci_half_width(self.total_revenue, confidence)
 
-            z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-        n = self.total_revenue.size
-        return z * float(self.total_revenue.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+
+def ci_half_width(samples: np.ndarray, confidence: float) -> float:
+    """Normal-approximation half width of the two-sided CI of the samples' mean
+    at a confidence in (0, 1), inf for one sample; DomainError outside (0, 1),
+    NaN included."""
+    if not 0.0 < confidence < 1.0:
+        raise DomainError(f"need a confidence in (0, 1), got {confidence!r}")
+    z = _Z_VALUES.get(confidence)
+    if z is None:
+        from statistics import NormalDist
+
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    n = samples.size
+    return z * float(samples.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
 
 
 def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, base_seed: int,
@@ -278,7 +284,11 @@ def parse_y0_rule(rule):
 def fluid_value(model: DemandModel, T: int, y0: float) -> float:
     """Benchmark value T * r(min(y0/T, rate cap)), computed from the model; below
     d_lo it extends r past the demand interval (see solve_fluid_single)."""
-    x_T = y0 / T
+    return fluid_value_at_rate(model, T, y0 / T)
+
+
+def fluid_value_at_rate(model: DemandModel, T: int, x_T: float) -> float:
+    """fluid_value at the start ratio x_T = y0 / T itself: T * r(min(x_T, rate cap))."""
     return T * float(model.revenue_rate_unchecked(min(x_T, _effective_rate_cap(model))))
 
 

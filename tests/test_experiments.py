@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -265,6 +266,25 @@ class TestHoCompare:
     def test_bernoulli_rejected(self, bernoulli_model):
         with pytest.raises(UnsupportedModelError):
             run_ho_compare(bernoulli_model, [64], 5 / 16, 10, 0)
+
+    @pytest.mark.parametrize("replications", [1, 50, 2921])
+    def test_rows_take_sims_fluid_value_and_half_width(self, replications):
+        """A row's fluid value and CI half width are the ones estimate_regret reports:
+        sim.fluid_value at y0 = x_T * T (exact here) and BatchResult.ci_half_width of the
+        hindsight values, inf for one replication.  The width divides by math.sqrt(n),
+        which at n = 2921 differs from n ** 0.5 with glibc's pow."""
+        model = DemandModel.linear_additive(0.75, 0.5, 0.0, 1.0, 0.1)
+        T_list = [64, 100]
+        rows = run_ho_compare(model, T_list, 5 / 16, replications, base_seed=3)
+        for row, T, values in zip(rows, T_list,
+                                  sim_module.ho_values(model, T_list, 5 / 16, 3, replications)):
+            assert row["fluid_value"] == sim_module.fluid_value(model, T, 5 / 16 * T)
+            half = sim_module.BatchResult(values, np.zeros_like(values)).ci_half_width()
+            assert row["ci_half_width"] == half
+            if replications > 1:
+                z, std = 1.959963984540054, float(values.std(ddof=1))
+                assert row["ci_half_width"] == z * std / math.sqrt(replications)
+        assert (rows[0]["ci_half_width"] == np.inf) == (replications == 1)
 
 
 class TestCsv:

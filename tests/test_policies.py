@@ -471,6 +471,12 @@ class TestFusedKernel:
 
 def _band_log(caplog) -> dict[str, tuple[str, int]]:
     """{row: (final width, retries)} from the DEBUG lines of the exact passes so far."""
+    return {row: entry[:2] for row, entry in _row_log(caplog).items()}
+
+
+def _row_log(caplog) -> dict[str, tuple]:
+    """{row: (final width, retries, cells, kernel seconds, ns per cell)} from the DEBUG
+    lines of the exact passes so far."""
     return {record.args[0]: record.args[1:] for record in caplog.records
             if record.msg.startswith("exact pass row")}
 
@@ -545,6 +551,26 @@ class TestBandedPass:
             with _start_width(2.0):
                 assert exact_values(bernoulli_model, points, policies) == want
             assert _band_log(caplog)["resolving"][1] == 1
+
+    def test_log_counts_each_rows_cells_and_kernel_seconds(self, bernoulli_model, caplog):
+        """Each row's DEBUG line counts the cells its kernel calls update: on the whole
+        cone, every cell max(1, y0 - T + t) .. y0 of each period t (a DP table row turns
+        the triangle cut off); on a band, both copies' cells, fewer than the cone's.  It
+        times those calls, so that ns per cell can be read from the log alone."""
+        model, (T, y0) = bernoulli_model, (64, 20)
+        cone = sum(y0 - max(1, y0 - T + t) + 1 for t in range(1, T + 1))
+        policies = {"table": solve_dp(model, T, y0).policy(),
+                    "resolving": resolving_policy(model)}
+        with caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
+            exact_values(model, [(T, y0)], policies)
+            for width, retries, cells, seconds, ns in _row_log(caplog).values():
+                assert (width, retries, cells) == ("whole cone", 0, cone)
+                assert seconds > 0 and ns == pytest.approx(1e9 * seconds / cells)
+            caplog.clear()
+            exact_values(model, [(16384, 5120)], {"resolving": resolving_policy(model)})
+            cone = sum(min(t, 5120) - max(1, 5120 - 16384 + t) + 1 for t in range(1, 16385))
+            for width, _, cells, seconds, _ in _row_log(caplog).values():
+                assert width.startswith("band") and 0 < cells < cone and seconds > 0
 
     def test_band_falls_back_to_the_whole_cone_with_the_same_bits(self, bernoulli_model,
                                                                    caplog):
@@ -701,6 +727,67 @@ class TestBandedPass:
         rows = _band_log(caplog)
         assert rows["table"] == ("whole cone", 0)
         assert rows["dp"][1] >= 1 and rows["resolving"][1] >= 1
+
+    @pytest.mark.parametrize("y_max", range(1, 18))
+    def test_exact_rows_of_every_length_match_backward(self, y_max):
+        """The whole-cone row of each rate source (V's OPTIMAL, a DP TABLE, the RATIO
+        y / t of the law (0, 1), a CONSTANT 0.3), run one period a call over cells
+        1 .. y_max, has oracles.backward's bits after every period.  The rows span y_max
+        cells, and the law's RATIO segment 1 .. t - 1 spans t - 1: between them every
+        length mod 8 (the kernel's block of cells), and every length below 8."""
+        model, T = _BOTH_CLIPS, 20
+        width, ys = y_max + 1, np.arange(y_max + 1, dtype=float)
+        dp, laws = solve_dp(model, T, y_max), [_Law(0.0, 1.0), _Law(0.3, 0.3)]
+        table = np.ascontiguousarray(dp.actions)
+        sources = [(True, (0.0, 0.0), None), (False, (0.0, 0.0), table),
+                   *((False, (law.lo, law.hi), None) for law in laws)]
+        rows = np.zeros((len(sources), width))
+        for t, want, _ in oracles.backward(model, T, y_max, [dp.policy(), *laws]):
+            for row, (optimal, rates, actions) in zip(rows, sources):
+                kernels._kernel().backward(
+                    row, None, width, ys, optimal, *rates,
+                    None if actions is None else actions.ctypes.data, width,
+                    np.zeros(4), np.zeros(4, dtype=np.int64), model.alpha, model.beta,
+                    model.d_lo, model.d_hi, t - 1, t, -T, y_max, False, None)
+            assert rows.tobytes() == want.tobytes(), t
+
+    @pytest.mark.parametrize("rates", [None, (0.0, 1.0), (0.3, 0.3)],
+                             ids=["optimal", "ratio", "constant"])
+    def test_paired_rows_of_every_length_match_band_copy(self, rates):
+        """A lower and an upper copy in one call, on the band 2 .. 1 + t, which grows by
+        a cell a period from 1 cell: after every period both rows and the band equal two
+        oracles.band_copy copies byte for byte.  The band spans t cells, and the law
+        (0, 1)'s RATIO segment 2 .. t - 1 spans t - 2: every length mod 8, and every
+        length below 8, for V (OPTIMAL, each copy on its own), RATIO and CONSTANT."""
+        model, T, width = _BOTH_CLIPS, 24, 32
+        band, ys = np.array([2.0, 0.0, 1.0, 1.0]), np.arange(width, dtype=float)
+        values = np.zeros((2, width))
+        span = np.array([0, width, 0, width - 1], dtype=np.int64)
+        copies = zip(*(oracles.band_copy(model, T, width, upper, rates, band, -T, width - 1,
+                                         False) for upper in (False, True)))
+        for (t, lower, lower_span), (_, upper, _) in copies:
+            kernels._kernel().backward(
+                values[0], values[1].ctypes.data, width, ys, rates is None,
+                *(rates or (0.0, 0.0)), None, 0, band, span, model.alpha, model.beta,
+                model.d_lo, model.d_hi, t - 1, t, -T, width - 1, False, None)
+            assert span[:2].tolist() == lower_span == [2, 1 + t], t
+            assert values[0].tobytes() == lower.tobytes(), t
+            assert values[1].tobytes() == upper.tobytes(), t
+
+
+# demand rates 0.25 .. 0.35: V's unclipped maximizer, 0.125 .. 0.375, falls below them
+# in some cells and above them in others, so both ends of its clip act
+_BOTH_CLIPS = DemandModel.linear_bernoulli(0.75, 0.5, 0.8, 1.0)
+
+
+class _Law:
+    """The (lo, hi) law clip(y / t, lo, hi) as a policy of oracles.backward."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def rates_batch(self, y, t):
+        return np.clip(y / t, self.lo, self.hi)
 
 
 def _workers(n):
@@ -941,8 +1028,10 @@ class TestKernelSource:
                       if not flags >> 3 & 1]
         assert any(flags >> 5 for flags in unrecorded)  # bit 5: the constant law
         assert vectorized.count(lines["forward"]) >= len(unrecorded)
-        # backward's row loop is inlined into every call of rows, whatever its
-        # rate source and whether it updates one copy or a pair: each runs in vectors
+        # backward's block loop is inlined into every call of rows, whatever its
+        # rate source and whether it updates one copy or a pair: each runs its
+        # blocks of BLOCK cells as 64-byte vectors (the single cells below the
+        # last block have no loop to vectorize)
         calls = re.findall(r"\brows\((?!double)", source)
         assert len(calls) >= 4  # one per rate source at least
         assert vectorized.count(lines["backward"]) >= len(calls)
@@ -959,7 +1048,7 @@ _CLONED = ("backward", "forward", "noise_sum", "forward2", "backward2")
 # the loop of each entry point that vectorizes under AVX-512: the function that
 # holds it and its first line
 _VECTOR_LOOPS = {
-    "backward": ("rows(double *restrict w", "for (long y = last; y >= first; y--) {"),
+    "backward": ("cells(double *restrict w", "for (long k = 0; k < n; k++) {"),
     "forward": ("forward_period(long reps", "for (long r = 0; r < reps; r++) {"),
     # a constant law's check and its prices, once per call
     "forward, constant check": ("void forward(long reps", "for (long r = 0; r < reps; r++)"),
