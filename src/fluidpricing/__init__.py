@@ -4,7 +4,6 @@ from .demand import (
     AssumptionConstants,
     DemandModel,
     MultiDemandModel,
-    PriceInterval,
     model_from_dict,
     model_from_json,
     model_to_json,

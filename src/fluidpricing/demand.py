@@ -16,6 +16,7 @@ as the stochastic counterpart.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,44 +27,17 @@ KIND_BERNOULLI = "linear-bernoulli"
 KIND_ADDITIVE = "linear-additive"
 KIND_MULTI = "multi-quadratic"
 
-_GRID_STEP = 1e-3  # of the price grid of assumption_constants
-_TOL = 1e-12  # the slack of contains_price and contains_demand
+_TOL = 1e-12  # the slack of the domain checks of demand_at, inverse_demand and revenue_rate
 _MIN_CURVATURE = 1e-10  # the least curvature validate_multi asks of -H
 
 
 @dataclass(frozen=True)
-class PriceInterval:
-    """Admissible price range and the demand-rate range it maps onto.
-
-    ``d_hi`` corresponds to ``p_lo`` and ``d_lo`` to ``p_hi``: demand is
-    decreasing in price.
-    """
-
-    p_lo: float
-    p_hi: float
-    d_lo: float
-    d_hi: float
-
-    def __post_init__(self):
-        if not self.p_lo < self.p_hi:
-            raise ModelValidationError([f"price interval empty: p_lo={self.p_lo} >= p_hi={self.p_hi}"])
-        if not self.d_lo < self.d_hi:
-            raise ModelValidationError([f"demand interval empty: d_lo={self.d_lo} >= d_hi={self.d_hi}"])
-
-    def contains_price(self, p: float) -> bool:
-        return self.p_lo - _TOL <= p <= self.p_hi + _TOL
-
-    def contains_demand(self, d: float) -> bool:
-        return self.d_lo - _TOL <= d <= self.d_hi + _TOL
-
-
-@dataclass(frozen=True)
 class AssumptionConstants:
-    """Constants of the regularity assumptions, exact where the model allows.
+    """Constants of the regularity assumptions, in closed form.
 
     m: lower bound on -r''(d); M: bound on |r'''(d)|; C: Lipschitz constant
-    of r; B_xi: almost-sure noise bound; L: noise Wasserstein constant per
-    unit demand shift; sigma_sq: lower bound on the noise variance.
+    of r; B_xi: almost-sure noise bound; L: W1 distance of the noises at two
+    rates per unit of their gap; sigma_sq: lower bound on the noise variance.
     """
 
     m: float
@@ -76,31 +50,36 @@ class AssumptionConstants:
 
 @dataclass(frozen=True)
 class DemandModel:
-    """Linear single-product demand model: f(p) = alpha - beta * p."""
+    """Linear single-product demand model f(p) = alpha - beta * p on prices [p_lo, p_hi].
+
+    Its rates run from d_lo = f(p_hi) to d_hi = f(p_lo); every number is finite."""
 
     kind: str
     alpha: float
     beta: float
-    interval: PriceInterval
+    p_lo: float
+    p_hi: float
     noise_half_width: float | None = None
 
     def __post_init__(self):
         violations = []
         if self.kind not in (KIND_BERNOULLI, KIND_ADDITIVE):
             violations.append(f"unknown kind {self.kind!r}")
+        numbers = ("alpha", "beta", "p_lo", "p_hi") + (
+            () if self.noise_half_width is None else ("noise_half_width",))
+        violations += [f"{name} is not finite ({getattr(self, name)})" for name in numbers
+                       if not math.isfinite(getattr(self, name))]
+        if not self.p_lo < self.p_hi:
+            violations.append(f"price interval empty: p_lo={self.p_lo} >= p_hi={self.p_hi}")
+        elif not self.d_lo < self.d_hi:  # beta <= 0, or beta * (p_hi - p_lo) lost to rounding
+            violations.append(f"demand interval empty: d_lo={self.d_lo} >= d_hi={self.d_hi}")
         if self.beta <= 0:
             violations.append("beta must be positive (demand strictly decreasing in price)")
-        else:
-            iv = self.interval
-            if abs((self.alpha - self.beta * iv.p_hi) - iv.d_lo) > 1e-9:
-                violations.append("interval d_lo inconsistent with alpha - beta * p_hi")
-            if abs((self.alpha - self.beta * iv.p_lo) - iv.d_hi) > 1e-9:
-                violations.append("interval d_hi inconsistent with alpha - beta * p_lo")
-            if self.kind == KIND_BERNOULLI and (iv.d_lo < -1e-12 or iv.d_hi > 1 + 1e-12):
-                violations.append("bernoulli demand rate must stay within [0, 1]")
+        elif self.kind == KIND_BERNOULLI and (self.d_lo < -1e-12 or self.d_hi > 1 + 1e-12):
+            violations.append("bernoulli demand rate must stay within [0, 1]")
         if self.kind == KIND_ADDITIVE:
             w = self.noise_half_width
-            if w is None or not (0 <= w <= self.interval.d_lo + 1e-12):  # NaN fails too
+            if w is None or not (0 <= w <= self.d_lo + 1e-12):  # NaN fails too
                 violations.append("linear-additive requires 0 <= noise_half_width <= d_lo "
                                   "(realized demand must stay >= 0)")
         if violations:
@@ -110,45 +89,49 @@ class DemandModel:
 
     @classmethod
     def linear_bernoulli(cls, alpha: float, beta: float, p_lo: float, p_hi: float) -> "DemandModel":
-        return cls(KIND_BERNOULLI, alpha, beta, _interval_for(alpha, beta, p_lo, p_hi))
+        return cls(KIND_BERNOULLI, alpha, beta, p_lo, p_hi)
 
     @classmethod
     def linear_additive(
         cls, alpha: float, beta: float, p_lo: float, p_hi: float, noise_half_width: float
     ) -> "DemandModel":
-        return cls(KIND_ADDITIVE, alpha, beta, _interval_for(alpha, beta, p_lo, p_hi),
-                   noise_half_width=noise_half_width)
+        return cls(KIND_ADDITIVE, alpha, beta, p_lo, p_hi, noise_half_width=noise_half_width)
 
     # -- analytic structure -------------------------------------------
 
     @property
     def d_lo(self) -> float:
-        return self.interval.d_lo
+        return self.alpha - self.beta * self.p_hi
 
     @property
     def d_hi(self) -> float:
-        return self.interval.d_hi
+        return self.alpha - self.beta * self.p_lo
 
     @property
     def x_u(self) -> float:
         """Demand rate maximizing the revenue curve, ignoring inventory."""
         return self.alpha / 2.0
 
+    @property
+    def rate_cap(self) -> float:
+        """The highest rate of a fluid solution: x_u kept inside [d_lo, d_hi]."""
+        return min(max(self.x_u, self.d_lo), self.d_hi)
+
     def demand_at(self, p: float) -> float:
         """Mean demand rate at price p."""
-        if not self.interval.contains_price(p):
-            raise DomainError(f"price {p} outside [{self.interval.p_lo}, {self.interval.p_hi}]")
+        if not self.p_lo - _TOL <= p <= self.p_hi + _TOL:
+            raise DomainError(f"price {p} outside [{self.p_lo}, {self.p_hi}]")
         return self.alpha - self.beta * p
 
     def inverse_demand(self, d: float) -> float:
         """Price that induces mean demand rate d."""
-        if not self.interval.contains_demand(d):
+        if not self.d_lo - _TOL <= d <= self.d_hi + _TOL:
             raise DomainError(f"demand rate {d} outside [{self.d_lo}, {self.d_hi}]")
         return (self.alpha - d) / self.beta
 
     def revenue_rate(self, d: float) -> float:
         """Mean one-period revenue r(d) = d * f^{-1}(d)."""
-        if not self.interval.contains_demand(d):
+        if not self.d_lo - _TOL <= d <= self.d_hi + _TOL:
             raise DomainError(f"demand rate {d} outside [{self.d_lo}, {self.d_hi}]")
         return d * (self.alpha - d) / self.beta
 
@@ -165,8 +148,8 @@ class DemandModel:
         """r'(d)."""
         return (self.alpha - 2.0 * d) / self.beta
 
-    def revenue_curvature(self, d: float | None = None) -> float:
-        """r''(d); constant for linear demand."""
+    def revenue_curvature(self) -> float:
+        """r'', the same at every rate for linear demand."""
         return -2.0 / self.beta
 
     def price_of_rate(self, d):
@@ -182,23 +165,21 @@ class DemandModel:
     # -- assumption constants ------------------------------------------
 
     def assumption_constants(self) -> AssumptionConstants:
-        """Exact constants where the linear family admits them, grid estimates otherwise.
+        """The constants in closed form.
 
-        The Wasserstein constant L of the bernoulli family is estimated by
-        exhaustive evaluation of the optimal one-dimensional (quantile)
-        coupling over a price grid; it is reported as a data point and not
-        used by any solver.
+        Additive noise is the same at every rate, so L = 0.  Bernoulli noises at
+        rates delta apart are at W1 distance 2 delta (1 - delta) under the quantile
+        coupling, so L = 2 (W2 / delta has no bound); their variance q (1 - q) is
+        concave, so it is least at d_lo or d_hi.
         """
-        m = 2.0 / self.beta
         C = max(abs(self.revenue_slope(self.d_lo)), abs(self.revenue_slope(self.d_hi)))
+        B_xi = self.noise_bound()
         if self.kind == KIND_ADDITIVE:
-            w = float(self.noise_half_width)
-            return AssumptionConstants(m=m, M=0.0, C=C, B_xi=w, L=0.0, sigma_sq=w * w / 3.0)
-        grid = _price_grid(self.interval)
-        q = self.alpha - self.beta * grid
-        sigma_sq = float(np.min(q * (1.0 - q)))
-        L = _bernoulli_wasserstein_ratio(q)
-        return AssumptionConstants(m=m, M=0.0, C=C, B_xi=1.0, L=L, sigma_sq=sigma_sq)
+            L, sigma_sq = 0.0, B_xi * B_xi / 3.0
+        else:
+            L, sigma_sq = 2.0, min(q * (1.0 - q) for q in (self.d_lo, self.d_hi))
+        return AssumptionConstants(m=-self.revenue_curvature(), M=0.0, C=C, B_xi=B_xi, L=L,
+                                   sigma_sq=sigma_sq)
 
     # -- serialization ---------------------------------------------------
 
@@ -207,35 +188,12 @@ class DemandModel:
             "kind": self.kind,
             "alpha": self.alpha,
             "beta": self.beta,
-            "p_lo": self.interval.p_lo,
-            "p_hi": self.interval.p_hi,
+            "p_lo": self.p_lo,
+            "p_hi": self.p_hi,
         }
         if self.kind == KIND_ADDITIVE:
             out["noise_half_width"] = self.noise_half_width
         return out
-
-
-def _interval_for(alpha: float, beta: float, p_lo: float, p_hi: float) -> PriceInterval:
-    return PriceInterval(p_lo=p_lo, p_hi=p_hi, d_lo=alpha - beta * p_hi, d_hi=alpha - beta * p_lo)
-
-
-def _price_grid(interval: PriceInterval) -> np.ndarray:
-    n = int(round((interval.p_hi - interval.p_lo) / _GRID_STEP))
-    return np.linspace(interval.p_lo, interval.p_hi, max(n, 1) + 1)
-
-
-def _bernoulli_wasserstein_ratio(q: np.ndarray) -> float:
-    """max over grid pairs of W2(noise(q_i), noise(q_j)) / |q_i - q_j|.
-
-    For centered bernoulli noises the quantile coupling gives
-    W2^2 = delta * (1 - delta) with delta = |q_i - q_j|.
-    """
-    delta = np.abs(q[:, None] - q[None, :]).ravel()
-    delta = delta[delta > 1e-15]
-    if delta.size == 0:
-        return 0.0
-    ratio = np.sqrt(np.clip(delta * (1.0 - delta), 0.0, None)) / delta
-    return float(ratio.max())
 
 
 # -- multiple products -----------------------------------------------------
@@ -358,26 +316,34 @@ def model_to_json(model) -> str:
     return json.dumps(model.to_dict(), sort_keys=True)
 
 
+_MODEL_KEYS = {  # the keys of each kind's JSON object besides "kind"; "c" is optional
+    KIND_BERNOULLI: ("alpha", "beta", "p_lo", "p_hi"),
+    KIND_ADDITIVE: ("alpha", "beta", "p_lo", "p_hi", "noise_half_width"),
+    KIND_MULTI: ("g", "H", "box_hi", "c"),
+}
+
+
 def model_from_dict(obj: dict):
-    """Build a model from its JSON object; missing or mistyped fields raise ConfigError."""
+    """Build a model from its JSON object; missing, unknown or mistyped fields raise
+    ConfigError, so that a misspelt or misplaced key is not dropped unread."""
     try:
         kind = obj.get("kind")
+        names = _MODEL_KEYS.get(kind) if isinstance(kind, str) else None
+        if names is None:
+            raise ModelValidationError([f"unknown model kind {kind!r}"])
+        unknown = set(obj) - {"kind", *names}
+        if unknown:
+            raise ConfigError(f"unknown keys {sorted(unknown)} for a {kind} model")
         if kind == KIND_MULTI:
             if float(obj.get("c", 0.0)) != 0.0:
                 raise ModelValidationError(
                     ["c must be 0: the prices g + Hx/2 earn no constant revenue"])
             return MultiDemandModel(g=obj["g"], H=obj["H"], box_hi=obj["box_hi"])
-        if kind == KIND_BERNOULLI:
-            return DemandModel.linear_bernoulli(obj["alpha"], obj["beta"], obj["p_lo"], obj["p_hi"])
-        if kind == KIND_ADDITIVE:
-            return DemandModel.linear_additive(
-                obj["alpha"], obj["beta"], obj["p_lo"], obj["p_hi"], obj["noise_half_width"]
-            )
-    except ModelValidationError:
+        return DemandModel(kind, *(obj[name] for name in names))
+    except (ConfigError, ModelValidationError):
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model JSON ({type(exc).__name__}: {exc})") from exc
-    raise ModelValidationError([f"unknown model kind {kind!r}"])
 
 
 def model_from_json(text: str):

@@ -57,11 +57,6 @@ class FluidSolution:
         }
 
 
-def _effective_rate_cap(model: DemandModel) -> float:
-    # the revenue maximizer, kept inside the demand interval
-    return min(max(model.x_u, model.d_lo), model.d_hi)
-
-
 def solve_fluid_single(model: DemandModel, x: float) -> FluidSolution:
     """Closed-form fluid solution for one product: x_c = min(x, rate cap).
 
@@ -72,10 +67,9 @@ def solve_fluid_single(model: DemandModel, x: float) -> FluidSolution:
     """
     if not x >= 0:  # also rejects NaN
         raise DomainError(f"normalized inventory must be nonnegative, got {x}")
-    cap = _effective_rate_cap(model)
     clamped = x < model.d_lo
-    x_c = min(max(x, model.d_lo), cap)
-    active = x <= cap + ACTIVE_TOL
+    x_c = min(max(x, model.d_lo), model.rate_cap)
+    active = x <= model.rate_cap + ACTIVE_TOL
     # a dual is >= 0: below a cap at d_lo (x_u < d_lo) the slope is negative
     lam = max(model.revenue_slope(x_c), 0.0) if active else 0.0
     degenerate = active and lam <= DUAL_TOL

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
-from .fluid import _effective_rate_cap, box_qp2_batch, solve_fluid_multi
+from .fluid import box_qp2_batch, solve_fluid_multi
 
 logger = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ class StaticPolicy(_LawPolicy):
     """Stationary price at the fluid optimum for the initial inventory (lo = hi)."""
 
     def __init__(self, model: DemandModel, x_T: float):
-        rate = min(max(x_T, model.d_lo), _effective_rate_cap(model))
+        rate = min(max(x_T, model.d_lo), model.rate_cap)
         super().__init__(model, rate, rate)
 
 
@@ -80,7 +80,7 @@ class ResolvingPolicy(_LawPolicy):
     """
 
     def __init__(self, model: DemandModel):
-        super().__init__(model, model.d_lo, _effective_rate_cap(model))
+        super().__init__(model, model.d_lo, model.rate_cap)
 
 
 class HindsightPolicy(_LawPolicy):
@@ -318,11 +318,10 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
     """
     tables = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
               else None for law in laws]
-    cap = _effective_rate_cap(model)
     # each row's (lo, hi); V's is the range of its fluid rate, which centres its band
-    ranges = [(model.d_lo, cap)] + [(0.0, 0.0) if table is not None else
-                                    tuple(np.asarray(bound).item() for bound in law)
-                                    for table, law in zip(tables, laws)]
+    ranges = [(model.d_lo, model.rate_cap)] + [(0.0, 0.0) if table is not None else
+                                               tuple(np.asarray(bound).item() for bound in law)
+                                               for table, law in zip(tables, laws)]
     triangle = (all(table is None for table in tables)
                 and all(hi <= max(lo, 1.0) for lo, hi in ranges[1:]))
     reads = [min(y0, T) if triangle else y0 for T, y0 in points]

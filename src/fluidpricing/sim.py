@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels, rng
 from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
-from .fluid import _effective_rate_cap, solve_fluid_multi
+from .fluid import solve_fluid_multi
 from .policies import (
     HindsightPolicy,
     MultiResolvingPolicy,
@@ -233,7 +233,7 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
 def gamma(model: DemandModel, x_T: float) -> float:
     """Half-width of the safe band for the harmonic noise series."""
     slope = model.revenue_slope(x_T)
-    curv = model.revenue_curvature(x_T)
+    curv = model.revenue_curvature()
     return min(x_T - model.d_lo, model.x_u - x_T, -slope / curv)
 
 
@@ -289,7 +289,7 @@ def fluid_value(model: DemandModel, T: int, y0: float) -> float:
 
 def fluid_value_at_rate(model: DemandModel, T: int, x_T: float) -> float:
     """fluid_value at the start ratio x_T = y0 / T itself: T * r(min(x_T, rate cap))."""
-    return T * float(model.revenue_rate_unchecked(min(x_T, _effective_rate_cap(model))))
+    return T * float(model.revenue_rate_unchecked(min(x_T, model.rate_cap)))
 
 
 def _policy_stream_seed(base_seed: int, policy_name: str, crn: bool) -> int:
@@ -543,9 +543,9 @@ def constant_bound(model: DemandModel, x_T: float) -> float:
             f"constant bound needs x_T in ({model.d_lo}, {model.x_u}), got {x_T}")
     consts = model.assumption_constants()
     gam = gamma(model, x_T)
-    curv = abs(model.revenue_curvature(x_T))
+    curv = abs(model.revenue_curvature())
     B = consts.B_xi
-    r_peak = model.revenue_rate(_effective_rate_cap(model))
+    r_peak = model.revenue_rate(model.rate_cap)
     e_tsharp_minus_1 = 1.0 + 4.0 * B**4 / gam**4
     return (consts.M**2 * B**4 / (2.0 * consts.m)
             + 2.0 * (curv * consts.L * B) ** 2 / consts.m

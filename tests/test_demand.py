@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from fluidpricing import (
     ConfigError,
@@ -9,7 +10,6 @@ from fluidpricing import (
     DomainError,
     ModelValidationError,
     MultiDemandModel,
-    PriceInterval,
     model_from_dict,
     model_from_json,
     model_to_json,
@@ -19,12 +19,13 @@ from fluidpricing import (
     static_policy,
     validate_multi,
 )
+from fluidpricing import cli
 
 
 def test_demand_at_known_points(bernoulli_model):
     assert bernoulli_model.demand_at(7 / 8) == pytest.approx(5 / 16, abs=1e-15)
     assert bernoulli_model.demand_at(3 / 4) == pytest.approx(3 / 8, abs=1e-15)
-    assert bernoulli_model.demand_at(bernoulli_model.interval.p_lo) == pytest.approx(
+    assert bernoulli_model.demand_at(bernoulli_model.p_lo) == pytest.approx(
         bernoulli_model.d_hi, abs=1e-15)
 
 
@@ -38,7 +39,7 @@ def test_demand_at_rejects_out_of_interval(bernoulli_model):
 def test_inverse_demand_known_points(bernoulli_model):
     assert bernoulli_model.inverse_demand(5 / 16) == pytest.approx(7 / 8, abs=1e-15)
     assert bernoulli_model.inverse_demand(bernoulli_model.d_hi) == pytest.approx(
-        bernoulli_model.interval.p_lo, abs=1e-15)
+        bernoulli_model.p_lo, abs=1e-15)
     with pytest.raises(DomainError):
         bernoulli_model.inverse_demand(0.9)
 
@@ -120,15 +121,60 @@ class TestAssumptionConstants:
         # |r'| at the demand endpoints: r'(1/4) = 1/2, r'(3/4) = -3/2
         assert c.C == pytest.approx(1.5)
         assert c.B_xi == 1.0
-        # min over the price grid of f(p)(1 - f(p)), attained at both endpoints
+        # the least of q (1 - q) over [1/4, 3/4], at both ends
         assert c.sigma_sq == pytest.approx(3 / 16, abs=1e-12)
-        assert np.isfinite(c.L) and c.L > 1.0
+        assert c.L == 2.0  # the supremum of W1 / delta = 2 (1 - delta)
 
     def test_additive_constants(self, additive_model):
         c = additive_model.assumption_constants()
         assert c.L == 0.0
         assert c.B_xi == pytest.approx(0.1)
         assert c.sigma_sq == pytest.approx(0.1**2 / 3)
+
+
+@st.composite
+def _bernoulli_models(draw):
+    """Bernoulli models on any price range, so x_u lies below, inside or above [d_lo, d_hi]."""
+    alpha, beta = draw(st.floats(0.05, 1.0 + 9e-13)), draw(st.floats(0.05, 5.0))
+    p_lo, p_hi = sorted(draw(st.floats(0.0, alpha / beta)) for _ in range(2))
+    assume(p_lo < p_hi)
+    try:
+        return DemandModel.linear_bernoulli(alpha, beta, p_lo, p_hi)
+    except ModelValidationError:  # a rate just outside [0, 1], or a range lost to rounding
+        assume(False)
+
+
+def _bernoulli_noise_w1(q1: float, q2: float) -> float:
+    """W1 between the centred noises sale - q of two rates: the integral of |F1 - F2|."""
+    def cdf(q, x):
+        return 0.0 if x < -q else (1.0 - q if x < 1.0 - q else 1.0)
+    points = sorted({-q1, 1.0 - q1, -q2, 1.0 - q2})
+    return sum((b - a) * abs(cdf(q1, a) - cdf(q2, a)) for a, b in zip(points, points[1:]))
+
+
+@given(model=_bernoulli_models(), share=st.floats(0.0, 1.0))
+def test_bernoulli_constants_in_closed_form(model, share):
+    c = model.assumption_constants()
+    d_lo, d_hi = model.alpha - model.beta * model.p_hi, model.alpha - model.beta * model.p_lo
+    assert c.sigma_sq == min(d_lo * (1.0 - d_lo), d_hi * (1.0 - d_hi))
+    # q (1 - q) is concave, so no rate inside the range has a smaller variance
+    q = np.linspace(d_lo, d_hi, 1001)
+    assert c.sigma_sq <= np.min(q * (1.0 - q)) + 1e-15
+    # W1 = 2 delta (1 - delta) <= L delta for every pair of rates delta apart
+    assert c.L == 2.0
+    q2 = d_lo + share * (d_hi - d_lo)
+    w1 = _bernoulli_noise_w1(d_lo, q2)
+    assert w1 == pytest.approx(2.0 * (q2 - d_lo) * (1.0 - (q2 - d_lo)), abs=1e-12)
+    assert w1 <= c.L * (q2 - d_lo) + 1e-12
+    assert model.rate_cap == min(max(model.alpha / 2.0, d_lo), d_hi)
+
+
+def test_validate_model_prints_the_closed_form_constants(tmp_path, capsys):
+    path = tmp_path / "bernoulli.json"
+    path.write_text(model_to_json(DemandModel.linear_bernoulli(0.75, 0.5, 0.0, 1.0)))
+    assert cli.main(["validate-model", "--model", str(path)]) == 0
+    consts = json.loads(capsys.readouterr().out)["constants"]
+    assert consts["L"] == 2.0 and consts["sigma_sq"] == 0.1875
 
 
 class TestMultiValidation:
@@ -170,10 +216,14 @@ class TestMultiValidation:
 
 
 def test_price_interval_invariants():
-    with pytest.raises(ModelValidationError):
-        PriceInterval(p_lo=1.0, p_hi=0.5, d_lo=0.1, d_hi=0.2)
-    with pytest.raises(ModelValidationError):
-        PriceInterval(p_lo=0.0, p_hi=1.0, d_lo=0.4, d_hi=0.3)
+    with pytest.raises(ModelValidationError, match="price interval empty"):
+        DemandModel.linear_bernoulli(alpha=0.75, beta=0.5, p_lo=1.0, p_hi=0.5)
+    # the rates are derived from the prices, so d_lo > d_hi takes beta <= 0; and a
+    # beta * (p_hi - p_lo) below half an ulp of alpha leaves d_lo == d_hi
+    with pytest.raises(ModelValidationError, match="demand interval empty"):
+        DemandModel.linear_bernoulli(alpha=0.75, beta=-0.5, p_lo=0.0, p_hi=1.0)
+    with pytest.raises(ModelValidationError, match="demand interval empty"):
+        DemandModel.linear_bernoulli(alpha=0.5, beta=1e-20, p_lo=0.0, p_hi=1.0)
 
 
 def test_model_validation_errors():
@@ -182,8 +232,7 @@ def test_model_validation_errors():
     with pytest.raises(ModelValidationError):
         DemandModel.linear_bernoulli(alpha=0.75, beta=-0.5, p_lo=0.0, p_hi=1.0)
     with pytest.raises(ModelValidationError):
-        DemandModel(kind="linear-additive", alpha=0.75, beta=0.5,
-                    interval=PriceInterval(0.0, 1.0, 0.25, 0.75))  # missing width
+        DemandModel(kind="linear-additive", alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0)  # no width
 
 
 def test_additive_noise_must_not_make_demand_negative():
@@ -203,9 +252,49 @@ def test_model_from_dict_missing_or_mistyped_fields():
     for obj in ({"kind": "linear-bernoulli", "alpha": 0.75},
                 {"kind": "linear-bernoulli", "alpha": "x", "beta": 0.5, "p_lo": 0.0, "p_hi": 1.0},
                 {"kind": "multi-quadratic", "g": "abc", "H": [[-1.0]], "box_hi": [1.0]},
+                # an integer too large for a float used to end in an OverflowError
+                {"kind": "linear-bernoulli", "alpha": 10**400, "beta": 0.5, "p_lo": 0.0,
+                 "p_hi": 1.0},
                 ["linear-bernoulli"]):
         with pytest.raises(ConfigError):
             model_from_dict(obj)
+
+
+_SINGLE_SPECS = {
+    "linear-bernoulli": {"kind": "linear-bernoulli", "alpha": 0.75, "beta": 0.5, "p_lo": 0.0,
+                         "p_hi": 1.0},
+    "linear-additive": {"kind": "linear-additive", "alpha": 0.75, "beta": 0.5, "p_lo": 0.0,
+                        "p_hi": 1.0, "noise_half_width": 0.1},
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind,field", [(kind, field) for kind, spec in _SINGLE_SPECS.items()
+                                        for field in spec if field != "kind"])
+def test_non_finite_parameters_are_refused(kind, field, value, tmp_path, capsys):
+    # a p_lo of -1e400, parsed as -inf, used to validate with C = inf and fluid-solve ran on it
+    obj = {**_SINGLE_SPECS[kind], field: value}
+    with pytest.raises(ModelValidationError, match=f"{field} is not finite"):
+        model_from_dict(obj)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["validate-model", "--model", str(path)]) == 3
+    assert cli.main(["fluid-solve", "--model", str(path), "--inventory", "0.3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count(f"{field} is not finite") == 2
+
+
+def test_model_from_dict_refuses_keys_its_kind_does_not_take(multi_model, tmp_path, capsys):
+    bern, add = _SINGLE_SPECS["linear-bernoulli"], _SINGLE_SPECS["linear-additive"]
+    multi = json.loads(model_to_json(multi_model))
+    for obj in ({**bern, "noise_half_width": 0.1}, {**bern, "alhpa": 0.75},
+                {**add, "c": 0.0}, {**multi, "alpha": 0.75}):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            model_from_dict(obj)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**bern, "noise_half_width": 0.1}))
+    assert cli.main(["validate-model", "--model", str(path)]) == 2
+    assert "unknown keys ['noise_half_width']" in capsys.readouterr().err
 
 
 def test_json_round_trip(bernoulli_model, additive_model, multi_model):

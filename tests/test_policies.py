@@ -681,7 +681,7 @@ class TestBandedPass:
             "static": static_policy(model, 5 / 16), "resolving": resolving_policy(model)
         }[row].rate_law()
         width, cone = y0 + 1, y0 - T
-        fitted = rates or (model.d_lo, policies_module._effective_rate_cap(model))
+        fitted = rates or (model.d_lo, model.rate_cap)
         band = np.array((150.0, -0.5, -100.0, 1.5) if line == "steep" else policies_module._band(
             (0, T, cone, y0, [0]), fitted, {"fitted": 6.0, "wide": 60.0}[line], [(T, y0)]))
         values, ys = np.zeros((2, width)), np.arange(width, dtype=float)

@@ -273,7 +273,7 @@ def test_engine_invariants(family, static, T, fill, seed):
     else:
         y0 = round(fill * T) if family == "bernoulli" else fill * T * 0.8
         pol = (static_policy(model, max(y0, 1) / T) if static else resolving_policy(model))
-        max_revenue = model.interval.p_hi * y0
+        max_revenue = model.p_hi * y0
     rec = _Recorder(pol)
     reference = oracles.simulate_batch(model, rec, T, y0, seed, 40)
     states = np.stack(rec.states)
