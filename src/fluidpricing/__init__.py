@@ -30,7 +30,6 @@ from .fluid import (
 )
 from .policies import (
     DpPolicy,
-    HindsightPolicy,
     MultiResolvingPolicy,
     PolicyDecision,
     ValueTable,

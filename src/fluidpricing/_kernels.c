@@ -11,9 +11,11 @@
  *              over the whole cone or over a band, as a lower and an upper
  *              bound in one call (oracles.backward, oracles.band_copy);
  *   forward    the one-product Monte Carlo engine of sim.simulate and
- *              sim.simulate_batch (oracles.simulate, oracles.simulate_batch);
- *   noise_sum  the noise sums of the hindsight benchmark, in counter order,
- *              at every horizon of one pass (oracles.noise_sum);
+ *              sim.simulate_batch, one rate law for every replication
+ *              (oracles.simulate, oracles.simulate_batch);
+ *   noise_sum  the noise sums of the hindsight benchmark (sim.ho_noise_means),
+ *              in counter order, at every horizon of one pass
+ *              (oracles.noise_sum);
  *   forward2   the two-product re-solving Monte Carlo engine of
  *              sim.simulate_batch (oracles.simulate_batch);
  *   backward2  the two-product exact backward pass (oracles.backward_multi);
@@ -26,7 +28,6 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* With gcc 11 or later on x86-64 glibc, the loops marked KERNEL_CLONES
@@ -369,8 +370,8 @@ static inline double unit_mix(uint64_t z)
 /* -- forward ------------------------------------------------------------------
  *
  * reps one-product replications in lockstep, replication r on the stream
- * keys[r] and under the rate law of its policy while y > 0: with width 0,
- * clip(y / t, lo[r], hi[r]) (lo[r] == hi[r] is a constant rate); otherwise
+ * keys[r], all under the rate law of one policy while y > 0: with width 0,
+ * clip(y / t, lo, hi) (lo == hi is a constant rate); otherwise
  * the DP action actions[t][min((long)y, width - 1)] of a row-major table of
  * width columns (column 0 is 0, so 0 < y < 1 gets rate 0).  Sales are unit
  * sized (u < rate) when unit_sales is set, else rate + (2u - 1) * w; demand
@@ -388,10 +389,10 @@ static inline double unit_mix(uint64_t z)
  * record, and whether every replication still has stock) once, outside the
  * loop over replications, so that the loop has no branch and vectorizes
  * across them: the zeros of inactive rows are the masks of keep, and a
- * stopping time is a select.  A constant law (width 0 and lo[r] == hi[r] for
- * every r: static and hindsight batches) takes the rate hi[r], which clip
- * returns for every y, and its price (alpha - hi[r]) / beta from a heap array
- * filled once per call, so its periods divide nothing.
+ * stopping time is a select.  A constant law (width 0 and lo == hi: static
+ * batches and traces) takes the rate hi, which clip returns for every y, and
+ * the price (alpha - hi) / beta, divided once per call, so its periods divide
+ * nothing.
  */
 
 /* numpy's minimum and maximum: the second operand on a tie */
@@ -415,14 +416,14 @@ static inline double keep(double x, uint64_t m)
 static inline uint64_t stocked(double y) { return -(uint64_t)(y > 0); }
 
 /* Period i of forward over every replication, with the period's choices as
- * the constants table (a DP table, else a (lo, hi) law), unit (unit sales),
- * tracked (the stopping-time tracker runs), rec (the record is written) and
- * full (every replication has stock, so each mask is all ones and folds away) */
+ * the constants table (a DP table, else a (lo, hi) law), constant (lo == hi,
+ * priced at fixed), unit (unit sales), tracked (the stopping-time tracker
+ * runs), rec (the record is written) and full (every replication has stock,
+ * so each mask is all ones and folds away) */
 static inline __attribute__((always_inline)) void
 forward_period(long reps, long T, long i, const uint64_t *restrict keys,
-               const double *restrict lo, const double *restrict hi,
-               const double *restrict row, long width, const double *restrict prices,
-               double alpha, double beta,
+               double lo, double hi, const double *restrict row, long width,
+               double fixed, double alpha, double beta,
                double w, double *restrict y, double *restrict total,
                double *restrict sum_xi, double gam, double *restrict harm,
                int64_t *restrict t_sharp, double *restrict trace, const int table,
@@ -438,8 +439,8 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
         uint64_t m = full ? ~(uint64_t)0 : stocked(yr);
         /* y >= 0, so an inactive row reads column 0 */
         double d = keep(table ? row[(long)minimum(yr, top)]
-                        : constant ? hi[r] : clip(yr / now, lo[r], hi[r]), m);
-        double price = keep(constant ? prices[r] : (alpha - d) / beta, m);
+                        : constant ? hi : clip(yr / now, lo, hi), m);
+        double price = keep(constant ? fixed : (alpha - d) / beta, m);
         double xi, realized;
         if (unit) {
             realized = keep(1.0, -(uint64_t)(u < d)); /* d is 0 without stock */
@@ -474,16 +475,15 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
  * 2 tracked, 3 rec, 4 full, 5 constant */
 #define FORWARD_PERIOD(flags)                                                  \
     case flags:                                                                \
-        forward_period(reps, T, i, keys, lo, hi, row, width, prices, alpha,    \
+        forward_period(reps, T, i, keys, lo, hi, row, width, fixed, alpha,     \
                        beta, w, y, total, sum_xi, gam, harm, t_sharp, trace,   \
                        (flags) & 1, (flags) >> 5, (flags) >> 1 & 1,            \
                        (flags) >> 2 & 1, (flags) >> 3 & 1, (flags) >> 4 & 1);  \
         break;
 
 KERNEL_CLONES
-void forward(long reps, long T, const uint64_t *restrict keys,
-             const double *restrict lo, const double *restrict hi,
-             const double *restrict actions, long width, double alpha,
+void forward(long reps, long T, const uint64_t *restrict keys, double lo,
+             double hi, const double *restrict actions, long width, double alpha,
              double beta, double w, int unit_sales, double *restrict y,
              double *restrict total, double *restrict sum_xi, int track,
              double gam, double *restrict harm, int64_t *restrict t_sharp,
@@ -492,15 +492,8 @@ void forward(long reps, long T, const uint64_t *restrict keys,
     /* A replication that sells out never restocks, so the periods run full
      * until the first sell-out, then masked; a record (one replication) is
      * always masked */
-    int full = !record, constant = !width;
-    for (long r = 0; r < reps; r++)
-        constant &= lo[r] == hi[r];
-    /* NULL without a constant law, or if the heap is out, which the
-     * dividing loop serves with the same bits */
-    double *prices = constant ? malloc(reps * sizeof *prices) : NULL;
-    if (prices)
-        for (long r = 0; r < reps; r++)
-            prices[r] = (alpha - hi[r]) / beta;
+    int full = !record, constant = !width && lo == hi;
+    double fixed = (alpha - hi) / beta;
     for (long i = 0; i < T; i++) {
         const double *row = actions + (T - i) * width;
         int tracked = track && T - i >= 2;
@@ -511,7 +504,7 @@ void forward(long reps, long T, const uint64_t *restrict keys,
             full = in_stock != 0;
         }
         switch ((width != 0) | (unit_sales != 0) << 1 | tracked << 2
-                | (record ? 8 : full ? 16 : 0) | (prices != NULL) << 5) {
+                | (record ? 8 : full ? 16 : 0) | constant << 5) {
             FORWARD_PERIOD(0) FORWARD_PERIOD(1) FORWARD_PERIOD(2) FORWARD_PERIOD(3)
             FORWARD_PERIOD(4) FORWARD_PERIOD(5) FORWARD_PERIOD(6) FORWARD_PERIOD(7)
             FORWARD_PERIOD(8) FORWARD_PERIOD(9) FORWARD_PERIOD(10) FORWARD_PERIOD(11)
@@ -523,7 +516,6 @@ void forward(long reps, long T, const uint64_t *restrict keys,
             FORWARD_PERIOD(48) FORWARD_PERIOD(50) FORWARD_PERIOD(52) FORWARD_PERIOD(54)
         }
     }
-    free(prices);
 }
 
 /* -- noise_sum ----------------------------------------------------------------

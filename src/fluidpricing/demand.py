@@ -82,6 +82,8 @@ class DemandModel:
             if w is None or not (0 <= w <= self.d_lo + 1e-12):  # NaN fails too
                 violations.append("linear-additive requires 0 <= noise_half_width <= d_lo "
                                   "(realized demand must stay >= 0)")
+        elif self.kind == KIND_BERNOULLI and self.noise_half_width is not None:
+            violations.append("linear-bernoulli takes no noise_half_width")
         if violations:
             raise ModelValidationError(violations)
 

@@ -226,10 +226,13 @@ def run_ho_compare(model: DemandModel, T_list, x_T: float, replications: int,
                    base_seed: int) -> list[dict]:
     """Gap of the clairvoyant fixed-price benchmark below the fluid value.
 
-    Per replication the clairvoyant sees the realized mean noise and earns
-    the closed-form inner expectation of its fixed price; the gap to the
-    fluid value stays bounded by a constant independent of T.  One noise pass
-    serves every horizon (ho_values); the rows follow T_list, repeats
+    Per replication the clairvoyant sees the realized mean noise xi_bar and
+    earns T * r(clip(x_T + xi_bar)), the revenue rate at the realized mean
+    rate without inventory censoring (ho_values): the quantity of the
+    benchmark's hindsight bound, whose gap to the fluid value stays bounded
+    by a constant independent of T.  estimate_regret's "ho" rows are the
+    censored revenue of the price best in hindsight instead (ho_revenues).
+    One noise pass serves every horizon; the rows follow T_list, repeats
     included.  A bernoulli model raises UnsupportedModelError.
     """
     rows = []

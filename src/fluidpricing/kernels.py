@@ -54,8 +54,8 @@ def _kernel():
     n, x, flag, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
     lib.backward.argtypes = [f64, ptr, n, f64, flag, x, x, ptr, n, f64, i64, x, x, x, x, n, n,
                              n, n, flag, ptr]
-    lib.forward.argtypes = [n, n, u64, f64, f64, f64, n, x, x, x, flag, f64, f64, f64,
-                            flag, x, f64, i64, flag, f64]
+    lib.forward.argtypes = [n, n, u64, x, x, f64, n, x, x, x, flag, f64, f64, f64, flag, x,
+                            f64, i64, flag, f64]
     lib.noise_sum.argtypes = [n, n, i64, u64, f64]
     lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
     lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]

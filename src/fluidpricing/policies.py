@@ -83,19 +83,6 @@ class ResolvingPolicy(_LawPolicy):
         super().__init__(model, model.d_lo, model.rate_cap)
 
 
-class HindsightPolicy(_LawPolicy):
-    """Fixed clairvoyant price at the rate x_T + (realized mean noise xi_bar), clipped (lo = hi).
-
-    xi_bar may hold one value per replication; rates_batch then gives row i its own rate."""
-
-    def __init__(self, model: DemandModel, x_T: float, xi_bar):
-        if model.kind == KIND_BERNOULLI:
-            raise UnsupportedModelError("hindsight benchmark needs price-independent i.i.d. "
-                                        "noise; bernoulli noise depends on the posted price")
-        rate = np.clip(x_T + np.asarray(xi_bar, dtype=float), model.d_lo, model.d_hi)
-        super().__init__(model, rate, rate)
-
-
 def static_policy(model: DemandModel, x_T: float) -> StaticPolicy:
     if not (math.isfinite(x_T) and x_T > 0):
         raise DomainError(f"static policy needs a finite inventory rate x_T > 0, got {x_T}")
@@ -195,9 +182,9 @@ def exact_values(model: DemandModel, points,
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
     to the largest T reads every point, with O(max y0) memory per row.
-    Every policy runs by its checked_law for one replication, a (lo, hi) law
-    or a DP table, in the compiled backward kernel over the cells the points
-    read (KernelUnavailableError when the kernel cannot be built).  On long
+    Every policy runs by its checked_law, a (lo, hi) law or a DP table, in
+    the compiled backward kernel over the cells the points read
+    (KernelUnavailableError when the kernel cannot be built).  On long
     horizons V and each (lo, hi) row run on a band around the points' fluid
     paths, as a lower and an upper bound that must agree bit for bit, so
     every value has the full pass's bits (see _fused_pass); each row's final
@@ -209,23 +196,22 @@ def exact_values(model: DemandModel, points,
         raise DomainError("need at least one (T, y0) point")
     policies = dict(policies or {})
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
-    laws = [checked_law(pol, ys, max(T for T, _ in points), model, 1)
-            for pol in policies.values()]
+    laws = [checked_law(pol, ys, max(T for T, _ in points), model) for pol in policies.values()]
     rows = _fused_pass(model, points, laws, names=["dp", *policies])
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
 
-def checked_law(policy, y: np.ndarray, t: int, model, reps: int):
-    """The rate law that a compiled loop runs for policy on model, reps
-    replications at a time, in place of policy.rates_batch: policy.rate_law(),
-    once it reproduces rates_batch at the states y with t and with 1 period left.
+def checked_law(policy, y: np.ndarray, t: int, model):
+    """The rate law that a compiled loop runs for policy on model, the same for
+    every replication, in place of policy.rates_batch: policy.rate_law(), once
+    it reproduces rates_batch at the states y with t and with 1 period left,
+    with the bounds of a (lo, hi) law as Python floats.
 
     The one admission rule of the compiled loops.  UnsupportedModelError for
     a policy with no law, one whose rates_batch departs from its law (a
     subclass that overrides only rates_batch), or a two-product law other
-    than model itself.  DomainError, before any rate is read, for a
-    hindsight policy whose rate count is neither 1 nor reps, and for a DP
-    table that does not cover t periods from the whole number of units max(y).
+    than model itself.  DomainError, before any rate is read, for a DP table
+    that does not cover t periods from the whole number of units max(y).
     """
     law = policy.rate_law() if hasattr(policy, "rate_law") else None
     if isinstance(law, ValueTable):
@@ -234,9 +220,6 @@ def checked_law(policy, y: np.ndarray, t: int, model, reps: int):
             raise DomainError(f"a DP table of horizon {law.horizon} and max inventory "
                               f"{law.max_inventory} cannot run {t} periods from "
                               f"{top} units (a whole number is needed)")
-    if isinstance(policy, HindsightPolicy) and np.size(policy.lo) not in (1, reps):
-        raise DomainError(f"a hindsight policy with {np.size(policy.lo)} per-replication "
-                          f"rates cannot run {reps} replication(s)")
     multi = isinstance(law, MultiDemandModel) or isinstance(model, MultiDemandModel)
     if (law is None or (multi and law is not model)
             or any(not np.array_equal(policy.rates_batch(y, left), law_rates(law, y, left))
@@ -245,7 +228,8 @@ def checked_law(policy, y: np.ndarray, t: int, model, reps: int):
             f"{type(policy).__name__} has no rate law the compiled loops can run: a "
             "rate_law() that its rates_batch reproduces (for two products, the model's own "
             "re-solving policy)")
-    return law
+    return (law if isinstance(law, (ValueTable, MultiDemandModel))
+            else tuple(np.asarray(bound).item() for bound in law))
 
 
 def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
@@ -319,8 +303,7 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
     tables = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
               else None for law in laws]
     # each row's (lo, hi); V's is the range of its fluid rate, which centres its band
-    ranges = [(model.d_lo, model.rate_cap)] + [(0.0, 0.0) if table is not None else
-                                               tuple(np.asarray(bound).item() for bound in law)
+    ranges = [(model.d_lo, model.rate_cap)] + [(0.0, 0.0) if table is not None else law
                                                for table, law in zip(tables, laws)]
     triangle = (all(table is None for table in tables)
                 and all(hi <= max(lo, 1.0) for lo, hi in ranges[1:]))

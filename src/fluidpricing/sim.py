@@ -24,7 +24,6 @@ from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .fluid import solve_fluid_multi
 from .policies import (
-    HindsightPolicy,
     MultiResolvingPolicy,
     ValueTable,
     _whole_at_least,
@@ -172,7 +171,7 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
         raise UnsupportedModelError("batch re-solving is implemented for n = 2")
     y = np.full((n_reps, model.n), y0, dtype=float)
     pairs = np.stack(np.meshgrid(_EIGHTHS, _EIGHTHS, indexing="ij"), axis=-1).reshape(-1, 2)
-    checked_law(policy, pairs * y[0], T, model, n_reps)
+    checked_law(policy, pairs * y[0], T, model)
     total, sum_xi = np.zeros(n_reps), np.zeros(n_reps)
     kernels._map(kernels._kernel().forward2, [
         (s.stop - s.start, T, seeds[s], model.g, model.H, model.box_hi, y[s], total[s],
@@ -197,17 +196,15 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
         raise DomainError("one product's inventory must be a number")
     reps = keys.size
     y = np.full(reps, y0, dtype=float)
-    law = checked_law(policy, y * _EIGHTHS[:, None], T, model, reps)
+    law = checked_law(policy, y[0] * _EIGHTHS, T, model)
     if isinstance(law, ValueTable):
         # checked_law read row T of the table; the kernel reads rows <= T and
         # clamps the column to the array's own width
-        lo = hi = np.zeros(reps)
+        lo = hi = 0.0
         actions = np.ascontiguousarray(law.actions, dtype=float)
         width = actions.shape[1]
     else:
-        lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(b, dtype=float), reps))
-                  for b in law)
-        actions, width = np.zeros(1), 0
+        (lo, hi), actions, width = law, np.zeros(1), 0
     unit_sales = model.kind == KIND_BERNOULLI
     w = 0.0 if unit_sales else float(model.noise_half_width)
     total, sum_xi, harm = np.zeros(reps), np.zeros(reps), np.zeros(reps)
@@ -219,7 +216,7 @@ def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
                           f"[{model.d_lo:g}, {model.x_u:g}]")
     trace = np.empty((6, T, reps) if record else 1)
     kernels._map(kernels._kernel().forward, [
-        (s.stop - s.start, T, keys[s], lo[s], hi[s], actions, width, model.alpha, model.beta,
+        (s.stop - s.start, T, keys[s], lo, hi, actions, width, model.alpha, model.beta,
          w, unit_sales, y[s], total[s], sum_xi[s], track_t_sharp, gam, harm[s], t_sharp[s],
          record, trace) for s in ([slice(0, reps)] if record else kernels._ranges(reps))])
     return (BatchResult(total_revenue=total, sum_xi=sum_xi,
@@ -308,6 +305,9 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
     replication count is ignored and CIs are zero).  Other families fall
     back to seeded Monte Carlo, with per-replication streams derived from
     base_seed; with common_random_numbers all policies share one stream.
+    An "ho" row (additive noise) earns the censored revenue of each stream's
+    fixed price best in hindsight, in closed form (ho_revenues), with every
+    horizon's noise means from one pass (ho_noise_means).
     """
     T_list = list(T_list)
     if any(T < 1 for T in T_list):
@@ -320,35 +320,37 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
     if exact:
         values = exact_passes([(y0 / T, T, y0) for T, y0 in points],
                               lambda x_T: (model, _build_policies(model, x_T, policies)))
-    reports, ho = [], None
+    reports, xi_bars = [], None
     for k, (T, y0) in enumerate(points):
         x_T = y0 / T
         built = None if exact else _build_policies(model, x_T, policies)
         for name in policies:
             if exact:
-                val, batch = values[k][name], None
+                val, samples = values[k][name], None
             elif name == "dp":
                 raise UnsupportedModelError("the dp policy row needs bernoulli demand")
             else:
                 seed = _policy_stream_seed(base_seed, name, common_random_numbers)
-                if name == "ho" and ho is None:  # every horizon's, from one noise pass
-                    ho = ho_batch_policies(model, [(T_k, y0_k / T_k) for T_k, y0_k in points],
-                                           seed, replications)
-                policy = ho[k] if name == "ho" else built[name]
-                batch = simulate_batch(model, policy, T, y0, seed, replications)
-                val = batch.mean
-            reports.append(_report(T, name, val, batch, fluid_value(model, T, y0),
+                if name == "ho":
+                    if xi_bars is None:  # every horizon's, from one noise pass
+                        xi_bars = ho_noise_means(model, T_list, seed, replications)
+                    samples = ho_revenues(model, T, y0, xi_bars[k])
+                else:
+                    samples = simulate_batch(model, built[name], T, y0, seed,
+                                             replications).total_revenue
+                val = float(samples.mean())
+            reports.append(_report(T, name, val, samples, fluid_value(model, T, y0),
                                    values[k]["dp"] if exact else None, base_seed,
                                    None if exact else "dp-requires-bernoulli"))
     return reports
 
 
-def _report(T, name, value, batch, fluid, dp, base_seed, dp_reason) -> RegretReport:
-    """An exact row when batch is None, else a Monte Carlo row with a 95 % CI."""
+def _report(T, name, value, samples, fluid, dp, base_seed, dp_reason) -> RegretReport:
+    """An exact row when samples is None, else a Monte Carlo row of samples, with a 95 % CI."""
     return RegretReport(
         T=T, policy=name, value=value,
-        ci_half_width=0.0 if batch is None else batch.ci_half_width(),
-        replications=0 if batch is None else batch.total_revenue.size,
+        ci_half_width=0.0 if samples is None else ci_half_width(samples, 0.95),
+        replications=0 if samples is None else samples.size,
         fluid_value=fluid, dp_value=dp, regret_vs_dp=None if dp is None else dp - value,
         regret_vs_fluid=fluid - value, base_seed=base_seed, dp_reason=dp_reason,
     )
@@ -357,8 +359,8 @@ def _report(T, name, value, batch, fluid, dp, base_seed, dp_reason) -> RegretRep
 def _build_policies(model: DemandModel, x_T: float, names) -> dict:
     """The static and resolving policies among names.
 
-    "dp" is the backward pass itself and "ho" is built per replication
-    stream (ho_batch_policies), so neither gets an entry.
+    "dp" is the backward pass itself and "ho" is in closed form
+    (ho_revenues), so neither gets an entry.
     """
     built = {}
     for name in names:
@@ -374,38 +376,46 @@ def _build_policies(model: DemandModel, x_T: float, names) -> dict:
     return built
 
 
-def ho_batch_policies(model: DemandModel, points, base_seed: int,
-                      n_reps: int) -> list[HindsightPolicy]:
-    """The clairvoyant fixed price of every replication, as one HindsightPolicy
-    at each (T, x_T) of points, from one noise pass.
+def ho_noise_means(model: DemandModel, T_list, base_seed: int, n_reps: int) -> list[np.ndarray]:
+    """The mean noise xi_bar = (2 * (sum of T uniforms) / T - 1) * w of each
+    replication's stream (as simulate_batch draws it), at each T of T_list.
 
-    Replication i reveals the realized mean noise xi_bar[i] of its stream
-    over the T periods; the policy prices at f^{-1}(clip(x_T + xi_bar[i])).
-    The noise mean comes from the sum of each stream's uniforms in counter
-    order, from the compiled noise_sum kernel: one call per contiguous range
-    of replications in kernels._map walks the counters once up to the
-    largest T and keeps the sum at every horizon of points, with the bits of
-    a pass that stops there.
+    The sums come from the compiled noise_sum kernel, in counter order: one
+    call per contiguous range of replications in kernels._map walks the
+    counters once up to the largest T and keeps the sum at every horizon,
+    with the bits of a pass that stops there.  UnsupportedModelError for
+    bernoulli noise, which depends on the posted price.
     """
-    if not points:  # the kernel needs a horizon
+    if not T_list:  # the kernel needs a horizon
         return []
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
-    points = [(_whole_at_least(T, 1, "T"), x_T) for T, x_T in points]
+    T_list = [_whole_at_least(T, 1, "T") for T in T_list]
     n_reps = _whole_at_least(n_reps, 1, "n_reps")
-    for _, x_T in points:
-        if not (math.isfinite(x_T) and x_T > 0):
-            raise DomainError(f"need a finite inventory rate x_T > 0, got {x_T}")
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    horizons = np.array(sorted({T for T, _ in points}), dtype=np.int64)
+    horizons = np.array(sorted(set(T_list)), dtype=np.int64)
     ranges = kernels._ranges(n_reps)
     blocks = [np.empty((horizons.size, s.stop - s.start)) for s in ranges]
     kernels._map(kernels._kernel().noise_sum, [
         (s.stop - s.start, horizons.size, horizons, seeds[s], block)
         for s, block in zip(ranges, blocks)])
     sums = dict(zip(horizons.tolist(), np.concatenate(blocks, axis=1)))
-    return [HindsightPolicy(model, x_T, (2.0 * sums[T] / T - 1.0) * w) for T, x_T in points]
+    return [(2.0 * sums[T] / T - 1.0) * w for T in T_list]
+
+
+def ho_revenues(model: DemandModel, T: int, y0, xi_bar: np.ndarray) -> np.ndarray:
+    """The revenue of the fixed price best in hindsight on each replication of
+    T periods from y0 units, given its mean noise xi_bar.
+
+    Demand is never negative (w <= d_lo), so a rate d earns p(d) min(y0, T (d
+    + xi_bar)): T (r(d) + p(d) xi_bar), peaking at x_u - xi_bar / 2, up to
+    the sell-out rate y0 / T - xi_bar, and falling p(d) y0 beyond it.
+    """
+    _check_inventory(y0)
+    rate = np.clip(np.minimum(y0 / T - xi_bar, model.x_u - xi_bar / 2.0),
+                   model.d_lo, model.d_hi)
+    return model.price_of_rate(rate) * np.minimum(y0, T * (rate + xi_bar))
 
 
 def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
@@ -423,10 +433,11 @@ def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,
 def ho_values(model: DemandModel, T_list, x_T: float, base_seed: int,
               n_reps: int) -> list[np.ndarray]:
     """ho_inner_values at each horizon of T_list, from one noise pass
-    (ho_batch_policies)."""
-    policies = ho_batch_policies(model, [(T, x_T) for T in T_list], base_seed, n_reps)
-    return [T * model.revenue_rate_unchecked(policy.rate_law()[0])  # lo = hi
-            for T, policy in zip(T_list, policies)]
+    (ho_noise_means), without the censoring of the "ho" rows (ho_revenues)."""
+    if not (math.isfinite(x_T) and x_T > 0):
+        raise DomainError(f"need a finite inventory rate x_T > 0, got {x_T}")
+    return [T * model.revenue_rate_unchecked(np.clip(x_T + xi_bar, model.d_lo, model.d_hi))
+            for T, xi_bar in zip(T_list, ho_noise_means(model, T_list, base_seed, n_reps))]
 
 
 def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
@@ -447,11 +458,11 @@ def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
             if name == "dp":
                 if dp is None:
                     continue
-                val, batch = dp, None
+                val, samples = dp, None
             else:
-                batch = simulate_batch_multi(model, T, y0, base_seed, replications)
-                val = batch.mean
-            reports.append(_report(T, name, val, batch, fluid, dp, base_seed, dp_reason))
+                samples = simulate_batch_multi(model, T, y0, base_seed, replications).total_revenue
+                val = float(samples.mean())
+            reports.append(_report(T, name, val, samples, fluid, dp, base_seed, dp_reason))
     return reports
 
 

@@ -233,6 +233,9 @@ def test_model_validation_errors():
         DemandModel.linear_bernoulli(alpha=0.75, beta=-0.5, p_lo=0.0, p_hi=1.0)
     with pytest.raises(ModelValidationError):
         DemandModel(kind="linear-additive", alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0)  # no width
+    # a width would be ignored: bernoulli noise is the unit sale itself
+    with pytest.raises(ModelValidationError, match="takes no noise_half_width"):
+        DemandModel("linear-bernoulli", 0.75, 0.5, 0.0, 1.0, noise_half_width=0.3)
 
 
 def test_additive_noise_must_not_make_demand_negative():

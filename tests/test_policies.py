@@ -22,13 +22,13 @@ import fluidpricing
 from fluidpricing import (
     DemandModel,
     DomainError,
-    HindsightPolicy,
     KernelUnavailableError,
     MultiResolvingPolicy,
     ResourceGuardError,
     UnsupportedModelError,
     benchmark_model,
     dp_value,
+    estimate_regret,
     exact_policy_values,
     exact_values,
     fluid_value,
@@ -43,8 +43,8 @@ from fluidpricing import policies as policies_module
 from fluidpricing import sim as sim_module
 from fluidpricing.experiments import run_table2
 from fluidpricing.sim import (
-    ho_batch_policies,
     ho_inner_values,
+    ho_noise_means,
     simulate,
     simulate_batch,
     simulate_batch_multi,
@@ -257,22 +257,6 @@ class TestExactEvaluation:
             want = price * math.fsum(binom.sf(np.arange(y0), T, pol.lo))
             assert values["static"] == pytest.approx(want, rel=1e-13, abs=0.0), (T, y0)
 
-    def test_hindsight_rates_per_replication_refused_before_any_kernel_call(
-            self, bernoulli_model, additive_model, monkeypatch):
-        several, one = (ho_batch_policies(additive_model, [(64, 0.3)], 1, reps)[0]
-                        for reps in (5, 1))
-
-        def no_kernel():
-            raise AssertionError("the kernel was reached")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(kernels, "_kernel", no_kernel)
-            with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
-                exact_values(bernoulli_model, [(64, 20)], {"ho": several})
-            with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
-                exact_policy_values(bernoulli_model, 64, 20, {"ho": several})
-        # a single rate, even held in an array, is one policy
-        _assert_kernel_matches_backward(bernoulli_model, [(64, 20)], {"ho": one})
 
 def _scalar_bellman(model, T, y_max, policies):
     """Reference pass in plain Python floats: {t: {"dp": [V(t, y)], name: [W(t, y)]}}."""
@@ -447,9 +431,9 @@ class TestFusedKernel:
         ys = np.arange(41, dtype=float)
         for pol in (floored, LastCall(bernoulli_model)):
             with pytest.raises(UnsupportedModelError, match="no rate law"):
-                policies_module.checked_law(pol, ys, 64, bernoulli_model, 1)
+                policies_module.checked_law(pol, ys, 64, bernoulli_model)
         assert policies_module.checked_law(resolving_policy(bernoulli_model), ys, 64,
-                                           bernoulli_model, 1) is not None
+                                           bernoulli_model) is not None
         for pol in (floored, NoLaw(floored), LastCall(bernoulli_model)):
             # the kernels are the only loops, and they run laws: none runs these
             with pytest.raises(UnsupportedModelError, match="no rate law"):
@@ -852,10 +836,6 @@ class TestKernelPool:
                                                 resolving_policy(additive_model), T, y0, 5,
                                                 reps, track_t_sharp=True),
             "dp": lambda: simulate_batch(bernoulli_model, table, T, y0, 5, reps),
-            # per-replication rates from noise_sum
-            "ho": lambda: simulate_batch(
-                additive_model, ho_batch_policies(additive_model, [(T, y0 / T)], 5, reps)[0],
-                T, y0, 5, reps),
             "two products": lambda: simulate_batch_multi(multi_model, T, [10, 20], 5, reps),
         }
         for name, run in runs.items():
@@ -864,12 +844,11 @@ class TestKernelPool:
             with _workers(2):
                 two = _batch_bytes(run())
             assert one == two, name
-        rates = []
+        means = []
         for n in (1, 2):
             with _workers(n):
-                pol = ho_batch_policies(additive_model, [(T, 0.3)], 5, reps)[0]
-                rates.append(pol.lo.tobytes())
-        assert rates[0] == rates[1]
+                means.append(ho_noise_means(additive_model, [T], 5, reps)[0].tobytes())
+        assert means[0] == means[1]
 
     def test_ranges_cover_the_replications_in_order(self):
         for n, workers in ((1, 2), (3, 2), (2000, 2), (7, 3), (5, 1), (30, 3)):
@@ -1050,9 +1029,6 @@ _CLONED = ("backward", "forward", "noise_sum", "forward2", "backward2")
 _VECTOR_LOOPS = {
     "backward": ("cells(double *restrict w", "for (long k = 0; k < n; k++) {"),
     "forward": ("forward_period(long reps", "for (long r = 0; r < reps; r++) {"),
-    # a constant law's check and its prices, once per call
-    "forward, constant check": ("void forward(long reps", "for (long r = 0; r < reps; r++)"),
-    "forward, constant prices": ("if (prices)", "for (long r = 0; r < reps; r++)"),
     "noise_sum": ("void noise_sum(", "for (long r = 0; r < reps; r++)"),
     "forward2": ("void forward2(", "for (long r = 0; r < reps; r++) {"),
     "backward2": ("backward2_row(double", "for (long j = m2 - 1; j >= 1; j--) {"),
@@ -1173,13 +1149,11 @@ def _start(start, fill, T):
     return {"empty": 0.0, "run-out": 1 + fill * T * 0.1, "ample": T + 1 + fill * T}[start]
 
 
-def _forward_policy(family, law, T, y0, seed, reps):
-    """The policy of a forward test case: a (lo, hi) law, per-replication hindsight
-    rates (additive) or a DP table (of the bernoulli model, on either family)."""
+def _forward_policy(family, law, T, y0):
+    """The policy of a forward test case: a (lo, hi) law or a DP table (of the
+    bernoulli model, on either family)."""
     model = _FORWARD_MODELS[family]
     x_T = max(y0, 0.5) / T
-    if law == "ho":
-        return ho_batch_policies(model, [(T, x_T)], seed, reps)[0]
     if law == "dp":
         return solve_dp(_FORWARD_MODELS["bernoulli"], T + 3, math.ceil(y0) + 5).policy()
     return resolving_policy(model) if law == "resolving" else static_policy(model, x_T)
@@ -1203,8 +1177,7 @@ class TestDispatchedForward:
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from([(f, law) for f in _FORWARD_MODELS
-                                 for law in ("static", "resolving", "ho", "dp")
-                                 if law != "ho" or f == "additive"]),
+                                 for law in ("static", "resolving", "dp")]),
            T=st.integers(1, 120), start=st.sampled_from(["empty", "run-out", "ample"]),
            fill=st.floats(0.0, 1.0), reps=st.integers(1, 40),
            seed=st.integers(0, 2**64 - 1), track=st.booleans())
@@ -1215,7 +1188,7 @@ class TestDispatchedForward:
         y0 = _start(start, fill, T)
         y0 = float(math.ceil(y0)) if law == "dp" else y0
         track = track and sim_module.gamma(model, y0 / T) >= 0
-        pol = _forward_policy(family, law, T, y0, seed, reps)
+        pol = _forward_policy(family, law, T, y0)
         got = _on(single_build, lambda: simulate_batch(model, pol, T, y0, seed, reps, track))
         want = simulate_batch(model, pol, T, y0, seed, reps, track)
         ref = oracles.simulate_batch(model, pol, T, y0, seed, reps, track)
@@ -1229,13 +1202,10 @@ class TestDispatchedForward:
     @pytest.mark.parametrize("family", ["bernoulli", "additive"])
     def test_constant_law_on_one_range_of_a_million_replications(self, family):
         """A batch at T = 2 whose one kernel call runs 1.1e6 replications under a constant
-        law: a static rate (bernoulli; half of them sell out in the first period) or a
-        hindsight rate of each replication's own, inside the demand interval (additive).
-        The law prices each replication once, in 8.8 MB, more than a default stack holds,
-        with the reference's bits."""
+        law, a static rate (with bernoulli sales half of them sell out in the first
+        period), priced once per call, with the reference's bits."""
         model, reps = _FORWARD_MODELS[family], 1_100_000
-        pol = (static_policy(model, 0.4) if family == "bernoulli"
-               else ho_batch_policies(model, [(2, 0.5)], 5, reps)[0])
+        pol = static_policy(model, 0.4 if family == "bernoulli" else 0.3)
         with mock.patch.object(kernels, "_ranges", lambda n: [slice(0, n)]):
             got = simulate_batch(model, pol, 2, 1.0, 5, reps)
         want = oracles.simulate_batch(model, pol, 2, 1.0, 5, reps)
@@ -1254,7 +1224,7 @@ class TestDispatchedForward:
         model = _FORWARD_MODELS[family]
         y0 = _start(start, fill, T)
         y0 = float(math.ceil(y0)) if law == "dp" else y0
-        pol = _forward_policy(family, law, T, y0, seed, 1)
+        pol = _forward_policy(family, law, T, y0)
         got = _on(single_build, lambda: simulate(model, pol, T, y0, seed))
         want = simulate(model, pol, T, y0, seed)
         ref = oracles.simulate(model, pol, T, y0, seed)
@@ -1281,19 +1251,15 @@ class TestDispatchedForward:
 
 
 class TestHindsightPolicy:
-    def test_zero_mean_noise_matches_static(self, additive_model):
-        pol = HindsightPolicy(additive_model, 5 / 16, 0.0)
-        assert _price_and_rate(pol, 10, 20)[0] == pytest.approx(7 / 8)
-
-    def test_shifted_price(self, additive_model):
-        w = additive_model.noise_half_width
-        pol = HindsightPolicy(additive_model, 5 / 16, w)
-        assert _price_and_rate(pol, 10, 20)[0] == pytest.approx(
-            additive_model.inverse_demand(5 / 16 + w))
+    """The clairvoyant "ho" policy: the noise means it sees and its benchmark bound."""
 
     def test_bernoulli_rejected(self, bernoulli_model):
-        with pytest.raises(UnsupportedModelError):
-            HindsightPolicy(bernoulli_model, 5 / 16, 0.0)
+        # bernoulli noise depends on the posted price: there is no noise mean to see
+        for run in (lambda: ho_noise_means(bernoulli_model, [64], 1, 3),
+                    lambda: ho_inner_values(bernoulli_model, 64, 5 / 16, 1, 3),
+                    lambda: estimate_regret(bernoulli_model, [64], "round(5/16*T)", ("ho",))):
+            with pytest.raises(UnsupportedModelError):
+                run()
 
     def test_prop2_inequality_monte_carlo(self, additive_model):
         # E[T r(x_T + xi_bar)] >= T r(x_T) - (m/2) T E[xi_bar^2]
@@ -1312,26 +1278,17 @@ class TestRateLaw:
     @given(family=st.sampled_from(["bernoulli", "additive"]), t=st.integers(1, 500),
            x_T=st.floats(0.01, 1.0),
            y=st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e4), st.integers(1, 600)),
-                      min_size=1, max_size=12),
-           xi=st.floats(-1.0, 1.0))
-    def test_every_shipped_law_holds_at_every_positive_inventory(self, family, t, x_T, y, xi):
+                      min_size=1, max_size=12))
+    def test_every_shipped_law_holds_at_every_positive_inventory(self, family, t, x_T, y):
         """rates_batch(y, t) is clip(y / t, lo, hi) at every y > 0, fractional or not, 0 at 0;
         the scalar reference decide gives the same rate, bit for bit, at the price
         price_of_rate."""
         model = {"bernoulli": _LAW_BERNOULLI, "additive": _LAW_ADDITIVE}[family]
         y = np.array(y, dtype=float)
-        scalar = [static_policy(model, x_T), resolving_policy(model)]
-        laws = list(scalar)
-        if family == "additive":
-            w = model.noise_half_width
-            laws.append(HindsightPolicy(model, x_T, xi * w * np.linspace(-1, 1, y.size)))
-            scalar.append(HindsightPolicy(model, x_T, xi * w))
-        for pol in laws:
+        for pol in (static_policy(model, x_T), resolving_policy(model)):
             lo, hi = pol.rate_law()
-            want = np.where(y > 0, np.clip(y / t, lo, hi), 0.0)
-            assert pol.rates_batch(y, t).tobytes() == want.tobytes()
-        for pol in scalar:
             rates = pol.rates_batch(y, t)
+            assert rates.tobytes() == np.where(y > 0, np.clip(y / t, lo, hi), 0.0).tobytes()
             for state, rate in zip(y.tolist(), rates):
                 dec = oracles.decide(model, pol, state, t)
                 assert (dec is None) == (state <= 0)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from fluidpricing import (
     DemandModel,
     DomainError,
-    HindsightPolicy,
     MultiDemandModel,
     ResourceGuardError,
     UnsupportedModelError,
@@ -37,7 +36,7 @@ from fluidpricing.policies import (
     exact_policy_values,
     solve_dp_multi,
 )
-from fluidpricing.sim import ho_batch_policies, ho_inner_values, parse_y0_rule
+from fluidpricing.sim import ho_inner_values, ho_noise_means, ho_revenues, parse_y0_rule
 
 import oracles
 from conftest import random_multi_model, two_product_models
@@ -172,7 +171,7 @@ class TestSimulate:
 
     def test_hindsight_rejects_empty_horizon(self, additive_model):
         with pytest.raises(DomainError):
-            ho_batch_policies(additive_model, [(0, 5 / 16)], 1, 3)
+            ho_noise_means(additive_model, [0], 1, 3)
         with pytest.raises(DomainError):
             ho_inner_values(additive_model, 0, 5 / 16, base_seed=1, n_reps=3)
 
@@ -191,7 +190,7 @@ class TestSimulate:
                "simulate-multi": lambda: simulate(multi_model, pair, T, [2, 3], seed=1),
                "batch": lambda: simulate_batch(additive_model, static, T, 5, 1, n),
                "batch-multi": lambda: simulate_batch(multi_model, pair, T, [2, 3], 1, n),
-               "hindsight": lambda: ho_batch_policies(additive_model, [(T, 5 / 16)], 1, n)[0],
+               "hindsight": lambda: ho_noise_means(additive_model, [T], 1, n),
                "dp-multi": lambda: solve_dp_multi(multi_model, T, [n, 2]),
                "estimate-regret": lambda: estimate_regret(
                    additive_model, [T], "round(5/16*T)", ("static", "ho"), replications=n),
@@ -212,32 +211,24 @@ class TestSimulate:
             assert tr.xi.sum() == pytest.approx(batch.sum_xi[i], abs=1e-12)
 
     def test_hindsight_batch_rows_match_single_traces(self, additive_model):
-        T, y0, base, n = 40, 12, 6, 5
-        pol = ho_batch_policies(additive_model, [(T, y0 / T)], base, n)[0]
-        batch = simulate_batch(additive_model, pol, T, y0, base, n)
-        w = additive_model.noise_half_width
-        rates, _ = pol.rate_law()
-        for i in range(n):
-            seed = int(rng.replication_seed(base, i))
-            # the clairvoyant sees the mean noise of its own stream
-            xi_bar = ((2.0 * oracles.uniform_block(seed, 0, T) - 1.0) * w).mean()
-            assert rates[i] == pytest.approx(y0 / T + xi_bar, abs=1e-15)
-            single = HindsightPolicy(additive_model, y0 / T, xi_bar)
-            tr = simulate(additive_model, single, T, y0, seed=seed)
-            assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
-
-    def test_hindsight_rates_must_match_the_replications(self, additive_model, monkeypatch):
-        pol = ho_batch_policies(additive_model, [(64, 0.3)], 1, 5)[0]
-
-        def no_call(*args, **kwargs):
-            raise AssertionError("rates_batch or a kernel ran")
-
-        monkeypatch.setattr(kernels, "_kernel", no_call)
-        monkeypatch.setattr(pol, "rates_batch", no_call)
-        with pytest.raises(DomainError, match="5 per-replication rates cannot run 1 "):
-            simulate(additive_model, pol, 64, 20, 1)
-        with pytest.raises(DomainError, match="cannot run 7 replication"):
-            simulate_batch(additive_model, pol, 64, 20, 1, n_reps=7)
+        """The closed-form ho revenue of each replication is the replay of its own
+        stream at its hindsight rate, the sell-out rate x_T - xi_bar here, posted as a
+        static price: the same revenue to 1e-12 relative."""
+        base, n, w = 6, 5, additive_model.noise_half_width
+        T_list = [64, 1024]
+        for T, xi_bar in zip(T_list, ho_noise_means(additive_model, T_list, base, n)):
+            y0 = round(5 * T / 16)
+            revenues = ho_revenues(additive_model, T, y0, xi_bar)
+            for i in range(n):
+                seed = int(rng.replication_seed(base, i))
+                # the clairvoyant sees the mean noise of its own stream
+                want = ((2.0 * oracles.uniform_block(seed, 0, T) - 1.0) * w).mean()
+                assert xi_bar[i] == pytest.approx(want, abs=1e-15)
+                rate = y0 / T - xi_bar[i]
+                assert additive_model.d_lo <= rate <= additive_model.rate_cap
+                static = static_policy(additive_model, rate)
+                tr = simulate(additive_model, static, T, y0, seed=seed)
+                assert revenues[i] == pytest.approx(tr.total_revenue, rel=1e-12, abs=0.0)
 
 
 class _Recorder:
@@ -303,7 +294,7 @@ class _Floored(ResolvingPolicy):
 
 # each misuse of a compiled loop, and the error checked_law raises for it
 _MISUSES = {"rates-only": UnsupportedModelError, "overriding-subclass": UnsupportedModelError,
-            "hindsight-5-rates": DomainError, "small-dp-table": DomainError}
+            "small-dp-table": DomainError}
 
 
 @pytest.mark.parametrize("misuse", sorted(_MISUSES))
@@ -313,8 +304,6 @@ def test_every_compiled_loop_refuses_a_misuse_alike(misuse, bernoulli_model, add
     raise the same error for a misuse, before any kernel runs."""
     pol = {"rates-only": lambda: _RatesOnly(resolving_policy(bernoulli_model)),
            "overriding-subclass": lambda: _Floored(bernoulli_model),
-           "hindsight-5-rates": lambda: HindsightPolicy(additive_model, 0.3,
-                                                        np.linspace(-0.1, 0.1, 5)),
            "small-dp-table": lambda: solve_dp(bernoulli_model, 16, 10).policy()}[misuse]()
     T, y0 = 32, 12  # beyond the table's 16 periods and 10 units
 
@@ -333,10 +322,9 @@ _TRACE_FIELDS = ("tau_remaining", "price", "demand_rate", "xi", "realized_demand
                  "inventory_after", "revenue")
 _TRACE_MODELS = {**_ENGINE_MODELS, "zero-noise": DemandModel.linear_additive(
     alpha=0.75, beta=0.5, p_lo=0.0, p_hi=1.0, noise_half_width=0.0)}
-# the rate laws each family runs: hindsight needs additive noise, a DP table bernoulli
+# the rate laws each family runs: a DP table needs bernoulli demand
 _TRACE_LAWS = [(family, name) for family in ("bernoulli", "additive", "zero-noise")
-               for name in ("static", "resolving", "ho", "dp")
-               if name not in ("ho", "dp") or (name == "dp") == (family == "bernoulli")]
+               for name in ("static", "resolving", "dp") if name != "dp" or family == "bernoulli"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,8 +341,6 @@ def test_simulate_matches_scalar_oracle_bitwise(law, T, start, fill, seed):
     if name == "dp":
         y0 = math.ceil(y0)  # a DP table runs whole units
         pol = solve_dp(model, T, y0).policy()
-    elif name == "ho":
-        pol = HindsightPolicy(model, x_T, (2.0 * fill - 1.0) * model.noise_half_width)
     else:
         pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
     got = simulate(model, pol, T, y0, seed)
@@ -370,7 +356,7 @@ def test_simulate_matches_scalar_oracle_bitwise(law, T, start, fill, seed):
 class TestForwardKernel:
     @settings(max_examples=120, deadline=None)
     @given(family=st.sampled_from(["bernoulli", "additive"]),
-           name=st.sampled_from(["static", "resolving", "ho"]), T=st.integers(1, 300),
+           name=st.sampled_from(["static", "resolving"]), T=st.integers(1, 300),
            start=st.sampled_from(["empty", "fractional", "ample"]), fill=st.floats(0.0, 1.0),
            reps=st.integers(1, 30), seed=st.integers(0, 2**64 - 1), track=st.booleans())
     def test_matches_numpy_engine_bitwise(self, family, name, T, start, fill, reps, seed,
@@ -378,10 +364,7 @@ class TestForwardKernel:
         model = _ENGINE_MODELS[family]
         y0 = {"empty": 0, "fractional": fill * T * 0.6, "ample": T + 1 + fill * T}[start]
         x_T = max(y0, 0.5) / T
-        if name == "ho" and family == "additive":
-            pol = ho_batch_policies(model, [(T, x_T)], seed, reps)[0]
-        else:
-            pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
+        pol = resolving_policy(model) if name == "resolving" else static_policy(model, x_T)
         _assert_batch_matches_numpy_engine(model, pol, T, y0, seed, reps, track)
 
     @settings(max_examples=60, deadline=None)
@@ -399,8 +382,8 @@ class TestForwardKernel:
     @pytest.mark.parametrize("T", [1, 7, 129, 300, 2049, 4097])
     def test_noise_sum_matches_sequential_sum(self, additive_model, T):
         """One noise_sum call to T keeps the sum at every listed horizon up to T,
-        each with the bits of a sum that stops there; ho_batch_policies prices at
-        each horizon's mean."""
+        each with the bits of a sum that stops there; ho_noise_means gives each
+        horizon's mean noise from it."""
         horizons = np.array([h for h in (1, 7, 129, 300, 2049, 4097) if h <= T])
         seeds = rng.replication_seed(12, np.arange(9))
         got = np.full((horizons.size, seeds.size), np.nan)
@@ -408,10 +391,9 @@ class TestForwardKernel:
         for h, row in zip(horizons.tolist(), got):
             want = oracles.noise_sum(seeds, h)
             assert row.tobytes() == want.tobytes(), h
-        rate, _ = ho_batch_policies(additive_model, [(T, 0.3)], 12, seeds.size)[0].rate_law()
-        xi_bar = (2.0 * want / T - 1.0) * additive_model.noise_half_width
-        assert rate.tobytes() == np.clip(0.3 + xi_bar, additive_model.d_lo,
-                                         additive_model.d_hi).tobytes()
+        xi_bar, = ho_noise_means(additive_model, [T], 12, seeds.size)
+        assert xi_bar.tobytes() == ((2.0 * want / T - 1.0)
+                                    * additive_model.noise_half_width).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(model=two_product_models(), T=st.integers(1, 200),
@@ -421,7 +403,7 @@ class TestForwardKernel:
         y0 = [{"empty": 0.0, "fractional": fill * T * 0.6, "whole": float(round(fill * T))}[s]
               for s in start]
         pol = MultiResolvingPolicy(model)
-        assert checked_law(pol, np.array([y0]), T, model, reps) is model  # so forward2 runs
+        assert checked_law(pol, np.array([y0]), T, model) is model  # so forward2 runs
         got = simulate_batch(model, pol, T, y0, seed, reps)
         want = oracles.simulate_batch(model, pol, T, y0, seed, reps)
         assert got.total_revenue.tobytes() == want.total_revenue.tobytes()
@@ -453,7 +435,7 @@ class TestForwardKernel:
 
         capped = Capped(multi_model)
         with pytest.raises(UnsupportedModelError, match="no rate law"):
-            checked_law(capped, np.array([[4.0, 8.0]]), 16, multi_model, 40)
+            checked_law(capped, np.array([[4.0, 8.0]]), 16, multi_model)
         # nor does forward2 run a policy that re-solves another model, or rates alone
         other = MultiResolvingPolicy(MultiDemandModel(g=multi_model.g, H=multi_model.H,
                                                       box_hi=[0.3, 1.0]))
@@ -664,7 +646,7 @@ class TestEstimateRegret:
     @pytest.mark.parametrize("crn", [False, True])
     def test_ho_rows_match_per_horizon_runs(self, additive_model, crn):
         """The ho rows take every horizon's noise from one pass, with the bits of a
-        ho_batch_policies run per horizon; unsorted and repeated horizons included."""
+        ho_noise_means run per horizon; unsorted and repeated horizons included."""
         T_list, reps, base_seed = [256, 64, 256, 1024], 300, 7
         reports = estimate_regret(additive_model, T_list, "round(5/16*T)",
                                   policies=("static", "ho"), replications=reps,
@@ -674,10 +656,34 @@ class TestEstimateRegret:
         seed = sim_module._policy_stream_seed(base_seed, "ho", crn)
         for report, T in zip(ho, T_list):
             y0 = round(5 * T / 16)
-            pol = ho_batch_policies(additive_model, [(T, y0 / T)], seed, reps)[0]
-            batch = simulate_batch(additive_model, pol, T, y0, seed, reps)
+            xi_bar, = ho_noise_means(additive_model, [T], seed, reps)
+            samples = ho_revenues(additive_model, T, y0, xi_bar)
+            assert report.replications == reps
             assert (np.float64(report.value).tobytes(), np.float64(report.ci_half_width).tobytes()) \
-                == (np.float64(batch.mean).tobytes(), np.float64(batch.ci_half_width()).tobytes())
+                == (samples.mean().tobytes(),
+                    np.float64(sim_module.ci_half_width(samples, 0.95)).tobytes())
+
+    @pytest.mark.parametrize("c", ["5/16", "1/2"])
+    def test_ho_rows_beat_static_and_meet_the_fluid_value(self, additive_model, c):
+        """On one stream (common random numbers) the hindsight-best fixed price earns
+        at least the static price on every replication, with scarce inventory
+        (x_T = 5/16 < x_u) and ample (1/2 > x_u, where the sell-out rate is too
+        high); with scarce inventory its mean is the fluid value within 3 SE."""
+        T_list, reps, base_seed = [256, 1024], 4000, 3
+        reports = estimate_regret(additive_model, T_list, f"round({c}*T)",
+                                  policies=("static", "ho"), replications=reps,
+                                  base_seed=base_seed, common_random_numbers=True)
+        rows = {(r.T, r.policy): r for r in reports}
+        for T, xi_bar in zip(T_list, ho_noise_means(additive_model, T_list, base_seed, reps)):
+            y0 = parse_y0_rule(f"round({c}*T)")(T)
+            ho = ho_revenues(additive_model, T, y0, xi_bar)
+            static = simulate_batch(additive_model, static_policy(additive_model, y0 / T), T,
+                                    y0, base_seed, reps).total_revenue
+            assert (rows[T, "ho"].value, rows[T, "static"].value) == (ho.mean(), static.mean())
+            assert np.all(ho >= static * (1.0 - 1e-12))
+            if c == "5/16":
+                se = ho.std(ddof=1) / math.sqrt(reps)
+                assert abs(ho.mean() - rows[T, "ho"].fluid_value) <= 3.0 * se
 
     def test_additive_mc_reports(self, additive_model):
         reports = estimate_regret(additive_model, [64], "round(5/16*T)",
