@@ -5,8 +5,6 @@ from .demand import (
     DemandModel,
     MultiDemandModel,
     model_from_dict,
-    model_from_json,
-    model_to_json,
     benchmark_model,
     validate_multi,
 )

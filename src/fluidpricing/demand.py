@@ -15,7 +15,6 @@ as the stochastic counterpart.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -314,10 +313,6 @@ def _frozen_array(a, name: str, ndim: int) -> np.ndarray:
 # -- JSON round trip --------------------------------------------------------
 
 
-def model_to_json(model) -> str:
-    return json.dumps(model.to_dict(), sort_keys=True)
-
-
 _MODEL_KEYS = {  # the keys of each kind's JSON object besides "kind"; "c" is optional
     KIND_BERNOULLI: ("alpha", "beta", "p_lo", "p_hi"),
     KIND_ADDITIVE: ("alpha", "beta", "p_lo", "p_hi", "noise_half_width"),
@@ -346,10 +341,6 @@ def model_from_dict(obj: dict):
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model JSON ({type(exc).__name__}: {exc})") from exc
-
-
-def model_from_json(text: str):
-    return model_from_dict(json.loads(text))
 
 
 def benchmark_model() -> DemandModel:

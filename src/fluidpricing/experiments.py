@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
-from .demand import DemandModel, MultiDemandModel, model_from_dict, benchmark_model
-from .errors import ConfigError
+from .demand import DemandModel, model_from_dict, benchmark_model
+from .errors import ConfigError, DomainError, UnsupportedModelError
 from .policies import exact_passes, resolving_policy
-from .sim import (MULTI_POLICIES, ci_half_width, estimate_regret, fluid_value_at_rate,
-                  ho_values, parse_y0_rule)
-
-KNOWN_POLICIES = ("static", "resolving", "dp", "ho")
+from .sim import ci_half_width, estimate_regret, fluid_value_at_rate, ho_values, regret_points
 
 GAP_SWEEP_X_T = (0.3, 0.325, 0.35, 0.375)
 CONCAVITY_SWEEP_SLOPES = (0.3, 0.5, 0.7, 0.9)
@@ -38,7 +34,9 @@ class ExperimentConfig:
 
     y0_rule gives the initial inventory at each T: one rule such as
     "round(5/16*T)" for one product, a list of one rule per product for a
-    multi-product model.
+    multi-product model.  Past what JSON can get wrong (distinct names, whole
+    numbers, ascending horizons), sim.regret_points admits the run as
+    estimate_regret will; each failure is a ConfigError.
     """
 
     name: str
@@ -55,23 +53,10 @@ class ExperimentConfig:
         if (not isinstance(self.policies, (list, tuple))
                 or len(set(self.policies)) != len(self.policies)):
             raise ConfigError(f"policies must be a list of distinct names, got {self.policies!r}")
-        unknown = set(self.policies) - set(KNOWN_POLICIES)
-        if unknown:
-            raise ConfigError(f"unknown policies: {sorted(unknown)}")
-        parse_y0_rule(self.y0_rule)
-        model = model_from_dict(self.model)
-        listed = isinstance(self.y0_rule, list)
-        if isinstance(model, MultiDemandModel):
-            if not listed or len(self.y0_rule) != model.n:
-                raise ConfigError(f"y0_rule must be a list of {model.n} rules, one per "
-                                  f"product of the multi-product model, got {self.y0_rule!r}")
-            other = [name for name in self.policies if name not in MULTI_POLICIES]
-            if other:
-                raise ConfigError(f"a multi-product model supports the policies "
-                                  f"{list(MULTI_POLICIES)}, not {other}")
-        elif listed:
-            raise ConfigError(f"y0_rule {self.y0_rule!r} is a list, but a one-product "
-                              "model takes a single rule")
+        try:
+            regret_points(model_from_dict(self.model), self.T_list, self.y0_rule, self.policies)
+        except (DomainError, UnsupportedModelError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return {**asdict(self), "policies": list(self.policies)}
@@ -87,13 +72,6 @@ class ExperimentConfig:
             return cls(**obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def _whole(value) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels, rng
-from .demand import KIND_BERNOULLI, DemandModel, MultiDemandModel
+from .demand import KIND_ADDITIVE, KIND_BERNOULLI, KIND_MULTI, DemandModel, MultiDemandModel
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .fluid import solve_fluid_multi
 from .policies import (
@@ -35,8 +35,11 @@ from .policies import (
 )
 
 _Z_VALUES = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
-# the policies a multi-product model's regret can be estimated for
-MULTI_POLICIES = ("resolving", "dp")
+# the rows of a regret run per model kind: "dp" needs an exact pass or solve, and
+# "ho" a mean noise that the posted price does not move
+REGRET_ROWS = {KIND_BERNOULLI: ("static", "resolving", "dp"),
+               KIND_ADDITIVE: ("static", "resolving", "ho"),
+               KIND_MULTI: ("resolving", "dp")}
 # the fractions of the start state at which the forward kernels check a law
 _EIGHTHS = np.linspace(0.0, 1.0, 9)
 
@@ -162,7 +165,7 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     _check_inventory(y0)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     if not isinstance(model, MultiDemandModel):
-        return _forward(model, policy, T, y0, seeds, track_t_sharp)[0]
+        return _forward(model, policy, T, y0, seeds, track_t_sharp, record=False)[0]
     if track_t_sharp:
         raise UnsupportedModelError("t_sharp tracking is defined for one product")
     if np.shape(y0) != (model.n,):
@@ -179,8 +182,8 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     return BatchResult(total_revenue=total, sum_xi=sum_xi)
 
 
-def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray,
-             track_t_sharp: bool = False, record: bool = False):
+def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray, track_t_sharp: bool,
+             record: bool):
     """The forward kernel on a replication per stream key, all from y0.
 
     Returns the BatchResult and, with record, the (6, T, reps) record of
@@ -262,11 +265,11 @@ class RegretReport:
 
 def parse_y0_rule(rule):
     """Turn "round(c*T)" with rational c into a callable T -> int, and a list
-    of such rules, one per product, into a callable T -> list of ints."""
+    of such texts, one per product, into a callable T -> list of ints."""
     if callable(rule):
         return rule
     if isinstance(rule, (list, tuple)):
-        rules = [parse_y0_rule(r) for r in rule]
+        rules = [parse_y0_rule(str(r)) for r in rule]
         return lambda T: [r(T) for r in rules]
     text = str(rule).replace(" ", "")
     if not (text.startswith("round(") and text.endswith("*T)")):
@@ -289,55 +292,70 @@ def fluid_value_at_rate(model: DemandModel, T: int, x_T: float) -> float:
     return T * float(model.revenue_rate_unchecked(min(x_T, model.rate_cap)))
 
 
-def _policy_stream_seed(base_seed: int, policy_name: str, crn: bool) -> int:
-    if crn:
-        return base_seed
-    tag = sum((i + 1) * b for i, b in enumerate(policy_name.encode()))
-    return int(rng.replication_seed(base_seed, 0x5EED + tag))
+def regret_points(model, T_list, y0_rule, policies) -> list[tuple]:
+    """The (T, y0 = rule(T)) points of a regret run of the named rows, with the
+    rule parsed by parse_y0_rule: estimate_regret's one admission check, made
+    before any pass, batch or solve.
 
-
-def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
-                    replications: int = 10_000, base_seed: int = 0, *,
-                    common_random_numbers: bool = False) -> list[RegretReport]:
-    """Benchmark the given policies against the exact DP and fluid values.
-
-    Bernoulli models are evaluated exactly (no Monte Carlo error; the
-    replication count is ignored and CIs are zero).  Other families fall
-    back to seeded Monte Carlo, with per-replication streams derived from
-    base_seed; with common_random_numbers all policies share one stream.
-    An "ho" row (additive noise) earns the censored revenue of each stream's
-    fixed price best in hindsight, in closed form (ho_revenues), with every
-    horizon's noise means from one pass (ho_noise_means).
+    DomainError for a horizon below 1, an unknown row name, or a rule that does
+    not give one number per horizon (n, one per product, as an int array, for a
+    multi-product model); UnsupportedModelError for a row that the model's kind
+    lacks (REGRET_ROWS).
     """
     T_list = list(T_list)
     if any(T < 1 for T in T_list):
         raise DomainError(f"horizons must be >= 1, got {T_list}")
+    multi = isinstance(model, MultiDemandModel)
+    unknown = [name for name in policies if name not in set().union(*REGRET_ROWS.values())]
+    if unknown:
+        raise DomainError(f"unknown policies {unknown}")
     rule = parse_y0_rule(y0_rule)
-    if isinstance(model, MultiDemandModel):
-        return _estimate_regret_multi(model, T_list, rule, policies, replications, base_seed)
     points = [(T, rule(T)) for T in T_list]
+    if any(np.shape(y0) != ((model.n,) if multi else ()) for _, y0 in points):
+        raise DomainError(f"y0_rule must be a list of {model.n} rules, one per product of the "
+                          f"multi-product model, got {y0_rule!r}" if multi else
+                          f"y0_rule {y0_rule!r} must give one number per horizon: a "
+                          "one-product model takes a single rule")
+    rows = REGRET_ROWS[KIND_MULTI if multi else model.kind]
+    other = [name for name in policies if name not in rows]
+    if other:
+        raise UnsupportedModelError(f"a {'multi-product' if multi else model.kind} model "
+                                    f"supports the policies {list(rows)}, not {other}")
+    return [(T, np.asarray(y0, dtype=int)) for T, y0 in points] if multi else points
+
+
+def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
+                    replications: int = 10_000, base_seed: int = 0) -> list[RegretReport]:
+    """Benchmark the given rows (REGRET_ROWS) against the exact DP and fluid values.
+
+    regret_points admits the run before any work.  Bernoulli models are
+    evaluated exactly (no Monte Carlo error; the replication count is ignored
+    and CIs are zero).  Other families fall back to seeded Monte Carlo, on one
+    stream: replication i of every row draws from the stream keyed by
+    rng.replication_seed(base_seed, i), as simulate_batch has it.  An "ho" row
+    (additive noise) earns the censored revenue of each stream's fixed price
+    best in hindsight, in closed form (ho_revenues), with every horizon's noise
+    means from one pass (ho_noise_means).
+    """
+    points = regret_points(model, T_list, y0_rule, policies)
+    if isinstance(model, MultiDemandModel):
+        return _estimate_regret_multi(model, points, policies, replications, base_seed)
     exact = model.kind == KIND_BERNOULLI
     if exact:
         values = exact_passes([(y0 / T, T, y0) for T, y0 in points],
                               lambda x_T: (model, _build_policies(model, x_T, policies)))
-    reports, xi_bars = [], None
+    elif "ho" in policies:  # every horizon's noise means, from one pass
+        xi_bars = ho_noise_means(model, [T for T, _ in points], base_seed, replications)
+    reports = []
     for k, (T, y0) in enumerate(points):
-        x_T = y0 / T
-        built = None if exact else _build_policies(model, x_T, policies)
+        built = None if exact else _build_policies(model, y0 / T, policies)
         for name in policies:
             if exact:
                 val, samples = values[k][name], None
-            elif name == "dp":
-                raise UnsupportedModelError("the dp policy row needs bernoulli demand")
             else:
-                seed = _policy_stream_seed(base_seed, name, common_random_numbers)
-                if name == "ho":
-                    if xi_bars is None:  # every horizon's, from one noise pass
-                        xi_bars = ho_noise_means(model, T_list, seed, replications)
-                    samples = ho_revenues(model, T, y0, xi_bars[k])
-                else:
-                    samples = simulate_batch(model, built[name], T, y0, seed,
-                                             replications).total_revenue
+                samples = (ho_revenues(model, T, y0, xi_bars[k]) if name == "ho" else
+                           simulate_batch(model, built[name], T, y0, base_seed,
+                                          replications).total_revenue)
                 val = float(samples.mean())
             reports.append(_report(T, name, val, samples, fluid_value(model, T, y0),
                                    values[k]["dp"] if exact else None, base_seed,
@@ -357,23 +375,11 @@ def _report(T, name, value, samples, fluid, dp, base_seed, dp_reason) -> RegretR
 
 
 def _build_policies(model: DemandModel, x_T: float, names) -> dict:
-    """The static and resolving policies among names.
-
-    "dp" is the backward pass itself and "ho" is in closed form
-    (ho_revenues), so neither gets an entry.
-    """
-    built = {}
-    for name in names:
-        if name == "static":
-            built[name] = static_policy(model, x_T)
-        elif name == "resolving":
-            built[name] = resolving_policy(model)
-        elif name == "ho":
-            if model.kind == KIND_BERNOULLI:
-                raise UnsupportedModelError("ho policy needs additive i.i.d. noise")
-        elif name != "dp":
-            raise DomainError(f"unknown policy {name!r}")
-    return built
+    """The static and resolving policies among names: "dp" is the backward pass
+    itself and "ho" is in closed form (ho_revenues)."""
+    makers = {"static": lambda: static_policy(model, x_T),
+              "resolving": lambda: resolving_policy(model)}
+    return {name: makers[name]() for name in names if name in makers}
 
 
 def ho_noise_means(model: DemandModel, T_list, base_seed: int, n_reps: int) -> list[np.ndarray]:
@@ -440,14 +446,10 @@ def ho_values(model: DemandModel, T_list, x_T: float, base_seed: int,
             for T, xi_bar in zip(T_list, ho_noise_means(model, T_list, base_seed, n_reps))]
 
 
-def _estimate_regret_multi(model: MultiDemandModel, T_list, rule, policies,
-                           replications, base_seed) -> list[RegretReport]:
-    for name in policies:
-        if name not in MULTI_POLICIES:
-            raise DomainError(f"multi-product estimation supports resolving/dp, not {name!r}")
+def _estimate_regret_multi(model: MultiDemandModel, points, policies, replications,
+                           base_seed) -> list[RegretReport]:
     reports = []
-    for T in T_list:
-        y0 = np.asarray(rule(T), dtype=int)
+    for T, y0 in points:
         fluid = T * solve_fluid_multi(model, y0 / T).objective
         try:
             dp = solve_dp_multi(model, T, y0)

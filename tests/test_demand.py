@@ -11,8 +11,6 @@ from fluidpricing import (
     ModelValidationError,
     MultiDemandModel,
     model_from_dict,
-    model_from_json,
-    model_to_json,
     resolving_policy,
     simulate,
     simulate_batch,
@@ -171,7 +169,7 @@ def test_bernoulli_constants_in_closed_form(model, share):
 
 def test_validate_model_prints_the_closed_form_constants(tmp_path, capsys):
     path = tmp_path / "bernoulli.json"
-    path.write_text(model_to_json(DemandModel.linear_bernoulli(0.75, 0.5, 0.0, 1.0)))
+    path.write_text(json.dumps(DemandModel.linear_bernoulli(0.75, 0.5, 0.0, 1.0).to_dict()))
     assert cli.main(["validate-model", "--model", str(path)]) == 0
     consts = json.loads(capsys.readouterr().out)["constants"]
     assert consts["L"] == 2.0 and consts["sigma_sq"] == 0.1875
@@ -289,7 +287,7 @@ def test_non_finite_parameters_are_refused(kind, field, value, tmp_path, capsys)
 
 def test_model_from_dict_refuses_keys_its_kind_does_not_take(multi_model, tmp_path, capsys):
     bern, add = _SINGLE_SPECS["linear-bernoulli"], _SINGLE_SPECS["linear-additive"]
-    multi = json.loads(model_to_json(multi_model))
+    multi = multi_model.to_dict()
     for obj in ({**bern, "noise_half_width": 0.1}, {**bern, "alhpa": 0.75},
                 {**add, "c": 0.0}, {**multi, "alpha": 0.75}):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -302,10 +300,9 @@ def test_model_from_dict_refuses_keys_its_kind_does_not_take(multi_model, tmp_pa
 
 def test_json_round_trip(bernoulli_model, additive_model, multi_model):
     for model in (bernoulli_model, additive_model, multi_model):
-        again = model_from_json(model_to_json(model))
+        again = model_from_dict(json.loads(json.dumps(model.to_dict())))
         assert again.to_dict() == model.to_dict()
-    obj = json.loads(model_to_json(multi_model))
-    assert set(obj) == {"kind", "g", "H", "box_hi"}
+    assert set(multi_model.to_dict()) == {"kind", "g", "H", "box_hi"}
     with pytest.raises(ModelValidationError):
         model_from_dict({"kind": "nope"})
 
@@ -313,7 +310,7 @@ def test_json_round_trip(bernoulli_model, additive_model, multi_model):
 def test_multi_constant_revenue_term_is_refused(multi_model):
     # the simulator earns prices times sales only, so a constant c would put
     # T * c between the DP value and every simulated policy
-    obj = json.loads(model_to_json(multi_model))
+    obj = multi_model.to_dict()
     for c in (1.0, -0.5, float("nan")):
         with pytest.raises(ModelValidationError, match="c must be 0"):
             model_from_dict({**obj, "c": c})

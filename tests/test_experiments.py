@@ -46,7 +46,7 @@ class TestConfig:
             replications=100,
             base_seed=7,
         )
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again.to_dict() == cfg.to_dict()
 
     def test_validation(self):
@@ -123,7 +123,8 @@ class TestConfig:
         rules = ["round(1/4*T)", "round(1/2*T)"]
         cfg = ExperimentConfig(name="x", model=two, T_list=[16], y0_rule=rules,
                                policies=["resolving", "dp"])
-        assert ExperimentConfig.from_json(cfg.to_json()).to_dict() == cfg.to_dict()
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))).to_dict() \
+            == cfg.to_dict()
         for model, rule, match in ((two, "round(5/16*T)", "list of 2 rules"),
                                    (two, rules[:1], "list of 2 rules"),
                                    (two, [*rules, rules[0]], "list of 2 rules"),
@@ -466,6 +467,21 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 2
         assert "multi-product model supports" in capsys.readouterr().err
+
+    def test_row_the_model_kind_lacks_is_a_config_error(self, model_paths, tmp_path, capsys):
+        """A dp row on additive demand and an ho row on bernoulli demand loaded and
+        failed at run time; from_dict refuses them, and the CLI exits 2 with no output."""
+        for kind, names in (("add", ["static", "dp"]), ("bern", ["ho"])):
+            cfg = {"name": "t", "model": json.loads(open(model_paths[kind]).read()),
+                   "T_list": [64], "policies": names, "replications": 10}
+            with pytest.raises(ConfigError, match="model supports the policies"):
+                ExperimentConfig.from_dict(cfg)
+            cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+            cfg_path.write_text(json.dumps(cfg))
+            assert cli.main(["estimate-regret", "--config", str(cfg_path),
+                             "--out", str(out)]) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_y0_rule_coefficient_error_exit_code(self, model_paths, tmp_path, capsys):
         model = json.loads(open(model_paths["bern"]).read())

@@ -643,20 +643,18 @@ class TestEstimateRegret:
             assert r.regret_vs_dp is None and r.dp_reason == "dp-requires-bernoulli"
             assert r.regret_vs_fluid == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("crn", [False, True])
-    def test_ho_rows_match_per_horizon_runs(self, additive_model, crn):
+    def test_ho_rows_match_per_horizon_runs(self, additive_model):
         """The ho rows take every horizon's noise from one pass, with the bits of a
         ho_noise_means run per horizon; unsorted and repeated horizons included."""
         T_list, reps, base_seed = [256, 64, 256, 1024], 300, 7
         reports = estimate_regret(additive_model, T_list, "round(5/16*T)",
                                   policies=("static", "ho"), replications=reps,
-                                  base_seed=base_seed, common_random_numbers=crn)
+                                  base_seed=base_seed)
         ho = [r for r in reports if r.policy == "ho"]
         assert [r.T for r in ho] == T_list
-        seed = sim_module._policy_stream_seed(base_seed, "ho", crn)
         for report, T in zip(ho, T_list):
             y0 = round(5 * T / 16)
-            xi_bar, = ho_noise_means(additive_model, [T], seed, reps)
+            xi_bar, = ho_noise_means(additive_model, [T], base_seed, reps)
             samples = ho_revenues(additive_model, T, y0, xi_bar)
             assert report.replications == reps
             assert (np.float64(report.value).tobytes(), np.float64(report.ci_half_width).tobytes()) \
@@ -665,14 +663,14 @@ class TestEstimateRegret:
 
     @pytest.mark.parametrize("c", ["5/16", "1/2"])
     def test_ho_rows_beat_static_and_meet_the_fluid_value(self, additive_model, c):
-        """On one stream (common random numbers) the hindsight-best fixed price earns
+        """On the one stream of a default call the hindsight-best fixed price earns
         at least the static price on every replication, with scarce inventory
         (x_T = 5/16 < x_u) and ample (1/2 > x_u, where the sell-out rate is too
         high); with scarce inventory its mean is the fluid value within 3 SE."""
         T_list, reps, base_seed = [256, 1024], 4000, 3
         reports = estimate_regret(additive_model, T_list, f"round({c}*T)",
                                   policies=("static", "ho"), replications=reps,
-                                  base_seed=base_seed, common_random_numbers=True)
+                                  base_seed=base_seed)
         rows = {(r.T, r.policy): r for r in reports}
         for T, xi_bar in zip(T_list, ho_noise_means(additive_model, T_list, base_seed, reps)):
             y0 = parse_y0_rule(f"round({c}*T)")(T)
@@ -735,7 +733,7 @@ class TestEstimateRegret:
     def test_exact_path_builds_each_policy_set_once_per_static_rate(self, bernoulli_model,
                                                                      monkeypatch):
         """The pass setup builds the policies of each static rate once, the report loop
-        builds none, and bad names still raise from the setup, before any pass."""
+        builds none, and bad names raise before any pass."""
         calls, original = [], sim_module._build_policies
         monkeypatch.setattr(sim_module, "_build_policies",
                             lambda *a: calls.append(a[1]) or original(*a))
@@ -762,22 +760,54 @@ class TestEstimateRegret:
         assert dp_row.regret_vs_dp == 0.0
         assert dp_row.value == dp_row.dp_value
 
-    def test_crn_flag_aligns_policy_streams(self, additive_model):
-        # under CRN both policies see the same noise; with zero width the
-        # flag is irrelevant, so compare the stream keys via a shared draw
-        kwargs = dict(T_list=[32], y0_rule="round(5/16*T)", replications=500)
-        crn = estimate_regret(additive_model, policies=("static", "resolving"),
-                              base_seed=3, common_random_numbers=True, **kwargs)
-        indep = estimate_regret(additive_model, policies=("static", "resolving"),
-                                base_seed=3, common_random_numbers=False, **kwargs)
-        by = lambda rs, name: next(r for r in rs if r.policy == name)
-        # same seed + CRN reproduces the paired static value; independent
-        # streams move it
-        assert by(crn, "static").value != by(indep, "static").value
-        again = estimate_regret(additive_model, policies=("static", "resolving"),
-                                base_seed=3, common_random_numbers=True, **kwargs)
-        assert by(crn, "static").value == by(again, "static").value
-        assert by(crn, "resolving").value == by(again, "resolving").value
+    def test_every_row_draws_from_the_base_seed_streams(self, additive_model, multi_model):
+        """Replication i of every Monte Carlo row draws from the stream keyed by
+        replication_seed(base_seed, i): each row has the bits of simulate_batch,
+        of ho_revenues on ho_noise_means, or of simulate_batch_multi at base_seed."""
+        T_list, reps, base_seed = [32, 64], 500, 3
+
+        def bits(report, samples):
+            got = np.float64(report.value), np.float64(report.ci_half_width)
+            want = samples.mean(), np.float64(sim_module.ci_half_width(samples, 0.95))
+            return [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+        reports = estimate_regret(additive_model, T_list, "round(5/16*T)",
+                                  ("static", "resolving", "ho"), reps, base_seed)
+        xi_bars = ho_noise_means(additive_model, T_list, base_seed, reps)
+        for r in reports:
+            y0 = round(5 * r.T / 16)
+            if r.policy == "ho":
+                samples = ho_revenues(additive_model, r.T, y0, xi_bars[T_list.index(r.T)])
+            else:
+                pol = (static_policy(additive_model, y0 / r.T) if r.policy == "static"
+                       else resolving_policy(additive_model))
+                samples = simulate_batch(additive_model, pol, r.T, y0, base_seed,
+                                         reps).total_revenue
+            assert bits(r, samples), r
+        for r in estimate_regret(multi_model, [16], lambda T: [4, 8], ("resolving",), reps,
+                                 base_seed):
+            assert bits(r, simulate_batch_multi(multi_model, 16, [4, 8], base_seed,
+                                                reps).total_revenue)
+
+    @pytest.mark.parametrize("family, rule, names, error", [
+        ("additive", "round(5/16*T)", ("static", "dp"), UnsupportedModelError),
+        ("multi", ["round(1/4*T)", "round(1/2*T)"], ("static",), UnsupportedModelError),
+        ("additive", ["round(1/4*T)", "round(1/2*T)"], ("static",), DomainError),
+        ("multi", "round(1/4*T)", ("resolving",), DomainError),
+        ("multi", [["round(1/4*T)"], "round(1/2*T)"], ("resolving",), DomainError)])
+    def test_refused_before_any_kernel_call(self, family, rule, names, error, additive_model,
+                                            multi_model, monkeypatch):
+        """regret_points refuses a row the model's kind lacks and a rule that does not
+        fit the model before any kernel runs: a dp row on additive demand ran every
+        static batch first, a list rule on one product raised a bare TypeError, and a
+        nested list rule a bare ValueError."""
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran before the run was admitted")
+
+        monkeypatch.setattr(kernels, "_map", no_kernel)
+        model = {"additive": additive_model, "multi": multi_model}[family]
+        with pytest.raises(error):
+            estimate_regret(model, [64, 4096], rule, names, 20_000, 1)
 
 
 class TestMultiSimulation:
