@@ -643,12 +643,15 @@ class TestEstimateRegret:
             assert r.regret_vs_dp is None and r.dp_reason == "dp-requires-bernoulli"
             assert r.regret_vs_fluid == pytest.approx(0.0, abs=1e-9)
 
-    def test_ho_rows_match_per_horizon_runs(self, additive_model):
+    @pytest.mark.parametrize("with_static", [False, True])
+    def test_ho_rows_match_per_horizon_runs(self, additive_model, with_static):
         """The ho rows take every horizon's noise from one pass, with the bits of a
-        ho_noise_means run per horizon; unsorted and repeated horizons included."""
+        ho_noise_means run per horizon; unsorted and repeated horizons included.
+        The bits do not depend on which other rows share the run."""
         T_list, reps, base_seed = [256, 64, 256, 1024], 300, 7
+        policies = ("static", "ho") if with_static else ("ho",)
         reports = estimate_regret(additive_model, T_list, "round(5/16*T)",
-                                  policies=("static", "ho"), replications=reps,
+                                  policies=policies, replications=reps,
                                   base_seed=base_seed)
         ho = [r for r in reports if r.policy == "ho"]
         assert [r.T for r in ho] == T_list
