@@ -2,8 +2,10 @@
  *
  * Each entry point reproduces a Python or numpy loop operation by operation,
  * so both agree bit for bit as long as the compiler does not contract
- * a * b + c into a fused multiply-add (-ffp-contract=off).  These loops are
- * the package's only engines; their twins are the references in
+ * a * b + c into a fused multiply-add (-ffp-contract=off).  An explicit fma()
+ * is not a contraction: it rounds once, as written, and backward's quotients
+ * use it where a theorem gives the bits of the division (quotient).  These
+ * loops are the package's only engines; their twins are the references in
  * tests/oracles.py:
  *
  *   backward   the exact backward pass of policies.solve_dp and
@@ -44,19 +46,37 @@
  * under AVX-512 only: gcc moves a multiply of box_qp2 into one arm of a clip,
  * and only AVX-512's masks let a vector loop run floating-point work under a
  * condition.  All give the same bits: a vector lane rounds each operation as
- * the scalar code does, and -ffp-contract=off keeps fused multiply-adds out of
- * every clone.  Elsewhere, or with -DKERNEL_CLONES=, each is the one baseline
- * loop.  box_qp, a scalar solve of at most a few dozen products, is built once. */
+ * the scalar code does, and -ffp-contract=off keeps contracted multiply-adds
+ * out of every clone (backward's explicit fma() calls run only in the clones
+ * with FMA, see KERNEL_FMA).  Elsewhere, or with -DKERNEL_CLONES=, each is the
+ * one baseline loop.  box_qp, a scalar solve of at most a few dozen products,
+ * is built once. */
 #ifndef KERNEL_CLONES
 #if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define KERNEL_CLONES __attribute__((flatten, target_clones( \
     "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#ifndef __FMA__
+/* glibc runs a clone with FMA, x86-64-v4 or v3, exactly when this holds */
+#define KERNEL_FMA __builtin_cpu_supports("x86-64-v3")
+#endif
 #endif
 #endif
 #endif
 #ifndef KERNEL_CLONES
 #define KERNEL_CLONES
+#endif
+
+/* Whether the running loop has the FMA instruction.  The clones come from one
+ * preprocessor pass, so __FMA__ is set only when the whole build targets FMA
+ * (-march=x86-64-v3, say); elsewhere fma() is a libm call, which backward's
+ * quotients must not make per cell: a call keeps the loop from vectorizing. */
+#ifndef KERNEL_FMA
+#ifdef __FMA__
+#define KERNEL_FMA 1
+#else
+#define KERNEL_FMA 0
+#endif
 #endif
 
 static double clip(double x, double lo, double hi)
@@ -77,21 +97,52 @@ static double clip(double x, double lo, double hi)
  * array record after each period t.
  *
  * Every row is one loop, rows: each cell takes a rate d from a source and
- * gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), in the operation order
- * of oracles.backward.  The source, a constant that gcc folds into each call's
- * own loop, is
+ * gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), r(d) = d * (alpha - d)
+ * / beta, in the operation order of oracles.backward.  The source, a constant
+ * that gcc folds into each call's own loop, is
  *
  *   OPTIMAL   V's maximizer clip((alpha + beta * (W(t-1, y-1) - W(t-1, y)))
  *             / 2, d_lo, d_hi), read from the row itself;
  *   TABLE     src[y], one period's row of a DP table;
- *   RATIO     src[y] / c with src[y] == y as a double (a load, unlike a
- *             conversion from long, vectorizes) and c == t;
+ *   RATIO     the quotient src[y] / c with src[y] == y as a double (a load,
+ *             unlike a conversion from long, vectorizes) and c == t;
  *   CONSTANT  c in every cell.
  *
  * A policy row is split where y / t saturates (clipped_rows) into
  * CONSTANT(hi), RATIO and CONSTANT(lo) segments, so that only the cells with
- * lo < y / t < hi divide: clipping one source per cell made the gap sweep,
+ * lo < y / t < hi take y / t: clipping one source per cell made the gap sweep,
  * whose whole-cone rows are mostly saturated, half again as slow.
+ *
+ * Division is the slowest operation of a cell, so RATIO's y / t and the r(d)
+ * of OPTIMAL and RATIO cells are taken without one when fused is set:
+ * quotient multiplies by the reciprocal rb = 1 / b, rounded once per call
+ * for beta and once per period for t, and corrects the product with two
+ * fma() calls.  Markstein's theorem (Markstein 1990, IBM J. Res. Dev. 34(1);
+ * Muller et al., Handbook of Floating-Point Arithmetic, the chapter on
+ * division): in binary floating point rounded to nearest, with rb = RN(1 / b)
+ * and q = RN(a * rb), fma(fma(-q, b, a), rb, q) = RN(a / b), the bits of
+ * a / b, as long as no operand or result is subnormal and nothing overflows
+ * or underflows; a numerator of +0.0 gives +0.0 (-0.0 would give +0.0 too,
+ * but no numerator here is -0.0).  A numerator near the bottom of the normal
+ * range does break it: a subnormal one over beta = 0.7 gave a quotient one ulp
+ * off in about one case in eight (tests/quotients.c checks the helper against
+ * a / b).  So backward sets fused only where every quotient a cell can take
+ * stays far inside the normal range:
+ *
+ *   - the loop has the FMA instruction (KERNEL_FMA), and
+ *   - alpha, beta, and d_lo and d_hi unless 0, lie in [FUSED_MIN, FUSED_MAX]
+ *     = [2^-128, 2^128].
+ *
+ * Then y and t are whole numbers below 2^63.  An OPTIMAL rate before its clip
+ * is half of alpha + beta * (...), a sum that cancels exactly (Sterbenz's
+ * lemma) when it cancels at all, so it is 0 or at least alpha * 2^-55 in
+ * magnitude; a rate is that, d_lo or d_hi, or a RATIO rate y / t >= 2^-63.
+ * alpha - d is 0 or at least alpha * 2^-54 in magnitude for the same reason.
+ * So each numerator d * (alpha - d) is 0 or within [2^-365, 2^257] in
+ * magnitude, and r(d) within [2^-493, 2^385].  A TABLE or CONSTANT rate is
+ * whatever the caller gives (a DP table, a static rate, which may be
+ * subnormal), so its r(d) divides: once per call for CONSTANT, whose r(d) gcc
+ * moves out of the loop, and once per cell for TABLE.
  *
  * One call advances the row from period t_from to t_to, updating only the
  * cells y in [max(1, cone + t), y_hi] that a requested point can still
@@ -125,6 +176,8 @@ static double clip(double x, double lo, double hi)
  */
 
 #define SLACK (1.0 + 1e-9)
+#define FUSED_MIN 0x1p-128
+#define FUSED_MAX 0x1p+128
 
 enum { OPTIMAL, TABLE, RATIO, CONSTANT };
 
@@ -133,25 +186,39 @@ enum { OPTIMAL, TABLE, RATIO, CONSTANT };
  * the baseline */
 #define BLOCK 8
 
+/* a / b, with rb == 1 / b: by Markstein's correction of a * rb when fused is
+ * set, which gives the same bits where backward sets it, else by a division */
+static inline __attribute__((always_inline)) double
+quotient(double a, double b, double rb, const int fused)
+{
+    if (!fused)
+        return a / b;
+    double q = a * rb;
+    return fma(fma(-q, b, a), rb, q);
+}
+
 /* The n <= BLOCK cells x .. x + n - 1 of w and, unless u is NULL (as with
- * OPTIMAL), of u, each cell's rate and r(d) computed once for both.  Every
- * cell is read before any is written, so the loop can run upward and gcc
- * vectorizes it with the lanes in memory order; it is kept rolled, as gcc
- * would otherwise unroll BLOCK cells before it could vectorize them. */
+ * OPTIMAL), of u, each cell's rate and r(d) computed once for both; rc is
+ * 1 / c and rbeta 1 / beta.  Every cell is read before any is written, so the
+ * loop can run upward and gcc vectorizes it with the lanes in memory order;
+ * it is kept rolled, as gcc would otherwise unroll BLOCK cells before it
+ * could vectorize them. */
 static inline __attribute__((always_inline)) void
 cells(double *restrict w, double *restrict u, const double *restrict src,
-      long x, long n, double c, double alpha, double beta, double d_lo,
-      double d_hi, const int source)
+      long x, long n, double c, double rc, double alpha, double beta,
+      double rbeta, double d_lo, double d_hi, const int source, const int fused)
 {
     double next[BLOCK], unext[BLOCK];
+    /* a TABLE or CONSTANT rate may lie outside the range fused relies on */
+    const int fused_reward = fused && (source == OPTIMAL || source == RATIO);
 #pragma GCC unroll 1
     for (long k = 0; k < n; k++) {
         double below = w[x - 1 + k], here = w[x + k];
         double d = source == TABLE ? src[x + k]
-                   : source == RATIO ? src[x + k] / c
+                   : source == RATIO ? quotient(src[x + k], c, rc, fused)
                    : source == CONSTANT ? c
                    : clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi);
-        double reward = d * (alpha - d) / beta;
+        double reward = quotient(d * (alpha - d), beta, rbeta, fused_reward);
         next[k] = reward + d * below + (1.0 - d) * here;
         if (u)
             unext[k] = reward + d * u[x - 1 + k] + (1.0 - d) * u[x + k];
@@ -172,19 +239,22 @@ cells(double *restrict w, double *restrict u, const double *restrict src,
  * stack. */
 static inline __attribute__((always_inline)) void
 rows(double *restrict w, double *restrict u, const double *restrict src,
-     long first, long last, double c, double alpha, double beta, double d_lo,
-     double d_hi, const int source)
+     long first, long last, double c, double rc, double alpha, double beta,
+     double rbeta, double d_lo, double d_hi, const int source, const int fused)
 {
     long x = last + 1 - BLOCK;
     if (u)
         for (; x >= first; x -= BLOCK)
-            cells(w, u, src, x, BLOCK, c, alpha, beta, d_lo, d_hi, source);
+            cells(w, u, src, x, BLOCK, c, rc, alpha, beta, rbeta, d_lo, d_hi, source,
+                  fused);
     else
         for (; x >= first; x -= BLOCK)
-            cells(w, NULL, src, x, BLOCK, c, alpha, beta, d_lo, d_hi, source);
+            cells(w, NULL, src, x, BLOCK, c, rc, alpha, beta, rbeta, d_lo, d_hi, source,
+                  fused);
     for (long k = BLOCK - 1; k >= 0; k--)
         if (x + k >= first)
-            cells(w, u, src, x + k, 1, c, alpha, beta, d_lo, d_hi, source);
+            cells(w, u, src, x + k, 1, c, rc, alpha, beta, rbeta, d_lo, d_hi, source,
+                  fused);
 }
 
 /* Whether a and b hold the same bits (== would equate -0.0 and 0.0) */
@@ -205,16 +275,19 @@ static int same_bits(double a, double b)
  * with the same bits, widened outward within a .. b over cells with the same
  * bits. */
 static void optimal_rows(double *w, double *u, long a, long b, int64_t *run,
-                         double alpha, double beta, double d_lo, double d_hi)
+                         double alpha, double beta, double rbeta, double d_lo,
+                         double d_hi, const int fused)
 {
     long from = run[0] + 1 > a ? run[0] + 1 : a, to = run[1] < b ? run[1] : b;
-    rows(w, NULL, NULL, a, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
+    rows(w, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL, fused);
     if (from <= to) {
-        rows(u, NULL, NULL, to + 1, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
+        rows(u, NULL, NULL, to + 1, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL,
+             fused);
         memcpy(u + from, w + from, (to - from + 1) * sizeof *u);
-        rows(u, NULL, NULL, a, from - 1, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
+        rows(u, NULL, NULL, a, from - 1, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL,
+             fused);
     } else {
-        rows(u, NULL, NULL, a, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
+        rows(u, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL, fused);
         for (to = b; to >= a && !same_bits(w[to], u[to]); to--)
             ;
         from = to < a ? a : to; /* the top cell with the same bits, if any */
@@ -247,19 +320,20 @@ static long last_at_most(const double *ys, long first, long last, double t,
  * y / t in the band between, the segments running from high y to low */
 static void clipped_rows(double *w, double *u, const double *ys, long first,
                          long last, double t, double lo, double hi, double alpha,
-                         double beta)
+                         double beta, double rbeta, const int fused)
 {
     if (!(lo < hi)) {
-        rows(w, u, NULL, first, last, hi, alpha, beta, 0.0, 0.0, CONSTANT);
+        rows(w, u, NULL, first, last, hi, 0.0, alpha, beta, rbeta, 0.0, 0.0, CONSTANT,
+             fused);
         return;
     }
     long top = last_at_most(ys, first, last, t, hi);
     while (top >= first && ys[top] / t >= hi) /* y / t == hi saturates too */
         top--;
     long bottom = last_at_most(ys, first, top, t, lo);
-    rows(w, u, NULL, top + 1, last, hi, alpha, beta, 0.0, 0.0, CONSTANT);
-    rows(w, u, ys, bottom + 1, top, t, alpha, beta, 0.0, 0.0, RATIO);
-    rows(w, u, NULL, first, bottom, lo, alpha, beta, 0.0, 0.0, CONSTANT);
+    rows(w, u, NULL, top + 1, last, hi, 0.0, alpha, beta, rbeta, 0.0, 0.0, CONSTANT, fused);
+    rows(w, u, ys, bottom + 1, top, t, 1.0 / t, alpha, beta, rbeta, 0.0, 0.0, RATIO, fused);
+    rows(w, u, NULL, first, bottom, lo, 0.0, alpha, beta, rbeta, 0.0, 0.0, CONSTANT, fused);
 }
 
 /* The band [*first, *last] of a bound row at period t: the cone [*first,
@@ -311,27 +385,34 @@ static double edge_bound(const double *u, long y, long a, long b, int optimal,
     return SLACK * (optimal && u[b] + p_hi < bound ? u[b] + p_hi : bound);
 }
 
-KERNEL_CLONES
-void backward(double *w, double *u, long width, const double *ys, int optimal,
+/* Whether x lies in [FUSED_MIN, FUSED_MAX] (NaN does not) */
+static int fusable(double x) { return x >= FUSED_MIN && x <= FUSED_MAX; }
+
+/* backward with fused (see cells) a constant */
+static inline __attribute__((always_inline)) void
+backward_pass(double *w, double *u, long width, const double *ys, int optimal,
               double lo, double hi, const double *table, long stride,
               const double *band, int64_t *span, double alpha, double beta,
               double d_lo, double d_hi, long t_from, long t_to, long cone,
-              long y_hi, int triangle, double *record)
+              long y_hi, int triangle, double *record, const int fused)
 {
     double p_hi = (alpha - d_lo) / beta, cap = clip(alpha / 2.0, d_lo, d_hi);
+    double rbeta = 1.0 / beta;
     for (long t = t_from + 1; t <= t_to; t++) {
         long first = cone + t > 1 ? cone + t : 1;
         long last = triangle && t < y_hi ? t : y_hi;
         long a = first, b = last;
         if (!u || band_at(t, band, span, &a, &b)) {
             if (optimal && u)
-                optimal_rows(w, u, a, b, span + 2, alpha, beta, d_lo, d_hi);
+                optimal_rows(w, u, a, b, span + 2, alpha, beta, rbeta, d_lo, d_hi, fused);
             else if (optimal)
-                rows(w, NULL, NULL, a, b, 0.0, alpha, beta, d_lo, d_hi, OPTIMAL);
+                rows(w, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL,
+                     fused);
             else if (table)
-                rows(w, NULL, table + t * stride, a, b, 0.0, alpha, beta, 0.0, 0.0, TABLE);
+                rows(w, NULL, table + t * stride, a, b, 0.0, 0.0, alpha, beta, rbeta, 0.0,
+                     0.0, TABLE, fused);
             else
-                clipped_rows(w, u, ys, a, b, (double)t, lo, hi, alpha, beta);
+                clipped_rows(w, u, ys, a, b, (double)t, lo, hi, alpha, beta, rbeta, fused);
             if (u && a > first) {
                 w[a - 1] = 0.0;
                 u[a - 1] = edge_bound(u, a - 1, a, b, optimal, t, cap, d_lo, p_hi,
@@ -352,6 +433,22 @@ void backward(double *w, double *u, long width, const double *ys, int optimal,
             for (long y = 0; y < width; y++)
                 record[t * width + y] = w[y];
     }
+}
+
+KERNEL_CLONES
+void backward(double *w, double *u, long width, const double *ys, int optimal,
+              double lo, double hi, const double *table, long stride,
+              const double *band, int64_t *span, double alpha, double beta,
+              double d_lo, double d_hi, long t_from, long t_to, long cone,
+              long y_hi, int triangle, double *record)
+{
+    if (KERNEL_FMA && fusable(alpha) && fusable(beta) && (d_lo == 0.0 || fusable(fabs(d_lo)))
+        && (d_hi == 0.0 || fusable(fabs(d_hi))))
+        backward_pass(w, u, width, ys, optimal, lo, hi, table, stride, band, span, alpha,
+                      beta, d_lo, d_hi, t_from, t_to, cone, y_hi, triangle, record, 1);
+    else
+        backward_pass(w, u, width, ys, optimal, lo, hi, table, stride, band, span, alpha,
+                      beta, d_lo, d_hi, t_from, t_to, cone, y_hi, triangle, record, 0);
 }
 
 /* -- the counter-based RNG --------------------------------------------------- */

@@ -24,11 +24,13 @@ from .errors import KernelUnavailableError
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
-# -ffp-contract=off: a fused multiply-add would change the last bits against numpy,
-# in every clone too; no -march=native, so that a cached binary runs on any CPU of
-# the architecture: backward, forward, noise_sum, forward2 and backward2 carry their
-# own AVX2 and AVX-512 clones, and glibc picks the widest this CPU runs at load time
-# (KERNEL_CLONES in _kernels.c)
+# -ffp-contract=off: a contracted multiply-add would change the last bits against
+# numpy, in every clone too (backward's explicit fma() calls round once, as written,
+# and give the bits of the division they replace); no -march=native, so that a cached
+# binary runs on any CPU of the architecture: backward, forward, noise_sum, forward2
+# and backward2 carry their own AVX2 and AVX-512 clones, and glibc picks the widest
+# this CPU runs at load time (KERNEL_CLONES in _kernels.c); backward's fma() calls run
+# only in the clones with FMA (KERNEL_FMA)
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
 

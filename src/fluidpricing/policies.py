@@ -276,9 +276,7 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
 
     Each row of an attempt (see below) is one _pass, a kernel call per
     distinct horizon on cells of its own; no row reads another, so the rows of
-    an attempt run at once, one per thread of kernels._map.  The rows of a
-    constant rate, which divide nothing per cell and take the least time,
-    start last.
+    an attempt run at once, one per thread of kernels._map, in row order.
 
     A ValueTable law is a table row, a (lo, hi) law a clipped row.  Between
     two horizons the points still to be read are fixed, and so is their
@@ -322,8 +320,6 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
                                      and model.d_lo <= lo <= hi <= model.d_hi))
             else math.inf for j, (lo, hi) in enumerate(ranges)]
     cone_cells = [_cone_cells(segment, triangle) for segment in segments]
-    constant = [j > 0 and tables[j - 1] is None and not lo < hi
-                for j, (lo, hi) in enumerate(ranges)]
     out = np.empty((len(points), len(ranges)))
     retries, pending = [0] * len(ranges), list(range(len(ranges)))
     cells, seconds = [0.0] * len(ranges), [0.0] * len(ranges)
@@ -341,10 +337,9 @@ def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]
                     half[j] = math.inf
             if half[j] == math.inf:
                 cells[j] += sum(cone_cells)
-        order = sorted(pending, key=constant.__getitem__)
-        runs = dict(zip(order, kernels._map(
+        runs = dict(zip(pending, kernels._map(
             functools.partial(_pass, model, points, reads, segments, triangle),
-            [(j == 0, tables[j - 1] if j else None, ranges[j], bands.get(j)) for j in order])))
+            [(j == 0, tables[j - 1] if j else None, ranges[j], bands.get(j)) for j in pending])))
         failed = []
         for j in pending:
             got, span, upper, seconds_j = runs[j]

@@ -1058,16 +1058,18 @@ def _require_clones():
 def single_build(request, tmp_path_factory):
     """_kernels.c built a second time with each cloned loop as one loop:
     KERNEL_CLONES empty (the baseline loop any CPU runs), or one clone's target
-    alone.  Every entry point has the dispatched library's argtypes."""
+    alone, for the whole build so that backward takes its quotients with FMA as
+    that clone does.  Every entry point has the dispatched library's argtypes."""
     _require_clones()
     target = request.param
     if target != "baseline" and not _CLONES[target] <= _cpu_flags():
         pytest.skip(f"this CPU cannot run the {target} clone")
-    attribute = ("" if target == "baseline"
-                 else f'__attribute__((flatten, target("arch={target}")))')
+    flags = (["-DKERNEL_CLONES="] if target == "baseline"
+             else [f'-DKERNEL_CLONES=__attribute__((flatten, target("arch={target}")))',
+                   f"-march={target}"])
     path = tmp_path_factory.mktemp("single") / f"{target}.so"
-    subprocess.run(["cc", *kernels._CFLAGS, f"-DKERNEL_CLONES={attribute}", "-o",
-                    str(path), str(kernels._SOURCE)], capture_output=True, check=True)
+    subprocess.run(["cc", *kernels._CFLAGS, *flags, "-o", str(path), str(kernels._SOURCE)],
+                   capture_output=True, check=True)
     assert b"arch_x86_64" not in path.read_bytes()
     lib, dispatched = ctypes.CDLL(str(path)), kernels._kernel()
     for name in (*_CLONED, "box_qp"):
@@ -1134,6 +1136,63 @@ class TestDispatchedBackward:
         single_build.backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
         oracles.backward_multi(model, T, want)
         assert got.tobytes() == want.tobytes()
+
+
+# (alpha, beta) of bernoulli models with d_lo = alpha / 3 and d_hi = alpha, inside and
+# outside the range [2^-128, 2^128] (FUSED_MIN, FUSED_MAX in _kernels.c) where backward
+# takes its quotients by Markstein's correction; outside it, by a division.  No
+# bernoulli model has alpha above 2^128, as its rates must lie in [0, 1].
+_FUSED_RANGE_MODELS = [(0.75, 1e-300), (0.75, 2.0**-129), (0.75, 2.0**-127),
+                       (0.75, 2.0**127), (0.75, 2.0**129), (0.75, 1e300),
+                       (2.0**-120, 0.5), (2.0**-129, 0.5), (1e-300, 0.5)]
+
+
+class TestQuotients:
+    @pytest.mark.parametrize("target", list(_CLONES))
+    def test_corrected_quotient_has_the_bits_of_the_division(self, target, tmp_path):
+        """tests/quotients.c, built as each clone with FMA that this CPU runs: the
+        helper matches a / b on every y / t up to t = 2^12, on random pairs, on the
+        rewards of models drawn as _bernoulli_models draws them and at the limits of
+        the range, and misses on subnormal numerators, which that range keeps out."""
+        _require_clones()
+        if not _CLONES[target] <= _cpu_flags():
+            pytest.skip(f"this CPU cannot run the {target} clone")
+        driver = tmp_path / "quotients"
+        flags = [flag for flag in kernels._CFLAGS if flag not in ("-shared", "-fPIC")]
+        build = subprocess.run(["cc", *flags, f"-march={target}", "-I",
+                                str(kernels._SOURCE.parent), "-o", str(driver),
+                                str(Path(__file__).with_name("quotients.c"))],
+                               capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
+        done = subprocess.run([str(driver)], capture_output=True, text=True, timeout=60)
+        groups = {name: (int(pairs), int(misses))
+                  for name, pairs, misses in map(str.split, done.stdout.splitlines())}
+        assert done.returncode == 0, done.stdout
+        assert groups["ratio"] == (sum(t + 1 for t in range(1, 4097)), 0)
+        assert groups["random"] == (10**7, 0)
+        assert groups["rewards"][1] == groups["limits"][1] == 0
+        assert groups["subnormal"][1] > 0
+
+    @pytest.mark.parametrize("alpha, beta", _FUSED_RANGE_MODELS)
+    def test_rows_keep_the_bits_on_both_sides_of_the_fused_range(self, alpha, beta, caplog):
+        """exact_values, banded and on the whole cone, and solve_dp give
+        oracles.backward's bits whether backward corrects its quotients or divides."""
+        model = DemandModel.linear_bernoulli(alpha, beta, 0.0, alpha / (1.5 * beta))
+        policies = {"resolving": resolving_policy(model),
+                    "static": static_policy(model, 0.3 * alpha)}
+        points = [(4096, 1280), (2048, 640), (9, 4)]
+        with _start_width(1e9):
+            _assert_kernel_matches_backward(model, points, policies)
+        caplog.clear()
+        with _start_width(2.0), caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
+            _assert_kernel_matches_backward(model, points, policies)
+        # the rates of the tiny alphas stay far below y0 / T, so no band is narrower
+        assert _band_log(caplog)["dp"][0].startswith("band") == (alpha == 0.75)
+        table = solve_dp(model, 200, 80)
+        values = np.zeros((201, 81))
+        for t, v, _ in oracles.backward(model, 200, 80):
+            values[t] = v[0]
+        assert table.values.tobytes() == values.tobytes()
 
 
 _FORWARD_MODELS = {
