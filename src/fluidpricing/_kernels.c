@@ -113,36 +113,41 @@ static double clip(double x, double lo, double hi)
  * lo < y / t < hi take y / t: clipping one source per cell made the gap sweep,
  * whose whole-cone rows are mostly saturated, half again as slow.
  *
- * Division is the slowest operation of a cell, so RATIO's y / t and the r(d)
- * of OPTIMAL and RATIO cells are taken without one when fused is set:
- * quotient multiplies by the reciprocal rb = 1 / b, rounded once per call
- * for beta and once per period for t, and corrects the product with two
- * fma() calls.  Markstein's theorem (Markstein 1990, IBM J. Res. Dev. 34(1);
- * Muller et al., Handbook of Floating-Point Arithmetic, the chapter on
- * division): in binary floating point rounded to nearest, with rb = RN(1 / b)
+ * Division is the slowest operation of a cell, so a RATIO cell takes its
+ * y / t and its r(d) without one when fused is set: quotient multiplies by
+ * the reciprocal rb = 1 / b, rounded once per call for beta and once per
+ * period for t, and corrects the product with two fma() calls.
+ * Markstein's theorem (Markstein 1990, IBM J. Res. Dev. 34(1); Muller et
+ * al., Handbook of Floating-Point Arithmetic, the chapter on division): in
+ * binary floating point rounded to nearest, with rb = RN(1 / b)
  * and q = RN(a * rb), fma(fma(-q, b, a), rb, q) = RN(a / b), the bits of
  * a / b, as long as no operand or result is subnormal and nothing overflows
  * or underflows; a numerator of +0.0 gives +0.0 (-0.0 would give +0.0 too,
  * but no numerator here is -0.0).  A numerator near the bottom of the normal
  * range does break it: a subnormal one over beta = 0.7 gave a quotient one ulp
  * off in about one case in eight (tests/quotients.c checks the helper against
- * a / b).  So backward sets fused only where every quotient a cell can take
- * stays far inside the normal range:
+ * a / b).  So backward sets fused only where every quotient a RATIO cell can
+ * take stays far inside the normal range:
  *
  *   - the loop has the FMA instruction (KERNEL_FMA), and
- *   - alpha, beta, and d_lo and d_hi unless 0, lie in [FUSED_MIN, FUSED_MAX]
- *     = [2^-128, 2^128].
+ *   - alpha and beta lie in [FUSED_MIN, FUSED_MAX] = [2^-128, 2^128].
  *
- * Then y and t are whole numbers below 2^63.  An OPTIMAL rate before its clip
- * is half of alpha + beta * (...), a sum that cancels exactly (Sterbenz's
- * lemma) when it cancels at all, so it is 0 or at least alpha * 2^-55 in
- * magnitude; a rate is that, d_lo or d_hi, or a RATIO rate y / t >= 2^-63.
- * alpha - d is 0 or at least alpha * 2^-54 in magnitude for the same reason.
- * So each numerator d * (alpha - d) is 0 or within [2^-365, 2^257] in
- * magnitude, and r(d) within [2^-493, 2^385].  A TABLE or CONSTANT rate is
- * whatever the caller gives (a DP table, a static rate, which may be
- * subnormal), so its r(d) divides: once per call for CONSTANT, whose r(d) gcc
- * moves out of the loop, and once per cell for TABLE.
+ * Then y and t are whole numbers below 2^63, so a RATIO rate d = y / t is 0
+ * or within [2^-63, 2^63].  alpha - d cancels exactly (Sterbenz's lemma) when
+ * it cancels at all, so it is 0 or at least min(alpha, d) * 2^-53 in
+ * magnitude, and at most 2^128.  So each numerator d * (alpha - d) is 0 or
+ * within [2^-244, 2^191] in magnitude, and r(d) within [2^-372, 2^319].
+ *
+ * The other sources divide.  A TABLE or CONSTANT rate is whatever the caller
+ * gives (a DP table, a static rate, which may be subnormal); CONSTANT's r(d)
+ * is one division per call, which gcc moves out of the loop.  OPTIMAL keeps
+ * its division per cell for another reason: V's row runs beside the policy
+ * rows, one per thread of the pool, and with V's reward corrected too, both
+ * threads' loops ran on the vector multiply-add units alone.  Where the two
+ * CPUs share a core, as on a 2-vCPU cloud instance, the exact round of table2
+ * then took 29 or 41 ms from one round to the next, as the host placed the
+ * threads.  A dividing V uses the divider while the policy rows multiply,
+ * and the round took 40 to 43 ms in the middle half of its rounds.
  *
  * One call advances the row from period t_from to t_to, updating only the
  * cells y in [max(1, cone + t), y_hi] that a requested point can still
@@ -199,18 +204,16 @@ quotient(double a, double b, double rb, const int fused)
 
 /* The n <= BLOCK cells x .. x + n - 1 of w and, unless u is NULL (as with
  * OPTIMAL), of u, each cell's rate and r(d) computed once for both; rc is
- * 1 / c and rbeta 1 / beta.  Every cell is read before any is written, so the
- * loop can run upward and gcc vectorizes it with the lanes in memory order;
- * it is kept rolled, as gcc would otherwise unroll BLOCK cells before it
- * could vectorize them. */
+ * 1 / c and rbeta 1 / beta, read only when fused is set (RATIO rows).  Every
+ * cell is read before any is written, so the loop can run upward and gcc
+ * vectorizes it with the lanes in memory order; it is kept rolled, as gcc
+ * would otherwise unroll BLOCK cells before it could vectorize them. */
 static inline __attribute__((always_inline)) void
 cells(double *restrict w, double *restrict u, const double *restrict src,
       long x, long n, double c, double rc, double alpha, double beta,
       double rbeta, double d_lo, double d_hi, const int source, const int fused)
 {
     double next[BLOCK], unext[BLOCK];
-    /* a TABLE or CONSTANT rate may lie outside the range fused relies on */
-    const int fused_reward = fused && (source == OPTIMAL || source == RATIO);
 #pragma GCC unroll 1
     for (long k = 0; k < n; k++) {
         double below = w[x - 1 + k], here = w[x + k];
@@ -218,7 +221,7 @@ cells(double *restrict w, double *restrict u, const double *restrict src,
                    : source == RATIO ? quotient(src[x + k], c, rc, fused)
                    : source == CONSTANT ? c
                    : clip((alpha + beta * (below - here)) / 2.0, d_lo, d_hi);
-        double reward = quotient(d * (alpha - d), beta, rbeta, fused_reward);
+        double reward = quotient(d * (alpha - d), beta, rbeta, fused);
         next[k] = reward + d * below + (1.0 - d) * here;
         if (u)
             unext[k] = reward + d * u[x - 1 + k] + (1.0 - d) * u[x + k];
@@ -275,19 +278,16 @@ static int same_bits(double a, double b)
  * with the same bits, widened outward within a .. b over cells with the same
  * bits. */
 static void optimal_rows(double *w, double *u, long a, long b, int64_t *run,
-                         double alpha, double beta, double rbeta, double d_lo,
-                         double d_hi, const int fused)
+                         double alpha, double beta, double d_lo, double d_hi)
 {
     long from = run[0] + 1 > a ? run[0] + 1 : a, to = run[1] < b ? run[1] : b;
-    rows(w, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL, fused);
+    rows(w, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, 0.0, d_lo, d_hi, OPTIMAL, 0);
     if (from <= to) {
-        rows(u, NULL, NULL, to + 1, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL,
-             fused);
+        rows(u, NULL, NULL, to + 1, b, 0.0, 0.0, alpha, beta, 0.0, d_lo, d_hi, OPTIMAL, 0);
         memcpy(u + from, w + from, (to - from + 1) * sizeof *u);
-        rows(u, NULL, NULL, a, from - 1, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL,
-             fused);
+        rows(u, NULL, NULL, a, from - 1, 0.0, 0.0, alpha, beta, 0.0, d_lo, d_hi, OPTIMAL, 0);
     } else {
-        rows(u, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL, fused);
+        rows(u, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, 0.0, d_lo, d_hi, OPTIMAL, 0);
         for (to = b; to >= a && !same_bits(w[to], u[to]); to--)
             ;
         from = to < a ? a : to; /* the top cell with the same bits, if any */
@@ -323,17 +323,16 @@ static void clipped_rows(double *w, double *u, const double *ys, long first,
                          double beta, double rbeta, const int fused)
 {
     if (!(lo < hi)) {
-        rows(w, u, NULL, first, last, hi, 0.0, alpha, beta, rbeta, 0.0, 0.0, CONSTANT,
-             fused);
+        rows(w, u, NULL, first, last, hi, 0.0, alpha, beta, 0.0, 0.0, 0.0, CONSTANT, 0);
         return;
     }
     long top = last_at_most(ys, first, last, t, hi);
     while (top >= first && ys[top] / t >= hi) /* y / t == hi saturates too */
         top--;
     long bottom = last_at_most(ys, first, top, t, lo);
-    rows(w, u, NULL, top + 1, last, hi, 0.0, alpha, beta, rbeta, 0.0, 0.0, CONSTANT, fused);
+    rows(w, u, NULL, top + 1, last, hi, 0.0, alpha, beta, 0.0, 0.0, 0.0, CONSTANT, 0);
     rows(w, u, ys, bottom + 1, top, t, 1.0 / t, alpha, beta, rbeta, 0.0, 0.0, RATIO, fused);
-    rows(w, u, NULL, first, bottom, lo, 0.0, alpha, beta, rbeta, 0.0, 0.0, CONSTANT, fused);
+    rows(w, u, NULL, first, bottom, lo, 0.0, alpha, beta, 0.0, 0.0, 0.0, CONSTANT, 0);
 }
 
 /* The band [*first, *last] of a bound row at period t: the cone [*first,
@@ -404,13 +403,12 @@ backward_pass(double *w, double *u, long width, const double *ys, int optimal,
         long a = first, b = last;
         if (!u || band_at(t, band, span, &a, &b)) {
             if (optimal && u)
-                optimal_rows(w, u, a, b, span + 2, alpha, beta, rbeta, d_lo, d_hi, fused);
+                optimal_rows(w, u, a, b, span + 2, alpha, beta, d_lo, d_hi);
             else if (optimal)
-                rows(w, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, rbeta, d_lo, d_hi, OPTIMAL,
-                     fused);
+                rows(w, NULL, NULL, a, b, 0.0, 0.0, alpha, beta, 0.0, d_lo, d_hi, OPTIMAL, 0);
             else if (table)
-                rows(w, NULL, table + t * stride, a, b, 0.0, 0.0, alpha, beta, rbeta, 0.0,
-                     0.0, TABLE, fused);
+                rows(w, NULL, table + t * stride, a, b, 0.0, 0.0, alpha, beta, 0.0, 0.0, 0.0,
+                     TABLE, 0);
             else
                 clipped_rows(w, u, ys, a, b, (double)t, lo, hi, alpha, beta, rbeta, fused);
             if (u && a > first) {
@@ -442,8 +440,7 @@ void backward(double *w, double *u, long width, const double *ys, int optimal,
               double d_lo, double d_hi, long t_from, long t_to, long cone,
               long y_hi, int triangle, double *record)
 {
-    if (KERNEL_FMA && fusable(alpha) && fusable(beta) && (d_lo == 0.0 || fusable(fabs(d_lo)))
-        && (d_hi == 0.0 || fusable(fabs(d_hi))))
+    if (KERNEL_FMA && fusable(alpha) && fusable(beta))
         backward_pass(w, u, width, ys, optimal, lo, hi, table, stride, band, span, alpha,
                       beta, d_lo, d_hi, t_from, t_to, cone, y_hi, triangle, record, 1);
     else

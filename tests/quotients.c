@@ -96,7 +96,8 @@ int main(void)
     failed |= report("rewards", 1);
 
     /* +0.0, and the limits of the range backward's flag admits: divisors
-     * FUSED_MIN and FUSED_MAX and numerators at 2^-365 and 2^257.  (-0.0 gives
+     * FUSED_MIN and FUSED_MAX and numerators at 2^-365 and 2^257, beyond the
+     * [2^-244, 2^191] a RATIO cell's numerator can take.  (-0.0 gives
      * +0.0, the residual being +0.0; no numerator of backward is -0.0.) */
     double limits[] = {FUSED_MIN, nextafter(FUSED_MIN, 1.0), 1.0 / 3.0,
                        nextafter(FUSED_MAX, 0.0), FUSED_MAX};
