@@ -297,10 +297,10 @@ def regret_points(model, T_list, y0_rule, policies) -> list[tuple]:
     rule parsed by parse_y0_rule: estimate_regret's one admission check, made
     before any pass, batch or solve.
 
-    DomainError for a horizon below 1, an unknown row name, or a rule that does
+    DomainError for a horizon below 1, an unknown row name, a rule that does
     not give one number per horizon (n, one per product, as an int array, for a
-    multi-product model); UnsupportedModelError for a row that the model's kind
-    lacks (REGRET_ROWS).
+    multi-product model), or a negative or non-finite y0; UnsupportedModelError
+    for a row that the model's kind lacks (REGRET_ROWS).
     """
     T_list = list(T_list)
     if any(T < 1 for T in T_list):
@@ -316,6 +316,7 @@ def regret_points(model, T_list, y0_rule, policies) -> list[tuple]:
                           f"multi-product model, got {y0_rule!r}" if multi else
                           f"y0_rule {y0_rule!r} must give one number per horizon: a "
                           "one-product model takes a single rule")
+    _check_inventory([y0 for _, y0 in points])
     rows = REGRET_ROWS[KIND_MULTI if multi else model.kind]
     other = [name for name in policies if name not in rows]
     if other:
@@ -332,34 +333,40 @@ def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
     evaluated exactly (no Monte Carlo error; the replication count is ignored
     and CIs are zero).  Other families fall back to seeded Monte Carlo, on one
     stream: replication i of every row draws from the stream keyed by
-    rng.replication_seed(base_seed, i), as simulate_batch has it.  An "ho" row
-    (additive noise) earns the censored revenue of each stream's fixed price
-    best in hindsight, in closed form (ho_revenues), with every horizon's noise
-    means from one pass (ho_noise_means).
+    rng.replication_seed(base_seed, i), as simulate_batch has it.  Additive
+    noise gives two rows in closed form per replication, from every horizon's
+    noise means of one pass (ho_noise_means): "static" earns the censored
+    revenue of the static policy's fixed rate (fixed_price_revenues), and "ho"
+    that of each stream's fixed price best in hindsight (ho_revenues).  Only
+    the "resolving" rows run a forward batch (simulate_batch).
     """
     points = regret_points(model, T_list, y0_rule, policies)
     if isinstance(model, MultiDemandModel):
         return _estimate_regret_multi(model, points, policies, replications, base_seed)
-    exact = model.kind == KIND_BERNOULLI
-    if exact:
+    if model.kind == KIND_BERNOULLI:
         values = exact_passes([(y0 / T, T, y0) for T, y0 in points],
                               lambda x_T: (model, _build_policies(model, x_T, policies)))
-    elif "ho" in policies:  # every horizon's noise means, from one pass
-        xi_bars = ho_noise_means(model, [T for T, _ in points], base_seed, replications)
-    reports = []
+        return [_report(T, name, values[k][name], None, fluid_value(model, T, y0),
+                        values[k]["dp"], base_seed, None)
+                for k, (T, y0) in enumerate(points) for name in policies]
+    # the static rates refuse before the noise pass, as static_policy does
+    rates = [static_policy(model, y0 / T).lo if "static" in policies else None
+             for T, y0 in points]
+    xi_bars = (ho_noise_means(model, [T for T, _ in points], base_seed, replications)
+               if {"static", "ho"} & set(policies) else None)
+    resolving, reports = resolving_policy(model), []
     for k, (T, y0) in enumerate(points):
-        built = None if exact else _build_policies(model, y0 / T, policies)
         for name in policies:
-            if exact:
-                val, samples = values[k][name], None
+            if name == "static":
+                samples = fixed_price_revenues(model, T, y0, rates[k], xi_bars[k])
+            elif name == "ho":
+                samples = ho_revenues(model, T, y0, xi_bars[k])
             else:
-                samples = (ho_revenues(model, T, y0, xi_bars[k]) if name == "ho" else
-                           simulate_batch(model, built[name], T, y0, base_seed,
-                                          replications).total_revenue)
-                val = float(samples.mean())
-            reports.append(_report(T, name, val, samples, fluid_value(model, T, y0),
-                                   values[k]["dp"] if exact else None, base_seed,
-                                   None if exact else "dp-requires-bernoulli"))
+                samples = simulate_batch(model, resolving, T, y0, base_seed,
+                                         replications).total_revenue
+            reports.append(_report(T, name, float(samples.mean()), samples,
+                                   fluid_value(model, T, y0), None, base_seed,
+                                   "dp-requires-bernoulli"))
     return reports
 
 
@@ -375,8 +382,8 @@ def _report(T, name, value, samples, fluid, dp, base_seed, dp_reason) -> RegretR
 
 
 def _build_policies(model: DemandModel, x_T: float, names) -> dict:
-    """The static and resolving policies among names: "dp" is the backward pass
-    itself and "ho" is in closed form (ho_revenues)."""
+    """The static and resolving policies among names for a bernoulli pass: "dp"
+    is the backward pass itself."""
     makers = {"static": lambda: static_policy(model, x_T),
               "resolving": lambda: resolving_policy(model)}
     return {name: makers[name]() for name in names if name in makers}
@@ -384,7 +391,9 @@ def _build_policies(model: DemandModel, x_T: float, names) -> dict:
 
 def ho_noise_means(model: DemandModel, T_list, base_seed: int, n_reps: int) -> list[np.ndarray]:
     """The mean noise xi_bar = (2 * (sum of T uniforms) / T - 1) * w of each
-    replication's stream (as simulate_batch draws it), at each T of T_list.
+    replication's stream (as simulate_batch draws it), at each T of T_list:
+    what the "static" and "ho" rows of an additive estimate_regret run, and
+    ho_values, read.
 
     The sums come from the compiled noise_sum kernel, in counter order: one
     call per contiguous range of replications in kernels._map walks the
@@ -410,18 +419,30 @@ def ho_noise_means(model: DemandModel, T_list, base_seed: int, n_reps: int) -> l
     return [(2.0 * sums[T] / T - 1.0) * w for T in T_list]
 
 
+def fixed_price_revenues(model: DemandModel, T: int, y0, rate,
+                         xi_bar: np.ndarray) -> np.ndarray:
+    """The revenue of the fixed demand rate (one, or one per replication) on each
+    replication of T periods from y0 units, given its mean noise xi_bar.
+
+    Additive demand is never negative (w <= d_lo), so the rate sells min(y0,
+    T (rate + xi_bar)) in all, whatever the order of the periods: the revenue is
+    p(rate) min(y0, T (rate + xi_bar)), that of a forward batch up to rounding.
+    """
+    return model.price_of_rate(rate) * np.minimum(y0, T * (rate + xi_bar))
+
+
 def ho_revenues(model: DemandModel, T: int, y0, xi_bar: np.ndarray) -> np.ndarray:
     """The revenue of the fixed price best in hindsight on each replication of
     T periods from y0 units, given its mean noise xi_bar.
 
-    Demand is never negative (w <= d_lo), so a rate d earns p(d) min(y0, T (d
-    + xi_bar)): T (r(d) + p(d) xi_bar), peaking at x_u - xi_bar / 2, up to
-    the sell-out rate y0 / T - xi_bar, and falling p(d) y0 beyond it.
+    A rate d earns p(d) min(y0, T (d + xi_bar)) (fixed_price_revenues): T
+    (r(d) + p(d) xi_bar), peaking at x_u - xi_bar / 2, up to the sell-out rate
+    y0 / T - xi_bar, and falling p(d) y0 beyond it.
     """
     _check_inventory(y0)
     rate = np.clip(np.minimum(y0 / T - xi_bar, model.x_u - xi_bar / 2.0),
                    model.d_lo, model.d_hi)
-    return model.price_of_rate(rate) * np.minimum(y0, T * (rate + xi_bar))
+    return fixed_price_revenues(model, T, y0, rate, xi_bar)
 
 
 def ho_inner_values(model: DemandModel, T: int, x_T: float, base_seed: int,

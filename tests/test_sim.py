@@ -36,7 +36,13 @@ from fluidpricing.policies import (
     exact_policy_values,
     solve_dp_multi,
 )
-from fluidpricing.sim import ho_inner_values, ho_noise_means, ho_revenues, parse_y0_rule
+from fluidpricing.sim import (
+    fixed_price_revenues,
+    ho_inner_values,
+    ho_noise_means,
+    ho_revenues,
+    parse_y0_rule,
+)
 
 import oracles
 from conftest import random_multi_model, two_product_models
@@ -686,6 +692,33 @@ class TestEstimateRegret:
                 se = ho.std(ddof=1) / math.sqrt(reps)
                 assert abs(ho.mean() - rows[T, "ho"].fluid_value) <= 3.0 * se
 
+    @pytest.mark.parametrize("T", [1, 64, 1024])
+    @pytest.mark.parametrize("c", [0.2, 5 / 16, 3 / 8, 1 / 2])
+    def test_static_closed_form_matches_the_forward_batch(self, additive_model, T, c):
+        """The static row's closed form on the noise means of one pass is the
+        revenue of a forward batch of the static policy on every replication, up
+        to rounding, with x_T below d_lo, inside [d_lo, x_u], at x_u and above it;
+        the hindsight-best fixed price earns at least as much."""
+        reps, base_seed, y0 = 500, 9, c * T
+        xi_bar, = ho_noise_means(additive_model, [T], base_seed, reps)
+        policy = static_policy(additive_model, y0 / T)
+        static = fixed_price_revenues(additive_model, T, y0, policy.lo, xi_bar)
+        batch = simulate_batch(additive_model, policy, T, y0, base_seed, reps).total_revenue
+        np.testing.assert_allclose(static, batch, rtol=1e-12, atol=0.0)
+        assert np.all(ho_revenues(additive_model, T, y0, xi_bar) >= static * (1.0 - 1e-12))
+
+    def test_one_noise_pass_and_one_forward_batch_per_resolving_row(self, additive_model,
+                                                                    monkeypatch):
+        """An additive run over k horizons calls the noise_sum kernel once for its
+        static and ho rows and the forward kernel once per resolving row."""
+        calls, original = [], kernels._map
+        monkeypatch.setattr(kernels, "_map",
+                            lambda fn, args: calls.append(fn.__name__) or original(fn, args))
+        T_list = [32, 64, 128]
+        estimate_regret(additive_model, T_list, "round(5/16*T)",
+                        ("static", "resolving", "ho"), 200, 4)
+        assert sorted(calls) == ["forward"] * len(T_list) + ["noise_sum"]
+
     def test_additive_mc_reports(self, additive_model):
         reports = estimate_regret(additive_model, [64], "round(5/16*T)",
                                   policies=("static", "resolving"),
@@ -766,7 +799,8 @@ class TestEstimateRegret:
     def test_every_row_draws_from_the_base_seed_streams(self, additive_model, multi_model):
         """Replication i of every Monte Carlo row draws from the stream keyed by
         replication_seed(base_seed, i): each row has the bits of simulate_batch,
-        of ho_revenues on ho_noise_means, or of simulate_batch_multi at base_seed."""
+        of fixed_price_revenues or ho_revenues on ho_noise_means, or of
+        simulate_batch_multi at base_seed."""
         T_list, reps, base_seed = [32, 64], 500, 3
 
         def bits(report, samples):
@@ -778,14 +812,15 @@ class TestEstimateRegret:
                                   ("static", "resolving", "ho"), reps, base_seed)
         xi_bars = ho_noise_means(additive_model, T_list, base_seed, reps)
         for r in reports:
-            y0 = round(5 * r.T / 16)
+            y0, xi_bar = round(5 * r.T / 16), xi_bars[T_list.index(r.T)]
             if r.policy == "ho":
-                samples = ho_revenues(additive_model, r.T, y0, xi_bars[T_list.index(r.T)])
+                samples = ho_revenues(additive_model, r.T, y0, xi_bar)
+            elif r.policy == "static":
+                samples = fixed_price_revenues(
+                    additive_model, r.T, y0, static_policy(additive_model, y0 / r.T).lo, xi_bar)
             else:
-                pol = (static_policy(additive_model, y0 / r.T) if r.policy == "static"
-                       else resolving_policy(additive_model))
-                samples = simulate_batch(additive_model, pol, r.T, y0, base_seed,
-                                         reps).total_revenue
+                samples = simulate_batch(additive_model, resolving_policy(additive_model), r.T,
+                                         y0, base_seed, reps).total_revenue
             assert bits(r, samples), r
         for r in estimate_regret(multi_model, [16], lambda T: [4, 8], ("resolving",), reps,
                                  base_seed):
@@ -797,13 +832,18 @@ class TestEstimateRegret:
         ("multi", ["round(1/4*T)", "round(1/2*T)"], ("static",), UnsupportedModelError),
         ("additive", ["round(1/4*T)", "round(1/2*T)"], ("static",), DomainError),
         ("multi", "round(1/4*T)", ("resolving",), DomainError),
-        ("multi", [["round(1/4*T)"], "round(1/2*T)"], ("resolving",), DomainError)])
+        ("multi", [["round(1/4*T)"], "round(1/2*T)"], ("resolving",), DomainError),
+        ("additive", "round(-1/4*T)", ("ho",), DomainError),
+        ("additive", "round(-1/4*T)", ("static",), DomainError),
+        ("additive", "round(0*T)", ("static", "resolving"), DomainError)])
     def test_refused_before_any_kernel_call(self, family, rule, names, error, additive_model,
                                             multi_model, monkeypatch):
-        """regret_points refuses a row the model's kind lacks and a rule that does not
-        fit the model before any kernel runs: a dp row on additive demand ran every
-        static batch first, a list rule on one product raised a bare TypeError, and a
-        nested list rule a bare ValueError."""
+        """regret_points refuses a row the model's kind lacks, a rule that does not
+        fit the model and a negative y0 before any kernel runs, and a static row
+        refuses no stock before the noise pass: a dp row on additive demand ran
+        every static batch first, a list rule on one product raised a bare
+        TypeError, a nested list rule a bare ValueError, and a negative y0 ran the
+        noise pass before ho_revenues refused it."""
         def no_kernel(*args):
             raise AssertionError("a kernel ran before the run was admitted")
 
