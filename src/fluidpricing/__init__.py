@@ -34,6 +34,7 @@ from .policies import (
     dp_value,
     exact_policy_values,
     exact_values,
+    multi_values,
     resolving_policy,
     solve_dp,
     solve_dp_multi,

@@ -20,7 +20,10 @@
  *              (oracles.noise_sum);
  *   forward2   the two-product re-solving Monte Carlo engine of
  *              sim.simulate_batch (oracles.simulate_batch);
- *   backward2  the two-product exact backward pass (oracles.backward_multi);
+ *   backward2  the two-product exact backward pass of policies.multi_values,
+ *              a row of the optimal value V or of the value W of the model's
+ *              re-solving policy, read at every horizon of one pass
+ *              (oracles.backward_multi, oracles.resolving_multi);
  *   box_qp     the n-product fluid problem of fluid.solve_fluid_multi and
  *              fluid.partial_optimum, a box-constrained concave quadratic
  *              program (oracles.box_qp_max).
@@ -759,50 +762,96 @@ void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_
 
 /* -- backward2 ----------------------------------------------------------------
  *
- * T periods of the two-product Bellman recursion on the (m1 x m2) row-major
- * inventory lattice V, updated in place.  Cell (i, j) reads its value v and
+ * The two-product Bellman recursion on the (m1 x m2) row-major inventory
+ * lattice V, updated in place one period at a time up to the last of the
+ * count >= 1 ascending horizons: once horizons[h] periods are in,
+ * out[h] = V[cells[h]], so one pass reads every horizon's start state with
+ * the bits of a pass that stops there.  Cell (i, j) reads its value v and
  * the values b, c and d after a sale of product 1, of product 2 and of both
- * (0 off the lattice), and gains the box QP maximum of the one-step
- * objective with curvature a12 = H[0][1] + (v - b - c + d), linear terms
- * g_1 + b - v and g_2 + c - v, and bounds box_hi_k where y_k >= 1, else 0.
+ * (0 off the lattice), and gains the one-step objective of a rate pair x,
+ * q1 x1 + q2 x2 + (H[0][0] x1^2 + H[1][1] x2^2) / 2 + a12 x1 x2 with
+ * curvature a12 = H[0][1] + (v - b - c + d) and linear terms g_1 + b - v and
+ * g_2 + c - v, over the box 0 <= x_k <= ub_k.  The row is
+ *
+ *   V (resolving unset)  the optimal value: x is the box QP maximum, with
+ *                        ub_k = box_hi_k where y_k >= 1, else 0;
+ *   W (resolving set)    the value of the model's re-solving policy, whose
+ *                        Monte Carlo twin is forward2: x is forward2's
+ *                        re-solve of the fluid problem at y with t periods
+ *                        left, box_qp2(H, g) on ub = min(box_hi, y / t),
+ *                        and the cell takes the objective at that x
+ *                        (qp2_value).  At t = 1 both rows take the same x
+ *                        whenever box_hi <= 1, and W == V bit for bit.
  *
  * Rows go from high i to low, so row i - 1 still holds the last period when
  * row i reads it.  Within a row, cells go from high j to low: cell j reads
  * row[j - 1] before cell j - 1 writes it, so a vector of cells, loaded before
  * it is stored, still reads only the last period's values, and the loop over
- * j vectorizes in place.  g, H and box_hi are read once into locals, as in
- * forward2.
+ * j vectorizes in place.  A cell reads only cells of lower inventory, so a
+ * point has the same bits on any lattice that holds it.  g, H and box_hi are
+ * read once into locals, as in forward2.
  */
 
 /* Row i of backward2 at ub1, with prev row i - 1 when the constant below is
- * set (else b = d = 0): the cells j = m2 - 1 .. 1, then j = 0 with ub2 = 0 */
+ * set (else b = d = 0): the cells j = m2 - 1 .. 1, then j = 0 with ub2 = 0;
+ * the W row when the constant resolving is set, with t periods left */
 static inline __attribute__((always_inline)) void
 backward2_row(double *restrict row, const double *restrict prev, long m2, double ub1,
-              const double *g, const double *H, const double *box_hi, const int below)
+              double t, const double *g, const double *H, const double *box_hi,
+              const int below, const int resolving)
 {
     for (long j = m2 - 1; j >= 1; j--) {
         double v = row[j], c = row[j - 1];
         double b = below ? prev[j] : 0.0, d = below ? prev[j - 1] : 0.0;
         double w = v - b - c + d, x1, x2;
-        row[j] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, ub1,
-                             box_hi[1], &x1, &x2);
+        if (resolving) {
+            box_qp2(H[0], H[3], H[1], g[0], g[1], ub1, minimum(box_hi[1], (double)j / t),
+                    &x1, &x2);
+            row[j] = v + qp2_value(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, x1, x2);
+        } else {
+            row[j] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, ub1,
+                                 box_hi[1], &x1, &x2);
+        }
     }
     double v = row[0], b = below ? prev[0] : 0.0, c = 0.0, d = 0.0;
     double w = v - b - c + d, x1, x2;
-    row[0] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, ub1, 0.0,
-                         &x1, &x2);
+    if (resolving) {
+        box_qp2(H[0], H[3], H[1], g[0], g[1], ub1, 0.0, &x1, &x2);
+        row[0] = v + qp2_value(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, x1, x2);
+    } else {
+        row[0] = v + box_qp2(H[0], H[3], H[1] + w, g[0] + b - v, g[1] + c - v, ub1, 0.0,
+                             &x1, &x2);
+    }
+}
+
+/* One period of backward2's row, V or W: the values with t periods left, this
+ * one included, from those with t - 1 */
+static inline __attribute__((always_inline)) void
+backward2_period(double *V, long m1, long m2, double t, const double *g, const double *H,
+                 const double *box_hi, const int resolving)
+{
+    for (long i = m1 - 1; i >= 1; i--)
+        backward2_row(V + i * m2, V + (i - 1) * m2, m2,
+                      resolving ? minimum(box_hi[0], (double)i / t) : box_hi[0], t, g, H,
+                      box_hi, 1, resolving);
+    backward2_row(V, NULL, m2, 0.0, t, g, H, box_hi, 0, resolving);
 }
 
 KERNEL_CLONES
-void backward2(double *V, long m1, long m2, long T, const double *g_in,
-               const double *H_in, const double *box_in)
+void backward2(double *V, long m1, long m2, long count, const int64_t *restrict horizons,
+               const int64_t *restrict cells, double *restrict out, const double *g_in,
+               const double *H_in, const double *box_in, int resolving)
 {
     double g[2] = {g_in[0], g_in[1]}, H[4] = {H_in[0], H_in[1], H_in[2], H_in[3]};
     double box_hi[2] = {box_in[0], box_in[1]};
-    for (long p = 0; p < T; p++) {
-        for (long i = m1 - 1; i >= 1; i--)
-            backward2_row(V + i * m2, V + (i - 1) * m2, m2, box_hi[0], g, H, box_hi, 1);
-        backward2_row(V, NULL, m2, 0.0, g, H, box_hi, 0);
+    long h = 0;
+    for (long t = 1; t <= horizons[count - 1]; t++) {
+        if (resolving)
+            backward2_period(V, m1, m2, (double)t, g, H, box_hi, 1);
+        else
+            backward2_period(V, m1, m2, (double)t, g, H, box_hi, 0);
+        for (; h < count && horizons[h] == t; h++)
+            out[h] = V[cells[h]];
     }
 }
 

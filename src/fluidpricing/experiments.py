@@ -54,7 +54,8 @@ class ExperimentConfig:
                 or len(set(self.policies)) != len(self.policies)):
             raise ConfigError(f"policies must be a list of distinct names, got {self.policies!r}")
         try:
-            regret_points(model_from_dict(self.model), self.T_list, self.y0_rule, self.policies)
+            regret_points(model_from_dict(self.model), self.T_list, self.y0_rule, self.policies,
+                          self.replications)
         except (DomainError, UnsupportedModelError) as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -60,7 +60,7 @@ def _kernel():
                             f64, i64, flag, f64]
     lib.noise_sum.argtypes = [n, n, i64, u64, f64]
     lib.forward2.argtypes = [n, n, u64, f64, f64, f64, f64, f64, f64]
-    lib.backward2.argtypes = [f64, n, n, n, f64, f64, f64]
+    lib.backward2.argtypes = [f64, n, n, n, i64, i64, f64, f64, f64, f64, flag]
     lib.box_qp.argtypes = [n, *[ptr] * 8]
     for fn in (lib.backward, lib.forward, lib.noise_sum, lib.forward2, lib.backward2,
                lib.box_qp):

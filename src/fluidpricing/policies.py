@@ -34,6 +34,9 @@ MULTI_STATE_CAP = 10_000_000
 # largest backward pass T * (y0 + 1) of exact_passes and exact_policy_values:
 # 2^15 (3.4e8) fits, 2^16 not
 EXACT_CELL_BUDGET = 2**30
+# largest per-replication arrays of a Monte Carlo batch or noise pass (sim.simulate_batch,
+# sim.ho_noise_means), in bytes: 2 GiB, 44 million replications of a forward batch
+BATCH_BYTE_BUDGET = 2**31
 
 
 @dataclass(frozen=True)
@@ -482,23 +485,60 @@ class MultiResolvingPolicy(_LawPolicy):
 
 
 def solve_dp_multi(model: MultiDemandModel, T: int, y0) -> float:
-    """Exact optimal value for two products with per-product unit sales.
+    """Exact optimal value for two products with per-product unit sales: the
+    "dp" row of multi_values at the one point (T, y0).
 
-    Backward induction over the integer inventory lattice, as one call of
-    the compiled backward2 kernel.  The one-step objective in the
-    demand-rate pair is a quadratic whose diagonal curvature comes from H
-    (strictly negative), so its box-constrained maximum is found exactly by
-    enumerating the interior and clipped-edge stationary points.
+    The one-step objective in the demand-rate pair is a quadratic whose
+    diagonal curvature comes from H (strictly negative), so its
+    box-constrained maximum is found exactly by enumerating the interior and
+    clipped-edge stationary points.
     """
+    return multi_values(model, [(T, y0)], ["dp"])[0]["dp"]
+
+
+def multi_lattice(model: MultiDemandModel, points) -> tuple[int, int]:
+    """(m1, m2), the inventory lattice that holds every (T, y0) point of a
+    two-product pass; (1, 1) without points.  UnsupportedModelError unless the
+    model has two products, DomainError unless each T is a whole number >= 1
+    and each y0 a pair of whole numbers >= 0, ResourceGuardError when the
+    largest T times m1 m2 passes MULTI_STATE_CAP."""
     if model.n != 2:
-        raise UnsupportedModelError("exact multi-product DP is implemented for n = 2 only")
-    if np.shape(y0) != (2,):
-        raise DomainError("need y0 a nonnegative integer pair")
-    T = _whole_at_least(T, 1, "T")
-    y1, y2 = (_whole_at_least(y, 0, "y0") for y in y0)
-    m1, m2 = y1 + 1, y2 + 1
-    if T * m1 * m2 > MULTI_STATE_CAP:
-        raise ResourceGuardError(f"state space {T * m1 * m2} exceeds cap {MULTI_STATE_CAP}")
-    V = np.zeros((m1, m2))
-    kernels._kernel().backward2(V, m1, m2, T, model.g, model.H, model.box_hi)
-    return float(V[y1, y2])
+        raise UnsupportedModelError("exact multi-product evaluation is implemented for n = 2 only")
+    for T, y0 in points:
+        if np.shape(y0) != (2,):
+            raise DomainError("need y0 a nonnegative integer pair")
+        _whole_at_least(T, 1, "T")
+        for y in y0:
+            _whole_at_least(y, 0, "y0")
+    m1, m2 = (max((int(y0[k]) for _, y0 in points), default=0) + 1 for k in (0, 1))
+    states = max((int(T) for T, _ in points), default=0) * m1 * m2
+    if states > MULTI_STATE_CAP:
+        raise ResourceGuardError(f"state space {states} exceeds cap {MULTI_STATE_CAP}")
+    return m1, m2
+
+
+def multi_values(model: MultiDemandModel, points, names) -> list[dict[str, float]]:
+    """{name: value} at each whole (T, y0) point of a two-product model, for the
+    rows names among "dp", the optimal value V, and "resolving", the value W of
+    the model's own re-solving policy (the policy simulate_batch_multi runs).
+
+    V(t, y) and W(t, y) depend on the periods left and the inventory only, and
+    a cell reads only cells of lower inventory.  So each row is one backward2
+    call on the lattice of every point (multi_lattice), up to the largest T,
+    which stores each point's value after its own horizon with the bits of a
+    pass on its own lattice to that horizon.  The rows run at once in one
+    kernels._map.
+    """
+    if not set(names) <= {"dp", "resolving"}:
+        raise DomainError(f"two-product rows are dp and resolving, got {list(names)}")
+    m1, m2 = multi_lattice(model, points)
+    if not points:  # the kernel needs a horizon
+        return []
+    order = np.argsort([T for T, _ in points], kind="stable")  # the kernel's ascending horizons
+    horizons = np.array([points[k][0] for k in order], dtype=np.int64)
+    cells = np.array([points[k][1][0] * m2 + points[k][1][1] for k in order], dtype=np.int64)
+    got = np.empty((len(names), len(points)))
+    kernels._map(kernels._kernel().backward2, [
+        (np.zeros((m1, m2)), m1, m2, len(points), horizons, cells, got[r], model.g, model.H,
+         model.box_hi, name == "resolving") for r, name in enumerate(names)])
+    return [dict(zip(names, column)) for column in got[:, np.argsort(order)].T.tolist()]

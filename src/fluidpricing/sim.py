@@ -24,13 +24,15 @@ from .demand import KIND_ADDITIVE, KIND_BERNOULLI, KIND_MULTI, DemandModel, Mult
 from .errors import DomainError, ResourceGuardError, UnsupportedModelError
 from .fluid import solve_fluid_multi
 from .policies import (
+    BATCH_BYTE_BUDGET,
     MultiResolvingPolicy,
     ValueTable,
     _whole_at_least,
     checked_law,
     exact_passes,
+    multi_lattice,
+    multi_values,
     resolving_policy,
-    solve_dp_multi,
     static_policy,
 )
 
@@ -161,7 +163,7 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     one call per contiguous range of replications in kernels._map (see
     _forward); the results do not depend on the number of ranges.
     """
-    T, n_reps = _whole_at_least(T, 1, "T"), _whole_at_least(n_reps, 1, "n_reps")
+    T, n_reps = _whole_at_least(T, 1, "T"), _replications(n_reps, 6)
     _check_inventory(y0)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     if not isinstance(model, MultiDemandModel):
@@ -180,6 +182,17 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
         (s.stop - s.start, T, seeds[s], model.g, model.H, model.box_hi, y[s], total[s],
          sum_xi[s]) for s in kernels._ranges(n_reps)])
     return BatchResult(total_revenue=total, sum_xi=sum_xi)
+
+
+def _replications(n_reps, words: int) -> int:
+    """n_reps as an int, before any array of it is made: DomainError unless a whole
+    number >= 1, ResourceGuardError when words 8-byte words per replication pass
+    BATCH_BYTE_BUDGET (numpy would raise a bare MemoryError, or take the memory)."""
+    n_reps = _whole_at_least(n_reps, 1, "n_reps")
+    if 8 * words * n_reps > BATCH_BYTE_BUDGET:
+        raise ResourceGuardError(f"{n_reps} replications of {8 * words} bytes each exceed "
+                                 f"the budget of {BATCH_BYTE_BUDGET} bytes")
+    return n_reps
 
 
 def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray, track_t_sharp: bool,
@@ -292,19 +305,26 @@ def fluid_value_at_rate(model: DemandModel, T: int, x_T: float) -> float:
     return T * float(model.revenue_rate_unchecked(min(x_T, model.rate_cap)))
 
 
-def regret_points(model, T_list, y0_rule, policies) -> list[tuple]:
+def regret_points(model, T_list, y0_rule, policies, replications) -> list[tuple]:
     """The (T, y0 = rule(T)) points of a regret run of the named rows, with the
     rule parsed by parse_y0_rule: estimate_regret's one admission check, made
     before any pass, batch or solve.
 
-    DomainError for a horizon below 1, an unknown row name, a rule that does
-    not give one number per horizon (n, one per product, as an int array, for a
-    multi-product model), or a negative or non-finite y0; UnsupportedModelError
-    for a row that the model's kind lacks (REGRET_ROWS).
+    DomainError for a horizon that is not a whole number >= 1, a replication
+    count that is not one (for every kind, though only additive rows read it),
+    an unknown row name, a rule that does not give one number per horizon (n,
+    one per product, as an int array, for a multi-product model), or a
+    negative or non-finite y0 (or, for two products, a fractional one);
+    UnsupportedModelError for a row that the model's kind lacks (REGRET_ROWS)
+    or a multi-product model of other than two products; ResourceGuardError
+    for a two-product run whose lattice passes MULTI_STATE_CAP (multi_lattice).
     """
     T_list = list(T_list)
     if any(T < 1 for T in T_list):
         raise DomainError(f"horizons must be >= 1, got {T_list}")
+    for T in T_list:
+        _whole_at_least(T, 1, "T")
+    _whole_at_least(replications, 1, "replications")
     multi = isinstance(model, MultiDemandModel)
     unknown = [name for name in policies if name not in set().union(*REGRET_ROWS.values())]
     if unknown:
@@ -322,27 +342,37 @@ def regret_points(model, T_list, y0_rule, policies) -> list[tuple]:
     if other:
         raise UnsupportedModelError(f"a {'multi-product' if multi else model.kind} model "
                                     f"supports the policies {list(rows)}, not {other}")
-    return [(T, np.asarray(y0, dtype=int)) for T, y0 in points] if multi else points
+    if not multi:
+        return points
+    multi_lattice(model, points)
+    return [(T, np.asarray(y0, dtype=int)) for T, y0 in points]
 
 
 def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
                     replications: int = 10_000, base_seed: int = 0) -> list[RegretReport]:
     """Benchmark the given rows (REGRET_ROWS) against the exact DP and fluid values.
 
-    regret_points admits the run before any work.  Bernoulli models are
-    evaluated exactly (no Monte Carlo error; the replication count is ignored
-    and CIs are zero).  Other families fall back to seeded Monte Carlo, on one
-    stream: replication i of every row draws from the stream keyed by
-    rng.replication_seed(base_seed, i), as simulate_batch has it.  Additive
-    noise gives two rows in closed form per replication, from every horizon's
-    noise means of one pass (ho_noise_means): "static" earns the censored
-    revenue of the static policy's fixed rate (fixed_price_revenues), and "ho"
-    that of each stream's fixed price best in hindsight (ho_revenues).  Only
-    the "resolving" rows run a forward batch (simulate_batch).
+    regret_points admits the run before any work.  Bernoulli and two-product
+    models are evaluated exactly (no Monte Carlo error; the replication count
+    is ignored and CIs are zero): a bernoulli run by exact_passes, a
+    two-product run by one multi_values pass, whose "resolving" row is the
+    value of the model's re-solving policy.  Additive models run seeded Monte
+    Carlo on one stream: replication i of every row draws from the stream
+    keyed by rng.replication_seed(base_seed, i), as simulate_batch has it.
+    Additive noise gives two rows in closed form per replication, from every
+    horizon's noise means of one pass (ho_noise_means): "static" earns the
+    censored revenue of the static policy's fixed rate (fixed_price_revenues),
+    and "ho" that of each stream's fixed price best in hindsight
+    (ho_revenues).  Only the "resolving" rows run a forward batch
+    (simulate_batch).
     """
-    points = regret_points(model, T_list, y0_rule, policies)
+    points = regret_points(model, T_list, y0_rule, policies, replications)
     if isinstance(model, MultiDemandModel):
-        return _estimate_regret_multi(model, points, policies, replications, base_seed)
+        values = multi_values(model, points, ["dp", *(p for p in policies if p != "dp")])
+        fluids = [T * solve_fluid_multi(model, y0 / T).objective for T, y0 in points]
+        return [_report(T, name, values[k][name], None, fluids[k], values[k]["dp"], base_seed,
+                        None)
+                for k, (T, y0) in enumerate(points) for name in policies]
     if model.kind == KIND_BERNOULLI:
         values = exact_passes([(y0 / T, T, y0) for T, y0 in points],
                               lambda x_T: (model, _build_policies(model, x_T, policies)))
@@ -406,10 +436,11 @@ def ho_noise_means(model: DemandModel, T_list, base_seed: int, n_reps: int) -> l
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
     T_list = [_whole_at_least(T, 1, "T") for T in T_list]
-    n_reps = _whole_at_least(n_reps, 1, "n_reps")
+    horizons = np.array(sorted(set(T_list)), dtype=np.int64)
+    # the seeds, the noise blocks and their concatenation, and the means
+    n_reps = _replications(n_reps, 1 + 2 * horizons.size + len(T_list))
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
-    horizons = np.array(sorted(set(T_list)), dtype=np.int64)
     ranges = kernels._ranges(n_reps)
     blocks = [np.empty((horizons.size, s.stop - s.start)) for s in ranges]
     kernels._map(kernels._kernel().noise_sum, [
@@ -465,28 +496,6 @@ def ho_values(model: DemandModel, T_list, x_T: float, base_seed: int,
         raise DomainError(f"need a finite inventory rate x_T > 0, got {x_T}")
     return [T * model.revenue_rate_unchecked(np.clip(x_T + xi_bar, model.d_lo, model.d_hi))
             for T, xi_bar in zip(T_list, ho_noise_means(model, T_list, base_seed, n_reps))]
-
-
-def _estimate_regret_multi(model: MultiDemandModel, points, policies, replications,
-                           base_seed) -> list[RegretReport]:
-    reports = []
-    for T, y0 in points:
-        fluid = T * solve_fluid_multi(model, y0 / T).objective
-        try:
-            dp = solve_dp_multi(model, T, y0)
-            dp_reason = None
-        except (UnsupportedModelError, ResourceGuardError) as exc:
-            dp, dp_reason = None, str(exc)
-        for name in policies:
-            if name == "dp":
-                if dp is None:
-                    continue
-                val, samples = dp, None
-            else:
-                samples = simulate_batch_multi(model, T, y0, base_seed, replications).total_revenue
-                val = float(samples.mean())
-            reports.append(_report(T, name, val, samples, fluid, dp, base_seed, dp_reason))
-    return reports
 
 
 # -- multi-product simulation -------------------------------------------------

@@ -4,8 +4,9 @@ Each function repeats its kernel in _kernels.c operation by operation, so the
 tests compare the two bit for bit: backward and band_copy (backward, over
 the whole lattice and as one bound copy of a band), simulate and
 simulate_batch (forward, forward2), noise_sum (noise_sum), backward_multi
-(backward2) and box_qp_max (box_qp).  harmonic_series is the reference of
-forward's stopping-time tracker, from which simulate fills SimTrace.t_sharp.
+and resolving_multi (backward2's V and W rows) and box_qp_max (box_qp).
+harmonic_series is the reference of forward's stopping-time tracker, from
+which simulate fills SimTrace.t_sharp.
 _box_qp_max is the numpy active set that box_qp replaced, on LAPACK solves:
 it agrees with box_qp to rounding, not bit for bit.  simulate_multi is
 sim.simulate_multi with one uniform draw per period.  uniform_block and
@@ -303,6 +304,32 @@ def backward_multi(model, T: int, V: np.ndarray) -> None:
         q1 = g[0] + b - V
         q2 = g[1] + cc - V
         V += box_qp2_batch(H[0, 0], H[1, 1], H[0, 1] + w, q1, q2, ub1, ub2)[2]
+
+
+def resolving_multi(model, T: int, V: np.ndarray) -> None:
+    """T periods of the value recursion of the model's own re-solving policy on
+    the two-product lattice V, in place.
+
+    With t periods left, state (y1, y2) takes forward2's rates: the fluid
+    re-solve box_qp2_batch(H, g) on ub = min(box_hi, y / t), as law_rates has
+    it.  V[y1, y2] gains backward_multi's one-step objective at those rates,
+    not its maximum.  The reference of the backward2 kernel's W row.
+    """
+    m1, m2 = V.shape
+    H, g = model.H, model.g
+    y1, y2 = np.meshgrid(np.arange(m1, dtype=float), np.arange(m2, dtype=float), indexing="ij")
+    for t in range(1, T + 1):
+        x1, x2, _ = box_qp2_batch(H[0, 0], H[1, 1], H[0, 1], g[0], g[1],
+                                  np.minimum(model.box_hi[0], y1 / t),
+                                  np.minimum(model.box_hi[1], y2 / t))
+        b, cc, dd = np.zeros_like(V), np.zeros_like(V), np.zeros_like(V)
+        b[1:, :] = V[:-1, :]  # after a unit sale of product 1, of product 2 and of both
+        cc[:, 1:] = V[:, :-1]
+        dd[1:, 1:] = V[:-1, :-1]
+        a12 = H[0, 1] + (V - b - cc + dd)
+        q1 = g[0] + b - V
+        q2 = g[1] + cc - V
+        V += q1 * x1 + q2 * x2 + 0.5 * (H[0, 0] * x1 * x1 + H[1, 1] * x2 * x2) + a12 * x1 * x2
 
 
 def noise_sum(seeds: np.ndarray, T: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from fluidpricing.experiments import (
     run_table2,
     write_csv,
 )
-from fluidpricing import cli, estimate_regret, experiments
+from fluidpricing import cli, estimate_regret, experiments, kernels, multi_values
 from fluidpricing import fluid as fluid_module, sim as sim_module
 from fluidpricing.demand import DemandModel
 
@@ -447,7 +447,11 @@ class TestCli:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [(r["T"], r["policy"]) for r in rows] == [
             ("16", "resolving"), ("16", "dp"), ("32", "resolving"), ("32", "dp")]
-        assert all(float(r["ci_half_width"]) > 0 for r in rows if r["policy"] == "resolving")
+        # both rows are exact, the re-solving one from the same pass as dp
+        exact = multi_values(fluidpricing.model_from_dict(cfg["model"]),
+                             [(16, [4, 8]), (32, [8, 16])], ["dp", "resolving"])
+        assert [(float(r["value"]), float(r["ci_half_width"])) for r in rows] == [
+            (values[name], 0.0) for values in exact for name in ("resolving", "dp")]
         cfg_path.write_text(json.dumps({**cfg, "y0_rule": "round(1/4*T)"}))
         assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 2
         assert "one per product" in capsys.readouterr().err
@@ -458,7 +462,7 @@ class TestCli:
             raise AssertionError("solved before the config was checked")
 
         monkeypatch.setattr(fluid_module, "solve_fluid_multi", solve)
-        monkeypatch.setattr(sim_module, "solve_dp_multi", solve)
+        monkeypatch.setattr(sim_module, "multi_values", solve)
         monkeypatch.setattr(sim_module, "simulate_batch_multi", solve)
         cfg = {"name": "t", "model": json.loads(open(model_paths["multi"]).read()),
                "T_list": [16], "y0_rule": ["round(1/4*T)", "round(1/2*T)"],
@@ -518,6 +522,37 @@ class TestCli:
         assert cli.main(["table2", "--t-list", "64"]) == 0
         capsys.readouterr()
         assert cli.main(["table2", "--t-list", "65536"]) == 4
+
+    def test_replications_past_the_byte_budget_exit_4(self, model_paths, tmp_path, capsys,
+                                                       monkeypatch):
+        """10**13 replications ended in numpy's _ArrayMemoryError (72.8 TiB) from the
+        seed array, a traceback and exit 1: estimate-regret and ho-compare refuse the
+        count with the resource guard's exit code before any kernel call or array."""
+        cfg = {"name": "t", "model": json.loads(open(model_paths["add"]).read()),
+               "T_list": [64, 256], "policies": ["static", "resolving", "ho"],
+               "replications": 10**13}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(fluidpricing.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "fluidpricing.cli", "estimate-regret",
+                               "--config", str(cfg_path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 4, done.stderr
+        assert done.stdout == "" and done.stderr.startswith("resource guard:")
+        assert len(done.stderr.splitlines()) == 1
+
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran past the budget")
+
+        monkeypatch.setattr(kernels, "_map", no_kernel)
+        for policies in (["resolving"], ["ho"], ["static", "resolving", "ho"]):
+            cfg_path.write_text(json.dumps({**cfg, "policies": policies}))
+            assert cli.main(["estimate-regret", "--config", str(cfg_path)]) == 4, policies
+            assert capsys.readouterr().err.startswith("resource guard:")
+        assert cli.main(["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125",
+                         "--t-list", "64,256", "--replications", str(10**13)]) == 4
+        assert capsys.readouterr().err.startswith("resource guard:")
 
     def test_table2_out_dash_writes_only_the_csv(self, capsys):
         """--out - is stdout: the CSV alone, as without --out; the 2-decimal display is

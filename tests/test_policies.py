@@ -23,6 +23,7 @@ from fluidpricing import (
     DemandModel,
     DomainError,
     KernelUnavailableError,
+    MultiDemandModel,
     MultiResolvingPolicy,
     ResourceGuardError,
     UnsupportedModelError,
@@ -32,6 +33,7 @@ from fluidpricing import (
     exact_policy_values,
     exact_values,
     fluid_value,
+    multi_values,
     resolving_policy,
     solve_dp,
     solve_dp_multi,
@@ -1130,12 +1132,25 @@ class TestDispatchedBackward:
     @given(model=two_product_models(), T=st.integers(1, 64),
            y0=st.tuples(*[st.one_of(st.sampled_from([0, 1]), st.integers(2, 40))] * 2))
     def test_two_product_matches_oracle_bitwise(self, single_build, model, T, y0):
-        """backward2 of every single-target build gives oracles.backward_multi's bits;
-        y0 of 0 and 1 leave a row or a column to the peeled edges alone."""
-        got, want = np.zeros((y0[0] + 1, y0[1] + 1)), np.zeros((y0[0] + 1, y0[1] + 1))
-        single_build.backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
-        oracles.backward_multi(model, T, want)
-        assert got.tobytes() == want.tobytes()
+        """backward2 of every single-target build gives the bits of
+        oracles.backward_multi in its V row and of oracles.resolving_multi in its W
+        row; y0 of 0 and 1 leave a row or a column to the peeled edges alone."""
+        shape = (y0[0] + 1, y0[1] + 1)
+        for resolving, oracle in ((False, oracles.backward_multi),
+                                  (True, oracles.resolving_multi)):
+            want = np.zeros(shape)
+            oracle(model, T, want)
+            got = _backward2(single_build, model, T, shape, resolving)
+            assert got.tobytes() == want.tobytes(), resolving
+
+
+def _backward2(lib, model, T: int, shape, resolving: bool) -> np.ndarray:
+    """The lattice of the given shape after T periods of lib's backward2, its W row
+    when resolving, else its V row."""
+    V = np.zeros(shape)
+    lib.backward2(V, *shape, 1, np.array([T], dtype=np.int64), np.zeros(1, dtype=np.int64),
+                  np.empty(1), model.g, model.H, model.box_hi, resolving)
+    return V
 
 
 # (alpha, beta) of bernoulli models with d_lo = alpha / 3 and d_hi = alpha, inside and
@@ -1375,11 +1390,68 @@ class TestSolveDpMulti:
     @given(model=two_product_models(), T=st.integers(1, 64),
            y0=st.tuples(*[st.one_of(st.just(0), st.integers(1, 30))] * 2))
     def test_kernel_matches_numpy_pass_bitwise(self, model, T, y0):
-        got, want = np.zeros((y0[0] + 1, y0[1] + 1)), np.zeros((y0[0] + 1, y0[1] + 1))
-        kernels._kernel().backward2(got, *got.shape, T, model.g, model.H, model.box_hi)
+        shape = (y0[0] + 1, y0[1] + 1)
+        want, want_w = np.zeros(shape), np.zeros(shape)
         oracles.backward_multi(model, T, want)
-        assert got.tobytes() == want.tobytes()
+        oracles.resolving_multi(model, T, want_w)
+        assert _backward2(kernels._kernel(), model, T, shape, False).tobytes() == want.tobytes()
+        assert _backward2(kernels._kernel(), model, T, shape, True).tobytes() == want_w.tobytes()
         assert solve_dp_multi(model, T, y0) == want[y0]
+        assert multi_values(model, [(T, y0)], ["dp", "resolving"]) == [
+            {"dp": want[y0], "resolving": want_w[y0]}]
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=two_product_models(),
+           points=st.lists(st.tuples(st.integers(1, 48), st.tuples(*[st.integers(0, 20)] * 2)),
+                           min_size=1, max_size=4))
+    def test_one_pass_has_the_bits_of_a_pass_per_horizon(self, model, points):
+        """Each point of one pass over every horizon, on the lattice of all the points,
+        has the bits of a pass on its own lattice to its own horizon, in both rows."""
+        names = ["resolving", "dp"]
+        got = multi_values(model, points, names)
+        for (T, y0), values in zip(points, got):
+            assert values == multi_values(model, [(T, y0)], names)[0]
+            for name, oracle in (("dp", oracles.backward_multi),
+                                 ("resolving", oracles.resolving_multi)):
+                want = np.zeros((y0[0] + 1, y0[1] + 1))
+                oracle(model, T, want)
+                assert np.float64(values[name]).tobytes() == want[y0].tobytes(), name
+
+    def test_no_points_make_no_pass(self, multi_model, monkeypatch):
+        monkeypatch.setattr(kernels, "_map", None)
+        assert multi_values(multi_model, [], ["dp", "resolving"]) == []
+
+    @pytest.mark.parametrize("points, names", [
+        ([(16, [4, 8]), (0, [1, 1])], ["dp"]),  # a horizon that stores nothing
+        ([(16, [4, -1])], ["resolving"]),  # a cell before the lattice
+        ([(16, [4, 2.5])], ["dp"]),
+        ([(16.5, [4, 8])], ["dp"]),
+        ([(16, [4, 8, 1])], ["dp"]),
+        ([(16, [4, 8])], ["dp", "static"])])
+    def test_bad_points_or_rows_are_refused_before_the_pass(self, multi_model, monkeypatch,
+                                                             points, names):
+        """The kernel reads the cell of each point after its horizon: a horizon below 1
+        would leave the output unwritten and a negative or fractional y0 would read
+        off the lattice, so multi_values refuses them, and a row name it lacks."""
+        monkeypatch.setattr(kernels, "_map", None)
+        with pytest.raises(DomainError):
+            multi_values(multi_model, points, names)
+
+    @pytest.mark.parametrize("T", [1, 2, 16, 256])
+    def test_resolving_row_stays_below_the_optimal_row(self, T):
+        """After T periods on the model of criterion 10 (perfbench's two-product model)
+        and the (64 + 1) x (128 + 1) lattice of its T = 256 point, W <= V at every
+        cell, and W == V bit for bit after one period, where the re-solve on
+        min(box_hi, y / 1) = box_hi is V's own maximization."""
+        model = MultiDemandModel(g=[1.0, 1.0], H=[[-2.0, -0.5], [-0.5, -2.0]],
+                                 box_hi=[1.0, 1.0])
+        V = _backward2(kernels._kernel(), model, T, (65, 129), False)
+        W = _backward2(kernels._kernel(), model, T, (65, 129), True)
+        if T == 1:
+            assert W.tobytes() == V.tobytes()
+        else:
+            assert np.all(W <= V)
+            assert np.any(W < V)
 
     def test_one_period_equals_fluid(self, multi_model):
         value = solve_dp_multi(multi_model, 1, [3, 3])

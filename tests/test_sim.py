@@ -34,6 +34,7 @@ from fluidpricing.policies import (
     ResolvingPolicy,
     checked_law,
     exact_policy_values,
+    multi_values,
     solve_dp_multi,
 )
 from fluidpricing.sim import (
@@ -175,6 +176,28 @@ class TestSimulate:
             with pytest.raises(DomainError, match="finite y0"):
                 run()
 
+    def test_a_count_past_the_byte_budget_is_refused_before_any_array(
+            self, additive_model, multi_model, monkeypatch):
+        """A count whose per-replication arrays pass BATCH_BYTE_BUDGET is refused
+        before the seed array: 10**13 made numpy raise a bare _ArrayMemoryError,
+        and the first count past the budget is refused alike."""
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran past the budget")
+
+        monkeypatch.setattr(kernels, "_map", no_kernel)
+        budget = policies.BATCH_BYTE_BUDGET
+        static = static_policy(additive_model, 5 / 16)
+        pair = MultiResolvingPolicy(multi_model)
+        for n in (10**13, budget // (8 * 6) + 1):  # six words per forward replication
+            for run in (lambda: simulate_batch(additive_model, static, 16, 5, 1, n),
+                        lambda: simulate_batch(multi_model, pair, 16, [2, 3], 1, n)):
+                with pytest.raises(ResourceGuardError, match="replications"):
+                    run()
+        # seeds, two noise blocks and a mean per horizon: four words
+        for n in (10**13, budget // (8 * 4) + 1):
+            with pytest.raises(ResourceGuardError, match="replications"):
+                ho_noise_means(additive_model, [16], 1, n)
+
     def test_hindsight_rejects_empty_horizon(self, additive_model):
         with pytest.raises(DomainError):
             ho_noise_means(additive_model, [0], 1, 3)
@@ -184,13 +207,14 @@ class TestSimulate:
     @pytest.mark.parametrize("entry, T, n", [
         (entry, T, n) for entry in ("simulate", "simulate-multi", "batch", "batch-multi",
                                     "hindsight", "dp-multi", "estimate-regret",
-                                    "estimate-regret-multi")
+                                    "estimate-regret-multi", "estimate-regret-exact")
         for T, n in ((64.5, 3), (16, 2.5)) if n == 3 or not entry.startswith("simulate")])
     def test_non_whole_horizon_or_count_is_refused(self, entry, T, n, additive_model,
-                                                   multi_model):
+                                                   multi_model, bernoulli_model):
         """A horizon of 64.5 reached the kernels as a raw ctypes error, and 2.5
         replications ran 3: each Monte Carlo entry point refuses both (and the
-        two-product DP a fractional inventory)."""
+        two-product DP a fractional inventory), and so does a regret run of every
+        kind, though only additive rows read the count."""
         static, pair = static_policy(additive_model, 5 / 16), MultiResolvingPolicy(multi_model)
         run = {"simulate": lambda: simulate(additive_model, static, T, 5, seed=1),
                "simulate-multi": lambda: simulate(multi_model, pair, T, [2, 3], seed=1),
@@ -201,7 +225,9 @@ class TestSimulate:
                "estimate-regret": lambda: estimate_regret(
                    additive_model, [T], "round(5/16*T)", ("static", "ho"), replications=n),
                "estimate-regret-multi": lambda: estimate_regret(
-                   multi_model, [T], lambda _: [2, 3], ("resolving",), replications=n)}
+                   multi_model, [T], lambda _: [2, 3], ("resolving",), replications=n),
+               "estimate-regret-exact": lambda: estimate_regret(
+                   bernoulli_model, [T], "round(5/16*T)", ("dp",), replications=n)}
         with pytest.raises(DomainError, match="whole numbers"):
             run[entry]()
 
@@ -798,9 +824,10 @@ class TestEstimateRegret:
 
     def test_every_row_draws_from_the_base_seed_streams(self, additive_model, multi_model):
         """Replication i of every Monte Carlo row draws from the stream keyed by
-        replication_seed(base_seed, i): each row has the bits of simulate_batch,
-        of fixed_price_revenues or ho_revenues on ho_noise_means, or of
-        simulate_batch_multi at base_seed."""
+        replication_seed(base_seed, i): each row has the bits of simulate_batch, or
+        of fixed_price_revenues or ho_revenues on ho_noise_means, at base_seed.  A
+        two-product row draws nothing: it has the bits of the exact re-solving
+        value, oracles.resolving_multi, with no CI."""
         T_list, reps, base_seed = [32, 64], 500, 3
 
         def bits(report, samples):
@@ -822,10 +849,12 @@ class TestEstimateRegret:
                 samples = simulate_batch(additive_model, resolving_policy(additive_model), r.T,
                                          y0, base_seed, reps).total_revenue
             assert bits(r, samples), r
+        want = np.zeros((5, 9))
+        oracles.resolving_multi(multi_model, 16, want)
         for r in estimate_regret(multi_model, [16], lambda T: [4, 8], ("resolving",), reps,
                                  base_seed):
-            assert bits(r, simulate_batch_multi(multi_model, 16, [4, 8], base_seed,
-                                                reps).total_revenue)
+            assert np.float64(r.value).tobytes() == want[4, 8].tobytes()
+            assert (r.ci_half_width, r.replications) == (0.0, 0)
 
     @pytest.mark.parametrize("family, rule, names, error", [
         ("additive", "round(5/16*T)", ("static", "dp"), UnsupportedModelError),
@@ -835,7 +864,10 @@ class TestEstimateRegret:
         ("multi", [["round(1/4*T)"], "round(1/2*T)"], ("resolving",), DomainError),
         ("additive", "round(-1/4*T)", ("ho",), DomainError),
         ("additive", "round(-1/4*T)", ("static",), DomainError),
-        ("additive", "round(0*T)", ("static", "resolving"), DomainError)])
+        ("additive", "round(0*T)", ("static", "resolving"), DomainError),
+        ("multi", ["round(1/4*T)", "round(1/2*T)"], ("resolving",), ResourceGuardError),
+        ("three", ["round(1/4*T)"] * 3, ("resolving", "dp"), UnsupportedModelError),
+        ("multi", lambda T: [T / 4 + 0.5, T // 2], ("resolving",), DomainError)])
     def test_refused_before_any_kernel_call(self, family, rule, names, error, additive_model,
                                             multi_model, monkeypatch):
         """regret_points refuses a row the model's kind lacks, a rule that does not
@@ -843,12 +875,18 @@ class TestEstimateRegret:
         refuses no stock before the noise pass: a dp row on additive demand ran
         every static batch first, a list rule on one product raised a bare
         TypeError, a nested list rule a bare ValueError, and a negative y0 ran the
-        noise pass before ho_revenues refused it."""
+        noise pass before ho_revenues refused it.  A two-product run whose lattice
+        passes MULTI_STATE_CAP (4096 x 1025 x 2049 states here) and one of three
+        products are refused too: the one ran its Monte Carlo rows and dropped its
+        dp rows, the other ran them all.  So is a fractional two-product y0, which
+        the lattice would have cut to a whole one."""
         def no_kernel(*args):
             raise AssertionError("a kernel ran before the run was admitted")
 
         monkeypatch.setattr(kernels, "_map", no_kernel)
-        model = {"additive": additive_model, "multi": multi_model}[family]
+        model = {"additive": additive_model, "multi": multi_model,
+                 "three": MultiDemandModel(g=[1.0] * 3, H=-2.0 * np.eye(3),
+                                           box_hi=[1.0] * 3)}[family]
         with pytest.raises(error):
             estimate_regret(model, [64, 4096], rule, names, 20_000, 1)
 
@@ -890,6 +928,18 @@ class TestMultiSimulation:
             assert tr.total_revenue == pytest.approx(batch.total_revenue[i], abs=1e-12)
             np.testing.assert_allclose(tr.sales.sum(axis=0) + tr.inventory_after[-1],
                                        [0.5, 1.5], atol=1e-12)
+
+    def test_batch_mean_meets_the_exact_resolving_value(self):
+        """simulate_batch_multi's mean lies within 4 standard errors of the exact
+        value of the policy it simulates, at criterion 10's model and points."""
+        model = MultiDemandModel(g=[1.0, 1.0], H=[[-2.0, -0.5], [-0.5, -2.0]],
+                                 box_hi=[1.0, 1.0])
+        points = [(T, [T // 4, T // 2]) for T in (16, 32, 64)]
+        for (T, y0), exact in zip(points, multi_values(model, points, ["resolving"])):
+            revenue = simulate_batch_multi(model, T, y0, base_seed=2024,
+                                           n_reps=20_000).total_revenue
+            se = revenue.std(ddof=1) / math.sqrt(revenue.size)
+            assert abs(revenue.mean() - exact["resolving"]) <= 4 * se, T
 
     def test_resolving_regret_vs_dp_carries_no_constant(self, multi_model):
         # the DP and the simulator earn the same per-period revenue, so the
