@@ -35,51 +35,36 @@
 #include <stdint.h>
 #include <string.h>
 
-/* With gcc 11 or later on x86-64 glibc, the loops marked KERNEL_CLONES
- * (backward, forward, noise_sum, forward2 and backward2) are built three times,
- * for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, with every
- * helper inlined into each clone, and glibc's ifunc resolver picks the widest
- * clone this CPU runs at load time.  backward's rows, single or as a lower and
- * upper pair, run in blocks of 8 cells (cells) that vectorize in every clone
- * with the lanes in memory order: one 8-lane vector under AVX-512, two 4-lane
- * vectors under AVX2 and four 2-lane ones in the baseline.  forward,
- * noise_sum and forward2 vectorize across replications under AVX-512 only, as
- * the uniform draw converts a 64-bit integer to a double, which AVX2 cannot do
- * in a vector.  backward2 vectorizes across each inventory row (backward2_row)
- * under AVX-512 only: gcc moves a multiply of box_qp2 into one arm of a clip,
- * and only AVX-512's masks let a vector loop run floating-point work under a
- * condition.  All give the same bits: a vector lane rounds each operation as
- * the scalar code does, and -ffp-contract=off keeps contracted multiply-adds
- * out of every clone (backward's explicit fma() calls run only in the clones
- * with FMA, see KERNEL_FMA).  Elsewhere, or with -DKERNEL_CLONES=, each is the
- * one baseline loop.  box_qp, a scalar solve of at most a few dozen products,
- * is built once. */
-#ifndef KERNEL_CLONES
-#if defined(__x86_64__) && defined(__GLIBC__) && __GNUC__ >= 11 && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define KERNEL_CLONES __attribute__((flatten, target_clones( \
-    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#ifndef __FMA__
-/* glibc runs a clone with FMA, x86-64-v4 or v3, exactly when this holds */
-#define KERNEL_FMA __builtin_cpu_supports("x86-64-v3")
-#endif
-#endif
-#endif
-#endif
-#ifndef KERNEL_CLONES
-#define KERNEL_CLONES
-#endif
-
-/* Whether the running loop has the FMA instruction.  The clones come from one
- * preprocessor pass, so __FMA__ is set only when the whole build targets FMA
- * (-march=x86-64-v3, say); elsewhere fma() is a libm call, which backward's
- * quotients must not make per cell: a call keeps the loop from vectorizing. */
-#ifndef KERNEL_FMA
-#ifdef __FMA__
+/* kernels._compile builds this file once for the CPU that runs it.  On an
+ * x86-64 glibc host whose CPU runs x86-64-v4 (AVX-512) or x86-64-v3 (AVX2),
+ * it sets KERNEL_ARCH to that level, and the loops marked KERNEL_LOOP
+ * (backward, forward, noise_sum, forward2 and backward2) are built for it
+ * with every helper inlined; box_qp, a scalar solve of at most a few dozen
+ * products, and every other function stay baseline code.  backward's rows,
+ * single or as a lower and upper pair, run in blocks of 8 cells (cells) that
+ * vectorize at every level with the lanes in memory order: one 8-lane vector
+ * under AVX-512, two 4-lane vectors under AVX2 and four 2-lane ones in the
+ * baseline.  forward, noise_sum and forward2 vectorize across replications
+ * under AVX-512 only, as the uniform draw converts a 64-bit integer to a
+ * double, which AVX2 cannot do in a vector.  backward2 vectorizes across each
+ * inventory row (backward2_row) under AVX-512 only: gcc moves a multiply of
+ * box_qp2 into one arm of a clip, and only AVX-512's masks let a vector loop
+ * run floating-point work under a condition.  Every level gives the same
+ * bits: a vector lane rounds each operation as the scalar code does, and
+ * -ffp-contract=off keeps contracted multiply-adds out of every level.
+ *
+ * Both levels have the FMA instruction, so KERNEL_FMA is set with them and
+ * backward's explicit fma() calls run as single instructions.  In the
+ * baseline, fma() is a libm call, which backward's quotients must not make per
+ * cell: a call keeps the loop from vectorizing.  Without KERNEL_ARCH, or with
+ * a compiler that does not know the levels (gcc before 11; clang reports
+ * __GNUC__ 4), each marked function is the one baseline loop. */
+#if defined(KERNEL_ARCH) && __GNUC__ >= 11
+#define KERNEL_LOOP __attribute__((flatten, target("arch=" KERNEL_ARCH)))
 #define KERNEL_FMA 1
 #else
+#define KERNEL_LOOP
 #define KERNEL_FMA 0
-#endif
 #endif
 
 static double clip(double x, double lo, double hi)
@@ -190,8 +175,8 @@ static double clip(double x, double lo, double hi)
 enum { OPTIMAL, TABLE, RATIO, CONSTANT };
 
 /* The cells of a block of rows: gcc runs one as one 8-lane vector in the
- * x86-64-v4 clone, two of 4 lanes in the x86-64-v3 clone and four of 2 in
- * the baseline */
+ * x86-64-v4 level, two of 4 lanes at x86-64-v3 and four of 2 in the
+ * baseline */
 #define BLOCK 8
 
 /* a / b, with rb == 1 / b: by Markstein's correction of a * rb when fused is
@@ -436,7 +421,7 @@ backward_pass(double *w, double *u, long width, const double *ys, int optimal,
     }
 }
 
-KERNEL_CLONES
+KERNEL_LOOP
 void backward(double *w, double *u, long width, const double *ys, int optimal,
               double lo, double hi, const double *table, long stride,
               const double *band, int64_t *span, double alpha, double beta,
@@ -578,7 +563,7 @@ forward_period(long reps, long T, long i, const uint64_t *restrict keys,
                        (flags) >> 2 & 1, (flags) >> 3 & 1, (flags) >> 4 & 1);  \
         break;
 
-KERNEL_CLONES
+KERNEL_LOOP
 void forward(long reps, long T, const uint64_t *restrict keys, double lo,
              double hi, const double *restrict actions, long width, double alpha,
              double beta, double w, int unit_sales, double *restrict y,
@@ -626,7 +611,7 @@ void forward(long reps, long T, const uint64_t *restrict keys, double lo,
  * inner, so the loop over replications vectorizes.
  */
 
-KERNEL_CLONES
+KERNEL_LOOP
 void noise_sum(long reps, long count, const int64_t *restrict horizons,
                const uint64_t *restrict keys, double *restrict acc)
 {
@@ -668,9 +653,10 @@ static double qp2_value(double a11, double a22, double a12, double q1,
 
 /* the candidate (c1, c2) of value v replaces the best (x1, x2, best) when v > best.
  * The winning candidate rarely changes from one call to the next, so a branch
- * predicts well; the hint keeps the three selects a branch in a scalar clone,
+ * predicts well; the hint keeps the three selects a branch in a scalar loop,
  * where SSE4.1 would blend them after the comparison (about 5 % slower in
- * forward2's AVX2 clone).  The vectorized clones if-convert them regardless. */
+ * forward2 at the AVX2 level).  The vectorized loops if-convert them
+ * regardless. */
 static inline void qp2_take(double c1, double c2, double v, double *x1,
                             double *x2, double *best)
 {
@@ -680,8 +666,8 @@ static inline void qp2_take(double c1, double c2, double v, double *x1,
     *best = take ? v : *best;
 }
 
-/* clip(x, 0.0, hi), its lower test kept a branch in a scalar clone, as in
- * qp2_take: the AVX2 clone of backward2 blended it and ran about 10 % slower
+/* clip(x, 0.0, hi), its lower test kept a branch in a scalar loop, as in
+ * qp2_take: backward2 at the AVX2 level blended it and ran about 10 % slower
  * than the baseline loop */
 static inline double clip_box(double x, double hi)
 {
@@ -731,7 +717,7 @@ static inline double box_qp2(double a11, double a22, double a12, double q1,
  * outputs are restrict.
  */
 
-KERNEL_CLONES
+KERNEL_LOOP
 void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_in,
               const double *H_in, const double *box_in, double *restrict y,
               double *restrict total, double *restrict sum_xi)
@@ -837,7 +823,7 @@ backward2_period(double *V, long m1, long m2, double t, const double *g, const d
     backward2_row(V, NULL, m2, 0.0, t, g, H, box_hi, 0, resolving);
 }
 
-KERNEL_CLONES
+KERNEL_LOOP
 void backward2(double *V, long m1, long m2, long count, const int64_t *restrict horizons,
                const int64_t *restrict cells, double *restrict out, const double *g_in,
                const double *H_in, const double *box_in, int resolving)

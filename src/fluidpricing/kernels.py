@@ -12,6 +12,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
 import threading
@@ -25,13 +26,18 @@ from .errors import KernelUnavailableError
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 # -ffp-contract=off: a contracted multiply-add would change the last bits against
-# numpy, in every clone too (backward's explicit fma() calls round once, as written,
-# and give the bits of the division they replace); no -march=native, so that a cached
-# binary runs on any CPU of the architecture: backward, forward, noise_sum, forward2
-# and backward2 carry their own AVX2 and AVX-512 clones, and glibc picks the widest
-# this CPU runs at load time (KERNEL_CLONES in _kernels.c); backward's fma() calls run
-# only in the clones with FMA (KERNEL_FMA)
+# numpy, at every level too (backward's explicit fma() calls round once, as written,
+# and give the bits of the division they replace); no -march, so that box_qp and
+# every function but the five loops of _kernels.c stay baseline code: _flags adds
+# the level of those five (KERNEL_ARCH)
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+# the levels of the five loops, widest first, with the /proc/cpuinfo flags each needs
+_LEVELS = {
+    "x86-64-v4": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
+                  "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+    "x86-64-v3": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"},
+    "baseline": set(),
+}
 _STDERR_LINES = 10  # of the compiler's output, in the message of a failed build
 
 
@@ -135,29 +141,59 @@ def _ranges(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _compile() -> Path:
-    """Path of the shared library, built into _CACHE unless the cached one matches.
+def _cpu_flags() -> set[str]:
+    """The flags of this CPU in /proc/cpuinfo, none where that cannot be read."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
+                 if line.startswith("flags")), set())
 
-    The cache key hashes the source, the flags and the compiler's version;
-    the library is written to a temporary file and renamed into place, and
-    a new build deletes the libraries it supersedes.
+
+def _level() -> str:
+    """The widest level of _LEVELS that this CPU runs on x86-64 glibc; elsewhere the
+    baseline."""
+    if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
+        return "baseline"
+    flags = _cpu_flags()
+    return next(level for level, needs in _LEVELS.items() if needs <= flags)
+
+
+def _flags(level: str) -> tuple[str, ...]:
+    """cc's flags for a library whose five loops run at level."""
+    return _CFLAGS if level == "baseline" else (*_CFLAGS, f'-DKERNEL_ARCH="{level}"')
+
+
+def _compile() -> Path:
+    """Path of the shared library for this CPU's level, built into _CACHE unless
+    the cached one matches.
+
+    The cache key hashes the source, the flags and the compiler's version, and
+    the file name carries the level; the library is written to a temporary file
+    and renamed into place, and a new build deletes the libraries it supersedes.
+    It keeps those of the other levels, which a host that shares the cache may
+    have loaded.
     """
+    level = _level()
+    flags = _flags(level)
     version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + version)
-    lib = _CACHE / f"{_SOURCE.stem}-{key.hexdigest()[:16]}.so"
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(flags).encode() + version)
+    lib = _CACHE / f"{_SOURCE.stem}-{level}-{key.hexdigest()[:16]}.so"
     if not lib.exists():
         _CACHE.mkdir(exist_ok=True)
         # not *.so, so that the pruning of another build never takes it
         fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=_CACHE)
         os.close(fd)
         try:
-            subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            subprocess.run(["cc", *flags, "-o", tmp, str(_SOURCE)],
                            capture_output=True, check=True)
             os.replace(tmp, lib)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        others = tuple(f"{_SOURCE.stem}-{other}-" for other in _LEVELS if other != level)
         for old in _CACHE.glob("*.so"):
-            if old != lib:
+            if old != lib and not old.name.startswith(others):
                 old.unlink(missing_ok=True)
     return lib

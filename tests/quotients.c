@@ -1,9 +1,10 @@
 /* Checks backward's quotient helper of _kernels.c bit for bit against a / b,
- * built with the helper's fused form enabled (-march of a clone with FMA) and
- * with the source's directory on the include path:
+ * built at a level with FMA (KERNEL_ARCH, as kernels._flags sets it), so that
+ * the helper runs the instructions of backward's loop, and with the source's
+ * directory on the include path:
  *
- *   cc -O3 -ffp-contract=off -march=x86-64-v3 -I src/fluidpricing \
- *      -o quotients tests/quotients.c && ./quotients
+ *   cc -O3 -ffp-contract=off '-DKERNEL_ARCH="x86-64-v3"' -I src/fluidpricing \
+ *      -o quotients tests/quotients.c -lm && ./quotients
  *
  * Prints one line per group of operands, "<group> <pairs> <mismatches>", and
  * exits 1 when a group that the fused form must get right has a mismatch. */
@@ -31,7 +32,7 @@ static double scaled(int lo, int hi)
 static long pairs, misses;
 
 /* Counts a / b against the helper, with the reciprocal the kernel would use */
-static void check(double a, double b)
+KERNEL_LOOP static void check(double a, double b)
 {
     pairs++;
     misses += !same_bits(quotient(a, b, 1.0 / b, 1), a / b);
@@ -61,11 +62,10 @@ static void rewards(double alpha, double beta, double d_lo, double d_hi)
     }
 }
 
-int main(void)
+/* Counts the RATIO quotients y / t of every cell up to t = 2^12 against the
+ * helper, the reciprocal once per period as in clipped_rows */
+KERNEL_LOOP static void ratios(void)
 {
-    int failed = 0;
-    /* the RATIO quotients y / t of every cell up to t = 2^12, the reciprocal
-     * once per period as in clipped_rows */
     for (long t = 1; t <= 4096; t++) {
         double b = (double)t, rb = 1.0 / b;
         for (long y = 0; y <= t; y++) {
@@ -74,6 +74,12 @@ int main(void)
             misses += !same_bits(quotient(a, b, rb, 1), a / b);
         }
     }
+}
+
+int main(void)
+{
+    int failed = 0;
+    ratios();
     failed |= report("ratio", 1);
 
     for (long k = 0; k < 10000000; k++)

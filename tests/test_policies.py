@@ -454,6 +454,60 @@ class TestFusedKernel:
         assert kernels._compile() == lib  # a matching library is reused
         assert lib.stat().st_mtime_ns == built
 
+    def test_build_keeps_the_libraries_of_other_levels(self, tmp_path, monkeypatch):
+        """A host of another level that shares the cache may have loaded its own
+        library: a build prunes only the stale libraries of this CPU's level."""
+        monkeypatch.setattr(kernels, "_CACHE", tmp_path)
+        builds = _fake_cc(monkeypatch)
+        level = kernels._level()
+        other = next(name for name in kernels._LEVELS if name != level)
+        kept = tmp_path / f"_kernels-{other}-0123456789abcdef.so"
+        for stale in (kept, tmp_path / f"_kernels-{level}-0123456789abcdef.so"):
+            stale.write_bytes(b"another build")
+        lib = kernels._compile()
+        assert len(builds) == 1 and sorted(tmp_path.iterdir()) == sorted([lib, kept])
+
+    @pytest.mark.parametrize("machine, libc, cpu, level", [
+        ("x86_64", "glibc", "x86-64-v4", "x86-64-v4"),
+        ("x86_64", "glibc", "x86-64-v3", "x86-64-v3"),
+        ("x86_64", "glibc", "baseline", "baseline"),
+        ("aarch64", "glibc", "x86-64-v4", "baseline"),
+        ("x86_64", "", "x86-64-v4", "baseline"),
+    ])
+    def test_level_is_chosen_from_the_cpu_without_building(self, machine, libc, cpu, level,
+                                                           tmp_path, monkeypatch):
+        """The widest level whose flags this CPU has, on x86-64 glibc only; the level
+        is in the build's flags and the library's name, and no compiler runs."""
+        monkeypatch.setattr(kernels, "_cpu_flags", lambda: set(kernels._LEVELS[cpu]))
+        monkeypatch.setattr(platform, "machine", lambda: machine)
+        monkeypatch.setattr(platform, "libc_ver", lambda: (libc, "2.36" if libc else ""))
+        monkeypatch.setattr(kernels, "_CACHE", tmp_path)
+        builds = _fake_cc(monkeypatch)
+        assert kernels._level() == level
+        lib = kernels._compile()
+        assert lib.name.startswith(f"_kernels-{level}-")
+        [build] = builds
+        assert build[1:-3] == list(kernels._flags(level))
+        assert kernels._flags(level) == kernels._CFLAGS + (
+            () if level == "baseline" else (f'-DKERNEL_ARCH="{level}"',))
+
+
+def _fake_cc(monkeypatch) -> list[list[str]]:
+    """Replaces cc with a stand-in that reports a version and writes an empty file
+    for a build; returns the list of build commands, which the stand-in fills."""
+    builds = []
+
+    def run(args, **kwargs):
+        assert args[0] == "cc", args
+        if args[1:] == ["--version"]:
+            return subprocess.CompletedProcess(args, 0, b"cc 0.0\n", b"")
+        builds.append(args)
+        Path(args[args.index("-o") + 1]).write_bytes(b"")
+        return subprocess.CompletedProcess(args, 0, b"", b"")
+
+    monkeypatch.setattr(kernels.subprocess, "run", run)
+    return builds
+
 
 def _band_log(caplog) -> dict[str, tuple[str, int]]:
     """{row: (final width, retries)} from the DEBUG lines of the exact passes so far."""
@@ -978,22 +1032,22 @@ class TestKernelSource:
                 assert callable(getattr(oracles, reference, None)), reference
 
     def test_builds_with_warnings_as_errors(self, tmp_path):
-        """-Wall -Wextra -Werror: a parameter left unused, say, fails the build; both
-        as shipped and with KERNEL_CLONES empty, the one loop of platforms without
-        the clones."""
-        for clones in ([], ["-DKERNEL_CLONES="]):
-            build = subprocess.run(["cc", *kernels._CFLAGS, *clones, "-Wall", "-Wextra",
+        """-Wall -Wextra -Werror: a parameter left unused, say, fails the build; at
+        every level, which compiles on any x86-64 CPU, and elsewhere in the baseline."""
+        x86 = platform.machine().lower() in ("x86_64", "amd64")
+        for level in kernels._LEVELS if x86 else ("baseline",):
+            build = subprocess.run(["cc", *kernels._flags(level), "-Wall", "-Wextra",
                                     "-Werror", "-o", str(tmp_path / "kernels.so"),
                                     str(kernels._SOURCE)], capture_output=True, text=True)
-            assert build.returncode == 0, (clones, build.stderr)
+            assert build.returncode == 0, (level, build.stderr)
 
     def test_cloned_loops_vectorize_under_avx512(self, tmp_path):
         """gcc reports each loop that must run in vectors as vectorized with 64-byte
-        vectors (the x86-64-v4 clone): the bitwise tests cannot see a loop that
+        vectors (the x86-64-v4 level): the bitwise tests cannot see a loop that
         goes scalar again."""
-        _require_clones()
+        _require_levels()
         source = kernels._SOURCE.read_text()
-        build = subprocess.run(["cc", *kernels._CFLAGS, "-fopt-info-vec-optimized",
+        build = subprocess.run(["cc", *kernels._flags("x86-64-v4"), "-fopt-info-vec-optimized",
                                 "-o", str(tmp_path / "kernels.so"),
                                 str(kernels._SOURCE)], capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
@@ -1018,14 +1072,6 @@ class TestKernelSource:
         assert vectorized.count(lines["backward"]) >= len(calls)
 
 
-# the clones of the cloned loops in _kernels.c, with the /proc/cpuinfo flags each needs
-_CLONES = {
-    "x86-64-v3": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"},
-    "x86-64-v4": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
-                  "avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
-}
-# the entry points built through KERNEL_CLONES
-_CLONED = ("backward", "forward", "noise_sum", "forward2", "backward2")
 # the loop of each entry point that vectorizes under AVX-512: the function that
 # holds it and its first line
 _VECTOR_LOOPS = {
@@ -1037,46 +1083,40 @@ _VECTOR_LOOPS = {
 }
 
 
-def _cpu_flags() -> set[str]:
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return set()
-    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
-                 if line.startswith("flags")), set())
-
-
-def _require_clones():
-    """Skip unless _kernels.c clones its loops here: x86-64, glibc and gcc 11 or later."""
-    if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
-        pytest.skip("the kernels are cloned on x86-64 glibc only")
+def _require_levels():
+    """Skip unless cc builds the loops of _kernels.c at the x86-64 levels: gcc 11 or
+    later on x86-64."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the levels are x86-64 levels")
     macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", "/dev/null"], capture_output=True,
                             text=True, check=True).stdout.split()
     if "__clang__" in macros or int(macros[macros.index("__GNUC__") + 1]) < 11:
-        pytest.skip("the clones need gcc 11 or later")
+        pytest.skip("the levels need gcc 11 or later")
 
 
-@pytest.fixture(scope="module", params=["baseline", *_CLONES])
+def _runs(level):
+    """Skip unless this CPU runs the loops of level."""
+    if not kernels._LEVELS[level] <= kernels._cpu_flags():
+        pytest.skip(f"this CPU cannot run the {level} level")
+
+
+@pytest.fixture(scope="module", params=list(kernels._LEVELS))
 def single_build(request, tmp_path_factory):
-    """_kernels.c built a second time with each cloned loop as one loop:
-    KERNEL_CLONES empty (the baseline loop any CPU runs), or one clone's target
-    alone, for the whole build so that backward takes its quotients with FMA as
-    that clone does.  Every entry point has the dispatched library's argtypes."""
-    _require_clones()
-    target = request.param
-    if target != "baseline" and not _CLONES[target] <= _cpu_flags():
-        pytest.skip(f"this CPU cannot run the {target} clone")
-    flags = (["-DKERNEL_CLONES="] if target == "baseline"
-             else [f'-DKERNEL_CLONES=__attribute__((flatten, target("arch={target}")))',
-                   f"-march={target}"])
-    path = tmp_path_factory.mktemp("single") / f"{target}.so"
-    subprocess.run(["cc", *kernels._CFLAGS, *flags, "-o", str(path), str(kernels._SOURCE)],
+    """The library of each level that this CPU runs, built with _compile's flags
+    for that level: the library _kernel loaded for this CPU's own level, else a
+    second build.  Every entry point has the loaded library's argtypes."""
+    level = request.param
+    _runs(level)
+    loaded = kernels._kernel()
+    if level == kernels._level():
+        return loaded
+    path = tmp_path_factory.mktemp("single") / f"{level}.so"
+    subprocess.run(["cc", *kernels._flags(level), "-o", str(path), str(kernels._SOURCE)],
                    capture_output=True, check=True)
-    assert b"arch_x86_64" not in path.read_bytes()
-    lib, dispatched = ctypes.CDLL(str(path)), kernels._kernel()
-    for name in (*_CLONED, "box_qp"):
+    lib = ctypes.CDLL(str(path))
+    for name in ("backward", "forward", "noise_sum", "forward2", "backward2", "box_qp"):
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = getattr(dispatched, name).argtypes, None
+        fn.argtypes, fn.restype = getattr(loaded, name).argtypes, None
     return lib
 
 
@@ -1095,12 +1135,12 @@ def _assert_builds_match_backward(single, model, points, policies):
 
 
 class TestDispatchedBackward:
-    def test_dispatched_library_carries_every_clone(self):
-        _require_clones()
-        built = kernels._compile().read_bytes()
-        for name in _CLONED:
-            for target in _CLONES:
-                assert f"{name}.arch_{target.replace('-', '_')}".encode() in built, name
+    def test_library_is_one_build_for_this_cpus_level(self):
+        """No loop is cloned for a loader to pick from: the library is built for the
+        level of this CPU and named for it."""
+        lib = kernels._compile()
+        assert b".arch_x86_64_v" not in lib.read_bytes()
+        assert lib.name.startswith(f"{kernels._SOURCE.stem}-{kernels._level()}-")
 
     @settings(max_examples=40, deadline=None)
     @given(model=_bernoulli_models(),
@@ -1163,20 +1203,19 @@ _FUSED_RANGE_MODELS = [(0.75, 1e-300), (0.75, 2.0**-129), (0.75, 2.0**-127),
 
 
 class TestQuotients:
-    @pytest.mark.parametrize("target", list(_CLONES))
-    def test_corrected_quotient_has_the_bits_of_the_division(self, target, tmp_path):
-        """tests/quotients.c, built as each clone with FMA that this CPU runs: the
-        helper matches a / b on every y / t up to t = 2^12, on random pairs, on the
-        rewards of models drawn as _bernoulli_models draws them and at the limits of
-        the range, and misses on subnormal numerators, which that range keeps out."""
-        _require_clones()
-        if not _CLONES[target] <= _cpu_flags():
-            pytest.skip(f"this CPU cannot run the {target} clone")
+    @pytest.mark.parametrize("level", ["x86-64-v4", "x86-64-v3"])
+    def test_corrected_quotient_has_the_bits_of_the_division(self, level, tmp_path):
+        """tests/quotients.c, built with _compile's flags for each level (both have
+        FMA) that this CPU runs: the helper matches a / b on every y / t up to
+        t = 2^12, on random pairs, on the rewards of models drawn as
+        _bernoulli_models draws them and at the limits of the range, and misses on
+        subnormal numerators, which that range keeps out."""
+        _runs(level)
         driver = tmp_path / "quotients"
-        flags = [flag for flag in kernels._CFLAGS if flag not in ("-shared", "-fPIC")]
-        build = subprocess.run(["cc", *flags, f"-march={target}", "-I",
+        flags = [flag for flag in kernels._flags(level) if flag not in ("-shared", "-fPIC")]
+        build = subprocess.run(["cc", *flags, "-I",
                                 str(kernels._SOURCE.parent), "-o", str(driver),
-                                str(Path(__file__).with_name("quotients.c"))],
+                                str(Path(__file__).with_name("quotients.c")), "-lm"],
                                capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
         done = subprocess.run([str(driver)], capture_output=True, text=True, timeout=60)
