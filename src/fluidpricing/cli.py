@@ -63,13 +63,6 @@ def _parse_list(text: str, cast, what: str) -> list:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _parse_t_list(text: str) -> list[int]:
-    T_list = _parse_list(text, int, "horizon list")
-    if min(T_list) < 1:
-        raise ConfigError(f"horizons must be >= 1, got {text!r}")
-    return T_list
-
-
 def cmd_fluid_solve(args) -> int:
     model = _load_model(args.model)
     inv = np.array(_parse_list(args.inventory, float, "inventory"))
@@ -148,7 +141,7 @@ def cmd_estimate_regret(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    T_list = _parse_t_list(args.t_list) if args.t_list is not None else None
+    T_list = _parse_list(args.t_list, int, "horizon list") if args.t_list is not None else None
     rows = experiments.run_table2(T_list)
     if args.out not in (None, "-"):  # a 2-decimal display, on stdout when the CSV is not
         print("log2_T    " + "".join(f"{r['log2_T']:>8}" for r in rows))
@@ -161,7 +154,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    T_list = (_parse_t_list(args.t_list) if args.t_list is not None
+    T_list = (_parse_list(args.t_list, int, "horizon list") if args.t_list is not None
               else [2**k for k in range(4, 13)])
     config = experiments.SweepConfig(kind=args.kind, T_list=T_list)
     rows = experiments.run_sweep(config)
@@ -172,7 +165,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ho_compare(args) -> int:
     model = _load_model(args.model)
-    T_list = _parse_t_list(args.t_list)
+    T_list = _parse_list(args.t_list, int, "horizon list")
     rows = experiments.run_ho_compare(model, T_list, args.x_t,
                                       args.replications, args.seed)
     text = experiments.write_csv(rows, experiments.HO_COLUMNS)

@@ -25,7 +25,7 @@ class SolverError(RuntimeError):
 
 
 class ResourceGuardError(RuntimeError):
-    """A requested computation exceeds the configured memory/size guard."""
+    """A call would pass a budget of policies.admit: bytes of arrays or kernel steps."""
 
 
 class KernelUnavailableError(RuntimeError):

@@ -28,15 +28,16 @@ from .fluid import box_qp2_batch, solve_fluid_multi
 
 logger = logging.getLogger(__name__)
 
-# size guards of solve_dp (table entries) and solve_dp_multi (T times lattice states)
-DENSE_TABLE_MAX_ENTRIES = 64_000_000
-MULTI_STATE_CAP = 10_000_000
-# largest backward pass T * (y0 + 1) of exact_passes and exact_policy_values:
-# 2^15 (3.4e8) fits, 2^16 not
-EXACT_CELL_BUDGET = 2**30
-# largest per-replication arrays of a Monte Carlo batch or noise pass (sim.simulate_batch,
-# sim.ho_noise_means), in bytes: 2 GiB, 44 million replications of a forward batch
-BATCH_BYTE_BUDGET = 2**31
+# admit's budget: bytes of input-sized arrays per call, and kernel steps per row or batch
+# (a lattice cell of a row's whole cone, or a replication-period of a batch)
+BYTE_BUDGET = WORK_BUDGET = 2**31
+
+
+def admit(what: str, nbytes: int, work: int) -> None:
+    """ResourceGuardError past either budget: asked before any input-sized array or kernel call."""
+    if nbytes > BYTE_BUDGET or work > WORK_BUDGET:
+        raise ResourceGuardError(f"{what} needs {nbytes} bytes and {work} kernel steps per row "
+                                 f"or batch, past {BYTE_BUDGET} bytes or {WORK_BUDGET} steps")
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,6 @@ def _whole_at_least(value, least: int, name: str) -> int:
     return int(value)
 
 
-def _whole_point(T, y0) -> tuple[int, int]:
-    """(T, y0) as ints; DomainError unless both are whole numbers, T >= 1 and y0 >= 0."""
-    return _whole_at_least(T, 1, "T"), _whole_at_least(y0, 0, "y0")
-
-
 def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
     """Dense value and action tables, (T+1)*(y0+1) each, from one backward kernel call.
 
@@ -158,11 +154,8 @@ def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
     that the kernel's optimal row evaluates, with the same bits.
     """
     _require_bernoulli(model, "exact dynamic programming")
-    T, y0 = _whole_point(T, y0)
-    entries = (T + 1) * (y0 + 1)
-    if entries > DENSE_TABLE_MAX_ENTRIES:
-        raise ResourceGuardError(f"dense value table would hold {entries} entries "
-                                 f"(> {DENSE_TABLE_MAX_ENTRIES}); use exact_values instead")
+    T, y0 = _whole_at_least(T, 1, "T"), _whole_at_least(y0, 0, "y0")
+    admit(f"two dense DP tables of {T + 1} x {y0 + 1}", 16 * (T + 1) * (y0 + 1), T * y0)
     values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
     kernels._kernel().backward(np.zeros(y0 + 1), None, y0 + 1, np.zeros(0), True, 0.0, 0.0,
                                None, 0, np.zeros(4), np.zeros(4, dtype=np.int64), model.alpha,
@@ -184,24 +177,35 @@ def exact_values(model: DemandModel, points,
 
     Time runs in periods remaining, so V and the value of any policy whose
     rates_batch(y_array, t) ignores the horizon do not depend on T: one pass
-    to the largest T reads every point, with O(max y0) memory per row.
-    Every policy runs by its checked_law, a (lo, hi) law or a DP table, in
-    the compiled backward kernel over the cells the points read
-    (KernelUnavailableError when the kernel cannot be built).  On long
-    horizons V and each (lo, hi) row run on a band around the points' fluid
-    paths, as a lower and an upper bound that must agree bit for bit, so
+    to the largest T, admitted by _exact_points, reads every point, with
+    O(max y0) memory per row.  Every policy runs by its checked_law, a (lo, hi)
+    law or a DP table, in the compiled backward kernel over the cells the
+    points read (KernelUnavailableError when the kernel cannot be built).  On
+    long horizons V and each (lo, hi) row run on a band around the points'
+    fluid paths, as a lower and an upper bound that must agree bit for bit, so
     every value has the full pass's bits (see _fused_pass); each row's final
     band width and retry count are logged at DEBUG.
     """
-    _require_bernoulli(model, "exact policy evaluation")
-    points = [_whole_point(T, y0) for T, y0 in points]
-    if not points:
-        raise DomainError("need at least one (T, y0) point")
     policies = dict(policies or {})
+    points = _exact_points(model, points, len(policies))
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
     laws = [checked_law(pol, ys, max(T for T, _ in points), model) for pol in policies.values()]
     rows = _fused_pass(model, points, laws, names=["dp", *policies])
     return [dict(zip(["dp", *policies], row)) for row in rows]
+
+
+def _exact_points(model: DemandModel, points, policies: int) -> list[tuple[int, int]]:
+    """The whole (T, y0) points of a pass of V and that many policy rows, admitted
+    for the y states and two copies of each row, max(y0) + 1 cells wide, and the
+    cone of every point from the largest T, which bounds any attempt of any row."""
+    _require_bernoulli(model, "exact policy evaluation")
+    points = [(_whole_at_least(T, 1, "T"), _whole_at_least(y0, 0, "y0")) for T, y0 in points]
+    if not points:
+        raise DomainError("need at least one (T, y0) point")
+    top, width = max(T for T, _ in points), max(y0 for _, y0 in points) + 1
+    admit(f"an exact pass to T = {top} of rows {width} cells wide", 8 * width * (3 + 2 * policies),
+          _cone_cells((0, top, min(y0 - T for T, y0 in points), width - 1, None), False))
+    return points
 
 
 def checked_law(policy, y: np.ndarray, t: int, model):
@@ -431,30 +435,21 @@ def _pass(model, points, reads, segments, triangle, optimal, table, rates, lines
     return got[0], span, got[1] if lines else None, seconds
 
 
-def _check_budget(lattice: int) -> None:
-    if lattice > EXACT_CELL_BUDGET:
-        raise ResourceGuardError(f"backward pass over {lattice} lattice cells "
-                                 f"exceeds the budget of {EXACT_CELL_BUDGET}")
-
-
 def exact_passes(cells, setup) -> list[dict[str, float]]:
     """exact_values at cells (key, T, y0): one pass per key, whose setup(key) is
-    (model, policies); all passes are checked against the budget before any runs."""
-    if not cells:
-        return []
-    _check_budget(max(T for _, T, _ in cells) * (max(y0 for _, _, y0 in cells) + 1))
-    found = {}
-    for key in dict.fromkeys(key for key, _, _ in cells):
-        points = [(T, y0) for k, T, y0 in cells if k == key]
-        model, policies = setup(key)
-        found.update(zip(((key, *p) for p in points), exact_values(model, points, policies)))
+    (model, policies); every pass is admitted (_exact_points) before the first runs."""
+    passes = [(key, [(T, y0) for k, T, y0 in cells if k == key], *setup(key))
+              for key in dict.fromkeys(key for key, _, _ in cells)]
+    for _, points, model, policies in passes:
+        _exact_points(model, points, len(policies))
+    found = {(key, *point): value for key, points, model, policies in passes
+             for point, value in zip(points, exact_values(model, points, policies))}
     return [found[cell] for cell in cells]
 
 
 def exact_policy_values(model: DemandModel, T: int, y0: int,
                         policies: dict[str, object] | None = None) -> dict[str, float]:
-    """exact_values at the single point (T, y0), within EXACT_CELL_BUDGET."""
-    _check_budget(T * (y0 + 1))
+    """exact_values at the single point (T, y0), admitted as exact_values admits it."""
     return exact_values(model, [(T, y0)], policies)[0]
 
 
@@ -500,8 +495,8 @@ def multi_lattice(model: MultiDemandModel, points) -> tuple[int, int]:
     """(m1, m2), the inventory lattice that holds every (T, y0) point of a
     two-product pass; (1, 1) without points.  UnsupportedModelError unless the
     model has two products, DomainError unless each T is a whole number >= 1
-    and each y0 a pair of whole numbers >= 0, ResourceGuardError when the
-    largest T times m1 m2 passes MULTI_STATE_CAP."""
+    and each y0 a pair of whole numbers >= 0, ResourceGuardError (admit) past
+    the budget: a lattice per row (dp, resolving), in each of the largest T periods."""
     if model.n != 2:
         raise UnsupportedModelError("exact multi-product evaluation is implemented for n = 2 only")
     for T, y0 in points:
@@ -511,9 +506,8 @@ def multi_lattice(model: MultiDemandModel, points) -> tuple[int, int]:
         for y in y0:
             _whole_at_least(y, 0, "y0")
     m1, m2 = (max((int(y0[k]) for _, y0 in points), default=0) + 1 for k in (0, 1))
-    states = max((int(T) for T, _ in points), default=0) * m1 * m2
-    if states > MULTI_STATE_CAP:
-        raise ResourceGuardError(f"state space {states} exceeds cap {MULTI_STATE_CAP}")
+    top = max((int(T) for T, _ in points), default=0)
+    admit(f"a two-product pass to T = {top} on {m1} x {m2} cells", 16 * m1 * m2, top * m1 * m2)
     return m1, m2
 
 

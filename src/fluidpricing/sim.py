@@ -21,13 +21,13 @@ import numpy as np
 
 from . import kernels, rng
 from .demand import KIND_ADDITIVE, KIND_BERNOULLI, KIND_MULTI, DemandModel, MultiDemandModel
-from .errors import DomainError, ResourceGuardError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .fluid import solve_fluid_multi
 from .policies import (
-    BATCH_BYTE_BUDGET,
     MultiResolvingPolicy,
     ValueTable,
     _whole_at_least,
+    admit,
     checked_law,
     exact_passes,
     multi_lattice,
@@ -44,6 +44,7 @@ REGRET_ROWS = {KIND_BERNOULLI: ("static", "resolving", "dp"),
                KIND_MULTI: ("resolving", "dp")}
 # the fractions of the start state at which the forward kernels check a law
 _EIGHTHS = np.linspace(0.0, 1.0, 9)
+_FORWARD_WORDS = 6  # the 8-byte words per replication of a forward batch
 
 
 @dataclass
@@ -81,12 +82,13 @@ def simulate(model, policy, T: int, y0, seed: int):
     One replication of the forward kernel (see simulate_batch), drawing from
     the stream keyed by seed mod 2**64, with the stopping-time tracker on
     where its band gamma(model, y0 / T) is not negative (else t_sharp is
-    None); it raises as checked_law does.  Dispatches on the model family;
-    for the multi-product family see MultiSimTrace.
+    None); it raises as checked_law does, and as admit does past the budget.
+    Dispatches on the model family; for the multi-product family see MultiSimTrace.
     """
     if isinstance(model, MultiDemandModel):
         return simulate_multi(model, policy, T, y0, seed)
     T = _whole_at_least(T, 1, "T")
+    admit(f"a trace of {T} periods", 8 * 7 * T, T)  # six values and the index per period
     _check_inventory(y0)
     keys = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     track = gamma(model, float(y0) / T) >= 0
@@ -162,8 +164,10 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     policy, and n > 2 products raise UnsupportedModelError.  The kernel runs
     one call per contiguous range of replications in kernels._map (see
     _forward); the results do not depend on the number of ranges.
+    _replications refuses a count past the budget before any array.
     """
-    T, n_reps = _whole_at_least(T, 1, "T"), _replications(n_reps, 6)
+    T = _whole_at_least(T, 1, "T")
+    n_reps = _replications(n_reps, _FORWARD_WORDS, T)
     _check_inventory(y0)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     if not isinstance(model, MultiDemandModel):
@@ -184,15 +188,18 @@ def simulate_batch(model: DemandModel | MultiDemandModel, policy, T: int, y0, ba
     return BatchResult(total_revenue=total, sum_xi=sum_xi)
 
 
-def _replications(n_reps, words: int) -> int:
+def _replications(n_reps, words: int, T: int) -> int:
     """n_reps as an int, before any array of it is made: DomainError unless a whole
-    number >= 1, ResourceGuardError when words 8-byte words per replication pass
-    BATCH_BYTE_BUDGET (numpy would raise a bare MemoryError, or take the memory)."""
+    number >= 1, ResourceGuardError (admit) for words 8-byte words per replication
+    or the n_reps * T replication-periods of a batch to T past the budget."""
     n_reps = _whole_at_least(n_reps, 1, "n_reps")
-    if 8 * words * n_reps > BATCH_BYTE_BUDGET:
-        raise ResourceGuardError(f"{n_reps} replications of {8 * words} bytes each exceed "
-                                 f"the budget of {BATCH_BYTE_BUDGET} bytes")
+    admit(f"{n_reps} replications of {T} periods", 8 * words * n_reps, n_reps * T)
     return n_reps
+
+
+def _noise_replications(T_list, n_reps) -> int:
+    """_replications of a noise pass: seeds, two noise blocks and means per horizon."""
+    return _replications(n_reps, 1 + 2 * len(set(T_list)) + len(T_list), max(T_list))
 
 
 def _forward(model: DemandModel, policy, T: int, y0, keys: np.ndarray, track_t_sharp: bool,
@@ -317,13 +324,12 @@ def regret_points(model, T_list, y0_rule, policies, replications) -> list[tuple]
     negative or non-finite y0 (or, for two products, a fractional one);
     UnsupportedModelError for a row that the model's kind lacks (REGRET_ROWS)
     or a multi-product model of other than two products; ResourceGuardError
-    for a two-product run whose lattice passes MULTI_STATE_CAP (multi_lattice).
+    (admit) for an additive run's noise pass or longest batch, or a two-product
+    lattice (multi_lattice), past the budget (exact_passes admits bernoulli runs).
     """
     T_list = list(T_list)
-    if any(T < 1 for T in T_list):
-        raise DomainError(f"horizons must be >= 1, got {T_list}")
-    for T in T_list:
-        _whole_at_least(T, 1, "T")
+    if not all(T >= 1 and float(T).is_integer() for T in T_list):
+        raise DomainError(f"horizons must be >= 1 and whole numbers, got {T_list}")
     _whole_at_least(replications, 1, "replications")
     multi = isinstance(model, MultiDemandModel)
     unknown = [name for name in policies if name not in set().union(*REGRET_ROWS.values())]
@@ -342,10 +348,15 @@ def regret_points(model, T_list, y0_rule, policies, replications) -> list[tuple]
     if other:
         raise UnsupportedModelError(f"a {'multi-product' if multi else model.kind} model "
                                     f"supports the policies {list(rows)}, not {other}")
-    if not multi:
-        return points
-    multi_lattice(model, points)
-    return [(T, np.asarray(y0, dtype=int)) for T, y0 in points]
+    if multi:
+        multi_lattice(model, points)
+        return [(T, np.asarray(y0, dtype=int)) for T, y0 in points]
+    if model.kind == KIND_ADDITIVE and points:
+        if {"static", "ho"} & set(policies):
+            _noise_replications(T_list, replications)
+        if "resolving" in policies:
+            _replications(replications, _FORWARD_WORDS, max(T_list))
+    return points
 
 
 def estimate_regret(model, T_list, y0_rule, policies=("static", "resolving"),
@@ -436,9 +447,8 @@ def ho_noise_means(model: DemandModel, T_list, base_seed: int, n_reps: int) -> l
     if model.kind == KIND_BERNOULLI:
         raise UnsupportedModelError("ho benchmark needs additive i.i.d. noise")
     T_list = [_whole_at_least(T, 1, "T") for T in T_list]
+    n_reps = _noise_replications(T_list, n_reps)
     horizons = np.array(sorted(set(T_list)), dtype=np.int64)
-    # the seeds, the noise blocks and their concatenation, and the means
-    n_reps = _replications(n_reps, 1 + 2 * horizons.size + len(T_list))
     w = float(model.noise_half_width)
     seeds = rng.replication_seed(base_seed, np.arange(n_reps))
     ranges = kernels._ranges(n_reps)
@@ -524,16 +534,18 @@ def simulate_multi(model: MultiDemandModel, policy, T: int, y0, seed: int) -> Mu
 
     The policy (None for the model's own) must re-solve this model: its
     rate_law() is the model, as checked_law requires of every multi-product
-    loop; any other raises UnsupportedModelError before period 1.  Each
-    period prices by its decide.  Product j sells a unit in period i when
-    the uniform at counter i*n + j of the stream keyed by seed mod 2**64
-    lies below its rate.  A product's sale is censored at its inventory,
-    so a fractional last unit sells (and earns) only that fraction.
+    loop; any other raises UnsupportedModelError, and admit a trace past the
+    budget, before period 1.  Each period prices by its decide.  Product j
+    sells a unit in period i when the uniform at counter i*n + j of the stream
+    keyed by seed mod 2**64 lies below its rate.  A product's sale is censored
+    at its inventory, so a fractional last unit sells (and earns) only that
+    fraction.
     """
-    T = _whole_at_least(T, 1, "T")
+    T, n = _whole_at_least(T, 1, "T"), model.n
+    # the uniforms and five values per product and period, the revenue and the index
+    admit(f"a trace of {T} periods of {n} products", 8 * T * (2 + 6 * n), T)
     _check_inventory(y0)
     y0 = np.asarray(y0, dtype=float)
-    n = model.n
     policy = policy or MultiResolvingPolicy(model)
     if (policy.rate_law() if hasattr(policy, "rate_law") else None) is not model:
         raise UnsupportedModelError(

@@ -158,7 +158,7 @@ class TestTable2:
         rows = run_table2(T_list=[64])
         assert list(rows[0]) == TABLE2_COLUMNS
         with pytest.raises(ResourceGuardError):
-            run_table2(T_list=[2**16])
+            run_table2(T_list=[2**17])
         rows = run_table2(T_list=[64, 128])
         assert [r["T"] for r in rows] == [64, 128]
 
@@ -221,7 +221,7 @@ class TestSweep:
 
     def test_gap_sweep_guard(self):
         with pytest.raises(ResourceGuardError):
-            run_sweep(SweepConfig(kind="gap", T_list=[2**16]))
+            run_sweep(SweepConfig(kind="gap", T_list=[2**17]))
 
     def test_flat_boundary_curve_warns(self):
         # a repeated horizon makes the boundary curve flat, not increasing
@@ -389,8 +389,8 @@ class TestCli:
             raise AssertionError("a backward pass ran")
 
         monkeypatch.setattr(policies, "_fused_pass", no_pass)
-        assert cli.main(["dp-value", "--model", model_paths["bern"], "-T", "65536",
-                         "--y0", "32768"]) == 4
+        assert cli.main(["dp-value", "--model", model_paths["bern"], "-T", "131072",
+                         "--y0", "65536"]) == 4
         assert "resource guard" in capsys.readouterr().err
 
     def test_simulate_trace_csv(self, model_paths, capsys):
@@ -521,7 +521,10 @@ class TestCli:
     def test_table2_and_resource_guard(self, model_paths, capsys):
         assert cli.main(["table2", "--t-list", "64"]) == 0
         capsys.readouterr()
-        assert cli.main(["table2", "--t-list", "65536"]) == 4
+        assert cli.main(["table2", "--t-list", "131072"]) == 4
+        capsys.readouterr()
+        # the whole cone of 2^16 is within the work budget, and its banded pass is short
+        assert cli.main(["table2", "--t-list", "65536"]) == 0
 
     def test_replications_past_the_byte_budget_exit_4(self, model_paths, tmp_path, capsys,
                                                        monkeypatch):
@@ -553,6 +556,31 @@ class TestCli:
         assert cli.main(["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125",
                          "--t-list", "64,256", "--replications", str(10**13)]) == 4
         assert capsys.readouterr().err.startswith("resource guard:")
+
+    def test_horizons_past_the_work_budget_exit_4(self, model_paths, tmp_path, capsys,
+                                                  monkeypatch):
+        """A trace of 10**13 periods ended in numpy's _ArrayMemoryError (437 TiB), and
+        a horizon of 10**21 in estimate-regret or ho-compare in an OverflowError from
+        the int64 horizons, each a traceback and exit 1: each exits 4 with one
+        resource guard line, before any kernel call."""
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran past the budget")
+
+        monkeypatch.setattr(kernels, "_map", no_kernel)
+        monkeypatch.setattr(kernels, "_kernel", no_kernel)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "name": "t", "model": json.loads(open(model_paths["add"]).read()),
+            "T_list": [10**21], "policies": ["static", "resolving", "ho"]}))
+        for argv in (["simulate", "--model", model_paths["bern"], "--policy", "static",
+                      "-T", str(10**13), "--y0", "1"],
+                     ["estimate-regret", "--config", str(cfg_path)],
+                     ["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125",
+                      "--t-list", str(10**21)]):
+            assert cli.main(argv) == 4, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("resource guard:"), argv
+            assert len(err.splitlines()) == 1, argv
 
     def test_table2_out_dash_writes_only_the_csv(self, capsys):
         """--out - is stdout: the CSV alone, as without --out; the 2-decimal display is

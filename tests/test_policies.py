@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import importlib
 import logging
 import math
@@ -1031,25 +1032,21 @@ class TestKernelSource:
             for reference in references:
                 assert callable(getattr(oracles, reference, None)), reference
 
-    def test_builds_with_warnings_as_errors(self, tmp_path):
+    def test_builds_with_warnings_as_errors(self, level_build):
         """-Wall -Wextra -Werror: a parameter left unused, say, fails the build; at
         every level, which compiles on any x86-64 CPU, and elsewhere in the baseline."""
         x86 = platform.machine().lower() in ("x86_64", "amd64")
         for level in kernels._LEVELS if x86 else ("baseline",):
-            build = subprocess.run(["cc", *kernels._flags(level), "-Wall", "-Wextra",
-                                    "-Werror", "-o", str(tmp_path / "kernels.so"),
-                                    str(kernels._SOURCE)], capture_output=True, text=True)
+            build, _ = level_build(level)
             assert build.returncode == 0, (level, build.stderr)
 
-    def test_cloned_loops_vectorize_under_avx512(self, tmp_path):
+    def test_cloned_loops_vectorize_under_avx512(self, level_build):
         """gcc reports each loop that must run in vectors as vectorized with 64-byte
         vectors (the x86-64-v4 level): the bitwise tests cannot see a loop that
         goes scalar again."""
         _require_levels()
         source = kernels._SOURCE.read_text()
-        build = subprocess.run(["cc", *kernels._flags("x86-64-v4"), "-fopt-info-vec-optimized",
-                                "-o", str(tmp_path / "kernels.so"),
-                                str(kernels._SOURCE)], capture_output=True, text=True)
+        build, _ = level_build("x86-64-v4")
         assert build.returncode == 0, build.stderr
         vectorized = [int(line) for line in re.findall(
             r":(\d+):\d+: optimized: loop vectorized using 64 byte vectors", build.stderr)]
@@ -1088,10 +1085,16 @@ def _require_levels():
     later on x86-64."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("the levels are x86-64 levels")
-    macros = subprocess.run(["cc", "-dM", "-E", "-x", "c", "/dev/null"], capture_output=True,
-                            text=True, check=True).stdout.split()
+    macros = _cc_macros()
     if "__clang__" in macros or int(macros[macros.index("__GNUC__") + 1]) < 11:
         pytest.skip("the levels need gcc 11 or later")
+
+
+@functools.cache
+def _cc_macros() -> list[str]:
+    """The words of cc's predefined macros."""
+    return subprocess.run(["cc", "-dM", "-E", "-x", "c", "/dev/null"], capture_output=True,
+                          text=True, check=True).stdout.split()
 
 
 def _runs(level):
@@ -1100,19 +1103,34 @@ def _runs(level):
         pytest.skip(f"this CPU cannot run the {level} level")
 
 
+@pytest.fixture(scope="module")
+def level_build(tmp_path_factory):
+    """level_build(level): the completed cc run and the library path of _kernels.c
+    built once per module with _compile's flags for level, -Wall -Wextra -Werror
+    and, at x86-64-v4 under gcc, its vectorization report.  Warning and report flags
+    do not change the generated code: the library is the one that ships at level."""
+    directory = tmp_path_factory.mktemp("levels")
+
+    @functools.cache
+    def build(level):
+        path = directory / f"{level}.so"
+        gcc = "__clang__" not in _cc_macros()
+        report = ["-fopt-info-vec-optimized"] if level == "x86-64-v4" and gcc else []
+        return subprocess.run(["cc", *kernels._flags(level), "-Wall", "-Wextra", "-Werror",
+                               *report, "-o", str(path), str(kernels._SOURCE)],
+                              capture_output=True, text=True), path
+    return build
+
+
 @pytest.fixture(scope="module", params=list(kernels._LEVELS))
-def single_build(request, tmp_path_factory):
-    """The library of each level that this CPU runs, built with _compile's flags
-    for that level: the library _kernel loaded for this CPU's own level, else a
-    second build.  Every entry point has the loaded library's argtypes."""
+def single_build(request, level_build):
+    """The library of each level that this CPU runs, from level_build.  Every entry
+    point has the argtypes of the library _kernel loaded."""
     level = request.param
     _runs(level)
     loaded = kernels._kernel()
-    if level == kernels._level():
-        return loaded
-    path = tmp_path_factory.mktemp("single") / f"{level}.so"
-    subprocess.run(["cc", *kernels._flags(level), "-o", str(path), str(kernels._SOURCE)],
-                   capture_output=True, check=True)
+    build, path = level_build(level)
+    assert build.returncode == 0, build.stderr
     lib = ctypes.CDLL(str(path))
     for name in ("backward", "forward", "noise_sum", "forward2", "backward2", "box_qp"):
         fn = getattr(lib, name)
@@ -1532,7 +1550,7 @@ class TestSolveDpMulti:
         from fluidpricing import MultiDemandModel
 
         with pytest.raises(ResourceGuardError):
-            solve_dp_multi(multi_model, 64, [1000, 1000])  # 64 * 1001^2 states
+            solve_dp_multi(multi_model, 4096, [1000, 1000])  # 4096 * 1001^2 cells
         model3 = MultiDemandModel(g=np.ones(3), H=-np.eye(3), box_hi=np.ones(3))
         with pytest.raises(UnsupportedModelError):
             solve_dp_multi(model3, 4, [1, 1, 1])

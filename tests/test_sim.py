@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from fluidpricing import (
     ResourceGuardError,
     UnsupportedModelError,
     constant_bound,
+    dp_value,
     estimate_regret,
     exact_values,
     fluid_value,
@@ -33,6 +35,7 @@ from fluidpricing.policies import (
     MultiResolvingPolicy,
     ResolvingPolicy,
     checked_law,
+    exact_passes,
     exact_policy_values,
     multi_values,
     solve_dp_multi,
@@ -178,14 +181,14 @@ class TestSimulate:
 
     def test_a_count_past_the_byte_budget_is_refused_before_any_array(
             self, additive_model, multi_model, monkeypatch):
-        """A count whose per-replication arrays pass BATCH_BYTE_BUDGET is refused
+        """A count whose per-replication arrays pass BYTE_BUDGET is refused
         before the seed array: 10**13 made numpy raise a bare _ArrayMemoryError,
         and the first count past the budget is refused alike."""
         def no_kernel(*args):
             raise AssertionError("a kernel ran past the budget")
 
         monkeypatch.setattr(kernels, "_map", no_kernel)
-        budget = policies.BATCH_BYTE_BUDGET
+        budget = policies.BYTE_BUDGET
         static = static_policy(additive_model, 5 / 16)
         pair = MultiResolvingPolicy(multi_model)
         for n in (10**13, budget // (8 * 6) + 1):  # six words per forward replication
@@ -813,7 +816,7 @@ class TestEstimateRegret:
 
     def test_bernoulli_cell_budget(self, bernoulli_model):
         with pytest.raises(ResourceGuardError):
-            estimate_regret(bernoulli_model, [64, 2**16], "round(5/16*T)")
+            estimate_regret(bernoulli_model, [64, 2**17], "round(5/16*T)")
 
     def test_dp_row_on_exact_path(self, bernoulli_model):
         reports = estimate_regret(bernoulli_model, [64], "round(5/16*T)",
@@ -876,7 +879,7 @@ class TestEstimateRegret:
         every static batch first, a list rule on one product raised a bare
         TypeError, a nested list rule a bare ValueError, and a negative y0 ran the
         noise pass before ho_revenues refused it.  A two-product run whose lattice
-        passes MULTI_STATE_CAP (4096 x 1025 x 2049 states here) and one of three
+        passes the work budget (4096 x 1025 x 2049 cells here) and one of three
         products are refused too: the one ran its Monte Carlo rows and dropped its
         dp rows, the other ran them all.  So is a fractional two-product y0, which
         the lattice would have cut to a whole one."""
@@ -889,6 +892,67 @@ class TestEstimateRegret:
                                            box_hi=[1.0] * 3)}[family]
         with pytest.raises(error):
             estimate_regret(model, [64, 4096], rule, names, 20_000, 1)
+
+
+def _concavity_pass(k):
+    """The setup of the concavity sweep's k-th model: its re-solving row."""
+    model = DemandModel.linear_bernoulli(alpha=0.3 + 0.2 * k, beta=0.3 + 0.2 * k, p_lo=0.0,
+                                         p_hi=1.0)
+    return model, {"resolving": resolving_policy(model)}
+
+
+# one call per entry point past a budget, of bytes (the first five) or of kernel steps;
+# each run of several passes or batches has a first one within the budgets
+_PAST_THE_BUDGET = {
+    "solve_dp": lambda b, a, m: solve_dp(b, 2**13, 2**14),  # two tables of 1.34e8 entries
+    "exact_values": lambda b, a, m: exact_values(b, [(3, 10**12)]),  # 7.28 TiB of states
+    "simulate": lambda b, a, m: simulate(a, static_policy(a, 0.3), 10**13, 1, 1),
+    "simulate_multi": lambda b, a, m: simulate_multi(m, None, 10**13, [1, 1], 1),
+    "simulate_batch": lambda b, a, m: simulate_batch(a, resolving_policy(a), 16, 5, 1, 10**13),
+    "exact_values-cone": lambda b, a, m: exact_values(b, [(64, 20), (2**17, 2**16)]),
+    "dp_value": lambda b, a, m: dp_value(b, 2**17, 2**16),
+    "exact_passes": lambda b, a, m: exact_passes(
+        [(k, 64, 6) for k in range(3)] + [(3, 2**18, 26214)], _concavity_pass),
+    "estimate_regret-bernoulli": lambda b, a, m: estimate_regret(
+        b, [64, 2**17], "round(1/3*T)", ("static", "resolving", "dp")),  # two passes
+    "solve_dp_multi": lambda b, a, m: solve_dp_multi(m, 4096, [1000, 1000]),
+    "multi_values": lambda b, a, m: multi_values(m, [(16, [2, 3]), (4096, [1000, 1000])],
+                                                 ["dp", "resolving"]),
+    "simulate_batch-periods": lambda b, a, m: simulate_batch(a, resolving_policy(a), 2**22, 5,
+                                                             1, 2**10),
+    "simulate_batch_multi": lambda b, a, m: simulate_batch_multi(m, 2**22, [2, 3], 1, 2**10),
+    "ho_noise_means": lambda b, a, m: ho_noise_means(a, [16, 10**21], 1, 100),
+    "estimate_regret-batches": lambda b, a, m: estimate_regret(
+        a, [64, 2**22], "round(5/16*T)", ("resolving",), 2**10, 1),
+    "estimate_regret-noise": lambda b, a, m: estimate_regret(
+        a, [64, 2**22], "round(5/16*T)", ("static", "ho"), 2**10, 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(_PAST_THE_BUDGET))
+def test_a_call_past_the_budget_is_refused_first(entry, bernoulli_model, additive_model,
+                                                 multi_model, monkeypatch):
+    """Every entry point refuses a call past a budget (policies.admit) before any
+    kernel call and any input-sized array, and a run of several passes or batches
+    before its first: simulate_multi and exact_values raised numpy's MemoryError
+    (72.8 and 7.28 TiB), and simulate, exact_values and the batches of a long
+    horizon had no bound at all."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("a kernel ran before the call was admitted")
+
+    monkeypatch.setattr(kernels, "_map", counted)
+    monkeypatch.setattr(kernels, "_kernel", counted)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            _PAST_THE_BUDGET[entry](bernoulli_model, additive_model, multi_model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 2**20, peak
 
 
 class TestMultiSimulation:
