@@ -139,8 +139,9 @@ def _require_bernoulli(model: DemandModel, what: str) -> None:
 
 
 def _whole_at_least(value, least: int, name: str) -> int:
-    """value as an int; DomainError unless it is a whole number >= least."""
-    if not (float(value).is_integer() and value >= least):
+    """value as an int; DomainError unless it is a whole number >= least (value % 1 == 0,
+    which, unlike a float conversion, holds for an int past the float range too)."""
+    if not (value % 1 == 0 and value >= least):
         raise DomainError(f"need whole numbers {name} >= {least}, got {name} = {value}")
     return int(value)
 
@@ -190,7 +191,7 @@ def exact_values(model: DemandModel, points,
     points = _exact_points(model, points, len(policies))
     ys = np.arange(max(y0 for _, y0 in points) + 1, dtype=float)
     laws = [checked_law(pol, ys, max(T for T, _ in points), model) for pol in policies.values()]
-    rows = _fused_pass(model, points, laws, names=["dp", *policies])
+    rows = _fused_pass(model, points, laws, ["dp", *policies])
     return [dict(zip(["dp", *policies], row)) for row in rows]
 
 
@@ -278,7 +279,7 @@ def _start_half_width(T: int, bridge: bool) -> float:
     return (2.0 if bridge else 4.0) * math.sqrt(T) + 2.0
 
 
-def _fused_pass(model: DemandModel, points, laws, names=()) -> list[list[float]]:
+def _fused_pass(model: DemandModel, points, laws, names) -> list[list[float]]:
     """Every row's value at each point (row 0 is V, row 1 + i runs laws[i]).
 
     Each row of an attempt (see below) is one _pass, a kernel call per

@@ -102,9 +102,9 @@ def simulate(model, policy, T: int, y0, seed: int):
 
 
 def _check_inventory(y0) -> None:
-    """DomainError unless every entry of the start inventory y0 is finite and >= 0."""
-    y0 = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y0) & (y0 >= 0)):
+    """DomainError unless every entry of the start inventory y0 is finite and >= 0; an
+    int past the float range is compared as it is, not converted."""
+    if not all(0 <= y < math.inf for y in np.ravel(np.asarray(y0, dtype=object))):
         raise DomainError("need a finite y0 >= 0")
 
 
@@ -327,9 +327,7 @@ def regret_points(model, T_list, y0_rule, policies, replications) -> list[tuple]
     (admit) for an additive run's noise pass or longest batch, or a two-product
     lattice (multi_lattice), past the budget (exact_passes admits bernoulli runs).
     """
-    T_list = list(T_list)
-    if not all(T >= 1 and float(T).is_integer() for T in T_list):
-        raise DomainError(f"horizons must be >= 1 and whole numbers, got {T_list}")
+    T_list = [_whole_at_least(T, 1, "T") for T in T_list]
     _whole_at_least(replications, 1, "replications")
     multi = isinstance(model, MultiDemandModel)
     unknown = [name for name in policies if name not in set().union(*REGRET_ROWS.values())]

@@ -559,24 +559,35 @@ class TestCli:
 
     def test_horizons_past_the_work_budget_exit_4(self, model_paths, tmp_path, capsys,
                                                   monkeypatch):
-        """A trace of 10**13 periods ended in numpy's _ArrayMemoryError (437 TiB), and
-        a horizon of 10**21 in estimate-regret or ho-compare in an OverflowError from
-        the int64 horizons, each a traceback and exit 1: each exits 4 with one
-        resource guard line, before any kernel call."""
+        """A trace of 10**13 periods ended in numpy's _ArrayMemoryError (437 TiB), a
+        horizon of 10**21 in estimate-regret or ho-compare in an OverflowError from
+        the int64 horizons, and one of 10**400, past the float range, in an
+        OverflowError from a float conversion, each a traceback and exit 1: each
+        exits 4 with one resource guard line, before any kernel call."""
         def no_kernel(*args):
             raise AssertionError("a kernel ran past the budget")
 
         monkeypatch.setattr(kernels, "_map", no_kernel)
         monkeypatch.setattr(kernels, "_kernel", no_kernel)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "name": "t", "model": json.loads(open(model_paths["add"]).read()),
-            "T_list": [10**21], "policies": ["static", "resolving", "ho"]}))
+        configs = [tmp_path / "cfg-21.json", tmp_path / "cfg-400.json"]
+        for path, T in zip(configs, (10**21, 10**400)):
+            path.write_text(json.dumps({
+                "name": "t", "model": json.loads(open(model_paths["add"]).read()),
+                "T_list": [T], "policies": ["static", "resolving", "ho"]}))
+        huge = str(10**400)
         for argv in (["simulate", "--model", model_paths["bern"], "--policy", "static",
                       "-T", str(10**13), "--y0", "1"],
-                     ["estimate-regret", "--config", str(cfg_path)],
+                     ["estimate-regret", "--config", str(configs[0])],
                      ["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125",
-                      "--t-list", str(10**21)]):
+                      "--t-list", str(10**21)],
+                     ["estimate-regret", "--config", str(configs[1])],
+                     ["ho-compare", "--model", model_paths["add"], "--x-t", "0.3125",
+                      "--t-list", huge],
+                     ["dp-value", "--model", model_paths["bern"], "-T", huge, "--y0", "1"],
+                     ["simulate", "--model", model_paths["bern"], "--policy", "resolving",
+                      "-T", huge, "--y0", "1"],
+                     ["sweep", "--kind", "gap", "--t-list", huge],
+                     ["table2", "--t-list", huge]):
             assert cli.main(argv) == 4, argv
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("resource guard:"), argv

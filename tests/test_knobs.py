@@ -7,7 +7,7 @@ import fluidpricing
 
 # Each parameter with a default is a knob that tests and benchmarks must cover.  A
 # change that adds one raises this bound in the same diff and says why it is needed.
-MAX_DEFAULTED_PARAMETERS = 10
+MAX_DEFAULTED_PARAMETERS = 9
 
 
 def _defaulted_parameters() -> list[str]:

@@ -447,13 +447,14 @@ class TestFusedKernel:
 
     def test_build_prunes_superseded_libraries(self, tmp_path, monkeypatch):
         monkeypatch.setattr(kernels, "_CACHE", tmp_path)
+        builds = _fake_cc(monkeypatch)
         for stale in ("_kernels-0123456789abcdef.so", "_backward-0123456789abcdef.so"):
             (tmp_path / stale).write_bytes(b"superseded")
         lib = kernels._compile()
         assert sorted(tmp_path.iterdir()) == [lib]
         built = lib.stat().st_mtime_ns
         assert kernels._compile() == lib  # a matching library is reused
-        assert lib.stat().st_mtime_ns == built
+        assert len(builds) == 1 and lib.stat().st_mtime_ns == built
 
     def test_build_keeps_the_libraries_of_other_levels(self, tmp_path, monkeypatch):
         """A host of another level that shares the cache may have loaded its own
@@ -643,7 +644,8 @@ class TestBandedPass:
         with _start_width(2.0), mock.patch.object(kernels, "_kernel",
                                                   lambda: SimpleNamespace(backward=spy)):
             got = policies_module._fused_pass(model, points,
-                                              [pol.rate_law() for pol in policies.values()])
+                                              [pol.rate_law() for pol in policies.values()],
+                                              ["dp", *policies])
         # each row is its own call, its copies paired; a retry starts only once the first
         # attempt's rows are done, so the first three calls from period 0 are that attempt's:
         # V and the (lo, hi) row banded, the table row on the whole cone
@@ -1055,10 +1057,11 @@ class TestKernelSource:
             lines[name] = source.count("\n", 0, source.index(loop, source.index(function))) + 1
             assert lines[name] in vectorized, name
         # forward's period loop is inlined into every case of its switch: each case
-        # without a record (bit 3), the constant law's among them, runs in vectors
+        # without a record (bit 3), one per law, sales and tracker choice, runs in
+        # vectors
         unrecorded = [flags for flags in map(int, re.findall(r"FORWARD_PERIOD\((\d+)\)", source))
                       if not flags >> 3 & 1]
-        assert any(flags >> 5 for flags in unrecorded)  # bit 5: the constant law
+        assert sorted(unrecorded) == list(range(8))
         assert vectorized.count(lines["forward"]) >= len(unrecorded)
         # backward's block loop is inlined into every call of rows, whatever its
         # rate source and whether it updates one copy or a pair: each runs its
@@ -1148,8 +1151,9 @@ def _assert_builds_match_backward(single, model, points, policies):
     """The dispatched library and the single build both give _backward's bits."""
     laws = [pol.rate_law() for pol in policies.values()]
     want = _backward_values(model, points, policies).tolist()
-    assert policies_module._fused_pass(model, points, laws) == want
-    assert _on(single, lambda: policies_module._fused_pass(model, points, laws)) == want
+    names = ["dp", *policies]
+    assert policies_module._fused_pass(model, points, laws, names) == want
+    assert _on(single, lambda: policies_module._fused_pass(model, points, laws, names)) == want
 
 
 class TestDispatchedBackward:
@@ -1334,7 +1338,7 @@ class TestDispatchedForward:
     def test_constant_law_on_one_range_of_a_million_replications(self, family):
         """A batch at T = 2 whose one kernel call runs 1.1e6 replications under a constant
         law, a static rate (with bernoulli sales half of them sell out in the first
-        period), priced once per call, with the reference's bits."""
+        period), through the clip of every (lo, hi) law, with the reference's bits."""
         model, reps = _FORWARD_MODELS[family], 1_100_000
         pol = static_policy(model, 0.4 if family == "bernoulli" else 0.3)
         with mock.patch.object(kernels, "_ranges", lambda n: [slice(0, n)]):

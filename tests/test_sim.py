@@ -158,7 +158,7 @@ class TestSimulate:
             simulate_batch(model, pol, T, y0, base_seed=1, n_reps=3)
         if T < 1:  # estimate_regret stops at such a horizon before any pass or solve
             rule = (lambda _: [1, 2]) if family == "multi" else "round(5/16*T)"
-            with pytest.raises(DomainError, match="horizons must be >= 1"):
+            with pytest.raises(DomainError, match="whole numbers T >= 1"):
                 estimate_regret(model, [T, 16], rule, ("resolving",))
 
     @pytest.mark.parametrize("family", ["bernoulli", "additive", "multi"])
