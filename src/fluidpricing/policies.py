@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import re
 import time
 from dataclasses import dataclass
 
@@ -34,10 +35,20 @@ BYTE_BUDGET = WORK_BUDGET = 2**31
 
 
 def admit(what: str, nbytes: int, work: int) -> None:
-    """ResourceGuardError past either budget: asked before any input-sized array or kernel call."""
+    """ResourceGuardError past either budget: asked before any input-sized array or kernel call.
+    Its message writes each int of more than 15 digits in what and the counts as 1.23e+45."""
     if nbytes > BYTE_BUDGET or work > WORK_BUDGET:
-        raise ResourceGuardError(f"{what} needs {nbytes} bytes and {work} kernel steps per row "
-                                 f"or batch, past {BYTE_BUDGET} bytes or {WORK_BUDGET} steps")
+        raise ResourceGuardError(re.sub(
+            r"\d{16,}", _short,
+            f"{what} needs {nbytes} bytes and {work} kernel steps per row "
+            f"or batch, past {BYTE_BUDGET} bytes or {WORK_BUDGET} steps"))
+
+
+def _short(digits: re.Match) -> str:
+    """The digits' three leading figures, rounded, and their exponent: from the digits,
+    since float() overflows past 1e308."""
+    lead = (int(digits[0][:4]) + 5) // 10
+    return f"{str(lead)[0]}.{str(lead)[1:3]}e+{len(digits[0]) - (lead < 1000)}"
 
 
 @dataclass(frozen=True)
@@ -183,9 +194,10 @@ def exact_values(model: DemandModel, points,
     law or a DP table, in the compiled backward kernel over the cells the
     points read (KernelUnavailableError when the kernel cannot be built).  On
     long horizons V and each (lo, hi) row run on a band around the points'
-    fluid paths, as a lower and an upper bound that must agree bit for bit, so
-    every value has the full pass's bits (see _fused_pass); each row's final
-    band width and retry count are logged at DEBUG.
+    fluid paths, as wide as the spread of the periods already played, as a
+    lower and an upper bound that must agree bit for bit, so every value has
+    the full pass's bits (see _fused_pass); each row's final band width and
+    retry count are logged at DEBUG.
     """
     policies = dict(policies or {})
     points = _exact_points(model, points, len(policies))
@@ -271,12 +283,26 @@ def law_rates(law, y: np.ndarray, t: int) -> np.ndarray:
 _BAND_MAX_T = 2**20
 
 
-def _start_half_width(T: int, bridge: bool) -> float:
-    """Half width of a row's first band on a pass to horizon T: about 8 standard
-    deviations of the sales of T periods, which are at most sqrt(T) / 2; half that
-    for a bridge, a rate y / t inside its clip at every point, which corrects its
-    own drift, so that its spread d (1 - d) t (T - t) / T peaks at T / 16."""
-    return (2.0 if bridge else 4.0) * math.sqrt(T) + 2.0
+# a banded row's first half width at period t of a pass to horizon T is h(t) =
+# _BAND_SCALE sqrt(T - t) + 2: 9 standard deviations of the sales of the T - t periods
+# played, which are at most sqrt(T - t) / 2 (see _half_line)
+_BAND_SCALE = 4.5
+
+
+def _half_line(m: float, T: int, bridge: bool) -> tuple[float, float]:
+    """(a, b): the tangent a + b t at period m of a row's first half width h on a pass
+    to horizon T.  h is concave, so the tangent lies on or above it at every period 0 .. T.
+
+    For a bridge, a rate y / t inside its clip at every point, h follows the spread
+    d (1 - d) t (T - t) / T <= t (T - t) / (4 T) of a drift that corrects itself:
+    _BAND_SCALE sqrt(t (T - t) / T) + 2 from T / 2 on.  Below T / 2 it stays at its
+    peak, _BAND_SCALE sqrt(T) / 2 + 2, since there the rate y / t clips as t -> 0."""
+    if bridge and 2 * m <= T:
+        return _BAND_SCALE * math.sqrt(T) / 2 + 2.0, 0.0
+    # v, four times the bound on the variance of the spread, and its derivative in t
+    v, dv = (m * (T - m) / T, 1 - 2 * m / T) if bridge else (T - m, -1.0)
+    slope = _BAND_SCALE * dv / (2 * math.sqrt(v)) if v > 0 else 0.0  # one period, at T
+    return _BAND_SCALE * math.sqrt(v) + 2.0 - slope * m, slope
 
 
 def _fused_pass(model: DemandModel, points, laws, names) -> list[list[float]]:
@@ -293,18 +319,21 @@ def _fused_pass(model: DemandModel, points, laws, names) -> list[list[float]]:
     constant rate), V(t, y) = V(t, t) there, and the point is read at min(y0, T).
 
     V and every (lo, hi) law within [d_lo, d_hi] start on a band: the cells
-    within a half width h = _start_half_width(max T, bridge) of the fluid paths
-    y0 - (T - t) * clip(y0 / T, lo, hi) of the points, with (d_lo, rate cap)
-    for V; h is 2 sqrt(T) + 2 for a bridge row, lo < y0 / T < hi at every
-    point, and 4 sqrt(T) + 2 for V and every other row.  Such a row runs as a
-    lower and an upper copy in one kernel call, whose edge bounds (edge_bound in
-    _kernels.c) hold them below and above the full pass.  It is certified when
-    the copies agree bit for bit at every point; else it alone runs again at
-    twice the width.  A row whose band would cover half the cone's cells or
-    more, and every table row, runs the whole cone once, as one exact copy.
-    names label the rows in the DEBUG log, each with its final band, its
-    retries, and the cells (_band_cells per copy, or _cone_cells) and kernel
-    seconds of all its attempts.
+    within a half width h(t) of the fluid paths y0 - (T - t) * clip(y0 / T, lo,
+    hi) of the points, with (d_lo, rate cap) for V.  h follows the spread of
+    the periods already played on a pass to the largest T (_half_line): 4.5
+    sqrt(T - t) + 2 for V and every row but a bridge, lo < y0 / T < hi at every
+    point, whose h is 4.5 sqrt(t (T - t) / T) + 2, flat below T / 2.  Each
+    segment keeps one line pair, the tangent of h at its midpoint beyond the
+    chords of the paths (_band).  Such a row runs as a lower and an upper copy
+    in one kernel call, whose edge bounds (edge_bound in _kernels.c) hold them
+    below and above the full pass.  It is certified when the copies agree bit
+    for bit at every point; else it alone runs again at twice the width.  A row
+    whose band would cover half the cone's cells or more, and every table row,
+    runs the whole cone once, as one exact copy.  names label the rows in the
+    DEBUG log, each with its final band (h at t = 0), its retries, and the
+    cells (_band_cells per copy, or _cone_cells) and kernel seconds of all its
+    attempts.
     """
     tables = [np.ascontiguousarray(law.actions, dtype=float) if isinstance(law, ValueTable)
               else None for law in laws]
@@ -323,9 +352,11 @@ def _fused_pass(model: DemandModel, points, laws, names) -> list[list[float]]:
     # the edge bounds need rates in [d_lo, d_hi] within [0, 1] and prices >= 0
     sound = (0.0 <= model.d_lo and model.d_hi <= min(1.0, model.alpha)
              and done <= _BAND_MAX_T)
-    half = [_start_half_width(done, 0 < j and all(lo < y0 / T < hi for T, y0 in points))
-            if sound and (j == 0 or (tables[j - 1] is None
-                                     and model.d_lo <= lo <= hi <= model.d_hi))
+    bridge = [0 < j and all(lo < y0 / T < hi for T, y0 in points)
+              for j, (lo, hi) in enumerate(ranges)]
+    # each row's h over its first h: doubled on each retry, inf on the whole cone
+    grow = [1.0 if sound and (j == 0 or (tables[j - 1] is None
+                                         and model.d_lo <= lo <= hi <= model.d_hi))
             else math.inf for j, (lo, hi) in enumerate(ranges)]
     cone_cells = [_cone_cells(segment, triangle) for segment in segments]
     out = np.empty((len(points), len(ranges)))
@@ -334,16 +365,18 @@ def _fused_pass(model: DemandModel, points, laws, names) -> list[list[float]]:
     while pending:
         bands = {}
         for j in pending:
-            if half[j] < math.inf:
-                lines = [_band(segment, ranges[j], half[j], points) for segment in segments]
+            if grow[j] < math.inf:
+                lines = [_band(segment, ranges[j], [grow[j] * c for c in _half_line(
+                    (segment[0] + 1 + segment[1]) / 2, done, bridge[j])], points)
+                         for segment in segments]
                 band = sum(min(_band_cells(segment, line), cone)
                            for segment, line, cone in zip(segments, lines, cone_cells))
                 if 2 * band < sum(cone_cells):
                     bands[j] = lines
                     cells[j] += 2 * band  # the lower and the upper copy
                 else:
-                    half[j] = math.inf
-            if half[j] == math.inf:
+                    grow[j] = math.inf
+            if grow[j] == math.inf:
                 cells[j] += sum(cone_cells)
         runs = dict(zip(pending, kernels._map(
             functools.partial(_pass, model, points, reads, segments, triangle),
@@ -353,7 +386,7 @@ def _fused_pass(model: DemandModel, points, laws, names) -> list[list[float]]:
             got, span, upper, seconds_j = runs[j]
             seconds[j] += seconds_j
             if upper is not None and not (span[0] >= 0 and got.tobytes() == upper.tobytes()):
-                half[j] *= 2
+                grow[j] *= 2
                 retries[j] += 1
                 failed.append(j)
             else:
@@ -362,14 +395,16 @@ def _fused_pass(model: DemandModel, points, laws, names) -> list[list[float]]:
     for j, name in enumerate(names):
         logger.debug("exact pass row %s: %s, %d retries, %d cells in %.6f s (%.3g ns per cell)",
                      name,
-                     "whole cone" if half[j] == math.inf else f"band half width {half[j]:g}",
+                     "whole cone" if grow[j] == math.inf
+                     else f"band half width {grow[j] * _half_line(0, done, bridge[j])[0]:g}",
                      retries[j], cells[j], seconds[j], 1e9 * seconds[j] / max(cells[j], 1))
     return out.tolist()
 
 
 def _band(segment, rates, half, points) -> tuple[float, float, float, float]:
     """(c0, s0, c1, s1): over the segment's periods t, the band c0 + s0 * t ..
-    c1 + s1 * t holds the fluid paths of its live points, and half beyond.
+    c1 + s1 * t holds the fluid paths of its live points, and the half width
+    half = (a, b), a + b * t, beyond.
 
     The chord of the lowest path lies below it (a minimum of lines is concave),
     the chord of the highest, cut at 0, above it (a maximum is convex)."""
@@ -378,8 +413,9 @@ def _band(segment, rates, half, points) -> tuple[float, float, float, float]:
     ends = (t_from + 1, t_to)
     paths = [[y0 - (T - t) * min(max(y0 / T, lo), hi) for t in ends]
              for T, y0 in (points[k] for k in live)]
-    low = [min(path[i] for path in paths) - half for i in (0, 1)]
-    high = [max(max(path[i], 0.0) for path in paths) + half for i in (0, 1)]
+    width = [half[0] + half[1] * t for t in ends]
+    low = [min(path[i] for path in paths) - width[i] for i in (0, 1)]
+    high = [max(max(path[i], 0.0) for path in paths) + width[i] for i in (0, 1)]
     s0, s1 = ((edge[1] - edge[0]) / max(ends[1] - ends[0], 1) for edge in (low, high))
     return low[0] - s0 * ends[0], s0, high[0] - s1 * ends[0], s1
 

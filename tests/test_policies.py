@@ -524,15 +524,15 @@ def _row_log(caplog) -> dict[str, tuple]:
 
 
 def _start_width(k):
-    """A start half width of k * sqrt(T) + 2 for every row, in place of the shipped
-    2 * sqrt(T) + 2 for a bridge row and 4 * sqrt(T) + 2 for the others."""
-    return mock.patch.object(policies_module, "_start_half_width",
-                             lambda T, bridge: k * math.sqrt(T) + 2.0)
+    """First bands of scale k, in place of the shipped 4.5: a half width of
+    k * sqrt(T - t) + 2 at period t of a pass to T, and for a bridge row
+    k * sqrt(t (T - t) / T) + 2, flat at k * sqrt(T) / 2 + 2 below T / 2."""
+    return mock.patch.object(policies_module, "_BAND_SCALE", k)
 
 
 def _band_start(T, k) -> tuple[str, int]:
-    """The DEBUG log entry of a row certified, with no retry, on its first band of
-    half width k * sqrt(T) + 2."""
+    """The DEBUG log entry of a row certified, with no retry, on its first band,
+    whose half width at t = 0 of a pass to T is k * sqrt(T) + 2."""
     return f"band half width {k * math.sqrt(T) + 2.0:g}", 0
 
 
@@ -547,8 +547,8 @@ class TestBandedPass:
     def test_matches_backward_bitwise_where_the_band_is_narrower_than_the_cone(
             self, bernoulli_model, rays, x_T, k):
         """Rays of the benchmark model (x_u = 0.375, d_lo = 0.25, and y0 > T, read at T)
-        mixed in one pass, started on bands of k * sqrt(T) + 2: certified, retried or run
-        on the whole cone, every value has the bits of the full pass."""
+        mixed in one pass, started on bands of scale k: certified, retried or run on the
+        whole cone, every value has the bits of the full pass."""
         points = [(T, round(x * T)) for T, x in rays]
         with _start_width(k):
             _assert_kernel_matches_backward(bernoulli_model, points, {
@@ -556,7 +556,7 @@ class TestBandedPass:
                 "static": static_policy(bernoulli_model, x_T)})
 
     def test_narrow_band_retries_with_the_same_bits(self, bernoulli_model, caplog):
-        """Bands started at sqrt(T) + 2 (about 2 standard deviations) cannot certify a row;
+        """Bands started at scale 1 (about 2 standard deviations) cannot certify a row;
         the retries at twice the width give the bits of the whole-cone pass."""
         points = [(16384, 5120), (4096, 1280), (8192, 3072)]
         policies = {"static": static_policy(bernoulli_model, 5 / 16),
@@ -572,25 +572,76 @@ class TestBandedPass:
 
     def test_table2_rows_certify_on_their_start_bands(self, caplog):
         """On table2's points (x_T = 5/16, inside the re-solving clip [1/4, 3/8]) the
-        re-solving row is a bridge and starts at 2 sqrt(T) + 2, V and the static row at
-        4 sqrt(T) + 2; each certifies on that first band."""
+        re-solving row is a bridge and starts at 2.25 sqrt(T) + 2 at t = 0, V and the
+        static row at 4.5 sqrt(T) + 2; each certifies on that first band."""
         with caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
             run_table2()
-        assert _band_log(caplog) == {"dp": _band_start(2**15, 4), "static": _band_start(2**15, 4),
-                                     "resolving": _band_start(2**15, 2)}
+        assert _band_log(caplog) == {"dp": _band_start(2**15, 4.5),
+                                     "static": _band_start(2**15, 4.5),
+                                     "resolving": _band_start(2**15, 2.25)}
+        # the flat start bands 4 sqrt(T) + 2 and 2 sqrt(T) + 2 ran 93 370 972 cells for V
+        # and for the static row, and 47 361 405 for the re-solving row
+        cells = {row: entry[2] for row, entry in _row_log(caplog).items()}
+        assert cells["dp"] <= 0.8 * 93_370_972 and cells["static"] <= 0.8 * 93_370_972
+        assert cells["resolving"] <= 50e6
+
+    @pytest.mark.parametrize("x_T, flat", [(1 / 4, {"dp": 1}), (17 / 64, {"dp": 1}), (0.3, {}),
+                                           (5 / 16, {}), (0.35, {"resolving": 1}), (3 / 8, {})])
+    def test_tapered_bands_retry_no_more_than_flat_ones(self, bernoulli_model, x_T, flat,
+                                                        caplog):
+        """On table2's horizons 2^6..2^15 at y0 = round(x_T T), no row retries more than on
+        the flat start bands 4 sqrt(T) + 2 (2 sqrt(T) + 2 for a bridge), which retried
+        the rows flat names once each and every other row never."""
+        points = [(2**k, round(x_T * 2**k)) for k in range(6, 16)]
+        policies = {"static": static_policy(bernoulli_model, x_T),
+                    "resolving": resolving_policy(bernoulli_model)}
+        with caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
+            exact_values(bernoulli_model, points, policies)
+        rows = _band_log(caplog)
+        assert list(rows) == ["dp", "static", "resolving"]
+        for row, (width, retries) in rows.items():
+            assert width.startswith("band") and retries <= flat.get(row, 0), row
+
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.integers(1, 2**20), data=st.data(), bridge=st.booleans(),
+           rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted))
+    def test_band_lines_hold_the_paths_and_the_half_width(self, T, data, bridge, rates):
+        """At every period t of a segment of a pass to T, the lines of _band, on the
+        tangent of _half_line at the segment's midpoint, lie at or outside the live
+        points' fluid paths y0 - (T_k - t) clip(y0 / T_k, lo, hi) by the half width
+        h(t): 4.5 sqrt(T - t) + 2, or for a bridge 4.5 sqrt(t (T - t) / T) + 2 from
+        T / 2 on and 2.25 sqrt(T) + 2 below."""
+        t_to = data.draw(st.integers(1, T))
+        t_from = data.draw(st.integers(max(0, t_to - 5000), t_to - 1))
+        points = data.draw(st.lists(st.integers(t_to, T).flatmap(
+            lambda T_k: st.tuples(st.just(T_k), st.integers(0, 2 * T_k))), min_size=1,
+            max_size=4))
+        segment = (t_from, t_to, 0, 0, range(len(points)))
+        c0, s0, c1, s1 = policies_module._band(
+            segment, rates, policies_module._half_line((t_from + 1 + t_to) / 2, T, bridge),
+            points)
+        t = np.arange(t_from + 1, t_to + 1, dtype=float)
+        h = (np.where(2 * t >= T, 4.5 * np.sqrt(t * (T - t) / T), 2.25 * math.sqrt(T))
+             if bridge else 4.5 * np.sqrt(T - t)) + 2.0
+        paths = np.array([y0 - (T_k - t) * min(max(y0 / T_k, rates[0]), rates[1])
+                          for T_k, y0 in points])
+        low, high = paths.min(axis=0) - h, np.maximum(paths.max(axis=0), 0.0) + h
+        slack = 1e-9 * (1.0 + np.abs(paths).max())  # the rounding of the chords
+        assert np.all(c0 + s0 * t <= low + slack)
+        assert np.all(c1 + s1 * t >= high - slack)
 
     @pytest.mark.parametrize("x_T", [0.375, 0.25])
     def test_resolving_row_on_a_clip_edge_starts_wide(self, bernoulli_model, x_T, caplog):
         """At x_T = x_u or d_lo the re-solving rate sits on its clip edge, where it does
-        not pull back; there it starts at 4 sqrt(T) + 2, as V does, and certifies, where
-        a start at 2 sqrt(T) + 2 would retry."""
+        not pull back; there it starts at 4.5 sqrt(T - t) + 2, as V does, and certifies,
+        where a start at half that scale, a bridge's width at t = 0, would retry."""
         points = [(2**k, int(x_T * 2**k)) for k in range(4, 17)]
         policies = {"resolving": resolving_policy(bernoulli_model)}
         with caplog.at_level(logging.DEBUG, logger=policies_module.__name__):
             want = exact_values(bernoulli_model, points, policies)
-            assert _band_log(caplog)["resolving"] == _band_start(2**16, 4)
+            assert _band_log(caplog)["resolving"] == _band_start(2**16, 4.5)
             caplog.clear()
-            with _start_width(2.0):
+            with _start_width(2.25):
                 assert exact_values(bernoulli_model, points, policies) == want
             assert _band_log(caplog)["resolving"][1] == 1
 
@@ -668,7 +719,7 @@ class TestBandedPass:
         width = y0 + 1
         segment = (0, T, y0 - T, y0, [0])
         line = ((150.0, -0.5, -100.0, 1.5) if steep
-                else policies_module._band(segment, (lo, hi), 6.0, [(T, y0)]))
+                else policies_module._band(segment, (lo, hi), (6.0, 0.0), [(T, y0)]))
         values, ys = np.zeros((3, width)), np.arange(width, dtype=float)
         span = np.array([0, width, 0, width - 1], dtype=np.int64)
         band, apart = np.array(line), 0
@@ -726,7 +777,8 @@ class TestBandedPass:
         width, cone = y0 + 1, y0 - T
         fitted = rates or (model.d_lo, model.rate_cap)
         band = np.array((150.0, -0.5, -100.0, 1.5) if line == "steep" else policies_module._band(
-            (0, T, cone, y0, [0]), fitted, {"fitted": 6.0, "wide": 60.0}[line], [(T, y0)]))
+            (0, T, cone, y0, [0]), fitted, ({"fitted": 6.0, "wide": 60.0}[line], 0.0),
+            [(T, y0)]))
         values, ys = np.zeros((2, width)), np.arange(width, dtype=float)
         span = np.array([0, width, 0, width - 1], dtype=np.int64)
         copies = zip(*(oracles.band_copy(model, T, width, upper, rates, band, cone, y0, True)
@@ -758,11 +810,14 @@ class TestBandedPass:
         policies = {"table": solve_dp(model, 1024, 320).policy(),
                     "resolving": resolving_policy(model)}
         want = exact_values(model, points, policies)
-        starts = {policies_module._start_half_width(1024, bridge) for bridge in (False, True)}
+        # the first half widths: the tangent at each segment's midpoint, for either shape
+        starts = {policies_module._half_line((t_from + 1 + t_to) / 2, 1024, bridge)
+                  for t_from, t_to in ((0, 600), (600, 1024)) for bridge in (False, True)}
         band = policies_module._band
 
         def steep_first(segment, rates, half, points):
-            return (0.0, 3.0, 4.0, 3.0) if half in starts else band(segment, rates, half, points)
+            return ((0.0, 3.0, 4.0, 3.0) if tuple(half) in starts
+                    else band(segment, rates, half, points))
 
         with (mock.patch.object(policies_module, "_band", steep_first),
               caplog.at_level(logging.DEBUG, logger=policies_module.__name__)):
