@@ -22,7 +22,8 @@
  *              sim.simulate_batch (oracles.simulate_batch);
  *   backward2  the two-product exact backward pass of policies.multi_values,
  *              a row of the optimal value V or of the value W of the model's
- *              re-solving policy, read at every horizon of one pass
+ *              re-solving policy, read at every horizon of one pass that
+ *              runs the points' cone and the sales triangle only
  *              (oracles.backward_multi, oracles.resolving_multi);
  *   box_qp     the n-product fluid problem of fluid.solve_fluid_multi and
  *              fluid.partial_optimum, a box-constrained concave quadratic
@@ -81,8 +82,12 @@ static double clip(double x, double lo, double hi)
  * optimal is set, else the value of a policy whose demand rate is
  * clip(y / t, lo, hi) (lo == hi is a constant rate) when table is NULL, else
  * the DP action table[t * stride + y] of a row-major table.  Unless record is
- * NULL, the row is copied into row t of the row-major (t_to + 1) x width
- * array record after each period t.
+ * NULL, record holds two row-major (t_to + 1) x width tables, the values and
+ * the actions of the optimal row: after each period t the row is copied into
+ * row t of the first, and before it, cells 1 .. width - 1 of row t of the
+ * second get the rate clip((alpha + beta * (W(t-1, y-1) - W(t-1, y))) / 2,
+ * d_lo, d_hi), the optimal row's maximizer, in the operation order of numpy's
+ * subtract, multiply, add, divide and clip over the value table.
  *
  * Every row is one loop, rows: each cell takes a rate d from a source and
  * gets r(d) + d * W(t-1, y-1) + (1 - d) * W(t-1, y), r(d) = d * (alpha - d)
@@ -385,7 +390,12 @@ backward_pass(double *w, double *u, long width, const double *ys, int optimal,
 {
     double p_hi = (alpha - d_lo) / beta, cap = clip(alpha / 2.0, d_lo, d_hi);
     double rbeta = 1.0 / beta;
+    double *actions = record ? record + (t_to + 1) * width : NULL;
     for (long t = t_from + 1; t <= t_to; t++) {
+        if (actions)
+            for (long y = 1; y < width; y++)
+                actions[t * width + y] =
+                    clip((alpha + beta * (w[y - 1] - w[y])) / 2.0, d_lo, d_hi);
         long first = cone + t > 1 ? cone + t : 1;
         long last = triangle && t < y_hi ? t : y_hi;
         long a = first, b = last;
@@ -726,10 +736,12 @@ void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_
  * The two-product Bellman recursion on the (m1 x m2) row-major inventory
  * lattice V, updated in place one period at a time up to the last of the
  * count >= 1 ascending horizons: once horizons[h] periods are in,
- * out[h] = V[cells[h]], so one pass reads every horizon's start state with
- * the bits of a pass that stops there.  Cell (i, j) reads its value v and
- * the values b, c and d after a sale of product 1, of product 2 and of both
- * (0 off the lattice), and gains the one-step objective of a rate pair x,
+ * out[h] = V[read], with read the cell of point h (below), so one pass
+ * reads every horizon's start state with the bits of a pass that stops
+ * there.  cells[h] = y0_1 * m2 + y0_2 is point h's start inventory.  Cell
+ * (i, j) reads its value v and the values b, c and d after a sale of
+ * product 1, of product 2 and of both (0 off the lattice), and gains the
+ * one-step objective of a rate pair x,
  * q1 x1 + q2 x2 + (H[0][0] x1^2 + H[1][1] x2^2) / 2 + a12 x1 x2 with
  * curvature a12 = H[0][1] + (v - b - c + d) and linear terms g_1 + b - v and
  * g_2 + c - v, over the box 0 <= x_k <= ub_k.  The row is
@@ -744,6 +756,35 @@ void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_
  *                        (qp2_value).  At t = 1 both rows take the same x
  *                        whenever box_hi <= 1, and W == V bit for bit.
  *
+ * Period t updates only the cells lo_k(t) <= y_k <= hi_k(t) in each
+ * product k, as a cell reads only itself and the cells one unit below:
+ *
+ *   the cone     a point stored after period T_h reads, at period t, only
+ *                cells with y_k >= read_k - (T_h - t); lo_k(t) is the least
+ *                of these over the points still to be stored, floored at 0.
+ *                Before the floor it rises by at least 1 a period, so a
+ *                cell at or above lo_k(t + 1) reads only cells that period
+ *                t computed (or, below 0, the zeros off the lattice);
+ *   the triangle with unit sales, if the cells with y_k >= t - 1 all hold
+ *                the bits of the one at y_k = t - 1, a cell with y_k >= t
+ *                reads the same v, b, c and d as the one at y_k = t (with
+ *                b == v or c == v), and when it also has that cell's box it
+ *                gets its bits: by induction on t, V(t, y) with y_k > t has
+ *                the bits of the cell at y_k = t.  So hi_k(t) = t (within
+ *                the lattice) where the triangle holds, else m_k - 1.  It
+ *                holds in both products for V, whose box is box_hi_k for
+ *                every y_k >= 1, and in product k for W where
+ *                box_hi_k <= 1, as min(box_hi_k, y_k / t) is box_hi_k from
+ *                y_k = t on.  After period t, column t and then row t are
+ *                copied into t + 1, the cells that period t + 1 reads above
+ *                the triangle.
+ *
+ * A point reads read_k = min(y0_k, T_h) where the triangle holds, else y0_k;
+ * lo comes from these reads, so lo_k(t) <= hi_k(t).  Every computed cell
+ * thus gets the inputs and the box of the whole-lattice pass, and has its
+ * bits.  multi_lattice admits the whole lattice, top * m1 * m2 steps, an
+ * upper bound on the cells this pass runs.
+ *
  * Rows go from high i to low, so row i - 1 still holds the last period when
  * row i reads it.  Within a row, cells go from high j to low: cell j reads
  * row[j - 1] before cell j - 1 writes it, so a vector of cells, loaded before
@@ -754,14 +795,16 @@ void forward2(long reps, long T, const uint64_t *restrict keys, const double *g_
  */
 
 /* Row i of backward2 at ub1, with prev row i - 1 when the constant below is
- * set (else b = d = 0): the cells j = m2 - 1 .. 1, then j = 0 with ub2 = 0;
- * the W row when the constant resolving is set, with t periods left */
+ * set (else b = d = 0): the cells j = hi .. max(lo, 1), then j = 0 with
+ * ub2 = 0 when lo is 0; the W row when the constant resolving is set, with t
+ * periods left */
 static inline __attribute__((always_inline)) void
-backward2_row(double *restrict row, const double *restrict prev, long m2, double ub1,
-              double t, const double *g, const double *H, const double *box_hi,
+backward2_row(double *restrict row, const double *restrict prev, long lo, long hi,
+              double ub1, double t, const double *g, const double *H, const double *box_hi,
               const int below, const int resolving)
 {
-    for (long j = m2 - 1; j >= 1; j--) {
+    long first = lo > 1 ? lo : 1;
+    for (long j = hi; j >= first; j--) {
         double v = row[j], c = row[j - 1];
         double b = below ? prev[j] : 0.0, d = below ? prev[j - 1] : 0.0;
         double w = v - b - c + d, x1, x2;
@@ -774,6 +817,8 @@ backward2_row(double *restrict row, const double *restrict prev, long m2, double
                                  box_hi[1], &x1, &x2);
         }
     }
+    if (lo > 0)
+        return;
     double v = row[0], b = below ? prev[0] : 0.0, c = 0.0, d = 0.0;
     double w = v - b - c + d, x1, x2;
     if (resolving) {
@@ -785,17 +830,40 @@ backward2_row(double *restrict row, const double *restrict prev, long m2, double
     }
 }
 
-/* One period of backward2's row, V or W: the values with t periods left, this
- * one included, from those with t - 1 */
+/* One period of backward2's row, V or W, on the cells lo_k .. hi_k: the
+ * values with t periods left, this one included, from those with t - 1 */
 static inline __attribute__((always_inline)) void
-backward2_period(double *V, long m1, long m2, double t, const double *g, const double *H,
-                 const double *box_hi, const int resolving)
+backward2_period(double *V, long m2, const long *lo, const long *hi, double t,
+                 const double *g, const double *H, const double *box_hi, const int resolving)
 {
-    for (long i = m1 - 1; i >= 1; i--)
-        backward2_row(V + i * m2, V + (i - 1) * m2, m2,
+    for (long i = hi[0]; i >= (lo[0] > 1 ? lo[0] : 1); i--)
+        backward2_row(V + i * m2, V + (i - 1) * m2, lo[1], hi[1],
                       resolving ? minimum(box_hi[0], (double)i / t) : box_hi[0], t, g, H,
                       box_hi, 1, resolving);
-    backward2_row(V, NULL, m2, 0.0, t, g, H, box_hi, 0, resolving);
+    if (lo[0] == 0)
+        backward2_row(V, NULL, lo[1], hi[1], 0.0, t, g, H, box_hi, 0, resolving);
+}
+
+/* Coordinate k of the cell that point p reads (see backward2) */
+static long backward2_read(const int64_t *cells, const int64_t *horizons, long p, long m2,
+                           int k, const int *triangle)
+{
+    long y = k ? cells[p] % m2 : cells[p] / m2;
+    return triangle[k] && y > horizons[p] ? horizons[p] : y;
+}
+
+/* slack_k = the least read_k - T_h over the points h .. count - 1, so that
+ * lo_k(t) = max(0, t + slack_k) while h is the first point still to be stored */
+static void backward2_slack(const int64_t *cells, const int64_t *horizons, long h,
+                            long count, long m2, const int *triangle, long *slack)
+{
+    for (int k = 0; k < 2; k++) {
+        slack[k] = LONG_MAX;
+        for (long p = h; p < count; p++) {
+            long s = backward2_read(cells, horizons, p, m2, k, triangle) - horizons[p];
+            slack[k] = s < slack[k] ? s : slack[k];
+        }
+    }
 }
 
 KERNEL_LOOP
@@ -805,14 +873,32 @@ void backward2(double *V, long m1, long m2, long count, const int64_t *restrict 
 {
     double g[2] = {g_in[0], g_in[1]}, H[4] = {H_in[0], H_in[1], H_in[2], H_in[3]};
     double box_hi[2] = {box_in[0], box_in[1]};
-    long h = 0;
+    int triangle[2] = {!resolving || box_hi[0] <= 1.0, !resolving || box_hi[1] <= 1.0};
+    long m[2] = {m1, m2}, lo[2], hi[2], slack[2], h = 0;
+    backward2_slack(cells, horizons, h, count, m2, triangle, slack);
     for (long t = 1; t <= horizons[count - 1]; t++) {
+        for (int k = 0; k < 2; k++) {
+            lo[k] = t + slack[k] > 0 ? t + slack[k] : 0;
+            hi[k] = triangle[k] && t < m[k] - 1 ? t : m[k] - 1;
+        }
         if (resolving)
-            backward2_period(V, m1, m2, (double)t, g, H, box_hi, 1);
+            backward2_period(V, m2, lo, hi, (double)t, g, H, box_hi, 1);
         else
-            backward2_period(V, m1, m2, (double)t, g, H, box_hi, 0);
+            backward2_period(V, m2, lo, hi, (double)t, g, H, box_hi, 0);
+        long stored = h;
         for (; h < count && horizons[h] == t; h++)
-            out[h] = V[cells[h]];
+            out[h] = V[backward2_read(cells, horizons, h, m2, 0, triangle) * m2 +
+                       backward2_read(cells, horizons, h, m2, 1, triangle)];
+        if (h > stored && h < count)
+            backward2_slack(cells, horizons, h, count, m2, triangle, slack);
+        if (triangle[1] && t + 1 < m2) {
+            for (long i = lo[0]; i <= hi[0]; i++)
+                V[i * m2 + t + 1] = V[i * m2 + t];
+            hi[1] = t + 1;
+        }
+        if (triangle[0] && t + 1 < m1)
+            memcpy(V + (t + 1) * m2 + lo[1], V + t * m2 + lo[1],
+                   (hi[1] - lo[1] + 1) * sizeof *V);
     }
 }
 

@@ -161,25 +161,18 @@ def solve_dp(model: DemandModel, T: int, y0: int) -> ValueTable:
     """Dense value and action tables, (T+1)*(y0+1) each, from one backward kernel call.
 
     The call runs one optimal row of y0 + 1 cells over the whole lattice and
-    records it, V(t, .), after every period t; actions[t, y] is the
+    records it, V(t, .), after every period t, and with it actions[t, y], the
     maximizing rate clip((alpha + beta*(V(t-1,y-1) - V(t-1,y)))/2, d_lo, d_hi)
-    that the kernel's optimal row evaluates, with the same bits.
+    that the row evaluates, with the bits of that numpy expression over values.
     """
     _require_bernoulli(model, "exact dynamic programming")
     T, y0 = _whole_at_least(T, 1, "T"), _whole_at_least(y0, 0, "y0")
     admit(f"two dense DP tables of {T + 1} x {y0 + 1}", 16 * (T + 1) * (y0 + 1), T * y0)
-    values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
+    values, actions = tables = np.zeros((2, T + 1, y0 + 1))
     kernels._kernel().backward(np.zeros(y0 + 1), None, y0 + 1, np.zeros(0), True, 0.0, 0.0,
                                None, 0, np.zeros(4), np.zeros(4, dtype=np.int64), model.alpha,
                                model.beta, model.d_lo, model.d_hi, 0, T, -T, y0, False,
-                               values.ctypes.data)
-    # the optimal row's rate, in its operation order, in place: no table-sized temporaries
-    acts = actions[1:, 1:]
-    np.subtract(values[:-1, :-1], values[:-1, 1:], out=acts)
-    np.multiply(model.beta, acts, out=acts)
-    np.add(model.alpha, acts, out=acts)
-    np.divide(acts, 2.0, out=acts)
-    np.clip(acts, model.d_lo, model.d_hi, out=acts)
+                               tables.ctypes.data)
     return ValueTable(model=model, horizon=T, max_inventory=y0, values=values, actions=actions)
 
 
@@ -533,7 +526,9 @@ def multi_lattice(model: MultiDemandModel, points) -> tuple[int, int]:
     two-product pass; (1, 1) without points.  UnsupportedModelError unless the
     model has two products, DomainError unless each T is a whole number >= 1
     and each y0 a pair of whole numbers >= 0, ResourceGuardError (admit) past
-    the budget: a lattice per row (dp, resolving), in each of the largest T periods."""
+    the budget: a lattice per row (dp, resolving), in each of the largest T periods.
+    That count, top * m1 * m2 steps, bounds the cells backward2 runs, as it runs
+    each period on the points' cone and the sales triangle only (multi_values)."""
     if model.n != 2:
         raise UnsupportedModelError("exact multi-product evaluation is implemented for n = 2 only")
     for T, y0 in points:
@@ -559,6 +554,13 @@ def multi_values(model: MultiDemandModel, points, names) -> list[dict[str, float
     which stores each point's value after its own horizon with the bits of a
     pass on its own lattice to that horizon.  The rows run at once in one
     kernels._map.
+
+    Period t updates only the cells that a point still to be stored reads:
+    its cone, y_k >= y0_k - (T - t), and, with unit sales, the triangle
+    y_k <= t, as a cell with y_k > t has the bits of the one at y_k = t.  The
+    triangle holds for V in both products and for W in product k where
+    box_hi_k <= 1, whose box min(box_hi_k, y_k / t) is constant from y_k = t on;
+    a point then reads the cell at min(y0_k, T).
     """
     if not set(names) <= {"dp", "resolving"}:
         raise DomainError(f"two-product rows are dp and resolving, got {list(names)}")

@@ -131,6 +131,28 @@ def _bernoulli_models(draw):
     return DemandModel.linear_bernoulli(alpha, beta, 0.0, reach * alpha / beta)
 
 
+@st.composite
+def _zero_floor_models(draw):
+    # beta a power of two: p_hi = alpha / beta is exact, so d_lo = alpha - beta * p_hi is 0
+    alpha = draw(st.floats(0.1, 1.0))
+    beta = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    return DemandModel.linear_bernoulli(alpha, beta, 0.0, alpha / beta)
+
+
+def _numpy_actions(model, values: np.ndarray) -> np.ndarray:
+    """The action table of a solve_dp value table by numpy: the optimal row's rate
+    clip((alpha + beta*(V(t-1,y-1) - V(t-1,y)))/2, d_lo, d_hi), in its operation order,
+    with row 0 and column 0 zero."""
+    actions = np.zeros_like(values)
+    acts = actions[1:, 1:]
+    np.subtract(values[:-1, :-1], values[:-1, 1:], out=acts)
+    np.multiply(model.beta, acts, out=acts)
+    np.add(model.alpha, acts, out=acts)
+    np.divide(acts, 2.0, out=acts)
+    np.clip(acts, model.d_lo, model.d_hi, out=acts)
+    return actions
+
+
 class TestSolveDp:
     def test_one_period_value(self, bernoulli_model):
         table = solve_dp(bernoulli_model, 1, 3)
@@ -179,17 +201,19 @@ class TestSolveDp:
         assert table.values.tobytes() == solve_dp(bernoulli_model, 20, 6).values.tobytes()
 
     @settings(max_examples=40, deadline=None)
-    @given(model=_bernoulli_models(),
+    @given(model=st.one_of(_bernoulli_models(), _zero_floor_models()),
            T=st.one_of(st.just(1), st.integers(1, 80)),
            y0=st.one_of(st.just(0), st.integers(0, 60), st.integers(81, 120)))
     def test_tables_match_backward_bitwise(self, model, T, y0):
-        """values[t] and actions[t, 1:] are row 0 of the oracle pass and its rates at t."""
+        """values[t] and actions[t, 1:] are row 0 of the oracle pass and its rates at t,
+        and the actions are numpy's rate over the values, also where d_lo is 0."""
         table = solve_dp(model, T, y0)
         values, actions = np.zeros((T + 1, y0 + 1)), np.zeros((T + 1, y0 + 1))
         for t, v, d in oracles.backward(model, T, y0):
             values[t], actions[t, 1:] = v[0], d[0]
         assert table.values.tobytes() == values.tobytes()
         assert table.actions.tobytes() == actions.tobytes()
+        assert table.actions.tobytes() == _numpy_actions(model, table.values).tobytes()
 
     def test_sliced_matches_dense(self, bernoulli_model):
         table = solve_dp(bernoulli_model, 48, 15)
@@ -1134,7 +1158,7 @@ _VECTOR_LOOPS = {
     "forward": ("forward_period(long reps", "for (long r = 0; r < reps; r++) {"),
     "noise_sum": ("void noise_sum(", "for (long r = 0; r < reps; r++)"),
     "forward2": ("void forward2(", "for (long r = 0; r < reps; r++) {"),
-    "backward2": ("backward2_row(double", "for (long j = m2 - 1; j >= 1; j--) {"),
+    "backward2": ("backward2_row(double", "for (long j = hi; j >= first; j--) {"),
 }
 
 
@@ -1251,23 +1275,31 @@ class TestDispatchedBackward:
     def test_two_product_matches_oracle_bitwise(self, single_build, model, T, y0):
         """backward2 of every single-target build gives the bits of
         oracles.backward_multi in its V row and of oracles.resolving_multi in its W
-        row; y0 of 0 and 1 leave a row or a column to the peeled edges alone."""
+        row, at every cell of the lattice the cut pass computes and in every point's
+        value; y0 of 0 and 1 leave a row or a column to the peeled edges alone."""
         shape = (y0[0] + 1, y0[1] + 1)
         for resolving, oracle in ((False, oracles.backward_multi),
                                   (True, oracles.resolving_multi)):
             want = np.zeros(shape)
             oracle(model, T, want)
-            got = _backward2(single_build, model, T, shape, resolving)
-            assert got.tobytes() == want.tobytes(), resolving
+            for got in _backward2(single_build, model, T, shape, resolving):
+                assert got.tobytes() == want.tobytes(), resolving
 
 
-def _backward2(lib, model, T: int, shape, resolving: bool) -> np.ndarray:
-    """The lattice of the given shape after T periods of lib's backward2, its W row
-    when resolving, else its V row."""
-    V = np.zeros(shape)
-    lib.backward2(V, *shape, 1, np.array([T], dtype=np.int64), np.zeros(1, dtype=np.int64),
-                  np.empty(1), model.g, model.H, model.box_hi, resolving)
-    return V
+def _backward2(lib, model, T: int, shape, resolving: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, values): lib's backward2 on the lattice of the given shape, its W row
+    when resolving, else its V row, run to T with every cell y of the lattice a point
+    of horizon T.  values[y] is the value the pass stores for point y, and cells[y]
+    the lattice after the pass at the cell it computes for y: (min(y_k, T)) in each
+    product k where its triangle holds (V: both; W: where box_hi_k <= 1), else y_k."""
+    count = shape[0] * shape[1]
+    lattice, values = np.zeros(shape), np.empty(shape)
+    lib.backward2(lattice, *shape, count, np.full(count, T, dtype=np.int64),
+                  np.arange(count, dtype=np.int64), values, model.g, model.H, model.box_hi,
+                  resolving)
+    reads = [np.minimum(np.arange(m), T) if not resolving or hi <= 1.0 else np.arange(m)
+             for m, hi in zip(shape, model.box_hi)]
+    return lattice[np.ix_(*reads)], values
 
 
 # (alpha, beta) of bernoulli models with d_lo = alpha / 3 and d_hi = alpha, inside and
@@ -1307,7 +1339,8 @@ class TestQuotients:
     @pytest.mark.parametrize("alpha, beta", _FUSED_RANGE_MODELS)
     def test_rows_keep_the_bits_on_both_sides_of_the_fused_range(self, alpha, beta, caplog):
         """exact_values, banded and on the whole cone, and solve_dp give
-        oracles.backward's bits whether backward corrects its quotients or divides."""
+        oracles.backward's bits whether backward corrects its quotients or divides, and
+        solve_dp's actions are numpy's rate over its values."""
         model = DemandModel.linear_bernoulli(alpha, beta, 0.0, alpha / (1.5 * beta))
         policies = {"resolving": resolving_policy(model),
                     "static": static_policy(model, 0.3 * alpha)}
@@ -1324,6 +1357,7 @@ class TestQuotients:
         for t, v, _ in oracles.backward(model, 200, 80):
             values[t] = v[0]
         assert table.values.tobytes() == values.tobytes()
+        assert table.actions.tobytes() == _numpy_actions(model, table.values).tobytes()
 
 
 _FORWARD_MODELS = {
@@ -1493,6 +1527,31 @@ _LAW_ADDITIVE = DemandModel.linear_additive(alpha=0.75, beta=0.5, p_lo=0.0, p_hi
                                             noise_half_width=0.1)
 
 
+@st.composite
+def _wide_box_models(draw) -> MultiDemandModel:
+    """Two-product models as two_product_models draws them, but with each box_hi 1 or
+    drawn from 0.5 to 2, and the unconstrained optimum from 0.05 to 2 in each product,
+    so that the re-solve can bind at min(box_hi_k, y_k / t) above 1: backward2's W
+    row cuts product k to y_k <= t only where box_hi_k <= 1."""
+    d1, d2 = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    h12 = draw(st.floats(-0.9, 0.9)) * (d1 * d2) ** 0.5
+    H = np.array([[-d1, h12], [h12, -d2]])
+    target = np.array([draw(st.floats(0.05, 2.0)) for _ in range(2)])
+    return MultiDemandModel(g=-H @ target, H=H,
+                            box_hi=[draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+                                    for _ in range(2)])
+
+
+@st.composite
+def _cut_points(draw) -> list:
+    """1 to 5 (T, y0) points, T often 8 or 16 and y0_k often 0 or above T, then up to
+    two of them again."""
+    points = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from([8, 16]), st.integers(1, 40)),
+        st.tuples(*[st.one_of(st.just(0), st.integers(1, 50))] * 2)), min_size=1, max_size=5))
+    return points + draw(st.lists(st.sampled_from(points), max_size=2))
+
+
 class TestSolveDpMulti:
     def test_zero_inventory(self, multi_model):
         assert solve_dp_multi(multi_model, 8, [0, 0]) == 0.0
@@ -1510,19 +1569,23 @@ class TestSolveDpMulti:
         want, want_w = np.zeros(shape), np.zeros(shape)
         oracles.backward_multi(model, T, want)
         oracles.resolving_multi(model, T, want_w)
-        assert _backward2(kernels._kernel(), model, T, shape, False).tobytes() == want.tobytes()
-        assert _backward2(kernels._kernel(), model, T, shape, True).tobytes() == want_w.tobytes()
+        for got in _backward2(kernels._kernel(), model, T, shape, False):
+            assert got.tobytes() == want.tobytes()
+        for got in _backward2(kernels._kernel(), model, T, shape, True):
+            assert got.tobytes() == want_w.tobytes()
         assert solve_dp_multi(model, T, y0) == want[y0]
         assert multi_values(model, [(T, y0)], ["dp", "resolving"]) == [
             {"dp": want[y0], "resolving": want_w[y0]}]
 
-    @settings(max_examples=30, deadline=None)
-    @given(model=two_product_models(),
-           points=st.lists(st.tuples(st.integers(1, 48), st.tuples(*[st.integers(0, 20)] * 2)),
-                           min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    @given(model=_wide_box_models(), points=_cut_points())
     def test_one_pass_has_the_bits_of_a_pass_per_horizon(self, model, points):
         """Each point of one pass over every horizon, on the lattice of all the points,
-        has the bits of a pass on its own lattice to its own horizon, in both rows."""
+        has the bits of a whole-lattice pass on its own lattice to its own horizon, in
+        both rows.  backward2 runs each period on the cone of the points still to be
+        stored, cut to y_k <= t where its triangle holds: box_hi on both sides of 1
+        puts W's triangle on and off, and points with y0_k = 0, y0_k > T and several
+        and repeated horizons move the cone's edges."""
         names = ["resolving", "dp"]
         got = multi_values(model, points, names)
         for (T, y0), values in zip(points, got):
@@ -1561,8 +1624,8 @@ class TestSolveDpMulti:
         min(box_hi, y / 1) = box_hi is V's own maximization."""
         model = MultiDemandModel(g=[1.0, 1.0], H=[[-2.0, -0.5], [-0.5, -2.0]],
                                  box_hi=[1.0, 1.0])
-        V = _backward2(kernels._kernel(), model, T, (65, 129), False)
-        W = _backward2(kernels._kernel(), model, T, (65, 129), True)
+        _, V = _backward2(kernels._kernel(), model, T, (65, 129), False)
+        _, W = _backward2(kernels._kernel(), model, T, (65, 129), True)
         if T == 1:
             assert W.tobytes() == V.tobytes()
         else:
